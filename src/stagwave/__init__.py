@@ -5,14 +5,19 @@ two staggered time levels, advanced by a leapfrog update whose two quadratic
 invariants are preserved to rounding whenever the spatial operators are
 discrete adjoints of each other and the time step satisfies a CFL-type bound.
 
+That leapfrog lives once, in ``core``: the step, both invariants, the run
+loop, the CFL warning and the half-step start.  Each physics module supplies
+only an operator pair (with the norm bound behind its dt limit) and two
+inner products, plus thin aliases that keep its own state and record types.
+
 Modules
 -------
+core       : the leapfrog engine over an adjoint operator pair
 oscillator : harmonic oscillator, the scalar calibration case
-core       : the generic staggered-pair integrator and its invariants
 wave1d     : 1D wave equation (constant and variable materials) on a pinned interval
 mimetic3d  : 3D staggered grids, mimetic difference operators, inner products
-wave3d     : 3D scalar wave and Maxwell (Yee) cavity solvers
-wave2d     : 2D staggered grids, operators, and the 2D scalar wave
+wave3d     : 3D scalar wave and Maxwell (Yee) pairs, audits and cavity modes
+wave2d     : 2D staggered grids, operators, and the 2D scalar-wave pair
 positivity : mass-conserving, positivity-preserving transport and diffusion
 cli        : experiment runner exposing everything as subcommands
 """

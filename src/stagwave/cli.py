@@ -55,7 +55,7 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +105,20 @@ def _check(name: str, measured, bound: str, passed: bool) -> dict:
     return {"name": name, "measured": measured, "bound": bound, "passed": bool(passed)}
 
 
-def _drift_checks(records, idx_n=1, idx_half=2, tol=1e-12):
-    """The standard pair of conserved-quantity drift checks on a record list."""
-    drift_n = rel_drift([r[idx_n] for r in records])
-    drift_half = rel_drift([r[idx_half] for r in records])
-    bound = f"<= {tol:g} relative"
-    return [
-        _check("C_n-drift", drift_n, bound, drift_n <= tol),
-        _check("C_half-drift", drift_half, bound, drift_half <= tol),
+def _invariant_series(art, rows, every, extra=()):
+    """Write the rows (step, t, C_n, C_half, *extra) of every `every`-th step
+    to the series CSV; return the drift checks over all rows and their summary."""
+    art.series(
+        ["step", "t", "C_n", "C_half", *extra],
+        [r for r in rows if every and r[0] % every == 0],
+    )
+    drift_n = rel_drift([r[2] for r in rows])
+    drift_half = rel_drift([r[3] for r in rows])
+    checks = [
+        _check("C_n-drift", drift_n, "<= 1e-12 relative", drift_n <= 1e-12),
+        _check("C_half-drift", drift_half, "<= 1e-12 relative", drift_half <= 1e-12),
     ]
+    return checks, {"C_n_drift": drift_n, "C_half_drift": drift_half}
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +244,14 @@ def parse_material_1d(spec: str) -> dict:
             raise ConfigError(f"cmp speed must be positive, got {c}")
         return {"kind": "cmp", "c": c}
 
+    def vmp(name, rho_fn, tau_fn):
+        return {"kind": "vmp", "name": name, "rho": rho_fn, "tau": tau_fn}
+
+    def one_sided(name, target, fn):
+        return vmp(name, fn, one) if target == "rho" else vmp(name, one, fn)
+
     if head in wave1d.MATERIAL_PRESETS and not rest:
-        rho_fn, tau_fn = wave1d.MATERIAL_PRESETS[head]
-        return {"kind": "vmp", "name": head, "rho": rho_fn, "tau": tau_fn}
+        return vmp(head, *wave1d.MATERIAL_PRESETS[head])
 
     def target_of(tok_list, default="rho"):
         names = [t for t in tok_list if t in _TARGETS]
@@ -252,9 +262,7 @@ def parse_material_1d(spec: str) -> dict:
     if head == "linear":
         target, nums = target_of(rest)
         slope = float(nums[0]) if nums else 0.5
-        fn = wave1d.linear_profile(slope)
-        rho_fn, tau_fn = (fn, one) if target == "rho" else (one, fn)
-        return {"kind": "vmp", "name": f"linear-{target}", "rho": rho_fn, "tau": tau_fn}
+        return one_sided(f"linear-{target}", target, wave1d.linear_profile(slope))
 
     if head == "bump":
         if len(rest) != 2:
@@ -262,12 +270,7 @@ def parse_material_1d(spec: str) -> dict:
         p, q = int(rest[0]), int(rest[1])
         if p < 1 or q < 1:
             raise ConfigError("bump powers must be >= 1")
-        return {
-            "kind": "vmp",
-            "name": f"bump-p{p}-q{q}",
-            "rho": wave1d.bump_profile(p),
-            "tau": wave1d.bump_profile(q),
-        }
+        return vmp(f"bump-p{p}-q{q}", wave1d.bump_profile(p), wave1d.bump_profile(q))
 
     if head == "piecewise-linear":
         target, nums = target_of(rest)
@@ -275,27 +278,14 @@ def parse_material_1d(spec: str) -> dict:
             raise ConfigError(f"piecewise-linear needs a b c d, got {spec!r}")
         a, b, c, d = (float(v) for v in nums)
         fn = wave1d.piecewise_linear_profile(a, b, c, d)
-        rho_fn, tau_fn = (fn, one) if target == "rho" else (one, fn)
-        return {
-            "kind": "vmp",
-            "name": f"piecewise-{target}",
-            "rho": rho_fn,
-            "tau": tau_fn,
-        }
+        return one_sided(f"piecewise-{target}", target, fn)
 
     if head == "jump":
         target, nums = target_of(rest)
         if len(nums) != 1 or nums[0] not in ("up", "down"):
             raise ConfigError(f"jump needs 'up' or 'down', got {spec!r}")
-        delta = +0.5 if nums[0] == "up" else -0.5
-        fn = wave1d.jump_profile(delta)
-        rho_fn, tau_fn = (fn, one) if target == "rho" else (one, fn)
-        return {
-            "kind": "vmp",
-            "name": f"{target}-jump-{nums[0]}",
-            "rho": rho_fn,
-            "tau": tau_fn,
-        }
+        fn = wave1d.jump_profile(+0.5 if nums[0] == "up" else -0.5)
+        return one_sided(f"{target}-jump-{nums[0]}", target, fn)
 
     raise ConfigError(
         f"unknown 1D material {spec!r}; use 'cmp c=...', a preset name, or one "
@@ -415,24 +405,18 @@ def _run_oscillator(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     u_hist, rec = oscillator.simulate(
         cfg.init["u0"], cfg.init["v0"], params, exact_init=cfg.init["exact_init"]
     )
-    every = cfg.time["record_every"]
-    rows = [(s, s * dt, cn, ch) for s, cn, ch in rec if every and s % every == 0]
-    art.series(["step", "t", "C_n", "C_half"], rows)
+    checks, summary = _invariant_series(
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+    )
 
     t = dt * np.arange(len(u_hist))
     # continuum solution of u' = -omega v, v' = omega u
     exact = cfg.init["u0"] * np.cos(omega * t) - cfg.init["v0"] * np.sin(omega * t)
     max_dev = float(np.max(np.abs(np.asarray(u_hist) - exact)))
-
-    checks = _drift_checks(rec)
     return {
         "settings": {"omega": omega, "dt": dt, "steps": steps, "alpha": params.alpha},
-        "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
-        },
+        "summary": summary,
         "error_norms": {"max_dev_from_exact": max_dev},
-        "orders": {},
         "checks": checks,
     }
 
@@ -456,34 +440,19 @@ def _run_system(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         dx = 1.0 / (nx - 1)
         dt = cfg.time["dt"] if cfg.time["dt"] is not None else cfg.time["safety"] * dx / c
         grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=steps * dt, nt=steps)
-        mats = wave1d.Materials1D(rho=np.ones(nx), tau=np.ones(nx - 1))
-        ops = wave1d.cmp_operator_pair(c, grid)
+        ops, inner_X, inner_Y = wave1d.cmp_system(c, grid)
         u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0, cfg.init["mode_m"], c)
-        state, rec = run_system(
-            u0,
-            np.zeros(nx - 1),
-            ops,
-            dt,
-            steps,
-            inner_X=lambda a, b: wave1d.weighted_inner_rho(a, b, mats, grid),
-            inner_Y=lambda a, b: wave1d.weighted_inner_tau(a, b, mats, grid),
-        )
+        state, rec = run_system(u0, np.zeros(nx - 1), ops, dt, steps, inner_X, inner_Y)
         settings = {"preset": preset, "nx": nx, "c": c, "dt": dt, "steps": steps}
     else:
         raise ConfigError(f"unknown system preset {preset!r}; use oscillator or cmp")
 
-    every = cfg.time["record_every"]
-    rows = [(s, s * dt, cn, ch) for s, cn, ch in rec if every and s % every == 0]
-    art.series(["step", "t", "C_n", "C_half"], rows)
-    checks = _drift_checks(rec)
+    checks, summary = _invariant_series(
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+    )
     return {
         "settings": settings,
-        "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
-        },
-        "error_norms": {},
-        "orders": {},
+        "summary": summary,
         "checks": checks,
     }
 
@@ -509,13 +478,10 @@ def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     if case == "cmp":
         c = mat["c"]
         grid = _build_grid_1d(cfg.grid["nx"], t_final, cfg.time["nt"], cfg.time["safety"], c)
-        xp, xd = grid.primal_points(), grid.dual_points()
-        u0 = wave1d.standing_mode_u(xp, 0.0, m, c)
-        if cfg.init["init"] == "exact":
-            v0 = wave1d.standing_mode_v(xd, grid.dt / 2, m, c)
-        else:
-            v0 = wave1d.taylor_v_half_cmp(u0, np.zeros(grid.nx - 1), c, grid)
+        # an unset --init has always started cmp runs from the Taylor half step
+        u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init["init"] or "taylor")
         state, rec = wave1d.run_cmp(grid, c, u0, v0, record_every=1)
+        xp = grid.primal_points()
         er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
         art.errors(zip(xp, er, er / grid.dx**2))
         error_norms = {"max_abs_u": float(np.max(np.abs(er)))}
@@ -533,22 +499,15 @@ def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         error_norms = {}
         settings = {"case": case, "material": mat["name"]}
 
-    every = cfg.time["record_every"]
-    rows = [(s, s * grid.dt, cn, ch) for s, cn, ch in rec if every and s % every == 0]
-    art.series(["step", "t", "C_n", "C_half"], rows)
+    rows = [(s, s * grid.dt, cn, ch) for s, cn, ch in rec]
+    checks, summary = _invariant_series(art, rows, cfg.time["record_every"])
     settings.update({"nx": grid.nx, "nt": grid.nt, "dt": grid.dt, "t_final": t_final})
-
-    checks = _drift_checks(rec)
-    min_c = min(min(r[1] for r in rec), min(r[2] for r in rec))
+    min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
     checks.append(_check("invariants-positive", min_c, "> 0", min_c > 0))
     return {
         "settings": settings,
-        "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
-        },
+        "summary": summary,
         "error_norms": error_norms,
-        "orders": {},
         "checks": checks,
     }
 
@@ -600,12 +559,9 @@ def _sweep_1d(cfg: ExperimentConfig) -> dict:
         if f_over is None:
             f_over = wave1d.refinement_exponent(c, 1.0, t_final)
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = pool.map(
-                    _cmp_sweep_point,
-                    [(k, t_final, m, c, f_over, cfg.init["init"]) for k in ks],
-                )
-            rows = [row for part in parts for row in part]
+            rows = _pool_sweep(
+                _cmp_sweep_point, [(k, t_final, m, c, f_over, cfg.init["init"]) for k in ks], jobs
+            )
         else:
             rows = wave1d.cmp_mode_errors(ks, t_final, m=m, c=c, f=f_over, init=cfg.init["init"])
         profile = _cmp_profile(max(ks), t_final, m, c, f_over, cfg.init["init"])
@@ -629,11 +585,7 @@ def _sweep_1d(cfg: ExperimentConfig) -> dict:
         )
         name = mat["name"]
 
-    pair_orders = wave1d.estimate_order(rows)
-    table = [
-        (k, 2**k + 1, dx, er, pair_orders[i - 1] if i else "")
-        for i, (k, (dx, er)) in enumerate(zip(ks, rows))
-    ]
+    pair_orders, table = _order_table(ks, rows, lambda k: 2**k + 1)
     return {
         "kind": mat["kind"],
         "name": name,
@@ -647,6 +599,22 @@ def _sweep_1d(cfg: ExperimentConfig) -> dict:
         "endpoint": endpoint_order(rows),
         "profile": profile,
     }
+
+
+def _pool_sweep(point, args, jobs: int) -> list:
+    """Rows of `point(a)` for each a, over `jobs` processes, in sweep order."""
+    with ProcessPoolExecutor(max_workers=jobs) as pool:
+        return [row for part in pool.map(point, args) for row in part]
+
+
+def _order_table(ks, rows, points_of):
+    """Pairwise orders and the (k, Nx, dx, Er, p) table of a sweep."""
+    pair_orders = wave1d.estimate_order(rows)
+    table = [
+        (k, points_of(k), dx, er, pair_orders[i - 1] if i else "")
+        for i, (k, (dx, er)) in enumerate(zip(ks, rows))
+    ]
+    return pair_orders, table
 
 
 def _is_float(text) -> bool:
@@ -664,13 +632,8 @@ def _cmp_sweep_point(args):
 
 def _cmp_profile(k: int, t_final: float, m: int, c: float, f: int, init: str):
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-    xp, xd = grid.primal_points(), grid.dual_points()
-    u0 = wave1d.standing_mode_u(xp, 0.0, m, c)
-    if init == "exact":
-        v0 = wave1d.standing_mode_v(xd, grid.dt / 2, m, c)
-    else:
-        v0 = wave1d.taylor_v_half_cmp(u0, np.zeros(grid.nx - 1), c, grid)
-    state, _ = wave1d.run_cmp(grid, c, u0, v0, record_every=0)
+    state, _ = wave1d.run_cmp(grid, c, *wave1d.cmp_mode_start(grid, m, c, init), record_every=0)
+    xp = grid.primal_points()
     er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
     return list(zip(xp, er, er / grid.dx**2))
 
@@ -713,6 +676,13 @@ def _run_wave1d_convergence(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     }
 
 
+_ND_SWEEPS = {
+    "wave2d-mode": wave2d.mode_errors_2d,
+    "wave3d-cavity": wave3d.scalar_cavity_errors,
+    "maxwell-cavity": wave3d.maxwell_cavity_errors,
+}
+
+
 def _run_convergence_table(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     case = cfg.material["case"] or "cmp"
     ks = cfg.grid["k"]
@@ -720,19 +690,7 @@ def _run_convergence_table(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         raise ConfigError("a convergence sweep needs at least two refinement levels")
     jobs = cfg.init.get("jobs") or 1
 
-    sweeps_nd = {
-        "wave2d-mode": lambda sizes: wave2d.mode_errors_2d(
-            sizes, t_final=t_final, safety=cfg.time["safety"]
-        ),
-        "wave3d-cavity": lambda sizes: wave3d.scalar_cavity_errors(
-            sizes, t_final=t_final, safety=cfg.time["safety"]
-        ),
-        "maxwell-cavity": lambda sizes: wave3d.maxwell_cavity_errors(
-            sizes, t_final=t_final, safety=cfg.time["safety"]
-        ),
-    }
-
-    if case in sweeps_nd:
+    if case in _ND_SWEEPS:
         t_final = (
             float(cfg.time["final"])
             if cfg.time["final"] is not None and _is_float(cfg.time["final"])
@@ -740,16 +698,12 @@ def _run_convergence_table(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         )
         sizes = [2**k for k in ks]
         if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                parts = pool.map(_nd_sweep_point, [(case, n, t_final, cfg.time["safety"]) for n in sizes])
-            rows = [row for part in parts for row in part]
+            rows = _pool_sweep(
+                _nd_sweep_point, [(case, n, t_final, cfg.time["safety"]) for n in sizes], jobs
+            )
         else:
-            rows = sweeps_nd[case](sizes)
-        pair_orders = wave1d.estimate_order(rows)
-        table = [
-            (k, 2**k, dx, er, pair_orders[i - 1] if i else "")
-            for i, (k, (dx, er)) in enumerate(zip(ks, rows))
-        ]
+            rows = _ND_SWEEPS[case](sizes, t_final=t_final, safety=cfg.time["safety"])
+        pair_orders, table = _order_table(ks, rows, lambda k: 2**k)
         name = case
         endpoint = endpoint_order(rows)
     else:
@@ -770,12 +724,7 @@ def _run_convergence_table(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
 
 def _nd_sweep_point(args):
     case, n, t_final, safety = args
-    fn = {
-        "wave2d-mode": wave2d.mode_errors_2d,
-        "wave3d-cavity": wave3d.scalar_cavity_errors,
-        "maxwell-cavity": wave3d.maxwell_cavity_errors,
-    }[case]
-    return fn((n,), t_final=t_final, safety=safety)
+    return _ND_SWEEPS[case]((n,), t_final=t_final, safety=safety)
 
 
 # -- 2D and 3D experiments ---------------------------------------------------
@@ -793,29 +742,17 @@ def _run_wave2d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     dt = t_final / nt
 
     m, n = cfg.init["mode_m"], cfg.init["mode_n"]
-    x, y = grid.points("fp")
-    u0, _, _ = wave2d.exact_solution_2d(m, n, 1.0, x, y, 0.0)
-    if cfg.init["init"] == "exact":
-        xx, xy = grid.points("nxd")
-        _, vx, _ = wave2d.exact_solution_2d(m, n, 1.0, xx, xy, dt / 2)
-        yx, yy = grid.points("nyd")
-        _, _, vy = wave2d.exact_solution_2d(m, n, 1.0, yx, yy, dt / 2)
-        v0 = (vx, vy)
-    else:
-        zeros = (np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
-        v0 = wave2d.init_v_half_2d(u0, zeros, star, grid, dt)
+    u0, v0 = wave2d.mode_start_2d(grid, star, dt, m, n, cfg.init["init"])
     state, rec = wave2d.run_wave2d(grid, star, u0, v0, dt, nt, record_every=1)
 
-    every = cfg.time["record_every"]
-    rows = [(s, s * dt, cn, ch) for s, cn, ch in rec if every and s % every == 0]
-    art.series(["step", "t", "C_n", "C_half"], rows)
+    checks, summary = _invariant_series(
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+    )
 
     error_norms = {}
     if star == wave2d.Star2():
-        want, _, _ = wave2d.exact_solution_2d(m, n, 1.0, x, y, t_final)
+        want, _, _ = wave2d.exact_solution_2d(m, n, 1.0, *grid.points("fp"), t_final)
         error_norms["max_abs_u"] = float(np.max(np.abs(state.u - want)))
-
-    checks = _drift_checks(rec)
     return {
         "settings": {
             "nx": nx,
@@ -826,26 +763,31 @@ def _run_wave2d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "star": [star.a, star.a11, star.a22],
             "modes": [m, n],
         },
-        "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
-        },
+        "summary": summary,
         "error_norms": error_norms,
-        "orders": {},
         "checks": checks,
     }
 
 
 def _resolve_dt_3d(cfg, dt_max):
-    """Explicit dt, or a t_final split into whole steps, or safety * bound."""
+    """Explicit dt, or a t_final split into whole steps, or safety * bound.
+
+    Rejects a record interval longer than the run, which would leave the
+    series (and the drift checks) without a single row.
+    """
     dt, t_final = cfg.time["dt"], cfg.time["t_final"]
-    safety = cfg.time["safety"]
-    if dt is not None:
-        return dt, cfg.time["steps"]
-    if t_final is not None:
-        nt = max(1, math.ceil(t_final / (safety * dt_max)))
-        return t_final / nt, nt
-    return safety * dt_max, cfg.time["steps"]
+    steps, every = cfg.time["steps"], cfg.time["record_every"]
+    if dt is None and t_final is not None:
+        steps = max(1, math.ceil(t_final / (cfg.time["safety"] * dt_max)))
+        dt = t_final / steps
+    elif dt is None:
+        dt = cfg.time["safety"] * dt_max
+    if every > steps:
+        raise ConfigError(
+            f"--record-every {every} is larger than the number of steps ({steps}, "
+            "from --steps or --t-final); no step would be recorded"
+        )
+    return dt, steps
 
 
 def _run_wave3d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
@@ -860,17 +802,14 @@ def _run_wave3d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     state, rec = wave3d.run_scalar_wave(
         grid, star, s0, v0, dt, steps, record_every=cfg.time["record_every"]
     )
-    art.series(
-        ["step", "t", "C_n", "C_half", "sq_f", "sq_gbar", "sq_AGf"],
-        [r[:7] for r in rec],
+    checks, summary = _invariant_series(
+        art, rec, cfg.time["record_every"], ("sq_f", "sq_gbar", "sq_AGf")
     )
 
     error_norms = {}
     if cfg.material["materials"] == "trivial3d" and cfg.time["t_final"] is not None:
         want = wave3d.cavity_mode_s(grid, cfg.time["t_final"], modes)
         error_norms["max_abs_s"] = float(np.max(np.abs(state.s - want)))
-
-    checks = _drift_checks(rec, idx_n=2, idx_half=3)
     return {
         "settings": {
             "grid": n,
@@ -879,12 +818,8 @@ def _run_wave3d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "steps": steps,
             "modes": list(modes),
         },
-        "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
-        },
+        "summary": summary,
         "error_norms": error_norms,
-        "orders": {},
         "checks": checks,
     }
 
@@ -901,12 +836,9 @@ def _run_maxwell(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     state, rec = wave3d.run_maxwell(
         grid, eps, mu, e0, h0, dt, steps, record_every=cfg.time["record_every"]
     )
-    art.series(
-        ["step", "t", "C_n", "C_half", "sq_f", "sq_gbar", "sq_AGf", "div_e", "div_h"],
-        rec,
+    checks, summary = _invariant_series(
+        art, rec, cfg.time["record_every"], ("sq_f", "sq_gbar", "sq_AGf", "div_e", "div_h")
     )
-
-    checks = _drift_checks(rec, idx_n=2, idx_half=3)
     for label, idx in (("div_e", 7), ("div_h", 8)):
         series = [r[idx] for r in rec]
         dev = float(np.max(np.abs(np.asarray(series) - series[0])))
@@ -922,13 +854,10 @@ def _run_maxwell(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "steps": steps,
         },
         "summary": {
-            "C_n_drift": checks[0]["measured"],
-            "C_half_drift": checks[1]["measured"],
+            **summary,
             "div_e_initial": float(rec[0][7]),
             "div_h_initial": float(rec[0][8]),
         },
-        "error_norms": {},
-        "orders": {},
         "checks": checks,
     }
 
@@ -1012,8 +941,6 @@ def _run_transport(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "escaped": float(state.escaped),
             "guaranteed": bool(state.guaranteed),
         },
-        "error_norms": {},
-        "orders": {},
         "checks": checks,
     }
 
@@ -1056,8 +983,6 @@ def _run_diffusion(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "steps": steps,
         },
         "summary": {"mass_initial": mass0, "mass_final": float(np.sum(rho) * dx)},
-        "error_norms": {},
-        "orders": {},
         "checks": checks,
     }
 
@@ -1092,8 +1017,8 @@ def run(config: ExperimentConfig) -> RunReport:
         seed=config.seed,
         artifacts={},
         summary=body["summary"],
-        error_norms=body["error_norms"],
-        orders=body["orders"],
+        error_norms=body.get("error_norms", {}),
+        orders=body.get("orders", {}),
         checks=body["checks"],
         passed=passed,
         wall_time_s=time.perf_counter() - t0,
@@ -1104,18 +1029,7 @@ def run(config: ExperimentConfig) -> RunReport:
 
 def convergence_table(config: ExperimentConfig) -> RunReport:
     """`run` specialized to the convergence-table command (same report)."""
-    if config.command != "convergence-table":
-        config = ExperimentConfig(
-            command="convergence-table",
-            grid=config.grid,
-            material=config.material,
-            time=config.time,
-            init=config.init,
-            output=config.output,
-            seed=config.seed,
-            checks_enabled=config.checks_enabled,
-        )
-    return run(config)
+    return run(replace(config, command="convergence-table"))
 
 
 # ---------------------------------------------------------------------------
@@ -1123,14 +1037,25 @@ def convergence_table(config: ExperimentConfig) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _rand_vector(grid: Grid3, kind: str, rng):
+def _rand_field(grid: Grid3, kind: str, rng):
+    if kind in mimetic3d.SCALAR_KINDS:
+        return rng.standard_normal(grid.scalar_shape(kind))
     return mimetic3d.VectorField3(
         *(rng.standard_normal(s) for s in grid.vector_shapes(kind))
     )
 
 
-def _vec_max(v) -> float:
-    return max(float(np.max(np.abs(c))) for c in v.components)
+def _max_abs(field) -> float:
+    return max(float(np.max(np.abs(c))) for c in getattr(field, "components", (field,)))
+
+
+# (check name, input kind, first operator, second operator): chains that vanish
+_EXACT_CHAINS = (
+    ("curl-grad", "node", "grad3", "curl3"),
+    ("div-curl", "edge", "curl3", "div3"),
+    ("star-curl-grad", "dual-node", "grad3_star", "curl3_star"),
+    ("star-div-curl", "dual-edge", "curl3_star", "div3_star"),
+)
 
 
 def _exactness_checks(n: int, seed: int) -> list:
@@ -1139,35 +1064,13 @@ def _exactness_checks(n: int, seed: int) -> list:
     rng = np.random.default_rng(seed)
     for boundary in ("periodic", "pinned"):
         g = Grid3.cube(n, 1.0, boundary=boundary)
-        h = g.dx
-
-        s = rng.standard_normal(g.scalar_shape("node"))
-        bound = 1e-13 * float(np.max(np.abs(s))) / h
-        res = _vec_max(mimetic3d.curl3(mimetic3d.grad3(s, g), g))
-        checks.append(
-            _check(f"curl-grad-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
-        )
-
-        t = _rand_vector(g, "edge", rng)
-        bound = 1e-13 * _vec_max(t) / h
-        res = float(np.max(np.abs(mimetic3d.div3(mimetic3d.curl3(t, g), g))))
-        checks.append(
-            _check(f"div-curl-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
-        )
-
-        sd = rng.standard_normal(g.scalar_shape("dual-node"))
-        bound = 1e-13 * float(np.max(np.abs(sd))) / h
-        res = _vec_max(mimetic3d.curl3_star(mimetic3d.grad3_star(sd, g), g))
-        checks.append(
-            _check(f"star-curl-grad-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
-        )
-
-        td = _rand_vector(g, "dual-edge", rng)
-        bound = 1e-13 * _vec_max(td) / h
-        res = float(np.max(np.abs(mimetic3d.div3_star(mimetic3d.curl3_star(td, g), g))))
-        checks.append(
-            _check(f"star-div-curl-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
-        )
+        for name, kind, first, second in _EXACT_CHAINS:
+            x = _rand_field(g, kind, rng)
+            bound = 1e-13 * _max_abs(x) / g.dx
+            res = _max_abs(getattr(mimetic3d, second)(getattr(mimetic3d, first)(x, g), g))
+            checks.append(
+                _check(f"{name}-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
+            )
     return checks
 
 
@@ -1185,13 +1088,13 @@ def _round_trip_checks(n: int, seed: int) -> list:
     checks.append(_check(f"round-trip-scalar-{n}", res, "<= 1e-15 relative", res <= 1e-15))
 
     star_d = Star3.from_diagonals(g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5))
-    t = _rand_vector(g, "edge", rng)
+    t = _rand_field(g, "edge", rng)
     fwd = mimetic3d.star_matrix(t, star_d, which="a")
     back_v = mimetic3d.star_matrix(fwd, star_d, which="a", inverse=True)
     res = max(
         float(np.max(np.abs(b - a)))
         for a, b in zip(t.components, back_v.components)
-    ) / _vec_max(t)
+    ) / _max_abs(t)
     checks.append(_check(f"round-trip-diagonal-{n}", res, "<= 1e-15 relative", res <= 1e-15))
     return checks
 
@@ -1323,10 +1226,9 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
         u = rng.standard_normal(nx)
         u[0] = u[-1] = 0.0
         v = rng.standard_normal(nx - 1)
-        au = mats.tau * wave1d.grad1(u, g.dx)
-        asv = -wave1d.div1(v, g.dx) / mats.rho
-        lhs = wave1d.weighted_inner_tau(au, v, mats, g)
-        rhs = wave1d.weighted_inner_rho(u, asv, mats, g)
+        ops, inner_X, inner_Y = wave1d.vmp_system(mats, g)
+        lhs = inner_Y(ops.apply_A(u), v)
+        rhs = inner_X(u, ops.apply_Astar(v))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     checks = [_check("sbp-random-trials", worst, "<= 1e-13 relative", worst <= 1e-13)]
 
@@ -1334,7 +1236,7 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
     mats = wave1d.Materials1D.from_profiles(
         g, wave1d.bump_profile(2), wave1d.piecewise_linear_profile()
     )
-    ops = wave1d.vmp_operator_pair(mats, g)
+    ops, inner_X, inner_Y = wave1d.vmp_system(mats, g)
 
     def sample_u(r):
         u = r.standard_normal(g.nx)
@@ -1343,8 +1245,8 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
 
     res = check_adjointness(
         ops,
-        inner_X=lambda a, b: wave1d.weighted_inner_rho(a, b, mats, g),
-        inner_Y=lambda a, b: wave1d.weighted_inner_tau(a, b, mats, g),
+        inner_X,
+        inner_Y,
         trials=max(trials // 5, 1),
         sample_X=sample_u,
         sample_Y=lambda r: r.standard_normal(g.nx - 1),

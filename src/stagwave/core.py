@@ -1,4 +1,4 @@
-"""Generic staggered-time (leapfrog) integrator over an adjoint operator pair.
+"""The leapfrog engine: one staggered-time integrator over an adjoint operator pair.
 
 Setting: two inner-product spaces X and Y, a linear map A: X -> Y with adjoint
 A*: Y -> X (i.e. <A f, g>_Y = <f, A* g>_X), and the first-order system
@@ -16,12 +16,17 @@ positive — hence the scheme stable — whenever dt * ||A|| < 2.
 Fields are never interpreted here: elements of X and Y can be floats, numpy
 arrays, or anything supporting +, -, and scalar multiplication.  Inner
 products are supplied by the caller, which is how the PDE modules plug in
-their material-weighted products without touching this file.
+their material-weighted products without touching this file.  Every solver
+in the package (oscillator, 1D, 2D, 3D scalar wave, Maxwell) marches through
+`run_system`; a physics module contributes only its `OperatorPair` (with the
+norm bound behind its dt limit) and its two inner products.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+import warnings
+from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
@@ -32,6 +37,7 @@ __all__ = [
     "system_step",
     "init_g_half",
     "INIT_VARIANTS",
+    "energy_pieces",
     "conserved_full",
     "conserved_half_step",
     "check_adjointness",
@@ -76,14 +82,7 @@ def system_step(state: SystemState, ops: OperatorPair) -> SystemState:
     """One leapfrog step.  f is updated first; g uses the freshly updated f."""
     f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
     g_new = state.g_half + state.dt * ops.apply_A(f_new)
-    return SystemState(
-        f=f_new,
-        g_half=g_new,
-        dt=state.dt,
-        step=state.step + 1,
-        f_prev=state.f,
-        g_prev_half=state.g_half,
-    )
+    return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
 
 
 # Second-order initializers for g at t = dt/2.  Both appear in the derivation
@@ -105,6 +104,21 @@ def init_g_half(f0, g0, ops: OperatorPair, dt: float, variant: str = "oscillator
     return g0 + (0.5 * dt) * ops.apply_A(f0) - coeff * ops.apply_A(ops.apply_Astar(g0))
 
 
+def energy_pieces(
+    state: SystemState,
+    ops: OperatorPair,
+    inner_X: Callable = euclidean_inner,
+    inner_Y: Callable = euclidean_inner,
+) -> tuple:
+    """The three terms (||f_n||_X^2, ||g_bar||_Y^2, ||A f_n||_Y^2) of the
+    whole-step invariant, with g_bar = (g_{n+1/2} + g_{n-1/2})/2."""
+    if state.g_prev_half is None:
+        raise ValueError("the whole-step invariant needs one step of history")
+    g_bar = 0.5 * (state.g_half + state.g_prev_half)
+    af = ops.apply_A(state.f)
+    return inner_X(state.f, state.f), inner_Y(g_bar, g_bar), inner_Y(af, af)
+
+
 def conserved_full(
     state: SystemState,
     ops: OperatorPair,
@@ -115,15 +129,12 @@ def conserved_full(
 
     ||f_n||_X^2 + ||(g_{n+1/2} + g_{n-1/2})/2||_Y^2 - (dt/2)^2 ||A f_n||_Y^2
     """
-    if state.g_prev_half is None:
-        raise ValueError("conserved_full needs g_prev_half (take a step first)")
-    g_bar = 0.5 * (state.g_half + state.g_prev_half)
-    af = ops.apply_A(state.f)
-    return (
-        inner_X(state.f, state.f)
-        + inner_Y(g_bar, g_bar)
-        - (0.5 * state.dt) ** 2 * inner_Y(af, af)
-    )
+    return _whole_step(energy_pieces(state, ops, inner_X, inner_Y), state.dt)
+
+
+def _whole_step(pieces, dt: float) -> float:
+    c1, c2, c3 = pieces
+    return c1 + c2 - (0.5 * dt) ** 2 * c3
 
 
 def conserved_half_step(
@@ -137,7 +148,7 @@ def conserved_half_step(
     ||(f_n + f_{n-1})/2||_X^2 + ||g_{n-1/2}||_Y^2 - (dt/2)^2 ||A* g_{n-1/2}||_X^2
     """
     if state.f_prev is None or state.g_prev_half is None:
-        raise ValueError("conserved_half_step needs one step of history")
+        raise ValueError("the half-step invariant needs one step of history")
     f_bar = 0.5 * (state.f + state.f_prev)
     ag = ops.apply_Astar(state.g_prev_half)
     return (
@@ -185,24 +196,40 @@ def run_system(
     inner_Y: Callable = euclidean_inner,
     init_variant: str = "oscillator-taylor",
     g_half0=None,
+    *,
+    record_every: int = 1,
+    audit: Callable | None = None,
 ):
-    """Integrate n_steps from (f0, g0) and record both invariants per step.
+    """Integrate n_steps from (f0, g0) and record both invariants.
 
     g_half0, if given, overrides the Taylor initializer (callers that know the
-    continuum solution pass the exact half-step value here).  Returns the final
-    state and a record list of (step, C_full, C_half) starting at step 1.
+    continuum solution pass the exact half-step value here).  A RuntimeWarning
+    flags dt * norm_bound_A > 2, past which the march is unstable.
+
+    Returns the final state and a record list with one entry
+    (step, C_full, C_half) per `record_every`-th step (none for
+    record_every=0).  An `audit(state, pieces)` callback, given the state and
+    the `energy_pieces` of C_full, appends the entries it returns.
     """
+    if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
+        warnings.warn(
+            f"dt = {dt:.4g} exceeds the stability bound {2.0 / ops.norm_bound_A:.4g}; "
+            "the march is unstable",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     if g_half0 is None:
         g_half0 = init_g_half(f0, g0, ops, dt, variant=init_variant)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     record = []
     for _ in range(n_steps):
         state = system_step(state, ops)
-        record.append(
-            (
+        if record_every and state.step % record_every == 0:
+            pieces = energy_pieces(state, ops, inner_X, inner_Y)
+            row = (
                 state.step,
-                conserved_full(state, ops, inner_X, inner_Y),
+                _whole_step(pieces, dt),
                 conserved_half_step(state, ops, inner_X, inner_Y),
             )
-        )
+            record.append(row if audit is None else (*row, *audit(state, pieces)))
     return state, record

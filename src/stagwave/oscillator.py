@@ -8,8 +8,10 @@ variable v on half levels t_{n+1/2}.  The pair
 is advanced by updating u first and then v using the *new* u; that ordering is
 what makes the two quadratic forms below exact invariants of the discrete map.
 
-Everything here is scalar; the PDE modules reuse the same structure with
-difference operators in place of omega.
+Everything here is scalar: the module supplies only the pair A = A* = omega,
+its norm bound omega, and the inner product 0.5*x*y; the step, the
+invariants, the half-step start and the run loop are those of `core`, which
+the PDE modules share with difference operators in place of omega.
 """
 
 from __future__ import annotations
@@ -17,9 +19,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import (
+    OperatorPair,
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    init_g_half,
+    run_system,
+    system_step,
+)
+
 __all__ = [
     "OscParams",
     "OscState",
+    "oscillator_system",
     "second_order_step",
     "leapfrog_step",
     "init_half_step",
@@ -77,18 +90,33 @@ def second_order_step(u_n: float, u_nm1: float, params: OscParams) -> float:
     return (2.0 - wdt * wdt) * u_n - u_nm1
 
 
+def _half_product(x: float, y: float) -> float:
+    return 0.5 * x * y
+
+
+def oscillator_system(params: OscParams):
+    """(pair, inner_X, inner_Y) for the core engine: A = A* = omega, with
+    omega as the norm bound, and 0.5*x*y as both inner products."""
+    w = params.omega
+    ops = OperatorPair(
+        apply_A=lambda u: w * u,
+        apply_Astar=lambda v: w * v,
+        norm_bound_A=w,
+        norm_bound_Astar=w,
+    )
+    return ops, _half_product, _half_product
+
+
+def _core_state(state: OscState, params: OscParams) -> SystemState:
+    return SystemState(
+        state.u, state.v_half, params.dt, state.step, state.prev_u, state.prev_v_half
+    )
+
+
 def leapfrog_step(state: OscState, params: OscParams) -> OscState:
     """Advance (u, v_half) by one step.  u is updated first; v uses the new u."""
-    dt, w = params.dt, params.omega
-    u_new = state.u - dt * w * state.v_half
-    v_new = state.v_half + dt * w * u_new
-    return OscState(
-        u=u_new,
-        v_half=v_new,
-        prev_u=state.u,
-        prev_v_half=state.v_half,
-        step=state.step + 1,
-    )
+    new = system_step(_core_state(state, params), oscillator_system(params)[0])
+    return OscState(new.f, new.g_half, new.f_prev, new.g_prev_half, new.step)
 
 
 def init_half_step(u0: float, v0: float, params: OscParams) -> float:
@@ -98,9 +126,7 @@ def init_half_step(u0: float, v0: float, params: OscParams) -> float:
 
         v(dt/2) ~= v0 + (dt/2)*omega*u0 - 1/2*(dt/2)^2*omega^2*v0
     """
-    h = 0.5 * params.dt
-    w = params.omega
-    return v0 + h * w * u0 - 0.5 * h * h * w * w * v0
+    return init_g_half(u0, v0, oscillator_system(params)[0], params.dt)
 
 
 def conserved_at_full_step(state: OscState, params: OscParams) -> float:
@@ -110,11 +136,7 @@ def conserved_at_full_step(state: OscState, params: OscParams) -> float:
 
     Requires one step of history (v at n-1/2).
     """
-    if state.prev_v_half is None:
-        raise ValueError("conserved_at_full_step needs prev_v_half (take a step first)")
-    a2 = params.alpha**2
-    v_bar = 0.5 * (state.v_half + state.prev_v_half)
-    return 0.5 * ((1.0 - a2) * state.u**2 + v_bar**2)
+    return conserved_full(_core_state(state, params), *oscillator_system(params))
 
 
 def conserved_at_half_step(state: OscState, params: OscParams) -> float:
@@ -122,11 +144,7 @@ def conserved_at_half_step(state: OscState, params: OscParams) -> float:
 
     C_{n-1/2} = 1/2 * [ ((u_n + u_{n-1})/2)^2  +  (1 - alpha^2) * v_{n-1/2}^2 ]
     """
-    if state.prev_u is None or state.prev_v_half is None:
-        raise ValueError("conserved_at_half_step needs one step of history")
-    a2 = params.alpha**2
-    u_bar = 0.5 * (state.u + state.prev_u)
-    return 0.5 * (u_bar**2 + (1.0 - a2) * state.prev_v_half**2)
+    return conserved_half_step(_core_state(state, params), *oscillator_system(params))
 
 
 def exact_solution(u0: float, v0: float, omega: float, t: float) -> tuple[float, float]:
@@ -151,24 +169,13 @@ def simulate(
     exact_init=True seeds v at t=dt/2 with the continuum value instead of the
     Taylor half-step; used by convergence studies.
     """
-    if exact_init:
-        v_half = exact_solution(u0, v0, params.omega, 0.5 * params.dt)[1]
-    else:
-        v_half = init_half_step(u0, v0, params)
-    state = OscState(u=u0, v_half=v_half)
-    u_hist = [u0]
-    record = []
-    for _ in range(params.n_steps):
-        state = leapfrog_step(state, params)
-        u_hist.append(state.u)
-        record.append(
-            (
-                state.step,
-                conserved_at_full_step(state, params),
-                conserved_at_half_step(state, params),
-            )
-        )
-    return u_hist, record
+    v_half = exact_solution(u0, v0, params.omega, 0.5 * params.dt)[1] if exact_init else None
+    ops, inner, _ = oscillator_system(params)
+    _, rec = run_system(
+        u0, v0, ops, params.dt, params.n_steps, inner, inner, g_half0=v_half,
+        audit=lambda state, _: (state.f,),
+    )
+    return [u0] + [r[3] for r in rec], [r[:3] for r in rec]
 
 
 def stability_probe(params: OscParams, *, n_steps: int = 10_000, bound: float = 10.0) -> str:
@@ -177,10 +184,10 @@ def stability_probe(params: OscParams, *, n_steps: int = 10_000, bound: float = 
     Returns "stable" if max|u| stays within `bound` (far above any bounded
     orbit for unit data), else "unstable".  Theory: stable iff omega*dt < 2.
     """
-    probe = OscParams(omega=params.omega, dt=params.dt, n_steps=n_steps)
-    state = OscState(u=1.0, v_half=init_half_step(1.0, 0.0, probe))
+    ops = oscillator_system(params)[0]
+    state = SystemState(f=1.0, g_half=init_g_half(1.0, 0.0, ops, params.dt), dt=params.dt)
     for _ in range(n_steps):
-        state = leapfrog_step(state, probe)
-        if abs(state.u) > bound:
+        state = system_step(state, ops)
+        if abs(state.f) > bound:
             return "unstable"
     return "stable"

@@ -139,9 +139,11 @@ def diffusion_step(rho, d, dx: float, dt: float) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if d.shape != (rho.size + 1,):
         raise ValueError("need one diffusivity per cell face (len(rho) + 1)")
+    # fold dt into the diffusivities first: d * dt / dx^2 is the O(1) guard
+    # quantity, while dt / dx alone overflows when d is subnormal
     flux = np.zeros(rho.size + 1)
-    flux[1:-1] = d[1:-1] * np.diff(rho) / dx
-    return rho + (dt / dx) * np.diff(flux)
+    flux[1:-1] = d[1:-1] * dt / dx / dx * np.diff(rho)
+    return rho + np.diff(flux)
 
 
 def lax_wendroff_step(rho, v: float, dx: float, dt: float) -> np.ndarray:

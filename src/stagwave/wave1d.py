@@ -10,21 +10,29 @@ half time steps.  Two forms are provided:
   and stiffness ``tau`` on the dual points, with ``rho``/``1/tau``
   weighted norms.
 
-Both march with the same two-stage update (``u`` first, then ``v`` from
-the fresh ``u`` — the order matters) and both carry a pair of conserved
-quadratic quantities that the tests track to rounding.
+Both are an operator pair and two inner products for the leapfrog engine
+in ``core`` (``u`` first, then ``v`` from the fresh ``u`` — the order
+matters), so both carry a pair of conserved quadratic quantities that the
+tests track to rounding.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import OperatorPair, init_g_half
+from .core import (
+    OperatorPair,
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    init_g_half,
+    run_system,
+    system_step,
+)
 
 # ---------------------------------------------------------------------------
 # grids, materials, state
@@ -170,39 +178,7 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
 
 
 # ---------------------------------------------------------------------------
-# one time step (u first, then v from the updated u)
-# ---------------------------------------------------------------------------
-
-
-def cmp_step(state: WaveState1D, c: float, grid: Grid1D) -> WaveState1D:
-    dt, dx = grid.dt, grid.dx
-    u_new = state.u + dt * c * div1(state.v, dx)
-    v_new = state.v + dt * c * grad1(u_new, dx)
-    return WaveState1D(u=u_new, v=v_new, u_prev=state.u, v_prev=state.v,
-                       step=state.step + 1)
-
-
-def vmp_step(state: WaveState1D, materials: Materials1D, grid: Grid1D) -> WaveState1D:
-    dt, dx = grid.dt, grid.dx
-    u_new = state.u + dt * div1(state.v, dx) / materials.rho
-    v_new = state.v + dt * materials.tau * grad1(u_new, dx)
-    return WaveState1D(u=u_new, v=v_new, u_prev=state.u, v_prev=state.v,
-                       step=state.step + 1)
-
-
-def taylor_v_half_cmp(u0, v0, c: float, grid: Grid1D) -> np.ndarray:
-    """Half-step start value for v from whole-step data (u0, v0)."""
-    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
-                       cmp_operator_pair(c, grid), grid.dt)
-
-
-def taylor_v_half_vmp(u0, v0, materials: Materials1D, grid: Grid1D) -> np.ndarray:
-    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
-                       vmp_operator_pair(materials, grid), grid.dt)
-
-
-# ---------------------------------------------------------------------------
-# inner products and conserved quantities
+# inner products and the pair, products and state mapping of the core engine
 # ---------------------------------------------------------------------------
 
 
@@ -222,9 +198,65 @@ def weighted_inner_tau(v1, v2, materials: Materials1D, grid: Grid1D) -> float:
     return float(np.sum(v1 * v2 / materials.tau) * grid.dx)
 
 
-def _require_history(state: WaveState1D, need_u: bool):
-    if state.v_prev is None or (need_u and state.u_prev is None):
-        raise ValueError("conserved quantities need one completed step of history")
+def cmp_system(c: float, grid: Grid1D):
+    """(pair, inner_X, inner_Y) for the core engine, constant materials:
+    plain dx-weighted sums on both grids."""
+    dx = grid.dx
+
+    def inner(a, b):
+        return float(np.sum(a * b) * dx)
+
+    return cmp_operator_pair(c, grid), inner, inner
+
+
+def vmp_system(materials: Materials1D, grid: Grid1D):
+    """(pair, inner_X, inner_Y) for the core engine, variable materials:
+    the rho-weighted product on u and the 1/tau-weighted product on v."""
+    return (
+        vmp_operator_pair(materials, grid),
+        lambda a, b: weighted_inner_rho(a, b, materials, grid),
+        lambda a, b: weighted_inner_tau(a, b, materials, grid),
+    )
+
+
+def _system(grid: Grid1D, materials: Materials1D | None, c: float | None):
+    if (materials is None) == (c is None):
+        raise ValueError("pass exactly one of materials= or c=")
+    return cmp_system(c, grid) if materials is None else vmp_system(materials, grid)
+
+
+def _core_state(state: WaveState1D, grid: Grid1D) -> SystemState:
+    return SystemState(state.u, state.v, grid.dt, state.step, state.u_prev, state.v_prev)
+
+
+def _wave_state(state: SystemState) -> WaveState1D:
+    return WaveState1D(u=state.f, v=state.g_half, u_prev=state.f_prev,
+                       v_prev=state.g_prev_half, step=state.step)
+
+
+# ---------------------------------------------------------------------------
+# one time step (u first, then v from the updated u) and the conserved pair
+# ---------------------------------------------------------------------------
+
+
+def cmp_step(state: WaveState1D, c: float, grid: Grid1D) -> WaveState1D:
+    return _wave_state(system_step(_core_state(state, grid), cmp_operator_pair(c, grid)))
+
+
+def vmp_step(state: WaveState1D, materials: Materials1D, grid: Grid1D) -> WaveState1D:
+    ops = vmp_operator_pair(materials, grid)
+    return _wave_state(system_step(_core_state(state, grid), ops))
+
+
+def taylor_v_half_cmp(u0, v0, c: float, grid: Grid1D) -> np.ndarray:
+    """Half-step start value for v from whole-step data (u0, v0)."""
+    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
+                       cmp_operator_pair(c, grid), grid.dt)
+
+
+def taylor_v_half_vmp(u0, v0, materials: Materials1D, grid: Grid1D) -> np.ndarray:
+    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
+                       vmp_operator_pair(materials, grid), grid.dt)
 
 
 def conserved_n_1d(state: WaveState1D, grid: Grid1D, *,
@@ -235,19 +267,7 @@ def conserved_n_1d(state: WaveState1D, grid: Grid1D, *,
     ||u||^2 + ||(v + v_prev)/2||^2 - (dt/2)^2 ||A u||^2 with the
     weighted norms (variable materials) or plain norms (constant c).
     """
-    _require_history(state, need_u=False)
-    dt, dx = grid.dt, grid.dx
-    v_bar = 0.5 * (state.v + state.v_prev)
-    if (materials is None) == (c is None):
-        raise ValueError("pass exactly one of materials= or c=")
-    if materials is not None:
-        au = materials.tau * grad1(state.u, dx)
-        return (weighted_inner_rho(state.u, state.u, materials, grid)
-                + weighted_inner_tau(v_bar, v_bar, materials, grid)
-                - (dt / 2) ** 2 * weighted_inner_tau(au, au, materials, grid))
-    au = c * grad1(state.u, dx)
-    return float(dx * (np.sum(state.u**2) + np.sum(v_bar**2)
-                       - (dt / 2) ** 2 * np.sum(au**2)))
+    return conserved_full(_core_state(state, grid), *_system(grid, materials, c))
 
 
 def conserved_half_1d(state: WaveState1D, grid: Grid1D, *,
@@ -257,19 +277,7 @@ def conserved_half_1d(state: WaveState1D, grid: Grid1D, *,
 
     ||v_prev||^2 + ||(u + u_prev)/2||^2 - (dt/2)^2 ||A* v_prev||^2.
     """
-    _require_history(state, need_u=True)
-    dt, dx = grid.dt, grid.dx
-    u_bar = 0.5 * (state.u + state.u_prev)
-    if (materials is None) == (c is None):
-        raise ValueError("pass exactly one of materials= or c=")
-    if materials is not None:
-        asv = -div1(state.v_prev, dx) / materials.rho
-        return (weighted_inner_tau(state.v_prev, state.v_prev, materials, grid)
-                + weighted_inner_rho(u_bar, u_bar, materials, grid)
-                - (dt / 2) ** 2 * weighted_inner_rho(asv, asv, materials, grid))
-    asv = -c * div1(state.v_prev, dx)
-    return float(dx * (np.sum(state.v_prev**2) + np.sum(u_bar**2)
-                       - (dt / 2) ** 2 * np.sum(asv**2)))
+    return conserved_half_step(_core_state(state, grid), *_system(grid, materials, c))
 
 
 def cfl_speed(materials: Materials1D) -> float:
@@ -294,38 +302,22 @@ def refinement_exponent(speed: float, length: float, t_final: float,
 # ---------------------------------------------------------------------------
 
 
-def _check_courant(nu: float):
-    if nu > 1.0:
-        warnings.warn(f"Courant number {nu:.3f} exceeds 1; the march is unstable",
-                      RuntimeWarning, stacklevel=3)
+def _run(system, grid: Grid1D, u0, v_half, record_every: int):
+    ops, inner_X, inner_Y = system
+    state, records = run_system(np.asarray(u0, float), None, ops, grid.dt, grid.nt,
+                                inner_X, inner_Y, g_half0=np.asarray(v_half, float),
+                                record_every=record_every)
+    return _wave_state(state), records
 
 
 def run_cmp(grid: Grid1D, c: float, u0, v_half, *, record_every: int = 1):
     """March nt steps; returns (final state, [(step, C_n, C_half), ...])."""
-    _check_courant(abs(c) * grid.dt / grid.dx)
-    state = WaveState1D(u=np.asarray(u0, float), v=np.asarray(v_half, float))
-    records = []
-    for _ in range(grid.nt):
-        state = cmp_step(state, c, grid)
-        if record_every and state.step % record_every == 0:
-            records.append((state.step,
-                            conserved_n_1d(state, grid, c=c),
-                            conserved_half_1d(state, grid, c=c)))
-    return state, records
+    return _run(cmp_system(c, grid), grid, u0, v_half, record_every)
 
 
 def run_vmp(grid: Grid1D, materials: Materials1D, u0, v_half, *,
             record_every: int = 1):
-    _check_courant(cfl_speed(materials) * grid.dt / grid.dx)
-    state = WaveState1D(u=np.asarray(u0, float), v=np.asarray(v_half, float))
-    records = []
-    for _ in range(grid.nt):
-        state = vmp_step(state, materials, grid)
-        if record_every and state.step % record_every == 0:
-            records.append((state.step,
-                            conserved_n_1d(state, grid, materials=materials),
-                            conserved_half_1d(state, grid, materials=materials)))
-    return state, records
+    return _run(vmp_system(materials, grid), grid, u0, v_half, record_every)
 
 
 def v_at_final_time(v_half_last, v_half_prev) -> np.ndarray:
@@ -344,6 +336,17 @@ def standing_mode_u(x, t, m: int = 1, c: float = 1.0):
 
 def standing_mode_v(x, t, m: int = 1, c: float = 1.0):
     return np.sin(m * np.pi * c * t) * np.cos(m * np.pi * np.asarray(x))
+
+
+def cmp_mode_start(grid: Grid1D, m: int = 1, c: float = 1.0, init: str = "exact"):
+    """(u0, v_half) for the standing mode: "exact" samples v at dt/2,
+    "taylor" takes the Taylor half step from v(x, 0) = 0."""
+    u0 = standing_mode_u(grid.primal_points(), 0.0, m, c)
+    if init == "exact":
+        return u0, standing_mode_v(grid.dual_points(), grid.dt / 2, m, c)
+    if init == "taylor":
+        return u0, taylor_v_half_cmp(u0, np.zeros(grid.nx - 1), c, grid)
+    raise ValueError(f"unknown init {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +390,8 @@ def cmp_mode_errors(ks, t_final, *, m: int = 1, c: float = 1.0,
     rows = []
     for k in ks:
         grid = Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-        xp, xd = grid.primal_points(), grid.dual_points()
-        u0 = standing_mode_u(xp, 0.0, m, c)
-        if init == "exact":
-            v0 = standing_mode_v(xd, grid.dt / 2, m, c)
-        elif init == "taylor":
-            v0 = taylor_v_half_cmp(u0, np.zeros(grid.nx - 1), c, grid)
-        else:
-            raise ValueError(f"unknown init {init!r}")
-        state, _ = run_cmp(grid, c, u0, v0, record_every=0)
-        er = np.max(np.abs(state.u - standing_mode_u(xp, t_final, m, c)))
+        state, _ = run_cmp(grid, c, *cmp_mode_start(grid, m, c, init), record_every=0)
+        er = np.max(np.abs(state.u - standing_mode_u(grid.primal_points(), t_final, m, c)))
         rows.append((grid.dx, float(er)))
     return rows
 

@@ -42,10 +42,19 @@ that case out of the convergence sweeps.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .core import (
+    OperatorPair,
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    init_g_half,
+    run_system,
+    system_step,
+)
 
 # ---------------------------------------------------------------------------
 # grid, star coefficients, state
@@ -253,21 +262,90 @@ def star2(field, coef, direction: str):
 
 
 # ---------------------------------------------------------------------------
-# leapfrog march
+# the pair, products and state mapping of the core engine
+# ---------------------------------------------------------------------------
+
+
+class VectorField2(tuple):
+    """A ``(vx, vy)`` pair with componentwise ``+``, ``-`` and scalar ``*``,
+    which the core engine needs; indexing and unpacking work as on a tuple."""
+
+    __array_ufunc__ = None  # numpy scalars defer to the reflected operators
+
+    def __new__(cls, x, y):
+        return super().__new__(cls, (x, y))
+
+    def __add__(self, other):
+        return VectorField2(self[0] + other[0], self[1] + other[1])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return VectorField2(self[0] - other[0], self[1] - other[1])
+
+    def __mul__(self, c):
+        return VectorField2(c * self[0], c * self[1])
+
+    __rmul__ = __mul__
+
+
+def _norm_bound(star: Star2, grid: Grid2) -> float:
+    """Bound on the operator norm: wave speed sqrt(max(a11, a22)/a) times
+    the 2D stencil norm."""
+    s_max = math.sqrt(max(star.a11, star.a22) / star.a)
+    stencil = 2.0 * math.sqrt(1.0 / grid.dx ** 2 + 1.0 / grid.dy ** 2)
+    return s_max * stencil
+
+
+def wave2d_system(star: Star2, grid: Grid2):
+    """(pair, inner_X, inner_Y) for the core engine.
+
+    A = A G (nodes -> dual normals) and A* = -a^-1 D*, adjoint under the
+    a-weighted node product and the (a11, a22)^-1-weighted dual-normal
+    product.  The boundary ring of ``u`` never changes; starting from data
+    that is zero there keeps the march inside the pinned subspace.
+    """
+    dv = grid.dx * grid.dy
+    bound = _norm_bound(star, grid)
+
+    def inner_u(p, q):
+        return star.a * float(np.sum(p * q)) * dv
+
+    def inner_v(p, q):
+        return (float(np.sum(p[0] * q[0])) / star.a11
+                + float(np.sum(p[1] * q[1])) / star.a22) * dv
+
+    ops = OperatorPair(
+        apply_A=lambda u: VectorField2(
+            *star2(grad2p(u, grid), star.diag, "tangent-to-dual-normal")),
+        apply_Astar=lambda v: -star2(div2d(v, grid), star.a, "dual-cell-to-node"),
+        norm_bound_A=bound,
+        norm_bound_Astar=bound,
+    )
+    return ops, inner_u, inner_v
+
+
+def _core_state(state: WaveState2D, dt: float) -> SystemState:
+    return SystemState(state.u, state.v, dt, state.step, state.u_prev, state.v_prev)
+
+
+def _wave_state(state: SystemState) -> WaveState2D:
+    return WaveState2D(u=state.f, v=state.g_half, u_prev=state.f_prev,
+                       v_prev=state.g_prev_half, step=state.step)
+
+
+def _expect_v(v, grid: Grid2) -> VectorField2:
+    return VectorField2(_expect(v[0], "nxd", grid), _expect(v[1], "nyd", grid))
+
+
+# ---------------------------------------------------------------------------
+# leapfrog march and conserved quantities
 # ---------------------------------------------------------------------------
 
 
 def wave2d_step(state: WaveState2D, star: Star2, grid: Grid2, dt: float) -> WaveState2D:
-    """One leapfrog step: u first, then v from the fresh u (order matters).
-
-    The boundary ring of ``u`` never changes; starting from data that is
-    zero there keeps the march inside the pinned subspace.
-    """
-    u_new = state.u + dt * star2(div2d(state.v, grid), star.a, "dual-cell-to-node")
-    agx, agy = star2(grad2p(u_new, grid), star.diag, "tangent-to-dual-normal")
-    v_new = (state.v[0] + dt * agx, state.v[1] + dt * agy)
-    return WaveState2D(u=u_new, v=v_new, u_prev=state.u, v_prev=state.v,
-                       step=state.step + 1)
+    """One leapfrog step: u first, then v from the fresh u (order matters)."""
+    return _wave_state(system_step(_core_state(state, dt), wave2d_system(star, grid)[0]))
 
 
 def init_v_half_2d(u0, v0, star: Star2, grid: Grid2, dt: float, *,
@@ -278,65 +356,21 @@ def init_v_half_2d(u0, v0, star: Star2, grid: Grid2, dt: float, *,
     with coeff = (1/2)(dt/2)^2 for "oscillator-taylor" (the default) and
     (1/2) dt^2 for "system-taylor".
     """
-    u0 = _expect(u0, "fp", grid)
-    vx0 = _expect(v0[0], "nxd", grid)
-    vy0 = _expect(v0[1], "nyd", grid)
-    if variant == "oscillator-taylor":
-        coeff = 0.5 * (0.5 * dt) ** 2
-    elif variant == "system-taylor":
-        coeff = 0.5 * dt ** 2
-    else:
-        raise ValueError(f"unknown init variant {variant!r}")
-    agx, agy = star2(grad2p(u0, grid), star.diag, "tangent-to-dual-normal")
-    du = star2(div2d((vx0, vy0), grid), star.a, "dual-cell-to-node")
-    a2x, a2y = star2(grad2p(du, grid), star.diag, "tangent-to-dual-normal")
-    return (vx0 + (0.5 * dt) * agx + coeff * a2x,
-            vy0 + (0.5 * dt) * agy + coeff * a2y)
-
-
-# ---------------------------------------------------------------------------
-# conserved quantities
-# ---------------------------------------------------------------------------
-
-
-def _require_history(*fields):
-    if any(f is None for f in fields):
-        raise ValueError("conserved quantities need one completed step of history")
+    return init_g_half(_expect(u0, "fp", grid), _expect_v(v0, grid),
+                       wave2d_system(star, grid)[0], dt, variant=variant)
 
 
 def conserved_n_2d(state: WaveState2D, star: Star2, grid: Grid2, dt: float) -> float:
     """Whole-step invariant: the node norm of u plus the dual-normal norm
     of the time-averaged v, minus the (dt/2)^2 stiffness correction."""
-    _require_history(state.v_prev)
-    dv = grid.dx * grid.dy
-    vbx = 0.5 * (state.v[0] + state.v_prev[0])
-    vby = 0.5 * (state.v[1] + state.v_prev[1])
-    agx, agy = star2(grad2p(state.u, grid), star.diag, "tangent-to-dual-normal")
-    term_u = star.a * float(np.sum(state.u ** 2)) * dv
-    term_v = (float(np.sum(vbx ** 2)) / star.a11
-              + float(np.sum(vby ** 2)) / star.a22) * dv
-    corr = (float(np.sum(agx ** 2)) / star.a11
-            + float(np.sum(agy ** 2)) / star.a22) * dv
-    return term_u + term_v - (0.5 * dt) ** 2 * corr
+    state = replace(state, v=VectorField2(*state.v))  # v_bar needs the pair arithmetic
+    return conserved_full(_core_state(state, dt), *wave2d_system(star, grid))
 
 
 def conserved_half_2d(state: WaveState2D, star: Star2, grid: Grid2, dt: float) -> float:
     """Half-step invariant: the dual-normal norm of v at n-1/2 plus the
     node norm of the time-averaged u, minus the (dt/2)^2 correction."""
-    _require_history(state.u_prev, state.v_prev)
-    dv = grid.dx * grid.dy
-    ubar = 0.5 * (state.u + state.u_prev)
-    du = star2(div2d(state.v_prev, grid), star.a, "dual-cell-to-node")
-    term_v = (float(np.sum(state.v_prev[0] ** 2)) / star.a11
-              + float(np.sum(state.v_prev[1] ** 2)) / star.a22) * dv
-    term_u = star.a * float(np.sum(ubar ** 2)) * dv
-    corr = star.a * float(np.sum(du ** 2)) * dv
-    return term_v + term_u - (0.5 * dt) ** 2 * corr
-
-
-# ---------------------------------------------------------------------------
-# time step bound and simulation driver
-# ---------------------------------------------------------------------------
+    return conserved_half_step(_core_state(state, dt), *wave2d_system(star, grid))
 
 
 def suggest_dt_2d(star: Star2, grid: Grid2, safety: float = 1.0) -> float:
@@ -344,36 +378,17 @@ def suggest_dt_2d(star: Star2, grid: Grid2, safety: float = 1.0) -> float:
     wave speed sqrt(max(a11, a22)/a) and the 2D stencil norm."""
     if safety <= 0:
         raise ValueError("safety factor must be positive")
-    s_max = math.sqrt(max(star.a11, star.a22) / star.a)
-    stencil = 2.0 * math.sqrt(1.0 / grid.dx ** 2 + 1.0 / grid.dy ** 2)
-    return safety * 2.0 / (s_max * stencil)
-
-
-def _check_courant(dt: float, dt_max: float):
-    if dt > dt_max:
-        warnings.warn(
-            f"dt = {dt:.4g} exceeds the stability bound {dt_max:.4g}; "
-            "the march is unstable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
+    return safety * 2.0 / _norm_bound(star, grid)
 
 
 def run_wave2d(grid: Grid2, star: Star2, u0, v_half, dt: float, n_steps: int, *,
                record_every: int = 1):
     """March n_steps; returns (final state, [(step, C_n, C_half), ...])."""
-    _check_courant(dt, suggest_dt_2d(star, grid))
-    state = WaveState2D(u=_expect(u0, "fp", grid),
-                        v=(_expect(v_half[0], "nxd", grid),
-                           _expect(v_half[1], "nyd", grid)))
-    records = []
-    for _ in range(n_steps):
-        state = wave2d_step(state, star, grid, dt)
-        if record_every and state.step % record_every == 0:
-            records.append((state.step,
-                            conserved_n_2d(state, star, grid, dt),
-                            conserved_half_2d(state, star, grid, dt)))
-    return state, records
+    ops, inner_u, inner_v = wave2d_system(star, grid)
+    state, records = run_system(_expect(u0, "fp", grid), None, ops, dt, n_steps,
+                                inner_u, inner_v, g_half0=_expect_v(v_half, grid),
+                                record_every=record_every)
+    return _wave_state(state), records
 
 
 # ---------------------------------------------------------------------------
@@ -401,6 +416,19 @@ def exact_solution_2d(m: int, n: int, c: float, x, y, t: float) -> tuple:
     return u, vx, vy
 
 
+def mode_start_2d(grid: Grid2, star: Star2, dt: float, m: int = 1, n: int = 1,
+                  init: str = "taylor"):
+    """(u0, v_half) for the (m, n) standing mode: "exact" samples v at dt/2,
+    "taylor" takes the Taylor half step from v(0) = 0."""
+    u0, _, _ = exact_solution_2d(m, n, 1.0, *grid.points("fp"), 0.0)
+    if init == "exact":
+        vx = exact_solution_2d(m, n, 1.0, *grid.points("nxd"), dt / 2)[1]
+        vy = exact_solution_2d(m, n, 1.0, *grid.points("nyd"), dt / 2)[2]
+        return u0, (vx, vy)
+    zero_v = (np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
+    return u0, init_v_half_2d(u0, zero_v, star, grid, dt)
+
+
 def mode_errors_2d(sizes=(16, 32, 64), *, t_final: float = 0.35,
                    safety: float = 0.9):
     """Max-abs u error of the m = n = 1, c = 1 mode march per grid size.
@@ -415,12 +443,8 @@ def mode_errors_2d(sizes=(16, 32, 64), *, t_final: float = 0.35,
         grid = Grid2(size, size)
         nt = math.ceil(t_final / suggest_dt_2d(star, grid, safety))
         dt = t_final / nt
-        x, y = grid.points("fp")
-        u0, _, _ = exact_solution_2d(1, 1, 1.0, x, y, 0.0)
-        zero_v = (np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
-        state = WaveState2D(u=u0, v=init_v_half_2d(u0, zero_v, star, grid, dt))
-        for _ in range(nt):
-            state = wave2d_step(state, star, grid, dt)
-        want, _, _ = exact_solution_2d(1, 1, 1.0, x, y, t_final)
+        u0, v_half = mode_start_2d(grid, star, dt)
+        state, _ = run_wave2d(grid, star, u0, v_half, dt, nt, record_every=0)
+        want, _, _ = exact_solution_2d(1, 1, 1.0, *grid.points("fp"), t_final)
         out.append((grid.dx, float(np.max(np.abs(state.u - want)))))
     return out

@@ -4,10 +4,10 @@ The scalar wave keeps the potential s on nodes at whole steps and its flux v
 on dual faces at half steps; Maxwell keeps E on edges at whole steps and H on
 dual edges at half steps — the classic staggered layout in which the x
 component of E lives at (i+1/2, j, k) and the x component of H at
-(i, j+1/2, k+1/2).  Both marches are the generic two-field leapfrog of
-`core` specialized with the mimetic operators and material stars of
-`mimetic3d`, so each carries a pair of exactly conserved quadratic forms,
-evaluated here with the material-weighted inner products.
+(i, j+1/2, k+1/2).  Both marches run through the leapfrog engine of `core`:
+this module supplies the operator pairs built from the mimetic operators and
+material stars of `mimetic3d`, the material-weighted inner products and the
+dt bounds, so each march carries a pair of exactly conserved quadratic forms.
 
 On pinned grids the zero boundary rows of the dual operators double as the
 physical boundary conditions: s is held at zero on the box walls and the
@@ -21,12 +21,20 @@ States carry their own dt (the 3D grid is purely spatial).
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import OperatorPair, init_g_half
+from .core import (
+    OperatorPair,
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    energy_pieces,
+    init_g_half,
+    run_system,
+    system_step,
+)
 from .mimetic3d import (
     Grid3,
     Star3,
@@ -73,6 +81,13 @@ class MaxwellState3:
     step: int = 0
 
 
+def _negated(field):
+    """-field, negated in place: callers pass a freshly computed result."""
+    for comp in getattr(field, "components", (field,)):
+        np.negative(comp, out=comp)
+    return field
+
+
 def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     """The pair behind ds/dt = a^-1 D* v, dv/dt = A G s.
 
@@ -84,7 +99,7 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
         return star_matrix(grad3(s, grid), star, "a")
 
     def apply_astar(v):
-        return -1.0 * star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell")
+        return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
 
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar)
 
@@ -97,16 +112,54 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     """
 
     def apply_a(e):
-        return -1.0 * star_matrix(curl3(e, grid), mu_star, "b", inverse=True)
+        return _negated(star_matrix(curl3(e, grid), mu_star, "b", inverse=True))
 
     def apply_astar(h):
-        return -1.0 * star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True)
+        return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
 
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar)
 
 
+def scalar_wave_system(star: Star3, grid: Grid3):
+    """(pair, inner_X, inner_Y) for the core engine: the scalar-wave pair
+    with the a-weighted node product and the A^-1-weighted dual-face product."""
+    return (
+        scalar_wave_operators(star, grid),
+        lambda a, b: inner3("node", a, b, star, grid),
+        lambda a, b: inner3("dual-face", a, b, star, grid),
+    )
+
+
+def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3):
+    """(pair, inner_X, inner_Y) for the core engine: the Maxwell pair with
+    the eps-weighted edge product and the mu-weighted dual-edge product."""
+    return (
+        maxwell_operators(eps_star, mu_star, grid),
+        lambda a, b: inner3("edge", a, b, eps_star, grid),
+        lambda a, b: inner3("dual-edge", a, b, mu_star, grid),
+    )
+
+
+def _core_scalar(state: ScalarWaveState3) -> SystemState:
+    return SystemState(state.s, state.v, state.dt, state.step, state.s_prev, state.v_prev)
+
+
+def _scalar_state(state: SystemState) -> ScalarWaveState3:
+    return ScalarWaveState3(s=state.f, v=state.g_half, dt=state.dt, s_prev=state.f_prev,
+                            v_prev=state.g_prev_half, step=state.step)
+
+
+def _core_maxwell(state: MaxwellState3) -> SystemState:
+    return SystemState(state.e, state.h, state.dt, state.step, state.e_prev, state.h_prev)
+
+
+def _maxwell_state(state: SystemState) -> MaxwellState3:
+    return MaxwellState3(e=state.f, h=state.g_half, dt=state.dt, e_prev=state.f_prev,
+                         h_prev=state.g_prev_half, step=state.step)
+
+
 # ---------------------------------------------------------------------------
-# time steps
+# time steps, half-step starts and conserved quadratic forms
 # ---------------------------------------------------------------------------
 
 
@@ -121,14 +174,7 @@ def scalar_wave_step(
     """
     if guaranteed:
         require_exact_star(star)
-    dt = state.dt
-    s_new = state.s + dt * star_scalar_inverse(
-        div3_star(state.v, grid), star, "node-to-dual-cell"
-    )
-    v_new = state.v + dt * star_matrix(grad3(s_new, grid), star, "a")
-    return ScalarWaveState3(
-        s=s_new, v=v_new, dt=dt, s_prev=state.s, v_prev=state.v, step=state.step + 1
-    )
+    return _scalar_state(system_step(_core_scalar(state), scalar_wave_operators(star, grid)))
 
 
 def maxwell_step(
@@ -143,14 +189,8 @@ def maxwell_step(
     if guaranteed:
         require_exact_star(eps_star)
         require_exact_star(mu_star)
-    dt = state.dt
-    e_new = state.e + dt * star_matrix(
-        curl3_star(state.h, grid), eps_star, "a", inverse=True
-    )
-    h_new = state.h - dt * star_matrix(curl3(e_new, grid), mu_star, "b", inverse=True)
-    return MaxwellState3(
-        e=e_new, h=h_new, dt=dt, e_prev=state.e, h_prev=state.h, step=state.step + 1
-    )
+    ops = maxwell_operators(eps_star, mu_star, grid)
+    return _maxwell_state(system_step(_core_maxwell(state), ops))
 
 
 def scalar_wave_init_v(s0, v0: VectorField3, star: Star3, grid: Grid3, dt: float):
@@ -174,26 +214,9 @@ def maxwell_init_h(
     return init_g_half(e0, h0, maxwell_operators(eps_star, mu_star, grid), dt)
 
 
-# ---------------------------------------------------------------------------
-# conserved quadratic forms
-# ---------------------------------------------------------------------------
-
-
-def _need_history(*fields):
-    if any(f is None for f in fields):
-        raise ValueError("conserved quantities need one completed step of history")
-
-
 def _scalar_pieces(state: ScalarWaveState3, star: Star3, grid: Grid3):
     """(c1, c2, c3) with C_n = c1 + c2 - (dt/2)^2 c3."""
-    _need_history(state.v_prev)
-    v_bar = 0.5 * (state.v + state.v_prev)
-    ag = star_matrix(grad3(state.s, grid), star, "a")
-    return (
-        inner3("node", state.s, state.s, star, grid),
-        inner3("dual-face", v_bar, v_bar, star, grid),
-        inner3("dual-face", ag, ag, star, grid),
-    )
+    return energy_pieces(_core_scalar(state), *scalar_wave_system(star, grid))
 
 
 def scalar_conserved_n(state: ScalarWaveState3, star: Star3, grid: Grid3) -> float:
@@ -201,8 +224,7 @@ def scalar_conserved_n(state: ScalarWaveState3, star: Star3, grid: Grid3) -> flo
 
     ||s||_N^2 + ||(v + v_prev)/2||_F*^2 - (dt/2)^2 ||A G s||_F*^2.
     """
-    c1, c2, c3 = _scalar_pieces(state, star, grid)
-    return c1 + c2 - (0.5 * state.dt) ** 2 * c3
+    return conserved_full(_core_scalar(state), *scalar_wave_system(star, grid))
 
 
 def scalar_conserved_half(state: ScalarWaveState3, star: Star3, grid: Grid3) -> float:
@@ -210,26 +232,7 @@ def scalar_conserved_half(state: ScalarWaveState3, star: Star3, grid: Grid3) -> 
 
     ||v_prev||_F*^2 + ||(s + s_prev)/2||_N^2 - (dt/2)^2 ||a^-1 D* v_prev||_N^2.
     """
-    _need_history(state.v_prev, state.s_prev)
-    s_bar = 0.5 * (state.s + state.s_prev)
-    dsv = star_scalar_inverse(div3_star(state.v_prev, grid), star, "node-to-dual-cell")
-    return (
-        inner3("dual-face", state.v_prev, state.v_prev, star, grid)
-        + inner3("node", s_bar, s_bar, star, grid)
-        - (0.5 * state.dt) ** 2 * inner3("node", dsv, dsv, star, grid)
-    )
-
-
-def _maxwell_pieces(state: MaxwellState3, eps_star: Star3, mu_star: Star3, grid: Grid3):
-    """(c1, c2, c3) with C_n = c1 + c2 - (dt/2)^2 c3."""
-    _need_history(state.h_prev)
-    h_bar = 0.5 * (state.h + state.h_prev)
-    me = star_matrix(curl3(state.e, grid), mu_star, "b", inverse=True)
-    return (
-        inner3("edge", state.e, state.e, eps_star, grid),
-        inner3("dual-edge", h_bar, h_bar, mu_star, grid),
-        inner3("dual-edge", me, me, mu_star, grid),
-    )
+    return conserved_half_step(_core_scalar(state), *scalar_wave_system(star, grid))
 
 
 def maxwell_conserved_n(
@@ -241,8 +244,7 @@ def maxwell_conserved_n(
 
     with the eps-weighted edge product and the mu-weighted dual-edge product.
     """
-    c1, c2, c3 = _maxwell_pieces(state, eps_star, mu_star, grid)
-    return c1 + c2 - (0.5 * state.dt) ** 2 * c3
+    return conserved_full(_core_maxwell(state), *maxwell_system(eps_star, mu_star, grid))
 
 
 def maxwell_conserved_half(
@@ -252,14 +254,7 @@ def maxwell_conserved_half(
 
     ||(E + E_prev)/2||_E^2 + ||H_prev||_E*^2 - (dt/2)^2 ||eps^-1 R* H_prev||_E^2.
     """
-    _need_history(state.h_prev, state.e_prev)
-    e_bar = 0.5 * (state.e + state.e_prev)
-    eh = star_matrix(curl3_star(state.h_prev, grid), eps_star, "a", inverse=True)
-    return (
-        inner3("edge", e_bar, e_bar, eps_star, grid)
-        + inner3("dual-edge", state.h_prev, state.h_prev, mu_star, grid)
-        - (0.5 * state.dt) ** 2 * inner3("edge", eh, eh, eps_star, grid)
-    )
+    return conserved_half_step(_core_maxwell(state), *maxwell_system(eps_star, mu_star, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -285,26 +280,16 @@ def divergence_audit(
     return div_e, div_h
 
 
-def _gershgorin_max(rows) -> float:
-    worst = -math.inf
+def _gershgorin(rows) -> tuple:
+    """(lowest, highest) Gershgorin interval end over the rows of a star."""
+    lo, hi = math.inf, -math.inf
     for r in range(3):
-        bound = np.asarray(rows[r][r], float)
+        low = high = np.asarray(rows[r][r], float)
         for c in range(3):
             if c != r and rows[r][c] is not None:
-                bound = bound + np.abs(rows[r][c])
-        worst = max(worst, float(np.max(bound)))
-    return worst
-
-
-def _gershgorin_min(rows) -> float:
-    worst = math.inf
-    for r in range(3):
-        bound = np.asarray(rows[r][r], float)
-        for c in range(3):
-            if c != r and rows[r][c] is not None:
-                bound = bound - np.abs(rows[r][c])
-        worst = min(worst, float(np.min(bound)))
-    return worst
+                low, high = low - np.abs(rows[r][c]), high + np.abs(rows[r][c])
+        lo, hi = min(lo, float(np.min(low))), max(hi, float(np.max(high)))
+    return lo, hi
 
 
 def suggest_dt(
@@ -328,10 +313,10 @@ def suggest_dt(
     if safety <= 0:
         raise ValueError(f"safety factor must be positive, got {safety}")
     if system == "scalar-wave":
-        s_max = math.sqrt(_gershgorin_max(star.a_rows) / float(np.min(star.a)))
+        s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(star.a)))
     elif system == "maxwell":
         mu = star if mu_star is None else mu_star
-        low = _gershgorin_min(star.a_rows) * _gershgorin_min(mu.b_rows)
+        low = _gershgorin(star.a_rows)[0] * _gershgorin(mu.b_rows)[0]
         if low <= 0:
             raise ValueError(
                 "cannot bound the wave speed: a material tensor is not "
@@ -362,26 +347,17 @@ def measured_stencil_norm(
     """
     rng = np.random.default_rng(seed)
     if system == "scalar-wave":
-        ops = scalar_wave_operators(star, grid)
+        ops, inner, _ = scalar_wave_system(star, grid)
         w = rng.standard_normal(grid.scalar_shape("node"))
         if grid.boundary == "pinned":
             w = pin_scalar_boundary(w)
-
-        def inner(f1, f2):
-            return inner3("node", f1, f2, star, grid)
-
     elif system == "maxwell":
-        mu = star if mu_star is None else mu_star
-        ops = maxwell_operators(star, mu, grid)
+        ops, inner, _ = maxwell_system(star, star if mu_star is None else mu_star, grid)
         w = VectorField3(
             *[rng.standard_normal(sh) for sh in grid.vector_shapes("edge")]
         )
         if grid.boundary == "pinned":
             w = pin_tangential_boundary(w)
-
-        def inner(f1, f2):
-            return inner3("edge", f1, f2, star, grid)
-
     else:
         raise ValueError(f"unknown system {system!r}")
     lam = 0.0
@@ -398,19 +374,20 @@ def measured_stencil_norm(
     return math.sqrt(max(lam, 0.0))
 
 
-def _check_courant(dt: float, dt_max: float):
-    if dt > dt_max:
-        warnings.warn(
-            f"dt = {dt:.4g} exceeds the stability bound {dt_max:.4g}; "
-            "the march is unstable",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-
-
 # ---------------------------------------------------------------------------
 # simulation drivers
 # ---------------------------------------------------------------------------
+
+
+def _march(system, dt_max: float, f0, g_half, dt: float, n_steps: int,
+           record_every: int, audit):
+    """Core run with the pair's norm bound set from the analytic dt bound;
+    records gain t = step * dt after the step."""
+    ops, inner_X, inner_Y = system
+    ops = replace(ops, norm_bound_A=2.0 / dt_max, norm_bound_Astar=2.0 / dt_max)
+    state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y,
+                                g_half0=g_half, record_every=record_every, audit=audit)
+    return state, [(r[0], r[0] * dt, *r[1:]) for r in records]
 
 
 def run_scalar_wave(
@@ -430,25 +407,12 @@ def run_scalar_wave(
     the pieces of the whole-step invariant — the weighted squares of s, of
     the time-averaged v, and of A G s — so C_n = c1 + c2 - (dt/2)^2 c3.
     """
-    _check_courant(dt, suggest_dt(star, grid))
-    state = ScalarWaveState3(s=np.asarray(s0, float), v=v_half, dt=dt)
-    records = []
-    for _ in range(n_steps):
-        state = scalar_wave_step(state, star, grid, guaranteed=guaranteed)
-        if record_every and state.step % record_every == 0:
-            c1, c2, c3 = _scalar_pieces(state, star, grid)
-            records.append(
-                (
-                    state.step,
-                    state.step * dt,
-                    c1 + c2 - (0.5 * dt) ** 2 * c3,
-                    scalar_conserved_half(state, star, grid),
-                    c1,
-                    c2,
-                    c3,
-                )
-            )
-    return state, records
+    dt_max = suggest_dt(star, grid)
+    if guaranteed:
+        require_exact_star(star)
+    state, records = _march(scalar_wave_system(star, grid), dt_max, np.asarray(s0, float),
+                            v_half, dt, n_steps, record_every, lambda _, pieces: pieces)
+    return _scalar_state(state), records
 
 
 def run_maxwell(
@@ -469,28 +433,17 @@ def run_maxwell(
     invariant pieces as in `run_scalar_wave` and the two divergence-audit
     norms appended.
     """
-    _check_courant(dt, suggest_dt(eps_star, grid, system="maxwell", mu_star=mu_star))
-    state = MaxwellState3(e=e0, h=h_half, dt=dt)
-    records = []
-    for _ in range(n_steps):
-        state = maxwell_step(state, eps_star, mu_star, grid, guaranteed=guaranteed)
-        if record_every and state.step % record_every == 0:
-            c1, c2, c3 = _maxwell_pieces(state, eps_star, mu_star, grid)
-            div_e, div_h = divergence_audit(state, eps_star, mu_star, grid)
-            records.append(
-                (
-                    state.step,
-                    state.step * dt,
-                    c1 + c2 - (0.5 * dt) ** 2 * c3,
-                    maxwell_conserved_half(state, eps_star, mu_star, grid),
-                    c1,
-                    c2,
-                    c3,
-                    div_e,
-                    div_h,
-                )
-            )
-    return state, records
+    dt_max = suggest_dt(eps_star, grid, system="maxwell", mu_star=mu_star)
+    if guaranteed:
+        require_exact_star(eps_star)
+        require_exact_star(mu_star)
+
+    def audit(state, pieces):
+        return (*pieces, *divergence_audit(_maxwell_state(state), eps_star, mu_star, grid))
+
+    state, records = _march(maxwell_system(eps_star, mu_star, grid), dt_max, e0, h_half,
+                            dt, n_steps, record_every, audit)
+    return _maxwell_state(state), records
 
 
 # ---------------------------------------------------------------------------
@@ -609,9 +562,7 @@ def scalar_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: float
         dt = t_final / nt
         s0 = cavity_mode_s(grid, 0.0)
         v_half = scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
-        state = ScalarWaveState3(s=s0, v=v_half, dt=dt)
-        for _ in range(nt):
-            state = scalar_wave_step(state, star, grid)
+        state, _ = run_scalar_wave(grid, star, s0, v_half, dt, nt, record_every=0)
         err = float(np.max(np.abs(state.s - cavity_mode_s(grid, t_final))))
         out.append((grid.dx, err))
     return out
@@ -626,12 +577,8 @@ def maxwell_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: floa
         nt = math.ceil(t_final / suggest_dt(star, grid, safety, system="maxwell"))
         dt = t_final / nt
         e0 = te_cavity_e(grid, 0.0)
-        h_half = maxwell_init_h(
-            e0, zeros_field(grid, "dual-edge"), star, star, grid, dt
-        )
-        state = MaxwellState3(e=e0, h=h_half, dt=dt)
-        for _ in range(nt):
-            state = maxwell_step(state, star, star, grid)
+        h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
+        state, _ = run_maxwell(grid, star, star, e0, h_half, dt, nt, record_every=0)
         err = float(np.max(np.abs(state.e.z - te_cavity_e(grid, t_final).z)))
         out.append((grid.dx, err))
     return out

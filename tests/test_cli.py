@@ -69,6 +69,23 @@ class TestExperimentCommands:
         assert code == 1
         assert read_report(tmp_path, "boom")["passed"] is False
 
+    def test_oscillator_overflow_writes_report_and_fails(self, tmp_path, capsys):
+        # omega*dt = 2.5 grows u past the float range within 300 steps; the
+        # run must still end in a report with failed drift checks (exit 1)
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            code = run_cli(
+                ["oscillator", "--omega", "1", "--dt", "2.5", "--steps", "300"],
+                tmp_path,
+                "overflow",
+            )
+        assert code == 1
+        report = read_report(tmp_path, "overflow")
+        assert report["passed"] is False
+        drift = {c["name"]: c["passed"] for c in report["checks"]}
+        assert drift == {"C_n-drift": False, "C_half-drift": False}
+        assert (tmp_path / "overflow_series.csv").is_file()
+        assert "[FAIL] C_n-drift" in capsys.readouterr().out
+
     def test_no_checks_flag_reports_but_never_fails(self, tmp_path):
         code = run_cli(
             ["oscillator", "--dt", "2.3", "--steps", "200", "--no-checks"],
@@ -148,6 +165,20 @@ class TestExperimentCommands:
         names = {c["name"] for c in report["checks"]}
         assert {"div_e-audit-constant", "div_h-audit-constant"} <= names
         assert report["passed"] is True
+
+    @pytest.mark.parametrize("command", ["wave3d", "maxwell"])
+    def test_record_interval_longer_than_the_run_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        code = run_cli(
+            [command, "--grid", "4", "--steps", "3", "--record-every", "5"],
+            tmp_path,
+            "long",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--record-every" in err and "--steps" in err
+        assert not (tmp_path / "long_report.json").exists()
 
     def test_transport_unit_courant_is_bit_exact(self, tmp_path):
         code = run_cli(["transport", "--steps", "10"], tmp_path, "tr")

@@ -208,6 +208,21 @@ class TestDiffusion:
         with pytest.raises(ValueError, match="per cell face"):
             diffusion_step(np.ones(5), np.ones(5), 0.1, 0.01)
 
+    def test_subnormal_diffusivity_stays_finite(self):
+        # d = 2.2e-311 puts the guarded dt near 5e307, where dt/dx alone
+        # overflows; the guarded steps must still conserve mass and positivity
+        rho = np.array([0.0, 10.0, 0.0, 3.5, 0.0, 0.0, 7.25])
+        d = np.full(rho.size + 1, 2.2e-311)
+        dx = 0.05
+        dt = 0.9 * dx * dx / float(np.max(d[1:] + d[:-1]))
+        assert positivity_guard(d=d, dt=dt, dx=dx)
+        mass0 = float(np.sum(rho))
+        for _ in range(25):
+            rho = diffusion_step(rho, d, dx, dt)
+            assert np.all(np.isfinite(rho))
+            assert abs(float(np.sum(rho)) - mass0) <= 1e-13 * (1.0 + mass0)
+            assert float(np.min(rho)) >= -1e-16 * float(np.max(rho))
+
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
     def test_guarded_steps_conserve_mass_and_positivity(self, data):
