@@ -1381,7 +1381,7 @@ def build_parser():
     p.add_argument("--mode-m", type=positive_int, default=1, help="starting mode number")
     p.add_argument(
         "--init", choices=("exact", "taylor"), default=None,
-        help="half-step start for v (default: exact for cmp, taylor for vmp)",
+        help="cmp half-step start for v (default: taylor; vmp always starts from taylor)",
     )
     _add_record_every(p)
 

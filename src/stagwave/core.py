@@ -68,7 +68,11 @@ class OperatorPair:
 
 @dataclass
 class SystemState:
-    """f at t_n and g at t_{n+1/2}, with one step of history for the invariants."""
+    """f at t_n and g at t_{n+1/2}, with one step of history for the invariants.
+
+    A step taken with keep_terms=True also keeps the two operator results it
+    computed, A f_n and A* g_{n-1/2}; the invariants then reuse them.
+    """
 
     f: Any
     g_half: Any
@@ -76,13 +80,29 @@ class SystemState:
     step: int = 0
     f_prev: Any = None
     g_prev_half: Any = None
+    a_f: Any = None
+    astar_g_prev: Any = None
 
 
-def system_step(state: SystemState, ops: OperatorPair) -> SystemState:
-    """One leapfrog step.  f is updated first; g uses the freshly updated f."""
-    f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
-    g_new = state.g_half + state.dt * ops.apply_A(f_new)
-    return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
+def system_step(
+    state: SystemState, ops: OperatorPair, *, keep_terms: bool = False
+) -> SystemState:
+    """One leapfrog step.  f is updated first; g uses the freshly updated f.
+
+    keep_terms=True keeps A* g_{n+1/2} and A f_{n+1} on the new state, so
+    that its invariants cost inner products only.  Without it the operator
+    results are dropped as soon as they are used.
+    """
+    if not keep_terms:
+        f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
+        g_new = state.g_half + state.dt * ops.apply_A(f_new)
+        return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
+    astar_g = ops.apply_Astar(state.g_half)
+    f_new = state.f - state.dt * astar_g
+    a_f = ops.apply_A(f_new)
+    g_new = state.g_half + state.dt * a_f
+    return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half,
+                       a_f, astar_g)
 
 
 # Second-order initializers for g at t = dt/2.  Both appear in the derivation
@@ -111,11 +131,14 @@ def energy_pieces(
     inner_Y: Callable = euclidean_inner,
 ) -> tuple:
     """The three terms (||f_n||_X^2, ||g_bar||_Y^2, ||A f_n||_Y^2) of the
-    whole-step invariant, with g_bar = (g_{n+1/2} + g_{n-1/2})/2."""
+    whole-step invariant, with g_bar = (g_{n+1/2} + g_{n-1/2})/2.  A kept
+    A f_n (`state.a_f`) is used as is; otherwise A is applied."""
     if state.g_prev_half is None:
         raise ValueError("the whole-step invariant needs one step of history")
     g_bar = 0.5 * (state.g_half + state.g_prev_half)
-    af = ops.apply_A(state.f)
+    af = state.a_f
+    if af is None:
+        af = ops.apply_A(state.f)
     return inner_X(state.f, state.f), inner_Y(g_bar, g_bar), inner_Y(af, af)
 
 
@@ -146,11 +169,16 @@ def conserved_half_step(
     """Invariant at the half level n-1/2 trailing the state:
 
     ||(f_n + f_{n-1})/2||_X^2 + ||g_{n-1/2}||_Y^2 - (dt/2)^2 ||A* g_{n-1/2}||_X^2
+
+    A kept A* g_{n-1/2} (`state.astar_g_prev`) is used as is; otherwise A* is
+    applied.
     """
     if state.f_prev is None or state.g_prev_half is None:
         raise ValueError("the half-step invariant needs one step of history")
     f_bar = 0.5 * (state.f + state.f_prev)
-    ag = ops.apply_Astar(state.g_prev_half)
+    ag = state.astar_g_prev
+    if ag is None:
+        ag = ops.apply_Astar(state.g_prev_half)
     return (
         inner_X(f_bar, f_bar)
         + inner_Y(state.g_prev_half, state.g_prev_half)
@@ -223,13 +251,16 @@ def run_system(
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     record = []
     for _ in range(n_steps):
-        state = system_step(state, ops)
-        if record_every and state.step % record_every == 0:
+        recorded = bool(record_every) and (state.step + 1) % record_every == 0
+        state = system_step(state, ops, keep_terms=recorded)
+        if recorded:
             pieces = energy_pieces(state, ops, inner_X, inner_Y)
             row = (
                 state.step,
                 _whole_step(pieces, dt),
                 conserved_half_step(state, ops, inner_X, inner_Y),
             )
+            # the kept terms have served; free them before the audit and the next step
+            state.a_f = state.astar_g_prev = None
             record.append(row if audit is None else (*row, *audit(state, pieces)))
     return state, record

@@ -674,16 +674,24 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
         raise ValueError(f"unknown field kind {kind!r}")
     f1 = _check_vector(f1, grid, kind, "inner3")
     f2 = _check_vector(f2, grid, kind, "inner3")
-    which, inverse = {
-        "edge": ("a", False),
-        "face": ("b", True),
-        "dual-edge": ("b", False),
-        "dual-face": ("a", True),
-    }[kind]
-    w1 = star_matrix(f1, star, which=which, inverse=inverse)
+    if star.exactly_invertible:
+        # diagonal weights one component at a time: star_matrix's arithmetic,
+        # without ever holding the whole weighted field
+        rows = {"edge": star.a_rows, "face": star.b_inv_rows,
+                "dual-edge": star.b_rows, "dual-face": star.a_inv_rows}[kind]
+        w1 = (rows[r][r] * f1.components[r] for r in range(3))
+    else:
+        which, inverse = {
+            "edge": ("a", False),
+            "face": ("b", True),
+            "dual-edge": ("b", False),
+            "dual-face": ("a", True),
+        }[kind]
+        w1 = star_matrix(f1, star, which=which, inverse=inverse).components
     total = 0.0
-    for r in range(3):
-        total += float(np.sum(w1.components[r] * f2.components[r]))
+    for w, f in zip(w1, f2.components):
+        w *= f  # w is a fresh product, so the second factor can go in place
+        total += float(np.sum(w))
     return total * dv
 
 

@@ -119,6 +119,16 @@ class TestExperimentCommands:
         x, er, er_s = (np.array([float(r[i]) for r in rows]) for i in range(3))
         np.testing.assert_allclose(er_s, er / (1 / 32) ** 2, rtol=1e-12)
 
+    def test_wave1d_cmp_default_init_is_taylor(self, tmp_path):
+        args = ["wave1d", "--case", "cmp", "--nx", "33", "--t-final", "0.5"]
+        for prefix, init in (("unset", []), ("taylor", ["--init", "taylor"]),
+                             ("exact", ["--init", "exact"])):
+            assert run_cli(args + init, tmp_path, prefix) == 0
+        series = {p: (tmp_path / f"{p}_series.csv").read_bytes()
+                  for p in ("unset", "taylor", "exact")}
+        assert series["unset"] == series["taylor"]
+        assert series["unset"] != series["exact"]
+
     def test_wave1d_vmp_runs_named_preset(self, tmp_path):
         code = run_cli(
             ["wave1d", "--case", "vmp", "--material", "rho-jump-down", "--nx", "33",

@@ -1,12 +1,30 @@
 """Every public step and conserved quantity is the core engine on that
-module's operator pair and inner products, bit for bit."""
+module's operator pair and inner products, bit for bit; a recorded step
+reuses its own operator terms for the invariants."""
+
+import sys
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from stagwave import oscillator, wave1d, wave2d, wave3d
-from stagwave.core import SystemState, conserved_full, conserved_half_step, system_step
+from stagwave import mimetic3d, oscillator, wave1d, wave2d, wave3d
+from stagwave.core import (
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    energy_pieces,
+    run_system,
+    system_step,
+)
 from stagwave.mimetic3d import Grid3, Star3, VectorField3
+
+# The operator and star applications of the 3D calculus.
+OPS_3D = (
+    "grad3", "curl3", "div3", "grad3_star", "curl3_star", "div3_star",
+    "star_matrix", "star_scalar", "star_scalar_inverse",
+)
 
 
 def _parts(x):
@@ -113,10 +131,17 @@ def _scalar3d(rng):
     )
 
 
+def _maxwell_stars(grid):
+    """(eps, mu): non-unit diagonal materials."""
+    return (
+        Star3.from_diagonals(grid, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)),
+        Star3.from_diagonals(grid, 1.0, 1.0, (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)),
+    )
+
+
 def _maxwell(rng):
     grid = _grid3d()
-    eps = Star3.from_diagonals(grid, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0))
-    mu = Star3.from_diagonals(grid, 1.0, 1.0, (1.0, 1.0, 1.0), (1.5, 2.5, 3.5))
+    eps, mu = _maxwell_stars(grid)
     dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
     e = wave3d.pin_tangential_boundary(_random_field(grid, "edge", rng))
     return dict(
@@ -154,3 +179,94 @@ def test_public_names_are_the_core_engine(name):
         assert np.array_equal(
             case["c_half"](state), conserved_half_step(core, ops, inner_X, inner_Y)
         )
+
+
+def _counted(ops, counts):
+    """The pair with every application of A and A* counted."""
+
+    def count(name, fn):
+        def apply(x):
+            counts[name] += 1
+            return fn(x)
+
+        return apply
+
+    return replace(
+        ops, apply_A=count("A", ops.apply_A), apply_Astar=count("Astar", ops.apply_Astar)
+    )
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_recorded_steps_reuse_their_operator_terms(name):
+    case = SYSTEMS[name](np.random.default_rng(7))
+    ops, inner_X, inner_Y = case["system"]
+    f, g = case["fields"](case["state"])
+
+    def reference(state, pieces):
+        bare = SystemState(state.f, state.g_half, state.dt, state.step,
+                           state.f_prev, state.g_prev_half)
+        return (pieces, energy_pieces(bare, ops, inner_X, inner_Y),
+                conserved_full(bare, ops, inner_X, inner_Y),
+                conserved_half_step(bare, ops, inner_X, inner_Y))
+
+    counts = Counter()
+    _, records = run_system(f, None, _counted(ops, counts), case["dt"], 4, inner_X, inner_Y,
+                            g_half0=g, audit=reference)
+    # one A and one A* per step: recording applied neither operator again
+    assert counts == {"A": 4, "Astar": 4}
+    assert [r[0] for r in records] == [1, 2, 3, 4]
+    for _, c_n, c_half, pieces, ref_pieces, ref_n, ref_half in records:
+        assert pieces == ref_pieces and c_n == ref_n and c_half == ref_half
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_only_recorded_steps_keep_operator_terms(name):
+    case = SYSTEMS[name](np.random.default_rng(9))
+    ops, inner_X, inner_Y = case["system"]
+    f, g = case["fields"](case["state"])
+    start = SystemState(f=f, g_half=g, dt=case["dt"])
+    bare = system_step(start, ops)
+    assert bare.a_f is None and bare.astar_g_prev is None
+    kept = system_step(start, ops, keep_terms=True)
+    assert _same(kept.f, bare.f) and _same(kept.g_half, bare.g_half)
+    assert _same(kept.a_f, ops.apply_A(kept.f))
+    assert _same(kept.astar_g_prev, ops.apply_Astar(start.g_half))
+    state, records = run_system(f, None, ops, case["dt"], 5, inner_X, inner_Y,
+                                g_half0=g, record_every=2)
+    assert [r[0] for r in records] == [2, 4]
+    assert state.step == 5 and state.a_f is None and state.astar_g_prev is None
+
+
+def _count_3d_calls(monkeypatch, counts):
+    """Count every mimetic3d operator, star and inner3 call, rebinding each
+    in every stagwave module that holds a reference to it."""
+    modules = [m for n, m in sys.modules.items() if n.startswith("stagwave.")]
+    for name in OPS_3D + ("inner3",):
+        original = getattr(mimetic3d, name)
+
+        def counted(*args, _name=name, _fn=original, **kwargs):
+            counts[_name] += 1
+            return _fn(*args, **kwargs)
+
+        for module in modules:
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+
+
+@pytest.mark.parametrize(
+    "record_every, ops_per_step, inner3_per_step", [(1, 8, 6), (0, 4, 0)]
+)
+def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, inner3_per_step):
+    # a recorded step: the step's 4 applications plus the divergence audit's
+    # 2 stars and 2 divergences; the invariants add only inner products
+    grid = _grid3d()
+    eps, mu = _maxwell_stars(grid)
+    case = _maxwell(np.random.default_rng(3))
+    state, counts = case["state"], Counter()
+    _count_3d_calls(monkeypatch, counts)
+    wave3d.run_maxwell(grid, eps, mu, state.e, state.h, case["dt"], 5,
+                       record_every=record_every)
+    inner = counts.pop("inner3", 0)
+    assert sum(counts.values()) == 5 * ops_per_step
+    assert inner == 5 * inner3_per_step

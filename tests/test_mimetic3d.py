@@ -473,6 +473,25 @@ class TestInner3:
                 f = random_vector(g, kind, rng)
             assert inner3(kind, f, f, st, g) > 0.0
 
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    @pytest.mark.parametrize("mode", ["scalar", "diagonal"])
+    def test_exact_star_vector_kinds_equal_star_matrix_product(self, mode, boundary):
+        # the componentwise weights must reproduce star_matrix followed by
+        # the product bit for bit
+        g = Grid3(1.0, 1.5, 0.75, 4, 5, 6, boundary=boundary)
+        if mode == "scalar":
+            st = Star3.from_scalars(g, 1.0, 1.0, 1.7, 0.6)
+        else:
+            st = variable_diagonal_star(g)
+        rng = np.random.default_rng(11)
+        which = {"edge": ("a", False), "face": ("b", True),
+                 "dual-edge": ("b", False), "dual-face": ("a", True)}
+        for kind in VECTOR_KINDS:
+            f, h = random_vector(g, kind, rng), random_vector(g, kind, rng)
+            weighted = star_matrix(f, st, *which[kind]).components
+            ref = sum(float(np.sum(w * c)) for w, c in zip(weighted, h.components))
+            assert inner3(kind, f, h, st, g) == ref * g.cell_volume
+
     def test_kind_mismatch_raises(self):
         g = Grid3.cube(4, boundary="pinned")
         st = Star3.trivial(g)
