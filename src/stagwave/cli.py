@@ -10,6 +10,11 @@ Commands
 oscillator, system, wave1d, wave1d-convergence, wave2d, wave3d, maxwell,
 transport, diffusion, verify, convergence-table.
 
+One table, ``COMMANDS``, declares every command: its help text, its runner
+and its options, each option once as ``(flag, argparse keyword arguments)``.
+The parser, the ``--schema`` dump and the config-file keys all come from that
+table, and runners read the parsed options as flat attributes (``cfg.dt``).
+
 Artifacts
 ---------
 Each run writes, where applicable, into the output directory:
@@ -29,10 +34,18 @@ working directory.
 Config files
 ------------
 ``--config FILE`` reads a flat key/value INI file; keys (in any section)
-must match the command's long flag names, with dashes or underscores.
-Explicit command-line flags always win over config-file values.  Every
-command prints its flag set with ``--help`` and dumps a machine-readable
-version with ``--schema``.
+must match the command's long flag names, with dashes or underscores.  Each
+value becomes command-line tokens placed before the given flags, so it is
+checked exactly like a flag (type, choices, ranges) and explicit flags still
+win.  Every command prints its flag set with ``--help`` and dumps a
+machine-readable version with ``--schema``.
+
+Usage errors
+------------
+Exit 2 covers unknown flags or keys, values of the wrong type or outside an
+option's choices, grid sizes below what the grid constructors accept,
+non-positive or unparseable ``--final`` times, and contradictory flags such as
+``--dt`` with ``--t-final`` for ``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -55,8 +68,9 @@ import re
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -65,14 +79,13 @@ from .core import OperatorPair, check_adjointness, run_system
 from .mimetic3d import Grid3, Star3, sample_scalar, sample_vector, zeros_field
 
 __all__ = [
+    "COMMANDS",
     "ConfigError",
-    "ExperimentConfig",
     "RunReport",
     "parse_material_1d",
     "parse_material_3d",
     "run",
     "verify",
-    "convergence_table",
     "build_parser",
     "main",
 ]
@@ -161,25 +174,6 @@ def k_range(text):
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """A fully resolved run description, grouped by concern.
-
-    ``grid``/``material``/``time``/``init`` hold the command's options in
-    named buckets; ``output`` holds the directory and file prefix; ``seed``
-    feeds every random draw; checks may be disabled wholesale.
-    """
-
-    command: str
-    grid: dict = field(default_factory=dict)
-    material: dict = field(default_factory=dict)
-    time: dict = field(default_factory=dict)
-    init: dict = field(default_factory=dict)
-    output: dict = field(default_factory=dict)
-    seed: int = 0
-    checks_enabled: bool = True
 
 
 @dataclass
@@ -383,8 +377,7 @@ class ArtifactWriter:
         return str(path)
 
 
-def resolve_outdir(output: dict) -> Path:
-    explicit = output.get("outdir")
+def resolve_outdir(explicit) -> Path:
     if explicit:
         return Path(explicit)
     env = os.environ.get("STAGWAVE_OUTDIR")
@@ -393,25 +386,31 @@ def resolve_outdir(output: dict) -> Path:
     return Path(".")
 
 
+def _grid(flag: str, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with the ValueError of a grid constructor (a
+    size or time below its minimum) turned into a usage error naming `flag`."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{flag}: {exc}") from None
+
+
 # ---------------------------------------------------------------------------
-# runners (one per experiment subcommand)
+# runners (one per experiment subcommand); `cfg` is the parsed namespace
 # ---------------------------------------------------------------------------
 
 
-def _run_oscillator(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    omega = cfg.init["omega"]
-    dt, steps = cfg.time["dt"], cfg.time["steps"]
+def _run_oscillator(cfg, art: ArtifactWriter) -> dict:
+    omega, dt, steps = cfg.omega, cfg.dt, cfg.steps
     params = oscillator.OscParams(omega=omega, dt=dt, n_steps=steps)
-    u_hist, rec = oscillator.simulate(
-        cfg.init["u0"], cfg.init["v0"], params, exact_init=cfg.init["exact_init"]
-    )
+    u_hist, rec = oscillator.simulate(cfg.u0, cfg.v0, params, exact_init=cfg.exact_init)
     checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
     )
 
     t = dt * np.arange(len(u_hist))
     # continuum solution of u' = -omega v, v' = omega u
-    exact = cfg.init["u0"] * np.cos(omega * t) - cfg.init["v0"] * np.sin(omega * t)
+    exact = cfg.u0 * np.cos(omega * t) - cfg.v0 * np.sin(omega * t)
     max_dev = float(np.max(np.abs(np.asarray(u_hist) - exact)))
     return {
         "settings": {"omega": omega, "dt": dt, "steps": steps, "alpha": params.alpha},
@@ -421,34 +420,31 @@ def _run_oscillator(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     }
 
 
-def _run_system(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    preset = cfg.material["preset"]
-    steps = cfg.time["steps"]
+def _run_system(cfg, art: ArtifactWriter) -> dict:
+    preset, steps = cfg.preset, cfg.steps
     if preset == "oscillator":
-        omega = cfg.init["omega"]
-        dt = cfg.time["dt"] if cfg.time["dt"] is not None else 0.01
+        omega = cfg.omega
+        dt = cfg.dt if cfg.dt is not None else 0.01
         ops = OperatorPair(
             apply_A=lambda f: -omega * f,
             apply_Astar=lambda g: -omega * g,
             norm_bound_A=omega,
             norm_bound_Astar=omega,
         )
-        state, rec = run_system(cfg.init["u0"], cfg.init["v0"], ops, dt, steps)
+        state, rec = run_system(cfg.u0, cfg.v0, ops, dt, steps)
         settings = {"preset": preset, "omega": omega, "dt": dt, "steps": steps}
-    elif preset == "cmp":
-        nx, c = cfg.grid["nx"], cfg.init["c"]
-        dx = 1.0 / (nx - 1)
-        dt = cfg.time["dt"] if cfg.time["dt"] is not None else cfg.time["safety"] * dx / c
-        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=steps * dt, nt=steps)
+    else:
+        nx, c = cfg.nx, cfg.c
+        dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
+        dt = cfg.dt if cfg.dt is not None else cfg.safety * dx / c
+        grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=nx, t_final=steps * dt, nt=steps)
         ops, inner_X, inner_Y = wave1d.cmp_system(c, grid)
-        u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0, cfg.init["mode_m"], c)
+        u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0, cfg.mode_m, c)
         state, rec = run_system(u0, np.zeros(nx - 1), ops, dt, steps, inner_X, inner_Y)
         settings = {"preset": preset, "nx": nx, "c": c, "dt": dt, "steps": steps}
-    else:
-        raise ConfigError(f"unknown system preset {preset!r}; use oscillator or cmp")
 
     checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
     )
     return {
         "settings": settings,
@@ -459,27 +455,25 @@ def _run_system(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
 
 def _build_grid_1d(nx: int, t_final: float, nt, safety: float, speed: float):
     if nt is None:
-        dx = 1.0 / (nx - 1)
+        dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
         nt = max(1, math.ceil(t_final / (safety * dx / speed)))
     return wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
 
 
-def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    case = cfg.material["case"]
-    spec = cfg.material["material"]
+def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
+    case, spec = cfg.case, cfg.material
     if spec is None:
         spec = "cmp c=1.0" if case == "cmp" else "constant"
     mat = parse_material_1d(spec)
     if (mat["kind"] == "cmp") != (case == "cmp"):
         raise ConfigError(f"--case {case} does not match material {spec!r}")
-    m = cfg.init["mode_m"]
-    t_final = cfg.time["t_final"]
+    m, t_final = cfg.mode_m, cfg.t_final
 
     if case == "cmp":
         c = mat["c"]
-        grid = _build_grid_1d(cfg.grid["nx"], t_final, cfg.time["nt"], cfg.time["safety"], c)
+        grid = _grid("--nx", _build_grid_1d, cfg.nx, t_final, cfg.nt, cfg.safety, c)
         # an unset --init has always started cmp runs from the Taylor half step
-        u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init["init"] or "taylor")
+        u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init or "taylor")
         state, rec = wave1d.run_cmp(grid, c, u0, v0, record_every=1)
         xp = grid.primal_points()
         er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
@@ -487,11 +481,9 @@ def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         error_norms = {"max_abs_u": float(np.max(np.abs(er)))}
         settings = {"case": case, "c": c}
     else:
-        probe = wave1d.Grid1D(a=0.0, b=1.0, nx=cfg.grid["nx"], t_final=t_final, nt=1)
+        probe = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=t_final, nt=1)
         mats = wave1d.Materials1D.from_profiles(probe, mat["rho"], mat["tau"])
-        grid = _build_grid_1d(
-            cfg.grid["nx"], t_final, cfg.time["nt"], cfg.time["safety"], wave1d.cfl_speed(mats)
-        )
+        grid = _build_grid_1d(cfg.nx, t_final, cfg.nt, cfg.safety, wave1d.cfl_speed(mats))
         mats = wave1d.Materials1D.from_profiles(grid, mat["rho"], mat["tau"])
         u0 = np.sin(m * np.pi * grid.primal_points())
         v0 = wave1d.taylor_v_half_vmp(u0, np.zeros(grid.nx - 1), mats, grid)
@@ -500,7 +492,7 @@ def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         settings = {"case": case, "material": mat["name"]}
 
     rows = [(s, s * grid.dt, cn, ch) for s, cn, ch in rec]
-    checks, summary = _invariant_series(art, rows, cfg.time["record_every"])
+    checks, summary = _invariant_series(art, rows, cfg.record_every)
     settings.update({"nx": grid.nx, "nt": grid.nt, "dt": grid.dt, "t_final": t_final})
     min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
     checks.append(_check("invariants-positive", min_c, "> 0", min_c > 0))
@@ -515,27 +507,31 @@ def _run_wave1d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
 # -- convergence sweeps ------------------------------------------------------
 
 
-def _resolve_final_1d(final, m: int, c: float) -> float:
-    """Final times for the 1D mode study; named values scale with the period.
+def _levels(ks) -> list:
+    """The refinement levels of a sweep.  Level k's coarsest grid has 2**k
+    cells per axis and every grid constructor needs 2, so k starts at 1; a
+    repeated level would give an order from two equal spacings."""
+    if len(set(ks)) < max(len(ks), 2):
+        raise ConfigError(f"a convergence sweep needs at least two distinct --k levels, got {ks}")
+    if min(ks) < 1:
+        raise ConfigError(
+            f"--k levels must be at least 1 (a grid needs 2 cells per axis), got {min(ks)}"
+        )
+    return ks
 
-    The standing mode's period is 2/(m c).  "full-period" maps to 7/8 of it
-    (a generic time slightly inside the period, where the scheme's phase lag
-    dominates and the order is 2); "half-period" maps to half of it, where
-    the phase-lag term cancels and the measured order jumps to ~4.
-    """
-    if final is None:
-        final = "full-period"
-    if isinstance(final, str):
-        named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
-        if final in named:
-            return named[final]
-        try:
-            return float(final)
-        except ValueError:
-            raise ConfigError(
-                f"bad --final {final!r}; use a number, 'full-period' or 'half-period'"
-            ) from None
-    return float(final)
+
+def _final_time(final, default: float, case: str, named: dict) -> float:
+    """The sweep's --final: `default` when unset, the value of a name in `named`,
+    or a number; anything that is not a positive, finite time is a usage error."""
+    t = default if final is None else named.get(final, final)
+    try:
+        t = float(t)
+    except ValueError:
+        t = math.nan
+    if not 0 < t < math.inf:
+        names = f" or one of {list(named)}" if named else ""
+        raise ConfigError(f"bad --final {final!r} for case {case!r}; use a positive number{names}")
+    return t
 
 
 def _is_half_period_multiple(t_final: float, m: int, c: float) -> bool:
@@ -543,36 +539,32 @@ def _is_half_period_multiple(t_final: float, m: int, c: float) -> bool:
     return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
 
 
-def _sweep_1d(cfg: ExperimentConfig) -> dict:
-    spec = cfg.material["case"] or "cmp"
+def _sweep_1d(cfg, jobs: int) -> dict:
+    spec = cfg.case or "cmp"
     mat = parse_material_1d(spec)
-    ks = cfg.grid["k"]
-    if len(ks) < 2:
-        raise ConfigError("a convergence sweep needs at least two refinement levels")
-    m = cfg.init["mode_m"]
-    f_over = cfg.time["f"]
-    jobs = cfg.init.get("jobs") or 1
+    ks = _levels(cfg.k)
+    m, f_over = cfg.mode_m, cfg.f
 
     if mat["kind"] == "cmp":
         c = mat["c"]
-        t_final = _resolve_final_1d(cfg.time["final"], m, c)
+        # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it, a
+        # generic time where the scheme's phase lag dominates and the order is
+        # 2; "half-period" is half of it, where the phase-lag term cancels and
+        # the measured order jumps to ~4.
+        named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
+        t_final = _final_time(cfg.final, named["full-period"], spec, named)
         if f_over is None:
             f_over = wave1d.refinement_exponent(c, 1.0, t_final)
         if jobs > 1:
             rows = _pool_sweep(
-                _cmp_sweep_point, [(k, t_final, m, c, f_over, cfg.init["init"]) for k in ks], jobs
+                _cmp_sweep_point, [(k, t_final, m, c, f_over, cfg.init) for k in ks], jobs
             )
         else:
-            rows = wave1d.cmp_mode_errors(ks, t_final, m=m, c=c, f=f_over, init=cfg.init["init"])
-        profile = _cmp_profile(max(ks), t_final, m, c, f_over, cfg.init["init"])
+            rows = wave1d.cmp_mode_errors(ks, t_final, m=m, c=c, f=f_over, init=cfg.init)
+        profile = _cmp_profile(max(ks), t_final, m, c, f_over, cfg.init)
         name = f"cmp c={c:g}"
     else:
-        if isinstance(cfg.time["final"], str) and not _is_float(cfg.time["final"]):
-            raise ConfigError(
-                "named final times apply to the cmp mode study; give a number "
-                "for variable materials"
-            )
-        t_final = float(cfg.time["final"]) if cfg.time["final"] is not None else 2.0
+        t_final = _final_time(cfg.final, 2.0, spec, {})
         c = None
         rows, profiles = wave1d.vmp_refine_errors(
             ks, t_final, mat["rho"], mat["tau"], f=f_over
@@ -617,14 +609,6 @@ def _order_table(ks, rows, points_of):
     return pair_orders, table
 
 
-def _is_float(text) -> bool:
-    try:
-        float(text)
-        return True
-    except (TypeError, ValueError):
-        return False
-
-
 def _cmp_sweep_point(args):
     k, t_final, m, c, f, init = args
     return wave1d.cmp_mode_errors([k], t_final, m=m, c=c, f=f, init=init)
@@ -641,8 +625,8 @@ def _cmp_profile(k: int, t_final: float, m: int, c: float, f: int, init: str):
 _SMOOTH_1D = {"constant", "bump-p2-q2"}
 
 
-def _run_wave1d_convergence(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    sweep = _sweep_1d(cfg)
+def _run_wave1d_convergence(cfg, art: ArtifactWriter) -> dict:
+    sweep = _sweep_1d(cfg, jobs=1)
     art.table(sweep["table"])
     art.errors(sweep["profile"])
 
@@ -683,38 +667,31 @@ _ND_SWEEPS = {
 }
 
 
-def _run_convergence_table(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    case = cfg.material["case"] or "cmp"
-    ks = cfg.grid["k"]
-    if len(ks) < 2:
-        raise ConfigError("a convergence sweep needs at least two refinement levels")
-    jobs = cfg.init.get("jobs") or 1
+def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
+    case = cfg.case or "cmp"
 
     if case in _ND_SWEEPS:
-        t_final = (
-            float(cfg.time["final"])
-            if cfg.time["final"] is not None and _is_float(cfg.time["final"])
-            else 0.35
-        )
+        ks = _levels(cfg.k)
+        t_final = _final_time(cfg.final, 0.35, case, {})
         sizes = [2**k for k in ks]
-        if jobs > 1:
+        if cfg.jobs > 1:
             rows = _pool_sweep(
-                _nd_sweep_point, [(case, n, t_final, cfg.time["safety"]) for n in sizes], jobs
+                _nd_sweep_point, [(case, n, t_final, cfg.safety) for n in sizes], cfg.jobs
             )
         else:
-            rows = _ND_SWEEPS[case](sizes, t_final=t_final, safety=cfg.time["safety"])
+            rows = _ND_SWEEPS[case](sizes, t_final=t_final, safety=cfg.safety)
         pair_orders, table = _order_table(ks, rows, lambda k: 2**k)
         name = case
         endpoint = endpoint_order(rows)
     else:
-        sweep = _sweep_1d(cfg)
-        rows, table = sweep["rows"], sweep["table"]
+        sweep = _sweep_1d(cfg, cfg.jobs)
+        ks, rows, table = sweep["ks"], sweep["rows"], sweep["table"]
         pair_orders, endpoint = sweep["pair_orders"], sweep["endpoint"]
         name, t_final = sweep["name"], sweep["t_final"]
 
     art.table(table)
     return {
-        "settings": {"case": name, "t_final": t_final, "k": ks, "jobs": jobs},
+        "settings": {"case": name, "t_final": t_final, "k": ks, "jobs": cfg.jobs},
         "summary": {"errors": [er for _, er in rows]},
         "error_norms": {"finest_max_abs": rows[-1][1]},
         "orders": {"pairwise": pair_orders, "endpoint": endpoint},
@@ -730,23 +707,22 @@ def _nd_sweep_point(args):
 # -- 2D and 3D experiments ---------------------------------------------------
 
 
-def _run_wave2d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    nx = cfg.grid["nx"]
-    ny = cfg.grid["ny"] if cfg.grid["ny"] is not None else nx
-    grid = wave2d.Grid2(nx, ny)
-    star = wave2d.Star2(cfg.material["a"], cfg.material["a11"], cfg.material["a22"])
-    t_final = cfg.time["t_final"]
-    nt = cfg.time["nt"]
+def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
+    nx = cfg.nx
+    ny = cfg.ny if cfg.ny is not None else nx
+    grid = _grid("--nx/--ny", wave2d.Grid2, nx, ny)
+    star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
+    t_final, nt = cfg.t_final, cfg.nt
     if nt is None:
-        nt = max(1, math.ceil(t_final / wave2d.suggest_dt_2d(star, grid, cfg.time["safety"])))
+        nt = max(1, math.ceil(t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
     dt = t_final / nt
 
-    m, n = cfg.init["mode_m"], cfg.init["mode_n"]
-    u0, v0 = wave2d.mode_start_2d(grid, star, dt, m, n, cfg.init["init"])
+    m, n = cfg.mode_m, cfg.mode_n
+    u0, v0 = wave2d.mode_start_2d(grid, star, dt, m, n, cfg.init)
     state, rec = wave2d.run_wave2d(grid, star, u0, v0, dt, nt, record_every=1)
 
     checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.time["record_every"]
+        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
     )
 
     error_norms = {}
@@ -772,16 +748,20 @@ def _run_wave2d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
 def _resolve_dt_3d(cfg, dt_max):
     """Explicit dt, or a t_final split into whole steps, or safety * bound.
 
-    Rejects a record interval longer than the run, which would leave the
-    series (and the drift checks) without a single row.
+    Rejects --dt together with --t-final, which would leave the run short of
+    (or past) the time its mode error is measured at, and a record interval
+    longer than the run, which would leave the series (and the drift checks)
+    without a single row.
     """
-    dt, t_final = cfg.time["dt"], cfg.time["t_final"]
-    steps, every = cfg.time["steps"], cfg.time["record_every"]
-    if dt is None and t_final is not None:
-        steps = max(1, math.ceil(t_final / (cfg.time["safety"] * dt_max)))
+    dt, t_final = cfg.dt, cfg.t_final
+    steps, every = cfg.steps, cfg.record_every
+    if dt is not None and t_final is not None:
+        raise ConfigError("--dt and --t-final both fix the time step; give only one of them")
+    if t_final is not None:
+        steps = max(1, math.ceil(t_final / (cfg.safety * dt_max)))
         dt = t_final / steps
     elif dt is None:
-        dt = cfg.time["safety"] * dt_max
+        dt = cfg.safety * dt_max
     if every > steps:
         raise ConfigError(
             f"--record-every {every} is larger than the number of steps ({steps}, "
@@ -790,30 +770,29 @@ def _resolve_dt_3d(cfg, dt_max):
     return dt, steps
 
 
-def _run_wave3d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    n = cfg.grid["grid"]
-    grid = Grid3.cube(n, 1.0, boundary="pinned")
-    star = parse_material_3d(cfg.material["materials"], "scalar")(grid)
+def _run_wave3d(cfg, art: ArtifactWriter) -> dict:
+    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    star = parse_material_3d(cfg.materials, "scalar")(grid)
     dt, steps = _resolve_dt_3d(cfg, wave3d.suggest_dt(star, grid))
-    modes = tuple(cfg.init["modes"])
+    modes = tuple(cfg.modes)
 
     s0 = wave3d.cavity_mode_s(grid, 0.0, modes)
     v0 = wave3d.scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
     state, rec = wave3d.run_scalar_wave(
-        grid, star, s0, v0, dt, steps, record_every=cfg.time["record_every"]
+        grid, star, s0, v0, dt, steps, record_every=cfg.record_every
     )
     checks, summary = _invariant_series(
-        art, rec, cfg.time["record_every"], ("sq_f", "sq_gbar", "sq_AGf")
+        art, rec, cfg.record_every, ("sq_f", "sq_gbar", "sq_AGf")
     )
 
     error_norms = {}
-    if cfg.material["materials"] == "trivial3d" and cfg.time["t_final"] is not None:
-        want = wave3d.cavity_mode_s(grid, cfg.time["t_final"], modes)
+    if cfg.materials == "trivial3d" and cfg.t_final is not None:
+        want = wave3d.cavity_mode_s(grid, cfg.t_final, modes)
         error_norms["max_abs_s"] = float(np.max(np.abs(state.s - want)))
     return {
         "settings": {
-            "grid": n,
-            "materials": cfg.material["materials"],
+            "grid": cfg.grid,
+            "materials": cfg.materials,
             "dt": dt,
             "steps": steps,
             "modes": list(modes),
@@ -824,20 +803,19 @@ def _run_wave3d(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     }
 
 
-def _run_maxwell(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    n = cfg.grid["grid"]
-    grid = Grid3.cube(n, 1.0, boundary="pinned")
-    eps, mu = parse_material_3d(cfg.material["materials"], "maxwell")(grid)
+def _run_maxwell(cfg, art: ArtifactWriter) -> dict:
+    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    eps, mu = parse_material_3d(cfg.materials, "maxwell")(grid)
     dt_max = wave3d.suggest_dt(eps, grid, system="maxwell", mu_star=mu)
     dt, steps = _resolve_dt_3d(cfg, dt_max)
 
     e0 = wave3d.te_cavity_e(grid, 0.0)
     h0 = wave3d.maxwell_init_h(e0, zeros_field(grid, "dual-edge"), eps, mu, grid, dt)
     state, rec = wave3d.run_maxwell(
-        grid, eps, mu, e0, h0, dt, steps, record_every=cfg.time["record_every"]
+        grid, eps, mu, e0, h0, dt, steps, record_every=cfg.record_every
     )
     checks, summary = _invariant_series(
-        art, rec, cfg.time["record_every"], ("sq_f", "sq_gbar", "sq_AGf", "div_e", "div_h")
+        art, rec, cfg.record_every, ("sq_f", "sq_gbar", "sq_AGf", "div_e", "div_h")
     )
     for label, idx in (("div_e", 7), ("div_h", 8)):
         series = [r[idx] for r in rec]
@@ -848,8 +826,8 @@ def _run_maxwell(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         )
     return {
         "settings": {
-            "grid": n,
-            "materials": cfg.material["materials"],
+            "grid": cfg.grid,
+            "materials": cfg.materials,
             "dt": dt,
             "steps": steps,
         },
@@ -865,24 +843,21 @@ def _run_maxwell(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
 # -- transport and diffusion --------------------------------------------------
 
 
-def _run_transport(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    kind = cfg.init["velocity"]
-    steps = cfg.time["steps"]
-    courant = cfg.time["courant"]
+def _run_transport(cfg, art: ArtifactWriter) -> dict:
+    kind, steps, courant = cfg.velocity, cfg.steps, cfg.courant
     if courant is None:
         courant = 1.0 if kind == "constant" else 0.9
 
     if kind == "constant":
-        n = cfg.grid["n"] if cfg.grid["n"] is not None else 64
+        n = cfg.n if cfg.n is not None else 64
         if n < 20:
             raise ConfigError("the square-wave profile needs at least 20 cells")
         dx = 1.0 / n
-        speed = cfg.init["speed"]
-        v = np.full(n + 1, speed)
+        v = np.full(n + 1, cfg.speed)
         rho0 = np.zeros(n)
         rho0[10:20] = 1.0
     else:
-        n = cfg.grid["n"] if cfg.grid["n"] is not None else 100
+        n = cfg.n if cfg.n is not None else 100
         dx = 2.0 / n
         x_face = -1.0 + dx * np.arange(n + 1)
         x_cell = -1.0 + dx * (np.arange(n) + 0.5)
@@ -901,7 +876,7 @@ def _run_transport(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     mass0 = state.mass
     state, rec = positivity.run_transport(state, steps, record_every=1)
 
-    every = cfg.time["record_every"]
+    every = cfg.record_every
     rows = [(s, s * dt, mass, mn) for s, mass, mn in rec if every and s % every == 0]
     art.series(["step", "t", "mass", "min_rho"], rows)
 
@@ -918,7 +893,7 @@ def _run_transport(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         _check("guard-held", float(state.guaranteed), "guard holds all steps", state.guaranteed),
     ]
     if kind == "constant" and courant == 1.0:
-        shift = steps if cfg.init["speed"] > 0 else -steps
+        shift = steps if cfg.speed > 0 else -steps
         want = np.zeros(n)
         lo, hi = max(10 + shift, 0), max(min(20 + shift, n), 0)
         want[lo:hi] = 1.0
@@ -945,12 +920,12 @@ def _run_transport(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     }
 
 
-def _run_diffusion(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
-    n = cfg.grid["n"] if cfg.grid["n"] is not None else 101
-    steps = cfg.time["steps"]
+def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
+    n = cfg.n if cfg.n is not None else 101
+    steps, every = cfg.steps, cfg.record_every
     dx = 1.0 / n
-    d = np.full(n + 1, cfg.init["diffusivity"])
-    dt = cfg.time["courant"] * dx * dx / float(np.max(d))
+    d = np.full(n + 1, cfg.diffusivity)
+    dt = cfg.courant * dx * dx / float(np.max(d))
 
     rho = np.zeros(n)
     rho[n // 2] = 1.0
@@ -965,7 +940,7 @@ def _run_diffusion(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
         mn = float(np.min(rho))
         worst_drift = max(worst_drift, abs(mass - mass0) / mass0)
         worst_min = min(worst_min, mn)
-        if cfg.time["record_every"] and step % cfg.time["record_every"] == 0:
+        if every and step % every == 0:
             rows.append((step, step * dt, mass, mn))
     art.series(["step", "t", "mass", "min_rho"], rows)
 
@@ -979,7 +954,7 @@ def _run_diffusion(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
             "n": n,
             "dx": dx,
             "dt": dt,
-            "diffusivity": cfg.init["diffusivity"],
+            "diffusivity": cfg.diffusivity,
             "steps": steps,
         },
         "summary": {"mass_initial": mass0, "mass_final": float(np.sum(rho) * dx)},
@@ -987,34 +962,18 @@ def _run_diffusion(cfg: ExperimentConfig, art: ArtifactWriter) -> dict:
     }
 
 
-_RUNNERS = {
-    "oscillator": _run_oscillator,
-    "system": _run_system,
-    "wave1d": _run_wave1d,
-    "wave1d-convergence": _run_wave1d_convergence,
-    "wave2d": _run_wave2d,
-    "wave3d": _run_wave3d,
-    "maxwell": _run_maxwell,
-    "transport": _run_transport,
-    "diffusion": _run_diffusion,
-    "convergence-table": _run_convergence_table,
-}
-
-
-def run(config: ExperimentConfig) -> RunReport:
-    """Execute one experiment and write its artifacts; returns the report."""
-    if config.command not in _RUNNERS:
-        raise ConfigError(f"unknown command {config.command!r}")
+def run(cfg) -> RunReport:
+    """Execute one experiment command from its parsed options (the namespace
+    `build_parser().parse_args` returns) and write its artifacts; returns the
+    report."""
     t0 = time.perf_counter()
-    outdir = resolve_outdir(config.output)
-    prefix = config.output.get("prefix") or config.command.replace("-", "_")
-    art = ArtifactWriter(outdir, prefix)
-    body = _RUNNERS[config.command](config, art)
-    passed = all(c["passed"] for c in body["checks"]) if config.checks_enabled else True
+    art = ArtifactWriter(resolve_outdir(cfg.outdir), cfg.prefix or cfg.command.replace("-", "_"))
+    body = COMMANDS[cfg.command].runner(cfg, art)
+    passed = True if cfg.no_checks else all(c["passed"] for c in body["checks"])
     report = RunReport(
-        command=config.command,
+        command=cfg.command,
         settings=body["settings"],
-        seed=config.seed,
+        seed=cfg.seed,
         artifacts={},
         summary=body["summary"],
         error_norms=body.get("error_norms", {}),
@@ -1025,11 +984,6 @@ def run(config: ExperimentConfig) -> RunReport:
     )
     art.report(report)
     return report
-
-
-def convergence_table(config: ExperimentConfig) -> RunReport:
-    """`run` specialized to the convergence-table command (same report)."""
-    return run(replace(config, command="convergence-table"))
 
 
 # ---------------------------------------------------------------------------
@@ -1213,8 +1167,10 @@ def _verify_adjoint(sizes, trials, seed, broken_sign) -> list:
 
 
 def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
-    """1D summation-by-parts adjointness on random grids and materials."""
+    """1D summation-by-parts adjointness on random grids and materials;
+    ``broken_sign`` flips the sign of the A* side, so the residual is O(1)."""
     rng = np.random.default_rng(seed)
+    sign = -1.0 if broken_sign else 1.0
     worst = 0.0
     for _ in range(trials):
         nx = int(rng.integers(5, 40))
@@ -1228,7 +1184,7 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
         v = rng.standard_normal(nx - 1)
         ops, inner_X, inner_Y = wave1d.vmp_system(mats, g)
         lhs = inner_Y(ops.apply_A(u), v)
-        rhs = inner_X(u, ops.apply_Astar(v))
+        rhs = sign * inner_X(u, ops.apply_Astar(v))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     checks = [_check("sbp-random-trials", worst, "<= 1e-13 relative", worst <= 1e-13)]
 
@@ -1288,8 +1244,209 @@ def verify(suite: str, *, sizes=(8, 16), trials: int = 100, seed: int = 0,
 
 
 # ---------------------------------------------------------------------------
-# argument parsing
+# the command table, and the parser, schema and config files built from it
 # ---------------------------------------------------------------------------
+
+
+def _print_report(report: RunReport):
+    for check in report.checks:
+        verdict = "PASS" if check["passed"] else "FAIL"
+        measured = check["measured"]
+        shown = f"{measured:.6e}" if isinstance(measured, float) else str(measured)
+        print(f"[{verdict}] {check['name']}: measured {shown} (bound {check['bound']})")
+    for key in ("series_csv", "errors_csv", "table_csv", "report_json"):
+        if report.artifacts.get(key):
+            print(f"{key.rsplit('_', 1)[0]}: {report.artifacts[key]}")
+
+
+def _run_and_print(cfg) -> int:
+    report = run(cfg)
+    _print_report(report)
+    return 0 if report.passed else 1
+
+
+def _verify_and_print(cfg) -> int:
+    if cfg.suite is None:
+        raise ConfigError("verify needs a suite name (or a config file giving one)")
+    summary = verify(
+        cfg.suite, sizes=cfg.sizes, trials=cfg.trials, seed=cfg.seed, broken_sign=cfg.broken_sign
+    )
+    outdir = cfg.outdir or os.environ.get("STAGWAVE_OUTDIR")
+    if outdir:
+        path = Path(outdir)
+        path.mkdir(parents=True, exist_ok=True)
+        name = f"{cfg.prefix or 'verify'}_{cfg.suite.replace('-', '_')}.json"
+        (path / name).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    print(json.dumps(summary, indent=2, sort_keys=True))
+    return 0 if cfg.no_checks or summary["passed"] else 1
+
+
+class Command(NamedTuple):
+    """One subcommand.  `options` are ``(flag, argparse kwargs)`` pairs;
+    `runner(cfg, art)` returns an experiment's report body, and `main(cfg)`
+    turns the parsed options into the exit code."""
+
+    help: str
+    runner: Callable | None
+    options: tuple
+    main: Callable = _run_and_print
+
+
+# options every command takes, and options several commands share exactly
+_COMMON = (
+    ("--config", dict(metavar="FILE", help="flat key/value INI config file")),
+    ("--outdir", dict(help="artifact directory (default: $STAGWAVE_OUTDIR or .)")),
+    ("--prefix", dict(help="artifact file prefix (default: the command name)")),
+    ("--seed", dict(type=int, default=0, help="seed for random-field checks")),
+    ("--no-checks", dict(action="store_true",
+                         help="record checks but never fail the exit code on them")),
+    ("--schema", dict(action="store_true", help="print the option schema as JSON and exit")),
+)
+_RECORD_EVERY = ("--record-every", dict(type=positive_int, default=1, metavar="N",
+                                        help="keep every N-th step in the series CSV"))
+_STEPS = ("--steps", dict(type=positive_int, default=1000, help="number of steps"))
+_NT = ("--nt", dict(type=positive_int, default=None, help="steps (default from --safety)"))
+_SAFETY = ("--safety", dict(type=positive_float, default=0.9, help="fraction of the CFL bound"))
+_K = ("--k", dict(type=k_range, default="4..8", help="refinement levels, e.g. 4..8"))
+_F = ("--f", dict(type=positive_int, default=None, help="extra time-refinement exponent"))
+_CMP_INIT = ("--init", dict(choices=("exact", "taylor"), default="exact",
+                            help="cmp half-step start"))
+_CUBE = (
+    ("--grid", dict(type=positive_int, default=16, help="cells per side")),
+    ("--materials", dict(default="trivial3d",
+                         help="material preset: trivial3d, scalar3d, or diag3d")),
+    ("--steps", dict(type=positive_int, default=500, help="number of steps")),
+    _SAFETY,
+    ("--dt", dict(type=positive_float, default=None, help="explicit time step")),
+)
+
+COMMANDS = {
+    "oscillator": Command("Leapfrog harmonic oscillator with both invariants audited.",
+                          _run_oscillator, (
+        ("--omega", dict(type=positive_float, default=1.0, help="angular frequency")),
+        ("--dt", dict(type=positive_float, default=0.01, help="time step")),
+        ("--steps", dict(type=positive_int, default=10_000, help="number of steps")),
+        ("--u0", dict(type=float, default=1.0, help="initial displacement")),
+        ("--v0", dict(type=float, default=0.0, help="initial velocity")),
+        ("--exact-init", dict(action="store_true", help="seed v(dt/2) from the closed form "
+                              "instead of the Taylor half step")),
+        _RECORD_EVERY,
+    )),
+    "system": Command("Generic adjoint-pair leapfrog on a named operator preset.",
+                      _run_system, (
+        ("--preset", dict(choices=("oscillator", "cmp"), default="oscillator",
+                          help="operator pair to integrate")),
+        ("--omega", dict(type=positive_float, default=1.0, help="oscillator frequency")),
+        ("--u0", dict(type=float, default=1.0, help="oscillator initial displacement")),
+        ("--v0", dict(type=float, default=0.0, help="oscillator initial velocity")),
+        ("--c", dict(type=positive_float, default=1.0, help="cmp wave speed")),
+        ("--nx", dict(type=positive_int, default=65, help="cmp grid points")),
+        ("--mode-m", dict(type=positive_int, default=1, help="cmp starting mode")),
+        ("--dt", dict(type=positive_float, default=None, help="time step (default per preset)")),
+        ("--safety", dict(type=positive_float, default=0.95,
+                          help="fraction of the cmp CFL bound")),
+        _STEPS,
+        _RECORD_EVERY,
+    )),
+    "wave1d": Command("1D staggered wave march with conserved-quantity audits.", _run_wave1d, (
+        ("--case", dict(choices=("cmp", "vmp"), default="cmp",
+                        help="constant or variable materials")),
+        ("--material", dict(help="material spec ('cmp c=1.0', a preset name, 'bump 2 2', "
+                            "'piecewise-linear .25 .75 1 2', 'jump down tau', ...)")),
+        ("--nx", dict(type=positive_int, default=65, help="primal grid points")),
+        ("--t-final", dict(type=positive_float, default=1.0, help="final time")),
+        _NT,
+        ("--safety", dict(type=positive_float, default=0.95, help="fraction of the CFL bound")),
+        ("--mode-m", dict(type=positive_int, default=1, help="starting mode number")),
+        ("--init", dict(choices=("exact", "taylor"), default=None, help="cmp half-step start "
+                        "for v (default: taylor; vmp always starts from taylor)")),
+        _RECORD_EVERY,
+    )),
+    "wave1d-convergence": Command("Grid-halving order study for the 1D march, with order "
+                                  "checks.", _run_wave1d_convergence, (
+        ("--case", dict(default="cmp", help="'cmp [c=...]' for the mode study or a material "
+                        "spec for refine-compare")),
+        _K,
+        ("--final", dict(default=None, help="final time: a number, 'full-period' (7/8 of the "
+                         "period) or 'half-period'")),
+        ("--mode-m", dict(type=positive_int, default=1, help="mode number (cmp case)")),
+        _F,
+        _CMP_INIT,
+    )),
+    "wave2d": Command("2D staggered wave march with conserved-quantity audits.", _run_wave2d, (
+        ("--nx", dict(type=positive_int, default=32, help="cells along x")),
+        ("--ny", dict(type=positive_int, default=None, help="cells along y (default nx)")),
+        ("--a", dict(type=positive_float, default=1.0, help="scalar material weight")),
+        ("--a11", dict(type=positive_float, default=1.0, help="vector weight, x component")),
+        ("--a22", dict(type=positive_float, default=1.0, help="vector weight, y component")),
+        ("--t-final", dict(type=positive_float, default=0.35, help="final time")),
+        _NT,
+        _SAFETY,
+        ("--mode-m", dict(type=positive_int, default=1, help="x mode number")),
+        ("--mode-n", dict(type=positive_int, default=1, help="y mode number")),
+        ("--init", dict(choices=("exact", "taylor"), default="taylor",
+                        help="half-step start for v")),
+        _RECORD_EVERY,
+    )),
+    "wave3d": Command("3D scalar cavity march with conserved-quantity audits.", _run_wave3d, (
+        *_CUBE,
+        ("--t-final", dict(type=positive_float, default=None, help="march to this time "
+                           "instead of --steps (also enables the mode error norm)")),
+        ("--modes", dict(type=positive_int, nargs=3, default=[1, 1, 1],
+                         metavar=("MX", "MY", "MZ"), help="cavity mode numbers")),
+        _RECORD_EVERY,
+    )),
+    "maxwell": Command("TE cavity march with invariants and divergence audits.", _run_maxwell, (
+        *_CUBE,
+        ("--t-final", dict(type=positive_float, default=None,
+                           help="march to this time instead of --steps")),
+        _RECORD_EVERY,
+    )),
+    "transport": Command("Upwind advection with the mass audit and positivity guard.",
+                         _run_transport, (
+        ("--velocity", dict(choices=("constant", "collapse", "expand"), default="constant",
+                            help="face velocity field: constant speed, v = -x, or v = +x")),
+        ("--speed", dict(type=positive_float, default=2.0, help="constant-velocity speed")),
+        ("--n", dict(type=positive_int, default=None,
+                     help="cells (default 64 constant / 100 radial)")),
+        _STEPS,
+        ("--courant", dict(type=positive_float, default=None, help="fraction of the per-cell "
+                           "outflow bound (default 1.0 constant / 0.9 radial)")),
+        _RECORD_EVERY,
+    )),
+    "diffusion": Command("Explicit diffusion of a spike under the flux-pair guard.",
+                         _run_diffusion, (
+        ("--n", dict(type=positive_int, default=None, help="cells (default 101)")),
+        _STEPS,
+        ("--diffusivity", dict(type=positive_float, default=1.0,
+                               help="constant face diffusivity")),
+        ("--courant", dict(type=positive_float, default=0.5,
+                           help="dt as a multiple of dx^2/max(d); 0.5 is the guard edge")),
+        _RECORD_EVERY,
+    )),
+    "verify": Command("Exactness / adjointness / round-trip / order suites.", None, (
+        ("suite", dict(nargs="?", default=None,
+                       help="one of mimetic3d, adjoint, wave1d-sbp, all")),
+        ("--sizes", dict(type=positive_int, nargs="+", default=[8, 16],
+                         help="grid sizes per side")),
+        ("--trials", dict(type=positive_int, default=100, help="random trials")),
+        ("--broken-sign", dict(action="store_true", help="flip a sign in the adjoint "
+                               "identity; the suite must then fail")),
+    ), main=_verify_and_print),
+    "convergence-table": Command("Convergence-table CSV (k, Nx, dx, Er, p) for a named case.",
+                                 _run_convergence_table, (
+        ("--case", dict(default="cmp", help="'cmp [c=...]', a 1D material spec, wave2d-mode, "
+                        "wave3d-cavity, or maxwell-cavity")),
+        _K,
+        ("--final", dict(default=None,
+                         help="final time (number or named; case-dependent default)")),
+        ("--mode-m", dict(type=positive_int, default=1, help="mode number (1D cmp case)")),
+        _F,
+        _CMP_INIT,
+        ("--safety", dict(type=positive_float, default=0.9, help="CFL fraction (2D/3D cases)")),
+        ("--jobs", dict(type=positive_int, default=1, help="parallel sweep processes")),
+    )),
+}
 
 _CONFIG_EPILOG = (
     "Config file keys (any section of the INI file given with --config) match "
@@ -1298,216 +1455,45 @@ _CONFIG_EPILOG = (
 )
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--config", metavar="FILE", help="flat key/value INI config file")
-    sub.add_argument("--outdir", help="artifact directory (default: $STAGWAVE_OUTDIR or .)")
-    sub.add_argument("--prefix", help="artifact file prefix (default: the command name)")
-    sub.add_argument("--seed", type=int, default=0, help="seed for random-field checks")
-    sub.add_argument(
-        "--no-checks",
-        action="store_true",
-        help="record checks but never fail the exit code on them",
-    )
-    sub.add_argument(
-        "--schema", action="store_true", help="print the option schema as JSON and exit"
-    )
+def _options(command: str):
+    """(dest, flag, kwargs) of every option `command` takes, in --help order."""
+    for flag, kwargs in _COMMON + COMMANDS[command].options:
+        yield flag.lstrip("-").replace("-", "_"), flag, kwargs
 
 
-def _add_record_every(sub):
-    sub.add_argument(
-        "--record-every",
-        type=positive_int,
-        default=1,
-        metavar="N",
-        help="keep every N-th step in the series CSV",
-    )
-
-
-def build_parser():
-    """The full parser tree; returns (parser, {command: subparser})."""
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command in `COMMANDS`."""
     parser = argparse.ArgumentParser(
         prog="stagwave",
         description="Staggered-grid leapfrog wave experiments with conserved-quantity audits.",
     )
     subs = parser.add_subparsers(dest="command", required=True, metavar="command")
-    tree = {}
-
-    def command(name, help_text):
-        sub = subs.add_parser(name, help=help_text, description=help_text, epilog=_CONFIG_EPILOG)
-        _add_common(sub)
-        tree[name] = sub
-        return sub
-
-    p = command("oscillator", "Leapfrog harmonic oscillator with both invariants audited.")
-    p.add_argument("--omega", type=positive_float, default=1.0, help="angular frequency")
-    p.add_argument("--dt", type=positive_float, default=0.01, help="time step")
-    p.add_argument("--steps", type=positive_int, default=10_000, help="number of steps")
-    p.add_argument("--u0", type=float, default=1.0, help="initial displacement")
-    p.add_argument("--v0", type=float, default=0.0, help="initial velocity")
-    p.add_argument(
-        "--exact-init",
-        action="store_true",
-        help="seed v(dt/2) from the closed form instead of the Taylor half step",
-    )
-    _add_record_every(p)
-
-    p = command("system", "Generic adjoint-pair leapfrog on a named operator preset.")
-    p.add_argument(
-        "--preset", choices=("oscillator", "cmp"), default="oscillator",
-        help="operator pair to integrate",
-    )
-    p.add_argument("--omega", type=positive_float, default=1.0, help="oscillator frequency")
-    p.add_argument("--u0", type=float, default=1.0, help="oscillator initial displacement")
-    p.add_argument("--v0", type=float, default=0.0, help="oscillator initial velocity")
-    p.add_argument("--c", type=positive_float, default=1.0, help="cmp wave speed")
-    p.add_argument("--nx", type=positive_int, default=65, help="cmp grid points")
-    p.add_argument("--mode-m", type=positive_int, default=1, help="cmp starting mode")
-    p.add_argument("--dt", type=positive_float, default=None, help="time step (default per preset)")
-    p.add_argument("--safety", type=positive_float, default=0.95, help="fraction of the cmp CFL bound")
-    p.add_argument("--steps", type=positive_int, default=1000, help="number of steps")
-    _add_record_every(p)
-
-    p = command("wave1d", "1D staggered wave march with conserved-quantity audits.")
-    p.add_argument("--case", choices=("cmp", "vmp"), default="cmp", help="constant or variable materials")
-    p.add_argument(
-        "--material",
-        help="material spec ('cmp c=1.0', a preset name, 'bump 2 2', "
-        "'piecewise-linear .25 .75 1 2', 'jump down tau', ...)",
-    )
-    p.add_argument("--nx", type=positive_int, default=65, help="primal grid points")
-    p.add_argument("--t-final", type=positive_float, default=1.0, help="final time")
-    p.add_argument("--nt", type=positive_int, default=None, help="steps (default from --safety)")
-    p.add_argument("--safety", type=positive_float, default=0.95, help="fraction of the CFL bound")
-    p.add_argument("--mode-m", type=positive_int, default=1, help="starting mode number")
-    p.add_argument(
-        "--init", choices=("exact", "taylor"), default=None,
-        help="cmp half-step start for v (default: taylor; vmp always starts from taylor)",
-    )
-    _add_record_every(p)
-
-    p = command(
-        "wave1d-convergence",
-        "Grid-halving order study for the 1D march, with order checks.",
-    )
-    p.add_argument(
-        "--case", default="cmp",
-        help="'cmp [c=...]' for the mode study or a material spec for refine-compare",
-    )
-    p.add_argument("--k", type=k_range, default="4..8", help="refinement levels, e.g. 4..8")
-    p.add_argument(
-        "--final", default=None,
-        help="final time: a number, 'full-period' (7/8 of the period) or 'half-period'",
-    )
-    p.add_argument("--mode-m", type=positive_int, default=1, help="mode number (cmp case)")
-    p.add_argument("--f", type=positive_int, default=None, help="extra time-refinement exponent")
-    p.add_argument(
-        "--init", choices=("exact", "taylor"), default="exact", help="cmp half-step start"
-    )
-
-    p = command("wave2d", "2D staggered wave march with conserved-quantity audits.")
-    p.add_argument("--nx", type=positive_int, default=32, help="cells along x")
-    p.add_argument("--ny", type=positive_int, default=None, help="cells along y (default nx)")
-    p.add_argument("--a", type=positive_float, default=1.0, help="scalar material weight")
-    p.add_argument("--a11", type=positive_float, default=1.0, help="vector weight, x component")
-    p.add_argument("--a22", type=positive_float, default=1.0, help="vector weight, y component")
-    p.add_argument("--t-final", type=positive_float, default=0.35, help="final time")
-    p.add_argument("--nt", type=positive_int, default=None, help="steps (default from --safety)")
-    p.add_argument("--safety", type=positive_float, default=0.9, help="fraction of the CFL bound")
-    p.add_argument("--mode-m", type=positive_int, default=1, help="x mode number")
-    p.add_argument("--mode-n", type=positive_int, default=1, help="y mode number")
-    p.add_argument(
-        "--init", choices=("exact", "taylor"), default="taylor", help="half-step start for v"
-    )
-    _add_record_every(p)
-
-    p = command("wave3d", "3D scalar cavity march with conserved-quantity audits.")
-    p.add_argument("--grid", type=positive_int, default=16, help="cells per side")
-    p.add_argument(
-        "--materials", default="trivial3d",
-        help="material preset: trivial3d, scalar3d, or diag3d",
-    )
-    p.add_argument("--steps", type=positive_int, default=500, help="number of steps")
-    p.add_argument("--safety", type=positive_float, default=0.9, help="fraction of the CFL bound")
-    p.add_argument("--dt", type=positive_float, default=None, help="explicit time step")
-    p.add_argument(
-        "--t-final", type=positive_float, default=None,
-        help="march to this time instead of --steps (also enables the mode error norm)",
-    )
-    p.add_argument(
-        "--modes", type=positive_int, nargs=3, default=[1, 1, 1], metavar=("MX", "MY", "MZ"),
-        help="cavity mode numbers",
-    )
-    _add_record_every(p)
-
-    p = command("maxwell", "TE cavity march with invariants and divergence audits.")
-    p.add_argument("--grid", type=positive_int, default=16, help="cells per side")
-    p.add_argument(
-        "--materials", default="trivial3d",
-        help="material preset: trivial3d, scalar3d, or diag3d",
-    )
-    p.add_argument("--steps", type=positive_int, default=500, help="number of steps")
-    p.add_argument("--safety", type=positive_float, default=0.9, help="fraction of the CFL bound")
-    p.add_argument("--dt", type=positive_float, default=None, help="explicit time step")
-    p.add_argument("--t-final", type=positive_float, default=None, help="march to this time instead of --steps")
-    _add_record_every(p)
-
-    p = command("transport", "Upwind advection with the mass audit and positivity guard.")
-    p.add_argument(
-        "--velocity", choices=("constant", "collapse", "expand"), default="constant",
-        help="face velocity field: constant speed, v = -x, or v = +x",
-    )
-    p.add_argument("--speed", type=positive_float, default=2.0, help="constant-velocity speed")
-    p.add_argument("--n", type=positive_int, default=None, help="cells (default 64 constant / 100 radial)")
-    p.add_argument("--steps", type=positive_int, default=1000, help="number of steps")
-    p.add_argument(
-        "--courant", type=positive_float, default=None,
-        help="fraction of the per-cell outflow bound (default 1.0 constant / 0.9 radial)",
-    )
-    _add_record_every(p)
-
-    p = command("diffusion", "Explicit diffusion of a spike under the flux-pair guard.")
-    p.add_argument("--n", type=positive_int, default=None, help="cells (default 101)")
-    p.add_argument("--steps", type=positive_int, default=1000, help="number of steps")
-    p.add_argument("--diffusivity", type=positive_float, default=1.0, help="constant face diffusivity")
-    p.add_argument(
-        "--courant", type=positive_float, default=0.5,
-        help="dt as a multiple of dx^2/max(d); 0.5 is the guard edge",
-    )
-    _add_record_every(p)
-
-    p = command("verify", "Exactness / adjointness / round-trip / order suites.")
-    p.add_argument(
-        "suite", nargs="?", default=None,
-        help="one of mimetic3d, adjoint, wave1d-sbp, all",
-    )
-    p.add_argument(
-        "--sizes", type=positive_int, nargs="+", default=[8, 16], help="grid sizes per side"
-    )
-    p.add_argument("--trials", type=positive_int, default=100, help="random trials")
-    p.add_argument(
-        "--broken-sign", action="store_true",
-        help="flip a sign in the adjoint identity; the suite must then fail",
-    )
-
-    p = command("convergence-table", "Convergence-table CSV (k, Nx, dx, Er, p) for a named case.")
-    p.add_argument(
-        "--case", default="cmp",
-        help="'cmp [c=...]', a 1D material spec, wave2d-mode, wave3d-cavity, or maxwell-cavity",
-    )
-    p.add_argument("--k", type=k_range, default="4..8", help="refinement levels, e.g. 4..8")
-    p.add_argument("--final", default=None, help="final time (number or named; case-dependent default)")
-    p.add_argument("--mode-m", type=positive_int, default=1, help="mode number (1D cmp case)")
-    p.add_argument("--f", type=positive_int, default=None, help="extra time-refinement exponent")
-    p.add_argument(
-        "--init", choices=("exact", "taylor"), default="exact", help="cmp half-step start"
-    )
-    p.add_argument("--safety", type=positive_float, default=0.9, help="CFL fraction (2D/3D cases)")
-    p.add_argument("--jobs", type=positive_int, default=1, help="parallel sweep processes")
-
-    return parser, tree
+    for name, command in COMMANDS.items():
+        sub = subs.add_parser(
+            name, help=command.help, description=command.help, epilog=_CONFIG_EPILOG
+        )
+        for _, flag, kwargs in _options(name):
+            sub.add_argument(flag, **kwargs)
+    return parser
 
 
-# -- config files, schema, and the entry point --------------------------------
+def _schema(command: str) -> dict:
+    options = []
+    for dest, flag, kwargs in _options(command):
+        is_flag = kwargs.get("action") == "store_true"
+        entry = {
+            "name": dest,
+            "flags": [flag],
+            "type": "flag" if is_flag else getattr(kwargs.get("type"), "__name__", "str"),
+            "default": kwargs.get("default", False if is_flag else None),
+            "help": kwargs.get("help", ""),
+        }
+        if "choices" in kwargs:
+            entry["choices"] = list(kwargs["choices"])
+        if "nargs" in kwargs:
+            entry["nargs"] = kwargs["nargs"]
+        options.append(entry)
+    return {"command": command, "options": options}
 
 
 def _load_config(path: str) -> dict:
@@ -1533,154 +1519,51 @@ _TRUE_WORDS = {"1", "true", "yes", "on"}
 _FALSE_WORDS = {"0", "false", "no", "off"}
 
 
-def _apply_config(sub: argparse.ArgumentParser, values: dict, command: str):
-    actions = {a.dest: a for a in sub._actions if a.dest != "help"}
-    defaults = {}
+def _config_argv(values: dict, given: argparse.Namespace) -> list:
+    """Config values as argv tokens for the command of `given` (the parsed
+    command line), so argparse checks them exactly as it checks flags.  A
+    positional comes first, before any list option could swallow it; one the
+    command line already gives is not taken from the file."""
+    options = {dest: (flag, kwargs) for dest, flag, kwargs in _options(given.command)}
+    positionals, argv = [], []
     for key, raw in values.items():
-        action = actions.get(key)
-        if action is None or key in ("config", "schema"):
+        if key not in options or key in ("config", "schema"):
             raise ConfigError(
-                f"unknown config key {key!r} for command {command!r} "
-                f"(see `stagwave {command} --schema`)"
+                f"unknown config key {key!r} for command {given.command!r} "
+                f"(see `stagwave {given.command} --schema`)"
             )
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
+        flag, kwargs = options[key]
+        if kwargs.get("action") == "store_true":
             word = raw.strip().lower()
-            if word in _TRUE_WORDS:
-                defaults[key] = isinstance(action, argparse._StoreTrueAction)
-            elif word in _FALSE_WORDS:
-                defaults[key] = not isinstance(action, argparse._StoreTrueAction)
-            else:
+            if word not in _TRUE_WORDS | _FALSE_WORDS:
                 raise ConfigError(f"config key {key!r} wants a boolean, got {raw!r}")
-        elif action.nargs in ("+", "*") or isinstance(action.nargs, int):
-            tokens = [tok for tok in re.split(r"[ ,]+", raw.strip()) if tok]
-            convert = action.type or str
-            try:
-                defaults[key] = [convert(tok) for tok in tokens]
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
+            argv += [flag] if word in _TRUE_WORDS else []
+        elif not flag.startswith("-"):
+            positionals += [raw] if getattr(given, key) is None else []
+        elif "nargs" in kwargs:
+            argv += [flag, *(tok for tok in re.split(r"[ ,]+", raw.strip()) if tok)]
         else:
-            # leave the string for argparse, which applies the option's type
-            # (and reports a usage error, exit 2) exactly as it would a flag
-            defaults[key] = raw
-    sub.set_defaults(**defaults)
-
-
-_BUCKETS = {
-    "grid": {"nx", "ny", "n", "grid", "k", "sizes"},
-    "material": {"material", "materials", "case", "preset", "a", "a11", "a22"},
-    "time": {
-        "dt", "steps", "nt", "t_final", "safety", "final", "f", "courant", "record_every",
-    },
-    "init": {
-        "omega", "u0", "v0", "exact_init", "mode_m", "mode_n", "modes", "init",
-        "velocity", "speed", "diffusivity", "c", "trials", "broken_sign", "suite", "jobs",
-    },
-    "output": {"outdir", "prefix"},
-}
-_META = {"command", "config", "schema", "seed", "no_checks"}
-
-
-def _to_config(ns: argparse.Namespace) -> ExperimentConfig:
-    buckets: dict[str, dict] = {name: {} for name in _BUCKETS}
-    for dest, value in vars(ns).items():
-        if dest in _META:
-            continue
-        for name, members in _BUCKETS.items():
-            if dest in members:
-                buckets[name][dest] = value
-                break
-        else:
-            raise RuntimeError(f"option {dest!r} is not routed to a config bucket")
-    return ExperimentConfig(
-        command=ns.command,
-        grid=buckets["grid"],
-        material=buckets["material"],
-        time=buckets["time"],
-        init=buckets["init"],
-        output=buckets["output"],
-        seed=ns.seed,
-        checks_enabled=not ns.no_checks,
-    )
-
-
-def _schema_dump(sub: argparse.ArgumentParser, command: str) -> dict:
-    options = []
-    for action in sub._actions:
-        if action.dest == "help":
-            continue
-        if isinstance(action, (argparse._StoreTrueAction, argparse._StoreFalseAction)):
-            type_name = "flag"
-        elif action.type is None:
-            type_name = "str"
-        else:
-            type_name = getattr(action.type, "__name__", str(action.type))
-        entry = {
-            "name": action.dest,
-            "flags": list(action.option_strings) or [action.dest],
-            "type": type_name,
-            "default": action.default,
-            "help": action.help or "",
-        }
-        if action.choices is not None:
-            entry["choices"] = list(action.choices)
-        if action.nargs not in (None, 0):
-            entry["nargs"] = action.nargs
-        options.append(entry)
-    return {"command": command, "options": options}
-
-
-def _print_report(report: RunReport):
-    for check in report.checks:
-        verdict = "PASS" if check["passed"] else "FAIL"
-        measured = check["measured"]
-        shown = f"{measured:.6e}" if isinstance(measured, float) else str(measured)
-        print(f"[{verdict}] {check['name']}: measured {shown} (bound {check['bound']})")
-    for key in ("series_csv", "errors_csv", "table_csv", "report_json"):
-        if report.artifacts.get(key):
-            print(f"{key.rsplit('_', 1)[0]}: {report.artifacts[key]}")
+            argv.append(f"{flag}={raw}")
+    return positionals + argv
 
 
 def main(argv=None) -> int:
     """Entry point; returns the exit code (0 pass, 1 failed check, 2 usage)."""
-    parser, tree = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
     try:
-        first = parser.parse_known_args(argv)[0]
-        if getattr(first, "config", None):
-            _apply_config(tree[first.command], _load_config(first.config), first.command)
-            ns = parser.parse_args(argv)
-        else:
-            ns = first
-
-        if getattr(ns, "schema", False):
-            print(json.dumps(_schema_dump(tree[ns.command], ns.command), indent=2, default=str))
+        cfg = parser.parse_args(argv)
+        if cfg.config:
+            # config values go in right after the command name, so flags win;
+            # the repeated --config ends a list option's run before the
+            # command line's own tokens (a positional among them)
+            at = argv.index(cfg.command) + 1
+            extra = _config_argv(_load_config(cfg.config), cfg)
+            cfg = parser.parse_args(argv[:at] + extra + ["--config", cfg.config] + argv[at:])
+        if cfg.schema:
+            print(json.dumps(_schema(cfg.command), indent=2, default=str))
             return 0
-
-        if ns.command == "verify":
-            if ns.suite is None:
-                raise ConfigError("verify needs a suite name (or a config file giving one)")
-            summary = verify(
-                ns.suite,
-                sizes=ns.sizes,
-                trials=ns.trials,
-                seed=ns.seed,
-                broken_sign=ns.broken_sign,
-            )
-            outdir = ns.outdir or os.environ.get("STAGWAVE_OUTDIR")
-            if outdir:
-                path = Path(outdir)
-                path.mkdir(parents=True, exist_ok=True)
-                name = f"{ns.prefix or 'verify'}_{ns.suite.replace('-', '_')}.json"
-                (path / name).write_text(
-                    json.dumps(summary, indent=2, sort_keys=True) + "\n"
-                )
-            print(json.dumps(summary, indent=2, sort_keys=True))
-            if ns.no_checks:
-                return 0
-            return 0 if summary["passed"] else 1
-
-        report = run(_to_config(ns))
-        _print_report(report)
-        return 0 if report.passed else 1
+        return COMMANDS[cfg.command].main(cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -190,6 +190,50 @@ class TestExperimentCommands:
         assert "--record-every" in err and "--steps" in err
         assert not (tmp_path / "long_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["wave3d", "maxwell"])
+    def test_dt_with_t_final_is_a_usage_error(self, command, tmp_path, capsys):
+        code = run_cli(
+            [command, "--grid", "6", "--dt", "0.01", "--steps", "10", "--t-final", "1.0"],
+            tmp_path,
+            "both",
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--dt" in err and "--t-final" in err
+        assert not (tmp_path / "both_report.json").exists()
+
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["wave1d", "--nx", "2"], "--nx"),
+            (["wave1d", "--nx", "1"], "--nx"),
+            (["wave1d", "--case", "vmp", "--nx", "1"], "--nx"),
+            (["system", "--preset", "cmp", "--nx", "2"], "--nx"),
+            (["system", "--preset", "cmp", "--nx", "1"], "--nx"),
+            (["wave2d", "--nx", "1"], "--nx"),
+            (["wave2d", "--ny", "1"], "--ny"),
+            (["wave3d", "--grid", "1"], "--grid"),
+            (["maxwell", "--grid", "1"], "--grid"),
+            (["wave1d-convergence", "--k", "0..2"], "--k"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "0..2"], "--k"),
+            (["convergence-table", "--case", "bump-p2-q2", "--k", "4,4"], "--k"),
+            (["wave1d-convergence", "--final", "-1"], "--final"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "0"],
+             "--final"),
+            (["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--final", "-1"],
+             "--final"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "banana"],
+             "--final"),
+            (["convergence-table", "--case", "wave3d-cavity", "--k", "2..3",
+              "--final", "half-period"], "--final"),
+            (["oscillator", "--steps", "10", "--bogus"], "--bogus"),
+        ],
+    )
+    def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):
+        assert run_cli(args, tmp_path, "bad") == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "bad_report.json").exists()
+
     def test_transport_unit_courant_is_bit_exact(self, tmp_path):
         code = run_cli(["transport", "--steps", "10"], tmp_path, "tr")
         assert code == 0
@@ -397,6 +441,54 @@ class TestConfigAndSchema:
         ini.write_text("[run]\ndt = banana\n")
         assert cli.main(["oscillator", "--config", str(ini)]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "command, key",
+        [("transport", "velocity"), ("wave1d", "case"), ("wave1d", "init"), ("wave2d", "init")],
+    )
+    def test_config_value_outside_choices_is_a_usage_error(self, command, key, tmp_path, capsys):
+        ini = tmp_path / "choice.ini"
+        ini.write_text(f"[run]\n{key} = bogus\n")
+        assert run_cli([command, "--config", str(ini)], tmp_path, "choice") == 2
+        assert f"argument --{key}: invalid choice: 'bogus'" in capsys.readouterr().err
+        assert not (tmp_path / "choice_report.json").exists()
+
+    def test_config_positional_and_boolean_keys(self, tmp_path, capsys):
+        ini = tmp_path / "verify.ini"
+        ini.write_text("[run]\nsuite = wave1d-sbp\ntrials = 10\nbroken-sign = yes\n")
+        assert cli.main(["verify", "--config", str(ini)]) == 1  # the broken sign must fail
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["suite"], summary["trials"], summary["passed"]) == (
+            "wave1d-sbp", 10, False
+        )
+        # a suite named on the command line wins over the file's
+        assert cli.main(["verify", "adjoint", "--sizes", "6", "--config", str(ini)]) == 1
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["suite"], summary["trials"]) == ("adjoint", 10)
+
+    @pytest.mark.parametrize(
+        "ini, args",
+        [
+            ("[run]\nsizes = 6\n", ["verify", "adjoint"]),
+            ("[run]\nsizes = 6\nsuite = adjoint\n", ["verify"]),
+        ],
+        ids=["suite-on-command-line", "sizes-before-suite-in-file"],
+    )
+    def test_config_list_key_does_not_take_the_positional(self, ini, args, tmp_path, capsys):
+        path = tmp_path / "verify.ini"
+        path.write_text(ini)
+        assert cli.main([*args, "--config", str(path)]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert (summary["suite"], summary["sizes"], summary["passed"]) == ("adjoint", [6], True)
+
+    def test_config_list_key_and_flag_override(self, tmp_path):
+        ini = tmp_path / "w3.ini"
+        ini.write_text("[run]\ngrid = 4\nsteps = 3\nmodes = 1 2 1\n")
+        assert run_cli(["wave3d", "--config", str(ini)], tmp_path, "file") == 0
+        assert read_report(tmp_path, "file")["settings"]["modes"] == [1, 2, 1]
+        args = ["wave3d", "--config", str(ini), "--modes", "2", "1", "1"]
+        assert run_cli(args, tmp_path, "flag") == 0
+        assert read_report(tmp_path, "flag")["settings"]["modes"] == [2, 1, 1]
 
     def test_bad_flag_value_is_a_usage_error(self, tmp_path, capsys):
         assert cli.main(["oscillator", "--dt", "-0.5"]) == 2
