@@ -43,9 +43,11 @@ machine-readable version with ``--schema``.
 Usage errors
 ------------
 Exit 2 covers unknown flags or keys, values of the wrong type or outside an
-option's choices, grid sizes below what the grid constructors accept,
-non-positive or unparseable ``--final`` times, and contradictory flags such as
-``--dt`` with ``--t-final`` for ``wave3d``/``maxwell``.
+option's choices, grid sizes below what the grid constructors accept (the
+``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive,
+non-positive or unparseable ``--final`` times, times whose CFL step count is
+not finite, and contradictory flags such as ``--dt`` with ``--t-final`` for
+``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -387,12 +389,23 @@ def resolve_outdir(explicit) -> Path:
 
 
 def _grid(flag: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, with the ValueError of a grid constructor (a
-    size or time below its minimum) turned into a usage error naming `flag`."""
+    """`make(*args, **kwargs)`, with the ValueError of a grid or material
+    constructor (a size or time below its minimum, a material sampled
+    non-positive) turned into a usage error naming `flag`."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
         raise ConfigError(f"{flag}: {exc}") from None
+
+
+def _finite_steps(flag: str, march, *args, **kwargs):
+    """`march(*args, **kwargs)`, with the OverflowError of a CFL step count
+    too large to be finite (`math.ceil(inf)`, or `2**f` past the float range)
+    turned into a usage error naming `flag`."""
+    try:
+        return march(*args, **kwargs)
+    except OverflowError:
+        raise ConfigError(f"{flag}: the CFL step count is not finite") from None
 
 
 # ---------------------------------------------------------------------------
@@ -456,8 +469,9 @@ def _run_system(cfg, art: ArtifactWriter) -> dict:
 def _build_grid_1d(nx: int, t_final: float, nt, safety: float, speed: float):
     if nt is None:
         dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
-        nt = max(1, math.ceil(t_final / (safety * dx / speed)))
-    return wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
+        steps = _finite_steps("--t-final/--material", math.ceil, t_final / (safety * dx / speed))
+        nt = max(1, steps)
+    return _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
 
 
 def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
@@ -471,7 +485,7 @@ def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
 
     if case == "cmp":
         c = mat["c"]
-        grid = _grid("--nx", _build_grid_1d, cfg.nx, t_final, cfg.nt, cfg.safety, c)
+        grid = _build_grid_1d(cfg.nx, t_final, cfg.nt, cfg.safety, c)
         # an unset --init has always started cmp runs from the Taylor half step
         u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init or "taylor")
         state, rec = wave1d.run_cmp(grid, c, u0, v0, record_every=1)
@@ -482,7 +496,7 @@ def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
         settings = {"case": case, "c": c}
     else:
         probe = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=t_final, nt=1)
-        mats = wave1d.Materials1D.from_profiles(probe, mat["rho"], mat["tau"])
+        mats = _grid("--material", wave1d.Materials1D.from_profiles, probe, mat["rho"], mat["tau"])
         grid = _build_grid_1d(cfg.nx, t_final, cfg.nt, cfg.safety, wave1d.cfl_speed(mats))
         mats = wave1d.Materials1D.from_profiles(grid, mat["rho"], mat["tau"])
         u0 = np.sin(m * np.pi * grid.primal_points())
@@ -554,23 +568,24 @@ def _sweep_1d(cfg, jobs: int) -> dict:
         named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
         t_final = _final_time(cfg.final, named["full-period"], spec, named)
         if f_over is None:
-            f_over = wave1d.refinement_exponent(c, 1.0, t_final)
-        if jobs > 1:
-            rows = _pool_sweep(
-                _cmp_sweep_point, [(k, t_final, m, c, f_over, cfg.init) for k in ks], jobs
-            )
-        else:
-            rows = wave1d.cmp_mode_errors(ks, t_final, m=m, c=c, f=f_over, init=cfg.init)
-        profile = _cmp_profile(max(ks), t_final, m, c, f_over, cfg.init)
+            f_over = _finite_steps("--final", wave1d.refinement_exponent, c, 1.0, t_final)
+        levels = _pool_sweep(_cmp_level, [(k, t_final, m, c, f_over, cfg.init) for k in ks], jobs)
+        rows = [row for row, _ in levels]
+        profile = levels[ks.index(max(ks))][1]
         name = f"cmp c={c:g}"
     else:
         t_final = _final_time(cfg.final, 2.0, spec, {})
         c = None
-        rows, profiles = wave1d.vmp_refine_errors(
-            ks, t_final, mat["rho"], mat["tau"], f=f_over
+        # the grids vmp_refine_errors samples the materials on: each level and one finer
+        grids = {k: wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=1.0, nt=1)
+                 for k in [*ks, max(ks) + 1]}
+        for grid in grids.values():
+            _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+        rows, profiles = _finite_steps(
+            "--final", wave1d.vmp_refine_errors, ks, t_final, mat["rho"], mat["tau"], f=f_over
         )
         k_top = max(ks)
-        grid_top = wave1d.Grid1D(a=0.0, b=1.0, nx=2**k_top + 1, t_final=1.0, nt=1)
+        grid_top = grids[k_top]
         scaled = profiles[k_top]
         profile = list(
             zip(grid_top.primal_points(), scaled * grid_top.dx**2, scaled)
@@ -594,9 +609,11 @@ def _sweep_1d(cfg, jobs: int) -> dict:
 
 
 def _pool_sweep(point, args, jobs: int) -> list:
-    """Rows of `point(a)` for each a, over `jobs` processes, in sweep order."""
+    """`point(a)` for each a in sweep order, over `jobs` processes if more than one."""
+    if jobs == 1:
+        return [point(a) for a in args]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return [row for part in pool.map(point, args) for row in part]
+        return list(pool.map(point, args))
 
 
 def _order_table(ks, rows, points_of):
@@ -609,17 +626,15 @@ def _order_table(ks, rows, points_of):
     return pair_orders, table
 
 
-def _cmp_sweep_point(args):
+def _cmp_level(args):
+    """One level of the cmp mode sweep, marched once: its (dx, max error) row,
+    as `wave1d.cmp_mode_errors` gives it, and its (x, Er, Er/dx^2) profile."""
     k, t_final, m, c, f, init = args
-    return wave1d.cmp_mode_errors([k], t_final, m=m, c=c, f=f, init=init)
-
-
-def _cmp_profile(k: int, t_final: float, m: int, c: float, f: int, init: str):
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
     state, _ = wave1d.run_cmp(grid, c, *wave1d.cmp_mode_start(grid, m, c, init), record_every=0)
     xp = grid.primal_points()
     er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
-    return list(zip(xp, er, er / grid.dx**2))
+    return (grid.dx, float(np.max(np.abs(er)))), list(zip(xp, er, er / grid.dx**2))
 
 
 _SMOOTH_1D = {"constant", "bump-p2-q2"}
@@ -673,13 +688,8 @@ def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
     if case in _ND_SWEEPS:
         ks = _levels(cfg.k)
         t_final = _final_time(cfg.final, 0.35, case, {})
-        sizes = [2**k for k in ks]
-        if cfg.jobs > 1:
-            rows = _pool_sweep(
-                _nd_sweep_point, [(case, n, t_final, cfg.safety) for n in sizes], cfg.jobs
-            )
-        else:
-            rows = _ND_SWEEPS[case](sizes, t_final=t_final, safety=cfg.safety)
+        points = [(case, 2**k, t_final, cfg.safety) for k in ks]
+        rows = _finite_steps("--final", _pool_sweep, _nd_sweep_point, points, cfg.jobs)
         pair_orders, table = _order_table(ks, rows, lambda k: 2**k)
         name = case
         endpoint = endpoint_order(rows)
@@ -701,7 +711,7 @@ def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
 
 def _nd_sweep_point(args):
     case, n, t_final, safety = args
-    return _ND_SWEEPS[case]((n,), t_final=t_final, safety=safety)
+    return _ND_SWEEPS[case]((n,), t_final=t_final, safety=safety)[0]
 
 
 # -- 2D and 3D experiments ---------------------------------------------------
@@ -714,7 +724,8 @@ def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
     star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
     t_final, nt = cfg.t_final, cfg.nt
     if nt is None:
-        nt = max(1, math.ceil(t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
+        nt = max(1, _finite_steps("--t-final", math.ceil,
+                                  t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
     dt = t_final / nt
 
     m, n = cfg.mode_m, cfg.mode_n
@@ -758,7 +769,7 @@ def _resolve_dt_3d(cfg, dt_max):
     if dt is not None and t_final is not None:
         raise ConfigError("--dt and --t-final both fix the time step; give only one of them")
     if t_final is not None:
-        steps = max(1, math.ceil(t_final / (cfg.safety * dt_max)))
+        steps = max(1, _finite_steps("--t-final", math.ceil, t_final / (cfg.safety * dt_max)))
         dt = t_final / steps
     elif dt is None:
         dt = cfg.safety * dt_max
@@ -991,14 +1002,6 @@ def run(cfg) -> RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _rand_field(grid: Grid3, kind: str, rng):
-    if kind in mimetic3d.SCALAR_KINDS:
-        return rng.standard_normal(grid.scalar_shape(kind))
-    return mimetic3d.VectorField3(
-        *(rng.standard_normal(s) for s in grid.vector_shapes(kind))
-    )
-
-
 def _max_abs(field) -> float:
     return max(float(np.max(np.abs(c))) for c in getattr(field, "components", (field,)))
 
@@ -1017,9 +1020,9 @@ def _exactness_checks(n: int, seed: int) -> list:
     checks = []
     rng = np.random.default_rng(seed)
     for boundary in ("periodic", "pinned"):
-        g = Grid3.cube(n, 1.0, boundary=boundary)
+        g = _grid("--sizes", Grid3.cube, n, 1.0, boundary=boundary)
         for name, kind, first, second in _EXACT_CHAINS:
-            x = _rand_field(g, kind, rng)
+            x = mimetic3d.random_field(g, kind, rng)
             bound = 1e-13 * _max_abs(x) / g.dx
             res = _max_abs(getattr(mimetic3d, second)(getattr(mimetic3d, first)(x, g), g))
             checks.append(
@@ -1032,7 +1035,7 @@ def _round_trip_checks(n: int, seed: int) -> list:
     """Scalar and diagonal star maps invert to a few ulps."""
     checks = []
     rng = np.random.default_rng(seed)
-    g = Grid3.cube(n, 1.0, boundary="pinned")
+    g = _grid("--sizes", Grid3.cube, n, 1.0, boundary="pinned")
     star = Star3.from_scalars(g, 2.0, 1.5, 3.0, 2.5)
     f = rng.standard_normal(g.scalar_shape("node"))
     back = mimetic3d.star_scalar_inverse(
@@ -1042,7 +1045,7 @@ def _round_trip_checks(n: int, seed: int) -> list:
     checks.append(_check(f"round-trip-scalar-{n}", res, "<= 1e-15 relative", res <= 1e-15))
 
     star_d = Star3.from_diagonals(g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5))
-    t = _rand_field(g, "edge", rng)
+    t = mimetic3d.random_field(g, "edge", rng)
     fwd = mimetic3d.star_matrix(t, star_d, which="a")
     back_v = mimetic3d.star_matrix(fwd, star_d, which="a", inverse=True)
     res = max(
@@ -1091,7 +1094,7 @@ _ORDER_CASES = {
 
 
 def _op_error(op, in_kind, in_fns, out_kind, out_fns, n: int) -> float:
-    g = Grid3.cube(n, 1.0, boundary="periodic")
+    g = _grid("--sizes", Grid3.cube, n, 1.0, boundary="periodic")
     if isinstance(in_fns, tuple):
         arg = sample_vector(g, in_kind, in_fns)
     else:
@@ -1155,7 +1158,7 @@ def _verify_adjoint(sizes, trials, seed, broken_sign) -> list:
 
     checks = []
     for n in sizes:
-        g = Grid3.cube(int(n), 1.0, boundary="pinned")
+        g = _grid("--sizes", Grid3.cube, int(n), 1.0, boundary="pinned")
         for name, make in stars.items():
             res = mimetic3d.check_discrete_adjoints(
                 make(g), g, trials=trials, seed=seed, broken_sign=broken_sign

@@ -116,9 +116,9 @@ INIT_VARIANTS = ("oscillator-taylor", "system-taylor")
 def init_g_half(f0, g0, ops: OperatorPair, dt: float, variant: str = "oscillator-taylor"):
     """Second-order accurate g at t = dt/2 from initial data (f0, g0)."""
     if variant == "oscillator-taylor":
-        coeff = 0.5 * (0.5 * dt) ** 2
+        coeff = 0.5 * _square(0.5 * dt)
     elif variant == "system-taylor":
-        coeff = 0.5 * dt**2
+        coeff = 0.5 * _square(dt)
     else:
         raise ValueError(f"unknown init variant {variant!r}; use one of {INIT_VARIANTS}")
     return g0 + (0.5 * dt) * ops.apply_A(f0) - coeff * ops.apply_A(ops.apply_Astar(g0))
@@ -157,7 +157,17 @@ def conserved_full(
 
 def _whole_step(pieces, dt: float) -> float:
     c1, c2, c3 = pieces
-    return c1 + c2 - (0.5 * dt) ** 2 * c3
+    return c1 + c2 - _square(0.5 * dt) * c3
+
+
+def _square(x: float) -> float:
+    """x**2, or inf where the float power overflows (a Python float raises
+    OverflowError there instead).  x*x would round differently from x**2
+    for some normal-range floats, so the power stays."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def conserved_half_step(
@@ -182,7 +192,7 @@ def conserved_half_step(
     return (
         inner_X(f_bar, f_bar)
         + inner_Y(state.g_prev_half, state.g_prev_half)
-        - (0.5 * state.dt) ** 2 * inner_X(ag, ag)
+        - _square(0.5 * state.dt) * inner_X(ag, ag)
     )
 
 

@@ -15,53 +15,68 @@ face vector           dual edge vector      e.g. (i, j+1/2, k+1/2)
 cell scalar           dual node scalar      (i+1/2, j+1/2, k+1/2)
 ====================  ====================  =======================
 
+One table, ``_PATTERNS``, gives the staggering of each component of each
+kind: one letter per axis, ``n`` for node-aligned and ``h`` for half-shifted.
+
 ``grad3``/``curl3``/``div3`` are the forward-difference operators on the
-primal kinds; the ``*_star`` trio are the backward-difference duals.  Both
-chains are exact complexes (curl of gradient and divergence of curl vanish
-identically).  Material properties enter through :class:`Star3`, which maps
-each kind to its collocated partner: scalar weights ``a`` (nodes) and ``b``
-(cell centers), and matrix weights ``A`` (edges -> dual faces) and ``B``
-(dual edges -> faces) whose off-diagonal entries act through second-order
-4-point averages.  The eight weighted inner products make the dual operators
-the (anti-)adjoints of the primal ones, which is what the conserved-quantity
+primal kinds; the ``*_star`` trio are the backward-difference duals, built
+from the same (component, axis) term tables.  Both chains are exact
+complexes (curl of gradient and divergence of curl vanish identically).
+Material properties enter through :class:`Star3`, which maps each kind to
+its collocated partner: scalar weights ``a`` (nodes) and ``b`` (cell
+centers), and matrix weights ``A`` (edges -> dual faces) and ``B`` (dual
+edges -> faces) whose off-diagonal entries act through second-order 4-point
+averages.  The eight weighted inner products make the dual operators the
+(anti-)adjoints of the primal ones, which is what the conserved-quantity
 machinery in the time steppers relies on; ``check_discrete_adjoints`` and
 ``negativity_check`` verify those identities numerically.
 
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
-index ranges of a closed box; the dual (backward) operators then zero-fill
-output entries whose stencil would reach outside, which is exactly the set
-of entries a Dirichlet-pinned time stepper never updates.
+index ranges of a closed box, ``n + 1`` entries along a node-aligned axis.
+The operators see the policy only through the per-axis differences and the
+rim rule: on pinned grids both end planes of every node-aligned axis of a
+dual output are zero, which is exactly the set of entries a Dirichlet-pinned
+time stepper never updates.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
 
 BOUNDARIES = ("periodic", "pinned")
 
-SCALAR_KINDS = ("node", "cell", "dual-node", "dual-cell")
-VECTOR_KINDS = ("edge", "face", "dual-edge", "dual-face")
-
-# staggering pattern per kind: 'n' = node-aligned axis, 'h' = half-shifted
-_SCALAR_PATTERN = {
-    "node": "nnn",
-    "cell": "hhh",
-    "dual-node": "hhh",   # cell centers
-    "dual-cell": "nnn",   # nodes
-}
-_VECTOR_PATTERN = {
+# staggering pattern of each component, per kind: 'n' = node-aligned axis,
+# 'h' = half-shifted; one pattern for a scalar kind, x/y/z for a vector kind
+_PATTERNS = {
+    "node": ("nnn",),
+    "cell": ("hhh",),
+    "dual-node": ("hhh",),  # cell centers
+    "dual-cell": ("nnn",),  # nodes
     "edge": ("hnn", "nhn", "nnh"),
     "face": ("nhh", "hnh", "hhn"),
     "dual-edge": ("nhh", "hnh", "hhn"),  # face points
     "dual-face": ("hnn", "nhn", "nnh"),  # edge points
 }
 
+SCALAR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 1)
+VECTOR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 3)
+ALL_KINDS = SCALAR_KINDS + VECTOR_KINDS
+
 STAR_MODES = ("scalar", "diagonal", "full")
+
+
+def _patterns(kind: str, kinds: tuple = ALL_KINDS) -> tuple:
+    """The component patterns of a kind, which must be one of `kinds`."""
+    if kind not in kinds:
+        raise ValueError(f"unknown field kind {kind!r}; expected one of {kinds}")
+    return _PATTERNS[kind]
+
 
 # ---------------------------------------------------------------------------
 # grid and fields
@@ -132,9 +147,7 @@ class Grid3:
 
     def axis_nodes(self, axis: int) -> np.ndarray:
         """Node coordinates along one axis (wrap point excluded if periodic)."""
-        n = self.counts[axis]
-        m = n if self.boundary == "periodic" else n + 1
-        return np.arange(m) * self.spacings[axis]
+        return np.arange(self._pattern_shape("nnn")[axis]) * self.spacings[axis]
 
     def axis_centers(self, axis: int) -> np.ndarray:
         """Cell-center coordinates along one axis."""
@@ -142,24 +155,20 @@ class Grid3:
 
     # -- staggered shapes and sample points ----------------------------
 
-    def _axis_len(self, axis: int, tag: str) -> int:
-        n = self.counts[axis]
-        if tag == "h" or self.boundary == "periodic":
-            return n
-        return n + 1
-
     def _pattern_shape(self, pattern: str) -> tuple:
-        return tuple(self._axis_len(ax, tag) for ax, tag in enumerate(pattern))
+        """n entries per axis, n + 1 along the node-aligned axes of a pinned box."""
+        pinned = self.boundary == "pinned"
+        return tuple(n + 1 if pinned and tag == "n" else n
+                     for n, tag in zip(self.counts, pattern))
+
+    def _shapes(self, kind: str, kinds: tuple = ALL_KINDS) -> tuple:
+        return tuple(self._pattern_shape(p) for p in _patterns(kind, kinds))
 
     def scalar_shape(self, kind: str) -> tuple:
-        if kind not in SCALAR_KINDS:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        return self._pattern_shape(_SCALAR_PATTERN[kind])
+        return self._shapes(kind, SCALAR_KINDS)[0]
 
     def vector_shapes(self, kind: str) -> tuple:
-        if kind not in VECTOR_KINDS:
-            raise ValueError(f"unknown vector kind {kind!r}")
-        return tuple(self._pattern_shape(p) for p in _VECTOR_PATTERN[kind])
+        return self._shapes(kind, VECTOR_KINDS)
 
     def _pattern_points(self, pattern: str) -> tuple:
         axes = [
@@ -170,15 +179,11 @@ class Grid3:
 
     def scalar_points(self, kind: str):
         """Meshgrid (X, Y, Z) of the sample points of a scalar kind."""
-        if kind not in SCALAR_KINDS:
-            raise ValueError(f"unknown scalar kind {kind!r}")
-        return self._pattern_points(_SCALAR_PATTERN[kind])
+        return self._pattern_points(_patterns(kind, SCALAR_KINDS)[0])
 
     def vector_points(self, kind: str, comp: int):
         """Meshgrid (X, Y, Z) of the sample points of one vector component."""
-        if kind not in VECTOR_KINDS:
-            raise ValueError(f"unknown vector kind {kind!r}")
-        return self._pattern_points(_VECTOR_PATTERN[kind][comp])
+        return self._pattern_points(_patterns(kind, VECTOR_KINDS)[comp])
 
 
 @dataclass(frozen=True, eq=False)
@@ -217,11 +222,30 @@ class VectorField3:
         return VectorField3(self.x.copy(), self.y.copy(), self.z.copy())
 
 
+def _as_field(comps):
+    """One component array as itself, three as a VectorField3."""
+    return comps[0] if len(comps) == 1 else VectorField3(*comps)
+
+
 def zeros_field(grid: Grid3, kind: str):
     """All-zero field of the given kind (ndarray or VectorField3)."""
-    if kind in SCALAR_KINDS:
-        return np.zeros(grid.scalar_shape(kind))
-    return VectorField3(*(np.zeros(s) for s in grid.vector_shapes(kind)))
+    return _as_field([np.zeros(s) for s in grid._shapes(kind)])
+
+
+def random_field(grid: Grid3, kind: str, rng, margin: int = 0):
+    """Standard-normal field of the given kind, drawn one component at a time
+    in x, y, z order.
+
+    On pinned grids a positive `margin` zeroes that many entries at both ends
+    of every axis, so that the field has compact support in the box.
+    """
+    comps = [rng.standard_normal(s) for s in grid._shapes(kind)]
+    if margin and grid.boundary == "pinned":
+        for arr in comps:
+            for ax in range(3):
+                arr.swapaxes(0, ax)[:margin] = 0.0
+                arr.swapaxes(0, ax)[-margin:] = 0.0
+    return _as_field(comps)
 
 
 def _as_fn(value) -> Callable:
@@ -231,103 +255,125 @@ def _as_fn(value) -> Callable:
     return lambda x, y, z: np.full_like(x, c)
 
 
-def sample_scalar(grid: Grid3, kind: str, fn) -> np.ndarray:
-    """Sample a function (or constant) at the points of a scalar kind."""
-    pts = grid.scalar_points(kind)
-    vals = np.asarray(_as_fn(fn)(*pts), dtype=float)
-    shape = grid.scalar_shape(kind)
+def _sample(grid: Grid3, pattern: str, fn) -> np.ndarray:
+    """A function (or constant) sampled at the points of one pattern."""
+    vals = np.asarray(_as_fn(fn)(*grid._pattern_points(pattern)), dtype=float)
+    shape = grid._pattern_shape(pattern)
     if vals.shape != shape:
         vals = np.broadcast_to(vals, shape).copy()
     return vals
 
 
+def sample_scalar(grid: Grid3, kind: str, fn) -> np.ndarray:
+    """Sample a function (or constant) at the points of a scalar kind."""
+    return _sample(grid, _patterns(kind, SCALAR_KINDS)[0], fn)
+
+
 def sample_vector(grid: Grid3, kind: str, fns) -> VectorField3:
     """Sample three functions (or constants) at a vector kind's points."""
-    comps = []
-    for c, fn in enumerate(fns):
-        pts = grid.vector_points(kind, c)
-        vals = np.asarray(_as_fn(fn)(*pts), dtype=float)
-        shape = grid.vector_shapes(kind)[c]
-        if vals.shape != shape:
-            vals = np.broadcast_to(vals, shape).copy()
-        comps.append(vals)
-    return VectorField3(*comps)
+    patterns = _patterns(kind, VECTOR_KINDS)
+    return VectorField3(*(_sample(grid, p, fn) for p, fn in zip(patterns, fns)))
 
 
-def _check_scalar(f, grid: Grid3, kind: str, who: str):
-    f = np.asarray(f)
-    if f.shape != grid.scalar_shape(kind):
-        raise ValueError(
-            f"{who}: expected {kind} scalar of shape {grid.scalar_shape(kind)}, "
-            f"got {f.shape}"
-        )
-    return f
-
-
-def _check_vector(v, grid: Grid3, kind: str, who: str):
-    if not isinstance(v, VectorField3):
+def _components(field, grid: Grid3, kind: str, who: str) -> tuple:
+    """The component arrays of a field of `kind` (one for a scalar kind),
+    checked against the kind's shapes on `grid`."""
+    shapes = grid._shapes(kind)
+    if len(shapes) == 1:
+        comps = (np.asarray(field),)
+    elif isinstance(field, VectorField3):
+        comps = field.components
+    else:
         raise ValueError(f"{who}: expected a VectorField3 of kind {kind!r}")
-    shapes = tuple(c.shape for c in v.components)
-    if shapes != grid.vector_shapes(kind):
-        raise ValueError(
-            f"{who}: expected {kind} component shapes {grid.vector_shapes(kind)}, "
-            f"got {shapes}"
-        )
-    return v
+    got = tuple(c.shape for c in comps)
+    if got != shapes:
+        raise ValueError(f"{who}: expected {kind} component shapes {shapes}, got {got}")
+    return comps
 
 
 # ---------------------------------------------------------------------------
 # difference operators
 # ---------------------------------------------------------------------------
 
+# the (input component, axis) differences making up each output component,
+# combined in order: subtracted by the curls, added by the divergences
+_GRAD_TERMS = (((0, 0),), ((0, 1),), ((0, 2),))
+_CURL_TERMS = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
+_DIV_TERMS = (((0, 0), (1, 1), (2, 2)),)
 
-def _fwd(arr, axis, delta):
-    return (np.roll(arr, -1, axis) - arr) / delta
+
+def _interior(pattern: str) -> tuple:
+    """Index of the rim interior: both end planes of each node-aligned axis cut off."""
+    return tuple(slice(1, -1) if tag == "n" else slice(None) for tag in pattern)
 
 
-def _bwd(arr, axis, delta):
-    return (arr - np.roll(arr, 1, axis)) / delta
+def _fill_rim(interior, pattern: str, shape: tuple) -> np.ndarray:
+    """The rim rule: `interior` inside, zero on both end planes of every
+    node-aligned axis of `pattern`."""
+    out = np.zeros(shape)
+    out[_interior(pattern)] = interior
+    return out
+
+
+def _rim_zeroed(field, kind: str):
+    """Float copy of a field of `kind` with every component's rim zeroed."""
+    comps = []
+    for pattern, comp in zip(_PATTERNS[kind], getattr(field, "components", (field,))):
+        comp = np.asarray(comp, dtype=float)
+        comps.append(_fill_rim(comp[_interior(pattern)], pattern, comp.shape))
+    return _as_field(comps)
+
+
+def _fwd(arr, axis: int, grid: Grid3):
+    """Forward difference along one axis (node-aligned to half-shifted)."""
+    delta = grid.spacings[axis]
+    if grid.boundary == "periodic":
+        return (np.roll(arr, -1, axis) - arr) / delta
+    return np.diff(arr, axis=axis) / delta
+
+
+def _bwd(arr, axis: int, grid: Grid3, pattern: str):
+    """Backward difference along one axis onto the points of `pattern`; on
+    pinned grids onto its rim interior, cutting the input to that first."""
+    delta = grid.spacings[axis]
+    if grid.boundary == "periodic":
+        return (arr - np.roll(arr, 1, axis)) / delta
+    cut = list(_interior(pattern))
+    cut[axis] = slice(None)
+    return np.diff(arr[tuple(cut)], axis=axis) / delta
+
+
+def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add):
+    """A difference operator from its term table, one output component at a
+    time.  Onto a dual kind it differences backward and obeys the rim rule."""
+    comps = _components(field, grid, in_kind, who)
+    dual = out_kind.startswith("dual-")
+    out = []
+    for pattern, component_terms in zip(_PATTERNS[out_kind], terms):
+        diffs = (_bwd(comps[c], axis, grid, pattern) if dual else _fwd(comps[c], axis, grid)
+                 for c, axis in component_terms)
+        # unlike a loop variable, reduce keeps no term alive into the next
+        # component; the extra live temporary made curl3 15% slower at 64^3
+        acc = reduce(lambda acc, term: combine(acc, term, out=acc), diffs)
+        if dual and grid.boundary == "pinned":
+            acc = _fill_rim(acc, pattern, grid._pattern_shape(pattern))
+        out.append(acc)
+    return _as_field(out)
 
 
 def grad3(s, grid: Grid3) -> VectorField3:
     """Node scalar -> edge vector (forward differences to edge midpoints)."""
-    s = _check_scalar(s, grid, "node", "grad3")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return VectorField3(_fwd(s, 0, dx), _fwd(s, 1, dy), _fwd(s, 2, dz))
-    return VectorField3(
-        np.diff(s, axis=0) / dx, np.diff(s, axis=1) / dy, np.diff(s, axis=2) / dz
-    )
+    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3")
 
 
 def curl3(t: VectorField3, grid: Grid3) -> VectorField3:
     """Edge vector -> face vector."""
-    t = _check_vector(t, grid, "edge", "curl3")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return VectorField3(
-            _fwd(t.z, 1, dy) - _fwd(t.y, 2, dz),
-            _fwd(t.x, 2, dz) - _fwd(t.z, 0, dx),
-            _fwd(t.y, 0, dx) - _fwd(t.x, 1, dy),
-        )
-    return VectorField3(
-        np.diff(t.z, axis=1) / dy - np.diff(t.y, axis=2) / dz,
-        np.diff(t.x, axis=2) / dz - np.diff(t.z, axis=0) / dx,
-        np.diff(t.y, axis=0) / dx - np.diff(t.x, axis=1) / dy,
-    )
+    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract)
 
 
 def div3(n: VectorField3, grid: Grid3) -> np.ndarray:
     """Face vector -> cell scalar."""
-    n = _check_vector(n, grid, "face", "div3")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return _fwd(n.x, 0, dx) + _fwd(n.y, 1, dy) + _fwd(n.z, 2, dz)
-    return (
-        np.diff(n.x, axis=0) / dx
-        + np.diff(n.y, axis=1) / dy
-        + np.diff(n.z, axis=2) / dz
-    )
+    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3")
 
 
 def grad3_star(s_star, grid: Grid3) -> VectorField3:
@@ -336,67 +382,23 @@ def grad3_star(s_star, grid: Grid3) -> VectorField3:
     On pinned grids the entries whose backward stencil would leave the box
     are zero-filled.
     """
-    s = _check_scalar(s_star, grid, "dual-node", "grad3_star")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return VectorField3(_bwd(s, 0, dx), _bwd(s, 1, dy), _bwd(s, 2, dz))
-    out = zeros_field(grid, "dual-edge")
-    out.x[1:-1, :, :] = np.diff(s, axis=0) / dx
-    out.y[:, 1:-1, :] = np.diff(s, axis=1) / dy
-    out.z[:, :, 1:-1] = np.diff(s, axis=2) / dz
-    return out
+    return _difference(s_star, grid, "dual-node", "dual-edge", _GRAD_TERMS, "grad3_star")
 
 
 def curl3_star(t_star: VectorField3, grid: Grid3) -> VectorField3:
     """Dual edge vector (face points) -> dual face vector (edge points)."""
-    t = _check_vector(t_star, grid, "dual-edge", "curl3_star")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return VectorField3(
-            _bwd(t.z, 1, dy) - _bwd(t.y, 2, dz),
-            _bwd(t.x, 2, dz) - _bwd(t.z, 0, dx),
-            _bwd(t.y, 0, dx) - _bwd(t.x, 1, dy),
-        )
-    out = zeros_field(grid, "dual-face")
-    out.x[:, 1:-1, 1:-1] = (
-        np.diff(t.z[:, :, 1:-1], axis=1) / dy - np.diff(t.y[:, 1:-1, :], axis=2) / dz
-    )
-    out.y[1:-1, :, 1:-1] = (
-        np.diff(t.x[1:-1, :, :], axis=2) / dz - np.diff(t.z[:, :, 1:-1], axis=0) / dx
-    )
-    out.z[1:-1, 1:-1, :] = (
-        np.diff(t.y[:, 1:-1, :], axis=0) / dx - np.diff(t.x[1:-1, :, :], axis=1) / dy
-    )
-    return out
+    return _difference(t_star, grid, "dual-edge", "dual-face", _CURL_TERMS, "curl3_star",
+                       np.subtract)
 
 
 def div3_star(n_star: VectorField3, grid: Grid3) -> np.ndarray:
     """Dual face vector (edge points) -> dual cell scalar (nodes)."""
-    n = _check_vector(n_star, grid, "dual-face", "div3_star")
-    dx, dy, dz = grid.spacings
-    if grid.boundary == "periodic":
-        return _bwd(n.x, 0, dx) + _bwd(n.y, 1, dy) + _bwd(n.z, 2, dz)
-    out = zeros_field(grid, "dual-cell")
-    out[1:-1, 1:-1, 1:-1] = (
-        np.diff(n.x[:, 1:-1, 1:-1], axis=0) / dx
-        + np.diff(n.y[1:-1, :, 1:-1], axis=1) / dy
-        + np.diff(n.z[1:-1, 1:-1, :], axis=2) / dz
-    )
-    return out
+    return _difference(n_star, grid, "dual-face", "dual-cell", _DIV_TERMS, "div3_star")
 
 
 # ---------------------------------------------------------------------------
 # star (material) operators
 # ---------------------------------------------------------------------------
-
-
-def _sample_at_pattern(grid: Grid3, pattern: str, fn) -> np.ndarray:
-    pts = grid._pattern_points(pattern)
-    vals = np.asarray(_as_fn(fn)(*pts), dtype=float)
-    shape = grid._pattern_shape(pattern)
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape).copy()
-    return vals
 
 
 _MAT_KEYS = ("xx", "yy", "zz", "xy", "xz", "yz")
@@ -416,7 +418,7 @@ def _full_rows(grid: Grid3, patterns, mat: dict):
             for j in range(3):
                 key = names[i] + names[j]
                 key = key if key in mat else names[j] + names[i]
-                entries[i, j] = _sample_at_pattern(grid, patterns[r], mat[key])
+                entries[i, j] = _sample(grid, patterns[r], mat[key])
         diag = entries[r, r]
         if np.any(diag <= 0):
             raise ValueError("full star matrix needs positive diagonal entries")
@@ -488,14 +490,12 @@ class Star3:
     @classmethod
     def _build(cls, grid, mode, a, b, diag_a, diag_b):
         a_s = sample_scalar(grid, "node", a)
-        b_s = _sample_at_pattern(grid, "hhh", b)
-        edge_p = _VECTOR_PATTERN["edge"]
-        face_p = _VECTOR_PATTERN["face"]
+        b_s = sample_scalar(grid, "cell", b)
+        diags_a = sample_vector(grid, "edge", diag_a).components
+        diags_b = sample_vector(grid, "face", diag_b).components
         a_rows, a_inv = [], []
         b_rows, b_inv = [], []
-        for r in range(3):
-            da = _sample_at_pattern(grid, edge_p[r], diag_a[r])
-            db = _sample_at_pattern(grid, face_p[r], diag_b[r])
+        for r, (da, db) in enumerate(zip(diags_a, diags_b)):
             if np.any(da <= 0) or np.any(db <= 0):
                 raise ValueError("diagonal star entries must be positive")
             a_rows.append(tuple(da if c == r else None for c in range(3)))
@@ -511,9 +511,9 @@ class Star3:
         """Full symmetric A and B given as dicts with keys xx, yy, zz, xy,
         xz, yz (constants or functions of x, y, z)."""
         a_s = sample_scalar(grid, "node", a)
-        b_s = _sample_at_pattern(grid, "hhh", b)
-        a_rows, a_inv = _full_rows(grid, _VECTOR_PATTERN["edge"], mat_a)
-        b_rows, b_inv = _full_rows(grid, _VECTOR_PATTERN["face"], mat_b)
+        b_s = sample_scalar(grid, "cell", b)
+        a_rows, a_inv = _full_rows(grid, _PATTERNS["edge"], mat_a)
+        b_rows, b_inv = _full_rows(grid, _PATTERNS["face"], mat_b)
         return cls(grid, "full", a_s, b_s, a_rows, a_inv, b_rows, b_inv)
 
 
@@ -534,32 +534,28 @@ def require_exact_star(star: Star3):
 _SCALAR_DIRECTIONS = ("node-to-dual-cell", "dual-node-to-cell")
 
 
+def _scale(field, star: Star3, direction: str, inverse: bool, who: str) -> np.ndarray:
+    if direction not in _SCALAR_DIRECTIONS:
+        raise ValueError(f"direction must be one of {_SCALAR_DIRECTIONS}")
+    # a direction "X-to-Y" maps kind X onto kind Y, and its inverse Y onto X
+    kind = direction.split("-to-")[inverse]
+    (f,) = _components(field, star.grid, kind, who)
+    w = getattr(star, _WEIGHTS[kind][0])
+    return f / w if inverse else w * f
+
+
 def star_scalar(field, star: Star3, direction: str) -> np.ndarray:
     """Multiply a scalar kind onto its collocated partner.
 
     ``"node-to-dual-cell"``: node scalar -> dual cell density (weight ``a``);
     ``"dual-node-to-cell"``: dual node scalar -> cell density (weight ``b``).
     """
-    grid = star.grid
-    if direction == "node-to-dual-cell":
-        f = _check_scalar(field, grid, "node", "star_scalar")
-        return star.a * f
-    if direction == "dual-node-to-cell":
-        f = _check_scalar(field, grid, "dual-node", "star_scalar")
-        return star.b * f
-    raise ValueError(f"direction must be one of {_SCALAR_DIRECTIONS}")
+    return _scale(field, star, direction, False, "star_scalar")
 
 
 def star_scalar_inverse(field, star: Star3, direction: str) -> np.ndarray:
     """Inverse of :func:`star_scalar` for the same ``direction`` label."""
-    grid = star.grid
-    if direction == "node-to-dual-cell":
-        f = _check_scalar(field, grid, "dual-cell", "star_scalar_inverse")
-        return f / star.a
-    if direction == "dual-node-to-cell":
-        f = _check_scalar(field, grid, "cell", "star_scalar_inverse")
-        return f / star.b
-    raise ValueError(f"direction must be one of {_SCALAR_DIRECTIONS}")
+    return _scale(field, star, direction, True, "star_scalar_inverse")
 
 
 def _avg_pair(v, axis):
@@ -586,25 +582,21 @@ def _avg4(v, node_axis, half_axis, grid: Grid3, out_shape):
     return out
 
 
-def _apply_rows(vec: VectorField3, rows, grid: Grid3, geometry: str, out_kind: str):
-    """Apply a 3x3 star (rows sampled at output points) to a vector field."""
-    out_shapes = (
-        grid.vector_shapes(out_kind)
-        if grid.boundary == "pinned"
-        else ((grid.counts),) * 3
-    )
-    comps = []
+def _apply_rows(comps, rows, grid: Grid3, geometry: str, out_kind: str):
+    """Apply a 3x3 star (rows sampled at output points) to vector components."""
+    out_shapes = grid.vector_shapes(out_kind)
+    out = []
     for r in range(3):
-        acc = rows[r][r] * vec.components[r]
+        acc = rows[r][r] * comps[r]
         for c in range(3):
             if c == r or rows[r][c] is None:
                 continue
             # geometry "a": input half-offset along c; "b": along r
             node_axis, half_axis = (c, r) if geometry == "a" else (r, c)
-            avg = _avg4(vec.components[c], node_axis, half_axis, grid, out_shapes[r])
+            avg = _avg4(comps[c], node_axis, half_axis, grid, out_shapes[r])
             acc = acc + rows[r][c] * avg
-        comps.append(acc)
-    return VectorField3(*comps)
+        out.append(acc)
+    return VectorField3(*out)
 
 
 def star_matrix(
@@ -623,23 +615,27 @@ def star_matrix(
         in_kind = "dual-face" if inverse else "edge"
         out_kind = "edge" if inverse else "dual-face"
         rows = star.a_inv_rows if inverse else star.a_rows
-        geometry = "a"
     elif which == "b":
         in_kind = "face" if inverse else "dual-edge"
         out_kind = "dual-edge" if inverse else "face"
         rows = star.b_inv_rows if inverse else star.b_rows
-        geometry = "b"
     else:
         raise ValueError("which must be 'a' or 'b'")
-    vec = _check_vector(vec, grid, in_kind, "star_matrix")
-    return _apply_rows(vec, rows, grid, geometry, out_kind)
+    comps = _components(vec, grid, in_kind, "star_matrix")
+    return _apply_rows(comps, rows, grid, which, out_kind)
 
 
 # ---------------------------------------------------------------------------
 # inner products
 # ---------------------------------------------------------------------------
 
-ALL_KINDS = SCALAR_KINDS + VECTOR_KINDS
+# (star letter, inverse): the weight of each inner product, w*f1*f2 or
+# f1*f2/w for a scalar kind and star_matrix(which, inverse) for a vector kind
+_WEIGHTS = {
+    "node": ("a", False), "edge": ("a", False), "cell": ("b", True), "face": ("b", True),
+    "dual-node": ("b", False), "dual-edge": ("b", False),
+    "dual-cell": ("a", True), "dual-face": ("a", True),
+}
 
 
 def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
@@ -654,42 +650,21 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
     if star.grid != grid:
         raise ValueError("star was built for a different grid")
     dv = grid.cell_volume
-    if kind == "node":
-        f1 = _check_scalar(f1, grid, kind, "inner3")
-        f2 = _check_scalar(f2, grid, kind, "inner3")
-        return float(np.sum(star.a * f1 * f2)) * dv
-    if kind == "cell":
-        f1 = _check_scalar(f1, grid, kind, "inner3")
-        f2 = _check_scalar(f2, grid, kind, "inner3")
-        return float(np.sum(f1 * f2 / star.b)) * dv
-    if kind == "dual-node":
-        f1 = _check_scalar(f1, grid, kind, "inner3")
-        f2 = _check_scalar(f2, grid, kind, "inner3")
-        return float(np.sum(star.b * f1 * f2)) * dv
-    if kind == "dual-cell":
-        f1 = _check_scalar(f1, grid, kind, "inner3")
-        f2 = _check_scalar(f2, grid, kind, "inner3")
-        return float(np.sum(f1 * f2 / star.a)) * dv
-    if kind not in VECTOR_KINDS:
-        raise ValueError(f"unknown field kind {kind!r}")
-    f1 = _check_vector(f1, grid, kind, "inner3")
-    f2 = _check_vector(f2, grid, kind, "inner3")
+    c1 = _components(f1, grid, kind, "inner3")
+    c2 = _components(f2, grid, kind, "inner3")
+    which, inverse = _WEIGHTS[kind]
+    if kind in SCALAR_KINDS:
+        w, (a1,), (a2,) = getattr(star, which), c1, c2
+        return float(np.sum(a1 * a2 / w if inverse else w * a1 * a2)) * dv
     if star.exactly_invertible:
         # diagonal weights one component at a time: star_matrix's arithmetic,
         # without ever holding the whole weighted field
-        rows = {"edge": star.a_rows, "face": star.b_inv_rows,
-                "dual-edge": star.b_rows, "dual-face": star.a_inv_rows}[kind]
-        w1 = (rows[r][r] * f1.components[r] for r in range(3))
+        rows = getattr(star, f"{which}_inv_rows" if inverse else f"{which}_rows")
+        w1 = (rows[r][r] * c1[r] for r in range(3))
     else:
-        which, inverse = {
-            "edge": ("a", False),
-            "face": ("b", True),
-            "dual-edge": ("b", False),
-            "dual-face": ("a", True),
-        }[kind]
         w1 = star_matrix(f1, star, which=which, inverse=inverse).components
     total = 0.0
-    for w, f in zip(w1, f2.components):
+    for w, f in zip(w1, c2):
         w *= f  # w is a fresh product, so the second factor can go in place
         total += float(np.sum(w))
     return total * dv
@@ -698,32 +673,6 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
 # ---------------------------------------------------------------------------
 # verification: adjointness and negativity
 # ---------------------------------------------------------------------------
-
-
-def _random_scalar_field(grid: Grid3, kind: str, rng, margin: int = 2) -> np.ndarray:
-    arr = rng.standard_normal(grid.scalar_shape(kind))
-    if grid.boundary == "pinned":
-        _zero_margin(arr, margin)
-    return arr
-
-
-def _random_vector_field(grid: Grid3, kind: str, rng, margin: int = 2) -> VectorField3:
-    comps = []
-    for s in grid.vector_shapes(kind):
-        arr = rng.standard_normal(s)
-        if grid.boundary == "pinned":
-            _zero_margin(arr, margin)
-        comps.append(arr)
-    return VectorField3(*comps)
-
-
-def _zero_margin(arr, m):
-    for ax in range(3):
-        sl = [slice(None)] * 3
-        sl[ax] = slice(None, m)
-        arr[tuple(sl)] = 0.0
-        sl[ax] = slice(-m, None)
-        arr[tuple(sl)] = 0.0
 
 
 def check_discrete_adjoints(
@@ -754,11 +703,10 @@ def check_discrete_adjoints(
     res = {"grad": 0.0, "curl": 0.0, "div": 0.0, "composite": 0.0}
     sign = 1.0 if broken_sign else -1.0
     for _ in range(trials):
-        s = _random_scalar_field(grid, "node", rng)
-        t = _random_vector_field(grid, "edge", rng)
-        n = _random_vector_field(grid, "face", rng)
-        d = _random_scalar_field(grid, "cell", rng)
-        m = _random_vector_field(grid, "dual-face", rng)
+        s, t, n, d, m = (
+            random_field(grid, kind, rng, margin=2)
+            for kind in ("node", "edge", "face", "cell", "dual-face")
+        )
 
         ns = np.sqrt(inner3("node", s, s, star, grid))
         nt = np.sqrt(inner3("edge", t, t, star, grid))
@@ -812,7 +760,7 @@ def negativity_check(
         raise ValueError("need at least one trial")
     rng = np.random.default_rng(seed)
     for _ in range(trials):
-        f = _random_scalar_field(grid, "node", rng)
+        f = random_field(grid, "node", rng, margin=2)
         lap = star_scalar_inverse(
             div3_star(star_matrix(grad3(f, grid), star, which="a"), grid),
             star,
@@ -836,12 +784,7 @@ _SNAP_VERSION = 1
 def dump_field_snapshot(path, field, kind: str, grid: Grid3):
     """Write a field as little-endian float64 with a small binary header
     (kind, per-component shapes, spacings)."""
-    if kind in SCALAR_KINDS:
-        comps = [_check_scalar(field, grid, kind, "dump_field_snapshot")]
-    elif kind in VECTOR_KINDS:
-        comps = list(_check_vector(field, grid, kind, "dump_field_snapshot").components)
-    else:
-        raise ValueError(f"unknown field kind {kind!r}")
+    comps = _components(field, grid, kind, "dump_field_snapshot")
     kb = kind.encode()
     with open(path, "wb") as fh:
         fh.write(struct.pack("<4sH", _SNAP_MAGIC, _SNAP_VERSION))
@@ -872,6 +815,4 @@ def load_field_snapshot(path):
             count = int(np.prod(s))
             data = np.frombuffer(fh.read(8 * count), dtype="<f8")
             comps.append(data.reshape(s).astype(float))
-    if ncomp == 1:
-        return comps[0], kind, spacings
-    return VectorField3(*comps), kind, spacings
+    return _as_field(comps), kind, spacings

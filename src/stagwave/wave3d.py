@@ -45,10 +45,12 @@ from .mimetic3d import (
     div3_star,
     grad3,
     inner3,
+    random_field,
     require_exact_star,
     star_matrix,
     star_scalar_inverse,
     zeros_field,
+    _rim_zeroed,
 )
 
 
@@ -345,21 +347,16 @@ def measured_stencil_norm(
     calls this — the time step always comes from the analytic bound — it
     exists only to check how sharp that bound is.
     """
-    rng = np.random.default_rng(seed)
     if system == "scalar-wave":
-        ops, inner, _ = scalar_wave_system(star, grid)
-        w = rng.standard_normal(grid.scalar_shape("node"))
-        if grid.boundary == "pinned":
-            w = pin_scalar_boundary(w)
+        (ops, inner, _), kind = scalar_wave_system(star, grid), "node"
     elif system == "maxwell":
-        ops, inner, _ = maxwell_system(star, star if mu_star is None else mu_star, grid)
-        w = VectorField3(
-            *[rng.standard_normal(sh) for sh in grid.vector_shapes("edge")]
-        )
-        if grid.boundary == "pinned":
-            w = pin_tangential_boundary(w)
+        mu = star if mu_star is None else mu_star
+        (ops, inner, _), kind = maxwell_system(star, mu, grid), "edge"
     else:
         raise ValueError(f"unknown system {system!r}")
+    w = random_field(grid, kind, np.random.default_rng(seed))
+    if grid.boundary == "pinned":
+        w = _rim_zeroed(w, kind)
     lam = 0.0
     for _ in range(iterations):
         aw = ops.apply_Astar(ops.apply_A(w))
@@ -455,16 +452,10 @@ def pin_scalar_boundary(s) -> np.ndarray:
     """Copy of a node scalar with the six wall planes zeroed.
 
     On a pinned grid the march holds the walls fixed, so initial data must
-    vanish there for the conserved forms to close.
+    vanish there for the conserved forms to close.  These are the planes the
+    dual operators zero on their outputs (the rim rule of `mimetic3d`).
     """
-    out = np.array(s, float)
-    for ax in range(out.ndim):
-        sl = [slice(None)] * out.ndim
-        sl[ax] = 0
-        out[tuple(sl)] = 0.0
-        sl[ax] = -1
-        out[tuple(sl)] = 0.0
-    return out
+    return _rim_zeroed(s, "node")
 
 
 def pin_tangential_boundary(v: VectorField3) -> VectorField3:
@@ -473,19 +464,7 @@ def pin_tangential_boundary(v: VectorField3) -> VectorField3:
     For component r the walls normal to the two other axes carry tangential
     values; zeroing them is the conductor condition the pinned march holds.
     """
-    comps = []
-    for r, comp in enumerate(v.components):
-        out = np.array(comp, float)
-        for ax in range(3):
-            if ax == r:
-                continue
-            sl = [slice(None)] * 3
-            sl[ax] = 0
-            out[tuple(sl)] = 0.0
-            sl[ax] = -1
-            out[tuple(sl)] = 0.0
-        comps.append(out)
-    return VectorField3(*comps)
+    return _rim_zeroed(v, "edge")
 
 
 # ---------------------------------------------------------------------------

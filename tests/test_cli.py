@@ -86,6 +86,18 @@ class TestExperimentCommands:
         assert (tmp_path / "overflow_series.csv").is_file()
         assert "[FAIL] C_n-drift" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("command", [["oscillator"], ["system", "--preset", "oscillator"]])
+    def test_time_step_past_the_float_range_writes_report_and_fails(self, command, tmp_path):
+        # (dt/2)**2 overflows a Python float: the Taylor start and both
+        # invariants take it as inf, so the run still ends in a report
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            code = run_cli([*command, "--dt", "1e308", "--steps", "3"], tmp_path, "huge")
+        assert code == 1
+        drift = {c["name"]: c["passed"] for c in read_report(tmp_path, "huge")["checks"]}
+        assert drift == {"C_n-drift": False, "C_half-drift": False}
+        _, rows = read_csv(tmp_path / "huge_series.csv")
+        assert [r[0] for r in rows] == ["1", "2", "3"]
+
     def test_no_checks_flag_reports_but_never_fails(self, tmp_path):
         code = run_cli(
             ["oscillator", "--dt", "2.3", "--steps", "200", "--no-checks"],
@@ -227,6 +239,22 @@ class TestExperimentCommands:
             (["convergence-table", "--case", "wave3d-cavity", "--k", "2..3",
               "--final", "half-period"], "--final"),
             (["oscillator", "--steps", "10", "--bogus"], "--bogus"),
+            (["verify", "mimetic3d", "--sizes", "1"], "--sizes"),
+            (["verify", "adjoint", "--sizes", "8", "1"], "--sizes"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho -2"], "--material"),
+            (["wave1d-convergence", "--case", "linear rho -2"], "--case"),
+            (["convergence-table", "--case", "linear tau -3"], "--case"),
+            (["wave1d", "--t-final", "1e308"], "--t-final"),
+            (["wave1d", "--case", "vmp", "--t-final", "1e308"], "--t-final"),
+            (["wave2d", "--t-final", "1e308"], "--t-final"),
+            (["wave3d", "--grid", "4", "--t-final", "1e308"], "--t-final"),
+            (["maxwell", "--grid", "4", "--t-final", "1e308"], "--t-final"),
+            (["wave1d", "--material", "cmp c=1e308"], "--material"),
+            (["wave1d-convergence", "--case", "cmp", "--final", "1e308"], "--final"),
+            (["convergence-table", "--case", "wave2d-mode", "--final", "1e308"], "--final"),
+            (["convergence-table", "--case", "wave2d-mode", "--final", "1e308", "--jobs", "2"],
+             "--final"),
+            (["convergence-table", "--case", "bump-p2-q2", "--final", "1e308"], "--final"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):
@@ -339,6 +367,21 @@ class TestConvergenceCommands:
         seq = (tmp_path / "seq_table.csv").read_bytes()
         par = (tmp_path / "par_table.csv").read_bytes()
         assert seq == par
+
+    @pytest.mark.parametrize("command", ["wave1d-convergence", "convergence-table"])
+    def test_cmp_sweep_marches_each_level_once(self, command, tmp_path, monkeypatch):
+        marched = []
+        run_cmp = cli.wave1d.run_cmp
+
+        def counted(grid, *args, **kwargs):
+            marched.append(grid.nx)
+            return run_cmp(grid, *args, **kwargs)
+
+        monkeypatch.setattr(cli.wave1d, "run_cmp", counted)
+        assert run_cli([command, "--case", "cmp", "--k", "5,4,6"], tmp_path, "once") == 0
+        assert marched == [33, 17, 65]
+        _, rows = read_csv(tmp_path / "once_table.csv")
+        assert [r[0] for r in rows] == ["5", "4", "6"]
 
 
 # ---------------------------------------------------------------------------

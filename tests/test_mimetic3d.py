@@ -32,6 +32,7 @@ from stagwave.mimetic3d import (
     star_scalar_inverse,
     zeros_field,
 )
+from stagwave.wave3d import pin_scalar_boundary, pin_tangential_boundary
 
 TWO_PI = 2.0 * np.pi
 
@@ -264,6 +265,195 @@ class TestDifferenceOperators:
             div3_star(zeros_field(g, "dual-edge"), g)
         with pytest.raises(ValueError):
             curl3(np.zeros((4, 4, 4)), g)  # not a VectorField3
+
+
+# --- the operators' bits, against their hand-indexed formulas ----------------
+#
+# Each operator written out per component and per boundary policy, with every
+# slice spelled by hand.  The library derives the same arithmetic from its kind
+# table, term tables and rim rule, so the outputs must agree bit for bit.
+
+
+def _roll_fwd(a, axis, d):
+    return (np.roll(a, -1, axis) - a) / d
+
+
+def _roll_bwd(a, axis, d):
+    return (a - np.roll(a, 1, axis)) / d
+
+
+def ref_grad3(s, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return VectorField3(_roll_fwd(s, 0, dx), _roll_fwd(s, 1, dy), _roll_fwd(s, 2, dz))
+    return VectorField3(
+        np.diff(s, axis=0) / dx, np.diff(s, axis=1) / dy, np.diff(s, axis=2) / dz
+    )
+
+
+def ref_curl3(t, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return VectorField3(
+            _roll_fwd(t.z, 1, dy) - _roll_fwd(t.y, 2, dz),
+            _roll_fwd(t.x, 2, dz) - _roll_fwd(t.z, 0, dx),
+            _roll_fwd(t.y, 0, dx) - _roll_fwd(t.x, 1, dy),
+        )
+    return VectorField3(
+        np.diff(t.z, axis=1) / dy - np.diff(t.y, axis=2) / dz,
+        np.diff(t.x, axis=2) / dz - np.diff(t.z, axis=0) / dx,
+        np.diff(t.y, axis=0) / dx - np.diff(t.x, axis=1) / dy,
+    )
+
+
+def ref_div3(n, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return _roll_fwd(n.x, 0, dx) + _roll_fwd(n.y, 1, dy) + _roll_fwd(n.z, 2, dz)
+    return np.diff(n.x, axis=0) / dx + np.diff(n.y, axis=1) / dy + np.diff(n.z, axis=2) / dz
+
+
+def ref_grad3_star(s, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return VectorField3(_roll_bwd(s, 0, dx), _roll_bwd(s, 1, dy), _roll_bwd(s, 2, dz))
+    nx, ny, nz = g.counts
+    out = VectorField3(
+        np.zeros((nx + 1, ny, nz)), np.zeros((nx, ny + 1, nz)), np.zeros((nx, ny, nz + 1))
+    )
+    out.x[1:-1, :, :] = np.diff(s, axis=0) / dx
+    out.y[:, 1:-1, :] = np.diff(s, axis=1) / dy
+    out.z[:, :, 1:-1] = np.diff(s, axis=2) / dz
+    return out
+
+
+def ref_curl3_star(t, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return VectorField3(
+            _roll_bwd(t.z, 1, dy) - _roll_bwd(t.y, 2, dz),
+            _roll_bwd(t.x, 2, dz) - _roll_bwd(t.z, 0, dx),
+            _roll_bwd(t.y, 0, dx) - _roll_bwd(t.x, 1, dy),
+        )
+    nx, ny, nz = g.counts
+    out = VectorField3(
+        np.zeros((nx, ny + 1, nz + 1)),
+        np.zeros((nx + 1, ny, nz + 1)),
+        np.zeros((nx + 1, ny + 1, nz)),
+    )
+    out.x[:, 1:-1, 1:-1] = (
+        np.diff(t.z[:, :, 1:-1], axis=1) / dy - np.diff(t.y[:, 1:-1, :], axis=2) / dz
+    )
+    out.y[1:-1, :, 1:-1] = (
+        np.diff(t.x[1:-1, :, :], axis=2) / dz - np.diff(t.z[:, :, 1:-1], axis=0) / dx
+    )
+    out.z[1:-1, 1:-1, :] = (
+        np.diff(t.y[:, 1:-1, :], axis=0) / dx - np.diff(t.x[1:-1, :, :], axis=1) / dy
+    )
+    return out
+
+
+def ref_div3_star(n, g):
+    dx, dy, dz = g.spacings
+    if g.boundary == "periodic":
+        return _roll_bwd(n.x, 0, dx) + _roll_bwd(n.y, 1, dy) + _roll_bwd(n.z, 2, dz)
+    nx, ny, nz = g.counts
+    out = np.zeros((nx + 1, ny + 1, nz + 1))
+    out[1:-1, 1:-1, 1:-1] = (
+        np.diff(n.x[:, 1:-1, 1:-1], axis=0) / dx
+        + np.diff(n.y[1:-1, :, 1:-1], axis=1) / dy
+        + np.diff(n.z[1:-1, 1:-1, :], axis=2) / dz
+    )
+    return out
+
+
+# name: (operator, reference, input kind)
+BIT_CASES = {
+    "grad3": (grad3, ref_grad3, "node"),
+    "curl3": (curl3, ref_curl3, "edge"),
+    "div3": (div3, ref_div3, "face"),
+    "grad3_star": (grad3_star, ref_grad3_star, "dual-node"),
+    "curl3_star": (curl3_star, ref_curl3_star, "dual-edge"),
+    "div3_star": (div3_star, ref_div3_star, "dual-face"),
+}
+
+# node-aligned axes of each component of the pinned dual outputs and of the
+# fields the pin helpers take, written out by hand
+NODE_AXES = {
+    "dual-edge": ((0,), (1,), (2,)),
+    "dual-face": ((1, 2), (0, 2), (0, 1)),
+    "dual-cell": ((0, 1, 2),),
+}
+
+
+def box(boundary):
+    """3 x 4 x 5 cells with three different extents, so every spacing differs."""
+    return Grid3(0.7, 1.3, 2.9, 3, 4, 5, boundary=boundary)
+
+
+def comps(field):
+    return getattr(field, "components", (field,))
+
+
+def rim_mask(shape, axes):
+    """True on both end planes of each listed axis."""
+    mask = np.zeros(shape, dtype=bool)
+    for ax in axes:
+        mask.swapaxes(0, ax)[[0, -1]] = True
+    return mask
+
+
+def random_input(g, kind, rng):
+    if kind in SCALAR_KINDS:
+        return rng.standard_normal(g.scalar_shape(kind))
+    return random_vector(g, kind, rng)
+
+
+class TestOperatorBits:
+    @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
+    @pytest.mark.parametrize("name", list(BIT_CASES))
+    def test_operator_equals_hand_indexed_formula(self, name, boundary):
+        op, ref, kind = BIT_CASES[name]
+        g = box(boundary)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            f = random_input(g, kind, rng)
+            got, want = comps(op(f, g)), comps(ref(f, g))
+            assert [c.shape for c in got] == [c.shape for c in want]
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "op, in_kind, out_kind",
+        [
+            (grad3_star, "dual-node", "dual-edge"),
+            (curl3_star, "dual-edge", "dual-face"),
+            (div3_star, "dual-face", "dual-cell"),
+        ],
+    )
+    def test_pinned_dual_outputs_are_zero_exactly_on_the_rim(self, op, in_kind, out_kind):
+        g = box("pinned")
+        out = comps(op(random_input(g, in_kind, np.random.default_rng(12)), g))
+        for comp, axes in zip(out, NODE_AXES[out_kind]):
+            rim = rim_mask(comp.shape, axes)
+            assert np.all(comp[rim] == 0.0)
+            assert np.all(comp[~rim] != 0.0)  # random data: nothing else vanishes
+
+    def test_pin_helpers_zero_exactly_the_rim(self):
+        g = box("pinned")
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal(g.scalar_shape("node")) + 10.0
+        e = VectorField3(*(rng.standard_normal(sh) + 10.0 for sh in g.vector_shapes("edge")))
+        # nodes sit where dual cells do and edges where dual faces do, so the
+        # helpers zero the same planes as the rim rule of those dual outputs
+        for pinned, field, kind in (
+            (pin_scalar_boundary(s), s, "dual-cell"),
+            (pin_tangential_boundary(e), e, "dual-face"),
+        ):
+            for out, orig, axes in zip(comps(pinned), comps(field), NODE_AXES[kind]):
+                rim = rim_mask(out.shape, axes)
+                assert np.all(out[rim] == 0.0)
+                assert np.array_equal(out[~rim], orig[~rim])
+            assert np.all(comps(field)[0] != 0.0)  # the input is untouched
 
 
 # ---------------------------------------------------------------------------
