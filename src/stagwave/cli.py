@@ -408,6 +408,24 @@ def _finite_steps(flag: str, march, *args, **kwargs):
         raise ConfigError(f"{flag}: the CFL step count is not finite") from None
 
 
+# The most steps a CFL-derived step count may ask of one march.  A larger
+# count comes from a final time (or a speed) far past anything a run can
+# reach: the smallest 1D march takes about 10 us a step, so 1e8 steps already
+# take a quarter of an hour, and `wave1d --t-final 1e300` would need 1e302.
+MAX_CFL_STEPS = 10**8
+
+
+def _cfl_steps(flag: str, count, *args) -> int:
+    """The step count `count(*args)`, checked before any march: a usage error
+    naming `flag` when it is not finite or above MAX_CFL_STEPS."""
+    steps = _finite_steps(flag, count, *args)
+    if steps > MAX_CFL_STEPS:
+        raise ConfigError(
+            f"{flag}: the CFL step count is above the cap of {MAX_CFL_STEPS:,} steps"
+        )
+    return steps
+
+
 # ---------------------------------------------------------------------------
 # runners (one per experiment subcommand); `cfg` is the parsed namespace
 # ---------------------------------------------------------------------------
@@ -469,7 +487,7 @@ def _run_system(cfg, art: ArtifactWriter) -> dict:
 def _build_grid_1d(nx: int, t_final: float, nt, safety: float, speed: float):
     if nt is None:
         dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
-        steps = _finite_steps("--t-final/--material", math.ceil, t_final / (safety * dx / speed))
+        steps = _cfl_steps("--t-final/--material", math.ceil, t_final / (safety * dx / speed))
         nt = max(1, steps)
     return _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
 
@@ -569,6 +587,7 @@ def _sweep_1d(cfg, jobs: int) -> dict:
         t_final = _final_time(cfg.final, named["full-period"], spec, named)
         if f_over is None:
             f_over = _finite_steps("--final", wave1d.refinement_exponent, c, 1.0, t_final)
+        _cfl_steps("--final/--f", pow, 2, max(ks) + f_over)
         levels = _pool_sweep(_cmp_level, [(k, t_final, m, c, f_over, cfg.init) for k in ks], jobs)
         rows = [row for row, _ in levels]
         profile = levels[ks.index(max(ks))][1]
@@ -579,11 +598,14 @@ def _sweep_1d(cfg, jobs: int) -> dict:
         # the grids vmp_refine_errors samples the materials on: each level and one finer
         grids = {k: wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=1.0, nt=1)
                  for k in [*ks, max(ks) + 1]}
-        for grid in grids.values():
-            _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
-        rows, profiles = _finite_steps(
-            "--final", wave1d.vmp_refine_errors, ks, t_final, mat["rho"], mat["tau"], f=f_over
-        )
+        mats = {k: _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+                for k, grid in grids.items()}
+        if f_over is None:
+            # the exponent vmp_refine_errors picks: from the first level's wave speed
+            f_over = _finite_steps("--final", wave1d.refinement_exponent,
+                                   wave1d.cfl_speed(mats[ks[0]]), 1.0, t_final)
+        _cfl_steps("--final/--f", pow, 2, max(ks) + 1 + f_over)
+        rows, profiles = wave1d.vmp_refine_errors(ks, t_final, mat["rho"], mat["tau"], f=f_over)
         k_top = max(ks)
         grid_top = grids[k_top]
         scaled = profiles[k_top]
@@ -675,10 +697,11 @@ def _run_wave1d_convergence(cfg, art: ArtifactWriter) -> dict:
     }
 
 
+# each N-D sweep: its error function and the step count of one level
 _ND_SWEEPS = {
-    "wave2d-mode": wave2d.mode_errors_2d,
-    "wave3d-cavity": wave3d.scalar_cavity_errors,
-    "maxwell-cavity": wave3d.maxwell_cavity_errors,
+    "wave2d-mode": (wave2d.mode_errors_2d, wave2d.mode_steps_2d),
+    "wave3d-cavity": (wave3d.scalar_cavity_errors, wave3d.cavity_steps),
+    "maxwell-cavity": (wave3d.maxwell_cavity_errors, wave3d.cavity_steps),
 }
 
 
@@ -688,8 +711,10 @@ def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
     if case in _ND_SWEEPS:
         ks = _levels(cfg.k)
         t_final = _final_time(cfg.final, 0.35, case, {})
+        # the finest level takes the most steps
+        _cfl_steps("--final", _ND_SWEEPS[case][1], 2 ** max(ks), t_final, cfg.safety)
         points = [(case, 2**k, t_final, cfg.safety) for k in ks]
-        rows = _finite_steps("--final", _pool_sweep, _nd_sweep_point, points, cfg.jobs)
+        rows = _pool_sweep(_nd_sweep_point, points, cfg.jobs)
         pair_orders, table = _order_table(ks, rows, lambda k: 2**k)
         name = case
         endpoint = endpoint_order(rows)
@@ -711,7 +736,7 @@ def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
 
 def _nd_sweep_point(args):
     case, n, t_final, safety = args
-    return _ND_SWEEPS[case]((n,), t_final=t_final, safety=safety)[0]
+    return _ND_SWEEPS[case][0]((n,), t_final=t_final, safety=safety)[0]
 
 
 # -- 2D and 3D experiments ---------------------------------------------------
@@ -724,8 +749,8 @@ def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
     star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
     t_final, nt = cfg.t_final, cfg.nt
     if nt is None:
-        nt = max(1, _finite_steps("--t-final", math.ceil,
-                                  t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
+        nt = max(1, _cfl_steps("--t-final", math.ceil,
+                               t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
     dt = t_final / nt
 
     m, n = cfg.mode_m, cfg.mode_n
@@ -769,7 +794,7 @@ def _resolve_dt_3d(cfg, dt_max):
     if dt is not None and t_final is not None:
         raise ConfigError("--dt and --t-final both fix the time step; give only one of them")
     if t_final is not None:
-        steps = max(1, _finite_steps("--t-final", math.ceil, t_final / (cfg.safety * dt_max)))
+        steps = max(1, _cfl_steps("--t-final", math.ceil, t_final / (cfg.safety * dt_max)))
         dt = t_final / steps
     elif dt is None:
         dt = cfg.safety * dt_max

@@ -20,6 +20,14 @@ their material-weighted products without touching this file.  Every solver
 in the package (oscillator, 1D, 2D, 3D scalar wave, Maxwell) marches through
 `run_system`; a physics module contributes only its `OperatorPair` (with the
 norm bound behind its dt limit) and its two inner products.
+
+Buffers: a pair may supply an `update` hook that writes a whole update into
+a given buffer.  `run_system` then takes each unrecorded step in place: from
+the third step on it writes f_{n+1} and g_{n+3/2} into the storage of the
+retired f_{n-1} and g_{n-1/2}, which earlier steps of the same run made.  It
+never writes into the caller's f0 or g_half0.  An `audit` callback must not
+keep references to the state's fields across steps: the next step but one
+overwrites them.
 """
 
 from __future__ import annotations
@@ -58,12 +66,20 @@ class OperatorPair:
     The norm bounds are caller-supplied analytic values (e.g. 2*c/dx for the
     1D difference operator); nothing in the core estimates them numerically.
     Adjointness is a promise checked by `check_adjointness`, not enforced.
+
+    `update(x, y, dt, out, adjoint)`, if given, is the in-place form of the
+    two leapfrog updates: it returns x - dt * A*(y) when `adjoint` is true and
+    x + dt * A(y) otherwise, with the bits of those expressions built from
+    `apply_Astar`/`apply_A`, written into `out` (a fresh field when out is
+    None).  `out` is never x or y, and the result holds no other storage of
+    the pair.
     """
 
     apply_A: Callable[[Any], Any]
     apply_Astar: Callable[[Any], Any]
     norm_bound_A: float = float("inf")
     norm_bound_Astar: float = float("inf")
+    update: Callable | None = None
 
 
 @dataclass
@@ -85,17 +101,25 @@ class SystemState:
 
 
 def system_step(
-    state: SystemState, ops: OperatorPair, *, keep_terms: bool = False
+    state: SystemState, ops: OperatorPair, *, keep_terms: bool = False, out=None
 ) -> SystemState:
     """One leapfrog step.  f is updated first; g uses the freshly updated f.
 
     keep_terms=True keeps A* g_{n+1/2} and A f_{n+1} on the new state, so
     that its invariants cost inner products only.  Without it the operator
     results are dropped as soon as they are used.
+
+    out=(f_buf, g_buf), for a pair with an `update` hook and without
+    keep_terms, has the hook write f_{n+1} into f_buf and g_{n+3/2} into
+    g_buf (None for a fresh field); the bits are the same either way.
     """
     if not keep_terms:
-        f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
-        g_new = state.g_half + state.dt * ops.apply_A(f_new)
+        if out is None:
+            f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
+            g_new = state.g_half + state.dt * ops.apply_A(f_new)
+        else:
+            f_new = ops.update(state.f, state.g_half, state.dt, out[0], True)
+            g_new = ops.update(state.g_half, f_new, state.dt, out[1], False)
         return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
     astar_g = ops.apply_Astar(state.g_half)
     f_new = state.f - state.dt * astar_g
@@ -247,7 +271,12 @@ def run_system(
     Returns the final state and a record list with one entry
     (step, C_full, C_half) per `record_every`-th step (none for
     record_every=0).  An `audit(state, pieces)` callback, given the state and
-    the `energy_pieces` of C_full, appends the entries it returns.
+    the `energy_pieces` of C_full, appends the entries it returns; it must
+    not keep the state's fields (see the buffer contract above).
+
+    With a pair that has an `update` hook, an unrecorded step writes into the
+    retired history once this run made it (from the third step on), and into
+    fresh fields before that.  Recorded steps keep their fresh operator terms.
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
@@ -259,10 +288,17 @@ def run_system(
     if g_half0 is None:
         g_half0 = init_g_half(f0, g0, ops, dt, variant=init_variant)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
+    in_place = ops.update is not None
     record = []
     for _ in range(n_steps):
         recorded = bool(record_every) and (state.step + 1) % record_every == 0
-        state = system_step(state, ops, keep_terms=recorded)
+        if recorded or not in_place:
+            state = system_step(state, ops, keep_terms=recorded)
+        else:
+            # after two steps the history is this run's own; before, it is f0/g_half0
+            own = state.step >= 2
+            state = system_step(state, ops, out=(state.f_prev, state.g_prev_half) if own
+                                else (None, None))
         if recorded:
             pieces = energy_pieces(state, ops, inner_X, inner_Y)
             row = (

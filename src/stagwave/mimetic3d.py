@@ -42,9 +42,9 @@ time stepper never updates.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
-from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -307,93 +307,165 @@ def _interior(pattern: str) -> tuple:
     return tuple(slice(1, -1) if tag == "n" else slice(None) for tag in pattern)
 
 
-def _fill_rim(interior, pattern: str, shape: tuple) -> np.ndarray:
-    """The rim rule: `interior` inside, zero on both end planes of every
-    node-aligned axis of `pattern`."""
-    out = np.zeros(shape)
-    out[_interior(pattern)] = interior
-    return out
+def _zero_rim(arr: np.ndarray, pattern: str) -> np.ndarray:
+    """The rim rule, in place: zero both end planes of every node-aligned axis."""
+    for axis, tag in enumerate(pattern):
+        if tag == "n":
+            arr[_along(axis, 0)] = 0.0
+            arr[_along(axis, -1)] = 0.0
+    return arr
 
 
 def _rim_zeroed(field, kind: str):
     """Float copy of a field of `kind` with every component's rim zeroed."""
-    comps = []
-    for pattern, comp in zip(_PATTERNS[kind], getattr(field, "components", (field,))):
-        comp = np.asarray(comp, dtype=float)
-        comps.append(_fill_rim(comp[_interior(pattern)], pattern, comp.shape))
-    return _as_field(comps)
+    comps = getattr(field, "components", (field,))
+    return _as_field([_zero_rim(np.array(comp, dtype=float), pattern)
+                      for pattern, comp in zip(_PATTERNS[kind], comps)])
 
 
-def _fwd(arr, axis: int, grid: Grid3):
-    """Forward difference along one axis (node-aligned to half-shifted)."""
-    delta = grid.spacings[axis]
+def _along(axis: int, index) -> tuple:
+    """An index that applies `index` along one axis and keeps the other two whole."""
+    return tuple(index if ax == axis else slice(None) for ax in range(3))
+
+
+_HI, _LO = slice(1, None), slice(None, -1)
+_FIRST, _LAST = slice(None, 1), slice(-1, None)
+
+
+def _divide(out, delta: float):
+    """out /= delta, in place.  A power-of-two spacing has an exact
+    reciprocal, and x * (1/delta) rounds the same real number as x / delta,
+    so multiplying gives the same bits; numpy multiplies about twice as fast
+    as it divides."""
+    inverse = 1.0 / delta
+    if math.frexp(delta)[0] == 0.5 and math.isfinite(inverse):
+        np.multiply(out, inverse, out=out)
+    else:
+        np.true_divide(out, delta, out=out)
+
+
+def _fwd(arr, axis: int, grid: Grid3, out, pattern: str):
+    """out <- forward difference along one axis (node-aligned to half-shifted).
+    On periodic grids the last plane wraps round to the first."""
+    periodic = grid.boundary == "periodic"
+    np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)],
+                out=out[_along(axis, _LO)] if periodic else out)
+    if periodic:
+        np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
+                    out=out[_along(axis, _LAST)])
+    _divide(out, grid.spacings[axis])
+
+
+def _bwd(arr, axis: int, grid: Grid3, out, pattern: str):
+    """out <- backward difference along one axis onto the points of `pattern`;
+    on pinned grids onto its rim interior, cutting the input to that first.
+    On periodic grids the first plane wraps round to the last."""
     if grid.boundary == "periodic":
-        return (np.roll(arr, -1, axis) - arr) / delta
-    return np.diff(arr, axis=axis) / delta
+        np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out[_along(axis, _HI)])
+        np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
+                    out=out[_along(axis, _FIRST)])
+    else:
+        cut = list(_interior(pattern))
+        cut[axis] = slice(None)
+        arr = arr[tuple(cut)]
+        np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out)
+    _divide(out, grid.spacings[axis])
 
 
-def _bwd(arr, axis: int, grid: Grid3, pattern: str):
-    """Backward difference along one axis onto the points of `pattern`; on
-    pinned grids onto its rim interior, cutting the input to that first."""
-    delta = grid.spacings[axis]
-    if grid.boundary == "periodic":
-        return (arr - np.roll(arr, 1, axis)) / delta
-    cut = list(_interior(pattern))
-    cut[axis] = slice(None)
-    return np.diff(arr[tuple(cut)], axis=axis) / delta
-
-
-def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add):
+def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add,
+                out=None, work=None):
     """A difference operator from its term table, one output component at a
-    time.  Onto a dual kind it differences backward and obeys the rim rule."""
+    time.  Onto a dual kind it differences backward and obeys the rim rule,
+    writing straight into the interior of a zero-rimmed output.
+
+    `out`, a field of `out_kind`, receives the result in place of a fresh
+    one.  `work`, a flat float array at least two output components long,
+    each rounded up to a whole number of 8-entry cache lines, holds the terms
+    in place of temporaries.
+    """
     comps = _components(field, grid, in_kind, who)
     dual = out_kind.startswith("dual-")
-    out = []
-    for pattern, component_terms in zip(_PATTERNS[out_kind], terms):
-        diffs = (_bwd(comps[c], axis, grid, pattern) if dual else _fwd(comps[c], axis, grid)
-                 for c, axis in component_terms)
-        # unlike a loop variable, reduce keeps no term alive into the next
-        # component; the extra live temporary made curl3 15% slower at 64^3
-        acc = reduce(lambda acc, term: combine(acc, term, out=acc), diffs)
-        if dual and grid.boundary == "pinned":
-            acc = _fill_rim(acc, pattern, grid._pattern_shape(pattern))
-        out.append(acc)
-    return _as_field(out)
+    rim = dual and grid.boundary == "pinned"
+    if out is None:
+        outs = [np.zeros(s) if rim else np.empty(s) for s in grid._shapes(out_kind)]
+    else:
+        outs = [_zero_rim(o, p) if rim else o
+                for o, p in zip(_components(out, grid, out_kind, who), _PATTERNS[out_kind])]
+    slots = rim + (len(terms[0]) > 1)  # the first term of a rimmed output, later terms
+    if work is None and slots:
+        work = np.empty(slots * _lines(max(o.size for o in outs)))
+    step = _bwd if dual else _fwd
+    for pattern, component_terms, acc in zip(_PATTERNS[out_kind], terms, outs):
+        if rim:
+            acc = acc[_interior(pattern)]
+        (c, axis), *rest = component_terms
+        # a rimmed output's interior is strided, and arithmetic in place on it
+        # runs at half speed, so its terms are formed in contiguous work
+        first = _slot(work, 0, acc) if rim else acc
+        step(comps[c], axis, grid, first, pattern)
+        if rim and not rest:
+            acc[...] = first
+        for c, axis in rest:
+            term = _slot(work, rim, acc)
+            step(comps[c], axis, grid, term, pattern)
+            combine(first, term, out=acc)
+            first = acc
+    return _as_field(outs)
 
 
-def grad3(s, grid: Grid3) -> VectorField3:
-    """Node scalar -> edge vector (forward differences to edge midpoints)."""
-    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3")
+def _slot(work, k: int, like):
+    """The k-th stretch of `work` as long as `like`, shaped like it.  The
+    stretches start on whole cache lines of `work`."""
+    start = k * _lines(like.size)
+    return work[start:start + like.size].reshape(like.shape)
 
 
-def curl3(t: VectorField3, grid: Grid3) -> VectorField3:
+def _lines(n: int) -> int:
+    """n float64 entries rounded up to whole 64-byte cache lines."""
+    return -(-n // 8) * 8
+
+
+def grad3(s, grid: Grid3, out=None, work=None) -> VectorField3:
+    """Node scalar -> edge vector (forward differences to edge midpoints).
+
+    Each of the six operators takes the same two optional buffers: `out`, a
+    field of its output kind that receives the result, and `work`, a flat
+    float array for the terms, at least two output components long with
+    each rounded up to a whole number of 8-entry cache lines.
+    """
+    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3", out=out, work=work)
+
+
+def curl3(t: VectorField3, grid: Grid3, out=None, work=None) -> VectorField3:
     """Edge vector -> face vector."""
-    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract)
+    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract, out, work)
 
 
-def div3(n: VectorField3, grid: Grid3) -> np.ndarray:
+def div3(n: VectorField3, grid: Grid3, out=None, work=None) -> np.ndarray:
     """Face vector -> cell scalar."""
-    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3")
+    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3", out=out, work=work)
 
 
-def grad3_star(s_star, grid: Grid3) -> VectorField3:
+def grad3_star(s_star, grid: Grid3, out=None, work=None) -> VectorField3:
     """Dual node scalar (cell centers) -> dual edge vector (face points).
 
     On pinned grids the entries whose backward stencil would leave the box
     are zero-filled.
     """
-    return _difference(s_star, grid, "dual-node", "dual-edge", _GRAD_TERMS, "grad3_star")
+    return _difference(s_star, grid, "dual-node", "dual-edge", _GRAD_TERMS, "grad3_star",
+                       out=out, work=work)
 
 
-def curl3_star(t_star: VectorField3, grid: Grid3) -> VectorField3:
+def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None) -> VectorField3:
     """Dual edge vector (face points) -> dual face vector (edge points)."""
     return _difference(t_star, grid, "dual-edge", "dual-face", _CURL_TERMS, "curl3_star",
-                       np.subtract)
+                       np.subtract, out, work)
 
 
-def div3_star(n_star: VectorField3, grid: Grid3) -> np.ndarray:
+def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None) -> np.ndarray:
     """Dual face vector (edge points) -> dual cell scalar (nodes)."""
-    return _difference(n_star, grid, "dual-face", "dual-cell", _DIV_TERMS, "div3_star")
+    return _difference(n_star, grid, "dual-face", "dual-cell", _DIV_TERMS, "div3_star",
+                       out=out, work=work)
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +542,17 @@ class Star3:
     def exactly_invertible(self) -> bool:
         return self.mode != "full"
 
+    def is_unit(self, weight: str) -> bool:
+        """True when a weight is exactly 1.0 at every sample, so that applying
+        it changes no bit (a product or quotient by 1.0 is exact).  `weight`
+        names a scalar weight ("a", "b") or a row table ("a_rows",
+        "b_inv_rows", ...); a full-mode table, with its off-diagonal
+        averages, never is."""
+        if weight in ("a", "b"):
+            return bool(np.all(getattr(self, weight) == 1.0))
+        rows = getattr(self, weight)
+        return self.exactly_invertible and all(bool(np.all(rows[r][r] == 1.0)) for r in range(3))
+
     # -- constructors ---------------------------------------------------
 
     @classmethod
@@ -534,28 +617,29 @@ def require_exact_star(star: Star3):
 _SCALAR_DIRECTIONS = ("node-to-dual-cell", "dual-node-to-cell")
 
 
-def _scale(field, star: Star3, direction: str, inverse: bool, who: str) -> np.ndarray:
+def _scale(field, star: Star3, direction: str, inverse: bool, who: str, out) -> np.ndarray:
     if direction not in _SCALAR_DIRECTIONS:
         raise ValueError(f"direction must be one of {_SCALAR_DIRECTIONS}")
     # a direction "X-to-Y" maps kind X onto kind Y, and its inverse Y onto X
     kind = direction.split("-to-")[inverse]
     (f,) = _components(field, star.grid, kind, who)
     w = getattr(star, _WEIGHTS[kind][0])
-    return f / w if inverse else w * f
+    return np.true_divide(f, w, out=out) if inverse else np.multiply(w, f, out=out)
 
 
-def star_scalar(field, star: Star3, direction: str) -> np.ndarray:
+def star_scalar(field, star: Star3, direction: str, out=None) -> np.ndarray:
     """Multiply a scalar kind onto its collocated partner.
 
     ``"node-to-dual-cell"``: node scalar -> dual cell density (weight ``a``);
     ``"dual-node-to-cell"``: dual node scalar -> cell density (weight ``b``).
+    An `out` array, which may be `field` itself, receives the result.
     """
-    return _scale(field, star, direction, False, "star_scalar")
+    return _scale(field, star, direction, False, "star_scalar", out)
 
 
-def star_scalar_inverse(field, star: Star3, direction: str) -> np.ndarray:
+def star_scalar_inverse(field, star: Star3, direction: str, out=None) -> np.ndarray:
     """Inverse of :func:`star_scalar` for the same ``direction`` label."""
-    return _scale(field, star, direction, True, "star_scalar_inverse")
+    return _scale(field, star, direction, True, "star_scalar_inverse", out)
 
 
 def _avg_pair(v, axis):
@@ -582,12 +666,13 @@ def _avg4(v, node_axis, half_axis, grid: Grid3, out_shape):
     return out
 
 
-def _apply_rows(comps, rows, grid: Grid3, geometry: str, out_kind: str):
-    """Apply a 3x3 star (rows sampled at output points) to vector components."""
+def _apply_rows(comps, rows, grid: Grid3, geometry: str, out_kind: str, outs=(None,) * 3):
+    """Apply a 3x3 star (rows sampled at output points) to vector components,
+    each row's diagonal product written into `outs` where given."""
     out_shapes = grid.vector_shapes(out_kind)
     out = []
     for r in range(3):
-        acc = rows[r][r] * comps[r]
+        acc = np.multiply(rows[r][r], comps[r], out=outs[r])
         for c in range(3):
             if c == r or rows[r][c] is None:
                 continue
@@ -600,7 +685,7 @@ def _apply_rows(comps, rows, grid: Grid3, geometry: str, out_kind: str):
 
 
 def star_matrix(
-    vec: VectorField3, star: Star3, which: str = "a", inverse: bool = False
+    vec: VectorField3, star: Star3, which: str = "a", inverse: bool = False, out=None
 ) -> VectorField3:
     """Apply the matrix star A (edges <-> dual faces) or B (dual edges <->
     faces), or its pointwise inverse.
@@ -608,7 +693,8 @@ def star_matrix(
     ``which="a"``: forward maps edge -> dual face, inverse maps dual face ->
     edge.  ``which="b"``: forward maps dual edge -> face, inverse maps
     face -> dual edge.  Diagonal entries multiply collocated components;
-    off-diagonal entries (full mode) multiply 4-point averages.
+    off-diagonal entries (full mode) multiply 4-point averages.  An `out`
+    field of the output kind, which may be `vec` itself, receives the result.
     """
     grid = star.grid
     if which == "a":
@@ -622,7 +708,15 @@ def star_matrix(
     else:
         raise ValueError("which must be 'a' or 'b'")
     comps = _components(vec, grid, in_kind, "star_matrix")
-    return _apply_rows(comps, rows, grid, which, out_kind)
+    if out is None:
+        return _apply_rows(comps, rows, grid, which, out_kind)
+    outs = _components(out, grid, out_kind, "star_matrix")
+    if star.exactly_invertible:
+        # each output component reads only its collocated input, so out may be vec
+        return _apply_rows(comps, rows, grid, which, out_kind, outs)
+    for o, r in zip(outs, _apply_rows(comps, rows, grid, which, out_kind).components):
+        o[...] = r
+    return out
 
 
 # ---------------------------------------------------------------------------

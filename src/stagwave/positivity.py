@@ -113,6 +113,12 @@ def transport_step(state: TransportState) -> TransportState:
     # only ever carry mass out
     escaped = state.escaped + state.dt * (flux[-1] - flux[0])
     ok = state.guaranteed and positivity_guard(v=v, dt=state.dt, dx=state.dx)
+    if ok:
+        # under the guard the exact update is a convex combination of
+        # nonnegative values, so a negative is rounding error; among
+        # subnormals it is not small relative to the cell (0.5625 * 5e-324
+        # rounds up to 5e-324, and a cell of 5e-324 loses 1e-323)
+        np.maximum(rho_new, 0.0, out=rho_new)
     return TransportState(rho=rho_new, v=state.v, dx=state.dx, dt=state.dt,
                           escaped=escaped, guaranteed=ok, step=state.step + 1)
 

@@ -429,6 +429,12 @@ def mode_start_2d(grid: Grid2, star: Star2, dt: float, m: int = 1, n: int = 1,
     return u0, init_v_half_2d(u0, zero_v, star, grid, dt)
 
 
+def mode_steps_2d(size: int, t_final: float, safety: float = 0.9) -> int:
+    """Steps of the mode march on a size x size grid with unit materials:
+    ceil(t_final / dt_max) with dt_max from `suggest_dt_2d`."""
+    return math.ceil(t_final / suggest_dt_2d(Star2(), Grid2(size, size), safety))
+
+
 def mode_errors_2d(sizes=(16, 32, 64), *, t_final: float = 0.35,
                    safety: float = 0.9):
     """Max-abs u error of the m = n = 1, c = 1 mode march per grid size.
@@ -441,7 +447,7 @@ def mode_errors_2d(sizes=(16, 32, 64), *, t_final: float = 0.35,
     out = []
     for size in sizes:
         grid = Grid2(size, size)
-        nt = math.ceil(t_final / suggest_dt_2d(star, grid, safety))
+        nt = mode_steps_2d(size, t_final, safety)
         dt = t_final / nt
         u0, v_half = mode_start_2d(grid, star, dt)
         state, _ = run_wave2d(grid, star, u0, v_half, dt, nt, record_every=0)

@@ -50,6 +50,8 @@ from .mimetic3d import (
     star_matrix,
     star_scalar_inverse,
     zeros_field,
+    _as_field,
+    _lines,
     _rim_zeroed,
 )
 
@@ -83,11 +85,49 @@ class MaxwellState3:
     step: int = 0
 
 
+def _parts(field) -> tuple:
+    return getattr(field, "components", (field,))
+
+
 def _negated(field):
     """-field, negated in place: callers pass a freshly computed result."""
-    for comp in getattr(field, "components", (field,)):
+    for comp in _parts(field):
         np.negative(comp, out=comp)
     return field
+
+
+def _scaled_into(x, term, dt: float, out, combine):
+    """combine(x, dt * term), componentwise, into `out` (fresh arrays when out
+    is None).  The scratch `term` is scaled in place: term *= dt has the bits
+    of dt * term."""
+    outs = _parts(out) if out is not None else (None,) * len(_parts(x))
+    new = []
+    for xr, tr, o in zip(_parts(x), _parts(term), outs):
+        np.multiply(tr, dt, out=tr)
+        new.append(combine(xr, tr, out=o))
+    return out if out is not None else _as_field(new)
+
+
+class _Scratch:
+    """The buffer a pair's `update` hook owns, made on first use.  It holds
+    one operator output, of whichever kind the hook forms (one at a time),
+    and the operators' two-component work array; the hook never returns it.
+    Node arrays are the largest components on either boundary policy."""
+
+    def __init__(self, grid: Grid3):
+        self.grid, self.flat = grid, None
+
+    def __call__(self, kind: str) -> dict:
+        """out= and work= for an operator onto `kind`."""
+        # every part starts on a 64-byte cache line: unaligned parts made the
+        # 64^3 Maxwell step about 7% slower
+        node = _lines(math.prod(self.grid.scalar_shape("node")))
+        if self.flat is None:
+            self.flat = np.empty(5 * node + 8)
+        start = (-self.flat.ctypes.data // 8) % 8
+        out = [self.flat[start + i * node:start + i * node + math.prod(shape)].reshape(shape)
+               for i, shape in enumerate(self.grid._shapes(kind))]
+        return {"out": _as_field(out), "work": self.flat[start + 3 * node:start + 5 * node]}
 
 
 def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
@@ -95,6 +135,11 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
 
     In the core's sign convention (df/dt = -A* g, dg/dt = A f) that makes
     A = (A G .) on node scalars and A* = -(a^-1 D* .) on dual-face fields.
+
+    Its `update` hook forms D* v and G s in scratch it owns, skips a weight
+    that is exactly 1 and applies any other in place, and folds the sign of
+    A* into the update: s - dt * (-(a^-1 D* v)) is s + dt * a^-1 D* v, bit
+    for bit.
     """
 
     def apply_a(s):
@@ -103,7 +148,21 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     def apply_astar(v):
         return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
 
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar)
+    unit_a, unit_rows = star.is_unit("a"), star.is_unit("a_rows")
+    scratch = _Scratch(grid)
+
+    def update(x, y, dt, out, adjoint):
+        if adjoint:
+            term = div3_star(y, grid, **scratch("dual-cell"))
+            if not unit_a:
+                star_scalar_inverse(term, star, "node-to-dual-cell", out=term)
+        else:
+            term = grad3(y, grid, **scratch("edge"))
+            if not unit_rows:
+                star_matrix(term, star, "a", out=term)
+        return _scaled_into(x, term, dt, out, np.add)
+
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
 
 
 def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorPair:
@@ -111,6 +170,11 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
 
     eps acts in the A role of its star (edge -> dual face) and mu in the B
     role (dual edge -> face); only those halves of the two stars are used.
+
+    Its `update` hook forms R* H and R E in scratch it owns, skips a star
+    that is exactly 1 and applies any other in place, and folds the signs
+    into the update: E - dt * (-(eps^-1 R* H)) is E + dt * eps^-1 R* H, and
+    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.
     """
 
     def apply_a(e):
@@ -119,7 +183,21 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     def apply_astar(h):
         return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
 
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar)
+    unit_eps, unit_mu = eps_star.is_unit("a_inv_rows"), mu_star.is_unit("b_inv_rows")
+    scratch = _Scratch(grid)
+
+    def update(x, y, dt, out, adjoint):
+        if adjoint:
+            term = curl3_star(y, grid, **scratch("dual-face"))
+            if not unit_eps:
+                star_matrix(term, eps_star, "a", inverse=True, out=term)
+            return _scaled_into(x, term, dt, out, np.add)
+        term = curl3(y, grid, **scratch("face"))
+        if not unit_mu:
+            star_matrix(term, mu_star, "b", inverse=True, out=term)
+        return _scaled_into(x, term, dt, out, np.subtract)
+
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
 
 
 def scalar_wave_system(star: Star3, grid: Grid3):
@@ -327,6 +405,11 @@ def suggest_dt(
         s_max = 1.0 / math.sqrt(low)
     else:
         raise ValueError(f"unknown system {system!r}")
+    return _stable_dt(grid, safety, s_max)
+
+
+def _stable_dt(grid: Grid3, safety: float, s_max: float = 1.0) -> float:
+    """safety * 2 / N with N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2)."""
     stencil = 2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings))
     return safety * 2.0 / (s_max * stencil)
 
@@ -527,17 +610,27 @@ def te_cavity_h(grid: Grid3, t: float) -> VectorField3:
 # ---------------------------------------------------------------------------
 
 
+def cavity_steps(n: int, t_final: float, safety: float = 0.9) -> int:
+    """Steps of a cavity-mode march on the pinned unit cube of n cells per
+    axis: ceil(t_final / dt_max) with dt_max from `suggest_dt`.  The modes
+    use unit materials, whose wave speed bound is exactly 1 for the scalar
+    wave and for Maxwell alike, so the bound needs no sampled star."""
+    if safety <= 0:
+        raise ValueError(f"safety factor must be positive, got {safety}")
+    return math.ceil(t_final / _stable_dt(Grid3.cube(int(n), 1.0, boundary="pinned"), safety))
+
+
 def scalar_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: float = 0.9):
     """Max-norm error of s against the cavity mode, one pinned cube per size.
 
-    dt is picked from `suggest_dt` per grid, so space and time refine
-    together; returns [(dx, error), ...] ready for order estimation.
+    The step count comes from `cavity_steps` per grid, so space and time
+    refine together; returns [(dx, error), ...] ready for order estimation.
     """
     out = []
     for n in sizes:
         grid = Grid3.cube(int(n), 1.0, boundary="pinned")
         star = Star3.trivial(grid)
-        nt = math.ceil(t_final / suggest_dt(star, grid, safety))
+        nt = cavity_steps(n, t_final, safety)
         dt = t_final / nt
         s0 = cavity_mode_s(grid, 0.0)
         v_half = scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
@@ -553,7 +646,7 @@ def maxwell_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: floa
     for n in sizes:
         grid = Grid3.cube(int(n), 1.0, boundary="pinned")
         star = Star3.trivial(grid)
-        nt = math.ceil(t_final / suggest_dt(star, grid, safety, system="maxwell"))
+        nt = cavity_steps(n, t_final, safety)
         dt = t_final / nt
         e0 = te_cavity_e(grid, 0.0)
         h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)

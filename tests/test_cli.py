@@ -255,6 +255,24 @@ class TestExperimentCommands:
             (["convergence-table", "--case", "wave2d-mode", "--final", "1e308", "--jobs", "2"],
              "--final"),
             (["convergence-table", "--case", "bump-p2-q2", "--final", "1e308"], "--final"),
+            # finite CFL step counts above cli.MAX_CFL_STEPS
+            (["wave1d", "--t-final", "1e300"], "--t-final"),
+            (["wave1d", "--case", "vmp", "--t-final", "1e300"], "--t-final"),
+            (["wave1d-convergence", "--case", "cmp", "--final", "1e300", "--k", "4..5"],
+             "--final"),
+            (["wave1d-convergence", "--case", "bump-p2-q2", "--final", "1e300", "--k", "4..5"],
+             "--final"),
+            (["wave1d-convergence", "--case", "cmp", "--f", "200", "--k", "4..5"], "--f"),
+            (["convergence-table", "--case", "bump-p2-q2", "--f", "200", "--jobs", "2"], "--f"),
+            (["wave2d", "--t-final", "1e300"], "--t-final"),
+            (["wave3d", "--grid", "4", "--t-final", "1e300"], "--t-final"),
+            (["maxwell", "--grid", "4", "--t-final", "1e12"], "--t-final"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "1e12"],
+             "--final"),
+            (["convergence-table", "--case", "wave3d-cavity", "--k", "2..3", "--final", "1e300",
+              "--jobs", "2"], "--final"),
+            (["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--final", "1e12"],
+             "--final"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):

@@ -270,3 +270,140 @@ def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, in
     inner = counts.pop("inner3", 0)
     assert sum(counts.values()) == 5 * ops_per_step
     assert inner == 5 * inner3_per_step
+
+
+# ---------------------------------------------------------------------------
+# the in-place unrecorded step of the 3D pairs
+# ---------------------------------------------------------------------------
+
+
+def _diag(grid, scale):
+    return Star3.from_diagonals(grid, 1.5 * scale, 2.0 * scale, (2.0, 3.0, 4.0),
+                                (1.5, 2.5, 3.5))
+
+
+# star choices: unit, diagonal, and for Maxwell a unit star on one side only
+INPLACE_STARS = {
+    "unit": lambda grid: (Star3.trivial(grid), Star3.trivial(grid)),
+    "diagonal": lambda grid: (_diag(grid, 1.0), _diag(grid, 1.3)),
+    "unit-eps": lambda grid: (Star3.trivial(grid), _diag(grid, 1.0)),
+    "unit-mu": lambda grid: (_diag(grid, 1.0), Star3.trivial(grid)),
+}
+INPLACE_CASES = [
+    (system, boundary, stars)
+    for system in ("wave3d-scalar", "maxwell")
+    for boundary in ("pinned", "periodic")
+    for stars in INPLACE_STARS
+    if system == "maxwell" or stars in ("unit", "diagonal")
+]
+
+
+def _inplace_case(system, boundary, stars, rng):
+    """(system, f0, g_half0, dt, stars) on a 4 x 5 x 3 box with random start
+    data; the scalar wave uses the first star."""
+    grid = Grid3(1.0, 1.2, 0.8, 4, 5, 3, boundary=boundary)
+    eps, mu = INPLACE_STARS[stars](grid)
+    if system == "maxwell":
+        sys3 = wave3d.maxwell_system(eps, mu, grid)
+        dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
+        f0 = mimetic3d.random_field(grid, "edge", rng)
+        if boundary == "pinned":
+            f0 = wave3d.pin_tangential_boundary(f0)
+        return sys3, f0, mimetic3d.random_field(grid, "dual-edge", rng), dt, (eps, mu)
+    sys3 = wave3d.scalar_wave_system(eps, grid)
+    dt = wave3d.suggest_dt(eps, grid, 0.8)
+    f0 = mimetic3d.random_field(grid, "node", rng)
+    if boundary == "pinned":
+        f0 = wave3d.pin_scalar_boundary(f0)
+    return sys3, f0, mimetic3d.random_field(grid, "dual-face", rng), dt, (eps, mu)
+
+
+@pytest.mark.parametrize("record_every", [0, 1, 3])
+@pytest.mark.parametrize("system, boundary, stars", INPLACE_CASES)
+def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_every):
+    (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case(system, boundary, stars,
+                                                            np.random.default_rng(31))
+    assert ops.update is not None
+    kept = [c.copy() for c in _parts(f0) + _parts(g0)]
+    state, records = run_system(f0, None, ops, dt, 12, inner_X, inner_Y, g_half0=g0,
+                                record_every=record_every)
+    # the caller's start data is never written
+    assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
+    # a loop of allocating steps (no hook) gives the same bits
+    ref = SystemState(f=f0, g_half=g0, dt=dt)
+    for _ in range(12):
+        ref = system_step(ref, ops)
+    for got, want in ((state.f, ref.f), (state.g_half, ref.g_half),
+                      (state.f_prev, ref.f_prev), (state.g_prev_half, ref.g_prev_half)):
+        assert _same(got, want)
+    # and so does the engine on the pair without its hook, records included
+    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, 12, inner_X,
+                                    inner_Y, g_half0=g0, record_every=record_every)
+    assert _same(state.f, bare.f) and _same(state.g_half, bare.g_half)
+    assert records == bare_records
+    assert len(records) == (12 // record_every if record_every else 0)
+
+
+def test_in_place_run_reuses_the_retired_history():
+    (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case("maxwell", "pinned", "unit",
+                                                            np.random.default_rng(32))
+    seen = []
+
+    def watch(x, y, dt, out, adjoint):
+        seen.append(out)
+        return ops.update(x, y, dt, out, adjoint)
+
+    state, _ = run_system(f0, None, replace(ops, update=watch), dt, 6, inner_X, inner_Y,
+                          g_half0=g0, record_every=0)
+    # steps 1 and 2 make fresh fields; from step 3 each writes into the
+    # buffers of the step before last, so only four fields ever exist
+    assert seen[:4] == [None] * 4
+    made = {id(c) for out in seen[4:] for c in _parts(out)}
+    assert made == {id(c) for c in _parts(state.f) + _parts(state.g_half)
+                    + _parts(state.f_prev) + _parts(state.g_prev_half)}
+
+
+def _peak_bytes(ops, f0, g0, dt, n_steps):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        run_system(f0, None, ops, dt, n_steps, g_half0=g0, record_every=0)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_steady_unrecorded_maxwell_steps_allocate_no_field():
+    grid = Grid3.cube(64, 1.0, boundary="pinned")
+    star = Star3.trivial(grid)
+    ops, _, _ = wave3d.maxwell_system(star, star, grid)
+    f0 = wave3d.te_cavity_e(grid, 0.0)
+    dt = wave3d.suggest_dt(star, grid, 0.9, system="maxwell")
+    g0 = wave3d.maxwell_init_h(f0, mimetic3d.zeros_field(grid, "dual-edge"), star, star,
+                               grid, dt)
+    component = f0.x.nbytes
+    run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch
+    # the first two steps make the run's own history; 20 more may add only
+    # numpy's fixed-size iteration buffers for strided operands, not a field
+    grown = _peak_bytes(ops, f0, g0, dt, 22) - _peak_bytes(ops, f0, g0, dt, 2)
+    assert grown < component
+    # the measure sees the allocating step: one more live field from step 3
+    bare = replace(ops, update=None)
+    assert _peak_bytes(bare, f0, g0, dt, 22) - _peak_bytes(bare, f0, g0, dt, 2) > component
+
+
+@pytest.mark.parametrize(
+    "stars, ops_per_step, stars_per_step",
+    [("unit", 2, 0), ("unit-eps", 3, 1), ("unit-mu", 3, 1), ("diagonal", 4, 2)],
+)
+def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, ops_per_step,
+                                                  stars_per_step):
+    _, f0, g0, dt, (eps, mu) = _inplace_case("maxwell", "pinned", stars,
+                                             np.random.default_rng(3))
+    counts = Counter()
+    _count_3d_calls(monkeypatch, counts)
+    wave3d.run_maxwell(eps.grid, eps, mu, f0, g0, dt, 5, record_every=0)
+    counts.pop("inner3", 0)
+    assert sum(counts.values()) == 5 * ops_per_step
+    assert counts["star_matrix"] == 5 * stars_per_step

@@ -422,6 +422,24 @@ class TestOperatorBits:
             assert [c.shape for c in got] == [c.shape for c in want]
             assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
+    @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
+    @pytest.mark.parametrize("name", list(BIT_CASES))
+    def test_power_of_two_spacings_equal_the_hand_indexed_formula(self, name, boundary):
+        # spacings 0.5, 0.125 and 2: the operators multiply by the exact
+        # reciprocal, and the bits must still be those of the division
+        op, ref, kind = BIT_CASES[name]
+        g = Grid3(1.5, 0.5, 10.0, 3, 4, 5, boundary=boundary)
+        rng = np.random.default_rng(14)
+        for _ in range(3):
+            f = random_input(g, kind, rng)
+            f_big = random_input(g, kind, rng)
+            for part in comps(f_big):
+                part *= 1e307  # some scaled differences overflow to inf
+            for x in (f, f_big):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got, want = comps(op(x, g)), comps(ref(x, g))
+                assert all(np.array_equal(a, b, equal_nan=True) for a, b in zip(got, want))
+
     @pytest.mark.parametrize(
         "op, in_kind, out_kind",
         [
