@@ -42,12 +42,13 @@ time stepper never updates.
 
 from __future__ import annotations
 
-import math
 import struct
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+
+from .core import divide_in_place
 
 BOUNDARIES = ("periodic", "pinned")
 
@@ -264,6 +265,22 @@ def _sample(grid: Grid3, pattern: str, fn) -> np.ndarray:
     return vals
 
 
+def _weight(grid: Grid3, pattern: str, value) -> np.ndarray:
+    """A star weight at the points of one pattern: a function sampled, or a
+    constant held as one read-only broadcast view of its value."""
+    if callable(value):
+        return _sample(grid, pattern, value)
+    return np.broadcast_to(float(value), grid._pattern_shape(pattern))
+
+
+def _reciprocal(w: np.ndarray) -> np.ndarray:
+    """1 / w; the reciprocal of a constant weight (a view with all strides
+    0) is taken on its one value and stays one broadcast view."""
+    if not any(w.strides):
+        return np.broadcast_to(1.0 / w.flat[0], w.shape)
+    return 1.0 / w
+
+
 def sample_scalar(grid: Grid3, kind: str, fn) -> np.ndarray:
     """Sample a function (or constant) at the points of a scalar kind."""
     return _sample(grid, _patterns(kind, SCALAR_KINDS)[0], fn)
@@ -332,18 +349,6 @@ _HI, _LO = slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
-def _divide(out, delta: float):
-    """out /= delta, in place.  A power-of-two spacing has an exact
-    reciprocal, and x * (1/delta) rounds the same real number as x / delta,
-    so multiplying gives the same bits; numpy multiplies about twice as fast
-    as it divides."""
-    inverse = 1.0 / delta
-    if math.frexp(delta)[0] == 0.5 and math.isfinite(inverse):
-        np.multiply(out, inverse, out=out)
-    else:
-        np.true_divide(out, delta, out=out)
-
-
 def _fwd(arr, axis: int, grid: Grid3, out, pattern: str):
     """out <- forward difference along one axis (node-aligned to half-shifted).
     On periodic grids the last plane wraps round to the first."""
@@ -353,7 +358,7 @@ def _fwd(arr, axis: int, grid: Grid3, out, pattern: str):
     if periodic:
         np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
                     out=out[_along(axis, _LAST)])
-    _divide(out, grid.spacings[axis])
+    divide_in_place(out, grid.spacings[axis])
 
 
 def _bwd(arr, axis: int, grid: Grid3, out, pattern: str):
@@ -369,7 +374,7 @@ def _bwd(arr, axis: int, grid: Grid3, out, pattern: str):
         cut[axis] = slice(None)
         arr = arr[tuple(cut)]
         np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out)
-    _divide(out, grid.spacings[axis])
+    divide_in_place(out, grid.spacings[axis])
 
 
 def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add,
@@ -572,19 +577,19 @@ class Star3:
 
     @classmethod
     def _build(cls, grid, mode, a, b, diag_a, diag_b):
-        a_s = sample_scalar(grid, "node", a)
-        b_s = sample_scalar(grid, "cell", b)
-        diags_a = sample_vector(grid, "edge", diag_a).components
-        diags_b = sample_vector(grid, "face", diag_b).components
+        a_s = _weight(grid, _PATTERNS["node"][0], a)
+        b_s = _weight(grid, _PATTERNS["cell"][0], b)
         a_rows, a_inv = [], []
         b_rows, b_inv = [], []
-        for r, (da, db) in enumerate(zip(diags_a, diags_b)):
+        for r in range(3):
+            da = _weight(grid, _PATTERNS["edge"][r], diag_a[r])
+            db = _weight(grid, _PATTERNS["face"][r], diag_b[r])
             if np.any(da <= 0) or np.any(db <= 0):
                 raise ValueError("diagonal star entries must be positive")
             a_rows.append(tuple(da if c == r else None for c in range(3)))
-            a_inv.append(tuple(1.0 / da if c == r else None for c in range(3)))
+            a_inv.append(tuple(_reciprocal(da) if c == r else None for c in range(3)))
             b_rows.append(tuple(db if c == r else None for c in range(3)))
-            b_inv.append(tuple(1.0 / db if c == r else None for c in range(3)))
+            b_inv.append(tuple(_reciprocal(db) if c == r else None for c in range(3)))
         return cls(
             grid, mode, a_s, b_s, tuple(a_rows), tuple(a_inv), tuple(b_rows), tuple(b_inv)
         )

@@ -29,6 +29,7 @@ from .core import (
     SystemState,
     conserved_full,
     conserved_half_step,
+    divide_in_place,
     init_g_half,
     run_system,
     system_step,
@@ -149,14 +150,52 @@ def div1(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
+def _update_hook(dx: float, weigh_u, weigh_v):
+    """The in-place `update` of a pair with A = W_v grad1 and A* = -W_u div1.
+
+    `weigh_u`/`weigh_v` apply a material weight to a work array in place,
+    with the arithmetic of the allocating expression; None marks a weight of
+    exactly 1, which changes no bit and is skipped.  The difference is formed
+    in a work array the hook owns, scaled in place, and added into `out`:
+    the sign of A* is folded into the add, since x - dt * (-t) is x + dt * t
+    bit for bit.  The two pinned ends of a u update get a zero difference,
+    weighted and scaled like the interior, as div1's zero rim is.
+    """
+    work = {}  # one array per update, made on first use
+
+    def update(x, y, dt, out, adjoint):
+        w = work.get(adjoint)
+        if w is None:
+            w = work[adjoint] = np.empty(x.shape)
+        if adjoint:
+            w[0] = w[-1] = 0.0
+            inner, weigh = w[1:-1], weigh_u
+        else:
+            inner, weigh = w, weigh_v
+        np.subtract(y[1:], y[:-1], out=inner)
+        divide_in_place(inner, dx)
+        if weigh is not None:
+            weigh(w)
+        np.multiply(w, dt, out=w)
+        return np.add(x, w, out=out)
+
+    return update
+
+
 def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
-    """Constant-material operators: A = c*grad1, A* = -c*div1."""
+    """Constant-material operators: A = c*grad1, A* = -c*div1.
+
+    Its `update` hook multiplies by c, and skips a c of exactly 1.0:
+    -c * d is -(c * d) bit for bit, so the sign folds into the add.
+    """
     dx = grid.dx
+    weigh = None if c == 1.0 else (lambda w: np.multiply(c, w, out=w))
     return OperatorPair(
         apply_A=lambda u: c * grad1(u, dx),
         apply_Astar=lambda v: -c * div1(v, dx),
         norm_bound_A=2.0 * abs(c) / dx,
         norm_bound_Astar=2.0 * abs(c) / dx,
+        update=_update_hook(dx, weigh, weigh),
     )
 
 
@@ -164,7 +203,9 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
     """Variable-material operators: A = tau*grad1, A* = -div1/rho.
 
     Adjoint with respect to the rho/tau weighted inner products below;
-    the norm bound uses the maximum wave speed estimate.
+    the norm bound uses the maximum wave speed estimate.  Its `update` hook
+    divides by rho and multiplies by tau in place, each skipped where it is
+    exactly 1.0 everywhere.
     """
     dx = grid.dx
     rho, tau = materials.rho, materials.tau
@@ -174,6 +215,11 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
         apply_Astar=lambda v: -div1(v, dx) / rho,
         norm_bound_A=bound,
         norm_bound_Astar=bound,
+        update=_update_hook(
+            dx,
+            None if np.all(rho == 1.0) else (lambda w: np.true_divide(w, rho, out=w)),
+            None if np.all(tau == 1.0) else (lambda w: np.multiply(tau, w, out=w)),
+        ),
     )
 
 

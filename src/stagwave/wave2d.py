@@ -51,6 +51,7 @@ from .core import (
     SystemState,
     conserved_full,
     conserved_half_step,
+    divide_in_place,
     init_g_half,
     run_system,
     system_step,
@@ -68,6 +69,8 @@ _AXIS_TAGS = {
     "txd": ("i", "c"), "tyd": ("c", "i"),
     "nxd": ("c", "i"), "nyd": ("i", "c"),
 }
+# samples per axis of each tag, beyond the axis' cell count
+_TAG_EXTRA = {"n": 1, "c": 0, "i": -1}
 
 
 @dataclass(frozen=True)
@@ -112,7 +115,7 @@ class Grid2:
             tx, ty = _AXIS_TAGS[kind]
         except KeyError:
             raise ValueError(f"unknown field kind {kind!r}") from None
-        return (self._axis(0, tx).size, self._axis(1, ty).size)
+        return (self.nx + _TAG_EXTRA[tx], self.ny + _TAG_EXTRA[ty])
 
     def points(self, kind: str) -> tuple:
         """Meshgrid (X, Y) of a kind's sample locations, 'ij' indexed."""
@@ -321,8 +324,62 @@ def wave2d_system(star: Star2, grid: Grid2):
         apply_Astar=lambda v: -star2(div2d(v, grid), star.a, "dual-cell-to-node"),
         norm_bound_A=bound,
         norm_bound_Astar=bound,
+        update=_update_hook(star, grid),
     )
     return ops, inner_u, inner_v
+
+
+def _update_hook(star: Star2, grid: Grid2):
+    """The in-place `update` of the 2D pair.
+
+    A u update forms D* v in a node array the hook owns: the x difference
+    in its interior, the y difference in a second work array, their sum
+    divided by a unless a is exactly 1.0.  Its rim is zeroed on every call,
+    as star2's "dual-cell-to-node" fill makes it, and scaled with the
+    interior, so the pinned ring gets the allocating expression's
+    arithmetic, signed zeros included.  The sign of A* folds into the add:
+    u - dt * (-t) is u + dt * t, bit for bit.
+    A v update differences only the rows and columns that star2's
+    "tangent-to-dual-normal" keeps, and multiplies by a11/a22 unless it is
+    exactly 1.0.
+    """
+    dx, dy = grid.dx, grid.dy
+    a, (a11, a22) = star.a, star.diag
+    work = []  # fp, gd, nxd and nyd work arrays, made on first use
+
+    def update(x, y, dt, out, adjoint):
+        if not work:
+            work.extend(np.empty(grid.shape(kind)) for kind in ("fp", "gd", "nxd", "nyd"))
+        node, gd, wx, wy = work
+        if adjoint:
+            vx, vy = y
+            inner = node[1:-1, 1:-1]
+            np.subtract(vx[1:], vx[:-1], out=inner)
+            divide_in_place(inner, dx)
+            np.subtract(vy[:, 1:], vy[:, :-1], out=gd)
+            divide_in_place(gd, dy)
+            np.add(inner, gd, out=inner)
+            if a != 1.0:
+                np.true_divide(inner, a, out=inner)
+            node[0] = node[-1] = 0.0
+            node[:, 0] = node[:, -1] = 0.0
+            np.multiply(node, dt, out=node)
+            return np.add(x, node, out=out)
+        outs = (None, None) if out is None else out
+        new = []
+        for w, lo, hi, h, weight, xr, o in (
+            (wx, y[:-1, 1:-1], y[1:, 1:-1], dx, a11, x[0], outs[0]),
+            (wy, y[1:-1, :-1], y[1:-1, 1:], dy, a22, x[1], outs[1]),
+        ):
+            np.subtract(hi, lo, out=w)
+            divide_in_place(w, h)
+            if weight != 1.0:
+                np.multiply(weight, w, out=w)
+            np.multiply(w, dt, out=w)
+            new.append(np.add(xr, w, out=o))
+        return out if out is not None else VectorField2(*new)
+
+    return update
 
 
 def _core_state(state: WaveState2D, dt: float) -> SystemState:

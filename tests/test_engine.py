@@ -407,3 +407,135 @@ def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, ops_per_st
     counts.pop("inner3", 0)
     assert sum(counts.values()) == 5 * ops_per_step
     assert counts["star_matrix"] == 5 * stars_per_step
+
+
+# ---------------------------------------------------------------------------
+# the in-place unrecorded step of the 1D and 2D pairs
+# ---------------------------------------------------------------------------
+
+# pair builders on a grid of the given size: 1D cmp/vmp and 2D, each with
+# unit and non-unit materials (a negative c for cmp, rough rho and tau for vmp)
+LOWDIM_PAIRS = {
+    "cmp-unit": lambda g: wave1d.cmp_system(1.0, g),
+    "cmp": lambda g: wave1d.cmp_system(1.7, g),
+    "cmp-negative": lambda g: wave1d.cmp_system(-1.3, g),
+    "vmp-unit": lambda g: wave1d.vmp_system(
+        wave1d.Materials1D.from_profiles(g, wave1d.ONE, wave1d.ONE), g),
+    "vmp-rough": lambda g: wave1d.vmp_system(wave1d.Materials1D.from_profiles(
+        g, wave1d.jump_profile(0.5), wave1d.piecewise_linear_profile()), g),
+    "vmp-smooth-rho": lambda g: wave1d.vmp_system(wave1d.Materials1D.from_profiles(
+        g, wave1d.bump_profile(2), wave1d.ONE), g),
+    "wave2d-unit": lambda g: wave2d.wave2d_system(wave2d.Star2(), g),
+    "wave2d": lambda g: wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0), g),
+    "wave2d-a22-only": lambda g: wave2d.wave2d_system(wave2d.Star2(a=1.0, a11=1.0, a22=0.7), g),
+}
+
+
+def _lowdim_case(name, n, rng):
+    """(system, f0, g_half0, dt) with random start data whose first pinned
+    value is -0.0, on n points (1D) or n x n cells (2D).  The spacing is a
+    power of two, which divides by its exact reciprocal, for n = 17 in 1D
+    and n = 8 in 2D."""
+    if name.startswith("wave2d"):
+        grid = wave2d.Grid2(n, n)
+        system = LOWDIM_PAIRS[name](grid)
+        dt = 0.8 * 2.0 / system[0].norm_bound_A
+        f0 = np.zeros(grid.shape("fp"))
+        f0[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
+        f0[0, 0] = -0.0
+        g0 = wave2d.VectorField2(rng.standard_normal(grid.shape("nxd")),
+                                 rng.standard_normal(grid.shape("nyd")))
+        return system, f0, g0, dt
+    grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n, t_final=1.0, nt=1)
+    system = LOWDIM_PAIRS[name](grid)
+    f0 = rng.standard_normal(n)
+    f0[0], f0[-1] = -0.0, 0.0
+    return system, f0, rng.standard_normal(n - 1), 0.8 * 2.0 / system[0].norm_bound_A
+
+
+@pytest.mark.parametrize("record_every", [0, 1, 3])
+@pytest.mark.parametrize("n", [8, 17])
+@pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
+def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
+    (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(41))
+    assert ops.update is not None
+    kept = [c.copy() for c in _parts(f0) + _parts(g0)]
+    state, records = run_system(f0, None, ops, dt, 12, inner_X, inner_Y, g_half0=g0,
+                                record_every=record_every)
+    # the caller's start data is never written, its -0.0 included
+    assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
+    assert np.signbit(f0.flat[0])
+    ref = SystemState(f=f0, g_half=g0, dt=dt)
+    for _ in range(12):
+        ref = system_step(ref, ops)
+    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, 12, inner_X,
+                                    inner_Y, g_half0=g0, record_every=record_every)
+    for want in (ref, bare):
+        for got, exp in ((state.f, want.f), (state.g_half, want.g_half),
+                         (state.f_prev, want.f_prev), (state.g_prev_half, want.g_prev_half)):
+            assert _same(got, exp)
+        # the pinned rim has the allocating path's signed zeros
+        assert np.array_equal(np.signbit(state.f), np.signbit(want.f))
+    assert records == bare_records
+    assert len(records) == (12 // record_every if record_every else 0)
+
+
+@pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
+def test_in_place_low_dim_run_backward_in_time_keeps_the_rim_bits(name):
+    # with dt < 0 the rim term dt * 0.0 is -0.0, so a rim left over from the
+    # step before, rather than zeroed again, would flip the sign of a -0.0 end
+    (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, 8, np.random.default_rng(47))
+    state, _ = run_system(f0, None, ops, -dt, 6, inner_X, inner_Y, g_half0=g0, record_every=0)
+    bare, _ = run_system(f0, None, replace(ops, update=None), -dt, 6, inner_X, inner_Y,
+                         g_half0=g0, record_every=0)
+    for got, want in zip(_parts(state.f) + _parts(state.g_half),
+                         _parts(bare.f) + _parts(bare.g_half)):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("name, n", [("cmp", 2049), ("vmp-rough", 2049), ("wave2d", 256)])
+def test_steady_unrecorded_low_dim_steps_allocate_no_field(name, n):
+    (ops, _, _), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(43))
+    field = f0.nbytes
+    run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its work arrays
+    # the first two steps make the run's own history; 20 more add no field
+    grown = _peak_bytes(ops, f0, g0, dt, 22) - _peak_bytes(ops, f0, g0, dt, 2)
+    assert grown < field
+    # the measure sees the allocating step: one more live field from step 3
+    bare = replace(ops, update=None)
+    assert _peak_bytes(bare, f0, g0, dt, 22) - _peak_bytes(bare, f0, g0, dt, 2) > field
+
+
+class _ScalarOperands:
+    """numpy as `wave2d` sees it, with the Python-float operands of every
+    multiply and divide counted."""
+
+    def __init__(self, counts):
+        self.counts = counts
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def _count(self, fn, args, kwargs):
+        self.counts.update(a for a in args if isinstance(a, float))
+        return fn(*args, **kwargs)
+
+    def multiply(self, *args, **kwargs):
+        return self._count(np.multiply, args, kwargs)
+
+    def true_divide(self, *args, **kwargs):
+        return self._count(np.true_divide, args, kwargs)
+
+
+@pytest.mark.parametrize(
+    "name, star_operands",
+    [("wave2d-unit", {}), ("wave2d-a22-only", {0.7: 1}), ("wave2d", {2.0: 1, 1.5: 1, 3.0: 1})],
+)
+def test_unrecorded_wave2d_step_skips_unit_stars(monkeypatch, name, star_operands):
+    (ops, _, _), f0, g0, dt = _lowdim_case(name, 7, np.random.default_rng(3))
+    counts = Counter()
+    monkeypatch.setattr(wave2d, "np", _ScalarOperands(counts))
+    run_system(f0, None, ops, dt, 5, g_half0=g0, record_every=0)
+    # three dt scalings a step (u, vx, vy); the rest are star weights
+    assert counts.pop(dt) == 5 * 3
+    assert counts == {w: 5 * k for w, k in star_operands.items()}

@@ -849,3 +849,60 @@ class TestSnapshots:
         g = Grid3.cube(3)
         with pytest.raises(ValueError, match="kind"):
             dump_field_snapshot(tmp_path / "x", np.zeros((3, 3, 3)), "corner", g)
+
+
+# ---------------------------------------------------------------------------
+# constant star weights
+# ---------------------------------------------------------------------------
+
+
+def _as_functions(a, b, diag_a, diag_b):
+    """The same constants as functions, which Star3 samples into full arrays."""
+    def const(c):
+        return lambda x, y, z: np.full_like(x, c)
+
+    return const(a), const(b), tuple(map(const, diag_a)), tuple(map(const, diag_b))
+
+
+CONSTANT_STARS = {
+    "unit": (1.0, 1.0, (1.0,) * 3, (1.0,) * 3),
+    "scalar": (2.0, 1.5, (3.0,) * 3, (2.5,) * 3),
+    "diagonal": (1.5, 2.0, (2.0, 3.0, 0.3), (1.5, 2.5, 3.5)),
+}
+
+
+class TestConstantStar:
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    @pytest.mark.parametrize("name", sorted(CONSTANT_STARS))
+    def test_constant_weights_are_views_with_the_bits_of_sampled_ones(self, name, boundary):
+        g = Grid3(1.0, 1.5, 0.75, 4, 5, 6, boundary=boundary)
+        st = Star3.from_diagonals(g, *CONSTANT_STARS[name])
+        ref = Star3.from_diagonals(g, *_as_functions(*CONSTANT_STARS[name]))
+        def arrays(star, w):
+            return [getattr(star, w)] if w in ("a", "b") else [getattr(star, w)[r][r]
+                                                               for r in range(3)]
+
+        for w in ["a", "b", "a_rows", "a_inv_rows", "b_rows", "b_inv_rows"]:
+            for arr, want in zip(arrays(st, w), arrays(ref, w)):
+                # one read-only value, not a copy per sample point
+                assert not any(arr.strides) and not arr.flags.writeable
+                assert arr.shape == want.shape and np.array_equal(arr, want)
+            assert st.is_unit(w) == ref.is_unit(w) == (name == "unit")
+        rng = np.random.default_rng(17)
+        for which in ("a", "b"):
+            in_kinds = {"a": ("edge", "dual-face"), "b": ("dual-edge", "face")}[which]
+            for inverse, kind in zip((False, True), in_kinds):
+                f = random_vector(g, kind, rng)
+                for got, want in zip(star_matrix(f, st, which, inverse).components,
+                                     star_matrix(f, ref, which, inverse).components):
+                    assert np.array_equal(got, want)
+        for direction, kind in (("node-to-dual-cell", "node"), ("dual-node-to-cell", "dual-node")):
+            s = rng.standard_normal(g.scalar_shape(kind))
+            weighted = star_scalar(s, st, direction)
+            assert np.array_equal(weighted, star_scalar(s, ref, direction))
+            assert np.array_equal(star_scalar_inverse(weighted, st, direction),
+                                  star_scalar_inverse(weighted, ref, direction))
+        for kind in SCALAR_KINDS + VECTOR_KINDS:
+            f, h = random_input(g, kind, rng), random_input(g, kind, rng)
+            assert inner3(kind, f, h, st, g) == inner3(kind, f, h, ref, g)
+        assert check_discrete_adjoints(st, g, trials=3) == check_discrete_adjoints(ref, g, trials=3)

@@ -523,3 +523,72 @@ class TestVAtFinalTime:
         assert ers[4] == pytest.approx(1.161718e-03, rel=1e-5)
         assert ers[5] == pytest.approx(2.887942e-04, rel=1e-5)
         assert 3.8 < ers[4] / ers[5] < 4.2
+
+
+def test_in_place_vmp_drift_grows_like_sqrt_of_steps():
+    """10^5 in-place steps over rough materials: both invariants drift by
+    less than c * sqrt(m) * eps over the m steps after the first record.
+
+    The bound follows Higham, *Accuracy and Stability of Numerical
+    Algorithms*, ch. 4: rounding errors that behave as independent random
+    variables accumulate like sqrt(m), not like m.  Write u = eps/2 for the
+    unit roundoff and s = dt * bound / 2 for the fraction of the CFL limit;
+    the analytic bound is at least ||A|| in the weighted norms, so s bounds
+    the true fraction.  All estimates are to first order in u.
+
+    * The whole-step invariant of z = (u_n, v_{n-1/2}) is
+      C = ||u||^2 + ||v||^2 + dt <v, A u>, a quadratic form H whose
+      eigenvalues in the weighted norm N lie in [1 - s, 1 + s]; the exact
+      step M keeps it.  The half-step invariant is the same with u and v
+      exchanged, so everything below holds for both.
+    * Each entry of an update term t = dt W (y[1:] - y[:-1]) / dx takes four
+      roundings (difference, spacing, material, dt) and the add one more.
+      So the computed u_{n+1} is the exact one plus e_u, with
+      |e_u| <= u |u_{n+1}| + 4u |t| entrywise, and ||t|| <= 2 s ||v||.  Every
+      field is a part of some state, of norm at most R = sqrt(C / (1 - s)),
+      so ||e_u||, ||e_v|| <= (1 + 8s) u R.  The v update reads the computed
+      u_{n+1}, so the step is M z + e with e = (e_u, dt A e_u + e_v) and
+      ||e||_N <= (2 + 2s)(1 + 8s) u R.
+    * C(M z + e) - C(M z) = 2 <M z, e>_H + ||e||_H^2 with
+      ||e||_H <= sqrt(1 + s) ||e||_N, so one step moves C by a relative
+      delta <= 2 sqrt((1 + s)/(1 - s)) (2 + 2s)(1 + 8s) u.
+    * Treating the m per-step changes as independent, of mean zero and at
+      most delta each, Hoeffding's inequality puts their sum above
+      6 delta sqrt(m) with probability below 2 exp(-18) = 3e-8.
+    * A recorded value adds its own evaluation error: each of the three
+      weighted sums of nx terms takes at most nx + 10 roundings, relative
+      to P1 + P2 + (dt/2)^2 P3 <= (1 + s^2)/(1 - s^2) C, so
+      eta <= (nx + 10) u (1 + s^2)/(1 - s^2).  Two records differ by at
+      most 2 eta from it, and m >= 1000 turns that into
+      2 eta sqrt(m) / sqrt(1000).
+
+    So c = (6 delta + 2 eta / sqrt(1000)) / eps; at s = 1/2 and nx = 33 it
+    is about 160, where a per-step drift of delta would reach
+    m delta ~ 2.6e6 eps at m = 10^5.
+    """
+    nx, n_steps, every = 33, 100_000, 1000
+    probe = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=1.0, nt=1)
+    mats = w1.Materials1D.from_profiles(probe, w1.jump_profile(0.5),
+                                        w1.piecewise_linear_profile())
+    bound = w1.vmp_operator_pair(mats, probe).norm_bound_A
+    grid = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=n_steps / bound, nt=n_steps)
+    ops, inner_X, inner_Y = w1.vmp_system(mats, grid)
+    assert ops.update is not None  # unrecorded steps run in place
+    rng = np.random.default_rng(61)
+    u0 = np.sin(np.pi * grid.primal_points()) + 0.1 * rng.standard_normal(nx)
+    u0[0] = u0[-1] = 0.0
+    _, records = core.run_system(u0, None, ops, grid.dt, n_steps, inner_X, inner_Y,
+                                 g_half0=rng.standard_normal(nx - 1), record_every=every)
+
+    eps = np.finfo(float).eps
+    unit = eps / 2
+    s = grid.dt * bound / 2
+    delta = 2 * np.sqrt((1 + s) / (1 - s)) * (2 + 2 * s) * (1 + 8 * s) * unit
+    eta = (nx + 10) * unit * (1 + s**2) / (1 - s**2)
+    c = (6 * delta + 2 * eta / np.sqrt(1000)) / eps
+    assert len(records) == n_steps // every
+    first = records[0]
+    for step, c_full, c_half in records[1:]:
+        allowed = c * np.sqrt(step - first[0]) * eps
+        assert abs(c_full - first[1]) / abs(first[1]) < allowed
+        assert abs(c_half - first[2]) / abs(first[2]) < allowed

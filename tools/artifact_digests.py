@@ -14,7 +14,8 @@ alters behaviour on purpose.
 
 The list covers the README examples (``convergence-table`` with ``--jobs 1``
 and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
-every convergence case including unordered ``--k`` levels, the benchmark's
+every convergence case including unordered ``--k`` levels and 1D sweeps over
+rough materials (a density jump, a piecewise stiffness), the benchmark's
 invocations with fixed draws, and the inputs that must end in a report with
 failed checks (exit 1) or a usage error (exit 2).
 """
@@ -65,6 +66,8 @@ MORE_RUNS = [
     ["convergence-table", "--case", "maxwell-cavity", "--k", "2..4"],
     ["convergence-table", "--case", "wave3d-cavity", "--k", "2..4", "--jobs", "2"],
     ["wave1d-convergence", "--case", "bump-p2-q2", "--k", "4..7"],
+    ["wave1d-convergence", "--case", "rho-jump-up", "--k", "4..7"],
+    ["wave1d-convergence", "--case", "tau-piecewise", "--k", "4..7"],
     ["wave1d-convergence", "--case", "cmp c=1.5", "--k", "7,4,5", "--init", "taylor"],
     ["wave1d-convergence", "--case", "cmp", "--k", "4..7", "--final", "half-period"],
     ["convergence-table", "--case", "cmp", "--k", "4..9", "--jobs", "1"],
