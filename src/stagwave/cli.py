@@ -63,6 +63,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import json
 import math
 import os
@@ -328,6 +329,10 @@ def parse_material_3d(name: str, system: str):
 # ---------------------------------------------------------------------------
 
 
+# cell types csv.writer formats as _cell does (repr for a float, str for an int)
+_PLAIN_CELLS = frozenset({float, int, str})
+
+
 def _cell(value) -> str:
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value))
@@ -358,7 +363,9 @@ class ArtifactWriter:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             for row in rows:
-                writer.writerow([_cell(v) for v in row])
+                if not _PLAIN_CELLS.issuperset(map(type, row)):
+                    row = [_cell(v) for v in row]
+                writer.writerow(row)
         self.paths[key] = str(path)
         return str(path)
 
@@ -1505,6 +1512,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _shared_parser() -> argparse.ArgumentParser:
+    """`build_parser()` made once per process: parsing leaves a parser as it
+    was, so every `main` call can share it."""
+    return build_parser()
+
+
 def _schema(command: str) -> dict:
     options = []
     for dest, flag, kwargs in _options(command):
@@ -1578,7 +1592,7 @@ def _config_argv(values: dict, given: argparse.Namespace) -> list:
 def main(argv=None) -> int:
     """Entry point; returns the exit code (0 pass, 1 failed check, 2 usage)."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _shared_parser()
     try:
         cfg = parser.parse_args(argv)
         if cfg.config:

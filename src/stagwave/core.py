@@ -28,8 +28,10 @@ step in place: from the third step on it writes f_{n+1} and g_{n+3/2} into
 the storage of the retired f_{n-1} and g_{n-1/2}, which earlier steps of the
 same run made.  It never writes into the caller's f0 or g_half0.  An `audit`
 callback must not keep references to the state's fields across steps: the
-next step but one overwrites them.  The hooks' difference kernels divide by
-their spacings through `divide_in_place`.
+next step but one overwrites them.  A hook whose differences share one
+power-of-two spacing h <= 1 folds the exact factor 1/h into the
+multiplication after them (`fold_spacing`); other hooks divide by their
+spacings through `divide_in_place`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +56,8 @@ __all__ = [
     "euclidean_inner",
     "run_system",
     "divide_in_place",
+    "SpacingFold",
+    "fold_spacing",
 ]
 
 
@@ -67,6 +71,57 @@ def divide_in_place(out, delta: float):
         np.multiply(out, inverse, out=out)
     else:
         np.true_divide(out, delta, out=out)
+
+
+class SpacingFold(NamedTuple):
+    """How an update hook applies the spacing h of its differences; see
+    `fold_spacing`.  `weight` is the weight to apply after the differences
+    (None: exactly 1, skipped), `dt_factor` the 1/h that a unit weight moves
+    into dt, and `divide` whether the differences are divided by h first."""
+
+    weight: Any
+    dt_factor: float | None
+    divide: bool
+
+    def scale(self, dt: float) -> tuple:
+        """(factor, divide) for one update: the factor that takes dt's place,
+        and whether to divide the differences by h.  dt * (1/h) is exact
+        where finite; past that, 1/h goes back onto the differences."""
+        if self.dt_factor is not None:
+            folded = dt * self.dt_factor
+            if math.isfinite(folded):
+                return folded, False
+        return dt, self.divide
+
+
+_TINY = float(np.finfo(float).tiny)
+
+
+def fold_spacing(spacings, weight=None, *, divides: bool = False) -> SpacingFold:
+    """Whether an update hook can move 1/h from its differences into the
+    multiplication that follows them, and the weight it then applies.
+
+    The spacings fold when they are one and the same power of two h <= 1.
+    Dividing a difference by such an h scales it by 2^k exactly, and scaling
+    by 2^k commutes with rounding, so the factor may move past the next
+    rounding without changing a bit wherever the scaled difference stays
+    finite.  A unit `weight` (None) then moves 1/h into dt; any other is
+    scaled once, to weight/h, or to weight*h when the hook divides by it
+    (`divides`).  With other spacings, or a scaled weight that would
+    overflow or go subnormal (inexact), the hook keeps the differences
+    divided by h and the weight as given.
+    """
+    h = spacings[0]
+    power_of_two = 0.0 < h <= 1.0 and math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h)
+    if not power_of_two or any(s != h for s in spacings):
+        return SpacingFold(weight, None, True)
+    if weight is None:
+        return SpacingFold(None, 1.0 / h, True)
+    scaled = weight * h if divides else weight * (1.0 / h)
+    size = np.abs(scaled)
+    if np.all(np.isfinite(size) & ((size >= _TINY) | (np.asarray(weight) == 0.0))):
+        return SpacingFold(scaled, None, False)
+    return SpacingFold(weight, None, True)
 
 
 def euclidean_inner(x, y) -> float:
@@ -87,7 +142,10 @@ class OperatorPair:
     x + dt * A(y) otherwise, with the bits of those expressions built from
     `apply_Astar`/`apply_A`, written into `out` (a fresh field when out is
     None).  `out` is never x or y, and the result holds no other storage of
-    the pair.
+    the pair.  One exception to the bits: a hook that folds a power-of-two
+    spacing h into the factor after its differences (`fold_spacing`) never
+    forms a difference times 1/h, so where that product overflows to inf
+    in the expression, the hook's update may stay finite.
     """
 
     apply_A: Callable[[Any], Any]

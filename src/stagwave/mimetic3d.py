@@ -349,22 +349,25 @@ _HI, _LO = slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 
-def _fwd(arr, axis: int, grid: Grid3, out, pattern: str):
-    """out <- forward difference along one axis (node-aligned to half-shifted).
-    On periodic grids the last plane wraps round to the first."""
+def _fwd(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
+    """out <- forward difference along one axis (node-aligned to half-shifted),
+    divided by the spacing when `scaled`.  On periodic grids the last plane
+    wraps round to the first."""
     periodic = grid.boundary == "periodic"
     np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)],
                 out=out[_along(axis, _LO)] if periodic else out)
     if periodic:
         np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
                     out=out[_along(axis, _LAST)])
-    divide_in_place(out, grid.spacings[axis])
+    if scaled:
+        divide_in_place(out, grid.spacings[axis])
 
 
-def _bwd(arr, axis: int, grid: Grid3, out, pattern: str):
-    """out <- backward difference along one axis onto the points of `pattern`;
-    on pinned grids onto its rim interior, cutting the input to that first.
-    On periodic grids the first plane wraps round to the last."""
+def _bwd(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
+    """out <- backward difference along one axis onto the points of `pattern`,
+    divided by the spacing when `scaled`; on pinned grids onto its rim
+    interior, cutting the input to that first.  On periodic grids the first
+    plane wraps round to the last."""
     if grid.boundary == "periodic":
         np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out[_along(axis, _HI)])
         np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
@@ -374,11 +377,12 @@ def _bwd(arr, axis: int, grid: Grid3, out, pattern: str):
         cut[axis] = slice(None)
         arr = arr[tuple(cut)]
         np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out)
-    divide_in_place(out, grid.spacings[axis])
+    if scaled:
+        divide_in_place(out, grid.spacings[axis])
 
 
 def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add,
-                out=None, work=None):
+                out=None, work=None, scaled=True):
     """A difference operator from its term table, one output component at a
     time.  Onto a dual kind it differences backward and obeys the rim rule,
     writing straight into the interior of a zero-rimmed output.
@@ -386,7 +390,8 @@ def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.ad
     `out`, a field of `out_kind`, receives the result in place of a fresh
     one.  `work`, a flat float array at least two output components long,
     each rounded up to a whole number of 8-entry cache lines, holds the terms
-    in place of temporaries.
+    in place of temporaries.  `scaled=False` leaves every difference
+    undivided by its spacing.
     """
     comps = _components(field, grid, in_kind, who)
     dual = out_kind.startswith("dual-")
@@ -407,12 +412,12 @@ def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.ad
         # a rimmed output's interior is strided, and arithmetic in place on it
         # runs at half speed, so its terms are formed in contiguous work
         first = _slot(work, 0, acc) if rim else acc
-        step(comps[c], axis, grid, first, pattern)
+        step(comps[c], axis, grid, first, pattern, scaled)
         if rim and not rest:
             acc[...] = first
         for c, axis in rest:
             term = _slot(work, rim, acc)
-            step(comps[c], axis, grid, term, pattern)
+            step(comps[c], axis, grid, term, pattern, scaled)
             combine(first, term, out=acc)
             first = acc
     return _as_field(outs)
@@ -430,47 +435,55 @@ def _lines(n: int) -> int:
     return -(-n // 8) * 8
 
 
-def grad3(s, grid: Grid3, out=None, work=None) -> VectorField3:
+def grad3(s, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     """Node scalar -> edge vector (forward differences to edge midpoints).
 
     Each of the six operators takes the same two optional buffers: `out`, a
     field of its output kind that receives the result, and `work`, a flat
     float array for the terms, at least two output components long with
-    each rounded up to a whole number of 8-entry cache lines.
+    each rounded up to a whole number of 8-entry cache lines.  With
+    `scaled=False` the differences are left undivided by their spacings: an
+    update hook on a cube with a power-of-two spacing h moves the exact 1/h
+    into its dt instead.
     """
-    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3", out=out, work=work)
+    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3", out=out, work=work,
+                       scaled=scaled)
 
 
-def curl3(t: VectorField3, grid: Grid3, out=None, work=None) -> VectorField3:
+def curl3(t: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     """Edge vector -> face vector."""
-    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract, out, work)
+    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract, out, work,
+                       scaled)
 
 
-def div3(n: VectorField3, grid: Grid3, out=None, work=None) -> np.ndarray:
+def div3(n: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> np.ndarray:
     """Face vector -> cell scalar."""
-    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3", out=out, work=work)
+    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3", out=out, work=work,
+                       scaled=scaled)
 
 
-def grad3_star(s_star, grid: Grid3, out=None, work=None) -> VectorField3:
+def grad3_star(s_star, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     """Dual node scalar (cell centers) -> dual edge vector (face points).
 
     On pinned grids the entries whose backward stencil would leave the box
     are zero-filled.
     """
     return _difference(s_star, grid, "dual-node", "dual-edge", _GRAD_TERMS, "grad3_star",
-                       out=out, work=work)
+                       out=out, work=work, scaled=scaled)
 
 
-def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None) -> VectorField3:
+def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None,
+               scaled=True) -> VectorField3:
     """Dual edge vector (face points) -> dual face vector (edge points)."""
     return _difference(t_star, grid, "dual-edge", "dual-face", _CURL_TERMS, "curl3_star",
-                       np.subtract, out, work)
+                       np.subtract, out, work, scaled)
 
 
-def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None) -> np.ndarray:
+def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None,
+              scaled=True) -> np.ndarray:
     """Dual face vector (edge points) -> dual cell scalar (nodes)."""
     return _difference(n_star, grid, "dual-face", "dual-cell", _DIV_TERMS, "div3_star",
-                       out=out, work=work)
+                       out=out, work=work, scaled=scaled)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ from .core import (
     conserved_full,
     conserved_half_step,
     divide_in_place,
+    fold_spacing,
     init_g_half,
     run_system,
     system_step,
@@ -150,34 +151,40 @@ def div1(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _update_hook(dx: float, weigh_u, weigh_v):
-    """The in-place `update` of a pair with A = W_v grad1 and A* = -W_u div1.
+def _update_hook(dx: float, u_weight, v_weight, *, u_divides: bool = False):
+    """The in-place `update` of a pair with A = v_weight grad1 and A* =
+    -div1 weighted by u_weight, which multiplies (cmp's c) or, with
+    `u_divides`, divides (vmp's rho); None marks a weight of exactly 1,
+    which changes no bit and is skipped.
 
-    `weigh_u`/`weigh_v` apply a material weight to a work array in place,
-    with the arithmetic of the allocating expression; None marks a weight of
-    exactly 1, which changes no bit and is skipped.  The difference is formed
-    in a work array the hook owns, scaled in place, and added into `out`:
-    the sign of A* is folded into the add, since x - dt * (-t) is x + dt * t
-    bit for bit.  The two pinned ends of a u update get a zero difference,
-    weighted and scaled like the interior, as div1's zero rim is.
+    The difference is formed in a work array the hook owns, weighted and
+    scaled in place, and added into `out`: the sign of A* is folded into the
+    add, since x - dt * (-t) is x + dt * t bit for bit.  The two pinned ends
+    of a u update get a zero difference, weighted and scaled like the
+    interior, as div1's zero rim is.  On a power-of-two dx the hook never
+    divides the difference: 1/dx rides on the weight, or on dt when the
+    weight is 1 (`fold_spacing`).
     """
-    work = {}  # one array per update, made on first use
+    sides = []  # v and u update: work array, its difference part, weighting ufunc, fold
 
     def update(x, y, dt, out, adjoint):
-        w = work.get(adjoint)
-        if w is None:
-            w = work[adjoint] = np.empty(x.shape)
+        if not sides:
+            n = x.shape[0] if adjoint else y.shape[0]  # primal points
+            w_v, w_u = np.empty(n - 1), np.empty(n)
+            sides.append((w_v, w_v, np.multiply, fold_spacing((dx,), v_weight)))
+            sides.append((w_u, w_u[1:-1], np.true_divide if u_divides else np.multiply,
+                          fold_spacing((dx,), u_weight, divides=u_divides)))
+        w, diff, weigh, fold = sides[adjoint]
+        scale, divide = fold.scale(dt)
+        np.subtract(y[1:], y[:-1], diff)
+        if divide:
+            divide_in_place(diff, dx)
         if adjoint:
             w[0] = w[-1] = 0.0
-            inner, weigh = w[1:-1], weigh_u
-        else:
-            inner, weigh = w, weigh_v
-        np.subtract(y[1:], y[:-1], out=inner)
-        divide_in_place(inner, dx)
-        if weigh is not None:
-            weigh(w)
-        np.multiply(w, dt, out=w)
-        return np.add(x, w, out=out)
+        if fold.weight is not None:
+            weigh(w, fold.weight, w)
+        np.multiply(w, scale, w)
+        return np.add(x, w, out)
 
     return update
 
@@ -185,17 +192,18 @@ def _update_hook(dx: float, weigh_u, weigh_v):
 def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
     """Constant-material operators: A = c*grad1, A* = -c*div1.
 
-    Its `update` hook multiplies by c, and skips a c of exactly 1.0:
-    -c * d is -(c * d) bit for bit, so the sign folds into the add.
+    Its `update` hook multiplies by c (by c/dx, scaled once, on a
+    power-of-two dx), and skips a c of exactly 1.0: -c * d is -(c * d) bit
+    for bit, so the sign folds into the add.
     """
     dx = grid.dx
-    weigh = None if c == 1.0 else (lambda w: np.multiply(c, w, out=w))
+    weight = None if c == 1.0 else c
     return OperatorPair(
         apply_A=lambda u: c * grad1(u, dx),
         apply_Astar=lambda v: -c * div1(v, dx),
         norm_bound_A=2.0 * abs(c) / dx,
         norm_bound_Astar=2.0 * abs(c) / dx,
-        update=_update_hook(dx, weigh, weigh),
+        update=_update_hook(dx, weight, weight),
     )
 
 
@@ -204,8 +212,8 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
 
     Adjoint with respect to the rho/tau weighted inner products below;
     the norm bound uses the maximum wave speed estimate.  Its `update` hook
-    divides by rho and multiplies by tau in place, each skipped where it is
-    exactly 1.0 everywhere.
+    divides by rho and multiplies by tau in place (by rho*dx and tau/dx on a
+    power-of-two dx), each skipped where it is exactly 1.0 everywhere.
     """
     dx = grid.dx
     rho, tau = materials.rho, materials.tau
@@ -215,11 +223,8 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
         apply_Astar=lambda v: -div1(v, dx) / rho,
         norm_bound_A=bound,
         norm_bound_Astar=bound,
-        update=_update_hook(
-            dx,
-            None if np.all(rho == 1.0) else (lambda w: np.true_divide(w, rho, out=w)),
-            None if np.all(tau == 1.0) else (lambda w: np.multiply(tau, w, out=w)),
-        ),
+        update=_update_hook(dx, None if np.all(rho == 1.0) else rho,
+                            None if np.all(tau == 1.0) else tau, u_divides=True),
     )
 
 

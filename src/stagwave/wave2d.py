@@ -52,6 +52,7 @@ from .core import (
     conserved_full,
     conserved_half_step,
     divide_in_place,
+    fold_spacing,
     init_g_half,
     run_system,
     system_step,
@@ -342,41 +343,52 @@ def _update_hook(star: Star2, grid: Grid2):
     A v update differences only the rows and columns that star2's
     "tangent-to-dual-normal" keeps, and multiplies by a11/a22 unless it is
     exactly 1.0.
+    Where the spacings of a difference are one power of two h (dx == dy for
+    the u update), the hook never divides it: 1/h rides on the weight (a*h,
+    a11/h, a22/h) or, for a weight of exactly 1.0, on dt (`fold_spacing`).
     """
     dx, dy = grid.dx, grid.dy
-    a, (a11, a22) = star.a, star.diag
-    work = []  # fp, gd, nxd and nyd work arrays, made on first use
+    parts = []  # work arrays and folds, made on first use
 
     def update(x, y, dt, out, adjoint):
-        if not work:
-            work.extend(np.empty(grid.shape(kind)) for kind in ("fp", "gd", "nxd", "nyd"))
-        node, gd, wx, wy = work
+        if not parts:
+            node, wx, wy = (np.empty(grid.shape(kind)) for kind in ("fp", "nxd", "nyd"))
+            parts.extend([
+                node, node[1:-1, 1:-1], np.empty(grid.shape("gd")),
+                fold_spacing((dx, dy), None if star.a == 1.0 else star.a, divides=True),
+                (wx, dx, fold_spacing((dx,), None if star.a11 == 1.0 else star.a11)),
+                (wy, dy, fold_spacing((dy,), None if star.a22 == 1.0 else star.a22)),
+            ])
+        node, inner, gd, u_fold, x_side, y_side = parts
         if adjoint:
             vx, vy = y
-            inner = node[1:-1, 1:-1]
-            np.subtract(vx[1:], vx[:-1], out=inner)
-            divide_in_place(inner, dx)
-            np.subtract(vy[:, 1:], vy[:, :-1], out=gd)
-            divide_in_place(gd, dy)
-            np.add(inner, gd, out=inner)
-            if a != 1.0:
-                np.true_divide(inner, a, out=inner)
+            scale, divide = u_fold.scale(dt)
+            np.subtract(vx[1:], vx[:-1], inner)
+            np.subtract(vy[:, 1:], vy[:, :-1], gd)
+            if divide:
+                divide_in_place(inner, dx)
+                divide_in_place(gd, dy)
+            np.add(inner, gd, inner)
+            if u_fold.weight is not None:
+                np.true_divide(inner, u_fold.weight, inner)
             node[0] = node[-1] = 0.0
             node[:, 0] = node[:, -1] = 0.0
-            np.multiply(node, dt, out=node)
-            return np.add(x, node, out=out)
+            np.multiply(node, scale, node)
+            return np.add(x, node, out)
         outs = (None, None) if out is None else out
         new = []
-        for w, lo, hi, h, weight, xr, o in (
-            (wx, y[:-1, 1:-1], y[1:, 1:-1], dx, a11, x[0], outs[0]),
-            (wy, y[1:-1, :-1], y[1:-1, 1:], dy, a22, x[1], outs[1]),
+        for (w, h, fold), hi, lo, xr, o in (
+            (x_side, y[1:, 1:-1], y[:-1, 1:-1], x[0], outs[0]),
+            (y_side, y[1:-1, 1:], y[1:-1, :-1], x[1], outs[1]),
         ):
-            np.subtract(hi, lo, out=w)
-            divide_in_place(w, h)
-            if weight != 1.0:
-                np.multiply(weight, w, out=w)
-            np.multiply(w, dt, out=w)
-            new.append(np.add(xr, w, out=o))
+            scale, divide = fold.scale(dt)
+            np.subtract(hi, lo, w)
+            if divide:
+                divide_in_place(w, h)
+            if fold.weight is not None:
+                np.multiply(fold.weight, w, w)
+            np.multiply(w, scale, w)
+            new.append(np.add(xr, w, o))
         return out if out is not None else VectorField2(*new)
 
     return update

@@ -27,10 +27,12 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    SpacingFold,
     SystemState,
     conserved_full,
     conserved_half_step,
     energy_pieces,
+    fold_spacing,
     init_g_half,
     run_system,
     system_step,
@@ -108,6 +110,10 @@ def _scaled_into(x, term, dt: float, out, combine):
     return out if out is not None else _as_field(new)
 
 
+# the fold of a side whose star is not unit: its operator divides by the spacings
+_KEEP = SpacingFold(None, None, True)
+
+
 class _Scratch:
     """The buffer a pair's `update` hook owns, made on first use.  It holds
     one operator output, of whichever kind the hook forms (one at a time),
@@ -139,7 +145,9 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     Its `update` hook forms D* v and G s in scratch it owns, skips a weight
     that is exactly 1 and applies any other in place, and folds the sign of
     A* into the update: s - dt * (-(a^-1 D* v)) is s + dt * a^-1 D* v, bit
-    for bit.
+    for bit.  On a cube with a power-of-two spacing h, a side whose weight
+    is skipped asks its operator for undivided differences and scales by
+    dt * (1/h) instead (`fold_spacing`).
     """
 
     def apply_a(s):
@@ -149,18 +157,21 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
         return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
 
     unit_a, unit_rows = star.is_unit("a"), star.is_unit("a_rows")
+    cube = fold_spacing(grid.spacings)
+    folds = (cube if unit_rows else _KEEP, cube if unit_a else _KEEP)  # v, s update
     scratch = _Scratch(grid)
 
     def update(x, y, dt, out, adjoint):
+        scale, scaled = folds[adjoint].scale(dt)
         if adjoint:
-            term = div3_star(y, grid, **scratch("dual-cell"))
+            term = div3_star(y, grid, scaled=scaled, **scratch("dual-cell"))
             if not unit_a:
                 star_scalar_inverse(term, star, "node-to-dual-cell", out=term)
         else:
-            term = grad3(y, grid, **scratch("edge"))
+            term = grad3(y, grid, scaled=scaled, **scratch("edge"))
             if not unit_rows:
                 star_matrix(term, star, "a", out=term)
-        return _scaled_into(x, term, dt, out, np.add)
+        return _scaled_into(x, term, scale, out, np.add)
 
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
 
@@ -174,7 +185,10 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     Its `update` hook forms R* H and R E in scratch it owns, skips a star
     that is exactly 1 and applies any other in place, and folds the signs
     into the update: E - dt * (-(eps^-1 R* H)) is E + dt * eps^-1 R* H, and
-    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.
+    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.  On a cube
+    with a power-of-two spacing h, a side whose star is skipped asks its
+    curl for undivided differences and scales by dt * (1/h) instead
+    (`fold_spacing`).
     """
 
     def apply_a(e):
@@ -184,18 +198,21 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
         return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
 
     unit_eps, unit_mu = eps_star.is_unit("a_inv_rows"), mu_star.is_unit("b_inv_rows")
+    cube = fold_spacing(grid.spacings)
+    folds = (cube if unit_mu else _KEEP, cube if unit_eps else _KEEP)  # H, E update
     scratch = _Scratch(grid)
 
     def update(x, y, dt, out, adjoint):
+        scale, scaled = folds[adjoint].scale(dt)
         if adjoint:
-            term = curl3_star(y, grid, **scratch("dual-face"))
+            term = curl3_star(y, grid, scaled=scaled, **scratch("dual-face"))
             if not unit_eps:
                 star_matrix(term, eps_star, "a", inverse=True, out=term)
-            return _scaled_into(x, term, dt, out, np.add)
-        term = curl3(y, grid, **scratch("face"))
+            return _scaled_into(x, term, scale, out, np.add)
+        term = curl3(y, grid, scaled=scaled, **scratch("face"))
         if not unit_mu:
             star_matrix(term, mu_star, "b", inverse=True, out=term)
-        return _scaled_into(x, term, dt, out, np.subtract)
+        return _scaled_into(x, term, scale, out, np.subtract)
 
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
 

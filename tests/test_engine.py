@@ -11,10 +11,12 @@ import pytest
 
 from stagwave import mimetic3d, oscillator, wave1d, wave2d, wave3d
 from stagwave.core import (
+    SpacingFold,
     SystemState,
     conserved_full,
     conserved_half_step,
     energy_pieces,
+    fold_spacing,
     run_system,
     system_step,
 )
@@ -539,3 +541,229 @@ def test_unrecorded_wave2d_step_skips_unit_stars(monkeypatch, name, star_operand
     # three dt scalings a step (u, vx, vy); the rest are star weights
     assert counts.pop(dt) == 5 * 3
     assert counts == {w: 5 * k for w, k in star_operands.items()}
+
+
+# ---------------------------------------------------------------------------
+# power-of-two spacings folded into the scale of the in-place update
+# ---------------------------------------------------------------------------
+
+def _never_fold(spacings, weight=None, *, divides=False):
+    """`fold_spacing` refusing every fold: the hook divides its differences."""
+    return SpacingFold(weight, None, True)
+
+
+def _fold_case(name, n):
+    """(pair, X shapes, Y shapes, module) of a named pair on n + 1 points (1D),
+    n x n cells (2D) or a pinned or periodic n-cube (3D)."""
+    if name.startswith(("cmp", "vmp")):
+        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=1.0, nt=1)
+        return LOWDIM_PAIRS[name](grid)[0], [(n + 1,)], [(n,)], wave1d
+    if name.startswith("wave2d"):
+        grid = wave2d.Grid2(n, n)
+        star = FOLD_STARS_2D[name]
+        return (wave2d.wave2d_system(star, grid)[0], [grid.shape("fp")],
+                [grid.shape("nxd"), grid.shape("nyd")], wave2d)
+    system, boundary, stars = name.split(":")
+    grid = Grid3.cube(n, 1.0, boundary=boundary)
+    eps, mu = INPLACE_STARS[stars](grid)
+    if system == "maxwell":
+        ops = wave3d.maxwell_system(eps, mu, grid)[0]
+        return ops, grid.vector_shapes("edge"), grid.vector_shapes("dual-edge"), wave3d
+    ops = wave3d.scalar_wave_system(eps, grid)[0]
+    return ops, [grid.scalar_shape("node")], grid.vector_shapes("dual-face"), wave3d
+
+
+FOLD_STARS_2D = {
+    "wave2d-unit": wave2d.Star2(),
+    "wave2d-a": wave2d.Star2(a=2.0),
+    "wave2d-a11": wave2d.Star2(a11=1.5),
+    "wave2d-a22": wave2d.Star2(a22=3.0),
+    "wave2d-full": wave2d.Star2(a=2.0, a11=1.5, a22=3.0),
+}
+FOLD_NAMES = [
+    "cmp-unit", "cmp", "cmp-negative", "vmp-unit", "vmp-rough", *FOLD_STARS_2D,
+    *(f"{system}:{boundary}:{stars}" for system in ("wave3d-scalar", "maxwell")
+      for boundary in ("pinned", "periodic") for stars in ("unit", "diagonal")),
+]
+
+
+def _wild(shapes, rng):
+    """Random fields whose entries range from 1e-310 (subnormal) to 1e300,
+    with both end planes along every axis -0.0 (the rim a pinned update
+    adds a zero to)."""
+    parts = []
+    for shape in shapes:
+        part = rng.standard_normal(shape) * 10.0 ** rng.uniform(-310.0, 300.0, shape)
+        for axis in range(part.ndim):
+            part[(slice(None),) * axis + (0,)] = -0.0
+            part[(slice(None),) * axis + (-1,)] = -0.0
+        parts.append(part)
+    return parts
+
+
+def _field(parts, module):
+    if len(parts) == 1:
+        return parts[0]
+    return VectorField3(*parts) if module is wave3d else wave2d.VectorField2(*parts)
+
+
+def _bits(field):
+    return [p.view(np.int64) for p in _parts(field)]
+
+
+def _updates(ops, xs, ys, dt, rng, module):
+    """The hook's u and v updates of one random draw, and the allocating
+    expressions x - dt * A*(y) and x + dt * A(y)."""
+    f, f_y = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
+    g, g_x = _field(_wild(ys, rng), module), _field(_wild(xs, rng), module)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        return ([ops.update(f, f_y, dt, None, True), ops.update(g, g_x, dt, None, False)],
+                [f - dt * ops.apply_Astar(f_y), g + dt * ops.apply_A(g_x)])
+
+
+@pytest.mark.parametrize("dt", [0.37, -0.37, 5e-324, -3e-320])
+@pytest.mark.parametrize("name", FOLD_NAMES)
+def test_folded_update_has_the_bits_of_the_unfolded_update(monkeypatch, name, dt):
+    # n = 16 or 4: every spacing is a power of two, so the pairs fold 1/h
+    # into their weights or their dt; the same draws through a pair built
+    # with every fold refused, and through the allocating expressions,
+    # must give the same bits, signed zeros and subnormals included
+    n = 4 if ":" in name else 16
+    ops, xs, ys, module = _fold_case(name, n)
+    with monkeypatch.context() as patched:
+        patched.setattr(module, "fold_spacing", _never_fold)
+        unfolded = _fold_case(name, n)[0]
+        wants = [_updates(unfolded, xs, ys, dt, np.random.default_rng(seed), module)[0]
+                 for seed in range(4)]
+    for seed, want in enumerate(wants):
+        got, alloc = _updates(ops, xs, ys, dt, np.random.default_rng(seed), module)
+        for g, w, a in zip(got, want, alloc):
+            assert all(np.array_equal(p, q) for p, q in zip(_bits(g), _bits(w)))
+            assert all(np.array_equal(p, q) for p, q in zip(_bits(g), _bits(a)))
+
+
+def test_fold_spacing_folds_only_one_power_of_two_spacing_at_most_one():
+    assert fold_spacing((0.25,)) == (None, 4.0, True)
+    assert fold_spacing((0.25, 0.25, 0.25)) == (None, 4.0, True)
+    assert fold_spacing((2.0 ** -1000,)) == (None, 2.0 ** 1000, True)
+    for spacings in [(0.3,), (1 / 49,), (2.0,), (0.25, 0.5), (1 / 20, 1 / 28), (0.0,),
+                     (-0.25,), (2.0 ** -1074,), (float("nan"),)]:
+        assert fold_spacing(spacings, 1.7) == (1.7, None, True)
+        assert fold_spacing(spacings) == (None, None, True)
+    # a weight scales once, or keeps the divide where scaling would be inexact
+    assert fold_spacing((0.25,), 1.7) == (6.8, None, False)
+    assert fold_spacing((0.25,), -1.3, divides=True) == (-0.325, None, False)
+    assert fold_spacing((0.25,), 0.0) == (0.0, None, False)
+    assert fold_spacing((2.0 ** -11,), 1e307) == (1e307, None, True)
+    assert fold_spacing((0.5,), 3e-308, divides=True) == (3e-308, None, True)
+    assert fold_spacing((0.5,), 1e-310) == (1e-310, None, True)
+    rho = np.array([1.0, 2.0, 3e-308])
+    weight, dt_factor, divide = fold_spacing((0.5,), rho, divides=True)
+    assert weight is rho and dt_factor is None and divide
+    weight, _, divide = fold_spacing((0.5,), rho)
+    assert np.array_equal(weight, 2.0 * rho) and not divide
+    # dt * (1/h) is exact where finite; past that 1/h goes back on the differences
+    unit = fold_spacing((2.0 ** -11,))
+    assert unit.scale(-0.37) == (-0.37 * 2048.0, False)
+    assert unit.scale(5e-324) == (5e-324 * 2048.0, False)
+    assert unit.scale(1e308) == (1e308, True)
+    assert fold_spacing((0.3,)).scale(0.37) == (0.37, True)
+    assert fold_spacing((0.25,), 1.7).scale(0.37) == (0.37, False)
+
+
+def _count_divides(monkeypatch, module, counts):
+    original = module.divide_in_place
+
+    def counted(out, delta):
+        counts["divide_in_place", delta] += 1
+        return original(out, delta)
+
+    monkeypatch.setattr(module, "divide_in_place", counted)
+
+
+@pytest.mark.parametrize(
+    "name, points, c",
+    [("nx = 50", 50, 1.7), ("c = 1e307 at dx = 2^-11", 2049, 1e307),
+     ("c = 1e308 at dx = 2^-11", 2049, 1e308)],
+)
+def test_1d_pair_keeps_the_divide_where_the_spacing_cannot_fold(monkeypatch, name, points, c):
+    grid = wave1d.Grid1D(a=0.0, b=1.0, nx=points, t_final=1.0, nt=1)
+    ops = wave1d.cmp_operator_pair(c, grid)
+    counts = Counter()
+    _count_divides(monkeypatch, wave1d, counts)
+    rng = np.random.default_rng(5)
+    u, v = rng.standard_normal(points) * 1e-300, rng.standard_normal(points - 1) * 1e-300
+    dt = 0.5 * grid.dx
+    with np.errstate(over="ignore", invalid="ignore"):
+        for adjoint, x, y, want in ((True, u, v, u - dt * ops.apply_Astar(v)),
+                                    (False, v, u, v + dt * ops.apply_A(u))):
+            got = ops.update(x, y, dt, None, adjoint)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert counts == {("divide_in_place", grid.dx): 2}
+
+
+def test_2d_pair_keeps_the_divide_on_a_20_by_28_grid(monkeypatch):
+    grid = wave2d.Grid2(20, 28)
+    ops = wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0), grid)[0]
+    counts = Counter()
+    _count_divides(monkeypatch, wave2d, counts)
+    rng = np.random.default_rng(6)
+    u = _wild([grid.shape("fp")], rng)[0]
+    v = wave2d.VectorField2(*_wild([grid.shape("nxd"), grid.shape("nyd")], rng))
+    dt = 0.01
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got = [ops.update(u, v, dt, None, True), ops.update(v, u, dt, None, False)]
+        want = [u - dt * ops.apply_Astar(v), v + dt * ops.apply_A(u)]
+    for g, w in zip(got, want):
+        assert all(np.array_equal(p, q) for p, q in zip(_bits(g), _bits(w)))
+    # the u update divides both differences, the v update each component's
+    assert counts == {("divide_in_place", grid.dx): 2, ("divide_in_place", grid.dy): 2}
+
+
+@pytest.mark.parametrize("c", [1.0, 0.5, -0.5])
+def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
+    # the one documented exception to the bits: at dx = 1/16 a difference of
+    # 1.5e307 times 16 overflows, so the allocating expression is inf there,
+    # while the folded hook multiplies the raw difference by c/dx (or by
+    # dt/dx for c = 1) and stays finite
+    grid = wave1d.Grid1D(a=0.0, b=1.0, nx=17, t_final=1.0, nt=1)
+    ops = wave1d.cmp_operator_pair(c, grid)
+    u = np.zeros(17)
+    u[5] = 1.5e307
+    v = np.linspace(-1.0, 1.0, 16)
+    dt = 1e-3
+    with np.errstate(over="ignore"):
+        want = v + dt * ops.apply_A(u)
+    got = ops.update(v, u, dt, None, False)
+    jump = np.diff(u)
+    fold = jump * (dt * 16.0) if c == 1.0 else (c * 16.0) * jump * dt
+    assert np.all(np.isinf(want[4:6])) and np.all(np.isfinite(got))
+    assert np.array_equal(got[4:6], v[4:6] + fold[4:6])
+    # everywhere else the bits are those of the allocating expression
+    rest = np.r_[0:4, 6:16]
+    assert np.array_equal(got[rest].view(np.int64), want[rest].view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "name, n, folds",
+    [("cmp-unit", 16, True), ("cmp", 16, True), ("vmp-rough", 16, True),
+     ("wave2d-unit", 8, True), ("wave2d-full", 8, True),
+     ("cmp", 17, False), ("wave2d-full", 7, False)],
+)
+def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n, folds):
+    ops, xs, ys, module = _fold_case(name, n)
+    rng = np.random.default_rng(9)
+    f0, g0 = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
+    h = 1.0 / n
+    counts = Counter()
+    monkeypatch.setattr(module, "np", _ScalarOperands(counts))
+    _count_divides(monkeypatch, module, counts)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        run_system(f0, None, ops, 1e-3, 5, g_half0=g0, record_every=0)
+    divides = sum(k for key, k in counts.items() if isinstance(key, tuple))
+    by_spacing = sum(k for key, k in counts.items() if key in (h, 1.0 / h))
+    if folds:
+        assert divides == 0 and by_spacing == 0
+    else:
+        # 1D: one difference per update; 2D: two in the u update, one per v component
+        assert divides == 5 * (2 if module is wave1d else 4)

@@ -15,7 +15,9 @@ alters behaviour on purpose.
 The list covers the README examples (``convergence-table`` with ``--jobs 1``
 and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
 every convergence case including unordered ``--k`` levels and 1D sweeps over
-rough materials (a density jump, a piecewise stiffness), the benchmark's
+rough materials (a density jump, a piecewise stiffness), power-of-two grids
+whose update hooks fold the spacing into non-unit 2D weights or, with a
+non-unit 3D star, keep dividing by it, the benchmark's
 invocations with fixed draws, and the inputs that must end in a report with
 failed checks (exit 1) or a usage error (exit 2).
 """
@@ -50,9 +52,12 @@ MORE_RUNS = [
     ["wave3d", "--materials", "diag3d"],
     ["wave3d", "--materials", "diag3d", "--grid", "12"],
     ["wave3d", "--materials", "diag3d", "--record-every", "3"],
+    ["wave3d", "--materials", "diag3d", "--grid", "16"],
+    ["wave3d", "--materials", "diag3d", "--grid", "16", "--record-every", "3"],
     ["wave3d", "--grid", "8", "--t-final", "0.2", "--modes", "1", "2", "1"],
     ["wave2d"],
     ["wave2d", "--nx", "20", "--ny", "28", "--a", "2", "--a11", "1.5", "--a22", "3"],
+    ["wave2d", "--nx", "16", "--ny", "16", "--a", "2", "--a11", "1.5", "--a22", "3"],
     ["system", "--preset", "oscillator"],
     ["system", "--preset", "cmp"],
     ["oscillator"],
