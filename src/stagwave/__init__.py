@@ -8,7 +8,8 @@ discrete adjoints of each other and the time step satisfies a CFL-type bound.
 That leapfrog lives once, in ``core``: the step, both invariants, the run
 loop, the CFL warning and the half-step start.  Each physics module supplies
 only an operator pair (with the norm bound behind its dt limit) and two
-inner products, plus thin aliases that keep its own state and record types.
+inner products; every march returns the engine's one state type,
+``core.SystemState``.
 
 Modules
 -------

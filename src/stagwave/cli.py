@@ -46,7 +46,8 @@ Exit 2 covers unknown flags or keys, values of the wrong type or outside an
 option's choices, grid sizes below what the grid constructors accept (the
 ``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive,
 non-positive or unparseable ``--final`` times, times whose CFL step count is
-not finite, and contradictory flags such as ``--dt`` with ``--t-final`` for
+not finite, ``wave2d`` stars with no finite positive CFL time step, and
+contradictory flags such as ``--dt`` with ``--t-final`` for
 ``wave3d``/``maxwell``.
 
 Determinism
@@ -515,7 +516,7 @@ def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
         u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init or "taylor")
         state, rec = wave1d.run_cmp(grid, c, u0, v0, record_every=1)
         xp = grid.primal_points()
-        er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
+        er = state.f - wave1d.standing_mode_u(xp, t_final, m, c)
         art.errors(zip(xp, er, er / grid.dx**2))
         error_norms = {"max_abs_u": float(np.max(np.abs(er)))}
         settings = {"case": case, "c": c}
@@ -662,7 +663,7 @@ def _cmp_level(args):
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
     state, _ = wave1d.run_cmp(grid, c, *wave1d.cmp_mode_start(grid, m, c, init), record_every=0)
     xp = grid.primal_points()
-    er = state.u - wave1d.standing_mode_u(xp, t_final, m, c)
+    er = state.f - wave1d.standing_mode_u(xp, t_final, m, c)
     return (grid.dx, float(np.max(np.abs(er)))), list(zip(xp, er, er / grid.dx**2))
 
 
@@ -749,11 +750,29 @@ def _nd_sweep_point(args):
 # -- 2D and 3D experiments ---------------------------------------------------
 
 
+def _star_2d(cfg, grid) -> wave2d.Star2:
+    """The star of --a/--a11/--a22, checked before any march: a usage error
+    naming them when its CFL time step is not a positive finite number, as
+    for an infinite coefficient or a wave speed sqrt(max(a11, a22)/a) past
+    the float range."""
+    star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
+    try:
+        dt_max = wave2d.suggest_dt_2d(star, grid)
+    except ZeroDivisionError:  # the wave speed is zero: no bound at all
+        dt_max = math.inf
+    if not 0.0 < dt_max < math.inf:
+        raise ConfigError(
+            f"--a/--a11/--a22: the star (a, a11, a22) = ({star.a}, {star.a11}, {star.a22}) "
+            "has no finite positive CFL time step"
+        )
+    return star
+
+
 def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
     nx = cfg.nx
     ny = cfg.ny if cfg.ny is not None else nx
     grid = _grid("--nx/--ny", wave2d.Grid2, nx, ny)
-    star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
+    star = _star_2d(cfg, grid)
     t_final, nt = cfg.t_final, cfg.nt
     if nt is None:
         nt = max(1, _cfl_steps("--t-final", math.ceil,
@@ -771,7 +790,7 @@ def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
     error_norms = {}
     if star == wave2d.Star2():
         want, _, _ = wave2d.exact_solution_2d(m, n, 1.0, *grid.points("fp"), t_final)
-        error_norms["max_abs_u"] = float(np.max(np.abs(state.u - want)))
+        error_norms["max_abs_u"] = float(np.max(np.abs(state.f - want)))
     return {
         "settings": {
             "nx": nx,
@@ -831,7 +850,7 @@ def _run_wave3d(cfg, art: ArtifactWriter) -> dict:
     error_norms = {}
     if cfg.materials == "trivial3d" and cfg.t_final is not None:
         want = wave3d.cavity_mode_s(grid, cfg.t_final, modes)
-        error_norms["max_abs_s"] = float(np.max(np.abs(state.s - want)))
+        error_norms["max_abs_s"] = float(np.max(np.abs(state.f - want)))
     return {
         "settings": {
             "grid": cfg.grid,

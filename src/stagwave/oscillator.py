@@ -6,7 +6,8 @@ variable v on half levels t_{n+1/2}.  The pair
     u' = -omega * v ,    v' = omega * u
 
 is advanced by updating u first and then v using the *new* u; that ordering is
-what makes the two quadratic forms below exact invariants of the discrete map.
+what makes the two quadratic forms of `oscillator_system` exact invariants of
+the discrete map.
 
 Everything here is scalar: the module supplies only the pair A = A* = omega,
 its norm bound omega, and the inner product 0.5*x*y; the step, the
@@ -19,25 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import (
-    OperatorPair,
-    SystemState,
-    conserved_full,
-    conserved_half_step,
-    init_g_half,
-    run_system,
-    system_step,
-)
+from .core import OperatorPair, SystemState, init_g_half, run_system, system_step
 
 __all__ = [
     "OscParams",
-    "OscState",
     "oscillator_system",
     "second_order_step",
     "leapfrog_step",
-    "init_half_step",
-    "conserved_at_full_step",
-    "conserved_at_half_step",
     "simulate",
     "stability_probe",
     "exact_solution",
@@ -66,21 +55,6 @@ class OscParams:
         return 0.5 * self.omega * self.dt
 
 
-@dataclass
-class OscState:
-    """Staggered state: u at t_n, v at t_{n+1/2}, plus one step of history.
-
-    ``prev_u`` and ``prev_v_half`` are populated after the first step and are
-    what the conserved-quantity evaluations need.
-    """
-
-    u: float
-    v_half: float
-    prev_u: float | None = None
-    prev_v_half: float | None = None
-    step: int = 0
-
-
 def second_order_step(u_n: float, u_nm1: float, params: OscParams) -> float:
     """One step of the equivalent three-level second-order recurrence.
 
@@ -96,7 +70,13 @@ def _half_product(x: float, y: float) -> float:
 
 def oscillator_system(params: OscParams):
     """(pair, inner_X, inner_Y) for the core engine: A = A* = omega, with
-    omega as the norm bound, and 0.5*x*y as both inner products."""
+    omega as the norm bound, and 0.5*x*y as both inner products.
+
+    With alpha = omega*dt/2, core's two invariants are then
+
+        C_n       = 1/2 * [ (1 - alpha^2) * u_n^2 + ((v_{n+1/2} + v_{n-1/2})/2)^2 ]
+        C_{n-1/2} = 1/2 * [ ((u_n + u_{n-1})/2)^2 + (1 - alpha^2) * v_{n-1/2}^2 ]
+    """
     w = params.omega
     ops = OperatorPair(
         apply_A=lambda u: w * u,
@@ -107,44 +87,10 @@ def oscillator_system(params: OscParams):
     return ops, _half_product, _half_product
 
 
-def _core_state(state: OscState, params: OscParams) -> SystemState:
-    return SystemState(
-        state.u, state.v_half, params.dt, state.step, state.prev_u, state.prev_v_half
-    )
-
-
-def leapfrog_step(state: OscState, params: OscParams) -> OscState:
+# kept by name for perfbench's setup probe, until that probe times the engine itself
+def leapfrog_step(state: SystemState, params: OscParams) -> SystemState:
     """Advance (u, v_half) by one step.  u is updated first; v uses the new u."""
-    new = system_step(_core_state(state, params), oscillator_system(params)[0])
-    return OscState(new.f, new.g_half, new.f_prev, new.g_prev_half, new.step)
-
-
-def init_half_step(u0: float, v0: float, params: OscParams) -> float:
-    """Second-order accurate v at t = dt/2 from the initial data (u0, v0).
-
-    Taylor expansion of v about t=0 using v' = omega*u and v'' = -omega^2*v:
-
-        v(dt/2) ~= v0 + (dt/2)*omega*u0 - 1/2*(dt/2)^2*omega^2*v0
-    """
-    return init_g_half(u0, v0, oscillator_system(params)[0], params.dt)
-
-
-def conserved_at_full_step(state: OscState, params: OscParams) -> float:
-    """Invariant evaluated at the state's integer time level n.
-
-    C_n = 1/2 * [ (1 - alpha^2) * u_n^2  +  ((v_{n+1/2} + v_{n-1/2})/2)^2 ]
-
-    Requires one step of history (v at n-1/2).
-    """
-    return conserved_full(_core_state(state, params), *oscillator_system(params))
-
-
-def conserved_at_half_step(state: OscState, params: OscParams) -> float:
-    """Invariant evaluated at the half level n-1/2 trailing the state.
-
-    C_{n-1/2} = 1/2 * [ ((u_n + u_{n-1})/2)^2  +  (1 - alpha^2) * v_{n-1/2}^2 ]
-    """
-    return conserved_half_step(_core_state(state, params), *oscillator_system(params))
+    return system_step(state, oscillator_system(params)[0])
 
 
 def exact_solution(u0: float, v0: float, omega: float, t: float) -> tuple[float, float]:

@@ -27,8 +27,6 @@ import numpy as np
 from .core import (
     OperatorPair,
     SystemState,
-    conserved_full,
-    conserved_half_step,
     divide_in_place,
     fold_spacing,
     init_g_half,
@@ -37,7 +35,7 @@ from .core import (
 )
 
 # ---------------------------------------------------------------------------
-# grids, materials, state
+# grids and materials
 # ---------------------------------------------------------------------------
 
 
@@ -111,17 +109,6 @@ class Materials1D:
         """Sample rho at the primal points and tau at the dual points."""
         return cls(rho=np.asarray(rho_fn(grid.primal_points()), dtype=float),
                    tau=np.asarray(tau_fn(grid.dual_points()), dtype=float))
-
-
-@dataclass(frozen=True)
-class WaveState1D:
-    """u at step n, v at step n+1/2, plus one step of history."""
-
-    u: np.ndarray
-    v: np.ndarray
-    u_prev: np.ndarray | None = None
-    v_prev: np.ndarray | None = None
-    step: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +216,7 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
 
 
 # ---------------------------------------------------------------------------
-# inner products and the pair, products and state mapping of the core engine
+# inner products and the (pair, inner_X, inner_Y) systems of the core engine
 # ---------------------------------------------------------------------------
 
 
@@ -270,65 +257,24 @@ def vmp_system(materials: Materials1D, grid: Grid1D):
     )
 
 
-def _system(grid: Grid1D, materials: Materials1D | None, c: float | None):
-    if (materials is None) == (c is None):
-        raise ValueError("pass exactly one of materials= or c=")
-    return cmp_system(c, grid) if materials is None else vmp_system(materials, grid)
-
-
-def _core_state(state: WaveState1D, grid: Grid1D) -> SystemState:
-    return SystemState(state.u, state.v, grid.dt, state.step, state.u_prev, state.v_prev)
-
-
-def _wave_state(state: SystemState) -> WaveState1D:
-    return WaveState1D(u=state.f, v=state.g_half, u_prev=state.f_prev,
-                       v_prev=state.g_prev_half, step=state.step)
-
-
 # ---------------------------------------------------------------------------
-# one time step (u first, then v from the updated u) and the conserved pair
+# one time step (u first, then v from the updated u) and the half-step start
 # ---------------------------------------------------------------------------
 
 
-def cmp_step(state: WaveState1D, c: float, grid: Grid1D) -> WaveState1D:
-    return _wave_state(system_step(_core_state(state, grid), cmp_operator_pair(c, grid)))
+# both steps are kept by name for perfbench's setup probe, until it times the engine itself
+def cmp_step(state: SystemState, c: float, grid: Grid1D) -> SystemState:
+    return system_step(state, cmp_operator_pair(c, grid))
 
 
-def vmp_step(state: WaveState1D, materials: Materials1D, grid: Grid1D) -> WaveState1D:
-    ops = vmp_operator_pair(materials, grid)
-    return _wave_state(system_step(_core_state(state, grid), ops))
-
-
-def taylor_v_half_cmp(u0, v0, c: float, grid: Grid1D) -> np.ndarray:
-    """Half-step start value for v from whole-step data (u0, v0)."""
-    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
-                       cmp_operator_pair(c, grid), grid.dt)
+def vmp_step(state: SystemState, materials: Materials1D, grid: Grid1D) -> SystemState:
+    return system_step(state, vmp_operator_pair(materials, grid))
 
 
 def taylor_v_half_vmp(u0, v0, materials: Materials1D, grid: Grid1D) -> np.ndarray:
+    """Half-step start value for v from whole-step data (u0, v0)."""
     return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
                        vmp_operator_pair(materials, grid), grid.dt)
-
-
-def conserved_n_1d(state: WaveState1D, grid: Grid1D, *,
-                   materials: Materials1D | None = None,
-                   c: float | None = None) -> float:
-    """Whole-step conserved quantity at the state's current step.
-
-    ||u||^2 + ||(v + v_prev)/2||^2 - (dt/2)^2 ||A u||^2 with the
-    weighted norms (variable materials) or plain norms (constant c).
-    """
-    return conserved_full(_core_state(state, grid), *_system(grid, materials, c))
-
-
-def conserved_half_1d(state: WaveState1D, grid: Grid1D, *,
-                      materials: Materials1D | None = None,
-                      c: float | None = None) -> float:
-    """Half-step conserved quantity at the trailing half level.
-
-    ||v_prev||^2 + ||(u + u_prev)/2||^2 - (dt/2)^2 ||A* v_prev||^2.
-    """
-    return conserved_half_step(_core_state(state, grid), *_system(grid, materials, c))
 
 
 def cfl_speed(materials: Materials1D) -> float:
@@ -355,14 +301,12 @@ def refinement_exponent(speed: float, length: float, t_final: float,
 
 def _run(system, grid: Grid1D, u0, v_half, record_every: int):
     ops, inner_X, inner_Y = system
-    state, records = run_system(np.asarray(u0, float), None, ops, grid.dt, grid.nt,
-                                inner_X, inner_Y, g_half0=np.asarray(v_half, float),
-                                record_every=record_every)
-    return _wave_state(state), records
+    return run_system(np.asarray(u0, float), None, ops, grid.dt, grid.nt, inner_X, inner_Y,
+                      g_half0=np.asarray(v_half, float), record_every=record_every)
 
 
 def run_cmp(grid: Grid1D, c: float, u0, v_half, *, record_every: int = 1):
-    """March nt steps; returns (final state, [(step, C_n, C_half), ...])."""
+    """March nt steps; returns (final SystemState, [(step, C_n, C_half), ...])."""
     return _run(cmp_system(c, grid), grid, u0, v_half, record_every)
 
 
@@ -396,7 +340,7 @@ def cmp_mode_start(grid: Grid1D, m: int = 1, c: float = 1.0, init: str = "exact"
     if init == "exact":
         return u0, standing_mode_v(grid.dual_points(), grid.dt / 2, m, c)
     if init == "taylor":
-        return u0, taylor_v_half_cmp(u0, np.zeros(grid.nx - 1), c, grid)
+        return u0, init_g_half(u0, np.zeros(grid.nx - 1), cmp_operator_pair(c, grid), grid.dt)
     raise ValueError(f"unknown init {init!r}")
 
 
@@ -442,7 +386,7 @@ def cmp_mode_errors(ks, t_final, *, m: int = 1, c: float = 1.0,
     for k in ks:
         grid = Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
         state, _ = run_cmp(grid, c, *cmp_mode_start(grid, m, c, init), record_every=0)
-        er = np.max(np.abs(state.u - standing_mode_u(grid.primal_points(), t_final, m, c)))
+        er = np.max(np.abs(state.f - standing_mode_u(grid.primal_points(), t_final, m, c)))
         rows.append((grid.dx, float(er)))
     return rows
 
@@ -466,7 +410,7 @@ def vmp_refine_errors(ks, t_final, rho_fn, tau_fn, *, f: int | None = None):
         u0 = np.sin(np.pi * grid.primal_points())
         v0 = taylor_v_half_vmp(u0, np.zeros(grid.nx - 1), mats, grid)
         state, _ = run_vmp(grid, mats, u0, v0, record_every=0)
-        solutions[k] = (grid, state.u)
+        solutions[k] = (grid, state.f)
     rows, profiles = [], {}
     for k in ks:
         grid_c, u_c = solutions[k]

@@ -15,13 +15,14 @@ tangential part of E is held at zero (a perfect electric conductor).  Initial
 data must respect those wall values for the conserved forms to close; see
 `pin_scalar_boundary` and `pin_tangential_boundary`.
 
-States carry their own dt (the 3D grid is purely spatial).
+States are the engine's `core.SystemState`, which carries its own dt (the 3D
+grid is purely spatial): f is s or E, g_half is v or H.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -29,9 +30,6 @@ from .core import (
     OperatorPair,
     SpacingFold,
     SystemState,
-    conserved_full,
-    conserved_half_step,
-    energy_pieces,
     fold_spacing,
     init_g_half,
     run_system,
@@ -59,32 +57,8 @@ from .mimetic3d import (
 
 
 # ---------------------------------------------------------------------------
-# states and operator pairs
+# operator pairs
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarWaveState3:
-    """s on nodes at t = step*dt; v on dual faces half a step later."""
-
-    s: np.ndarray
-    v: VectorField3
-    dt: float
-    s_prev: np.ndarray | None = None
-    v_prev: VectorField3 | None = None
-    step: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class MaxwellState3:
-    """E on edges at t = step*dt; H on dual edges half a step later."""
-
-    e: VectorField3
-    h: VectorField3
-    dt: float
-    e_prev: VectorField3 | None = None
-    h_prev: VectorField3 | None = None
-    step: int = 0
 
 
 def _parts(field) -> tuple:
@@ -237,32 +211,15 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3):
     )
 
 
-def _core_scalar(state: ScalarWaveState3) -> SystemState:
-    return SystemState(state.s, state.v, state.dt, state.step, state.s_prev, state.v_prev)
-
-
-def _scalar_state(state: SystemState) -> ScalarWaveState3:
-    return ScalarWaveState3(s=state.f, v=state.g_half, dt=state.dt, s_prev=state.f_prev,
-                            v_prev=state.g_prev_half, step=state.step)
-
-
-def _core_maxwell(state: MaxwellState3) -> SystemState:
-    return SystemState(state.e, state.h, state.dt, state.step, state.e_prev, state.h_prev)
-
-
-def _maxwell_state(state: SystemState) -> MaxwellState3:
-    return MaxwellState3(e=state.f, h=state.g_half, dt=state.dt, e_prev=state.f_prev,
-                         h_prev=state.g_prev_half, step=state.step)
-
-
 # ---------------------------------------------------------------------------
-# time steps, half-step starts and conserved quadratic forms
+# time steps and half-step starts
 # ---------------------------------------------------------------------------
 
 
+# both steps are kept by name for perfbench's setup probe, until it times the engine itself
 def scalar_wave_step(
-    state: ScalarWaveState3, star: Star3, grid: Grid3, *, guaranteed: bool = True
-) -> ScalarWaveState3:
+    state: SystemState, star: Star3, grid: Grid3, *, guaranteed: bool = True
+) -> SystemState:
     """One leapfrog step; s is updated first, v uses the fresh s.
 
     With guaranteed=True (the default) a full-matrix star is rejected, since
@@ -271,23 +228,22 @@ def scalar_wave_step(
     """
     if guaranteed:
         require_exact_star(star)
-    return _scalar_state(system_step(_core_scalar(state), scalar_wave_operators(star, grid)))
+    return system_step(state, scalar_wave_operators(star, grid))
 
 
 def maxwell_step(
-    state: MaxwellState3,
+    state: SystemState,
     eps_star: Star3,
     mu_star: Star3,
     grid: Grid3,
     *,
     guaranteed: bool = True,
-) -> MaxwellState3:
+) -> SystemState:
     """One leapfrog step; E is updated first, H uses the fresh E."""
     if guaranteed:
         require_exact_star(eps_star)
         require_exact_star(mu_star)
-    ops = maxwell_operators(eps_star, mu_star, grid)
-    return _maxwell_state(system_step(_core_maxwell(state), ops))
+    return system_step(state, maxwell_operators(eps_star, mu_star, grid))
 
 
 def scalar_wave_init_v(s0, v0: VectorField3, star: Star3, grid: Grid3, dt: float):
@@ -311,57 +267,13 @@ def maxwell_init_h(
     return init_g_half(e0, h0, maxwell_operators(eps_star, mu_star, grid), dt)
 
 
-def _scalar_pieces(state: ScalarWaveState3, star: Star3, grid: Grid3):
-    """(c1, c2, c3) with C_n = c1 + c2 - (dt/2)^2 c3."""
-    return energy_pieces(_core_scalar(state), *scalar_wave_system(star, grid))
-
-
-def scalar_conserved_n(state: ScalarWaveState3, star: Star3, grid: Grid3) -> float:
-    """Whole-step invariant at the state's step:
-
-    ||s||_N^2 + ||(v + v_prev)/2||_F*^2 - (dt/2)^2 ||A G s||_F*^2.
-    """
-    return conserved_full(_core_scalar(state), *scalar_wave_system(star, grid))
-
-
-def scalar_conserved_half(state: ScalarWaveState3, star: Star3, grid: Grid3) -> float:
-    """Half-step invariant at the half level trailing the state:
-
-    ||v_prev||_F*^2 + ||(s + s_prev)/2||_N^2 - (dt/2)^2 ||a^-1 D* v_prev||_N^2.
-    """
-    return conserved_half_step(_core_scalar(state), *scalar_wave_system(star, grid))
-
-
-def maxwell_conserved_n(
-    state: MaxwellState3, eps_star: Star3, mu_star: Star3, grid: Grid3
-) -> float:
-    """Whole-step invariant at the state's step:
-
-    ||E||_E^2 + ||(H + H_prev)/2||_E*^2 - (dt/2)^2 ||mu^-1 R E||_E*^2
-
-    with the eps-weighted edge product and the mu-weighted dual-edge product.
-    """
-    return conserved_full(_core_maxwell(state), *maxwell_system(eps_star, mu_star, grid))
-
-
-def maxwell_conserved_half(
-    state: MaxwellState3, eps_star: Star3, mu_star: Star3, grid: Grid3
-) -> float:
-    """Half-step invariant at the half level trailing the state:
-
-    ||(E + E_prev)/2||_E^2 + ||H_prev||_E*^2 - (dt/2)^2 ||eps^-1 R* H_prev||_E^2.
-    """
-    return conserved_half_step(_core_maxwell(state), *maxwell_system(eps_star, mu_star, grid))
-
-
 # ---------------------------------------------------------------------------
 # divergence audit and time-step bound
 # ---------------------------------------------------------------------------
 
 
-def divergence_audit(
-    state: MaxwellState3, eps_star: Star3, mu_star: Star3, grid: Grid3
-) -> tuple:
+def divergence_audit(e: VectorField3, h: VectorField3, eps_star: Star3, mu_star: Star3,
+                     grid: Grid3) -> tuple:
     """Unweighted L2 norms of div*(eps E) on dual cells and div(mu H) on cells.
 
     Both are exact invariants of the march for any admissible materials —
@@ -369,8 +281,8 @@ def divergence_audit(
     and both composites vanish identically — so the norms stay constant (not
     necessarily zero) to rounding.
     """
-    flux_e = star_matrix(state.e, eps_star, "a")
-    flux_h = star_matrix(state.h, mu_star, "b")
+    flux_e = star_matrix(e, eps_star, "a")
+    flux_h = star_matrix(h, mu_star, "b")
     dv = grid.cell_volume
     div_e = math.sqrt(float(np.sum(div3_star(flux_e, grid) ** 2)) * dv)
     div_h = math.sqrt(float(np.sum(div3(flux_h, grid) ** 2)) * dv)
@@ -498,7 +410,7 @@ def run_scalar_wave(
     record_every: int = 1,
     guaranteed: bool = True,
 ):
-    """March n_steps from (s0, v_half); returns (state, records).
+    """March n_steps from (s0, v_half); returns (final SystemState, records).
 
     Each record is (step, t, C_n, C_half, c1, c2, c3) where c1, c2, c3 are
     the pieces of the whole-step invariant — the weighted squares of s, of
@@ -507,9 +419,8 @@ def run_scalar_wave(
     dt_max = suggest_dt(star, grid)
     if guaranteed:
         require_exact_star(star)
-    state, records = _march(scalar_wave_system(star, grid), dt_max, np.asarray(s0, float),
-                            v_half, dt, n_steps, record_every, lambda _, pieces: pieces)
-    return _scalar_state(state), records
+    return _march(scalar_wave_system(star, grid), dt_max, np.asarray(s0, float), v_half, dt,
+                  n_steps, record_every, lambda _, pieces: pieces)
 
 
 def run_maxwell(
@@ -524,7 +435,7 @@ def run_maxwell(
     record_every: int = 1,
     guaranteed: bool = True,
 ):
-    """March n_steps from (E0, H_half); returns (state, records).
+    """March n_steps from (E0, H_half); returns (final SystemState, records).
 
     Each record is (step, t, C_n, C_half, c1, c2, c3, div_e, div_h) with the
     invariant pieces as in `run_scalar_wave` and the two divergence-audit
@@ -536,11 +447,10 @@ def run_maxwell(
         require_exact_star(mu_star)
 
     def audit(state, pieces):
-        return (*pieces, *divergence_audit(_maxwell_state(state), eps_star, mu_star, grid))
+        return (*pieces, *divergence_audit(state.f, state.g_half, eps_star, mu_star, grid))
 
-    state, records = _march(maxwell_system(eps_star, mu_star, grid), dt_max, e0, h_half,
-                            dt, n_steps, record_every, audit)
-    return _maxwell_state(state), records
+    return _march(maxwell_system(eps_star, mu_star, grid), dt_max, e0, h_half, dt, n_steps,
+                  record_every, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -652,7 +562,7 @@ def scalar_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: float
         s0 = cavity_mode_s(grid, 0.0)
         v_half = scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
         state, _ = run_scalar_wave(grid, star, s0, v_half, dt, nt, record_every=0)
-        err = float(np.max(np.abs(state.s - cavity_mode_s(grid, t_final))))
+        err = float(np.max(np.abs(state.f - cavity_mode_s(grid, t_final))))
         out.append((grid.dx, err))
     return out
 
@@ -668,6 +578,6 @@ def maxwell_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: floa
         e0 = te_cavity_e(grid, 0.0)
         h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
         state, _ = run_maxwell(grid, star, star, e0, h_half, dt, nt, record_every=0)
-        err = float(np.max(np.abs(state.e.z - te_cavity_e(grid, t_final).z)))
+        err = float(np.max(np.abs(state.f.z - te_cavity_e(grid, t_final).z)))
         out.append((grid.dx, err))
     return out

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from stagwave import mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
+from stagwave.core import SystemState
 from stagwave.mimetic3d import Grid3, Star3, VectorField3, check_discrete_adjoints
 from stagwave.oscillator import OscParams
 
@@ -229,7 +230,7 @@ def _mode_sweep_at_half_courant(t_final):
         u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0)
         v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2)
         state, _ = wave1d.run_cmp(grid, 1.0, u0, v0, record_every=0)
-        er = np.max(np.abs(state.u - wave1d.standing_mode_u(grid.primal_points(), t_final)))
+        er = np.max(np.abs(state.f - wave1d.standing_mode_u(grid.primal_points(), t_final)))
         rows.append((dx, float(er)))
     return rows
 
@@ -257,15 +258,15 @@ def test_criterion_07_cmp_vmp_equivalence(capsys):
     mats = wave1d.Materials1D(rho=np.full(nx, 1.0 / c), tau=np.full(nx - 1, c))
     u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0, c=c)
     v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2, c=c)
-    s_cmp = wave1d.WaveState1D(u=u0.copy(), v=v0.copy())
-    s_vmp = wave1d.WaveState1D(u=u0.copy(), v=v0.copy())
+    s_cmp = SystemState(f=u0.copy(), g_half=v0.copy(), dt=grid.dt)
+    s_vmp = SystemState(f=u0.copy(), g_half=v0.copy(), dt=grid.dt)
     worst = 0.0
     for _ in range(nt):
         s_cmp = wave1d.cmp_step(s_cmp, c, grid)
         s_vmp = wave1d.vmp_step(s_vmp, mats, grid)
-        scale = max(np.max(np.abs(s_cmp.u)), np.max(np.abs(s_cmp.v)))
-        dev = max(np.max(np.abs(s_cmp.u - s_vmp.u)),
-                  np.max(np.abs(s_cmp.v - s_vmp.v))) / scale
+        scale = max(np.max(np.abs(s_cmp.f)), np.max(np.abs(s_cmp.g_half)))
+        dev = max(np.max(np.abs(s_cmp.f - s_vmp.f)),
+                  np.max(np.abs(s_cmp.g_half - s_vmp.g_half))) / scale
         worst = max(worst, float(dev))
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-13 and elapsed < 1.0
@@ -378,7 +379,7 @@ def test_criterion_12_cfl_sharpness(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         state, _ = wave1d.run_cmp(grid, 1.0, u0, v0, record_every=0)
-    blowup = float(np.max(np.abs(state.u)))
+    blowup = float(np.max(np.abs(state.f)))
 
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=1000 * 0.95 * dx, nt=1000)
     v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2)

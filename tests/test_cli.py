@@ -98,6 +98,19 @@ class TestExperimentCommands:
         _, rows = read_csv(tmp_path / "huge_series.csv")
         assert [r[0] for r in rows] == ["1", "2", "3"]
 
+    def test_final_time_past_the_float_range_writes_report_and_fails(self, tmp_path):
+        # a fixed --nt makes dt = 2e307: the march overflows and the mode's
+        # phase at t_final is past the float range, so its error norm is NaN
+        with pytest.warns(RuntimeWarning, match="unstable"):
+            code = run_cli(["wave2d", "--nx", "8", "--nt", "5", "--t-final", "1e308"],
+                           tmp_path, "huge2d")
+        assert code == 1
+        report = read_report(tmp_path, "huge2d")
+        assert report["passed"] is False
+        assert np.isnan(report["error_norms"]["max_abs_u"])
+        _, rows = read_csv(tmp_path / "huge2d_series.csv")
+        assert [r[0] for r in rows] == ["1", "2", "3", "4", "5"]
+
     def test_no_checks_flag_reports_but_never_fails(self, tmp_path):
         code = run_cli(
             ["oscillator", "--dt", "2.3", "--steps", "200", "--no-checks"],
@@ -273,6 +286,10 @@ class TestExperimentCommands:
               "--jobs", "2"], "--final"),
             (["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--final", "1e12"],
              "--final"),
+            # 2D stars whose CFL time step is zero or undefined
+            (["wave2d", "--nx", "8", "--a11", "inf"], "--a11"),
+            (["wave2d", "--nx", "8", "--a", "inf"], "--a"),
+            (["wave2d", "--nx", "8", "--a", "1e-320"], "--a"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):

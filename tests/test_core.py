@@ -51,7 +51,8 @@ class TestSystemStep:
         ops = OperatorPair(apply_A=lambda f: w * f, apply_Astar=lambda g: w * g)
         p = osc.OscParams(omega=w, dt=dt, n_steps=50)
         u_hist, _ = osc.simulate(0.6, -0.4, p)
-        state = SystemState(f=0.6, g_half=osc.init_half_step(0.6, -0.4, p), dt=dt)
+        g_half = init_g_half(0.6, -0.4, osc.oscillator_system(p)[0], p.dt)
+        state = SystemState(f=0.6, g_half=g_half, dt=dt)
         for n in range(1, 51):
             state = system_step(state, ops)
             # dt*(w*v) vs (dt*w)*v associate differently: agree to rounding
@@ -118,7 +119,8 @@ class TestInitGHalf:
         assert a - b == pytest.approx((0.5 - 0.125) * dt**2 * w**2 * g0)
         # oscillator-taylor coincides with the oscillator module's initializer
         p = osc.OscParams(omega=w, dt=dt)
-        assert a == pytest.approx(osc.init_half_step(0.0, g0, p), abs=1e-16)
+        assert a == pytest.approx(init_g_half(0.0, g0, osc.oscillator_system(p)[0], p.dt),
+                                  abs=1e-16)
 
     def test_unknown_variant(self):
         ops = matrix_pair(np.eye(2))

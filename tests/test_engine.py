@@ -1,6 +1,6 @@
-"""Every public step and conserved quantity is the core engine on that
-module's operator pair and inner products, bit for bit; a recorded step
-reuses its own operator terms for the invariants."""
+"""Every kept step and runner is the core engine on that module's operator
+pair and inner products, bit for bit; a recorded step reuses its own
+operator terms for the invariants."""
 
 import sys
 from collections import Counter
@@ -41,15 +41,25 @@ def _same(a, b):
 
 
 def _oscillator(rng):
-    p = oscillator.OscParams(omega=1.3, dt=0.07)
+    p = oscillator.OscParams(omega=1.3, dt=0.07, n_steps=5)
+    ops, inner, _ = system = oscillator.oscillator_system(p)
+
+    def run(f, g):
+        # simulate starts from whole-step data (u0, v0) and keeps no final v
+        u_hist, records = oscillator.simulate(f, g, p)
+        return u_hist[-1], None, records
+
+    def core(f, g):
+        state, records = run_system(f, g, ops, p.dt, p.n_steps, inner, inner)
+        return state.f, None, records
+
     return dict(
-        state=oscillator.OscState(u=0.6, v_half=-0.4),
-        fields=lambda s: (s.u, s.v_half),
+        state=SystemState(f=0.6, g_half=-0.4, dt=p.dt),
         dt=p.dt,
         step=lambda s: oscillator.leapfrog_step(s, p),
-        c_n=lambda s: oscillator.conserved_at_full_step(s, p),
-        c_half=lambda s: oscillator.conserved_at_half_step(s, p),
-        system=oscillator.oscillator_system(p),
+        run=run,
+        core=core,
+        system=system,
     )
 
 
@@ -60,20 +70,33 @@ def _grid1d():
 def _state1d(grid, rng):
     u = rng.standard_normal(grid.nx)
     u[0] = u[-1] = 0.0
-    return wave1d.WaveState1D(u=u, v=rng.standard_normal(grid.nx - 1))
+    return SystemState(f=u, g_half=rng.standard_normal(grid.nx - 1), dt=grid.dt)
+
+
+def _final(ran):
+    """(f, g_half, records) of a runner's (state, records)."""
+    state, records = ran
+    return state.f, state.g_half, records
+
+
+def _wave1d(rng, grid, system, step, run):
+    ops, inner_X, inner_Y = system
+    return dict(
+        state=_state1d(grid, rng),
+        dt=grid.dt,
+        step=step,
+        run=lambda f, g: _final(run(f, g, record_every=2)),
+        core=lambda f, g: _final(run_system(f, None, ops, grid.dt, grid.nt, inner_X, inner_Y,
+                                            g_half0=g, record_every=2)),
+        system=system,
+    )
 
 
 def _cmp(rng):
     grid, c = _grid1d(), 1.7
-    return dict(
-        state=_state1d(grid, rng),
-        fields=lambda s: (s.u, s.v),
-        dt=grid.dt,
-        step=lambda s: wave1d.cmp_step(s, c, grid),
-        c_n=lambda s: wave1d.conserved_n_1d(s, grid, c=c),
-        c_half=lambda s: wave1d.conserved_half_1d(s, grid, c=c),
-        system=wave1d.cmp_system(c, grid),
-    )
+    return _wave1d(rng, grid, wave1d.cmp_system(c, grid),
+                   lambda s: wave1d.cmp_step(s, c, grid),
+                   lambda f, g, **kw: wave1d.run_cmp(grid, c, f, g, **kw))
 
 
 def _vmp(rng):
@@ -81,15 +104,9 @@ def _vmp(rng):
     mats = wave1d.Materials1D.from_profiles(
         grid, wave1d.bump_profile(2), wave1d.piecewise_linear_profile()
     )
-    return dict(
-        state=_state1d(grid, rng),
-        fields=lambda s: (s.u, s.v),
-        dt=grid.dt,
-        step=lambda s: wave1d.vmp_step(s, mats, grid),
-        c_n=lambda s: wave1d.conserved_n_1d(s, grid, materials=mats),
-        c_half=lambda s: wave1d.conserved_half_1d(s, grid, materials=mats),
-        system=wave1d.vmp_system(mats, grid),
-    )
+    return _wave1d(rng, grid, wave1d.vmp_system(mats, grid),
+                   lambda s: wave1d.vmp_step(s, mats, grid),
+                   lambda f, g, **kw: wave1d.run_vmp(grid, mats, f, g, **kw))
 
 
 def _wave2d(rng):
@@ -98,14 +115,15 @@ def _wave2d(rng):
     u = np.zeros(grid.shape("fp"))
     u[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
     v = (rng.standard_normal(grid.shape("nxd")), rng.standard_normal(grid.shape("nyd")))
+    ops, inner_X, inner_Y = system = wave2d.wave2d_system(star, grid)
     return dict(
-        state=wave2d.WaveState2D(u=u, v=v),
-        fields=lambda s: (s.u, s.v),
+        state=SystemState(f=u, g_half=v, dt=dt),
         dt=dt,
-        step=lambda s: wave2d.wave2d_step(s, star, grid, dt),
-        c_n=lambda s: wave2d.conserved_n_2d(s, star, grid, dt),
-        c_half=lambda s: wave2d.conserved_half_2d(s, star, grid, dt),
-        system=wave2d.wave2d_system(star, grid),
+        step=lambda s: wave2d.wave2d_step(s, star, grid),
+        run=lambda f, g: _final(wave2d.run_wave2d(grid, star, f, g, dt, 5, record_every=2)),
+        core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y,
+                                            g_half0=wave2d.VectorField2(*g), record_every=2)),
+        system=system,
     )
 
 
@@ -117,19 +135,27 @@ def _random_field(grid, kind, rng):
     return VectorField3(*(rng.standard_normal(sh) for sh in grid.vector_shapes(kind)))
 
 
+def _final3d(ran):
+    """(f, g_half, records) of a 3D runner, with each record's t dropped."""
+    f, g, records = _final(ran)
+    return f, g, [(r[0], *r[2:]) for r in records]
+
+
 def _scalar3d(rng):
     grid = _grid3d()
     star = Star3.from_diagonals(grid, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5))
     dt = wave3d.suggest_dt(star, grid, 0.8)
     s = wave3d.pin_scalar_boundary(rng.standard_normal(grid.scalar_shape("node")))
+    ops, inner_X, inner_Y = system = wave3d.scalar_wave_system(star, grid)
     return dict(
-        state=wave3d.ScalarWaveState3(s=s, v=_random_field(grid, "dual-face", rng), dt=dt),
-        fields=lambda st: (st.s, st.v),
+        state=SystemState(f=s, g_half=_random_field(grid, "dual-face", rng), dt=dt),
         dt=dt,
         step=lambda st: wave3d.scalar_wave_step(st, star, grid),
-        c_n=lambda st: wave3d.scalar_conserved_n(st, star, grid),
-        c_half=lambda st: wave3d.scalar_conserved_half(st, star, grid),
-        system=wave3d.scalar_wave_system(star, grid),
+        run=lambda f, g: _final3d(wave3d.run_scalar_wave(grid, star, f, g, dt, 5,
+                                                         record_every=2)),
+        core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y, g_half0=g,
+                                            record_every=2, audit=lambda _, pieces: pieces)),
+        system=system,
     )
 
 
@@ -146,14 +172,20 @@ def _maxwell(rng):
     eps, mu = _maxwell_stars(grid)
     dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
     e = wave3d.pin_tangential_boundary(_random_field(grid, "edge", rng))
+    ops, inner_X, inner_Y = system = wave3d.maxwell_system(eps, mu, grid)
+
+    def audit(state, pieces):
+        return (*pieces, *wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid))
+
     return dict(
-        state=wave3d.MaxwellState3(e=e, h=_random_field(grid, "dual-edge", rng), dt=dt),
-        fields=lambda st: (st.e, st.h),
+        state=SystemState(f=e, g_half=_random_field(grid, "dual-edge", rng), dt=dt),
         dt=dt,
         step=lambda st: wave3d.maxwell_step(st, eps, mu, grid),
-        c_n=lambda st: wave3d.maxwell_conserved_n(st, eps, mu, grid),
-        c_half=lambda st: wave3d.maxwell_conserved_half(st, eps, mu, grid),
-        system=wave3d.maxwell_system(eps, mu, grid),
+        run=lambda f, g: _final3d(wave3d.run_maxwell(grid, eps, mu, f, g, dt, 5,
+                                                     record_every=2)),
+        core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y, g_half0=g,
+                                            record_every=2, audit=audit)),
+        system=system,
     )
 
 
@@ -169,18 +201,20 @@ SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_public_names_are_the_core_engine(name):
+    """Each module's runner is `run_system` on its `*_system`, and each kept
+    step is `system_step` on its pair, bit for bit."""
     case = SYSTEMS[name](np.random.default_rng(5))
-    ops, inner_X, inner_Y = case["system"]
-    f, g = case["fields"](case["state"])
-    state, core = case["state"], SystemState(f=f, g_half=g, dt=case["dt"])
+    ops = case["system"][0]
+    state = core = case["state"]
     for _ in range(3):
         state, core = case["step"](state), system_step(core, ops)
-        f, g = case["fields"](state)
-        assert _same(f, core.f) and _same(g, core.g_half)
-        assert np.array_equal(case["c_n"](state), conserved_full(core, ops, inner_X, inner_Y))
-        assert np.array_equal(
-            case["c_half"](state), conserved_half_step(core, ops, inner_X, inner_Y)
-        )
+        assert _same(state.f, core.f) and _same(state.g_half, core.g_half)
+        assert state.step == core.step and state.dt == core.dt
+    f, g = case["state"].f, case["state"].g_half
+    f_run, g_run, records = case["run"](f, g)
+    f_core, g_core, core_records = case["core"](f, g)
+    assert _same(f_run, f_core) and (g_run is None or _same(g_run, g_core))
+    assert records == core_records
 
 
 def _counted(ops, counts):
@@ -202,7 +236,7 @@ def _counted(ops, counts):
 def test_recorded_steps_reuse_their_operator_terms(name):
     case = SYSTEMS[name](np.random.default_rng(7))
     ops, inner_X, inner_Y = case["system"]
-    f, g = case["fields"](case["state"])
+    f, g = case["state"].f, case["state"].g_half
 
     def reference(state, pieces):
         bare = SystemState(state.f, state.g_half, state.dt, state.step,
@@ -225,7 +259,7 @@ def test_recorded_steps_reuse_their_operator_terms(name):
 def test_only_recorded_steps_keep_operator_terms(name):
     case = SYSTEMS[name](np.random.default_rng(9))
     ops, inner_X, inner_Y = case["system"]
-    f, g = case["fields"](case["state"])
+    f, g = case["state"].f, case["state"].g_half
     start = SystemState(f=f, g_half=g, dt=case["dt"])
     bare = system_step(start, ops)
     assert bare.a_f is None and bare.astar_g_prev is None
@@ -267,7 +301,7 @@ def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, in
     case = _maxwell(np.random.default_rng(3))
     state, counts = case["state"], Counter()
     _count_3d_calls(monkeypatch, counts)
-    wave3d.run_maxwell(grid, eps, mu, state.e, state.h, case["dt"], 5,
+    wave3d.run_maxwell(grid, eps, mu, state.f, state.g_half, case["dt"], 5,
                        record_every=record_every)
     inner = counts.pop("inner3", 0)
     assert sum(counts.values()) == 5 * ops_per_step

@@ -2,14 +2,12 @@ import math
 
 import pytest
 
+from stagwave.core import SystemState, conserved_full, conserved_half_step, init_g_half
 from stagwave.oscillator import (
     OscParams,
-    OscState,
-    conserved_at_full_step,
-    conserved_at_half_step,
     exact_solution,
-    init_half_step,
     leapfrog_step,
+    oscillator_system,
     second_order_step,
     simulate,
     stability_probe,
@@ -51,14 +49,14 @@ class TestSecondOrderStep:
 class TestLeapfrogStep:
     def test_zero_state_fixed_point(self):
         p = OscParams(omega=1.0, dt=0.7)
-        s = leapfrog_step(OscState(u=0.0, v_half=0.0), p)
-        assert s.u == 0.0 and s.v_half == 0.0 and s.step == 1
+        s = leapfrog_step(SystemState(f=0.0, g_half=0.0, dt=p.dt), p)
+        assert s.f == 0.0 and s.g_half == 0.0 and s.step == 1
 
     def test_unit_substitution(self):
         # omega=1, dt=1, u=1, v=0: u' = 1, then v' = 0 + 1*1 = 1
         p = OscParams(omega=1.0, dt=1.0)
-        s = leapfrog_step(OscState(u=1.0, v_half=0.0), p)
-        assert s.u == 1.0 and s.v_half == 1.0
+        s = leapfrog_step(SystemState(f=1.0, g_half=0.0, dt=p.dt), p)
+        assert s.f == 1.0 and s.g_half == 1.0
 
     def test_one_period_second_order(self):
         # Frozen from tests/oracles/oscillator_oracle.py: max error over one
@@ -78,44 +76,45 @@ class TestLeapfrogStep:
 class TestInitHalfStep:
     def test_dt_zero(self):
         p = OscParams(omega=3.7, dt=0.0)
-        assert init_half_step(0.4, 0.9, p) == 0.9
+        assert init_g_half(0.4, 0.9, oscillator_system(p)[0], p.dt) == 0.9
 
     def test_linear_term(self):
         # second term (dt/2)*omega*u0 with u0=1, v0=0
         p = OscParams(omega=1.0, dt=0.2)
-        assert init_half_step(1.0, 0.0, p) == pytest.approx(0.1)
+        assert init_g_half(1.0, 0.0, oscillator_system(p)[0], p.dt) == pytest.approx(0.1)
 
     @pytest.mark.parametrize("dt", [0.2, 0.1, 0.05])
     def test_third_order_error(self, dt):
         # u0=1, v0=0: init = dt/2, exact = sin(dt/2); |e| = dt^3/48 + O(dt^5).
         # Oracle: e/dt^3 = 0.020823, 0.020831, 0.020833 for dt = 0.2, 0.1, 0.05.
         p = OscParams(omega=1.0, dt=dt)
-        e = abs(init_half_step(1.0, 0.0, p) - exact_solution(1.0, 0.0, 1.0, dt / 2)[1])
+        v_half = init_g_half(1.0, 0.0, oscillator_system(p)[0], p.dt)
+        e = abs(v_half - exact_solution(1.0, 0.0, 1.0, dt / 2)[1])
         assert e / dt**3 == pytest.approx(1 / 48, rel=5e-3)
 
 
 class TestConservedQuantities:
     def test_trivial_values(self):
         p = OscParams(omega=1.0, dt=0.0)  # alpha = 0
-        s = OscState(u=1.0, v_half=0.0, prev_u=0.0, prev_v_half=0.0)
-        assert conserved_at_full_step(s, p) == pytest.approx(0.5)
-        s2 = OscState(u=0.0, v_half=1.0, prev_u=0.0, prev_v_half=1.0)
-        assert conserved_at_half_step(s2, p) == pytest.approx(0.5)
+        s = SystemState(f=1.0, g_half=0.0, dt=p.dt, f_prev=0.0, g_prev_half=0.0)
+        assert conserved_full(s, *oscillator_system(p)) == pytest.approx(0.5)
+        s2 = SystemState(f=0.0, g_half=1.0, dt=p.dt, f_prev=0.0, g_prev_half=1.0)
+        assert conserved_half_step(s2, *oscillator_system(p)) == pytest.approx(0.5)
 
     def test_alpha_one_kills_u_term(self):
         # omega*dt = 2 -> alpha = 1: the u^2 coefficient vanishes
         p = OscParams(omega=2.0, dt=1.0)
-        s = OscState(u=7.0, v_half=1.0, prev_u=0.0, prev_v_half=1.0)
-        assert conserved_at_full_step(s, p) == pytest.approx(0.5)
-        s2 = OscState(u=2.0, v_half=123.0, prev_u=0.0, prev_v_half=9.0)
-        assert conserved_at_half_step(s2, p) == pytest.approx(0.5)
+        s = SystemState(f=7.0, g_half=1.0, dt=p.dt, f_prev=0.0, g_prev_half=1.0)
+        assert conserved_full(s, *oscillator_system(p)) == pytest.approx(0.5)
+        s2 = SystemState(f=2.0, g_half=123.0, dt=p.dt, f_prev=0.0, g_prev_half=9.0)
+        assert conserved_half_step(s2, *oscillator_system(p)) == pytest.approx(0.5)
 
     def test_history_required(self):
         p = OscParams(omega=1.0, dt=0.1)
         with pytest.raises(ValueError):
-            conserved_at_full_step(OscState(u=1.0, v_half=0.0), p)
+            conserved_full(SystemState(f=1.0, g_half=0.0, dt=p.dt), *oscillator_system(p))
         with pytest.raises(ValueError):
-            conserved_at_half_step(OscState(u=1.0, v_half=0.0), p)
+            conserved_half_step(SystemState(f=1.0, g_half=0.0, dt=p.dt), *oscillator_system(p))
 
     def test_long_run_drift(self):
         # omega=1, dt=0.01, 1e4 steps: both invariants constant to ~eps

@@ -114,30 +114,30 @@ class TestMaterials:
 class TestSteps:
     def test_zero_state_stays_zero(self):
         g = mode_grid(4, 1.0, 1)
-        s = w1.WaveState1D(u=np.zeros(g.nx), v=np.zeros(g.nx - 1))
+        s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
-        assert np.all(s.u == 0.0) and np.all(s.v == 0.0)
+        assert np.all(s.f == 0.0) and np.all(s.g_half == 0.0)
 
     def test_ends_never_updated(self):
         g = mode_grid(4, 1.0, 1)
         rng = np.random.default_rng(3)
         u0 = rng.standard_normal(g.nx)
-        s = w1.WaveState1D(u=u0.copy(), v=rng.standard_normal(g.nx - 1))
+        s = core.SystemState(f=u0.copy(), g_half=rng.standard_normal(g.nx - 1), dt=g.dt)
         for _ in range(20):
             s = w1.cmp_step(s, 0.5, g)
-        assert s.u[0] == u0[0] and s.u[-1] == u0[-1]
+        assert s.f[0] == u0[0] and s.f[-1] == u0[-1]
 
     def test_unit_materials_reduce_to_constant(self):
         g = mode_grid(5, 1.0, 1)
         mats = unit_materials(g.nx)
         u0 = np.sin(np.pi * g.primal_points())
         v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
-        sc = w1.WaveState1D(u=u0.copy(), v=v0.copy())
-        sv = w1.WaveState1D(u=u0.copy(), v=v0.copy())
+        sc = core.SystemState(f=u0.copy(), g_half=v0.copy(), dt=g.dt)
+        sv = core.SystemState(f=u0.copy(), g_half=v0.copy(), dt=g.dt)
         for _ in range(50):
             sc = w1.cmp_step(sc, 1.0, g)
             sv = w1.vmp_step(sv, mats, g)
-        assert np.array_equal(sc.u, sv.u) and np.array_equal(sc.v, sv.v)
+        assert np.array_equal(sc.f, sv.f) and np.array_equal(sc.g_half, sv.g_half)
 
     def test_speed_split_matches_constant_form(self):
         # rho = 1/c, tau = c: the two forms follow the same dynamics.
@@ -149,8 +149,8 @@ class TestSteps:
         v0 = (g.dt / 2) * c * w1.grad1(u0, g.dx)
         sc, _ = w1.run_cmp(g, c, u0, v0, record_every=0)
         sv, _ = w1.run_vmp(g, mats, u0, v0, record_every=0)
-        assert np.max(np.abs(sc.u - sv.u)) <= 1e-14
-        assert np.max(np.abs(sc.v - sv.v)) <= 1e-14
+        assert np.max(np.abs(sc.f - sv.f)) <= 1e-14
+        assert np.max(np.abs(sc.g_half - sv.g_half)) <= 1e-14
 
     def test_step_matches_generic_integrator(self):
         g = mode_grid(4, 1.0, 2)
@@ -159,11 +159,11 @@ class TestSteps:
         u0 = rng.standard_normal(g.nx)
         u0[0] = u0[-1] = 0.0
         v0 = rng.standard_normal(g.nx - 1)
-        sw = w1.vmp_step(w1.WaveState1D(u=u0, v=v0), mats, g)
+        sw = w1.vmp_step(core.SystemState(f=u0, g_half=v0, dt=g.dt), mats, g)
         ops = w1.vmp_operator_pair(mats, g)
         sg = core.system_step(core.SystemState(f=u0, g_half=v0, dt=g.dt), ops)
-        np.testing.assert_allclose(sw.u, sg.f, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(sw.v, sg.g_half, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sw.f, sg.f, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(sw.g_half, sg.g_half, rtol=1e-13, atol=1e-15)
 
     def test_courant_warning(self):
         g = w1.Grid1D(a=0.0, b=1.0, nx=17, t_final=2.0, nt=16)  # nu = 2
@@ -235,27 +235,28 @@ class TestInnerProducts:
 class TestConserved:
     def test_zero_state_gives_zero(self):
         g = mode_grid(4, 1.0, 1)
-        s = w1.WaveState1D(u=np.zeros(g.nx), v=np.zeros(g.nx - 1))
+        s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
-        assert w1.conserved_n_1d(s, g, c=1.0) == 0.0
-        assert w1.conserved_half_1d(s, g, c=1.0) == 0.0
-        assert w1.conserved_n_1d(s, g, materials=unit_materials(g.nx)) == 0.0
+        assert core.conserved_full(s, *w1.cmp_system(1.0, g)) == 0.0
+        assert core.conserved_half_step(s, *w1.cmp_system(1.0, g)) == 0.0
+        assert core.conserved_full(s, *w1.vmp_system(unit_materials(g.nx), g)) == 0.0
 
     def test_history_required(self):
         g = mode_grid(4, 1.0, 1)
-        s = w1.WaveState1D(u=np.zeros(g.nx), v=np.zeros(g.nx - 1))
+        s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         with pytest.raises(ValueError):
-            w1.conserved_n_1d(s, g, c=1.0)
+            core.conserved_full(s, *w1.cmp_system(1.0, g))
         with pytest.raises(ValueError):
-            w1.conserved_half_1d(s, g, c=1.0)
+            core.conserved_half_step(s, *w1.cmp_system(1.0, g))
 
-    def test_exactly_one_material_argument(self):
+    def test_invariants_reject_materials_off_the_grid(self):
         g = mode_grid(4, 1.0, 1)
-        s = w1.cmp_step(w1.WaveState1D(u=np.zeros(g.nx), v=np.zeros(g.nx - 1)), 1.0, g)
+        s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
+        s = w1.cmp_step(s, 1.0, g)
         with pytest.raises(ValueError):
-            w1.conserved_n_1d(s, g)
+            core.conserved_full(s, *w1.vmp_system(unit_materials(g.nx + 2), g))
         with pytest.raises(ValueError):
-            w1.conserved_n_1d(s, g, c=1.0, materials=unit_materials(g.nx))
+            core.conserved_half_step(s, *w1.vmp_system(unit_materials(g.nx + 2), g))
 
     def test_constant_mode_value_and_drift(self):
         # oracle: C_1 = 0.499078326597769, |C-0.5| <= 9.216734e-04 (O(dx^2)),
@@ -323,7 +324,7 @@ class TestCFL:
         v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
         with pytest.warns(RuntimeWarning):
             state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
-        assert np.max(np.abs(state.u)) > 1e3
+        assert np.max(np.abs(state.f)) > 1e3
 
     def test_stable_below_one(self):
         # oracle: max|u| = 8.817060e-01 after 1000 steps at nu = 0.95
@@ -335,7 +336,7 @@ class TestCFL:
         u0 = w1.standing_mode_u(g.primal_points(), 0.0)
         v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
         state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
-        assert np.max(np.abs(state.u)) == pytest.approx(8.817060e-01, rel=1e-5)
+        assert np.max(np.abs(state.f)) == pytest.approx(8.817060e-01, rel=1e-5)
 
     def test_refinement_exponent(self):
         assert w1.refinement_exponent(1.0, 1.0, 0.5) == 0
@@ -451,7 +452,7 @@ class TestRefineCompare:
             u0 = w1.standing_mode_u(g.primal_points(), 0.0)
             v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
             state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
-            sols[k] = (g, state.u)
+            sols[k] = (g, state.f)
         (gc, uc), (gf, uf) = sols[5], sols[6]
         er, _ = w1.refine_compare(uc, uf, gc, gf)
         estimate = np.max(np.abs(er))
@@ -496,11 +497,11 @@ class TestSecondDifference:
             g, w1.constant_profile(1.0), w1.piecewise_linear_profile())
         u0 = np.sin(np.pi * g.primal_points())
         v0 = w1.taylor_v_half_vmp(u0, np.zeros(g.nx - 1), mats, g)
-        s0 = w1.WaveState1D(u=u0, v=v0)
+        s0 = core.SystemState(f=u0, g_half=v0, dt=g.dt)
         s1 = w1.vmp_step(s0, mats, g)
         s2 = w1.vmp_step(s1, mats, g)
-        lhs = mats.rho * (s2.u - 2 * s1.u + s0.u) / g.dt**2
-        tg = mats.tau * w1.grad1(s1.u, g.dx)
+        lhs = mats.rho * (s2.f - 2 * s1.f + s0.f) / g.dt**2
+        tg = mats.tau * w1.grad1(s1.f, g.dx)
         rhs = w1.div1(tg, g.dx)
         np.testing.assert_allclose(lhs[1:-1], rhs[1:-1], rtol=1e-12, atol=1e-11)
 
@@ -518,7 +519,7 @@ class TestVAtFinalTime:
             u0 = w1.standing_mode_u(g.primal_points(), 0.0)
             v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
             state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
-            v_final = w1.v_at_final_time(state.v, state.v_prev)
+            v_final = w1.v_at_final_time(state.g_half, state.g_prev_half)
             ers[k] = np.max(np.abs(v_final - w1.standing_mode_v(g.dual_points(), 1.75)))
         assert ers[4] == pytest.approx(1.161718e-03, rel=1e-5)
         assert ers[5] == pytest.approx(2.887942e-04, rel=1e-5)

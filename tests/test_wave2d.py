@@ -9,12 +9,10 @@ import warnings
 import numpy as np
 import pytest
 
+from stagwave.core import SystemState, conserved_full, conserved_half_step
 from stagwave.wave2d import (
     Grid2,
     Star2,
-    WaveState2D,
-    conserved_half_2d,
-    conserved_n_2d,
     div2d,
     div2p,
     exact_solution_2d,
@@ -26,6 +24,7 @@ from stagwave.wave2d import (
     star2,
     suggest_dt_2d,
     wave2d_step,
+    wave2d_system,
 )
 
 DIAG = (1.5, 2.5)
@@ -43,8 +42,8 @@ def random_v(grid, rng):
             rng.standard_normal(grid.shape("nyd")))
 
 
-def random_state(grid, rng):
-    return WaveState2D(u=pinned_u(grid, rng), v=random_v(grid, rng))
+def random_state(grid, rng, dt):
+    return SystemState(f=pinned_u(grid, rng), g_half=random_v(grid, rng), dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -313,33 +312,33 @@ class TestStar2:
 class TestStep:
     def test_zero_state_stays_zero(self):
         grid = Grid2(6, 5)
-        state = WaveState2D(u=np.zeros(grid.shape("fp")),
-                            v=(np.zeros(grid.shape("nxd")),
-                               np.zeros(grid.shape("nyd"))))
-        state = wave2d_step(state, Star2(), grid, 0.05)
-        assert np.all(state.u == 0.0)
-        assert np.all(state.v[0] == 0.0) and np.all(state.v[1] == 0.0)
+        state = SystemState(f=np.zeros(grid.shape("fp")),
+                            g_half=(np.zeros(grid.shape("nxd")),
+                                    np.zeros(grid.shape("nyd"))), dt=0.05)
+        state = wave2d_step(state, Star2(), grid)
+        assert np.all(state.f == 0.0)
+        assert np.all(state.g_half[0] == 0.0) and np.all(state.g_half[1] == 0.0)
 
     def test_boundary_ring_is_pinned_bitwise(self):
         grid = Grid2(7, 6)
         rng = np.random.default_rng(5)
         u0 = rng.standard_normal(grid.shape("fp"))  # ring left nonzero on purpose
-        state = WaveState2D(u=u0.copy(), v=random_v(grid, rng))
+        state = SystemState(f=u0.copy(), g_half=random_v(grid, rng), dt=0.01)
         for _ in range(3):
-            state = wave2d_step(state, Star2(a=2.0), grid, 0.01)
-        assert np.array_equal(state.u[0, :], u0[0, :])
-        assert np.array_equal(state.u[-1, :], u0[-1, :])
-        assert np.array_equal(state.u[:, 0], u0[:, 0])
-        assert np.array_equal(state.u[:, -1], u0[:, -1])
+            state = wave2d_step(state, Star2(a=2.0), grid)
+        assert np.array_equal(state.f[0, :], u0[0, :])
+        assert np.array_equal(state.f[-1, :], u0[-1, :])
+        assert np.array_equal(state.f[:, 0], u0[:, 0])
+        assert np.array_equal(state.f[:, -1], u0[:, -1])
 
     def test_step_carries_history(self):
         grid = Grid2(5, 5)
         rng = np.random.default_rng(2)
-        s0 = random_state(grid, rng)
-        s1 = wave2d_step(s0, Star2(), grid, 0.02)
-        assert s1.u_prev is s0.u and s1.v_prev is s0.v
+        s0 = random_state(grid, rng, 0.02)
+        s1 = wave2d_step(s0, Star2(), grid)
+        assert s1.f_prev is s0.f and s1.g_prev_half is s0.g_half
         assert s0.step == 0 and s1.step == 1
-        assert s0.u_prev is None and s0.v_prev is None
+        assert s0.f_prev is None and s0.g_prev_half is None
 
     def test_second_difference_identity(self):
         # (u2 - 2 u1 + u0)/dt^2 equals the star Laplacian of u1
@@ -348,14 +347,14 @@ class TestStep:
         dt = suggest_dt_2d(star, grid, 0.8)
         rng = np.random.default_rng(7)
         u0 = pinned_u(grid, rng)
-        s0 = WaveState2D(u=u0, v=init_v_half_2d(u0, random_v(grid, rng),
-                                                star, grid, dt))
-        s1 = wave2d_step(s0, star, grid, dt)
-        s2 = wave2d_step(s1, star, grid, dt)
-        lap = star2(div2d(star2(grad2p(s1.u, grid), star.diag,
+        s0 = SystemState(f=u0, g_half=init_v_half_2d(u0, random_v(grid, rng),
+                                                      star, grid, dt), dt=dt)
+        s1 = wave2d_step(s0, star, grid)
+        s2 = wave2d_step(s1, star, grid)
+        lap = star2(div2d(star2(grad2p(s1.f, grid), star.diag,
                                 "tangent-to-dual-normal"), grid),
                     star.a, "dual-cell-to-node")
-        resid = (s2.u - 2.0 * s1.u + s0.u) / dt ** 2 - lap
+        resid = (s2.f - 2.0 * s1.f + s0.f) / dt ** 2 - lap
         assert np.max(np.abs(resid)) <= 1e-11 * np.max(np.abs(lap))
 
 
@@ -403,11 +402,11 @@ STARS = {
 class TestConserved:
     def test_fresh_state_has_no_history(self):
         grid = Grid2(5, 5)
-        state = random_state(grid, np.random.default_rng(0))
+        state = random_state(grid, np.random.default_rng(0), 0.01)
         with pytest.raises(ValueError, match="history"):
-            conserved_n_2d(state, Star2(), grid, 0.01)
+            conserved_full(state, *wave2d_system(Star2(), grid))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_2d(state, Star2(), grid, 0.01)
+            conserved_half_step(state, *wave2d_system(Star2(), grid))
 
     @pytest.mark.parametrize("name", sorted(STARS))
     def test_drift_over_thousand_steps(self, name):
@@ -432,9 +431,9 @@ class TestConserved:
         dt = suggest_dt_2d(star, grid, 0.9)
         rng = np.random.default_rng(33)
         for _ in range(100):
-            state = wave2d_step(random_state(grid, rng), star, grid, dt)
-            assert conserved_n_2d(state, star, grid, dt) > 0.0
-            assert conserved_half_2d(state, star, grid, dt) > 0.0
+            state = wave2d_step(random_state(grid, rng, dt), star, grid)
+            assert conserved_full(state, *wave2d_system(star, grid)) > 0.0
+            assert conserved_half_step(state, *wave2d_system(star, grid)) > 0.0
 
     def test_records_match_direct_evaluation(self):
         grid = Grid2(8, 8)
@@ -448,8 +447,8 @@ class TestConserved:
         assert [r[0] for r in records] == [3, 6, 9]
         state2, records2 = run_wave2d(grid, star, u0, v_half, dt, 10)
         assert len(records2) == 10
-        assert records2[-1][1] == conserved_n_2d(state2, star, grid, dt)
-        assert records2[-1][2] == conserved_half_2d(state2, star, grid, dt)
+        assert records2[-1][1] == conserved_full(state2, *wave2d_system(star, grid))
+        assert records2[-1][2] == conserved_half_step(state2, *wave2d_system(star, grid))
 
 
 # ---------------------------------------------------------------------------

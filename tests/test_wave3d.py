@@ -9,7 +9,13 @@ import warnings
 import numpy as np
 import pytest
 
-from stagwave.core import SystemState, system_step, conserved_full
+from stagwave.core import (
+    SystemState,
+    conserved_full,
+    conserved_half_step,
+    energy_pieces,
+    system_step,
+)
 from stagwave.mimetic3d import (
     Grid3,
     Star3,
@@ -22,28 +28,24 @@ from stagwave.mimetic3d import (
 )
 from stagwave.wave1d import estimate_order
 from stagwave.wave3d import (
-    MaxwellState3,
-    ScalarWaveState3,
     cavity_mode_s,
     cavity_mode_v,
     divergence_audit,
     maxwell_cavity_errors,
-    maxwell_conserved_half,
-    maxwell_conserved_n,
     maxwell_init_h,
     maxwell_operators,
     maxwell_step,
+    maxwell_system,
     measured_stencil_norm,
     pin_scalar_boundary,
     pin_tangential_boundary,
     run_maxwell,
     run_scalar_wave,
     scalar_cavity_errors,
-    scalar_conserved_half,
-    scalar_conserved_n,
     scalar_wave_init_v,
     scalar_wave_operators,
     scalar_wave_step,
+    scalar_wave_system,
     suggest_dt,
     te_cavity_e,
     te_cavity_h,
@@ -60,12 +62,12 @@ def random_vector(grid, kind, rng):
 
 def random_scalar_state(grid, rng, dt):
     s = pin_scalar_boundary(rng.standard_normal(grid.scalar_shape("node")))
-    return ScalarWaveState3(s=s, v=random_vector(grid, "dual-face", rng), dt=dt)
+    return SystemState(f=s, g_half=random_vector(grid, "dual-face", rng), dt=dt)
 
 
 def random_maxwell_state(grid, rng, dt):
     e = pin_tangential_boundary(random_vector(grid, "edge", rng))
-    return MaxwellState3(e=e, h=random_vector(grid, "dual-edge", rng), dt=dt)
+    return SystemState(f=e, g_half=random_vector(grid, "dual-edge", rng), dt=dt)
 
 
 def rel_drift(values):
@@ -110,32 +112,32 @@ class TestStates:
         new = scalar_wave_step(state, star, grid)
         assert new.step == 1
         assert new.dt == state.dt
-        assert new.s_prev is state.s
-        assert new.v_prev is state.v
+        assert new.f_prev is state.f
+        assert new.g_prev_half is state.g_half
 
     def test_zero_scalar_state_stays_zero(self):
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
-        state = ScalarWaveState3(
-            s=np.zeros(grid.scalar_shape("node")),
-            v=zeros_field(grid, "dual-face"),
+        state = SystemState(
+            f=np.zeros(grid.scalar_shape("node")),
+            g_half=zeros_field(grid, "dual-face"),
             dt=0.1,
         )
         for _ in range(3):
             state = scalar_wave_step(state, star, grid)
-        assert np.all(state.s == 0.0)
-        assert all(np.all(c == 0.0) for c in state.v.components)
+        assert np.all(state.f == 0.0)
+        assert all(np.all(c == 0.0) for c in state.g_half.components)
 
     def test_zero_maxwell_state_stays_zero(self):
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
-        state = MaxwellState3(
-            e=zeros_field(grid, "edge"), h=zeros_field(grid, "dual-edge"), dt=0.1
+        state = SystemState(
+            f=zeros_field(grid, "edge"), g_half=zeros_field(grid, "dual-edge"), dt=0.1
         )
         for _ in range(3):
             state = maxwell_step(state, star, star, grid)
-        assert all(np.all(c == 0.0) for c in state.e.components)
-        assert all(np.all(c == 0.0) for c in state.h.components)
+        assert all(np.all(c == 0.0) for c in state.f.components)
+        assert all(np.all(c == 0.0) for c in state.g_half.components)
 
     def test_conserved_quantities_require_history(self):
         grid = pinned_cube(4)
@@ -144,13 +146,13 @@ class TestStates:
         fresh_s = random_scalar_state(grid, rng, dt=0.05)
         fresh_m = random_maxwell_state(grid, rng, dt=0.05)
         with pytest.raises(ValueError, match="history"):
-            scalar_conserved_n(fresh_s, star, grid)
+            conserved_full(fresh_s, *scalar_wave_system(star, grid))
         with pytest.raises(ValueError, match="history"):
-            scalar_conserved_half(fresh_s, star, grid)
+            conserved_half_step(fresh_s, *scalar_wave_system(star, grid))
         with pytest.raises(ValueError, match="history"):
-            maxwell_conserved_n(fresh_m, star, star, grid)
+            conserved_full(fresh_m, *maxwell_system(star, star, grid))
         with pytest.raises(ValueError, match="history"):
-            maxwell_conserved_half(fresh_m, star, star, grid)
+            conserved_half_step(fresh_m, *maxwell_system(star, star, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -167,12 +169,13 @@ class TestScalarWave:
         dt = suggest_dt(star, grid, 0.8)
         state = random_scalar_state(grid, rng, dt)
         ops = scalar_wave_operators(star, grid)
-        core = SystemState(f=state.s, g_half=state.v, dt=dt)
+        core = SystemState(f=state.f, g_half=state.g_half, dt=dt)
         for _ in range(3):
             state = scalar_wave_step(state, star, grid)
             core = system_step(core, ops)
-        assert np.array_equal(state.s, core.f)
-        assert all(np.array_equal(a, b) for a, b in zip(state.v.components, core.g_half.components))
+        assert np.array_equal(state.f, core.f)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state.g_half.components, core.g_half.components))
         # conserved form agrees with the generic one as well
         from stagwave.mimetic3d import inner3
 
@@ -182,7 +185,7 @@ class TestScalarWave:
             inner_X=lambda a, b: inner3("node", a, b, star, grid),
             inner_Y=lambda a, b: inner3("dual-face", a, b, star, grid),
         )
-        assert c_core == scalar_conserved_n(state, star, grid)
+        assert c_core == conserved_full(state, *scalar_wave_system(star, grid))
 
     def test_second_difference_identity(self):
         # two half-step updates compose to the centered second difference
@@ -193,9 +196,9 @@ class TestScalarWave:
         st0 = random_scalar_state(grid, rng, dt)
         st1 = scalar_wave_step(st0, star, grid)
         st2 = scalar_wave_step(st1, star, grid)
-        lhs = (st2.s - 2.0 * st1.s + st0.s) / dt**2
+        lhs = (st2.f - 2.0 * st1.f + st0.f) / dt**2
         rhs = star_scalar_inverse(
-            div3_star(star_matrix(grad3(st1.s, grid), star, "a"), grid),
+            div3_star(star_matrix(grad3(st1.f, grid), star, "a"), grid),
             star,
             "node-to-dual-cell",
         )
@@ -258,7 +261,7 @@ class TestScalarWave:
         with pytest.raises(ValueError, match="full-matrix"):
             scalar_wave_step(state, star, grid)
         stepped = scalar_wave_step(state, star, grid, guaranteed=False)
-        assert np.all(np.isfinite(stepped.s))
+        assert np.all(np.isfinite(stepped.f))
 
     @pytest.mark.parametrize("name", sorted(SCALAR_STARS))
     def test_conserved_drift(self, name):
@@ -267,7 +270,7 @@ class TestScalarWave:
         rng = np.random.default_rng(12)
         dt = suggest_dt(star, grid, 0.9)
         state = random_scalar_state(grid, rng, dt)
-        _, records = run_scalar_wave(grid, star, state.s, state.v, dt, 2000)
+        _, records = run_scalar_wave(grid, star, state.f, state.g_half, dt, 2000)
         assert rel_drift([r[2] for r in records]) <= 1e-12
         assert rel_drift([r[3] for r in records]) <= 1e-12
 
@@ -278,8 +281,8 @@ class TestScalarWave:
         rng = np.random.default_rng(13)
         for _ in range(100):
             state = scalar_wave_step(random_scalar_state(grid, rng, dt), star, grid)
-            assert scalar_conserved_half(state, star, grid) >= 0.0
-            assert scalar_conserved_n(state, star, grid) >= 0.0
+            assert conserved_half_step(state, *scalar_wave_system(star, grid)) >= 0.0
+            assert conserved_full(state, *scalar_wave_system(star, grid)) >= 0.0
 
     def test_whole_step_invariant_below_its_positive_pieces(self):
         grid = pinned_cube(4)
@@ -288,10 +291,8 @@ class TestScalarWave:
         state = scalar_wave_step(
             random_scalar_state(grid, rng, dt=0.05), star, grid
         )
-        cn = scalar_conserved_n(state, star, grid)
-        from stagwave.wave3d import _scalar_pieces
-
-        c1, c2, c3 = _scalar_pieces(state, star, grid)
+        cn = conserved_full(state, *scalar_wave_system(star, grid))
+        c1, c2, c3 = energy_pieces(state, *scalar_wave_system(star, grid))
         assert c3 > 0.0
         assert cn < c1 + c2
 
@@ -309,12 +310,13 @@ class TestMaxwell:
         dt = suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
         state = random_maxwell_state(grid, rng, dt)
         ops = maxwell_operators(eps, mu, grid)
-        core = SystemState(f=state.e, g_half=state.h, dt=dt)
+        core = SystemState(f=state.f, g_half=state.g_half, dt=dt)
         for _ in range(3):
             state = maxwell_step(state, eps, mu, grid)
             core = system_step(core, ops)
-        assert all(np.array_equal(a, b) for a, b in zip(state.e.components, core.f.components))
-        assert all(np.array_equal(a, b) for a, b in zip(state.h.components, core.g_half.components))
+        assert all(np.array_equal(a, b) for a, b in zip(state.f.components, core.f.components))
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(state.g_half.components, core.g_half.components))
 
     def test_unit_materials_reduce_to_plain_sums(self):
         grid = pinned_cube(4)
@@ -325,14 +327,14 @@ class TestMaxwell:
         dv = grid.cell_volume
         from stagwave.mimetic3d import curl3
 
-        h_bar = 0.5 * (state.h + state.h_prev)
-        ce = curl3(state.e, grid)
+        h_bar = 0.5 * (state.g_half + state.g_prev_half)
+        ce = curl3(state.f, grid)
         want = (
-            sum(float(np.sum(c**2)) for c in state.e.components) * dv
+            sum(float(np.sum(c**2)) for c in state.f.components) * dv
             + sum(float(np.sum(c**2)) for c in h_bar.components) * dv
             - (0.5 * dt) ** 2 * sum(float(np.sum(c**2)) for c in ce.components) * dv
         )
-        got = maxwell_conserved_n(state, star, star, grid)
+        got = conserved_full(state, *maxwell_system(star, star, grid))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_te_mode_zero_components_stay_exactly_zero(self):
@@ -341,12 +343,12 @@ class TestMaxwell:
         dt = 0.9 * suggest_dt(star, grid, system="maxwell")
         e0 = te_cavity_e(grid, 0.0)
         h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
-        state = MaxwellState3(e=e0, h=h_half, dt=dt)
+        state = SystemState(f=e0, g_half=h_half, dt=dt)
         for _ in range(20):
             state = maxwell_step(state, star, star, grid)
-        assert np.all(state.e.x == 0.0)
-        assert np.all(state.e.y == 0.0)
-        assert np.all(state.h.z == 0.0)
+        assert np.all(state.f.x == 0.0)
+        assert np.all(state.f.y == 0.0)
+        assert np.all(state.g_half.z == 0.0)
 
     def test_te_cavity_convergence(self):
         errs = maxwell_cavity_errors((8, 16, 32), t_final=0.35, safety=0.9)
@@ -389,7 +391,7 @@ class TestMaxwell:
         with pytest.raises(ValueError, match="full-matrix"):
             maxwell_step(state, plain, full, grid)
         stepped = maxwell_step(state, full, full, grid, guaranteed=False)
-        assert all(np.all(np.isfinite(c)) for c in stepped.e.components)
+        assert all(np.all(np.isfinite(c)) for c in stepped.f.components)
 
     @pytest.mark.parametrize("name", sorted(MAXWELL_STARS))
     def test_conserved_drift(self, name):
@@ -398,7 +400,7 @@ class TestMaxwell:
         rng = np.random.default_rng(22)
         dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
         state = random_maxwell_state(grid, rng, dt)
-        _, records = run_maxwell(grid, eps, mu, state.e, state.h, dt, 2000)
+        _, records = run_maxwell(grid, eps, mu, state.f, state.g_half, dt, 2000)
         assert rel_drift([r[2] for r in records]) <= 1e-12
         assert rel_drift([r[3] for r in records]) <= 1e-12
 
@@ -412,10 +414,10 @@ class TestDivergenceAudit:
     def test_zero_state_audits_zero(self):
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
-        state = MaxwellState3(
-            e=zeros_field(grid, "edge"), h=zeros_field(grid, "dual-edge"), dt=0.1
+        state = SystemState(
+            f=zeros_field(grid, "edge"), g_half=zeros_field(grid, "dual-edge"), dt=0.1
         )
-        assert divergence_audit(state, star, star, grid) == (0.0, 0.0)
+        assert divergence_audit(state.f, state.g_half, star, star, grid) == (0.0, 0.0)
 
     def test_te_mode_stays_divergence_free(self):
         grid = pinned_cube(8)
@@ -434,7 +436,7 @@ class TestDivergenceAudit:
         rng = np.random.default_rng(23)
         dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
         state = random_maxwell_state(grid, rng, dt)
-        _, records = run_maxwell(grid, eps, mu, state.e, state.h, dt, 100)
+        _, records = run_maxwell(grid, eps, mu, state.f, state.g_half, dt, 100)
         div_e = [r[7] for r in records]
         div_h = [r[8] for r in records]
         assert div_e[0] > 0.1 and div_h[0] > 0.1
@@ -514,14 +516,14 @@ class TestRunHelpers:
         dt = suggest_dt(star, grid, 0.9)
         state0 = random_scalar_state(grid, rng, dt)
         state, records = run_scalar_wave(
-            grid, star, state0.s, state0.v, dt, 10, record_every=2
+            grid, star, state0.f, state0.g_half, dt, 10, record_every=2
         )
         assert [r[0] for r in records] == [2, 4, 6, 8, 10]
         step, t, c_n, c_half, c1, c2, c3 = records[-1]
         assert t == step * dt
         assert c_n == c1 + c2 - (0.5 * dt) ** 2 * c3
-        assert c_n == scalar_conserved_n(state, star, grid)
-        assert c_half == scalar_conserved_half(state, star, grid)
+        assert c_n == conserved_full(state, *scalar_wave_system(star, grid))
+        assert c_half == conserved_half_step(state, *scalar_wave_system(star, grid))
 
     def test_maxwell_records(self):
         grid = pinned_cube(4)
@@ -529,10 +531,10 @@ class TestRunHelpers:
         rng = np.random.default_rng(26)
         dt = suggest_dt(star, grid, 0.9, system="maxwell")
         state0 = random_maxwell_state(grid, rng, dt)
-        state, records = run_maxwell(grid, star, star, state0.e, state0.h, dt, 4)
+        state, records = run_maxwell(grid, star, star, state0.f, state0.g_half, dt, 4)
         assert len(records) == 4
         assert all(len(r) == 9 for r in records)
-        assert records[-1][2] == maxwell_conserved_n(state, star, star, grid)
+        assert records[-1][2] == conserved_full(state, *maxwell_system(star, star, grid))
         assert all(np.isfinite(r).all() for r in map(np.asarray, records))
 
     def test_courant_warning_fires_above_the_bound(self):
@@ -542,10 +544,10 @@ class TestRunHelpers:
         dt = 1.1 * suggest_dt(star, grid)
         state = random_scalar_state(grid, rng, dt)
         with pytest.warns(RuntimeWarning, match="unstable"):
-            run_scalar_wave(grid, star, state.s, state.v, dt, 1)
+            run_scalar_wave(grid, star, state.f, state.g_half, dt, 1)
         mstate = random_maxwell_state(grid, rng, dt)
         with pytest.warns(RuntimeWarning, match="unstable"):
-            run_maxwell(grid, star, star, mstate.e, mstate.h, dt, 1)
+            run_maxwell(grid, star, star, mstate.f, mstate.g_half, dt, 1)
 
     def test_no_warning_at_the_suggested_dt(self):
         grid = pinned_cube(4)
@@ -555,7 +557,7 @@ class TestRunHelpers:
         state = random_scalar_state(grid, rng, dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_scalar_wave(grid, star, state.s, state.v, dt, 2)
+            run_scalar_wave(grid, star, state.f, state.g_half, dt, 2)
 
 
 # ---------------------------------------------------------------------------

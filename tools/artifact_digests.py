@@ -111,6 +111,10 @@ EDGES = [
     ["convergence-table", "--case", "wave2d-mode", "--final", "1e308"],
     ["wave3d", "--grid", "1"],
     ["oscillator", "--steps", "10", "--bogus"],
+    ["wave2d", "--nx", "8", "--a11", "inf"],
+    ["wave2d", "--nx", "8", "--a", "inf"],
+    ["wave2d", "--nx", "8", "--a", "1e-320"],
+    ["wave2d", "--nx", "8", "--nt", "5", "--t-final", "1e308"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
