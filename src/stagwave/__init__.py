@@ -7,9 +7,10 @@ discrete adjoints of each other and the time step satisfies a CFL-type bound.
 
 That leapfrog lives once, in ``core``: the step, both invariants, the run
 loop, the CFL warning and the half-step start.  Each physics module supplies
-only an operator pair (with the norm bound behind its dt limit) and two
-inner products; every march returns the engine's one state type,
-``core.SystemState``.
+a ``core.System``: its operator pair (with the norm bound behind its dt
+limit), its two inner products, its CFL step, its start data and, where it
+knows one, its exact solution.  Every march returns the engine's one state
+type, ``core.SystemState``.
 
 Modules
 -------

@@ -7,13 +7,14 @@ enabled check, and exits 0 only if every check passed (1 on a failed check,
 
 Commands
 --------
-oscillator, system, wave1d, wave1d-convergence, wave2d, wave3d, maxwell,
-transport, diffusion, verify, convergence-table.
-
 One table, ``COMMANDS``, declares every command: its help text, its runner
 and its options, each option once as ``(flag, argparse keyword arguments)``.
 The parser, the ``--schema`` dump and the config-file keys all come from that
 table, and runners read the parsed options as flat attributes (``cfg.dt``).
+The six march commands (``oscillator``, ``system``, ``wave1d``, ``wave2d``,
+``wave3d``, ``maxwell``) share one runner, ``_run_march``: each builds a
+``March`` from its options, the module's ``core.System`` plus its own
+extras, and the runner forms the time step, marches and checks.
 
 Artifacts
 ---------
@@ -45,10 +46,11 @@ Usage errors
 Exit 2 covers unknown flags or keys, values of the wrong type or outside an
 option's choices, grid sizes below what the grid constructors accept (the
 ``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive,
-non-positive or unparseable ``--final`` times, times whose CFL step count is
-not finite, ``wave2d`` stars with no finite positive CFL time step, and
-contradictory flags such as ``--dt`` with ``--t-final`` for
-``wave3d``/``maxwell``.
+non-positive or unparseable ``--final`` times, a ``--safety`` (or a
+``wave2d`` star, or a 1D material) whose CFL time step is not a positive
+finite number, CFL step counts that are not finite, an ``oscillator`` whose
+omega * dt / 2 is past the float range, and contradictory flags such as
+``--dt`` with ``--t-final`` for ``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -79,8 +81,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
-from .core import OperatorPair, check_adjointness, run_system
-from .mimetic3d import Grid3, Star3, sample_scalar, sample_vector, zeros_field
+from .core import OperatorPair, System, check_adjointness, euclidean_inner, init_g_half
+from .mimetic3d import Grid3, Star3, sample_scalar, sample_vector
 
 __all__ = [
     "COMMANDS",
@@ -120,22 +122,6 @@ def _check(name: str, measured, bound: str, passed: bool) -> dict:
     if isinstance(measured, (int, float, np.integer, np.floating)):
         measured = float(measured)
     return {"name": name, "measured": measured, "bound": bound, "passed": bool(passed)}
-
-
-def _invariant_series(art, rows, every, extra=()):
-    """Write the rows (step, t, C_n, C_half, *extra) of every `every`-th step
-    to the series CSV; return the drift checks over all rows and their summary."""
-    art.series(
-        ["step", "t", "C_n", "C_half", *extra],
-        [r for r in rows if every and r[0] % every == 0],
-    )
-    drift_n = rel_drift([r[2] for r in rows])
-    drift_half = rel_drift([r[3] for r in rows])
-    checks = [
-        _check("C_n-drift", drift_n, "<= 1e-12 relative", drift_n <= 1e-12),
-        _check("C_half-drift", drift_half, "<= 1e-12 relative", drift_half <= 1e-12),
-    ]
-    return checks, {"C_n_drift": drift_n, "C_half_drift": drift_half}
 
 
 # ---------------------------------------------------------------------------
@@ -435,113 +421,206 @@ def _cfl_steps(flag: str, count, *args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# runners (one per experiment subcommand); `cfg` is the parsed namespace
+# march commands: one runner over the `March` each command builds from cfg
 # ---------------------------------------------------------------------------
 
 
-def _run_oscillator(cfg, art: ArtifactWriter) -> dict:
-    omega, dt, steps = cfg.omega, cfg.dt, cfg.steps
-    params = oscillator.OscParams(omega=omega, dt=dt, n_steps=steps)
-    u_hist, rec = oscillator.simulate(cfg.u0, cfg.v0, params, exact_init=cfg.exact_init)
-    checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
-    )
+class March(NamedTuple):
+    """One march command's System and extras, built from its options."""
 
-    t = dt * np.arange(len(u_hist))
-    # continuum solution of u' = -omega v, v' = omega u
-    exact = cfg.u0 * np.cos(omega * t) - cfg.v0 * np.sin(omega * t)
-    max_dev = float(np.max(np.abs(np.asarray(u_hist) - exact)))
-    return {
-        "settings": {"omega": omega, "dt": dt, "steps": steps, "alpha": params.alpha},
-        "summary": summary,
-        "error_norms": {"max_dev_from_exact": max_dev},
-        "checks": checks,
-    }
+    system: System
+    settings: dict  # the report's settings, beside dt and the step count
+    dt: float | None = None  # None: the CFL step at --safety
+    steps: int | None = None  # None with t_final: the fewest whole steps to reach it
+    t_final: float | None = None  # dt becomes t_final / steps
+    steps_key: str = "steps"  # the settings key of the step count
+    every: int = 1  # the engine's record interval
+    columns: tuple = ()  # the series columns `audit` appends to a record
+    audit: Callable | None = None
+    error: tuple | None = None  # (error_norms key, time) against system.exact
+    cfl_flags: str = "--safety"  # what a CFL step out of range is blamed on
+    finish: Callable | None = None  # finish(body, state, rows, art): own checks, norms
 
 
-def _run_system(cfg, art: ArtifactWriter) -> dict:
-    preset, steps = cfg.preset, cfg.steps
-    if preset == "oscillator":
-        omega = cfg.omega
-        dt = cfg.dt if cfg.dt is not None else 0.01
-        ops = OperatorPair(
-            apply_A=lambda f: -omega * f,
-            apply_Astar=lambda g: -omega * g,
-            norm_bound_A=omega,
-            norm_bound_Astar=omega,
+def _cfl_dt(system: System, safety: float, flags: str) -> float:
+    """`system.cfl_dt(safety)`, checked before any march: a usage error
+    naming `flags` unless it is a positive finite time step."""
+    try:
+        dt = system.cfl_dt(safety)
+    except ZeroDivisionError:  # the norm bound is zero: no bound at all
+        dt = math.inf
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"{flags}: the CFL time step {dt!r} is not a positive finite number")
+    return dt
+
+
+def _run_march(build, cfg, art: ArtifactWriter) -> dict:
+    """The runner of every march command: `build(cfg)`, form the step and the
+    step count, march, write the series of every --record-every-th step, and
+    check both invariants' drift over all recorded steps."""
+    m = build(cfg)
+    dt, steps = m.dt, m.steps
+    if dt is None and (m.t_final is None or steps is None):
+        dt = _cfl_dt(m.system, cfg.safety, m.cfl_flags)
+    if m.t_final is not None:
+        if steps is None:
+            steps = max(1, _cfl_steps(f"--t-final/{m.cfl_flags}", math.ceil, m.t_final / dt))
+        dt = m.t_final / steps
+    if m.every > steps:
+        raise ConfigError(
+            f"--record-every {m.every} is larger than the number of steps ({steps}, "
+            "from --steps or --t-final); no step would be recorded"
         )
-        state, rec = run_system(cfg.u0, cfg.v0, ops, dt, steps)
-        settings = {"preset": preset, "omega": omega, "dt": dt, "steps": steps}
-    else:
-        nx, c = cfg.nx, cfg.c
-        dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
-        dt = cfg.dt if cfg.dt is not None else cfg.safety * dx / c
-        grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=nx, t_final=steps * dt, nt=steps)
-        ops, inner_X, inner_Y = wave1d.cmp_system(c, grid)
-        u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0, cfg.mode_m, c)
-        state, rec = run_system(u0, np.zeros(nx - 1), ops, dt, steps, inner_X, inner_Y)
-        settings = {"preset": preset, "nx": nx, "c": c, "dt": dt, "steps": steps}
-
-    checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
-    )
-    return {
-        "settings": settings,
-        "summary": summary,
-        "checks": checks,
+    state, records = m.system.march(dt, steps, record_every=m.every, audit=m.audit)
+    rows = [(r[0], r[0] * dt, *r[1:]) for r in records]
+    every = cfg.record_every
+    art.series(["step", "t", "C_n", "C_half", *m.columns],
+               [r for r in rows if every and r[0] % every == 0])
+    drift_n, drift_half = rel_drift([r[2] for r in rows]), rel_drift([r[3] for r in rows])
+    body = {
+        "settings": {**m.settings, "dt": dt, m.steps_key: steps},
+        "summary": {"C_n_drift": drift_n, "C_half_drift": drift_half},
+        "error_norms": {},
+        "checks": [
+            _check("C_n-drift", drift_n, "<= 1e-12 relative", drift_n <= 1e-12),
+            _check("C_half-drift", drift_half, "<= 1e-12 relative", drift_half <= 1e-12),
+        ],
     }
+    if m.error is not None and m.system.exact is not None:
+        key, t = m.error
+        body["error_norms"][key] = m.system.error(state.f, t)
+    if m.finish is not None:
+        m.finish(body, state, rows, art)
+    return body
 
 
-def _build_grid_1d(nx: int, t_final: float, nt, safety: float, speed: float):
-    if nt is None:
-        dx = 1.0 / max(nx - 1, 1)  # nx = 1 reaches the Grid1D check below
-        steps = _cfl_steps("--t-final/--material", math.ceil, t_final / (safety * dx / speed))
-        nt = max(1, steps)
-    return _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
+def _oscillator_march(cfg) -> March:
+    params = _grid("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt,
+                   n_steps=cfg.steps)
+    history = [cfg.u0]
+
+    def finish(body, state, rows, art):
+        t = cfg.dt * np.arange(len(history))
+        # continuum solution of u' = -omega v, v' = omega u
+        exact = cfg.u0 * np.cos(cfg.omega * t) - cfg.v0 * np.sin(cfg.omega * t)
+        max_dev = float(np.max(np.abs(np.asarray(history) - exact)))
+        body["error_norms"]["max_dev_from_exact"] = max_dev
+
+    def keep_u(state, _):  # u at every step, for the deviation; no series column
+        history.append(state.f)
+        return ()
+
+    return March(oscillator.oscillator_system(params, cfg.u0, cfg.v0, exact_init=cfg.exact_init),
+                 {"omega": cfg.omega, "alpha": params.alpha}, dt=cfg.dt, steps=cfg.steps,
+                 audit=keep_u, finish=finish)
 
 
-def _run_wave1d(cfg, art: ArtifactWriter) -> dict:
+def _system_march(cfg) -> March:
+    if cfg.preset == "oscillator":
+        # A = A* = -omega with Euclidean inner products, so u' = omega v and
+        # v' = -omega u: not oscillator_system (A = +omega, products 1/2 x y),
+        # whose invariants are half of these
+        w, u0, v0 = cfg.omega, cfg.u0, cfg.v0
+        ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g,
+                           norm_bound_A=w, norm_bound_Astar=w)
+        system = System(ops, euclidean_inner, euclidean_inner,
+                        cfl_dt=lambda safety: safety * 2.0 / w,
+                        start=lambda dt: (u0, init_g_half(u0, v0, ops, dt)),
+                        exact=lambda t: u0 * math.cos(w * t) + v0 * math.sin(w * t))
+        return March(system, {"preset": cfg.preset, "omega": w},
+                     dt=cfg.dt if cfg.dt is not None else 0.01, steps=cfg.steps)
+    grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=1.0, nt=1)
+    return March(wave1d.cmp_system(cfg.c, grid, m=cfg.mode_m, init="taylor"),
+                 {"preset": cfg.preset, "nx": cfg.nx, "c": cfg.c}, dt=cfg.dt, steps=cfg.steps)
+
+
+def _wave1d_march(cfg) -> March:
     case, spec = cfg.case, cfg.material
     if spec is None:
         spec = "cmp c=1.0" if case == "cmp" else "constant"
     mat = parse_material_1d(spec)
     if (mat["kind"] == "cmp") != (case == "cmp"):
         raise ConfigError(f"--case {case} does not match material {spec!r}")
-    m, t_final = cfg.mode_m, cfg.t_final
-
+    grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=cfg.t_final, nt=1)
     if case == "cmp":
-        c = mat["c"]
-        grid = _build_grid_1d(cfg.nx, t_final, cfg.nt, cfg.safety, c)
         # an unset --init has always started cmp runs from the Taylor half step
-        u0, v0 = wave1d.cmp_mode_start(grid, m, c, cfg.init or "taylor")
-        state, rec = wave1d.run_cmp(grid, c, u0, v0, record_every=1)
-        xp = grid.primal_points()
-        er = state.f - wave1d.standing_mode_u(xp, t_final, m, c)
-        art.errors(zip(xp, er, er / grid.dx**2))
-        error_norms = {"max_abs_u": float(np.max(np.abs(er)))}
-        settings = {"case": case, "c": c}
+        system = wave1d.cmp_system(mat["c"], grid, m=cfg.mode_m, init=cfg.init or "taylor")
+        named = {"c": mat["c"]}
     else:
-        probe = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=t_final, nt=1)
-        mats = _grid("--material", wave1d.Materials1D.from_profiles, probe, mat["rho"], mat["tau"])
-        grid = _build_grid_1d(cfg.nx, t_final, cfg.nt, cfg.safety, wave1d.cfl_speed(mats))
-        mats = wave1d.Materials1D.from_profiles(grid, mat["rho"], mat["tau"])
-        u0 = np.sin(m * np.pi * grid.primal_points())
-        v0 = wave1d.taylor_v_half_vmp(u0, np.zeros(grid.nx - 1), mats, grid)
-        state, rec = wave1d.run_vmp(grid, mats, u0, v0, record_every=1)
-        error_norms = {}
-        settings = {"case": case, "material": mat["name"]}
+        mats = _grid("--material", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+        system = wave1d.vmp_system(mats, grid, m=cfg.mode_m)
+        named = {"material": mat["name"]}
 
-    rows = [(s, s * grid.dt, cn, ch) for s, cn, ch in rec]
-    checks, summary = _invariant_series(art, rows, cfg.record_every)
-    settings.update({"nx": grid.nx, "nt": grid.nt, "dt": grid.dt, "t_final": t_final})
-    min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
-    checks.append(_check("invariants-positive", min_c, "> 0", min_c > 0))
-    return {
-        "settings": settings,
-        "summary": summary,
-        "error_norms": error_norms,
-        "checks": checks,
-    }
+    def finish(body, state, rows, art):
+        if system.exact is not None:
+            xp, er = grid.primal_points(), state.f - system.exact(cfg.t_final)
+            art.errors(zip(xp, er, er / grid.dx**2))
+        min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
+        body["checks"].append(_check("invariants-positive", min_c, "> 0", min_c > 0))
+
+    return March(system, {"case": case, **named, "nx": grid.nx, "t_final": cfg.t_final},
+                 steps=cfg.nt, t_final=cfg.t_final, steps_key="nt",
+                 error=("max_abs_u", cfg.t_final), cfl_flags="--material/--safety",
+                 finish=finish)
+
+
+def _wave2d_march(cfg) -> March:
+    nx = cfg.nx
+    ny = cfg.ny if cfg.ny is not None else nx
+    grid = _grid("--nx/--ny", wave2d.Grid2, nx, ny)
+    star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
+    system = wave2d.wave2d_system(star, grid, m=cfg.mode_m, n=cfg.mode_n, init=cfg.init)
+    # the star alone must allow a step, whatever --nt says
+    _cfl_dt(system, 1.0, "--a/--a11/--a22")
+    return March(system, {"nx": nx, "ny": ny, "t_final": cfg.t_final,
+                          "star": [star.a, star.a11, star.a22], "modes": [cfg.mode_m, cfg.mode_n]},
+                 steps=cfg.nt, t_final=cfg.t_final, steps_key="nt",
+                 error=("max_abs_u", cfg.t_final))
+
+
+_PIECES = ("sq_f", "sq_gbar", "sq_AGf")
+
+
+def _cube_march(cfg, system: System, settings: dict, **extras) -> March:
+    """A `wave3d`/`maxwell` march: --dt or the CFL step for --steps steps,
+    or --t-final in whole CFL steps, recorded every --record-every steps.
+    --dt with --t-final would leave the run short of (or past) the time its
+    mode error is measured at, so the two are a usage error."""
+    if cfg.dt is not None and cfg.t_final is not None:
+        raise ConfigError("--dt and --t-final both fix the time step; give only one of them")
+    return March(system, {"grid": cfg.grid, "materials": cfg.materials, **settings},
+                 dt=cfg.dt, steps=cfg.steps if cfg.t_final is None else None,
+                 t_final=cfg.t_final, every=cfg.record_every, **extras)
+
+
+def _wave3d_march(cfg) -> March:
+    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    star = parse_material_3d(cfg.materials, "scalar")(grid)
+    system = wave3d.scalar_wave_system(star, grid, modes=tuple(cfg.modes))
+    return _cube_march(cfg, system, {"modes": list(cfg.modes)}, columns=_PIECES,
+                       audit=lambda _, pieces: pieces,
+                       error=None if cfg.t_final is None else ("max_abs_s", cfg.t_final))
+
+
+def _maxwell_march(cfg) -> March:
+    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    eps, mu = parse_material_3d(cfg.materials, "maxwell")(grid)
+
+    def audit(state, pieces):
+        return (*pieces, *wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid))
+
+    def finish(body, state, rows, art):
+        for label, idx in (("div_e", 7), ("div_h", 8)):
+            series = [r[idx] for r in rows]
+            dev = float(np.max(np.abs(np.asarray(series) - series[0])))
+            dev /= max(abs(series[0]), 1.0)
+            body["checks"].append(
+                _check(f"{label}-audit-constant", dev, "<= 1e-12 deviation", dev <= 1e-12)
+            )
+            body["summary"][f"{label}_initial"] = float(series[0])
+
+    return _cube_march(cfg, wave3d.maxwell_system(eps, mu, grid), {},
+                       columns=(*_PIECES, "div_e", "div_h"), audit=audit, finish=finish)
 
 
 # -- convergence sweeps ------------------------------------------------------
@@ -574,67 +653,81 @@ def _final_time(final, default: float, case: str, named: dict) -> float:
     return t
 
 
-def _is_half_period_multiple(t_final: float, m: int, c: float) -> bool:
-    ratio = t_final * m * c
-    return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
+# the sweeps whose levels take the CFL step at --safety
+_MODE_SWEEPS = ("wave2d-mode", "wave3d-cavity", "maxwell-cavity")
 
 
-def _sweep_1d(cfg, jobs: int) -> dict:
-    spec = cfg.case or "cmp"
-    mat = parse_material_1d(spec)
-    ks = _levels(cfg.k)
-    m, f_over = cfg.mode_m, cfg.f
-
-    if mat["kind"] == "cmp":
-        c = mat["c"]
-        # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it, a
-        # generic time where the scheme's phase lag dominates and the order is
-        # 2; "half-period" is half of it, where the phase-lag term cancels and
-        # the measured order jumps to ~4.
-        named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
-        t_final = _final_time(cfg.final, named["full-period"], spec, named)
-        if f_over is None:
-            f_over = _finite_steps("--final", wave1d.refinement_exponent, c, 1.0, t_final)
-        _cfl_steps("--final/--f", pow, 2, max(ks) + f_over)
-        levels = _pool_sweep(_cmp_level, [(k, t_final, m, c, f_over, cfg.init) for k in ks], jobs)
-        rows = [row for row, _ in levels]
-        profile = levels[ks.index(max(ks))][1]
-        name = f"cmp c={c:g}"
+def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
+    """The convergence sweep of `case`, one of `modes` or a 1D material spec,
+    over the --k levels: its name, final time, levels, (dx, max error) rows,
+    (k, Nx, dx, Er, p) table and orders, and for 1D the (x, Er, Er/dx^2)
+    profile of the finest level and whether the final time is a multiple of
+    a cmp mode's half period."""
+    if case in modes:
+        ks = _levels(cfg.k)
+        t_final = _final_time(cfg.final, 0.35, case, {})
+        # the finest level takes the most steps
+        dt = _cfl_dt(_sweep_system(case, 2 ** max(ks))[1], cfg.safety, "--safety")
+        _cfl_steps("--final/--safety", math.ceil, t_final / dt)
+        points = [(case, 2**k, t_final, None, cfg.safety, ()) for k in ks]
+        rows = [row for row, _ in _pool_sweep(_sweep_level, points, jobs)]
+        sweep = {"name": case, "nodes": 0}
     else:
-        t_final = _final_time(cfg.final, 2.0, spec, {})
-        c = None
-        # the grids vmp_refine_errors samples the materials on: each level and one finer
-        grids = {k: wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=1.0, nt=1)
-                 for k in [*ks, max(ks) + 1]}
-        mats = {k: _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
-                for k, grid in grids.items()}
-        if f_over is None:
-            # the exponent vmp_refine_errors picks: from the first level's wave speed
-            f_over = _finite_steps("--final", wave1d.refinement_exponent,
-                                   wave1d.cfl_speed(mats[ks[0]]), 1.0, t_final)
-        _cfl_steps("--final/--f", pow, 2, max(ks) + 1 + f_over)
-        rows, profiles = wave1d.vmp_refine_errors(ks, t_final, mat["rho"], mat["tau"], f=f_over)
-        k_top = max(ks)
-        grid_top = grids[k_top]
-        scaled = profiles[k_top]
-        profile = list(
-            zip(grid_top.primal_points(), scaled * grid_top.dx**2, scaled)
-        )
-        name = mat["name"]
+        mat = parse_material_1d(case)
+        ks = _levels(cfg.k)
+        m, f_over = cfg.mode_m, cfg.f
+        if mat["kind"] == "cmp":
+            c = mat["c"]
+            # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it,
+            # a generic time where the scheme's phase lag dominates and the order
+            # is 2; "half-period" is half of it, where the phase-lag term cancels
+            # and the measured order jumps to ~4.
+            named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
+            t_final = _final_time(cfg.final, named["full-period"], case, named)
+            if f_over is None:
+                f_over = _finite_steps("--final", wave1d.refinement_exponent, c, 1.0, t_final)
+            _cfl_steps("--final/--f", pow, 2, max(ks) + f_over)
+            points = [("cmp", 2**k, t_final, 2 ** (k + f_over), None, (m, c, cfg.init))
+                      for k in ks]
+            levels = _pool_sweep(_sweep_level, points, jobs)
+            rows = [row for row, _ in levels]
+            ratio = t_final * m * c
+            sweep = {"name": f"cmp c={c:g}", "profile": levels[ks.index(max(ks))][1],
+                     "half_period": abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1}
+        else:
+            t_final = _final_time(cfg.final, 2.0, case, {})
+            # the grids vmp_refine_errors samples the materials on: each level and one finer
+            grids = {k: wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=1.0, nt=1)
+                     for k in [*ks, max(ks) + 1]}
+            mats = {k: _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"],
+                             mat["tau"]) for k, grid in grids.items()}
+            if f_over is None:
+                # the exponent vmp_refine_errors picks: from the first level's wave speed
+                f_over = _finite_steps("--final", wave1d.refinement_exponent,
+                                       wave1d.cfl_speed(mats[ks[0]]), 1.0, t_final)
+            _cfl_steps("--final/--f", pow, 2, max(ks) + 1 + f_over)
+            rows, profiles = wave1d.vmp_refine_errors(ks, t_final, mat["rho"], mat["tau"],
+                                                      f=f_over)
+            top, scaled = grids[max(ks)], profiles[max(ks)]
+            sweep = {"name": mat["name"],
+                     "profile": list(zip(top.primal_points(), scaled * top.dx**2, scaled))}
+        sweep.update(kind=mat["kind"], m=m, nodes=1)
+    pair_orders = wave1d.estimate_order(rows)
+    table = [(k, 2**k + sweep["nodes"], dx, er, pair_orders[i - 1] if i else "")
+             for i, (k, (dx, er)) in enumerate(zip(ks, rows))]
+    return {**sweep, "t_final": t_final, "ks": ks, "rows": rows, "table": table,
+            "orders": {"pairwise": pair_orders, "endpoint": endpoint_order(rows)}}
 
-    pair_orders, table = _order_table(ks, rows, lambda k: 2**k + 1)
+
+def _sweep_body(sweep: dict, settings: dict, checks: list) -> dict:
+    """The report body of a sweep."""
     return {
-        "kind": mat["kind"],
-        "name": name,
-        "t_final": t_final,
-        "m": m,
-        "c": c,
-        "ks": ks,
-        "rows": rows,
-        "table": table,
-        "pair_orders": pair_orders,
-        "endpoint": endpoint_order(rows),
-        "profile": profile,
+        "settings": {"case": sweep["name"], "t_final": sweep["t_final"], **settings,
+                     "k": sweep["ks"]},
+        "summary": {"errors": [er for _, er in sweep["rows"]]},
+        "error_norms": {"finest_max_abs": sweep["rows"][-1][1]},
+        "orders": sweep["orders"],
+        "checks": checks,
     }
 
 
@@ -646,260 +739,65 @@ def _pool_sweep(point, args, jobs: int) -> list:
         return list(pool.map(point, args))
 
 
-def _order_table(ks, rows, points_of):
-    """Pairwise orders and the (k, Nx, dx, Er, p) table of a sweep."""
-    pair_orders = wave1d.estimate_order(rows)
-    table = [
-        (k, points_of(k), dx, er, pair_orders[i - 1] if i else "")
-        for i, (k, (dx, er)) in enumerate(zip(ks, rows))
-    ]
-    return pair_orders, table
+def _sweep_system(case: str, n: int, *params) -> tuple:
+    """(grid, System) of one level of a mode-error sweep, on n cells per
+    axis of the unit interval, square or cube; `params` are cmp's
+    (m, c, init)."""
+    if case == "cmp":
+        m, c, init = params
+        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=1.0, nt=1)
+        return grid, wave1d.cmp_system(c, grid, m=m, init=init)
+    if case == "wave2d-mode":
+        grid = wave2d.Grid2(n, n)
+        return grid, wave2d.wave2d_system(wave2d.Star2(), grid)
+    grid = Grid3.cube(n, 1.0, boundary="pinned")
+    star = Star3.trivial(grid)
+    if case == "wave3d-cavity":
+        return grid, wave3d.scalar_wave_system(star, grid)
+    return grid, wave3d.maxwell_system(star, star, grid)
 
 
-def _cmp_level(args):
-    """One level of the cmp mode sweep, marched once: its (dx, max error) row,
-    as `wave1d.cmp_mode_errors` gives it, and its (x, Er, Er/dx^2) profile."""
-    k, t_final, m, c, f, init = args
-    grid = wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-    state, _ = wave1d.run_cmp(grid, c, *wave1d.cmp_mode_start(grid, m, c, init), record_every=0)
-    xp = grid.primal_points()
-    er = state.f - wave1d.standing_mode_u(xp, t_final, m, c)
-    return (grid.dx, float(np.max(np.abs(er)))), list(zip(xp, er, er / grid.dx**2))
+def _sweep_level(args):
+    """One level of a mode-error sweep, marched once from its System's start
+    to t_final in nt steps (None: the fewest whole steps at `safety` of the
+    CFL step): its (dx, max error) row and, for cmp, its (x, Er, Er/dx^2)
+    profile."""
+    case, n, t_final, nt, safety, params = args
+    grid, system = _sweep_system(case, n, *params)
+    if nt is None:
+        nt = math.ceil(t_final / system.cfl_dt(safety))
+    f = system.march(t_final / nt, nt, record_every=0)[0].f  # the rest of the state goes
+    row = (grid.dx, system.error(f, t_final))
+    if case != "cmp":
+        return row, None
+    xp, er = grid.primal_points(), f - system.exact(t_final)
+    return row, list(zip(xp, er, er / grid.dx**2))
 
 
 _SMOOTH_1D = {"constant", "bump-p2-q2"}
 
 
 def _run_wave1d_convergence(cfg, art: ArtifactWriter) -> dict:
-    sweep = _sweep_1d(cfg, jobs=1)
+    sweep = _sweep(cfg, cfg.case or "cmp", 1, modes=())
     art.table(sweep["table"])
     art.errors(sweep["profile"])
-
-    checks = []
-    p = sweep["endpoint"]
-    if sweep["kind"] == "cmp":
-        if _is_half_period_multiple(sweep["t_final"], sweep["m"], sweep["c"]):
-            checks.append(
-                _check("order-superconvergent", p, ">= 3.5 (half-period multiple)", p >= 3.5)
-            )
-        else:
-            checks.append(
-                _check("order-second", p, "in [1.9, 2.1] (generic final time)", 1.9 <= p <= 2.1)
-            )
-    else:
-        checks.append(_check("order-floor", p, ">= 1.0", p >= 1.0))
+    p = sweep["orders"]["endpoint"]
+    if sweep["kind"] == "vmp":
+        checks = [_check("order-floor", p, ">= 1.0", p >= 1.0)]
         if sweep["name"] in _SMOOTH_1D:
             checks.append(_check("order-second", p, ">= 1.9 (smooth material)", p >= 1.9))
-
-    return {
-        "settings": {
-            "case": sweep["name"],
-            "t_final": sweep["t_final"],
-            "mode_m": sweep["m"],
-            "k": sweep["ks"],
-        },
-        "summary": {"errors": [er for _, er in sweep["rows"]]},
-        "error_norms": {"finest_max_abs": sweep["rows"][-1][1]},
-        "orders": {"pairwise": sweep["pair_orders"], "endpoint": p},
-        "checks": checks,
-    }
-
-
-# each N-D sweep: its error function and the step count of one level
-_ND_SWEEPS = {
-    "wave2d-mode": (wave2d.mode_errors_2d, wave2d.mode_steps_2d),
-    "wave3d-cavity": (wave3d.scalar_cavity_errors, wave3d.cavity_steps),
-    "maxwell-cavity": (wave3d.maxwell_cavity_errors, wave3d.cavity_steps),
-}
+    elif sweep["half_period"]:
+        checks = [_check("order-superconvergent", p, ">= 3.5 (half-period multiple)", p >= 3.5)]
+    else:
+        checks = [_check("order-second", p, "in [1.9, 2.1] (generic final time)",
+                         1.9 <= p <= 2.1)]
+    return _sweep_body(sweep, {"mode_m": sweep["m"]}, checks)
 
 
 def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
-    case = cfg.case or "cmp"
-
-    if case in _ND_SWEEPS:
-        ks = _levels(cfg.k)
-        t_final = _final_time(cfg.final, 0.35, case, {})
-        # the finest level takes the most steps
-        _cfl_steps("--final", _ND_SWEEPS[case][1], 2 ** max(ks), t_final, cfg.safety)
-        points = [(case, 2**k, t_final, cfg.safety) for k in ks]
-        rows = _pool_sweep(_nd_sweep_point, points, cfg.jobs)
-        pair_orders, table = _order_table(ks, rows, lambda k: 2**k)
-        name = case
-        endpoint = endpoint_order(rows)
-    else:
-        sweep = _sweep_1d(cfg, cfg.jobs)
-        ks, rows, table = sweep["ks"], sweep["rows"], sweep["table"]
-        pair_orders, endpoint = sweep["pair_orders"], sweep["endpoint"]
-        name, t_final = sweep["name"], sweep["t_final"]
-
-    art.table(table)
-    return {
-        "settings": {"case": name, "t_final": t_final, "k": ks, "jobs": cfg.jobs},
-        "summary": {"errors": [er for _, er in rows]},
-        "error_norms": {"finest_max_abs": rows[-1][1]},
-        "orders": {"pairwise": pair_orders, "endpoint": endpoint},
-        "checks": [],
-    }
-
-
-def _nd_sweep_point(args):
-    case, n, t_final, safety = args
-    return _ND_SWEEPS[case][0]((n,), t_final=t_final, safety=safety)[0]
-
-
-# -- 2D and 3D experiments ---------------------------------------------------
-
-
-def _star_2d(cfg, grid) -> wave2d.Star2:
-    """The star of --a/--a11/--a22, checked before any march: a usage error
-    naming them when its CFL time step is not a positive finite number, as
-    for an infinite coefficient or a wave speed sqrt(max(a11, a22)/a) past
-    the float range."""
-    star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
-    try:
-        dt_max = wave2d.suggest_dt_2d(star, grid)
-    except ZeroDivisionError:  # the wave speed is zero: no bound at all
-        dt_max = math.inf
-    if not 0.0 < dt_max < math.inf:
-        raise ConfigError(
-            f"--a/--a11/--a22: the star (a, a11, a22) = ({star.a}, {star.a11}, {star.a22}) "
-            "has no finite positive CFL time step"
-        )
-    return star
-
-
-def _run_wave2d(cfg, art: ArtifactWriter) -> dict:
-    nx = cfg.nx
-    ny = cfg.ny if cfg.ny is not None else nx
-    grid = _grid("--nx/--ny", wave2d.Grid2, nx, ny)
-    star = _star_2d(cfg, grid)
-    t_final, nt = cfg.t_final, cfg.nt
-    if nt is None:
-        nt = max(1, _cfl_steps("--t-final", math.ceil,
-                               t_final / wave2d.suggest_dt_2d(star, grid, cfg.safety)))
-    dt = t_final / nt
-
-    m, n = cfg.mode_m, cfg.mode_n
-    u0, v0 = wave2d.mode_start_2d(grid, star, dt, m, n, cfg.init)
-    state, rec = wave2d.run_wave2d(grid, star, u0, v0, dt, nt, record_every=1)
-
-    checks, summary = _invariant_series(
-        art, [(s, s * dt, cn, ch) for s, cn, ch in rec], cfg.record_every
-    )
-
-    error_norms = {}
-    if star == wave2d.Star2():
-        want, _, _ = wave2d.exact_solution_2d(m, n, 1.0, *grid.points("fp"), t_final)
-        error_norms["max_abs_u"] = float(np.max(np.abs(state.f - want)))
-    return {
-        "settings": {
-            "nx": nx,
-            "ny": ny,
-            "nt": nt,
-            "dt": dt,
-            "t_final": t_final,
-            "star": [star.a, star.a11, star.a22],
-            "modes": [m, n],
-        },
-        "summary": summary,
-        "error_norms": error_norms,
-        "checks": checks,
-    }
-
-
-def _resolve_dt_3d(cfg, dt_max):
-    """Explicit dt, or a t_final split into whole steps, or safety * bound.
-
-    Rejects --dt together with --t-final, which would leave the run short of
-    (or past) the time its mode error is measured at, and a record interval
-    longer than the run, which would leave the series (and the drift checks)
-    without a single row.
-    """
-    dt, t_final = cfg.dt, cfg.t_final
-    steps, every = cfg.steps, cfg.record_every
-    if dt is not None and t_final is not None:
-        raise ConfigError("--dt and --t-final both fix the time step; give only one of them")
-    if t_final is not None:
-        steps = max(1, _cfl_steps("--t-final", math.ceil, t_final / (cfg.safety * dt_max)))
-        dt = t_final / steps
-    elif dt is None:
-        dt = cfg.safety * dt_max
-    if every > steps:
-        raise ConfigError(
-            f"--record-every {every} is larger than the number of steps ({steps}, "
-            "from --steps or --t-final); no step would be recorded"
-        )
-    return dt, steps
-
-
-def _run_wave3d(cfg, art: ArtifactWriter) -> dict:
-    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
-    star = parse_material_3d(cfg.materials, "scalar")(grid)
-    dt, steps = _resolve_dt_3d(cfg, wave3d.suggest_dt(star, grid))
-    modes = tuple(cfg.modes)
-
-    s0 = wave3d.cavity_mode_s(grid, 0.0, modes)
-    v0 = wave3d.scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
-    state, rec = wave3d.run_scalar_wave(
-        grid, star, s0, v0, dt, steps, record_every=cfg.record_every
-    )
-    checks, summary = _invariant_series(
-        art, rec, cfg.record_every, ("sq_f", "sq_gbar", "sq_AGf")
-    )
-
-    error_norms = {}
-    if cfg.materials == "trivial3d" and cfg.t_final is not None:
-        want = wave3d.cavity_mode_s(grid, cfg.t_final, modes)
-        error_norms["max_abs_s"] = float(np.max(np.abs(state.f - want)))
-    return {
-        "settings": {
-            "grid": cfg.grid,
-            "materials": cfg.materials,
-            "dt": dt,
-            "steps": steps,
-            "modes": list(modes),
-        },
-        "summary": summary,
-        "error_norms": error_norms,
-        "checks": checks,
-    }
-
-
-def _run_maxwell(cfg, art: ArtifactWriter) -> dict:
-    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
-    eps, mu = parse_material_3d(cfg.materials, "maxwell")(grid)
-    dt_max = wave3d.suggest_dt(eps, grid, system="maxwell", mu_star=mu)
-    dt, steps = _resolve_dt_3d(cfg, dt_max)
-
-    e0 = wave3d.te_cavity_e(grid, 0.0)
-    h0 = wave3d.maxwell_init_h(e0, zeros_field(grid, "dual-edge"), eps, mu, grid, dt)
-    state, rec = wave3d.run_maxwell(
-        grid, eps, mu, e0, h0, dt, steps, record_every=cfg.record_every
-    )
-    checks, summary = _invariant_series(
-        art, rec, cfg.record_every, ("sq_f", "sq_gbar", "sq_AGf", "div_e", "div_h")
-    )
-    for label, idx in (("div_e", 7), ("div_h", 8)):
-        series = [r[idx] for r in rec]
-        dev = float(np.max(np.abs(np.asarray(series) - series[0])))
-        dev /= max(abs(series[0]), 1.0)
-        checks.append(
-            _check(f"{label}-audit-constant", dev, "<= 1e-12 deviation", dev <= 1e-12)
-        )
-    return {
-        "settings": {
-            "grid": cfg.grid,
-            "materials": cfg.materials,
-            "dt": dt,
-            "steps": steps,
-        },
-        "summary": {
-            **summary,
-            "div_e_initial": float(rec[0][7]),
-            "div_h_initial": float(rec[0][8]),
-        },
-        "checks": checks,
-    }
+    sweep = _sweep(cfg, cfg.case or "cmp", cfg.jobs)
+    art.table(sweep["table"])
+    return _sweep_body(sweep, {"jobs": cfg.jobs}, [])
 
 
 # -- transport and diffusion --------------------------------------------------
@@ -1236,9 +1134,9 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
         u = rng.standard_normal(nx)
         u[0] = u[-1] = 0.0
         v = rng.standard_normal(nx - 1)
-        ops, inner_X, inner_Y = wave1d.vmp_system(mats, g)
-        lhs = inner_Y(ops.apply_A(u), v)
-        rhs = sign * inner_X(u, ops.apply_Astar(v))
+        system = wave1d.vmp_system(mats, g)
+        lhs = system.inner_Y(system.ops.apply_A(u), v)
+        rhs = sign * system.inner_X(u, system.ops.apply_Astar(v))
         worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
     checks = [_check("sbp-random-trials", worst, "<= 1e-13 relative", worst <= 1e-13)]
 
@@ -1246,7 +1144,7 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
     mats = wave1d.Materials1D.from_profiles(
         g, wave1d.bump_profile(2), wave1d.piecewise_linear_profile()
     )
-    ops, inner_X, inner_Y = wave1d.vmp_system(mats, g)
+    system = wave1d.vmp_system(mats, g)
 
     def sample_u(r):
         u = r.standard_normal(g.nx)
@@ -1254,9 +1152,9 @@ def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
         return u
 
     res = check_adjointness(
-        ops,
-        inner_X,
-        inner_Y,
+        system.ops,
+        system.inner_X,
+        system.inner_Y,
         trials=max(trials // 5, 1),
         sample_X=sample_u,
         sample_Y=lambda r: r.standard_normal(g.nx - 1),
@@ -1335,6 +1233,11 @@ def _verify_and_print(cfg) -> int:
     return 0 if cfg.no_checks or summary["passed"] else 1
 
 
+def _marching(build: Callable) -> Callable:
+    """The runner of a march command whose `March` comes from `build(cfg)`."""
+    return functools.partial(_run_march, build)
+
+
 class Command(NamedTuple):
     """One subcommand.  `options` are ``(flag, argparse kwargs)`` pairs;
     `runner(cfg, art)` returns an experiment's report body, and `main(cfg)`
@@ -1376,7 +1279,7 @@ _CUBE = (
 
 COMMANDS = {
     "oscillator": Command("Leapfrog harmonic oscillator with both invariants audited.",
-                          _run_oscillator, (
+                          _marching(_oscillator_march), (
         ("--omega", dict(type=positive_float, default=1.0, help="angular frequency")),
         ("--dt", dict(type=positive_float, default=0.01, help="time step")),
         ("--steps", dict(type=positive_int, default=10_000, help="number of steps")),
@@ -1386,8 +1289,10 @@ COMMANDS = {
                               "instead of the Taylor half step")),
         _RECORD_EVERY,
     )),
-    "system": Command("Generic adjoint-pair leapfrog on a named operator preset.",
-                      _run_system, (
+    "system": Command("Generic adjoint-pair leapfrog on a named operator preset: 'oscillator' "
+                      "is u' = omega v, v' = -omega u (A = A* = -omega, Euclidean products, "
+                      "not the oscillator command's pair); 'cmp' the 1D standing mode.",
+                      _marching(_system_march), (
         ("--preset", dict(choices=("oscillator", "cmp"), default="oscillator",
                           help="operator pair to integrate")),
         ("--omega", dict(type=positive_float, default=1.0, help="oscillator frequency")),
@@ -1402,7 +1307,8 @@ COMMANDS = {
         _STEPS,
         _RECORD_EVERY,
     )),
-    "wave1d": Command("1D staggered wave march with conserved-quantity audits.", _run_wave1d, (
+    "wave1d": Command("1D staggered wave march with conserved-quantity audits.",
+                      _marching(_wave1d_march), (
         ("--case", dict(choices=("cmp", "vmp"), default="cmp",
                         help="constant or variable materials")),
         ("--material", dict(help="material spec ('cmp c=1.0', a preset name, 'bump 2 2', "
@@ -1427,7 +1333,8 @@ COMMANDS = {
         _F,
         _CMP_INIT,
     )),
-    "wave2d": Command("2D staggered wave march with conserved-quantity audits.", _run_wave2d, (
+    "wave2d": Command("2D staggered wave march with conserved-quantity audits.",
+                      _marching(_wave2d_march), (
         ("--nx", dict(type=positive_int, default=32, help="cells along x")),
         ("--ny", dict(type=positive_int, default=None, help="cells along y (default nx)")),
         ("--a", dict(type=positive_float, default=1.0, help="scalar material weight")),
@@ -1442,7 +1349,8 @@ COMMANDS = {
                         help="half-step start for v")),
         _RECORD_EVERY,
     )),
-    "wave3d": Command("3D scalar cavity march with conserved-quantity audits.", _run_wave3d, (
+    "wave3d": Command("3D scalar cavity march with conserved-quantity audits.",
+                      _marching(_wave3d_march), (
         *_CUBE,
         ("--t-final", dict(type=positive_float, default=None, help="march to this time "
                            "instead of --steps (also enables the mode error norm)")),
@@ -1450,7 +1358,8 @@ COMMANDS = {
                          metavar=("MX", "MY", "MZ"), help="cavity mode numbers")),
         _RECORD_EVERY,
     )),
-    "maxwell": Command("TE cavity march with invariants and divergence audits.", _run_maxwell, (
+    "maxwell": Command("TE cavity march with invariants and divergence audits.",
+                      _marching(_maxwell_march), (
         *_CUBE,
         ("--t-final", dict(type=positive_float, default=None,
                            help="march to this time instead of --steps")),

@@ -18,8 +18,9 @@ arrays, or anything supporting +, -, and scalar multiplication.  Inner
 products are supplied by the caller, which is how the PDE modules plug in
 their material-weighted products without touching this file.  Every solver
 in the package (oscillator, 1D, 2D, 3D scalar wave, Maxwell) marches through
-`run_system`; a physics module contributes only its `OperatorPair` (with the
-norm bound behind its dt limit) and its two inner products.
+`run_system`; a physics module contributes only a `System`: its
+`OperatorPair` (with the norm bound behind its dt limit), its two inner
+products, its CFL step, its start data and, where known, its exact solution.
 
 Buffers: a pair may supply an `update` hook that writes a whole update into
 a given buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's
@@ -45,6 +46,7 @@ import numpy as np
 
 __all__ = [
     "OperatorPair",
+    "System",
     "SystemState",
     "system_step",
     "init_g_half",
@@ -171,6 +173,45 @@ class SystemState:
     g_prev_half: Any = None
     a_f: Any = None
     astar_g_prev: Any = None
+
+
+@dataclass(frozen=True)
+class System:
+    """Everything a physics module gives the engine, in one record.
+
+    `ops`, `inner_X` and `inner_Y` are the pair and the two inner products of
+    its invariants.  `cfl_dt(safety)` is `safety` times the largest stable
+    step, 2 / ops.norm_bound_A, in the module's own arithmetic.  `start(dt)`
+    returns (f0, g_half0): f at t = 0 and g at t = dt/2.  `exact(t)`, where
+    the module knows it, is the continuum f at time t of that start.
+    """
+
+    ops: OperatorPair
+    inner_X: Callable
+    inner_Y: Callable
+    cfl_dt: Callable[[float], float]
+    start: Callable[[float], tuple]
+    exact: Callable[[float], Any] | None = None
+
+    def march(self, dt: float, n_steps: int, *, record_every: int = 1,
+              audit: Callable | None = None):
+        """`run_system` for n_steps of dt from `start(dt)`."""
+        f0, g_half0 = self.start(dt)
+        return run_system(f0, None, self.ops, dt, n_steps, self.inner_X, self.inner_Y,
+                          g_half0=g_half0, record_every=record_every, audit=audit)
+
+    def error(self, f, t: float) -> float:
+        """max |f - exact(t)| over every component of f."""
+        return float(np.max([np.max(np.abs(a - b))
+                             for a, b in zip(_parts(f), _parts(self.exact(t)))]))
+
+
+def _parts(field) -> tuple:
+    """The components of a field: a tuple's entries, a 3D field's
+    components, or the field itself."""
+    if isinstance(field, tuple):
+        return field
+    return getattr(field, "components", (field,))
 
 
 def system_step(

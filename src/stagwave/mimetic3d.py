@@ -273,6 +273,12 @@ def _weight(grid: Grid3, pattern: str, value) -> np.ndarray:
     return np.broadcast_to(float(value), grid._pattern_shape(pattern))
 
 
+def _distinct(w: np.ndarray):
+    """What a test over every sample of a weight must read: the one value of
+    a constant weight (a view with all strides 0), else the whole array."""
+    return w.flat[0] if not any(w.strides) else w
+
+
 def _reciprocal(w: np.ndarray) -> np.ndarray:
     """1 / w; the reciprocal of a constant weight (a view with all strides
     0) is taken on its one value and stays one broadcast view."""
@@ -553,7 +559,7 @@ class Star3:
     def __post_init__(self):
         if self.mode not in STAR_MODES:
             raise ValueError(f"unknown star mode {self.mode!r}")
-        if np.any(self.a <= 0) or np.any(self.b <= 0):
+        if np.any(_distinct(self.a) <= 0) or np.any(_distinct(self.b) <= 0):
             raise ValueError("scalar star coefficients must be positive")
 
     @property
@@ -567,9 +573,10 @@ class Star3:
         "b_inv_rows", ...); a full-mode table, with its off-diagonal
         averages, never is."""
         if weight in ("a", "b"):
-            return bool(np.all(getattr(self, weight) == 1.0))
+            return bool(np.all(_distinct(getattr(self, weight)) == 1.0))
         rows = getattr(self, weight)
-        return self.exactly_invertible and all(bool(np.all(rows[r][r] == 1.0)) for r in range(3))
+        return self.exactly_invertible and all(bool(np.all(_distinct(rows[r][r]) == 1.0))
+                                               for r in range(3))
 
     # -- constructors ---------------------------------------------------
 
@@ -597,7 +604,7 @@ class Star3:
         for r in range(3):
             da = _weight(grid, _PATTERNS["edge"][r], diag_a[r])
             db = _weight(grid, _PATTERNS["face"][r], diag_b[r])
-            if np.any(da <= 0) or np.any(db <= 0):
+            if np.any(_distinct(da) <= 0) or np.any(_distinct(db) <= 0):
                 raise ValueError("diagonal star entries must be positive")
             a_rows.append(tuple(da if c == r else None for c in range(3)))
             a_inv.append(tuple(_reciprocal(da) if c == r else None for c in range(3)))

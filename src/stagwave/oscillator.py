@@ -9,10 +9,11 @@ is advanced by updating u first and then v using the *new* u; that ordering is
 what makes the two quadratic forms of `oscillator_system` exact invariants of
 the discrete map.
 
-Everything here is scalar: the module supplies only the pair A = A* = omega,
-its norm bound omega, and the inner product 0.5*x*y; the step, the
-invariants, the half-step start and the run loop are those of `core`, which
-the PDE modules share with difference operators in place of omega.
+Everything here is scalar: the module supplies only a `core.System` — the
+pair A = A* = omega, its norm bound omega, the inner product 0.5*x*y, the
+start data and the exact solution; the step, the invariants and the run loop
+are those of `core`, which the PDE modules share with difference operators
+in place of omega.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import OperatorPair, SystemState, init_g_half, run_system, system_step
+from .core import OperatorPair, System, SystemState, init_g_half, system_step
 
 __all__ = [
     "OscParams",
@@ -68,9 +69,12 @@ def _half_product(x: float, y: float) -> float:
     return 0.5 * x * y
 
 
-def oscillator_system(params: OscParams):
-    """(pair, inner_X, inner_Y) for the core engine: A = A* = omega, with
-    omega as the norm bound, and 0.5*x*y as both inner products.
+def oscillator_system(params: OscParams, u0: float = 1.0, v0: float = 0.0, *,
+                      exact_init: bool = False) -> System:
+    """The oscillator as a `core.System`: A = A* = omega, with omega as the
+    norm bound, and 0.5*x*y as both inner products.  It starts from
+    (u0, v0): v at dt/2 is the Taylor half step, or with exact_init=True
+    the continuum value.
 
     With alpha = omega*dt/2, core's two invariants are then
 
@@ -84,13 +88,20 @@ def oscillator_system(params: OscParams):
         norm_bound_A=w,
         norm_bound_Astar=w,
     )
-    return ops, _half_product, _half_product
+
+    def start(dt):
+        if exact_init:
+            return u0, exact_solution(u0, v0, w, 0.5 * dt)[1]
+        return u0, init_g_half(u0, v0, ops, dt)
+
+    return System(ops, _half_product, _half_product, cfl_dt=lambda safety: safety * 2.0 / w,
+                  start=start, exact=lambda t: exact_solution(u0, v0, w, t)[0])
 
 
 # kept by name for perfbench's setup probe, until that probe times the engine itself
 def leapfrog_step(state: SystemState, params: OscParams) -> SystemState:
     """Advance (u, v_half) by one step.  u is updated first; v uses the new u."""
-    return system_step(state, oscillator_system(params)[0])
+    return system_step(state, oscillator_system(params).ops)
 
 
 def exact_solution(u0: float, v0: float, omega: float, t: float) -> tuple[float, float]:
@@ -115,12 +126,8 @@ def simulate(
     exact_init=True seeds v at t=dt/2 with the continuum value instead of the
     Taylor half-step; used by convergence studies.
     """
-    v_half = exact_solution(u0, v0, params.omega, 0.5 * params.dt)[1] if exact_init else None
-    ops, inner, _ = oscillator_system(params)
-    _, rec = run_system(
-        u0, v0, ops, params.dt, params.n_steps, inner, inner, g_half0=v_half,
-        audit=lambda state, _: (state.f,),
-    )
+    system = oscillator_system(params, u0, v0, exact_init=exact_init)
+    _, rec = system.march(params.dt, params.n_steps, audit=lambda state, _: (state.f,))
     return [u0] + [r[3] for r in rec], [r[:3] for r in rec]
 
 
@@ -130,10 +137,10 @@ def stability_probe(params: OscParams, *, n_steps: int = 10_000, bound: float = 
     Returns "stable" if max|u| stays within `bound` (far above any bounded
     orbit for unit data), else "unstable".  Theory: stable iff omega*dt < 2.
     """
-    ops = oscillator_system(params)[0]
-    state = SystemState(f=1.0, g_half=init_g_half(1.0, 0.0, ops, params.dt), dt=params.dt)
+    system = oscillator_system(params)
+    state = SystemState(*system.start(params.dt), dt=params.dt)
     for _ in range(n_steps):
-        state = system_step(state, ops)
+        state = system_step(state, system.ops)
         if abs(state.f) > bound:
             return "unstable"
     return "stable"

@@ -10,10 +10,9 @@ half time steps.  Two forms are provided:
   and stiffness ``tau`` on the dual points, with ``rho``/``1/tau``
   weighted norms.
 
-Both are an operator pair and two inner products for the leapfrog engine
-in ``core`` (``u`` first, then ``v`` from the fresh ``u`` — the order
-matters), so both carry a pair of conserved quadratic quantities that the
-tests track to rounding.
+Both are a ``core.System`` for the leapfrog engine (``u`` first, then
+``v`` from the fresh ``u`` — the order matters), so both carry a pair of
+conserved quadratic quantities that the tests track to rounding.
 """
 
 from __future__ import annotations
@@ -26,11 +25,11 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    System,
     SystemState,
     divide_in_place,
     fold_spacing,
     init_g_half,
-    run_system,
     system_step,
 )
 
@@ -216,7 +215,7 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
 
 
 # ---------------------------------------------------------------------------
-# inner products and the (pair, inner_X, inner_Y) systems of the core engine
+# inner products and the `System`s of the core engine
 # ---------------------------------------------------------------------------
 
 
@@ -236,29 +235,50 @@ def weighted_inner_tau(v1, v2, materials: Materials1D, grid: Grid1D) -> float:
     return float(np.sum(v1 * v2 / materials.tau) * grid.dx)
 
 
-def cmp_system(c: float, grid: Grid1D):
-    """(pair, inner_X, inner_Y) for the core engine, constant materials:
-    plain dx-weighted sums on both grids."""
+def cmp_system(c: float, grid: Grid1D, *, m: int = 1, init: str = "exact") -> System:
+    """Constant materials as a `core.System`: plain dx-weighted sums on both
+    grids, starting from the standing mode m, whose v at dt/2 is the mode
+    sampled there ("exact") or the Taylor half step from v(x, 0) = 0
+    ("taylor")."""
+    if init not in ("exact", "taylor"):
+        raise ValueError(f"unknown init {init!r}")
     dx = grid.dx
+    ops = cmp_operator_pair(c, grid)
 
     def inner(a, b):
         return float(np.sum(a * b) * dx)
 
-    return cmp_operator_pair(c, grid), inner, inner
+    def start(dt):
+        u0 = standing_mode_u(grid.primal_points(), 0.0, m, c)
+        if init == "exact":
+            return u0, standing_mode_v(grid.dual_points(), dt / 2, m, c)
+        return u0, init_g_half(u0, np.zeros(grid.nx - 1), ops, dt)
+
+    return System(ops, inner, inner, cfl_dt=lambda safety: safety * dx / abs(c), start=start,
+                  exact=lambda t: standing_mode_u(grid.primal_points(), t, m, c))
 
 
-def vmp_system(materials: Materials1D, grid: Grid1D):
-    """(pair, inner_X, inner_Y) for the core engine, variable materials:
-    the rho-weighted product on u and the 1/tau-weighted product on v."""
-    return (
-        vmp_operator_pair(materials, grid),
+def vmp_system(materials: Materials1D, grid: Grid1D, *, m: int = 1) -> System:
+    """Variable materials as a `core.System`: the rho-weighted product on u
+    and the 1/tau-weighted product on v, starting from u = sin(m pi x) with
+    the Taylor half step from v(x, 0) = 0."""
+    ops = vmp_operator_pair(materials, grid)
+
+    def start(dt):
+        u0 = np.sin(m * np.pi * grid.primal_points())
+        return u0, init_g_half(u0, np.zeros(grid.nx - 1), ops, dt)
+
+    return System(
+        ops,
         lambda a, b: weighted_inner_rho(a, b, materials, grid),
         lambda a, b: weighted_inner_tau(a, b, materials, grid),
+        cfl_dt=lambda safety: safety * grid.dx / cfl_speed(materials),
+        start=start,
     )
 
 
 # ---------------------------------------------------------------------------
-# one time step (u first, then v from the updated u) and the half-step start
+# one time step (u first, then v from the updated u)
 # ---------------------------------------------------------------------------
 
 
@@ -269,12 +289,6 @@ def cmp_step(state: SystemState, c: float, grid: Grid1D) -> SystemState:
 
 def vmp_step(state: SystemState, materials: Materials1D, grid: Grid1D) -> SystemState:
     return system_step(state, vmp_operator_pair(materials, grid))
-
-
-def taylor_v_half_vmp(u0, v0, materials: Materials1D, grid: Grid1D) -> np.ndarray:
-    """Half-step start value for v from whole-step data (u0, v0)."""
-    return init_g_half(np.asarray(u0, float), np.asarray(v0, float),
-                       vmp_operator_pair(materials, grid), grid.dt)
 
 
 def cfl_speed(materials: Materials1D) -> float:
@@ -294,27 +308,6 @@ def refinement_exponent(speed: float, length: float, t_final: float,
     return f
 
 
-# ---------------------------------------------------------------------------
-# simulation drivers
-# ---------------------------------------------------------------------------
-
-
-def _run(system, grid: Grid1D, u0, v_half, record_every: int):
-    ops, inner_X, inner_Y = system
-    return run_system(np.asarray(u0, float), None, ops, grid.dt, grid.nt, inner_X, inner_Y,
-                      g_half0=np.asarray(v_half, float), record_every=record_every)
-
-
-def run_cmp(grid: Grid1D, c: float, u0, v_half, *, record_every: int = 1):
-    """March nt steps; returns (final SystemState, [(step, C_n, C_half), ...])."""
-    return _run(cmp_system(c, grid), grid, u0, v_half, record_every)
-
-
-def run_vmp(grid: Grid1D, materials: Materials1D, u0, v_half, *,
-            record_every: int = 1):
-    return _run(vmp_system(materials, grid), grid, u0, v_half, record_every)
-
-
 def v_at_final_time(v_half_last, v_half_prev) -> np.ndarray:
     """v at the final whole step: mean of the two bracketing half steps."""
     return 0.5 * (np.asarray(v_half_last) + np.asarray(v_half_prev))
@@ -331,17 +324,6 @@ def standing_mode_u(x, t, m: int = 1, c: float = 1.0):
 
 def standing_mode_v(x, t, m: int = 1, c: float = 1.0):
     return np.sin(m * np.pi * c * t) * np.cos(m * np.pi * np.asarray(x))
-
-
-def cmp_mode_start(grid: Grid1D, m: int = 1, c: float = 1.0, init: str = "exact"):
-    """(u0, v_half) for the standing mode: "exact" samples v at dt/2,
-    "taylor" takes the Taylor half step from v(x, 0) = 0."""
-    u0 = standing_mode_u(grid.primal_points(), 0.0, m, c)
-    if init == "exact":
-        return u0, standing_mode_v(grid.dual_points(), grid.dt / 2, m, c)
-    if init == "taylor":
-        return u0, init_g_half(u0, np.zeros(grid.nx - 1), cmp_operator_pair(c, grid), grid.dt)
-    raise ValueError(f"unknown init {init!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -372,25 +354,6 @@ def refine_compare(u_coarse, u_fine, coarse: Grid1D, fine: Grid1D):
     return er, er / coarse.dx**2
 
 
-def cmp_mode_errors(ks, t_final, *, m: int = 1, c: float = 1.0,
-                    f: int | None = None, init: str = "exact"):
-    """Max-abs u errors for the standing mode over a grid-halving sweep.
-
-    Grids use nx = 2^k + 1 and nt = 2^(k+f) so the Courant number is the
-    same at every k.  ``init`` picks the half-step start for v: "exact"
-    samples the mode at dt/2, "taylor" expands from v(x,0) = 0.
-    """
-    if f is None:
-        f = refinement_exponent(c, 1.0, t_final)
-    rows = []
-    for k in ks:
-        grid = Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-        state, _ = run_cmp(grid, c, *cmp_mode_start(grid, m, c, init), record_every=0)
-        er = np.max(np.abs(state.f - standing_mode_u(grid.primal_points(), t_final, m, c)))
-        rows.append((grid.dx, float(er)))
-    return rows
-
-
 def vmp_refine_errors(ks, t_final, rho_fn, tau_fn, *, f: int | None = None):
     """Refine-compare error sweep for variable materials.
 
@@ -406,10 +369,8 @@ def vmp_refine_errors(ks, t_final, rho_fn, tau_fn, *, f: int | None = None):
     solutions = {}
     for k in ks + [max(ks) + 1]:
         grid = Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-        mats = Materials1D.from_profiles(grid, rho_fn, tau_fn)
-        u0 = np.sin(np.pi * grid.primal_points())
-        v0 = taylor_v_half_vmp(u0, np.zeros(grid.nx - 1), mats, grid)
-        state, _ = run_vmp(grid, mats, u0, v0, record_every=0)
+        system = vmp_system(Materials1D.from_profiles(grid, rho_fn, tau_fn), grid)
+        state, _ = system.march(grid.dt, grid.nt, record_every=0)
         solutions[k] = (grid, state.f)
     rows, profiles = [], {}
     for k in ks:

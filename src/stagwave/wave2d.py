@@ -48,11 +48,11 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    System,
     SystemState,
     divide_in_place,
     fold_spacing,
     init_g_half,
-    run_system,
     system_step,
 )
 
@@ -288,13 +288,17 @@ def _norm_bound(star: Star2, grid: Grid2) -> float:
     return s_max * stencil
 
 
-def wave2d_system(star: Star2, grid: Grid2):
-    """(pair, inner_X, inner_Y) for the core engine.
+def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
+                  init: str = "taylor") -> System:
+    """The 2D wave as a `core.System`.
 
     A = A G (nodes -> dual normals) and A* = -a^-1 D*, adjoint under the
     a-weighted node product and the (a11, a22)^-1-weighted dual-normal
-    product.  The boundary ring of ``u`` never changes; starting from data
-    that is zero there keeps the march inside the pinned subspace.
+    product.  The boundary ring of ``u`` never changes; the start, the
+    (m, n) standing mode of `exact_solution_2d` with v at dt/2 sampled
+    ("exact") or the Taylor half step from v(0) = 0 ("taylor"), is zero
+    there, which keeps the march inside the pinned subspace.  The mode is
+    exact only for the unit star.
     """
     dv = grid.dx * grid.dy
     bound = _norm_bound(star, grid)
@@ -314,7 +318,20 @@ def wave2d_system(star: Star2, grid: Grid2):
         norm_bound_Astar=bound,
         update=_update_hook(star, grid),
     )
-    return ops, inner_u, inner_v
+
+    def mode(kind, t):
+        return exact_solution_2d(m, n, 1.0, *grid.points(kind), t)
+
+    def start(dt):
+        u0 = mode("fp", 0.0)[0]
+        if init == "exact":
+            return u0, VectorField2(mode("nxd", dt / 2)[1], mode("nyd", dt / 2)[2])
+        zero_v = VectorField2(np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
+        return u0, init_g_half(u0, zero_v, ops, dt)
+
+    return System(ops, inner_u, inner_v,
+                  cfl_dt=lambda safety: suggest_dt_2d(star, grid, safety), start=start,
+                  exact=(lambda t: mode("fp", t)[0]) if star == Star2() else None)
 
 
 def _update_hook(star: Star2, grid: Grid2):
@@ -381,31 +398,15 @@ def _update_hook(star: Star2, grid: Grid2):
     return update
 
 
-def _expect_v(v, grid: Grid2) -> VectorField2:
-    return VectorField2(_expect(v[0], "nxd", grid), _expect(v[1], "nyd", grid))
-
-
 # ---------------------------------------------------------------------------
-# leapfrog step, half-step start and march
+# leapfrog step and CFL step
 # ---------------------------------------------------------------------------
 
 
 # kept by name for perfbench's setup probe, until that probe times the engine itself
 def wave2d_step(state: SystemState, star: Star2, grid: Grid2) -> SystemState:
     """One leapfrog step: u first, then v from the fresh u (order matters)."""
-    return system_step(state, wave2d_system(star, grid)[0])
-
-
-def init_v_half_2d(u0, v0, star: Star2, grid: Grid2, dt: float, *,
-                   variant: str = "oscillator-taylor") -> tuple:
-    """Half-step start for v from whole-step data (u(0), v(0)).
-
-    Taylor expansion v(dt/2) ~ v0 + (dt/2) A G u0 + coeff A G (a^-1 D* v0)
-    with coeff = (1/2)(dt/2)^2 for "oscillator-taylor" (the default) and
-    (1/2) dt^2 for "system-taylor".
-    """
-    return init_g_half(_expect(u0, "fp", grid), _expect_v(v0, grid),
-                       wave2d_system(star, grid)[0], dt, variant=variant)
+    return system_step(state, wave2d_system(star, grid).ops)
 
 
 def suggest_dt_2d(star: Star2, grid: Grid2, safety: float = 1.0) -> float:
@@ -416,16 +417,8 @@ def suggest_dt_2d(star: Star2, grid: Grid2, safety: float = 1.0) -> float:
     return safety * 2.0 / _norm_bound(star, grid)
 
 
-def run_wave2d(grid: Grid2, star: Star2, u0, v_half, dt: float, n_steps: int, *,
-               record_every: int = 1):
-    """March n_steps; returns (final SystemState, [(step, C_n, C_half), ...])."""
-    ops, inner_u, inner_v = wave2d_system(star, grid)
-    return run_system(_expect(u0, "fp", grid), None, ops, dt, n_steps, inner_u, inner_v,
-                      g_half0=_expect_v(v_half, grid), record_every=record_every)
-
-
 # ---------------------------------------------------------------------------
-# standing mode and convergence sweep
+# standing mode
 # ---------------------------------------------------------------------------
 
 
@@ -450,43 +443,3 @@ def exact_solution_2d(m: int, n: int, c: float, x, y, t: float) -> tuple:
     vx = amp * m * np.cos(m * math.pi * x) * np.sin(n * math.pi * y)
     vy = amp * n * np.sin(m * math.pi * x) * np.cos(n * math.pi * y)
     return u, vx, vy
-
-
-def mode_start_2d(grid: Grid2, star: Star2, dt: float, m: int = 1, n: int = 1,
-                  init: str = "taylor"):
-    """(u0, v_half) for the (m, n) standing mode: "exact" samples v at dt/2,
-    "taylor" takes the Taylor half step from v(0) = 0."""
-    u0, _, _ = exact_solution_2d(m, n, 1.0, *grid.points("fp"), 0.0)
-    if init == "exact":
-        vx = exact_solution_2d(m, n, 1.0, *grid.points("nxd"), dt / 2)[1]
-        vy = exact_solution_2d(m, n, 1.0, *grid.points("nyd"), dt / 2)[2]
-        return u0, (vx, vy)
-    zero_v = (np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
-    return u0, init_v_half_2d(u0, zero_v, star, grid, dt)
-
-
-def mode_steps_2d(size: int, t_final: float, safety: float = 0.9) -> int:
-    """Steps of the mode march on a size x size grid with unit materials:
-    ceil(t_final / dt_max) with dt_max from `suggest_dt_2d`."""
-    return math.ceil(t_final / suggest_dt_2d(Star2(), Grid2(size, size), safety))
-
-
-def mode_errors_2d(sizes=(16, 32, 64), *, t_final: float = 0.35,
-                   safety: float = 0.9):
-    """Max-abs u error of the m = n = 1, c = 1 mode march per grid size.
-
-    The step count comes from the stability bound (nt = ceil(T / dt_max),
-    dt = T / nt) and v starts from the Taylor half step of v(0) = 0.
-    Returns [(dx, err), ...] for order fitting.
-    """
-    star = Star2()
-    out = []
-    for size in sizes:
-        grid = Grid2(size, size)
-        nt = mode_steps_2d(size, t_final, safety)
-        dt = t_final / nt
-        u0, v_half = mode_start_2d(grid, star, dt)
-        state, _ = run_wave2d(grid, star, u0, v_half, dt, nt, record_every=0)
-        want, _, _ = exact_solution_2d(1, 1, 1.0, *grid.points("fp"), t_final)
-        out.append((grid.dx, float(np.max(np.abs(state.f - want)))))
-    return out

@@ -5,9 +5,11 @@ on dual faces at half steps; Maxwell keeps E on edges at whole steps and H on
 dual edges at half steps — the classic staggered layout in which the x
 component of E lives at (i+1/2, j, k) and the x component of H at
 (i, j+1/2, k+1/2).  Both marches run through the leapfrog engine of `core`:
-this module supplies the operator pairs built from the mimetic operators and
-material stars of `mimetic3d`, the material-weighted inner products and the
-dt bounds, so each march carries a pair of exactly conserved quadratic forms.
+this module supplies one `core.System` each: the operator pair built from the
+mimetic operators and material stars of `mimetic3d`, with the analytic norm
+bound behind its dt limit, the material-weighted inner products and the
+cavity-mode start, so each march carries a pair of exactly conserved
+quadratic forms.
 
 On pinned grids the zero boundary rows of the dual operators double as the
 physical boundary conditions: s is held at zero on the box walls and the
@@ -22,17 +24,17 @@ grid is purely spatial): f is s or E, g_half is v or H.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 import numpy as np
 
 from .core import (
     OperatorPair,
     SpacingFold,
+    System,
     SystemState,
+    _parts,
     fold_spacing,
     init_g_half,
-    run_system,
     system_step,
 )
 from .mimetic3d import (
@@ -51,6 +53,7 @@ from .mimetic3d import (
     star_scalar_inverse,
     zeros_field,
     _as_field,
+    _distinct,
     _lines,
     _rim_zeroed,
 )
@@ -59,10 +62,6 @@ from .mimetic3d import (
 # ---------------------------------------------------------------------------
 # operator pairs
 # ---------------------------------------------------------------------------
-
-
-def _parts(field) -> tuple:
-    return getattr(field, "components", (field,))
 
 
 def _negated(field):
@@ -147,7 +146,9 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
                 star_matrix(term, star, "a", out=term)
         return _scaled_into(x, term, scale, out, np.add)
 
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
+    bound = _norm_bound(star, grid, "scalar-wave")
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
+                        norm_bound_Astar=bound, update=update)
 
 
 def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorPair:
@@ -188,31 +189,57 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
             star_matrix(term, mu_star, "b", inverse=True, out=term)
         return _scaled_into(x, term, scale, out, np.subtract)
 
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, update=update)
+    bound = _norm_bound(eps_star, grid, "maxwell", mu_star)
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
+                        norm_bound_Astar=bound, update=update)
 
 
-def scalar_wave_system(star: Star3, grid: Grid3):
-    """(pair, inner_X, inner_Y) for the core engine: the scalar-wave pair
-    with the a-weighted node product and the A^-1-weighted dual-face product."""
-    return (
-        scalar_wave_operators(star, grid),
+def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
+    """The scalar wave as a `core.System`: the a-weighted node product and
+    the A^-1-weighted dual-face product, starting from the cavity mode
+    `modes` at rest (the Taylor half step from v(0) = 0).  The mode is
+    exact for unit materials only."""
+    ops = scalar_wave_operators(star, grid)
+
+    def start(dt):
+        s0 = cavity_mode_s(grid, 0.0, modes)
+        return s0, init_g_half(s0, zeros_field(grid, "dual-face"), ops, dt)
+
+    unit = star.is_unit("a") and star.is_unit("a_rows")
+    return System(
+        ops,
         lambda a, b: inner3("node", a, b, star, grid),
         lambda a, b: inner3("dual-face", a, b, star, grid),
+        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),  # safety * suggest_dt(...)
+        start=start,
+        exact=(lambda t: cavity_mode_s(grid, t, modes)) if unit else None,
     )
 
 
-def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3):
-    """(pair, inner_X, inner_Y) for the core engine: the Maxwell pair with
-    the eps-weighted edge product and the mu-weighted dual-edge product."""
-    return (
-        maxwell_operators(eps_star, mu_star, grid),
+def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
+    """Maxwell as a `core.System`: the eps-weighted edge product and the
+    mu-weighted dual-edge product, starting from the TE(1,1,0) cavity mode
+    with H at rest (the Taylor half step from H(0) = 0).  The mode is exact
+    for unit materials only."""
+    ops = maxwell_operators(eps_star, mu_star, grid)
+
+    def start(dt):
+        e0 = te_cavity_e(grid, 0.0)
+        return e0, init_g_half(e0, zeros_field(grid, "dual-edge"), ops, dt)
+
+    unit = eps_star.is_unit("a_inv_rows") and mu_star.is_unit("b_inv_rows")
+    return System(
+        ops,
         lambda a, b: inner3("edge", a, b, eps_star, grid),
         lambda a, b: inner3("dual-edge", a, b, mu_star, grid),
+        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),  # safety * suggest_dt(...)
+        start=start,
+        exact=(lambda t: te_cavity_e(grid, t)) if unit else None,
     )
 
 
 # ---------------------------------------------------------------------------
-# time steps and half-step starts
+# time steps
 # ---------------------------------------------------------------------------
 
 
@@ -246,27 +273,6 @@ def maxwell_step(
     return system_step(state, maxwell_operators(eps_star, mu_star, grid))
 
 
-def scalar_wave_init_v(s0, v0: VectorField3, star: Star3, grid: Grid3, dt: float):
-    """Second-order accurate v at t = dt/2 from whole-step data (s0, v0):
-
-    v0 + (dt/2) A G s0 + 1/2 (dt/2)^2 A G (a^-1 D* v0).
-
-    dt = 0 returns v0; with v0 = 0 only the gradient term survives.
-    """
-    return init_g_half(np.asarray(s0, float), v0, scalar_wave_operators(star, grid), dt)
-
-
-def maxwell_init_h(
-    e0: VectorField3, h0: VectorField3, eps_star: Star3, mu_star: Star3,
-    grid: Grid3, dt: float,
-):
-    """Second-order accurate H at t = dt/2 from whole-step data (E0, H0):
-
-    H0 - (dt/2) mu^-1 R E0 - 1/2 (dt/2)^2 mu^-1 R (eps^-1 R* H0).
-    """
-    return init_g_half(e0, h0, maxwell_operators(eps_star, mu_star, grid), dt)
-
-
 # ---------------------------------------------------------------------------
 # divergence audit and time-step bound
 # ---------------------------------------------------------------------------
@@ -293,7 +299,7 @@ def _gershgorin(rows) -> tuple:
     """(lowest, highest) Gershgorin interval end over the rows of a star."""
     lo, hi = math.inf, -math.inf
     for r in range(3):
-        low = high = np.asarray(rows[r][r], float)
+        low = high = np.asarray(_distinct(rows[r][r]), float)
         for c in range(3):
             if c != r and rows[r][c] is not None:
                 low, high = low - np.abs(rows[r][c]), high + np.abs(rows[r][c])
@@ -321,8 +327,13 @@ def suggest_dt(
     """
     if safety <= 0:
         raise ValueError(f"safety factor must be positive, got {safety}")
+    return safety * 2.0 / _norm_bound(star, grid, system, mu_star)
+
+
+def _norm_bound(star: Star3, grid: Grid3, system: str, mu_star: Star3 | None = None) -> float:
+    """N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2); see `suggest_dt`."""
     if system == "scalar-wave":
-        s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(star.a)))
+        s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(_distinct(star.a))))
     elif system == "maxwell":
         mu = star if mu_star is None else mu_star
         low = _gershgorin(star.a_rows)[0] * _gershgorin(mu.b_rows)[0]
@@ -334,13 +345,7 @@ def suggest_dt(
         s_max = 1.0 / math.sqrt(low)
     else:
         raise ValueError(f"unknown system {system!r}")
-    return _stable_dt(grid, safety, s_max)
-
-
-def _stable_dt(grid: Grid3, safety: float, s_max: float = 1.0) -> float:
-    """safety * 2 / N with N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2)."""
-    stencil = 2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings))
-    return safety * 2.0 / (s_max * stencil)
+    return s_max * (2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings)))
 
 
 def measured_stencil_norm(
@@ -360,12 +365,12 @@ def measured_stencil_norm(
     exists only to check how sharp that bound is.
     """
     if system == "scalar-wave":
-        (ops, inner, _), kind = scalar_wave_system(star, grid), "node"
+        sys3, kind = scalar_wave_system(star, grid), "node"
     elif system == "maxwell":
-        mu = star if mu_star is None else mu_star
-        (ops, inner, _), kind = maxwell_system(star, mu, grid), "edge"
+        sys3, kind = maxwell_system(star, star if mu_star is None else mu_star, grid), "edge"
     else:
         raise ValueError(f"unknown system {system!r}")
+    ops, inner = sys3.ops, sys3.inner_X
     w = random_field(grid, kind, np.random.default_rng(seed))
     if grid.boundary == "pinned":
         w = _rim_zeroed(w, kind)
@@ -381,76 +386,6 @@ def measured_stencil_norm(
             return 0.0
         w = (1.0 / scale) * aw
     return math.sqrt(max(lam, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# simulation drivers
-# ---------------------------------------------------------------------------
-
-
-def _march(system, dt_max: float, f0, g_half, dt: float, n_steps: int,
-           record_every: int, audit):
-    """Core run with the pair's norm bound set from the analytic dt bound;
-    records gain t = step * dt after the step."""
-    ops, inner_X, inner_Y = system
-    ops = replace(ops, norm_bound_A=2.0 / dt_max, norm_bound_Astar=2.0 / dt_max)
-    state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y,
-                                g_half0=g_half, record_every=record_every, audit=audit)
-    return state, [(r[0], r[0] * dt, *r[1:]) for r in records]
-
-
-def run_scalar_wave(
-    grid: Grid3,
-    star: Star3,
-    s0,
-    v_half: VectorField3,
-    dt: float,
-    n_steps: int,
-    *,
-    record_every: int = 1,
-    guaranteed: bool = True,
-):
-    """March n_steps from (s0, v_half); returns (final SystemState, records).
-
-    Each record is (step, t, C_n, C_half, c1, c2, c3) where c1, c2, c3 are
-    the pieces of the whole-step invariant — the weighted squares of s, of
-    the time-averaged v, and of A G s — so C_n = c1 + c2 - (dt/2)^2 c3.
-    """
-    dt_max = suggest_dt(star, grid)
-    if guaranteed:
-        require_exact_star(star)
-    return _march(scalar_wave_system(star, grid), dt_max, np.asarray(s0, float), v_half, dt,
-                  n_steps, record_every, lambda _, pieces: pieces)
-
-
-def run_maxwell(
-    grid: Grid3,
-    eps_star: Star3,
-    mu_star: Star3,
-    e0: VectorField3,
-    h_half: VectorField3,
-    dt: float,
-    n_steps: int,
-    *,
-    record_every: int = 1,
-    guaranteed: bool = True,
-):
-    """March n_steps from (E0, H_half); returns (final SystemState, records).
-
-    Each record is (step, t, C_n, C_half, c1, c2, c3, div_e, div_h) with the
-    invariant pieces as in `run_scalar_wave` and the two divergence-audit
-    norms appended.
-    """
-    dt_max = suggest_dt(eps_star, grid, system="maxwell", mu_star=mu_star)
-    if guaranteed:
-        require_exact_star(eps_star)
-        require_exact_star(mu_star)
-
-    def audit(state, pieces):
-        return (*pieces, *divergence_audit(state.f, state.g_half, eps_star, mu_star, grid))
-
-    return _march(maxwell_system(eps_star, mu_star, grid), dt_max, e0, h_half, dt, n_steps,
-                  record_every, audit)
 
 
 # ---------------------------------------------------------------------------
@@ -530,54 +465,3 @@ def te_cavity_h(grid: Grid3, t: float) -> VectorField3:
     hy = amp * np.cos(np.pi * x) * np.sin(np.pi * y)
     hz = np.zeros(grid.vector_shapes("dual-edge")[2])
     return VectorField3(hx, hy, hz)
-
-
-# ---------------------------------------------------------------------------
-# convergence measurement against the cavity modes
-# ---------------------------------------------------------------------------
-
-
-def cavity_steps(n: int, t_final: float, safety: float = 0.9) -> int:
-    """Steps of a cavity-mode march on the pinned unit cube of n cells per
-    axis: ceil(t_final / dt_max) with dt_max from `suggest_dt`.  The modes
-    use unit materials, whose wave speed bound is exactly 1 for the scalar
-    wave and for Maxwell alike, so the bound needs no sampled star."""
-    if safety <= 0:
-        raise ValueError(f"safety factor must be positive, got {safety}")
-    return math.ceil(t_final / _stable_dt(Grid3.cube(int(n), 1.0, boundary="pinned"), safety))
-
-
-def scalar_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: float = 0.9):
-    """Max-norm error of s against the cavity mode, one pinned cube per size.
-
-    The step count comes from `cavity_steps` per grid, so space and time
-    refine together; returns [(dx, error), ...] ready for order estimation.
-    """
-    out = []
-    for n in sizes:
-        grid = Grid3.cube(int(n), 1.0, boundary="pinned")
-        star = Star3.trivial(grid)
-        nt = cavity_steps(n, t_final, safety)
-        dt = t_final / nt
-        s0 = cavity_mode_s(grid, 0.0)
-        v_half = scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
-        state, _ = run_scalar_wave(grid, star, s0, v_half, dt, nt, record_every=0)
-        err = float(np.max(np.abs(state.f - cavity_mode_s(grid, t_final))))
-        out.append((grid.dx, err))
-    return out
-
-
-def maxwell_cavity_errors(sizes=(8, 16, 32), t_final: float = 0.35, safety: float = 0.9):
-    """Max-norm error of E_z against the TE cavity mode (conductor unit cube)."""
-    out = []
-    for n in sizes:
-        grid = Grid3.cube(int(n), 1.0, boundary="pinned")
-        star = Star3.trivial(grid)
-        nt = cavity_steps(n, t_final, safety)
-        dt = t_final / nt
-        e0 = te_cavity_e(grid, 0.0)
-        h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
-        state, _ = run_maxwell(grid, star, star, e0, h_half, dt, nt, record_every=0)
-        err = float(np.max(np.abs(state.f.z - te_cavity_e(grid, t_final).z)))
-        out.append((grid.dx, err))
-    return out

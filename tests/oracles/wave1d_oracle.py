@@ -24,7 +24,7 @@ def div1(v, dx):
     return out
 
 
-def run_cmp(u, v, c, dx, dt, n_steps):
+def march_cmp(u, v, c, dx, dt, n_steps):
     """March the constant-material pair; returns final (u, v, v_prev)."""
     v_prev = None
     for _ in range(n_steps):
@@ -34,7 +34,7 @@ def run_cmp(u, v, c, dx, dt, n_steps):
     return u, v, v_prev
 
 
-def run_vmp(u, v, rho, tau, dx, dt, n_steps):
+def march_vmp(u, v, rho, tau, dx, dt, n_steps):
     v_prev = None
     for _ in range(n_steps):
         u = u + dt * div1(v, dx) / rho
@@ -69,7 +69,7 @@ def cmp_mode_error(k, t_final, f, m=1, c=1.0, init="exact"):
         v = mode_v(xd, dt / 2, m, c)
     else:  # Taylor half-step from v(x,0)=0
         v = (dt / 2) * c * grad1(u, dx)
-    u, v, v_prev = run_cmp(u, v, c, dx, dt, nt)
+    u, v, v_prev = march_cmp(u, v, c, dx, dt, nt)
     er_u = np.max(np.abs(u - mode_u(xp, t_final, m, c)))
     v_bar = 0.5 * (v + v_prev)
     er_v = np.max(np.abs(v_bar - mode_v(xd, t_final, m, c)))
@@ -124,7 +124,7 @@ def vmp_solution(k, t_final, f, rho_fn, tau_fn):
     tau = tau_fn(xd)
     u = np.sin(np.pi * xp)
     v = (dt / 2) * tau * grad1(u, dx)  # Taylor from v(x,0)=0
-    u, v, v_prev = run_vmp(u, v, rho, tau, dx, dt, nt)
+    u, v, v_prev = march_vmp(u, v, rho, tau, dx, dt, nt)
     return u
 
 
@@ -220,8 +220,8 @@ def main():
     dt = 0.25 * dx / c
     u0 = mode_u(xp, 0.0, 1, c)
     v0 = (dt / 2) * c * grad1(u0, dx)
-    uc, vc, _ = run_cmp(u0.copy(), v0.copy(), c, dx, dt, 200)
-    uv, vv, _ = run_vmp(u0.copy(), v0.copy(), np.full(nx, 1 / c), np.full(nx - 1, c), dx, dt, 200)
+    uc, vc, _ = march_cmp(u0.copy(), v0.copy(), c, dx, dt, 200)
+    uv, vv, _ = march_vmp(u0.copy(), v0.copy(), np.full(nx, 1 / c), np.full(nx - 1, c), dx, dt, 200)
     print(f"  max|u diff|={np.max(np.abs(uc - uv)):.6e} max|v diff|={np.max(np.abs(vc - vv)):.6e}")
 
     print("== weighted summation-by-parts residual, 100 random trials ==")
@@ -291,13 +291,13 @@ def main():
         dt = 1.75 / nt
         u = mode_u(xp, 0.0)
         v = mode_v(xd, dt / 2)
-        uc, _, _ = run_cmp(u, v, 1.0, dx, dt, nt)
+        uc, _, _ = march_cmp(u, v, 1.0, dx, dt, nt)
         nxf, dxf, xpf, xdf = grids(k + 1)
         ntf = 2 ** (k + 2)
         dtf = 1.75 / ntf
         uf0 = mode_u(xpf, 0.0)
         vf0 = mode_v(xdf, dtf / 2)
-        uf, _, _ = run_cmp(uf0, vf0, 1.0, dxf, dtf, ntf)
+        uf, _, _ = march_cmp(uf0, vf0, 1.0, dxf, dtf, ntf)
         rc = np.max(np.abs(uc - uf[::2]))
         true = np.max(np.abs(uc - mode_u(xp, 1.75)))
         print(f"  k={k}: refine={rc:.6e} true={true:.6e} ratio={rc / true:.4f}")

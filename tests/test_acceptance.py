@@ -9,12 +9,13 @@ from __future__ import annotations
 import math
 import time
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from stagwave import mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
-from stagwave.core import SystemState
+from stagwave.core import SystemState, init_g_half
 from stagwave.mimetic3d import Grid3, Star3, VectorField3, check_discrete_adjoints
 from stagwave.oscillator import OscParams
 
@@ -227,11 +228,10 @@ def _mode_sweep_at_half_courant(t_final):
         dx = 1.0 / (nx - 1)
         nt = int(round(t_final / (0.5 * dx)))
         grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=t_final, nt=nt)
-        u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0)
-        v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2)
-        state, _ = wave1d.run_cmp(grid, 1.0, u0, v0, record_every=0)
-        er = np.max(np.abs(state.f - wave1d.standing_mode_u(grid.primal_points(), t_final)))
-        rows.append((dx, float(er)))
+        # the standing mode, with v sampled at dt/2
+        system = wave1d.cmp_system(1.0, grid)
+        state, _ = system.march(grid.dt, grid.nt, record_every=0)
+        rows.append((dx, system.error(state.f, t_final)))
     return rows
 
 
@@ -292,8 +292,9 @@ def test_criterion_08_1d_conservation_all_presets(capsys):
         mats = wave1d.Materials1D.from_profiles(grid, rho_fn, tau_fn)
         x = grid.primal_points()
         u0 = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
-        v0 = wave1d.taylor_v_half_vmp(u0, np.zeros(nx - 1), mats, grid)
-        _, rec = wave1d.run_vmp(grid, mats, u0, v0)
+        v0 = init_g_half(u0, np.zeros(nx - 1), wave1d.vmp_operator_pair(mats, grid), grid.dt)
+        system = replace(wave1d.vmp_system(mats, grid), start=lambda _: (u0, v0))
+        _, rec = system.march(grid.dt, grid.nt)
         dn, dh = drifts(rec, 1, 2)
         if max(dn, dh) > worst:
             worst, worst_name = max(dn, dh), name
@@ -329,12 +330,17 @@ def test_criterion_10_3d_scalar_wave(capsys):
     grid = Grid3.cube(16, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
     dt = wave3d.suggest_dt(star, grid, 0.9)
-    s0 = wave3d.cavity_mode_s(grid, 0.0)
-    v0 = wave3d.scalar_wave_init_v(s0, mimetic3d.zeros_field(grid, "dual-face"),
-                                   star, grid, dt)
-    _, rec = wave3d.run_scalar_wave(grid, star, s0, v0, dt, 500)
-    dn, dh = drifts(rec, 2, 3)
-    orders = wave1d.estimate_order(wave3d.scalar_cavity_errors((8, 16, 32)))
+    # the cavity mode at rest, with the Taylor half step for v
+    _, rec = wave3d.scalar_wave_system(star, grid).march(dt, 500)
+    dn, dh = drifts(rec, 1, 2)
+    errors = []
+    for n in (8, 16, 32):
+        cube = Grid3.cube(n, 1.0, boundary="pinned")
+        system = wave3d.scalar_wave_system(Star3.trivial(cube), cube)
+        nt = math.ceil(0.35 / system.cfl_dt(0.9))
+        state, _ = system.march(0.35 / nt, nt, record_every=0)
+        errors.append((cube.dx, system.error(state.f, 0.35)))
+    orders = wave1d.estimate_order(errors)
     elapsed = time.perf_counter() - t0
     ok = dn <= 1e-12 and dh <= 1e-12 and min(orders) >= 2.0 and elapsed < 60.0
     report(capsys, 10, "3D scalar wave", ok,
@@ -350,13 +356,15 @@ def test_criterion_11_maxwell(capsys):
     grid = Grid3.cube(16, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
     dt = wave3d.suggest_dt(star, grid, 0.9, system="maxwell")
-    e0 = wave3d.te_cavity_e(grid, 0.0)
-    h0 = wave3d.maxwell_init_h(e0, mimetic3d.zeros_field(grid, "dual-edge"),
-                               star, star, grid, dt)
-    _, rec = wave3d.run_maxwell(grid, star, star, e0, h0, dt, 500)
-    dn, dh = drifts(rec, 2, 3)
-    audit_e = max(abs(r[7] - rec[0][7]) for r in rec)
-    audit_h = max(abs(r[8] - rec[0][8]) for r in rec)
+
+    def audit(state, _):
+        return wave3d.divergence_audit(state.f, state.g_half, star, star, grid)
+
+    # the TE mode at rest, with the Taylor half step for H
+    _, rec = wave3d.maxwell_system(star, star, grid).march(dt, 500, audit=audit)
+    dn, dh = drifts(rec, 1, 2)
+    audit_e = max(abs(r[3] - rec[0][3]) for r in rec)
+    audit_h = max(abs(r[4] - rec[0][4]) for r in rec)
     elapsed = time.perf_counter() - t0
     ok = (dn <= 1e-12 and dh <= 1e-12 and audit_e <= 1e-12 and audit_h <= 1e-12
           and elapsed < 60.0)
@@ -373,17 +381,15 @@ def test_criterion_12_cfl_sharpness(capsys):
     nx = 65
     dx = 1.0 / (nx - 1)
 
+    # the standing mode, with v sampled at dt/2
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=150 * 1.05 * dx, nt=150)
-    u0 = wave1d.standing_mode_u(grid.primal_points(), 0.0)
-    v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        state, _ = wave1d.run_cmp(grid, 1.0, u0, v0, record_every=0)
+        state, _ = wave1d.cmp_system(1.0, grid).march(grid.dt, grid.nt, record_every=0)
     blowup = float(np.max(np.abs(state.f)))
 
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=nx, t_final=1000 * 0.95 * dx, nt=1000)
-    v0 = wave1d.standing_mode_v(grid.dual_points(), grid.dt / 2)
-    state, rec = wave1d.run_cmp(grid, 1.0, u0, v0)
+    state, rec = wave1d.cmp_system(1.0, grid).march(grid.dt, grid.nt)
     dn, dh = drifts(rec, 1, 2)
     elapsed = time.perf_counter() - t0
     ok = blowup > 1e3 and dn <= 1e-12 and dh <= 1e-12 and elapsed < 1.0

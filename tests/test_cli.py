@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from stagwave import cli
+from stagwave import cli, core
 
 ALL_COMMANDS = [
     "oscillator",
@@ -290,6 +290,22 @@ class TestExperimentCommands:
             (["wave2d", "--nx", "8", "--a11", "inf"], "--a11"),
             (["wave2d", "--nx", "8", "--a", "inf"], "--a"),
             (["wave2d", "--nx", "8", "--a", "1e-320"], "--a"),
+            # a safety factor so small that the CFL time step rounds to zero
+            (["wave1d", "--nx", "8", "--safety", "5e-324"], "--safety"),
+            (["wave1d", "--case", "vmp", "--nx", "8", "--safety", "5e-324"], "--safety"),
+            (["wave2d", "--nx", "8", "--safety", "5e-324"], "--safety"),
+            (["wave3d", "--grid", "4", "--safety", "5e-324", "--t-final", "1"], "--safety"),
+            (["wave3d", "--grid", "4", "--safety", "5e-324", "--steps", "2"], "--safety"),
+            (["maxwell", "--grid", "4", "--safety", "5e-324", "--t-final", "1"], "--safety"),
+            (["system", "--preset", "cmp", "--safety", "5e-324", "--steps", "3"], "--safety"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--safety", "5e-324"],
+             "--safety"),
+            (["convergence-table", "--case", "wave3d-cavity", "--k", "2..3", "--safety",
+              "5e-324"], "--safety"),
+            (["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--safety",
+              "5e-324"], "--safety"),
+            # an oscillator step omega * dt / 2 past the float range
+            (["oscillator", "--omega", "1e308", "--dt", "10", "--steps", "3"], "--omega"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):
@@ -406,13 +422,13 @@ class TestConvergenceCommands:
     @pytest.mark.parametrize("command", ["wave1d-convergence", "convergence-table"])
     def test_cmp_sweep_marches_each_level_once(self, command, tmp_path, monkeypatch):
         marched = []
-        run_cmp = cli.wave1d.run_cmp
+        run_system = core.run_system
 
-        def counted(grid, *args, **kwargs):
-            marched.append(grid.nx)
-            return run_cmp(grid, *args, **kwargs)
+        def counted(f0, *args, **kwargs):
+            marched.append(len(f0))
+            return run_system(f0, *args, **kwargs)
 
-        monkeypatch.setattr(cli.wave1d, "run_cmp", counted)
+        monkeypatch.setattr(core, "run_system", counted)
         assert run_cli([command, "--case", "cmp", "--k", "5,4,6"], tmp_path, "once") == 0
         assert marched == [33, 17, 65]
         _, rows = read_csv(tmp_path / "once_table.csv")

@@ -51,7 +51,7 @@ class TestSystemStep:
         ops = OperatorPair(apply_A=lambda f: w * f, apply_Astar=lambda g: w * g)
         p = osc.OscParams(omega=w, dt=dt, n_steps=50)
         u_hist, _ = osc.simulate(0.6, -0.4, p)
-        g_half = init_g_half(0.6, -0.4, osc.oscillator_system(p)[0], p.dt)
+        g_half = init_g_half(0.6, -0.4, osc.oscillator_system(p).ops, p.dt)
         state = SystemState(f=0.6, g_half=g_half, dt=dt)
         for n in range(1, 51):
             state = system_step(state, ops)
@@ -119,7 +119,7 @@ class TestInitGHalf:
         assert a - b == pytest.approx((0.5 - 0.125) * dt**2 * w**2 * g0)
         # oscillator-taylor coincides with the oscillator module's initializer
         p = osc.OscParams(omega=w, dt=dt)
-        assert a == pytest.approx(init_g_half(0.0, g0, osc.oscillator_system(p)[0], p.dt),
+        assert a == pytest.approx(init_g_half(0.0, g0, osc.oscillator_system(p).ops, p.dt),
                                   abs=1e-16)
 
     def test_unknown_variant(self):

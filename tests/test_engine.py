@@ -1,15 +1,18 @@
-"""Every kept step and runner is the core engine on that module's operator
-pair and inner products, bit for bit; a recorded step reuses its own
-operator terms for the invariants."""
+"""Every kept step and every module's `System` march is the core engine on
+that module's operator pair and inner products, bit for bit; every `System`
+keeps one contract; a recorded step reuses its own operator terms for the
+invariants."""
 
 import sys
+import warnings
 from collections import Counter
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from stagwave import mimetic3d, oscillator, wave1d, wave2d, wave3d
+from stagwave import cli, mimetic3d, oscillator, wave1d, wave2d, wave3d
 from stagwave.core import (
     SpacingFold,
     SystemState,
@@ -21,6 +24,9 @@ from stagwave.core import (
     system_step,
 )
 from stagwave.mimetic3d import Grid3, Star3, VectorField3
+
+# a System's (pair, inner_X, inner_Y), in the order the engine takes them
+_engine = attrgetter("ops", "inner_X", "inner_Y")
 
 # The operator and star applications of the 3D calculus.
 OPS_3D = (
@@ -40,9 +46,15 @@ def _same(a, b):
     return len(pa) == len(pb) and all(np.array_equal(p, q) for p, q in zip(pa, pb))
 
 
+def _march_from(system, f0, g_half0, dt, n_steps, **kwargs):
+    """`system` marched from (f0, g_half0) in place of its own start."""
+    return replace(system, start=lambda _: (f0, g_half0)).march(dt, n_steps, **kwargs)
+
+
 def _oscillator(rng):
     p = oscillator.OscParams(omega=1.3, dt=0.07, n_steps=5)
-    ops, inner, _ = system = oscillator.oscillator_system(p)
+    system = oscillator.oscillator_system(p)
+    ops, inner = system.ops, system.inner_X
 
     def run(f, g):
         # simulate starts from whole-step data (u0, v0) and keeps no final v
@@ -79,13 +91,13 @@ def _final(ran):
     return state.f, state.g_half, records
 
 
-def _wave1d(rng, grid, system, step, run):
-    ops, inner_X, inner_Y = system
+def _wave1d(rng, grid, system, step):
+    ops, inner_X, inner_Y = _engine(system)
     return dict(
         state=_state1d(grid, rng),
         dt=grid.dt,
         step=step,
-        run=lambda f, g: _final(run(f, g, record_every=2)),
+        run=lambda f, g: _final(_march_from(system, f, g, grid.dt, grid.nt, record_every=2)),
         core=lambda f, g: _final(run_system(f, None, ops, grid.dt, grid.nt, inner_X, inner_Y,
                                             g_half0=g, record_every=2)),
         system=system,
@@ -94,9 +106,7 @@ def _wave1d(rng, grid, system, step, run):
 
 def _cmp(rng):
     grid, c = _grid1d(), 1.7
-    return _wave1d(rng, grid, wave1d.cmp_system(c, grid),
-                   lambda s: wave1d.cmp_step(s, c, grid),
-                   lambda f, g, **kw: wave1d.run_cmp(grid, c, f, g, **kw))
+    return _wave1d(rng, grid, wave1d.cmp_system(c, grid), lambda s: wave1d.cmp_step(s, c, grid))
 
 
 def _vmp(rng):
@@ -105,22 +115,23 @@ def _vmp(rng):
         grid, wave1d.bump_profile(2), wave1d.piecewise_linear_profile()
     )
     return _wave1d(rng, grid, wave1d.vmp_system(mats, grid),
-                   lambda s: wave1d.vmp_step(s, mats, grid),
-                   lambda f, g, **kw: wave1d.run_vmp(grid, mats, f, g, **kw))
+                   lambda s: wave1d.vmp_step(s, mats, grid))
 
 
 def _wave2d(rng):
     grid, star = wave2d.Grid2(7, 9), wave2d.Star2(a=2.0, a11=1.5, a22=3.0)
-    dt = wave2d.suggest_dt_2d(star, grid, 0.8)
+    system = wave2d.wave2d_system(star, grid)
+    ops, inner_X, inner_Y = _engine(system)
+    dt = system.cfl_dt(0.8)
     u = np.zeros(grid.shape("fp"))
     u[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
     v = (rng.standard_normal(grid.shape("nxd")), rng.standard_normal(grid.shape("nyd")))
-    ops, inner_X, inner_Y = system = wave2d.wave2d_system(star, grid)
     return dict(
         state=SystemState(f=u, g_half=v, dt=dt),
         dt=dt,
         step=lambda s: wave2d.wave2d_step(s, star, grid),
-        run=lambda f, g: _final(wave2d.run_wave2d(grid, star, f, g, dt, 5, record_every=2)),
+        run=lambda f, g: _final(_march_from(system, f, wave2d.VectorField2(*g), dt, 5,
+                                            record_every=2)),
         core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y,
                                             g_half0=wave2d.VectorField2(*g), record_every=2)),
         system=system,
@@ -135,24 +146,19 @@ def _random_field(grid, kind, rng):
     return VectorField3(*(rng.standard_normal(sh) for sh in grid.vector_shapes(kind)))
 
 
-def _final3d(ran):
-    """(f, g_half, records) of a 3D runner, with each record's t dropped."""
-    f, g, records = _final(ran)
-    return f, g, [(r[0], *r[2:]) for r in records]
-
-
 def _scalar3d(rng):
     grid = _grid3d()
     star = Star3.from_diagonals(grid, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5))
-    dt = wave3d.suggest_dt(star, grid, 0.8)
+    system = wave3d.scalar_wave_system(star, grid)
+    ops, inner_X, inner_Y = _engine(system)
+    dt = system.cfl_dt(0.8)
     s = wave3d.pin_scalar_boundary(rng.standard_normal(grid.scalar_shape("node")))
-    ops, inner_X, inner_Y = system = wave3d.scalar_wave_system(star, grid)
     return dict(
         state=SystemState(f=s, g_half=_random_field(grid, "dual-face", rng), dt=dt),
         dt=dt,
         step=lambda st: wave3d.scalar_wave_step(st, star, grid),
-        run=lambda f, g: _final3d(wave3d.run_scalar_wave(grid, star, f, g, dt, 5,
-                                                         record_every=2)),
+        run=lambda f, g: _final(_march_from(system, f, g, dt, 5, record_every=2,
+                                            audit=lambda _, pieces: pieces)),
         core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y, g_half0=g,
                                             record_every=2, audit=lambda _, pieces: pieces)),
         system=system,
@@ -167,22 +173,29 @@ def _maxwell_stars(grid):
     )
 
 
-def _maxwell(rng):
-    grid = _grid3d()
-    eps, mu = _maxwell_stars(grid)
-    dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
-    e = wave3d.pin_tangential_boundary(_random_field(grid, "edge", rng))
-    ops, inner_X, inner_Y = system = wave3d.maxwell_system(eps, mu, grid)
+def _maxwell_audit(eps, mu, grid):
+    """The invariant pieces and the divergence audit of each record."""
 
     def audit(state, pieces):
         return (*pieces, *wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid))
 
+    return audit
+
+
+def _maxwell(rng):
+    grid = _grid3d()
+    eps, mu = _maxwell_stars(grid)
+    system = wave3d.maxwell_system(eps, mu, grid)
+    ops, inner_X, inner_Y = _engine(system)
+    dt = system.cfl_dt(0.8)
+    e = wave3d.pin_tangential_boundary(_random_field(grid, "edge", rng))
+    audit = _maxwell_audit(eps, mu, grid)
     return dict(
         state=SystemState(f=e, g_half=_random_field(grid, "dual-edge", rng), dt=dt),
         dt=dt,
         step=lambda st: wave3d.maxwell_step(st, eps, mu, grid),
-        run=lambda f, g: _final3d(wave3d.run_maxwell(grid, eps, mu, f, g, dt, 5,
-                                                     record_every=2)),
+        run=lambda f, g: _final(_march_from(system, f, g, dt, 5, record_every=2,
+                                            audit=audit)),
         core=lambda f, g: _final(run_system(f, None, ops, dt, 5, inner_X, inner_Y, g_half0=g,
                                             record_every=2, audit=audit)),
         system=system,
@@ -201,10 +214,10 @@ SYSTEMS = {
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_public_names_are_the_core_engine(name):
-    """Each module's runner is `run_system` on its `*_system`, and each kept
-    step is `system_step` on its pair, bit for bit."""
+    """Each module's `System` marches as `run_system` on its parts, and each
+    kept step is `system_step` on its pair, bit for bit."""
     case = SYSTEMS[name](np.random.default_rng(5))
-    ops = case["system"][0]
+    ops = case["system"].ops
     state = core = case["state"]
     for _ in range(3):
         state, core = case["step"](state), system_step(core, ops)
@@ -215,6 +228,95 @@ def test_public_names_are_the_core_engine(name):
     f_core, g_core, core_records = case["core"](f, g)
     assert _same(f_run, f_core) and (g_run is None or _same(g_run, g_core))
     assert records == core_records
+
+
+# ---------------------------------------------------------------------------
+# one contract for every module's System
+# ---------------------------------------------------------------------------
+
+
+def _preset(*argv):
+    """The System that `stagwave system` builds from argv."""
+    return cli._system_march(cli.build_parser().parse_args(["system", *argv])).system
+
+
+def _cube(n):
+    return Grid3.cube(n, 1.0, boundary="pinned")
+
+
+def _rough_vmp():
+    grid = _grid1d()
+    mats = wave1d.Materials1D.from_profiles(grid, wave1d.jump_profile(0.5),
+                                            wave1d.piecewise_linear_profile())
+    return wave1d.vmp_system(mats, grid)
+
+
+CONTRACT_SYSTEMS = {
+    "oscillator": lambda: oscillator.oscillator_system(
+        oscillator.OscParams(omega=1.3, dt=0.07), 0.6, -0.4),
+    "oscillator-exact-init": lambda: oscillator.oscillator_system(
+        oscillator.OscParams(omega=0.7, dt=0.07), 1.2, 0.3, exact_init=True),
+    "wave1d-cmp": lambda: wave1d.cmp_system(1.7, _grid1d(), m=2),
+    "wave1d-cmp-taylor": lambda: wave1d.cmp_system(0.6, _grid1d(), init="taylor"),
+    "wave1d-vmp": _rough_vmp,
+    "wave2d": lambda: wave2d.wave2d_system(wave2d.Star2(), wave2d.Grid2(7, 9), m=2,
+                                           init="exact"),
+    "wave2d-star": lambda: wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0),
+                                                wave2d.Grid2(8, 8)),
+    "wave3d-scalar": lambda: wave3d.scalar_wave_system(Star3.trivial(_cube(4)), _cube(4),
+                                                       modes=(1, 2, 1)),
+    "wave3d-scalar-diag": lambda: wave3d.scalar_wave_system(
+        Star3.from_diagonals(_cube(4), 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5)), _cube(4)),
+    "maxwell": lambda: wave3d.maxwell_system(Star3.trivial(_cube(4)), Star3.trivial(_cube(4)),
+                                             _cube(4)),
+    "maxwell-diag": lambda: wave3d.maxwell_system(*_maxwell_stars(_cube(4)), _cube(4)),
+    "system-oscillator": lambda: _preset("--preset", "oscillator", "--omega", "1.1",
+                                         "--u0", "0.9", "--v0", "0.1"),
+    "system-cmp": lambda: _preset("--preset", "cmp", "--nx", "17", "--c", "1.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_SYSTEMS))
+def test_every_system_keeps_the_contract(name):
+    system = CONTRACT_SYSTEMS[name]()
+    dt_max = system.cfl_dt(1.0)
+    # the CFL step is the analytic bound's, to rounding
+    assert 0.0 < dt_max * system.ops.norm_bound_A <= 2.0 * (1.0 + 4 * np.finfo(float).eps)
+    with pytest.warns(RuntimeWarning, match="unstable"):
+        system.march(1.01 * dt_max, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, records = system.march(0.9 * dt_max, 200)
+    # the start is the exact solution at t = 0, where the module knows one
+    if system.exact is not None:
+        f0, _ = system.start(0.9 * dt_max)
+        assert all(np.array_equal(a, b) for a, b in zip(_parts(f0), _parts(system.exact(0.0))))
+        assert system.error(f0, 0.0) == 0.0
+    for idx in (1, 2):
+        series = np.array([r[idx] for r in records])
+        assert np.max(np.abs(series - series[0])) <= 1e-12 * abs(series[0])
+
+
+def test_systems_know_the_exact_mode_of_unit_materials_only():
+    assert wave2d.wave2d_system(wave2d.Star2(a=2.0), wave2d.Grid2(4, 4)).exact is None
+    assert wave3d.scalar_wave_system(Star3.from_scalars(_cube(4), 2.0, 1.5, 3.0, 2.5),
+                                     _cube(4)).exact is None
+    assert CONTRACT_SYSTEMS["maxwell-diag"]().exact is None
+    assert CONTRACT_SYSTEMS["wave1d-vmp"]().exact is None
+    with pytest.raises(ValueError, match="init"):
+        wave1d.cmp_system(1.0, _grid1d(), init="midpoint")
+
+
+def test_system_oscillator_preset_is_its_own_pair():
+    # A = -omega with Euclidean products: its invariants are twice those of
+    # oscillator_system (A = +omega, products 1/2 x y) from the same start
+    preset = _preset("--preset", "oscillator", "--dt", "0.01")
+    own = oscillator.oscillator_system(oscillator.OscParams(omega=1.0, dt=0.01))
+    _, ran = preset.march(0.01, 3)
+    _, own_ran = own.march(0.01, 3)
+    assert ran[-1][1] == pytest.approx(0.999975, rel=1e-6)
+    assert own_ran[-1][1] == pytest.approx(0.4999875, rel=1e-6)
+    assert preset.ops.apply_A(1.0) == -own.ops.apply_A(1.0)
 
 
 def _counted(ops, counts):
@@ -235,7 +337,7 @@ def _counted(ops, counts):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_recorded_steps_reuse_their_operator_terms(name):
     case = SYSTEMS[name](np.random.default_rng(7))
-    ops, inner_X, inner_Y = case["system"]
+    ops, inner_X, inner_Y = _engine(case["system"])
     f, g = case["state"].f, case["state"].g_half
 
     def reference(state, pieces):
@@ -258,7 +360,7 @@ def test_recorded_steps_reuse_their_operator_terms(name):
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
 def test_only_recorded_steps_keep_operator_terms(name):
     case = SYSTEMS[name](np.random.default_rng(9))
-    ops, inner_X, inner_Y = case["system"]
+    ops, inner_X, inner_Y = _engine(case["system"])
     f, g = case["state"].f, case["state"].g_half
     start = SystemState(f=f, g_half=g, dt=case["dt"])
     bare = system_step(start, ops)
@@ -301,8 +403,8 @@ def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, in
     case = _maxwell(np.random.default_rng(3))
     state, counts = case["state"], Counter()
     _count_3d_calls(monkeypatch, counts)
-    wave3d.run_maxwell(grid, eps, mu, state.f, state.g_half, case["dt"], 5,
-                       record_every=record_every)
+    _march_from(wave3d.maxwell_system(eps, mu, grid), state.f, state.g_half, case["dt"], 5,
+                record_every=record_every, audit=_maxwell_audit(eps, mu, grid))
     inner = counts.pop("inner3", 0)
     assert sum(counts.values()) == 5 * ops_per_step
     assert inner == 5 * inner3_per_step
@@ -340,13 +442,13 @@ def _inplace_case(system, boundary, stars, rng):
     grid = Grid3(1.0, 1.2, 0.8, 4, 5, 3, boundary=boundary)
     eps, mu = INPLACE_STARS[stars](grid)
     if system == "maxwell":
-        sys3 = wave3d.maxwell_system(eps, mu, grid)
+        sys3 = _engine(wave3d.maxwell_system(eps, mu, grid))
         dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
         f0 = mimetic3d.random_field(grid, "edge", rng)
         if boundary == "pinned":
             f0 = wave3d.pin_tangential_boundary(f0)
         return sys3, f0, mimetic3d.random_field(grid, "dual-edge", rng), dt, (eps, mu)
-    sys3 = wave3d.scalar_wave_system(eps, grid)
+    sys3 = _engine(wave3d.scalar_wave_system(eps, grid))
     dt = wave3d.suggest_dt(eps, grid, 0.8)
     f0 = mimetic3d.random_field(grid, "node", rng)
     if boundary == "pinned":
@@ -413,11 +515,10 @@ def _peak_bytes(ops, f0, g0, dt, n_steps):
 def test_steady_unrecorded_maxwell_steps_allocate_no_field():
     grid = Grid3.cube(64, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
-    ops, _, _ = wave3d.maxwell_system(star, star, grid)
-    f0 = wave3d.te_cavity_e(grid, 0.0)
+    system = wave3d.maxwell_system(star, star, grid)
+    ops = system.ops
     dt = wave3d.suggest_dt(star, grid, 0.9, system="maxwell")
-    g0 = wave3d.maxwell_init_h(f0, mimetic3d.zeros_field(grid, "dual-edge"), star, star,
-                               grid, dt)
+    f0, g0 = system.start(dt)  # the TE mode, with the Taylor half step for H
     component = f0.x.nbytes
     run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch
     # the first two steps make the run's own history; 20 more may add only
@@ -439,7 +540,7 @@ def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, ops_per_st
                                              np.random.default_rng(3))
     counts = Counter()
     _count_3d_calls(monkeypatch, counts)
-    wave3d.run_maxwell(eps.grid, eps, mu, f0, g0, dt, 5, record_every=0)
+    _march_from(wave3d.maxwell_system(eps, mu, eps.grid), f0, g0, dt, 5, record_every=0)
     counts.pop("inner3", 0)
     assert sum(counts.values()) == 5 * ops_per_step
     assert counts["star_matrix"] == 5 * stars_per_step
@@ -449,7 +550,7 @@ def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, ops_per_st
 # the in-place unrecorded step of the 1D and 2D pairs
 # ---------------------------------------------------------------------------
 
-# pair builders on a grid of the given size: 1D cmp/vmp and 2D, each with
+# System builders on a grid of the given size: 1D cmp/vmp and 2D, each with
 # unit and non-unit materials (a negative c for cmp, rough rho and tau for vmp)
 LOWDIM_PAIRS = {
     "cmp-unit": lambda g: wave1d.cmp_system(1.0, g),
@@ -475,18 +576,18 @@ def _lowdim_case(name, n, rng):
     if name.startswith("wave2d"):
         grid = wave2d.Grid2(n, n)
         system = LOWDIM_PAIRS[name](grid)
-        dt = 0.8 * 2.0 / system[0].norm_bound_A
+        dt = 0.8 * 2.0 / system.ops.norm_bound_A
         f0 = np.zeros(grid.shape("fp"))
         f0[1:-1, 1:-1] = rng.standard_normal((grid.nx - 1, grid.ny - 1))
         f0[0, 0] = -0.0
         g0 = wave2d.VectorField2(rng.standard_normal(grid.shape("nxd")),
                                  rng.standard_normal(grid.shape("nyd")))
-        return system, f0, g0, dt
+        return _engine(system), f0, g0, dt
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n, t_final=1.0, nt=1)
     system = LOWDIM_PAIRS[name](grid)
     f0 = rng.standard_normal(n)
     f0[0], f0[-1] = -0.0, 0.0
-    return system, f0, rng.standard_normal(n - 1), 0.8 * 2.0 / system[0].norm_bound_A
+    return _engine(system), f0, rng.standard_normal(n - 1), 0.8 * 2.0 / system.ops.norm_bound_A
 
 
 @pytest.mark.parametrize("record_every", [0, 1, 3])
@@ -591,19 +692,19 @@ def _fold_case(name, n):
     n x n cells (2D) or a pinned or periodic n-cube (3D)."""
     if name.startswith(("cmp", "vmp")):
         grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=1.0, nt=1)
-        return LOWDIM_PAIRS[name](grid)[0], [(n + 1,)], [(n,)], wave1d
+        return LOWDIM_PAIRS[name](grid).ops, [(n + 1,)], [(n,)], wave1d
     if name.startswith("wave2d"):
         grid = wave2d.Grid2(n, n)
         star = FOLD_STARS_2D[name]
-        return (wave2d.wave2d_system(star, grid)[0], [grid.shape("fp")],
+        return (wave2d.wave2d_system(star, grid).ops, [grid.shape("fp")],
                 [grid.shape("nxd"), grid.shape("nyd")], wave2d)
     system, boundary, stars = name.split(":")
     grid = Grid3.cube(n, 1.0, boundary=boundary)
     eps, mu = INPLACE_STARS[stars](grid)
     if system == "maxwell":
-        ops = wave3d.maxwell_system(eps, mu, grid)[0]
+        ops = wave3d.maxwell_system(eps, mu, grid).ops
         return ops, grid.vector_shapes("edge"), grid.vector_shapes("dual-edge"), wave3d
-    ops = wave3d.scalar_wave_system(eps, grid)[0]
+    ops = wave3d.scalar_wave_system(eps, grid).ops
     return ops, [grid.scalar_shape("node")], grid.vector_shapes("dual-face"), wave3d
 
 
@@ -738,7 +839,7 @@ def test_1d_pair_keeps_the_divide_where_the_spacing_cannot_fold(monkeypatch, nam
 
 def test_2d_pair_keeps_the_divide_on_a_20_by_28_grid(monkeypatch):
     grid = wave2d.Grid2(20, 28)
-    ops = wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0), grid)[0]
+    ops = wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0), grid).ops
     counts = Counter()
     _count_divides(monkeypatch, wave2d, counts)
     rng = np.random.default_rng(6)

@@ -4,15 +4,41 @@ Reference values marked "oracle" are frozen from
 tests/oracles/wave1d_oracle.py (standalone reimplementation).
 """
 
+from dataclasses import replace
+from operator import attrgetter
+
 import numpy as np
 import pytest
 
 from stagwave import core
 from stagwave import wave1d as w1
 
+# a System's (pair, inner_X, inner_Y), in the order the engine takes them
+_engine = attrgetter("ops", "inner_X", "inner_Y")
+
 
 def mode_grid(k, t_final, f):
     return w1.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
+
+
+def march_from(system, grid, u0, v_half, **kwargs):
+    """`system` marched over `grid`'s nt steps of dt from (u0, v_half) in
+    place of its own start."""
+    return replace(system, start=lambda _: (u0, v_half)).march(grid.dt, grid.nt, **kwargs)
+
+
+def mode_errors(ks, t_final, *, f=None, init="exact"):
+    """(dx, max error) of the c = 1 standing mode per level k, on 2^k cells
+    with 2^(k+f) steps, as the cmp convergence sweep measures them."""
+    if f is None:
+        f = w1.refinement_exponent(1.0, 1.0, t_final)
+    rows = []
+    for k in ks:
+        g = mode_grid(k, t_final, f)
+        system = w1.cmp_system(1.0, g, init=init)
+        state, _ = system.march(g.dt, g.nt, record_every=0)
+        rows.append((g.dx, system.error(state.f, t_final)))
+    return rows
 
 
 def unit_materials(nx):
@@ -147,8 +173,8 @@ class TestSteps:
         mats = w1.Materials1D(rho=np.full(g.nx, 1 / c), tau=np.full(g.nx - 1, c))
         u0 = w1.standing_mode_u(g.primal_points(), 0.0, 1, c)
         v0 = (g.dt / 2) * c * w1.grad1(u0, g.dx)
-        sc, _ = w1.run_cmp(g, c, u0, v0, record_every=0)
-        sv, _ = w1.run_vmp(g, mats, u0, v0, record_every=0)
+        sc, _ = march_from(w1.cmp_system(c, g), g, u0, v0, record_every=0)
+        sv, _ = march_from(w1.vmp_system(mats, g), g, u0, v0, record_every=0)
         assert np.max(np.abs(sc.f - sv.f)) <= 1e-14
         assert np.max(np.abs(sc.g_half - sv.g_half)) <= 1e-14
 
@@ -168,7 +194,7 @@ class TestSteps:
     def test_courant_warning(self):
         g = w1.Grid1D(a=0.0, b=1.0, nx=17, t_final=2.0, nt=16)  # nu = 2
         with pytest.warns(RuntimeWarning):
-            w1.run_cmp(g, 1.0, np.zeros(17), np.zeros(16), record_every=0)
+            march_from(w1.cmp_system(1.0, g), g, np.zeros(17), np.zeros(16), record_every=0)
 
 
 class TestInnerProducts:
@@ -237,34 +263,32 @@ class TestConserved:
         g = mode_grid(4, 1.0, 1)
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
-        assert core.conserved_full(s, *w1.cmp_system(1.0, g)) == 0.0
-        assert core.conserved_half_step(s, *w1.cmp_system(1.0, g)) == 0.0
-        assert core.conserved_full(s, *w1.vmp_system(unit_materials(g.nx), g)) == 0.0
+        assert core.conserved_full(s, *_engine(w1.cmp_system(1.0, g))) == 0.0
+        assert core.conserved_half_step(s, *_engine(w1.cmp_system(1.0, g))) == 0.0
+        assert core.conserved_full(s, *_engine(w1.vmp_system(unit_materials(g.nx), g))) == 0.0
 
     def test_history_required(self):
         g = mode_grid(4, 1.0, 1)
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         with pytest.raises(ValueError):
-            core.conserved_full(s, *w1.cmp_system(1.0, g))
+            core.conserved_full(s, *_engine(w1.cmp_system(1.0, g)))
         with pytest.raises(ValueError):
-            core.conserved_half_step(s, *w1.cmp_system(1.0, g))
+            core.conserved_half_step(s, *_engine(w1.cmp_system(1.0, g)))
 
     def test_invariants_reject_materials_off_the_grid(self):
         g = mode_grid(4, 1.0, 1)
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
         with pytest.raises(ValueError):
-            core.conserved_full(s, *w1.vmp_system(unit_materials(g.nx + 2), g))
+            core.conserved_full(s, *_engine(w1.vmp_system(unit_materials(g.nx + 2), g)))
         with pytest.raises(ValueError):
-            core.conserved_half_step(s, *w1.vmp_system(unit_materials(g.nx + 2), g))
+            core.conserved_half_step(s, *_engine(w1.vmp_system(unit_materials(g.nx + 2), g)))
 
     def test_constant_mode_value_and_drift(self):
         # oracle: C_1 = 0.499078326597769, |C-0.5| <= 9.216734e-04 (O(dx^2)),
         # drift 2.2e-16, all values positive at nu = 0.875
         g = mode_grid(5, 1.75, 1)
-        u0 = w1.standing_mode_u(g.primal_points(), 0.0)
-        v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
-        _, records = w1.run_cmp(g, 1.0, u0, v0)
+        _, records = w1.cmp_system(1.0, g).march(g.dt, g.nt)
         cn = np.array([r[1] for r in records])
         ch = np.array([r[2] for r in records])
         assert cn[0] == pytest.approx(0.499078326597769, rel=1e-12)
@@ -277,9 +301,8 @@ class TestConserved:
         # oracle: relative drift 4.4e-16 for tau = 1 - x/2 over 1000 steps
         g = w1.Grid1D(a=0.0, b=1.0, nx=65, t_final=2.0, nt=1000)
         mats = w1.Materials1D.from_profiles(g, w1.constant_profile(1.0), w1.linear_profile(-0.5))
-        u0 = np.sin(np.pi * g.primal_points())
-        v0 = w1.taylor_v_half_vmp(u0, np.zeros(g.nx - 1), mats, g)
-        _, records = w1.run_vmp(g, mats, u0, v0)
+        # the System starts from u = sin(pi x) and the Taylor half step of v = 0
+        _, records = w1.vmp_system(mats, g).march(g.dt, g.nt)
         cn = np.array([r[1] for r in records])
         ch = np.array([r[2] for r in records])
         assert np.max(np.abs(cn - cn[0])) / abs(cn[0]) <= 1e-12
@@ -298,8 +321,8 @@ class TestConserved:
         g = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=200 * dt, nt=200)
         x = g.primal_points()
         u0 = np.sin(np.pi * x) + 0.3 * np.sin(3 * np.pi * x)
-        v0 = w1.taylor_v_half_vmp(u0, np.zeros(nx - 1), mats, g)
-        _, records = w1.run_vmp(g, mats, u0, v0)
+        v0 = core.init_g_half(u0, np.zeros(nx - 1), w1.vmp_operator_pair(mats, g), g.dt)
+        _, records = march_from(w1.vmp_system(mats, g), g, u0, v0)
         assert min(r[1] for r in records) > 0
         assert min(r[2] for r in records) > 0
 
@@ -320,10 +343,8 @@ class TestCFL:
         dx = 1.0 / (nx - 1)
         dt = 1.05 * dx
         g = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=150 * dt, nt=150)
-        u0 = w1.standing_mode_u(g.primal_points(), 0.0)
-        v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
         with pytest.warns(RuntimeWarning):
-            state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
+            state, _ = w1.cmp_system(1.0, g).march(g.dt, g.nt, record_every=0)
         assert np.max(np.abs(state.f)) > 1e3
 
     def test_stable_below_one(self):
@@ -333,9 +354,7 @@ class TestCFL:
         dx = 1.0 / (nx - 1)
         dt = 0.95 * dx
         g = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=1000 * dt, nt=1000)
-        u0 = w1.standing_mode_u(g.primal_points(), 0.0)
-        v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
-        state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
+        state, _ = w1.cmp_system(1.0, g).march(g.dt, g.nt, record_every=0)
         assert np.max(np.abs(state.f)) == pytest.approx(8.817060e-01, rel=1e-5)
 
     def test_refinement_exponent(self):
@@ -349,7 +368,7 @@ class TestCFL:
 class TestModeConvergence:
     def test_second_order_at_generic_final_time(self):
         # oracle (T=1.75, f=1): errors then orders 1.9928, 1.9954, 1.9974
-        rows = w1.cmp_mode_errors(range(4, 8), 1.75)
+        rows = mode_errors(range(4, 8), 1.75)
         ers = [er for _, er in rows]
         assert ers == pytest.approx(
             [1.446341e-03, 3.634012e-04, 9.114189e-05, 2.282601e-05], rel=1e-5)
@@ -359,7 +378,7 @@ class TestModeConvergence:
 
     def test_fourth_order_at_half_period(self):
         # oracle (T=1.0, f=1): 6.947410e-06, 4.408194e-07, 2.776360e-08
-        rows = w1.cmp_mode_errors(range(4, 7), 1.0)
+        rows = mode_errors(range(4, 7), 1.0)
         ers = [er for _, er in rows]
         assert ers == pytest.approx([6.947410e-06, 4.408194e-07, 2.776360e-08], rel=1e-5)
         assert all(p >= 3.5 for p in w1.estimate_order(rows))
@@ -368,24 +387,24 @@ class TestModeConvergence:
         # One full period is also a multiple of the half period: order 4,
         # not 2 (generic endpoints are what give order 2).
         # oracle (T=2.0, f=2): 2.823776e-05, 1.777271e-06, 1.114916e-07
-        rows = w1.cmp_mode_errors(range(4, 7), 2.0)
+        rows = mode_errors(range(4, 7), 2.0)
         ers = [er for _, er in rows]
         assert ers == pytest.approx([2.823776e-05, 1.777271e-06, 1.114916e-07], rel=1e-5)
         assert all(p >= 3.5 for p in w1.estimate_order(rows))
 
     def test_unit_courant_number_is_exact(self):
         # oracle: 1.9e-15 / 2.6e-15 - the mode is advanced without error
-        rows = w1.cmp_mode_errors([5, 6], 2.0, f=1)
+        rows = mode_errors([5, 6], 2.0, f=1)
         assert all(er < 1e-12 for _, er in rows)
 
     def test_taylor_init_keeps_superconvergence(self):
         # oracle (T=1.0, taylor): orders 4.0013, 4.0003
-        rows = w1.cmp_mode_errors(range(4, 7), 1.0, init="taylor")
+        rows = mode_errors(range(4, 7), 1.0, init="taylor")
         assert all(p >= 3.5 for p in w1.estimate_order(rows))
 
     def test_unknown_init_rejected(self):
         with pytest.raises(ValueError):
-            w1.cmp_mode_errors([4], 1.0, init="nope")
+            w1.cmp_system(1.0, mode_grid(4, 1.0, 1), init="nope")
 
 
 class TestEstimateOrder:
@@ -449,9 +468,7 @@ class TestRefineCompare:
         sols = {}
         for k in (5, 6):
             g = mode_grid(k, 1.75, f)
-            u0 = w1.standing_mode_u(g.primal_points(), 0.0)
-            v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
-            state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
+            state, _ = w1.cmp_system(1.0, g).march(g.dt, g.nt, record_every=0)
             sols[k] = (g, state.f)
         (gc, uc), (gf, uf) = sols[5], sols[6]
         er, _ = w1.refine_compare(uc, uf, gc, gf)
@@ -496,7 +513,7 @@ class TestSecondDifference:
         mats = w1.Materials1D.from_profiles(
             g, w1.constant_profile(1.0), w1.piecewise_linear_profile())
         u0 = np.sin(np.pi * g.primal_points())
-        v0 = w1.taylor_v_half_vmp(u0, np.zeros(g.nx - 1), mats, g)
+        v0 = core.init_g_half(u0, np.zeros(g.nx - 1), w1.vmp_operator_pair(mats, g), g.dt)
         s0 = core.SystemState(f=u0, g_half=v0, dt=g.dt)
         s1 = w1.vmp_step(s0, mats, g)
         s2 = w1.vmp_step(s1, mats, g)
@@ -516,9 +533,7 @@ class TestVAtFinalTime:
         ers = {}
         for k in (4, 5):
             g = mode_grid(k, 1.75, 1)
-            u0 = w1.standing_mode_u(g.primal_points(), 0.0)
-            v0 = w1.standing_mode_v(g.dual_points(), g.dt / 2)
-            state, _ = w1.run_cmp(g, 1.0, u0, v0, record_every=0)
+            state, _ = w1.cmp_system(1.0, g).march(g.dt, g.nt, record_every=0)
             v_final = w1.v_at_final_time(state.g_half, state.g_prev_half)
             ers[k] = np.max(np.abs(v_final - w1.standing_mode_v(g.dual_points(), 1.75)))
         assert ers[4] == pytest.approx(1.161718e-03, rel=1e-5)
@@ -573,7 +588,7 @@ def test_in_place_vmp_drift_grows_like_sqrt_of_steps():
                                         w1.piecewise_linear_profile())
     bound = w1.vmp_operator_pair(mats, probe).norm_bound_A
     grid = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=n_steps / bound, nt=n_steps)
-    ops, inner_X, inner_Y = w1.vmp_system(mats, grid)
+    ops, inner_X, inner_Y = _engine(w1.vmp_system(mats, grid))
     assert ops.update is not None  # unrecorded steps run in place
     rng = np.random.default_rng(61)
     u0 = np.sin(np.pi * grid.primal_points()) + 0.1 * rng.standard_normal(nx)

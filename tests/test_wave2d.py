@@ -5,22 +5,22 @@ Reference values marked "oracle" are frozen from tests/oracles/wave2d_oracle.py.
 
 import math
 import warnings
+from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from stagwave.core import SystemState, conserved_full, conserved_half_step
+from stagwave.core import SystemState, conserved_full, conserved_half_step, init_g_half
 from stagwave.wave2d import (
     Grid2,
     Star2,
+    VectorField2,
     div2d,
     div2p,
     exact_solution_2d,
     grad2d,
     grad2p,
-    init_v_half_2d,
-    mode_errors_2d,
-    run_wave2d,
     star2,
     suggest_dt_2d,
     wave2d_step,
@@ -28,6 +28,20 @@ from stagwave.wave2d import (
 )
 
 DIAG = (1.5, 2.5)
+
+# a System's (pair, inner_X, inner_Y), in the order the engine takes them
+_engine = attrgetter("ops", "inner_X", "inner_Y")
+
+
+def v_half(u0, v0, star, grid, dt, **variant):
+    """The Taylor half step for v from (u0, v0), on the pair of `star`."""
+    return init_g_half(u0, VectorField2(*v0), wave2d_system(star, grid).ops, dt, **variant)
+
+
+def march(star, grid, u0, v_start, dt, n_steps, **kwargs):
+    """The march of `star` from (u0, v_start) in place of the System's start."""
+    system = replace(wave2d_system(star, grid), start=lambda _: (u0, VectorField2(*v_start)))
+    return system.march(dt, n_steps, **kwargs)
 
 
 def pinned_u(grid, rng):
@@ -347,7 +361,7 @@ class TestStep:
         dt = suggest_dt_2d(star, grid, 0.8)
         rng = np.random.default_rng(7)
         u0 = pinned_u(grid, rng)
-        s0 = SystemState(f=u0, g_half=init_v_half_2d(u0, random_v(grid, rng),
+        s0 = SystemState(f=u0, g_half=v_half(u0, random_v(grid, rng),
                                                       star, grid, dt), dt=dt)
         s1 = wave2d_step(s0, star, grid)
         s2 = wave2d_step(s1, star, grid)
@@ -363,7 +377,7 @@ class TestInit:
         grid = Grid2(6, 6)
         rng = np.random.default_rng(9)
         u0, v0 = pinned_u(grid, rng), random_v(grid, rng)
-        vx, vy = init_v_half_2d(u0, v0, Star2(a=2.0), grid, 0.0)
+        vx, vy = v_half(u0, v0, Star2(a=2.0), grid, 0.0)
         assert np.array_equal(vx, v0[0]) and np.array_equal(vy, v0[1])
 
     def test_zero_v0_gives_half_step_gradient(self):
@@ -373,7 +387,7 @@ class TestInit:
         u0 = pinned_u(grid, rng)
         dt = 0.01
         zero_v = (np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
-        vx, vy = init_v_half_2d(u0, zero_v, star, grid, dt)
+        vx, vy = v_half(u0, zero_v, star, grid, dt)
         agx, agy = star2(grad2p(u0, grid), star.diag, "tangent-to-dual-normal")
         np.testing.assert_allclose(vx, (0.5 * dt) * agx, atol=0.0)
         np.testing.assert_allclose(vy, (0.5 * dt) * agy, atol=0.0)
@@ -382,11 +396,11 @@ class TestInit:
         grid = Grid2(6, 6)
         rng = np.random.default_rng(12)
         u0, v0 = pinned_u(grid, rng), random_v(grid, rng)
-        a = init_v_half_2d(u0, v0, Star2(), grid, 0.05, variant="oscillator-taylor")
-        b = init_v_half_2d(u0, v0, Star2(), grid, 0.05, variant="system-taylor")
+        a = v_half(u0, v0, Star2(), grid, 0.05, variant="oscillator-taylor")
+        b = v_half(u0, v0, Star2(), grid, 0.05, variant="system-taylor")
         assert not np.array_equal(a[0], b[0])
         with pytest.raises(ValueError, match="variant"):
-            init_v_half_2d(u0, v0, Star2(), grid, 0.05, variant="midpoint")
+            v_half(u0, v0, Star2(), grid, 0.05, variant="midpoint")
 
 
 # ---------------------------------------------------------------------------
@@ -404,9 +418,9 @@ class TestConserved:
         grid = Grid2(5, 5)
         state = random_state(grid, np.random.default_rng(0), 0.01)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(state, *wave2d_system(Star2(), grid))
+            conserved_full(state, *_engine(wave2d_system(Star2(), grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(state, *wave2d_system(Star2(), grid))
+            conserved_half_step(state, *_engine(wave2d_system(Star2(), grid)))
 
     @pytest.mark.parametrize("name", sorted(STARS))
     def test_drift_over_thousand_steps(self, name):
@@ -415,11 +429,10 @@ class TestConserved:
         rng = np.random.default_rng(21)
         u0 = pinned_u(grid, rng)
         dt = suggest_dt_2d(star, grid, 0.9)
-        v_half = init_v_half_2d(u0, random_v(grid, rng), star, grid, dt)
+        v_start = v_half(u0, random_v(grid, rng), star, grid, dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the march must stay quiet
-            state, records = run_wave2d(grid, star, u0, v_half, dt, 1000,
-                                        record_every=25)
+            state, records = march(star, grid, u0, v_start, dt, 1000, record_every=25)
         for idx in (1, 2):
             series = [r[idx] for r in records]
             drift = max(abs(c - series[0]) for c in series) / abs(series[0])
@@ -432,8 +445,8 @@ class TestConserved:
         rng = np.random.default_rng(33)
         for _ in range(100):
             state = wave2d_step(random_state(grid, rng, dt), star, grid)
-            assert conserved_full(state, *wave2d_system(star, grid)) > 0.0
-            assert conserved_half_step(state, *wave2d_system(star, grid)) > 0.0
+            assert conserved_full(state, *_engine(wave2d_system(star, grid))) > 0.0
+            assert conserved_half_step(state, *_engine(wave2d_system(star, grid))) > 0.0
 
     def test_records_match_direct_evaluation(self):
         grid = Grid2(8, 8)
@@ -441,14 +454,13 @@ class TestConserved:
         rng = np.random.default_rng(40)
         u0 = pinned_u(grid, rng)
         dt = suggest_dt_2d(star, grid, 0.5)
-        v_half = init_v_half_2d(u0, random_v(grid, rng), star, grid, dt)
-        state, records = run_wave2d(grid, star, u0, v_half, dt, 10,
-                                    record_every=3)
+        v_start = v_half(u0, random_v(grid, rng), star, grid, dt)
+        state, records = march(star, grid, u0, v_start, dt, 10, record_every=3)
         assert [r[0] for r in records] == [3, 6, 9]
-        state2, records2 = run_wave2d(grid, star, u0, v_half, dt, 10)
+        state2, records2 = march(star, grid, u0, v_start, dt, 10)
         assert len(records2) == 10
-        assert records2[-1][1] == conserved_full(state2, *wave2d_system(star, grid))
-        assert records2[-1][2] == conserved_half_step(state2, *wave2d_system(star, grid))
+        assert records2[-1][1] == conserved_full(state2, *_engine(wave2d_system(star, grid)))
+        assert records2[-1][2] == conserved_half_step(state2, *_engine(wave2d_system(star, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,10 +502,10 @@ class TestSuggestDt:
         v0 = random_v(grid, rng)
         bound = suggest_dt_2d(star, grid)
         with pytest.warns(RuntimeWarning, match="unstable"):
-            run_wave2d(grid, star, u0, v0, 1.1 * bound, 2)
+            march(star, grid, u0, v0, 1.1 * bound, 2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_wave2d(grid, star, u0, v0, 0.9 * bound, 2)
+            march(star, grid, u0, v0, 0.9 * bound, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -543,8 +555,14 @@ class TestMode:
         assert np.max(np.abs(vy_t - c * du_dy)) <= 1e-10
 
     def test_mode_convergence_is_second_order(self):
-        # oracle: wave2d_oracle.mode_error at n = 16, 32, 64
-        errors = mode_errors_2d()
+        # oracle: wave2d_oracle.mode_error at n = 16, 32, 64, marched to t = 0.35
+        # in the fewest whole steps at 0.9 of the CFL step
+        errors = []
+        for n in (16, 32, 64):
+            system = wave2d_system(Star2(), Grid2(n, n))
+            nt = math.ceil(0.35 / system.cfl_dt(0.9))
+            state, _ = system.march(0.35 / nt, nt, record_every=0)
+            errors.append((1.0 / n, system.error(state.f, 0.35)))
         for (_, got), want in zip(errors, (5.652846e-04, 1.410167e-04,
                                            3.523518e-05)):
             assert got == pytest.approx(want, rel=1e-5)

@@ -5,6 +5,8 @@ Reference values marked "oracle" are frozen from tests/oracles/wave3d_oracle.py.
 
 import math
 import warnings
+from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from stagwave.core import (
     conserved_full,
     conserved_half_step,
     energy_pieces,
+    init_g_half,
     system_step,
 )
 from stagwave.mimetic3d import (
@@ -31,18 +34,12 @@ from stagwave.wave3d import (
     cavity_mode_s,
     cavity_mode_v,
     divergence_audit,
-    maxwell_cavity_errors,
-    maxwell_init_h,
     maxwell_operators,
     maxwell_step,
     maxwell_system,
     measured_stencil_norm,
     pin_scalar_boundary,
     pin_tangential_boundary,
-    run_maxwell,
-    run_scalar_wave,
-    scalar_cavity_errors,
-    scalar_wave_init_v,
     scalar_wave_operators,
     scalar_wave_step,
     scalar_wave_system,
@@ -68,6 +65,40 @@ def random_scalar_state(grid, rng, dt):
 def random_maxwell_state(grid, rng, dt):
     e = pin_tangential_boundary(random_vector(grid, "edge", rng))
     return SystemState(f=e, g_half=random_vector(grid, "dual-edge", rng), dt=dt)
+
+
+# a System's (pair, inner_X, inner_Y), in the order the engine takes them
+_engine = attrgetter("ops", "inner_X", "inner_Y")
+
+
+def march_from(system, f0, g_half0, dt, n_steps, **kwargs):
+    """`system` marched from (f0, g_half0) in place of its own start."""
+    return replace(system, start=lambda _: (f0, g_half0)).march(dt, n_steps, **kwargs)
+
+
+def maxwell_march(grid, eps, mu, e0, h_half, dt, n_steps, **kwargs):
+    """The Maxwell march from (E0, H_half); each record is (step, C_n, C_half,
+    c1, c2, c3, div_e, div_h), the invariant pieces and the divergence audit."""
+
+    def audit(state, pieces):
+        return (*pieces, *divergence_audit(state.f, state.g_half, eps, mu, grid))
+
+    return march_from(maxwell_system(eps, mu, grid), e0, h_half, dt, n_steps, audit=audit,
+                      **kwargs)
+
+
+def cavity_errors(make, sizes=(8, 16, 32), t_final=0.35, safety=0.9):
+    """(dx, max error) of the cavity-mode march of the System `make(grid,
+    star)` on pinned unit cubes with unit materials, in the fewest whole
+    steps at `safety` of the CFL step."""
+    out = []
+    for n in sizes:
+        grid = pinned_cube(n)
+        system = make(grid, Star3.trivial(grid))
+        nt = math.ceil(t_final / system.cfl_dt(safety))
+        state, _ = system.march(t_final / nt, nt, record_every=0)
+        out.append((grid.dx, system.error(state.f, t_final)))
+    return out
 
 
 def rel_drift(values):
@@ -146,13 +177,13 @@ class TestStates:
         fresh_s = random_scalar_state(grid, rng, dt=0.05)
         fresh_m = random_maxwell_state(grid, rng, dt=0.05)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_s, *scalar_wave_system(star, grid))
+            conserved_full(fresh_s, *_engine(scalar_wave_system(star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(fresh_s, *scalar_wave_system(star, grid))
+            conserved_half_step(fresh_s, *_engine(scalar_wave_system(star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_m, *maxwell_system(star, star, grid))
+            conserved_full(fresh_m, *_engine(maxwell_system(star, star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(fresh_m, *maxwell_system(star, star, grid))
+            conserved_half_step(fresh_m, *_engine(maxwell_system(star, star, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +216,7 @@ class TestScalarWave:
             inner_X=lambda a, b: inner3("node", a, b, star, grid),
             inner_Y=lambda a, b: inner3("dual-face", a, b, star, grid),
         )
-        assert c_core == conserved_full(state, *scalar_wave_system(star, grid))
+        assert c_core == conserved_full(state, *_engine(scalar_wave_system(star, grid)))
 
     def test_second_difference_identity(self):
         # two half-step updates compose to the centered second difference
@@ -205,7 +236,7 @@ class TestScalarWave:
         assert np.max(np.abs(lhs - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
     def test_cavity_convergence(self):
-        errs = scalar_cavity_errors((8, 16, 32), t_final=0.35, safety=0.9)
+        errs = cavity_errors(lambda grid, star: scalar_wave_system(star, grid))
         expected = (4.049240e-03, 6.450341e-04, 1.608946e-04)  # oracle
         for (_, err), want in zip(errs, expected):
             assert err == pytest.approx(want, rel=1e-5)
@@ -220,7 +251,7 @@ class TestScalarWave:
             dt = grid.dx
             s0 = cavity_mode_s(grid, 0.15)
             v0 = cavity_mode_v(grid, 0.15)
-            vh = scalar_wave_init_v(s0, v0, star, grid, dt)
+            vh = init_g_half(s0, v0, scalar_wave_operators(star, grid), dt)
             want = cavity_mode_v(grid, 0.15 + dt / 2.0)
             errs.append(
                 max(
@@ -240,7 +271,7 @@ class TestScalarWave:
         rng = np.random.default_rng(5)
         s0 = rng.standard_normal(grid.scalar_shape("node"))
         v0 = random_vector(grid, "dual-face", rng)
-        vh = scalar_wave_init_v(s0, v0, star, grid, 0.0)
+        vh = init_g_half(s0, v0, scalar_wave_operators(star, grid), 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(vh.components, v0.components))
 
     def test_init_zero_v0_is_half_step_gradient(self):
@@ -249,7 +280,7 @@ class TestScalarWave:
         rng = np.random.default_rng(6)
         s0 = rng.standard_normal(grid.scalar_shape("node"))
         dt = 0.07
-        vh = scalar_wave_init_v(s0, zeros_field(grid, "dual-face"), star, grid, dt)
+        vh = init_g_half(s0, zeros_field(grid, "dual-face"), scalar_wave_operators(star, grid), dt)
         want = (0.5 * dt) * star_matrix(grad3(s0, grid), star, "a")
         assert all(np.array_equal(a, b) for a, b in zip(vh.components, want.components))
 
@@ -270,9 +301,9 @@ class TestScalarWave:
         rng = np.random.default_rng(12)
         dt = suggest_dt(star, grid, 0.9)
         state = random_scalar_state(grid, rng, dt)
-        _, records = run_scalar_wave(grid, star, state.f, state.g_half, dt, 2000)
+        _, records = march_from(scalar_wave_system(star, grid), state.f, state.g_half, dt, 2000)
+        assert rel_drift([r[1] for r in records]) <= 1e-12
         assert rel_drift([r[2] for r in records]) <= 1e-12
-        assert rel_drift([r[3] for r in records]) <= 1e-12
 
     def test_conserved_positive_at_suggested_dt(self):
         grid = pinned_cube(4)
@@ -281,8 +312,8 @@ class TestScalarWave:
         rng = np.random.default_rng(13)
         for _ in range(100):
             state = scalar_wave_step(random_scalar_state(grid, rng, dt), star, grid)
-            assert conserved_half_step(state, *scalar_wave_system(star, grid)) >= 0.0
-            assert conserved_full(state, *scalar_wave_system(star, grid)) >= 0.0
+            assert conserved_half_step(state, *_engine(scalar_wave_system(star, grid))) >= 0.0
+            assert conserved_full(state, *_engine(scalar_wave_system(star, grid))) >= 0.0
 
     def test_whole_step_invariant_below_its_positive_pieces(self):
         grid = pinned_cube(4)
@@ -291,8 +322,8 @@ class TestScalarWave:
         state = scalar_wave_step(
             random_scalar_state(grid, rng, dt=0.05), star, grid
         )
-        cn = conserved_full(state, *scalar_wave_system(star, grid))
-        c1, c2, c3 = energy_pieces(state, *scalar_wave_system(star, grid))
+        cn = conserved_full(state, *_engine(scalar_wave_system(star, grid)))
+        c1, c2, c3 = energy_pieces(state, *_engine(scalar_wave_system(star, grid)))
         assert c3 > 0.0
         assert cn < c1 + c2
 
@@ -334,7 +365,7 @@ class TestMaxwell:
             + sum(float(np.sum(c**2)) for c in h_bar.components) * dv
             - (0.5 * dt) ** 2 * sum(float(np.sum(c**2)) for c in ce.components) * dv
         )
-        got = conserved_full(state, *maxwell_system(star, star, grid))
+        got = conserved_full(state, *_engine(maxwell_system(star, star, grid)))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_te_mode_zero_components_stay_exactly_zero(self):
@@ -342,7 +373,8 @@ class TestMaxwell:
         star = Star3.trivial(grid)
         dt = 0.9 * suggest_dt(star, grid, system="maxwell")
         e0 = te_cavity_e(grid, 0.0)
-        h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
+        h_half = init_g_half(e0, zeros_field(grid, "dual-edge"),
+                             maxwell_operators(star, star, grid), dt)
         state = SystemState(f=e0, g_half=h_half, dt=dt)
         for _ in range(20):
             state = maxwell_step(state, star, star, grid)
@@ -351,7 +383,7 @@ class TestMaxwell:
         assert np.all(state.g_half.z == 0.0)
 
     def test_te_cavity_convergence(self):
-        errs = maxwell_cavity_errors((8, 16, 32), t_final=0.35, safety=0.9)
+        errs = cavity_errors(lambda grid, star: maxwell_system(star, star, grid))
         expected = (5.670584e-03, 1.205104e-03, 3.008793e-04)  # oracle
         for (_, err), want in zip(errs, expected):
             assert err == pytest.approx(want, rel=1e-5)
@@ -363,7 +395,7 @@ class TestMaxwell:
         rng = np.random.default_rng(19)
         e0 = random_vector(grid, "edge", rng)
         h0 = random_vector(grid, "dual-edge", rng)
-        hh = maxwell_init_h(e0, h0, star, star, grid, 0.0)
+        hh = init_g_half(e0, h0, maxwell_operators(star, star, grid), 0.0)
         assert all(np.array_equal(a, b) for a, b in zip(hh.components, h0.components))
 
     def test_init_h_zero_h0_is_half_step_curl(self):
@@ -372,7 +404,8 @@ class TestMaxwell:
         rng = np.random.default_rng(20)
         e0 = random_vector(grid, "edge", rng)
         dt = 0.07
-        hh = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
+        hh = init_g_half(e0, zeros_field(grid, "dual-edge"), maxwell_operators(star, star, grid),
+                         dt)
         from stagwave.mimetic3d import curl3
 
         want = (-0.5 * dt) * curl3(e0, grid)
@@ -400,9 +433,9 @@ class TestMaxwell:
         rng = np.random.default_rng(22)
         dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
         state = random_maxwell_state(grid, rng, dt)
-        _, records = run_maxwell(grid, eps, mu, state.f, state.g_half, dt, 2000)
+        _, records = maxwell_march(grid, eps, mu, state.f, state.g_half, dt, 2000)
+        assert rel_drift([r[1] for r in records]) <= 1e-12
         assert rel_drift([r[2] for r in records]) <= 1e-12
-        assert rel_drift([r[3] for r in records]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -424,10 +457,11 @@ class TestDivergenceAudit:
         star = Star3.trivial(grid)
         dt = 0.9 * suggest_dt(star, grid, system="maxwell")
         e0 = te_cavity_e(grid, 0.0)
-        h_half = maxwell_init_h(e0, zeros_field(grid, "dual-edge"), star, star, grid, dt)
-        _, records = run_maxwell(grid, star, star, e0, h_half, dt, 50)
+        h_half = init_g_half(e0, zeros_field(grid, "dual-edge"),
+                             maxwell_operators(star, star, grid), dt)
+        _, records = maxwell_march(grid, star, star, e0, h_half, dt, 50)
+        assert max(r[6] for r in records) <= 1e-12
         assert max(r[7] for r in records) <= 1e-12
-        assert max(r[8] for r in records) <= 1e-12
 
     @pytest.mark.parametrize("name", ["trivial", "const-diag"])
     def test_random_data_audit_is_constant_not_zero(self, name):
@@ -436,9 +470,9 @@ class TestDivergenceAudit:
         rng = np.random.default_rng(23)
         dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
         state = random_maxwell_state(grid, rng, dt)
-        _, records = run_maxwell(grid, eps, mu, state.f, state.g_half, dt, 100)
-        div_e = [r[7] for r in records]
-        div_h = [r[8] for r in records]
+        _, records = maxwell_march(grid, eps, mu, state.f, state.g_half, dt, 100)
+        div_e = [r[6] for r in records]
+        div_h = [r[7] for r in records]
         assert div_e[0] > 0.1 and div_h[0] > 0.1
         assert rel_drift(div_e) <= 1e-12
         assert rel_drift(div_h) <= 1e-12
@@ -504,7 +538,7 @@ class TestSuggestDt:
 
 
 # ---------------------------------------------------------------------------
-# simulation drivers
+# marches
 # ---------------------------------------------------------------------------
 
 
@@ -515,15 +549,14 @@ class TestRunHelpers:
         rng = np.random.default_rng(25)
         dt = suggest_dt(star, grid, 0.9)
         state0 = random_scalar_state(grid, rng, dt)
-        state, records = run_scalar_wave(
-            grid, star, state0.f, state0.g_half, dt, 10, record_every=2
-        )
+        state, records = march_from(scalar_wave_system(star, grid), state0.f, state0.g_half, dt,
+                                    10, record_every=2, audit=lambda _, pieces: pieces)
         assert [r[0] for r in records] == [2, 4, 6, 8, 10]
-        step, t, c_n, c_half, c1, c2, c3 = records[-1]
-        assert t == step * dt
+        step, c_n, c_half, c1, c2, c3 = records[-1]
+        assert step == state.step
         assert c_n == c1 + c2 - (0.5 * dt) ** 2 * c3
-        assert c_n == conserved_full(state, *scalar_wave_system(star, grid))
-        assert c_half == conserved_half_step(state, *scalar_wave_system(star, grid))
+        assert c_n == conserved_full(state, *_engine(scalar_wave_system(star, grid)))
+        assert c_half == conserved_half_step(state, *_engine(scalar_wave_system(star, grid)))
 
     def test_maxwell_records(self):
         grid = pinned_cube(4)
@@ -531,10 +564,10 @@ class TestRunHelpers:
         rng = np.random.default_rng(26)
         dt = suggest_dt(star, grid, 0.9, system="maxwell")
         state0 = random_maxwell_state(grid, rng, dt)
-        state, records = run_maxwell(grid, star, star, state0.f, state0.g_half, dt, 4)
+        state, records = maxwell_march(grid, star, star, state0.f, state0.g_half, dt, 4)
         assert len(records) == 4
-        assert all(len(r) == 9 for r in records)
-        assert records[-1][2] == conserved_full(state, *maxwell_system(star, star, grid))
+        assert all(len(r) == 8 for r in records)
+        assert records[-1][1] == conserved_full(state, *_engine(maxwell_system(star, star, grid)))
         assert all(np.isfinite(r).all() for r in map(np.asarray, records))
 
     def test_courant_warning_fires_above_the_bound(self):
@@ -544,10 +577,10 @@ class TestRunHelpers:
         dt = 1.1 * suggest_dt(star, grid)
         state = random_scalar_state(grid, rng, dt)
         with pytest.warns(RuntimeWarning, match="unstable"):
-            run_scalar_wave(grid, star, state.f, state.g_half, dt, 1)
+            march_from(scalar_wave_system(star, grid), state.f, state.g_half, dt, 1)
         mstate = random_maxwell_state(grid, rng, dt)
         with pytest.warns(RuntimeWarning, match="unstable"):
-            run_maxwell(grid, star, star, mstate.f, mstate.g_half, dt, 1)
+            march_from(maxwell_system(star, star, grid), mstate.f, mstate.g_half, dt, 1)
 
     def test_no_warning_at_the_suggested_dt(self):
         grid = pinned_cube(4)
@@ -557,7 +590,7 @@ class TestRunHelpers:
         state = random_scalar_state(grid, rng, dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run_scalar_wave(grid, star, state.f, state.g_half, dt, 2)
+            march_from(scalar_wave_system(star, grid), state.f, state.g_half, dt, 2)
 
 
 # ---------------------------------------------------------------------------

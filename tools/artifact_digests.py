@@ -79,6 +79,14 @@ MORE_RUNS = [
     ["convergence-table", "--case", "cmp", "--k", "4..9", "--jobs", "2"],
     ["convergence-table", "--case", "cmp", "--k", "6,4,5", "--jobs", "2"],
     ["convergence-table", "--case", "linear tau 0.5", "--k", "3..5"],
+    ["oscillator", "--exact-init", "--steps", "500"],
+    ["wave2d", "--init", "exact", "--mode-m", "2", "--mode-n", "3"],
+    ["wave1d", "--case", "vmp", "--nt", "200"],
+    ["wave1d", "--case", "cmp", "--init", "exact", "--nt", "40"],
+    ["wave3d", "--grid", "8", "--dt", "0.01", "--steps", "20"],
+    ["maxwell", "--grid", "8", "--t-final", "0.1"],
+    ["system", "--preset", "cmp", "--dt", "0.001", "--nx", "33", "--steps", "50"],
+    ["wave1d-convergence", "--case", "cmp", "--k", "4..6", "--f", "2"],
 ]
 
 # the benchmark's invocations, with its random draws fixed
@@ -115,6 +123,16 @@ EDGES = [
     ["wave2d", "--nx", "8", "--a", "inf"],
     ["wave2d", "--nx", "8", "--a", "1e-320"],
     ["wave2d", "--nx", "8", "--nt", "5", "--t-final", "1e308"],
+    ["wave1d", "--nx", "8", "--safety", "5e-324"],
+    ["wave1d", "--case", "vmp", "--nx", "8", "--safety", "5e-324"],
+    ["wave2d", "--nx", "8", "--safety", "5e-324"],
+    ["wave3d", "--grid", "4", "--safety", "5e-324", "--t-final", "1"],
+    ["wave3d", "--grid", "4", "--safety", "5e-324", "--steps", "2"],
+    ["maxwell", "--grid", "4", "--safety", "5e-324", "--t-final", "1"],
+    ["system", "--preset", "cmp", "--safety", "5e-324", "--steps", "3"],
+    ["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--safety", "5e-324"],
+    ["convergence-table", "--case", "wave3d-cavity", "--k", "2..3", "--safety", "5e-324"],
+    ["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--safety", "5e-324"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
