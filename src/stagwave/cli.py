@@ -48,9 +48,11 @@ option's choices, grid sizes below what the grid constructors accept (the
 ``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive,
 non-positive or unparseable ``--final`` times, a ``--safety`` (or a
 ``wave2d`` star, or a 1D material) whose CFL time step is not a positive
-finite number, CFL step counts that are not finite, an ``oscillator`` whose
-omega * dt / 2 is past the float range, and contradictory flags such as
-``--dt`` with ``--t-final`` for ``wave3d``/``maxwell``.
+finite number, CFL step counts that are not finite, a sweep whose coarsest
+level would take no CFL step, a sweep level whose error is exactly zero (no
+order to measure), an ``oscillator`` whose omega * dt / 2 is past the float
+range, and contradictory flags such as ``--dt`` with ``--t-final`` for
+``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -666,9 +668,11 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
     if case in modes:
         ks = _levels(cfg.k)
         t_final = _final_time(cfg.final, 0.35, case, {})
-        # the finest level takes the most steps
+        # the finest level takes the most steps, the coarsest the fewest
         dt = _cfl_dt(_sweep_system(case, 2 ** max(ks))[1], cfg.safety, "--safety")
         _cfl_steps("--final/--safety", math.ceil, t_final / dt)
+        if t_final / _cfl_dt(_sweep_system(case, 2 ** min(ks))[1], cfg.safety, "--safety") == 0:
+            raise ConfigError("--final/--safety: the coarsest level's CFL step count rounds to 0")
         points = [(case, 2**k, t_final, None, cfg.safety, ()) for k in ks]
         rows = [row for row, _ in _pool_sweep(_sweep_level, points, jobs)]
         sweep = {"name": case, "nodes": 0}
@@ -712,6 +716,10 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
             sweep = {"name": mat["name"],
                      "profile": list(zip(top.primal_points(), scaled * top.dx**2, scaled))}
         sweep.update(kind=mat["kind"], m=m, nodes=1)
+    for k, (_, er) in zip(ks, rows):
+        if er == 0.0:
+            raise ConfigError(f"--final {t_final!r}: the error at k={k} is exactly zero, "
+                              "so no order can be measured")
     pair_orders = wave1d.estimate_order(rows)
     table = [(k, 2**k + sweep["nodes"], dx, er, pair_orders[i - 1] if i else "")
              for i, (k, (dx, er)) in enumerate(zip(ks, rows))]

@@ -136,7 +136,8 @@ class OperatorPair:
     """A linear map, its adjoint, and analytic operator-norm bounds.
 
     The norm bounds are caller-supplied analytic values (e.g. 2*c/dx for the
-    1D difference operator); nothing in the core estimates them numerically.
+    1D difference operator); no time step is ever estimated numerically
+    (`System.measured_norm` only checks how sharp a bound is).
     Adjointness is a promise checked by `check_adjointness`, not enforced.
 
     `update(x, y, dt, out, adjoint)`, if given, is the in-place form of the
@@ -181,7 +182,8 @@ class System:
 
     `ops`, `inner_X` and `inner_Y` are the pair and the two inner products of
     its invariants.  `cfl_dt(safety)` is `safety` times the largest stable
-    step, 2 / ops.norm_bound_A, in the module's own arithmetic.  `start(dt)`
+    step, 2 / ops.norm_bound_A, in the module's own arithmetic; it is the
+    only CFL step, and a `safety` <= 0 raises ValueError.  `start(dt)`
     returns (f0, g_half0): f at t = 0 and g at t = dt/2.  `exact(t)`, where
     the module knows it, is the continuum f at time t of that start.
     """
@@ -192,6 +194,17 @@ class System:
     cfl_dt: Callable[[float], float]
     start: Callable[[float], tuple]
     exact: Callable[[float], Any] | None = None
+
+    def __post_init__(self):
+        # the module's own step, behind the one check every System shares
+        bound = self.cfl_dt
+
+        def cfl_dt(safety: float) -> float:
+            if safety <= 0:
+                raise ValueError(f"safety factor must be positive, got {safety}")
+            return bound(safety)
+
+        object.__setattr__(self, "cfl_dt", cfl_dt)
 
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
               audit: Callable | None = None):
@@ -204,6 +217,28 @@ class System:
         """max |f - exact(t)| over every component of f."""
         return float(np.max([np.max(np.abs(a - b))
                              for a, b in zip(_parts(f), _parts(self.exact(t)))]))
+
+    def measured_norm(self, f, iterations: int = 60) -> float:
+        """Power-iteration estimate of ||A|| from the start field f (a
+        diagnostic of how sharp ops.norm_bound_A is; nothing steps with it).
+
+        Iterates the positive-semidefinite A* A in inner_X and returns the
+        square root of the last Rayleigh quotient, which approaches ||A||
+        from below.  f must lie in the subspace the march keeps (zero walls
+        on a pinned grid); 0.0 if the iterate vanishes.
+        """
+        lam = 0.0
+        for _ in range(iterations):
+            af = self.ops.apply_Astar(self.ops.apply_A(f))
+            ff = self.inner_X(f, f)
+            if ff == 0.0:
+                return 0.0
+            lam = self.inner_X(f, af) / ff
+            scale = math.sqrt(self.inner_X(af, af))
+            if scale == 0.0:
+                return 0.0
+            f = (1.0 / scale) * af
+        return math.sqrt(max(lam, 0.0))
 
 
 def _parts(field) -> tuple:

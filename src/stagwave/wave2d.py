@@ -280,14 +280,6 @@ class VectorField2(tuple):
     __rmul__ = __mul__
 
 
-def _norm_bound(star: Star2, grid: Grid2) -> float:
-    """Bound on the operator norm: wave speed sqrt(max(a11, a22)/a) times
-    the 2D stencil norm."""
-    s_max = math.sqrt(max(star.a11, star.a22) / star.a)
-    stencil = 2.0 * math.sqrt(1.0 / grid.dx ** 2 + 1.0 / grid.dy ** 2)
-    return s_max * stencil
-
-
 def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
                   init: str = "taylor") -> System:
     """The 2D wave as a `core.System`.
@@ -301,7 +293,9 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
     exact only for the unit star.
     """
     dv = grid.dx * grid.dy
-    bound = _norm_bound(star, grid)
+    # the norm bound: wave speed sqrt(max(a11, a22)/a) times the 2D stencil norm
+    s_max = math.sqrt(max(star.a11, star.a22) / star.a)
+    bound = s_max * (2.0 * math.sqrt(1.0 / grid.dx ** 2 + 1.0 / grid.dy ** 2))
 
     def inner_u(p, q):
         return star.a * float(np.sum(p * q)) * dv
@@ -330,7 +324,7 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
         return u0, init_g_half(u0, zero_v, ops, dt)
 
     return System(ops, inner_u, inner_v,
-                  cfl_dt=lambda safety: suggest_dt_2d(star, grid, safety), start=start,
+                  cfl_dt=lambda safety: safety * 2.0 / bound, start=start,
                   exact=(lambda t: mode("fp", t)[0]) if star == Star2() else None)
 
 
@@ -399,7 +393,7 @@ def _update_hook(star: Star2, grid: Grid2):
 
 
 # ---------------------------------------------------------------------------
-# leapfrog step and CFL step
+# leapfrog step
 # ---------------------------------------------------------------------------
 
 
@@ -407,14 +401,6 @@ def _update_hook(star: Star2, grid: Grid2):
 def wave2d_step(state: SystemState, star: Star2, grid: Grid2) -> SystemState:
     """One leapfrog step: u first, then v from the fresh u (order matters)."""
     return system_step(state, wave2d_system(star, grid).ops)
-
-
-def suggest_dt_2d(star: Star2, grid: Grid2, safety: float = 1.0) -> float:
-    """Largest stable dt (times ``safety``) from the constant-coefficient
-    wave speed sqrt(max(a11, a22)/a) and the 2D stencil norm."""
-    if safety <= 0:
-        raise ValueError("safety factor must be positive")
-    return safety * 2.0 / _norm_bound(star, grid)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,6 @@ from .mimetic3d import (
     div3_star,
     grad3,
     inner3,
-    random_field,
     require_exact_star,
     star_matrix,
     star_scalar_inverse,
@@ -146,7 +145,9 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
                 star_matrix(term, star, "a", out=term)
         return _scaled_into(x, term, scale, out, np.add)
 
-    bound = _norm_bound(star, grid, "scalar-wave")
+    # wave speed sqrt(max A / min a), tensor extremes over Gershgorin intervals
+    s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(_distinct(star.a))))
+    bound = _stencil_bound(s_max, grid)
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
                         norm_bound_Astar=bound, update=update)
 
@@ -189,7 +190,13 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
             star_matrix(term, mu_star, "b", inverse=True, out=term)
         return _scaled_into(x, term, scale, out, np.subtract)
 
-    bound = _norm_bound(eps_star, grid, "maxwell", mu_star)
+    # wave speed 1/sqrt(min eps * min mu), extremes over Gershgorin intervals
+    low = _gershgorin(eps_star.a_rows)[0] * _gershgorin(mu_star.b_rows)[0]
+    if low <= 0:
+        raise ValueError(
+            "cannot bound the wave speed: a material tensor is not diagonally dominant"
+        )
+    bound = _stencil_bound(1.0 / math.sqrt(low), grid)
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
                         norm_bound_Astar=bound, update=update)
 
@@ -198,7 +205,9 @@ def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
     """The scalar wave as a `core.System`: the a-weighted node product and
     the A^-1-weighted dual-face product, starting from the cavity mode
     `modes` at rest (the Taylor half step from v(0) = 0).  The mode is
-    exact for unit materials only."""
+    exact for unit materials only.  A full-matrix star is rejected: its
+    inexact inverse breaks the conserved quantities."""
+    require_exact_star(star)
     ops = scalar_wave_operators(star, grid)
 
     def start(dt):
@@ -210,7 +219,7 @@ def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
         ops,
         lambda a, b: inner3("node", a, b, star, grid),
         lambda a, b: inner3("dual-face", a, b, star, grid),
-        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),  # safety * suggest_dt(...)
+        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
         start=start,
         exact=(lambda t: cavity_mode_s(grid, t, modes)) if unit else None,
     )
@@ -220,7 +229,10 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
     """Maxwell as a `core.System`: the eps-weighted edge product and the
     mu-weighted dual-edge product, starting from the TE(1,1,0) cavity mode
     with H at rest (the Taylor half step from H(0) = 0).  The mode is exact
-    for unit materials only."""
+    for unit materials only.  A full-matrix star in either role is
+    rejected, as by `scalar_wave_system`."""
+    require_exact_star(eps_star)
+    require_exact_star(mu_star)
     ops = maxwell_operators(eps_star, mu_star, grid)
 
     def start(dt):
@@ -232,7 +244,7 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
         ops,
         lambda a, b: inner3("edge", a, b, eps_star, grid),
         lambda a, b: inner3("dual-edge", a, b, mu_star, grid),
-        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),  # safety * suggest_dt(...)
+        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
         start=start,
         exact=(lambda t: te_cavity_e(grid, t)) if unit else None,
     )
@@ -244,37 +256,20 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
 
 
 # both steps are kept by name for perfbench's setup probe, until it times the engine itself
-def scalar_wave_step(
-    state: SystemState, star: Star3, grid: Grid3, *, guaranteed: bool = True
-) -> SystemState:
-    """One leapfrog step; s is updated first, v uses the fresh s.
-
-    With guaranteed=True (the default) a full-matrix star is rejected, since
-    its inexact inverse breaks the conserved quantities; pass
-    guaranteed=False to march with one anyway.
-    """
-    if guaranteed:
-        require_exact_star(star)
-    return system_step(state, scalar_wave_operators(star, grid))
+def scalar_wave_step(state: SystemState, star: Star3, grid: Grid3) -> SystemState:
+    """One leapfrog step of `scalar_wave_system`; s is updated first, v uses
+    the fresh s."""
+    return system_step(state, scalar_wave_system(star, grid).ops)
 
 
-def maxwell_step(
-    state: SystemState,
-    eps_star: Star3,
-    mu_star: Star3,
-    grid: Grid3,
-    *,
-    guaranteed: bool = True,
-) -> SystemState:
-    """One leapfrog step; E is updated first, H uses the fresh E."""
-    if guaranteed:
-        require_exact_star(eps_star)
-        require_exact_star(mu_star)
-    return system_step(state, maxwell_operators(eps_star, mu_star, grid))
+def maxwell_step(state: SystemState, eps_star: Star3, mu_star: Star3, grid: Grid3) -> SystemState:
+    """One leapfrog step of `maxwell_system`; E is updated first, H uses the
+    fresh E."""
+    return system_step(state, maxwell_system(eps_star, mu_star, grid).ops)
 
 
 # ---------------------------------------------------------------------------
-# divergence audit and time-step bound
+# divergence audit and norm bounds
 # ---------------------------------------------------------------------------
 
 
@@ -307,85 +302,11 @@ def _gershgorin(rows) -> tuple:
     return lo, hi
 
 
-def suggest_dt(
-    star: Star3,
-    grid: Grid3,
-    safety: float = 1.0,
-    system: str = "scalar-wave",
-    mu_star: Star3 | None = None,
-) -> float:
-    """Largest stable dt times the safety factor, from analytic bounds only.
-
-    The stencil norm of the spatial operator is bounded by
-    N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2) and the leapfrog is
-    stable (both conserved forms positive) for dt * N < 2, so the bound
-    returned is safety * 2 / N.  s_max bounds the wave speed: for the scalar
-    wave sqrt(max A / min a) and for Maxwell 1/sqrt(min eps * min mu), with
-    the tensor extremes taken over Gershgorin intervals so that full-matrix
-    stars are bounded too.  For system="maxwell", eps is read from `star`
-    (A role) and mu from `mu_star` (B role), defaulting to the same star.
-    """
-    if safety <= 0:
-        raise ValueError(f"safety factor must be positive, got {safety}")
-    return safety * 2.0 / _norm_bound(star, grid, system, mu_star)
-
-
-def _norm_bound(star: Star3, grid: Grid3, system: str, mu_star: Star3 | None = None) -> float:
-    """N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2); see `suggest_dt`."""
-    if system == "scalar-wave":
-        s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(_distinct(star.a))))
-    elif system == "maxwell":
-        mu = star if mu_star is None else mu_star
-        low = _gershgorin(star.a_rows)[0] * _gershgorin(mu.b_rows)[0]
-        if low <= 0:
-            raise ValueError(
-                "cannot bound the wave speed: a material tensor is not "
-                "diagonally dominant"
-            )
-        s_max = 1.0 / math.sqrt(low)
-    else:
-        raise ValueError(f"unknown system {system!r}")
+def _stencil_bound(s_max: float, grid: Grid3) -> float:
+    """The norm bound N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2) of a
+    pair whose wave speed is at most s_max: the leapfrog is stable (both
+    conserved forms positive) for dt * N < 2."""
     return s_max * (2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings)))
-
-
-def measured_stencil_norm(
-    star: Star3,
-    grid: Grid3,
-    system: str = "scalar-wave",
-    mu_star: Star3 | None = None,
-    iterations: int = 60,
-    seed: int = 0,
-) -> float:
-    """Power-iteration estimate of the spatial operator norm N (diagnostic).
-
-    Iterates the positive-semidefinite composite A* A in the weighted inner
-    product and returns sqrt of the Rayleigh quotient, a lower estimate of
-    the true N with dt * N < 2 the stability condition.  `suggest_dt` never
-    calls this — the time step always comes from the analytic bound — it
-    exists only to check how sharp that bound is.
-    """
-    if system == "scalar-wave":
-        sys3, kind = scalar_wave_system(star, grid), "node"
-    elif system == "maxwell":
-        sys3, kind = maxwell_system(star, star if mu_star is None else mu_star, grid), "edge"
-    else:
-        raise ValueError(f"unknown system {system!r}")
-    ops, inner = sys3.ops, sys3.inner_X
-    w = random_field(grid, kind, np.random.default_rng(seed))
-    if grid.boundary == "pinned":
-        w = _rim_zeroed(w, kind)
-    lam = 0.0
-    for _ in range(iterations):
-        aw = ops.apply_Astar(ops.apply_A(w))
-        ww = inner(w, w)
-        if ww == 0.0:
-            return 0.0
-        lam = inner(w, aw) / ww
-        scale = math.sqrt(inner(aw, aw))
-        if scale == 0.0:
-            return 0.0
-        w = (1.0 / scale) * aw
-    return math.sqrt(max(lam, 0.0))
 
 
 # ---------------------------------------------------------------------------

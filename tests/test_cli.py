@@ -304,6 +304,18 @@ class TestExperimentCommands:
               "5e-324"], "--safety"),
             (["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--safety",
               "5e-324"], "--safety"),
+            # a sweep whose coarsest level takes no CFL step
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "5e-324",
+              "--safety", "1e300"], "--final/--safety"),
+            # a sweep level whose error is exactly zero: no order to measure
+            (["convergence-table", "--case", "maxwell-cavity", "--k", "1..2", "--final",
+              "1e-300"], "--final"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "1e-12"],
+             "--final"),
+            (["convergence-table", "--case", "bump-p2-q2", "--k", "1..2", "--final", "1e-300"],
+             "--final"),
+            (["wave1d-convergence", "--case", "cmp", "--k", "2..3", "--final", "1e-300"],
+             "--final"),
             # an oscillator step omega * dt / 2 past the float range
             (["oscillator", "--omega", "1e308", "--dt", "10", "--steps", "3"], "--omega"),
         ],

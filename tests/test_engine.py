@@ -16,6 +16,7 @@ from stagwave import cli, mimetic3d, oscillator, wave1d, wave2d, wave3d
 from stagwave.core import (
     SpacingFold,
     SystemState,
+    check_adjointness,
     conserved_full,
     conserved_half_step,
     energy_pieces,
@@ -276,12 +277,46 @@ CONTRACT_SYSTEMS = {
 }
 
 
+def _random_like(field, rng):
+    """A standard-normal field of `field`'s type and shapes."""
+    if np.isscalar(field):
+        return float(rng.standard_normal())
+    if isinstance(field, np.ndarray):
+        return rng.standard_normal(field.shape)
+    return type(field)(*(rng.standard_normal(np.shape(p)) for p in _parts(field)))
+
+
+def _admissible(name, f):
+    """f restricted to the subspace the march of CONTRACT_SYSTEMS[name]
+    keeps: zero 1D ends, a zero 2D ring, the pinned 3D walls."""
+    if name.startswith("maxwell"):
+        return wave3d.pin_tangential_boundary(f)
+    if name.startswith("wave3d"):
+        return wave3d.pin_scalar_boundary(f)
+    if name.startswith("wave2d"):
+        f[[0, -1], :] = f[:, [0, -1]] = 0.0
+    elif np.ndim(f):
+        f[[0, -1]] = 0.0
+    return f
+
+
 @pytest.mark.parametrize("name", sorted(CONTRACT_SYSTEMS))
 def test_every_system_keeps_the_contract(name):
     system = CONTRACT_SYSTEMS[name]()
     dt_max = system.cfl_dt(1.0)
-    # the CFL step is the analytic bound's, to rounding
+    # the CFL step is the analytic bound's, to rounding, and needs a positive safety
     assert 0.0 < dt_max * system.ops.norm_bound_A <= 2.0 * (1.0 + 4 * np.finfo(float).eps)
+    for safety in (0.0, -0.5):
+        with pytest.raises(ValueError, match="safety"):
+            system.cfl_dt(safety)
+    # the pair is adjoint in the System's own products, and the bound is above
+    # the measured norm, both on admissible samples
+    f0, g0 = system.start(0.9 * dt_max)
+    assert check_adjointness(system.ops, system.inner_X, system.inner_Y, 3,
+                             lambda rng: _admissible(name, _random_like(f0, rng)),
+                             lambda rng: _random_like(g0, rng)) <= 1e-12
+    measured = system.measured_norm(_admissible(name, _random_like(f0, np.random.default_rng(0))))
+    assert 0.0 < measured <= system.ops.norm_bound_A * (1.0 + 1e-9)
     with pytest.warns(RuntimeWarning, match="unstable"):
         system.march(1.01 * dt_max, 1)
     with warnings.catch_warnings():
@@ -442,18 +477,18 @@ def _inplace_case(system, boundary, stars, rng):
     grid = Grid3(1.0, 1.2, 0.8, 4, 5, 3, boundary=boundary)
     eps, mu = INPLACE_STARS[stars](grid)
     if system == "maxwell":
-        sys3 = _engine(wave3d.maxwell_system(eps, mu, grid))
-        dt = wave3d.suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
+        sys3 = wave3d.maxwell_system(eps, mu, grid)
         f0 = mimetic3d.random_field(grid, "edge", rng)
         if boundary == "pinned":
             f0 = wave3d.pin_tangential_boundary(f0)
-        return sys3, f0, mimetic3d.random_field(grid, "dual-edge", rng), dt, (eps, mu)
-    sys3 = _engine(wave3d.scalar_wave_system(eps, grid))
-    dt = wave3d.suggest_dt(eps, grid, 0.8)
+        return (_engine(sys3), f0, mimetic3d.random_field(grid, "dual-edge", rng),
+                sys3.cfl_dt(0.8), (eps, mu))
+    sys3 = wave3d.scalar_wave_system(eps, grid)
     f0 = mimetic3d.random_field(grid, "node", rng)
     if boundary == "pinned":
         f0 = wave3d.pin_scalar_boundary(f0)
-    return sys3, f0, mimetic3d.random_field(grid, "dual-face", rng), dt, (eps, mu)
+    return (_engine(sys3), f0, mimetic3d.random_field(grid, "dual-face", rng),
+            sys3.cfl_dt(0.8), (eps, mu))
 
 
 @pytest.mark.parametrize("record_every", [0, 1, 3])
@@ -517,7 +552,7 @@ def test_steady_unrecorded_maxwell_steps_allocate_no_field():
     star = Star3.trivial(grid)
     system = wave3d.maxwell_system(star, star, grid)
     ops = system.ops
-    dt = wave3d.suggest_dt(star, grid, 0.9, system="maxwell")
+    dt = system.cfl_dt(0.9)
     f0, g0 = system.start(dt)  # the TE mode, with the Taylor half step for H
     component = f0.x.nbytes
     run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch

@@ -22,7 +22,6 @@ from stagwave.wave2d import (
     grad2d,
     grad2p,
     star2,
-    suggest_dt_2d,
     wave2d_step,
     wave2d_system,
 )
@@ -358,7 +357,7 @@ class TestStep:
         # (u2 - 2 u1 + u0)/dt^2 equals the star Laplacian of u1
         grid = Grid2(8, 9)
         star = Star2(a=2.0, a11=1.5, a22=2.5)
-        dt = suggest_dt_2d(star, grid, 0.8)
+        dt = wave2d_system(star, grid).cfl_dt(0.8)
         rng = np.random.default_rng(7)
         u0 = pinned_u(grid, rng)
         s0 = SystemState(f=u0, g_half=v_half(u0, random_v(grid, rng),
@@ -428,7 +427,7 @@ class TestConserved:
         grid = Grid2(12, 15)
         rng = np.random.default_rng(21)
         u0 = pinned_u(grid, rng)
-        dt = suggest_dt_2d(star, grid, 0.9)
+        dt = wave2d_system(star, grid).cfl_dt(0.9)
         v_start = v_half(u0, random_v(grid, rng), star, grid, dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # the march must stay quiet
@@ -441,7 +440,7 @@ class TestConserved:
     def test_conserved_positive_at_suggested_dt(self):
         grid = Grid2(6, 7)
         star = Star2(a=2.0, a11=1.5, a22=2.5)
-        dt = suggest_dt_2d(star, grid, 0.9)
+        dt = wave2d_system(star, grid).cfl_dt(0.9)
         rng = np.random.default_rng(33)
         for _ in range(100):
             state = wave2d_step(random_state(grid, rng, dt), star, grid)
@@ -453,7 +452,7 @@ class TestConserved:
         star = Star2(a=2.0, a11=1.5, a22=2.5)
         rng = np.random.default_rng(40)
         u0 = pinned_u(grid, rng)
-        dt = suggest_dt_2d(star, grid, 0.5)
+        dt = wave2d_system(star, grid).cfl_dt(0.5)
         v_start = v_half(u0, random_v(grid, rng), star, grid, dt)
         state, records = march(star, grid, u0, v_start, dt, 10, record_every=3)
         assert [r[0] for r in records] == [3, 6, 9]
@@ -468,31 +467,31 @@ class TestConserved:
 # ---------------------------------------------------------------------------
 
 
-class TestSuggestDt:
+class TestCflDt:
     def test_unit_square_bound(self):
         # trivial coefficients on an n x n grid: dt_max = h/sqrt(2)
         grid = Grid2(16, 16)
-        assert suggest_dt_2d(Star2(), grid) == pytest.approx(
+        assert wave2d_system(Star2(), grid).cfl_dt(1.0) == pytest.approx(
             grid.dx / math.sqrt(2.0), rel=1e-12)
-        assert suggest_dt_2d(Star2(), grid, 0.5) == pytest.approx(
+        assert wave2d_system(Star2(), grid).cfl_dt(0.5) == pytest.approx(
             0.5 * grid.dx / math.sqrt(2.0), rel=1e-12)
 
     def test_stiff_direction_controls_the_bound(self):
         grid = Grid2(10, 10)
-        base = suggest_dt_2d(Star2(), grid)
-        assert suggest_dt_2d(Star2(a11=4.0, a22=1.0), grid) == pytest.approx(
+        base = wave2d_system(Star2(), grid).cfl_dt(1.0)
+        assert wave2d_system(Star2(a11=4.0, a22=1.0), grid).cfl_dt(1.0) == pytest.approx(
             0.5 * base, rel=1e-12)
-        assert suggest_dt_2d(Star2(a=4.0), grid) == pytest.approx(
+        assert wave2d_system(Star2(a=4.0), grid).cfl_dt(1.0) == pytest.approx(
             2.0 * base, rel=1e-12)
 
     def test_rectangle_bound(self):
         grid = Grid2(8, 24)
         want = 2.0 / (2.0 * math.sqrt(64.0 + 576.0))
-        assert suggest_dt_2d(Star2(), grid) == pytest.approx(want, rel=1e-12)
+        assert wave2d_system(Star2(), grid).cfl_dt(1.0) == pytest.approx(want, rel=1e-12)
 
     def test_rejects_bad_safety(self):
         with pytest.raises(ValueError, match="safety"):
-            suggest_dt_2d(Star2(), Grid2(4, 4), 0.0)
+            wave2d_system(Star2(), Grid2(4, 4)).cfl_dt(0.0)
 
     def test_courant_warning_above_the_bound(self):
         grid = Grid2(8, 8)
@@ -500,7 +499,7 @@ class TestSuggestDt:
         rng = np.random.default_rng(6)
         u0 = pinned_u(grid, rng)
         v0 = random_v(grid, rng)
-        bound = suggest_dt_2d(star, grid)
+        bound = wave2d_system(star, grid).cfl_dt(1.0)
         with pytest.warns(RuntimeWarning, match="unstable"):
             march(star, grid, u0, v0, 1.1 * bound, 2)
         with warnings.catch_warnings():

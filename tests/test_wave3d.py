@@ -25,6 +25,7 @@ from stagwave.mimetic3d import (
     VectorField3,
     div3_star,
     grad3,
+    random_field,
     star_matrix,
     star_scalar_inverse,
     zeros_field,
@@ -37,13 +38,11 @@ from stagwave.wave3d import (
     maxwell_operators,
     maxwell_step,
     maxwell_system,
-    measured_stencil_norm,
     pin_scalar_boundary,
     pin_tangential_boundary,
     scalar_wave_operators,
     scalar_wave_step,
     scalar_wave_system,
-    suggest_dt,
     te_cavity_e,
     te_cavity_h,
 )
@@ -197,7 +196,7 @@ class TestScalarWave:
         grid = pinned_cube(5)
         star = SCALAR_STARS["const-diag"](grid)
         rng = np.random.default_rng(7)
-        dt = suggest_dt(star, grid, 0.8)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.8)
         state = random_scalar_state(grid, rng, dt)
         ops = scalar_wave_operators(star, grid)
         core = SystemState(f=state.f, g_half=state.g_half, dt=dt)
@@ -223,7 +222,7 @@ class TestScalarWave:
         grid = pinned_cube(6)
         star = SCALAR_STARS["const-diag"](grid)
         rng = np.random.default_rng(11)
-        dt = suggest_dt(star, grid, 0.8)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.8)
         st0 = random_scalar_state(grid, rng, dt)
         st1 = scalar_wave_step(st0, star, grid)
         st2 = scalar_wave_step(st1, star, grid)
@@ -284,22 +283,22 @@ class TestScalarWave:
         want = (0.5 * dt) * star_matrix(grad3(s0, grid), star, "a")
         assert all(np.array_equal(a, b) for a, b in zip(vh.components, want.components))
 
-    def test_full_star_rejected_unless_opted_out(self):
+    def test_full_star_rejected(self):
         grid = pinned_cube(4)
         star = Star3.from_matrices(grid, 1.0, 1.0, FULL_STAR_MAT, FULL_STAR_MAT)
         rng = np.random.default_rng(8)
         state = random_scalar_state(grid, rng, dt=0.01)
         with pytest.raises(ValueError, match="full-matrix"):
             scalar_wave_step(state, star, grid)
-        stepped = scalar_wave_step(state, star, grid, guaranteed=False)
-        assert np.all(np.isfinite(stepped.f))
+        with pytest.raises(ValueError, match="full-matrix"):
+            scalar_wave_system(star, grid)
 
     @pytest.mark.parametrize("name", sorted(SCALAR_STARS))
     def test_conserved_drift(self, name):
         grid = pinned_cube(6)
         star = SCALAR_STARS[name](grid)
         rng = np.random.default_rng(12)
-        dt = suggest_dt(star, grid, 0.9)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.9)
         state = random_scalar_state(grid, rng, dt)
         _, records = march_from(scalar_wave_system(star, grid), state.f, state.g_half, dt, 2000)
         assert rel_drift([r[1] for r in records]) <= 1e-12
@@ -308,7 +307,7 @@ class TestScalarWave:
     def test_conserved_positive_at_suggested_dt(self):
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
-        dt = suggest_dt(star, grid, 0.9)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.9)
         rng = np.random.default_rng(13)
         for _ in range(100):
             state = scalar_wave_step(random_scalar_state(grid, rng, dt), star, grid)
@@ -338,7 +337,7 @@ class TestMaxwell:
         grid = pinned_cube(5)
         eps, mu = MAXWELL_STARS["const-scalar"](grid)
         rng = np.random.default_rng(17)
-        dt = suggest_dt(eps, grid, 0.8, system="maxwell", mu_star=mu)
+        dt = maxwell_system(eps, mu, grid).cfl_dt(0.8)
         state = random_maxwell_state(grid, rng, dt)
         ops = maxwell_operators(eps, mu, grid)
         core = SystemState(f=state.f, g_half=state.g_half, dt=dt)
@@ -371,7 +370,7 @@ class TestMaxwell:
     def test_te_mode_zero_components_stay_exactly_zero(self):
         grid = pinned_cube(8)
         star = Star3.trivial(grid)
-        dt = 0.9 * suggest_dt(star, grid, system="maxwell")
+        dt = maxwell_system(star, star, grid).cfl_dt(0.9)
         e0 = te_cavity_e(grid, 0.0)
         h_half = init_g_half(e0, zeros_field(grid, "dual-edge"),
                              maxwell_operators(star, star, grid), dt)
@@ -413,7 +412,7 @@ class TestMaxwell:
             np.allclose(a, b, rtol=0.0, atol=0.0) for a, b in zip(hh.components, want.components)
         )
 
-    def test_full_star_rejected_unless_opted_out(self):
+    def test_full_star_rejected(self):
         grid = pinned_cube(4)
         full = Star3.from_matrices(grid, 1.0, 1.0, FULL_STAR_MAT, FULL_STAR_MAT)
         plain = Star3.trivial(grid)
@@ -423,15 +422,17 @@ class TestMaxwell:
             maxwell_step(state, full, plain, grid)
         with pytest.raises(ValueError, match="full-matrix"):
             maxwell_step(state, plain, full, grid)
-        stepped = maxwell_step(state, full, full, grid, guaranteed=False)
-        assert all(np.all(np.isfinite(c)) for c in stepped.f.components)
+        with pytest.raises(ValueError, match="full-matrix"):
+            maxwell_system(full, plain, grid)
+        with pytest.raises(ValueError, match="full-matrix"):
+            maxwell_system(plain, full, grid)
 
     @pytest.mark.parametrize("name", sorted(MAXWELL_STARS))
     def test_conserved_drift(self, name):
         grid = pinned_cube(6)
         eps, mu = MAXWELL_STARS[name](grid)
         rng = np.random.default_rng(22)
-        dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
+        dt = maxwell_system(eps, mu, grid).cfl_dt(0.9)
         state = random_maxwell_state(grid, rng, dt)
         _, records = maxwell_march(grid, eps, mu, state.f, state.g_half, dt, 2000)
         assert rel_drift([r[1] for r in records]) <= 1e-12
@@ -455,7 +456,7 @@ class TestDivergenceAudit:
     def test_te_mode_stays_divergence_free(self):
         grid = pinned_cube(8)
         star = Star3.trivial(grid)
-        dt = 0.9 * suggest_dt(star, grid, system="maxwell")
+        dt = maxwell_system(star, star, grid).cfl_dt(0.9)
         e0 = te_cavity_e(grid, 0.0)
         h_half = init_g_half(e0, zeros_field(grid, "dual-edge"),
                              maxwell_operators(star, star, grid), dt)
@@ -468,7 +469,7 @@ class TestDivergenceAudit:
         grid = pinned_cube(6)
         eps, mu = MAXWELL_STARS[name](grid)
         rng = np.random.default_rng(23)
-        dt = suggest_dt(eps, grid, 0.9, system="maxwell", mu_star=mu)
+        dt = maxwell_system(eps, mu, grid).cfl_dt(0.9)
         state = random_maxwell_state(grid, rng, dt)
         _, records = maxwell_march(grid, eps, mu, state.f, state.g_half, dt, 100)
         div_e = [r[6] for r in records]
@@ -483,28 +484,28 @@ class TestDivergenceAudit:
 # ---------------------------------------------------------------------------
 
 
-class TestSuggestDt:
+class TestCflDt:
     def test_unit_cube_bound(self):
         grid = pinned_cube(10)
         star = Star3.trivial(grid)
         want = grid.dx / math.sqrt(3.0)
-        assert suggest_dt(star, grid) == pytest.approx(want, rel=1e-12)
-        assert suggest_dt(star, grid, system="maxwell") == pytest.approx(want, rel=1e-12)
-        assert suggest_dt(star, grid, 0.5) == pytest.approx(0.5 * want, rel=1e-12)
+        assert scalar_wave_system(star, grid).cfl_dt(1.0) == pytest.approx(want, rel=1e-12)
+        assert maxwell_system(star, star, grid).cfl_dt(1.0) == pytest.approx(want, rel=1e-12)
+        assert scalar_wave_system(star, grid).cfl_dt(0.5) == pytest.approx(0.5 * want, rel=1e-12)
 
     def test_degenerate_box_reproduces_the_1d_bound(self):
         # stretching two axes to near-irrelevance leaves dt = dx / speed
         grid = Grid3(1.0, 1e9, 1e9, 16, 2, 2, boundary="pinned")
         star = Star3.from_scalars(grid, 2.0, 1.0, 3.0, 1.0)
         want = grid.dx / math.sqrt(3.0 / 2.0)
-        assert suggest_dt(star, grid) == pytest.approx(want, rel=1e-9)
+        assert scalar_wave_system(star, grid).cfl_dt(1.0) == pytest.approx(want, rel=1e-9)
 
     def test_maxwell_speed_uses_material_floor(self):
         grid = pinned_cube(8)
         eps = Star3.from_scalars(grid, 1.0, 1.0, 4.0, 1.0)
         mu = Star3.trivial(grid)
-        base = suggest_dt(Star3.trivial(grid), grid, system="maxwell")
-        got = suggest_dt(eps, grid, system="maxwell", mu_star=mu)
+        base = maxwell_system(mu, mu, grid).cfl_dt(1.0)
+        got = maxwell_system(eps, mu, grid).cfl_dt(1.0)
         assert got == pytest.approx(2.0 * base, rel=1e-12)
 
     def test_full_mode_bound_is_more_conservative(self):
@@ -513,28 +514,32 @@ class TestSuggestDt:
         full = Star3.from_matrices(
             grid, 1.0, 1.0, FULL_STAR_MAT, {"xx": 1.0, "yy": 1.0, "zz": 1.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
         )
-        assert 0.0 < suggest_dt(full, grid) < suggest_dt(diag, grid)
+        bound = scalar_wave_operators(full, grid).norm_bound_A
+        assert scalar_wave_operators(diag, grid).norm_bound_A < bound < math.inf
 
     def test_rejects_bad_arguments(self):
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
         with pytest.raises(ValueError, match="safety"):
-            suggest_dt(star, grid, 0.0)
+            scalar_wave_system(star, grid).cfl_dt(0.0)
         with pytest.raises(ValueError, match="safety"):
-            suggest_dt(star, grid, -0.5)
-        with pytest.raises(ValueError, match="unknown system"):
-            suggest_dt(star, grid, 1.0, system="heat")
+            scalar_wave_system(star, grid).cfl_dt(-0.5)
 
     @pytest.mark.parametrize("system", ["scalar-wave", "maxwell"])
     def test_measured_norm_stays_below_the_analytic_bound(self, system):
         # the power-iteration diagnostic approaches the bound from below
         grid = pinned_cube(6)
         star = Star3.trivial(grid)
-        bound = 2.0 / suggest_dt(star, grid, system=system)
-        measured = measured_stencil_norm(star, grid, system=system)
+        rng = np.random.default_rng(0)
+        if system == "scalar-wave":
+            sys3 = scalar_wave_system(star, grid)
+            f = pin_scalar_boundary(random_field(grid, "node", rng))
+        else:
+            sys3 = maxwell_system(star, star, grid)
+            f = pin_tangential_boundary(random_field(grid, "edge", rng))
+        bound = sys3.ops.norm_bound_A
+        measured = sys3.measured_norm(f)
         assert 0.8 * bound < measured <= bound * (1.0 + 1e-9)
-        with pytest.raises(ValueError, match="unknown system"):
-            measured_stencil_norm(star, grid, system="heat")
 
 
 # ---------------------------------------------------------------------------
@@ -547,7 +552,7 @@ class TestRunHelpers:
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
         rng = np.random.default_rng(25)
-        dt = suggest_dt(star, grid, 0.9)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.9)
         state0 = random_scalar_state(grid, rng, dt)
         state, records = march_from(scalar_wave_system(star, grid), state0.f, state0.g_half, dt,
                                     10, record_every=2, audit=lambda _, pieces: pieces)
@@ -562,7 +567,7 @@ class TestRunHelpers:
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
         rng = np.random.default_rng(26)
-        dt = suggest_dt(star, grid, 0.9, system="maxwell")
+        dt = maxwell_system(star, star, grid).cfl_dt(0.9)
         state0 = random_maxwell_state(grid, rng, dt)
         state, records = maxwell_march(grid, star, star, state0.f, state0.g_half, dt, 4)
         assert len(records) == 4
@@ -574,7 +579,7 @@ class TestRunHelpers:
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
         rng = np.random.default_rng(27)
-        dt = 1.1 * suggest_dt(star, grid)
+        dt = scalar_wave_system(star, grid).cfl_dt(1.1)
         state = random_scalar_state(grid, rng, dt)
         with pytest.warns(RuntimeWarning, match="unstable"):
             march_from(scalar_wave_system(star, grid), state.f, state.g_half, dt, 1)
@@ -586,7 +591,7 @@ class TestRunHelpers:
         grid = pinned_cube(4)
         star = Star3.trivial(grid)
         rng = np.random.default_rng(28)
-        dt = suggest_dt(star, grid, 0.9)
+        dt = scalar_wave_system(star, grid).cfl_dt(0.9)
         state = random_scalar_state(grid, rng, dt)
         with warnings.catch_warnings():
             warnings.simplefilter("error")

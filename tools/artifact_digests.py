@@ -133,6 +133,12 @@ EDGES = [
     ["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--safety", "5e-324"],
     ["convergence-table", "--case", "wave3d-cavity", "--k", "2..3", "--safety", "5e-324"],
     ["convergence-table", "--case", "maxwell-cavity", "--k", "2..3", "--safety", "5e-324"],
+    ["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "5e-324",
+     "--safety", "1e300"],
+    ["convergence-table", "--case", "maxwell-cavity", "--k", "1..2", "--final", "1e-300"],
+    ["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "1e-12"],
+    ["convergence-table", "--case", "bump-p2-q2", "--k", "1..2", "--final", "1e-300"],
+    ["wave1d-convergence", "--case", "cmp", "--k", "2..3", "--final", "1e-300"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
