@@ -14,7 +14,8 @@ table, and runners read the parsed options as flat attributes (``cfg.dt``).
 The six march commands (``oscillator``, ``system``, ``wave1d``, ``wave2d``,
 ``wave3d``, ``maxwell``) share one runner, ``_run_march``: each builds a
 ``March`` from its options, the module's ``core.System`` plus its own
-extras, and the runner forms the time step, marches and checks.
+extras, and the runner forms the time step, marches and checks.  The two
+sweep commands share one pipeline, ``_sweep``, for every case.
 
 Artifacts
 ---------
@@ -59,8 +60,9 @@ Determinism
 A run is sequential end-to-end, and identical configs (including the seed)
 produce byte-identical CSV files; float cells are written with ``repr`` so
 they round-trip exactly.  The JSON report is deterministic except for the
-``wall_time_s`` field.  ``convergence-table --jobs N`` may fan a sweep out
-over processes; rows are written in sweep order regardless.
+``wall_time_s`` field.  ``convergence-table --jobs N`` may fan the levels of
+any sweep case out over processes; rows are written in sweep order
+regardless.
 """
 
 from __future__ import annotations
@@ -118,6 +120,11 @@ def endpoint_order(rows) -> float:
     """Log-log slope between the first and last (dx, error) entries."""
     (dx0, e0), (dx1, e1) = rows[0], rows[-1]
     return float(math.log(e0 / e1) / math.log(dx0 / dx1))
+
+
+def _max_abs(field) -> float:
+    """max |x| over every component of a field (a number is its own field)."""
+    return max(float(np.max(np.abs(c))) for c in getattr(field, "components", (field,)))
 
 
 def _check(name: str, measured, bound: str, passed: bool) -> dict:
@@ -523,8 +530,7 @@ def _system_march(cfg) -> March:
         # v' = -omega u: not oscillator_system (A = +omega, products 1/2 x y),
         # whose invariants are half of these
         w, u0, v0 = cfg.omega, cfg.u0, cfg.v0
-        ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g,
-                           norm_bound_A=w, norm_bound_Astar=w)
+        ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g, norm_bound_A=w)
         system = System(ops, euclidean_inner, euclidean_inner,
                         cfl_dt=lambda safety: safety * 2.0 / w,
                         start=lambda dt: (u0, init_g_half(u0, v0, ops, dt)),
@@ -555,8 +561,7 @@ def _wave1d_march(cfg) -> March:
 
     def finish(body, state, rows, art):
         if system.exact is not None:
-            xp, er = grid.primal_points(), state.f - system.exact(cfg.t_final)
-            art.errors(zip(xp, er, er / grid.dx**2))
+            art.errors(_profile(grid, state.f - system.exact(cfg.t_final)))
         min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
         body["checks"].append(_check("invariants-positive", min_c, "> 0", min_c > 0))
 
@@ -664,22 +669,20 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
     over the --k levels: its name, final time, levels, (dx, max error) rows,
     (k, Nx, dx, Er, p) table and orders, and for 1D the (x, Er, Er/dx^2)
     profile of the finest level and whether the final time is a multiple of
-    a cmp mode's half period."""
+    a cmp mode's half period.  Each level is marched once; its error is
+    measured against its System's exact solution or, for variable materials,
+    which have none, against level k+1, marched too."""
+    ks = _levels(cfg.k)
     if case in modes:
-        ks = _levels(cfg.k)
         t_final = _final_time(cfg.final, 0.35, case, {})
-        # the finest level takes the most steps, the coarsest the fewest
-        dt = _cfl_dt(_sweep_system(case, 2 ** max(ks))[1], cfg.safety, "--safety")
-        _cfl_steps("--final/--safety", math.ceil, t_final / dt)
-        if t_final / _cfl_dt(_sweep_system(case, 2 ** min(ks))[1], cfg.safety, "--safety") == 0:
-            raise ConfigError("--final/--safety: the coarsest level's CFL step count rounds to 0")
-        points = [(case, 2**k, t_final, None, cfg.safety, ()) for k in ks]
-        rows = [row for row, _ in _pool_sweep(_sweep_level, points, jobs)]
-        sweep = {"name": case, "nodes": 0}
+        sweep, params, flags = {"name": case, "nodes": 0}, (), "--final/--safety"
+
+        def steps(k):  # the CFL step count at --safety
+            dt = _cfl_dt(_sweep_system(case, 2**k, t_final, None)[1], cfg.safety, "--safety")
+            return math.ceil(t_final / dt)
     else:
         mat = parse_material_1d(case)
-        ks = _levels(cfg.k)
-        m, f_over = cfg.mode_m, cfg.f
+        m, f_over, flags = cfg.mode_m, cfg.f, "--final/--f"
         if mat["kind"] == "cmp":
             c = mat["c"]
             # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it,
@@ -688,38 +691,44 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
             # and the measured order jumps to ~4.
             named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
             t_final = _final_time(cfg.final, named["full-period"], case, named)
-            if f_over is None:
-                f_over = _finite_steps("--final", wave1d.refinement_exponent, c, 1.0, t_final)
-            _cfl_steps("--final/--f", pow, 2, max(ks) + f_over)
-            points = [("cmp", 2**k, t_final, 2 ** (k + f_over), None, (m, c, cfg.init))
-                      for k in ks]
-            levels = _pool_sweep(_sweep_level, points, jobs)
-            rows = [row for row, _ in levels]
             ratio = t_final * m * c
-            sweep = {"name": f"cmp c={c:g}", "profile": levels[ks.index(max(ks))][1],
+            sweep = {"name": f"cmp c={c:g}",
                      "half_period": abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1}
+            case, params, speed = "cmp", (m, c, cfg.init), c
         else:
             t_final = _final_time(cfg.final, 2.0, case, {})
-            # the grids vmp_refine_errors samples the materials on: each level and one finer
-            grids = {k: wave1d.Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=1.0, nt=1)
-                     for k in [*ks, max(ks) + 1]}
-            mats = {k: _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"],
-                             mat["tau"]) for k, grid in grids.items()}
-            if f_over is None:
-                # the exponent vmp_refine_errors picks: from the first level's wave speed
-                f_over = _finite_steps("--final", wave1d.refinement_exponent,
-                                       wave1d.cfl_speed(mats[ks[0]]), 1.0, t_final)
-            _cfl_steps("--final/--f", pow, 2, max(ks) + 1 + f_over)
-            rows, profiles = wave1d.vmp_refine_errors(ks, t_final, mat["rho"], mat["tau"],
-                                                      f=f_over)
-            top, scaled = grids[max(ks)], profiles[max(ks)]
-            sweep = {"name": mat["name"],
-                     "profile": list(zip(top.primal_points(), scaled * top.dx**2, scaled))}
+            # the time refinement follows the first listed level's wave speed
+            first = wave1d.Grid1D(a=0.0, b=1.0, nx=2 ** ks[0] + 1, t_final=1.0, nt=1)
+            speed = wave1d.cfl_speed(_grid("--case", wave1d.Materials1D.from_profiles, first,
+                                           mat["rho"], mat["tau"]))
+            sweep = {"name": mat["name"]}
+            case, params = "vmp", (m, case)
+        if f_over is None:
+            f_over = _finite_steps("--final", wave1d.refinement_exponent, speed, 1.0, t_final)
         sweep.update(kind=mat["kind"], m=m, nodes=1)
+
+        def steps(k):  # building the level samples its materials before any march
+            nt = 2 ** (k + f_over)
+            _sweep_system(case, 2**k, t_final, nt, *params)
+            return nt
+    marched = list(dict.fromkeys([*ks, *(k + 1 for k in ks if case == "vmp")]))
+    counts = [_cfl_steps(flags, steps, k) for k in marched]
+    if min(counts) == 0:
+        raise ConfigError("--final/--safety: the coarsest level's CFL step count rounds to 0")
+    points = [(case, 2**k, t_final, nt, params) for k, nt in zip(marched, counts)]
+    levels = dict(zip(marched, _pool_sweep(_sweep_level, points, jobs)))
+    errors = {k: levels[k] for k in ks}
+    if case == "vmp":
+        for k, (grid, u) in errors.items():
+            fine, u_fine = levels[k + 1]
+            errors[k] = grid, wave1d.refine_compare(u, u_fine, grid, fine)[0]
+    rows = [(grid.dx, _max_abs(er)) for grid, er in errors.values()]
     for k, (_, er) in zip(ks, rows):
         if er == 0.0:
             raise ConfigError(f"--final {t_final!r}: the error at k={k} is exactly zero, "
                               "so no order can be measured")
+    if sweep["nodes"]:
+        sweep["profile"] = _profile(*errors[max(ks)])
     pair_orders = wave1d.estimate_order(rows)
     table = [(k, 2**k + sweep["nodes"], dx, er, pair_orders[i - 1] if i else "")
              for i, (k, (dx, er)) in enumerate(zip(ks, rows))]
@@ -747,14 +756,20 @@ def _pool_sweep(point, args, jobs: int) -> list:
         return list(pool.map(point, args))
 
 
-def _sweep_system(case: str, n: int, *params) -> tuple:
-    """(grid, System) of one level of a mode-error sweep, on n cells per
-    axis of the unit interval, square or cube; `params` are cmp's
-    (m, c, init)."""
-    if case == "cmp":
-        m, c, init = params
-        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=1.0, nt=1)
-        return grid, wave1d.cmp_system(c, grid, m=m, init=init)
+def _sweep_system(case: str, n: int, t_final: float, nt, *params) -> tuple:
+    """(grid, System) of one level of a sweep, on n cells per axis of the
+    unit interval, square or cube; a 1D grid carries the level's t_final and
+    nt steps.  `params` are cmp's (m, c, init) and variable materials'
+    (m, material spec)."""
+    if case in ("cmp", "vmp"):
+        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=t_final, nt=nt)
+        if case == "cmp":
+            m, c, init = params
+            return grid, wave1d.cmp_system(c, grid, m=m, init=init)
+        m, spec = params
+        mat = parse_material_1d(spec)
+        mats = _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+        return grid, wave1d.vmp_system(mats, grid, m=m)
     if case == "wave2d-mode":
         grid = wave2d.Grid2(n, n)
         return grid, wave2d.wave2d_system(wave2d.Star2(), grid)
@@ -766,20 +781,20 @@ def _sweep_system(case: str, n: int, *params) -> tuple:
 
 
 def _sweep_level(args):
-    """One level of a mode-error sweep, marched once from its System's start
-    to t_final in nt steps (None: the fewest whole steps at `safety` of the
-    CFL step): its (dx, max error) row and, for cmp, its (x, Er, Er/dx^2)
-    profile."""
-    case, n, t_final, nt, safety, params = args
-    grid, system = _sweep_system(case, n, *params)
-    if nt is None:
-        nt = math.ceil(t_final / system.cfl_dt(safety))
+    """One level of a sweep, marched once from its System's start to t_final
+    in nt steps: its grid and its error against the exact solution (a mode
+    case's max error, the 1D error field), or with none its final f."""
+    case, n, t_final, nt, params = args
+    grid, system = _sweep_system(case, n, t_final, nt, *params)
     f = system.march(t_final / nt, nt, record_every=0)[0].f  # the rest of the state goes
-    row = (grid.dx, system.error(f, t_final))
-    if case != "cmp":
-        return row, None
-    xp, er = grid.primal_points(), f - system.exact(t_final)
-    return row, list(zip(xp, er, er / grid.dx**2))
+    if system.exact is None:
+        return grid, f
+    return grid, system.error(f, t_final) if case in _MODE_SWEEPS else f - system.exact(t_final)
+
+
+def _profile(grid, er) -> list:
+    """The (x, Er, Er/dx^2) profile of a 1D error field er on grid."""
+    return list(zip(grid.primal_points(), er, er / grid.dx**2))
 
 
 _SMOOTH_1D = {"constant", "bump-p2-q2"}
@@ -957,10 +972,6 @@ def run(cfg) -> RunReport:
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
-
-
-def _max_abs(field) -> float:
-    return max(float(np.max(np.abs(c))) for c in getattr(field, "components", (field,)))
 
 
 # (check name, input kind, first operator, second operator): chains that vanish
@@ -1337,7 +1348,7 @@ COMMANDS = {
         _K,
         ("--final", dict(default=None, help="final time: a number, 'full-period' (7/8 of the "
                          "period) or 'half-period'")),
-        ("--mode-m", dict(type=positive_int, default=1, help="mode number (cmp case)")),
+        ("--mode-m", dict(type=positive_int, default=1, help="starting mode number")),
         _F,
         _CMP_INIT,
     )),
@@ -1411,7 +1422,8 @@ COMMANDS = {
         _K,
         ("--final", dict(default=None,
                          help="final time (number or named; case-dependent default)")),
-        ("--mode-m", dict(type=positive_int, default=1, help="mode number (1D cmp case)")),
+        ("--mode-m", dict(type=positive_int, default=1,
+                          help="starting mode number (1D cases)")),
         _F,
         _CMP_INIT,
         ("--safety", dict(type=positive_float, default=0.9, help="CFL fraction (2D/3D cases)")),

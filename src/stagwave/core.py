@@ -50,7 +50,6 @@ __all__ = [
     "SystemState",
     "system_step",
     "init_g_half",
-    "INIT_VARIANTS",
     "energy_pieces",
     "conserved_full",
     "conserved_half_step",
@@ -133,10 +132,10 @@ def euclidean_inner(x, y) -> float:
 
 @dataclass(frozen=True)
 class OperatorPair:
-    """A linear map, its adjoint, and analytic operator-norm bounds.
+    """A linear map, its adjoint, and an analytic bound on the norm of A.
 
-    The norm bounds are caller-supplied analytic values (e.g. 2*c/dx for the
-    1D difference operator); no time step is ever estimated numerically
+    The bound is a caller-supplied analytic value (e.g. 2*c/dx for the 1D
+    difference operator); no time step is ever estimated numerically
     (`System.measured_norm` only checks how sharp a bound is).
     Adjointness is a promise checked by `check_adjointness`, not enforced.
 
@@ -154,7 +153,6 @@ class OperatorPair:
     apply_A: Callable[[Any], Any]
     apply_Astar: Callable[[Any], Any]
     norm_bound_A: float = float("inf")
-    norm_bound_Astar: float = float("inf")
     update: Callable | None = None
 
 
@@ -278,22 +276,10 @@ def system_step(
                        a_f, astar_g)
 
 
-# Second-order initializers for g at t = dt/2.  Both appear in the derivation
-# of the scheme; they differ only in the coefficient of the curvature term
-# (g'' = -A A* g).  "oscillator-taylor" carries the true Taylor coefficient
-# 1/2*(dt/2)^2; "system-taylor" carries dt^2/2.  The choice is immaterial
-# whenever g0 = 0, which covers the analytic-mode convergence suites.
-INIT_VARIANTS = ("oscillator-taylor", "system-taylor")
-
-
-def init_g_half(f0, g0, ops: OperatorPair, dt: float, variant: str = "oscillator-taylor"):
-    """Second-order accurate g at t = dt/2 from initial data (f0, g0)."""
-    if variant == "oscillator-taylor":
-        coeff = 0.5 * _square(0.5 * dt)
-    elif variant == "system-taylor":
-        coeff = 0.5 * _square(dt)
-    else:
-        raise ValueError(f"unknown init variant {variant!r}; use one of {INIT_VARIANTS}")
+def init_g_half(f0, g0, ops: OperatorPair, dt: float):
+    """Second-order accurate g at t = dt/2 from (f0, g0): the Taylor step, with
+    the curvature term (g'' = -A A* g) at its true coefficient 1/2*(dt/2)^2."""
+    coeff = 0.5 * _square(0.5 * dt)
     return g0 + (0.5 * dt) * ops.apply_A(f0) - coeff * ops.apply_A(ops.apply_Astar(g0))
 
 
@@ -405,7 +391,6 @@ def run_system(
     n_steps: int,
     inner_X: Callable = euclidean_inner,
     inner_Y: Callable = euclidean_inner,
-    init_variant: str = "oscillator-taylor",
     g_half0=None,
     *,
     record_every: int = 1,
@@ -435,7 +420,7 @@ def run_system(
             stacklevel=2,
         )
     if g_half0 is None:
-        g_half0 = init_g_half(f0, g0, ops, dt, variant=init_variant)
+        g_half0 = init_g_half(f0, g0, ops, dt)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     in_place = ops.update is not None
     record = []

@@ -82,12 +82,7 @@ def oscillator_system(params: OscParams, u0: float = 1.0, v0: float = 0.0, *,
         C_{n-1/2} = 1/2 * [ ((u_n + u_{n-1})/2)^2 + (1 - alpha^2) * v_{n-1/2}^2 ]
     """
     w = params.omega
-    ops = OperatorPair(
-        apply_A=lambda u: w * u,
-        apply_Astar=lambda v: w * v,
-        norm_bound_A=w,
-        norm_bound_Astar=w,
-    )
+    ops = OperatorPair(apply_A=lambda u: w * u, apply_Astar=lambda v: w * v, norm_bound_A=w)
 
     def start(dt):
         if exact_init:

@@ -188,7 +188,6 @@ def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
         apply_A=lambda u: c * grad1(u, dx),
         apply_Astar=lambda v: -c * div1(v, dx),
         norm_bound_A=2.0 * abs(c) / dx,
-        norm_bound_Astar=2.0 * abs(c) / dx,
         update=_update_hook(dx, weight, weight),
     )
 
@@ -208,7 +207,6 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
         apply_A=lambda u: tau * grad1(u, dx),
         apply_Astar=lambda v: -div1(v, dx) / rho,
         norm_bound_A=bound,
-        norm_bound_Astar=bound,
         update=_update_hook(dx, None if np.all(rho == 1.0) else rho,
                             None if np.all(tau == 1.0) else tau, u_divides=True),
     )
@@ -352,34 +350,6 @@ def refine_compare(u_coarse, u_fine, coarse: Grid1D, fine: Grid1D):
         raise ValueError("fine grid must halve the coarse spacing in x and t")
     er = np.asarray(u_coarse) - np.asarray(u_fine)[::2]
     return er, er / coarse.dx**2
-
-
-def vmp_refine_errors(ks, t_final, rho_fn, tau_fn, *, f: int | None = None):
-    """Refine-compare error sweep for variable materials.
-
-    Runs k and k+1 for each k with the pinned-mode start data
-    u = sin(pi x), v(x,0) = 0 (Taylor half-step).  Returns
-    ([(dx, max|Er|), ...], {k: Er/dx^2 profile}).
-    """
-    ks = list(ks)
-    if f is None:
-        probe = Grid1D(a=0.0, b=1.0, nx=2 ** ks[0] + 1, t_final=t_final, nt=1)
-        mats = Materials1D.from_profiles(probe, rho_fn, tau_fn)
-        f = refinement_exponent(cfl_speed(mats), 1.0, t_final)
-    solutions = {}
-    for k in ks + [max(ks) + 1]:
-        grid = Grid1D(a=0.0, b=1.0, nx=2**k + 1, t_final=t_final, nt=2 ** (k + f))
-        system = vmp_system(Materials1D.from_profiles(grid, rho_fn, tau_fn), grid)
-        state, _ = system.march(grid.dt, grid.nt, record_every=0)
-        solutions[k] = (grid, state.f)
-    rows, profiles = [], {}
-    for k in ks:
-        grid_c, u_c = solutions[k]
-        grid_f, u_f = solutions[k + 1]
-        er, er_scaled = refine_compare(u_c, u_f, grid_c, grid_f)
-        rows.append((grid_c.dx, float(np.max(np.abs(er)))))
-        profiles[k] = er_scaled
-    return rows, profiles
 
 
 # ---------------------------------------------------------------------------

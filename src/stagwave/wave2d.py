@@ -309,7 +309,6 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
             *star2(grad2p(u, grid), star.diag, "tangent-to-dual-normal")),
         apply_Astar=lambda v: -star2(div2d(v, grid), star.a, "dual-cell-to-node"),
         norm_bound_A=bound,
-        norm_bound_Astar=bound,
         update=_update_hook(star, grid),
     )
 

@@ -148,8 +148,7 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     # wave speed sqrt(max A / min a), tensor extremes over Gershgorin intervals
     s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(_distinct(star.a))))
     bound = _stencil_bound(s_max, grid)
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
-                        norm_bound_Astar=bound, update=update)
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
 
 
 def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorPair:
@@ -197,8 +196,7 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
             "cannot bound the wave speed: a material tensor is not diagonally dominant"
         )
     bound = _stencil_bound(1.0 / math.sqrt(low), grid)
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound,
-                        norm_bound_Astar=bound, update=update)
+    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
 
 
 def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:

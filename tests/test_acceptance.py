@@ -6,6 +6,7 @@ bound it is held to, and the wall time against the budget — then asserts.
 
 from __future__ import annotations
 
+import csv
 import math
 import time
 import warnings
@@ -14,7 +15,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from stagwave import mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
+from stagwave import cli, mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
 from stagwave.core import SystemState, init_g_half
 from stagwave.mimetic3d import Grid3, Star3, VectorField3, check_discrete_adjoints
 from stagwave.oscillator import OscParams
@@ -306,13 +307,15 @@ def test_criterion_08_1d_conservation_all_presets(capsys):
     assert elapsed < 10.0
 
 
-def test_criterion_09_vmp_convergence_floor(capsys):
+def test_criterion_09_vmp_convergence_floor(capsys, tmp_path):
     t0 = time.perf_counter()
     fits = {}
     for name in ("rho-jump-up", "rho-jump-down", "tau-jump-up", "tau-jump-down",
                  "bump-p2-q2"):
-        rho_fn, tau_fn = wave1d.MATERIAL_PRESETS[name]
-        rows, _ = wave1d.vmp_refine_errors(range(4, 7), 2.0, rho_fn, tau_fn)
+        assert cli.main(["convergence-table", "--case", name, "--k", "4..6", "--final", "2",
+                         "--outdir", str(tmp_path), "--prefix", name]) == 0
+        with open(tmp_path / f"{name}_table.csv", newline="") as fh:
+            rows = [(float(r[2]), float(r[3])) for r in list(csv.reader(fh))[1:]]
         fits[name] = endpoint_fit(rows)
     elapsed = time.perf_counter() - t0
     jumps_ok = all(fits[n] >= 1.0 for n in fits if "jump" in n)

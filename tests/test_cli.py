@@ -419,17 +419,18 @@ class TestConvergenceCommands:
         assert read_report(tmp_path, "t2")["checks"] == []  # tables never gate
 
     def test_parallel_jobs_give_identical_tables(self, tmp_path):
-        assert run_cli(
-            ["convergence-table", "--case", "cmp", "--k", "4..6"], tmp_path, "seq"
-        ) == 0
-        assert run_cli(
-            ["convergence-table", "--case", "cmp", "--k", "4..6", "--jobs", "2"],
-            tmp_path,
-            "par",
-        ) == 0
-        seq = (tmp_path / "seq_table.csv").read_bytes()
-        par = (tmp_path / "par_table.csv").read_bytes()
-        assert seq == par
+        for case in ("cmp", "bump-p2-q2"):
+            assert run_cli(
+                ["convergence-table", "--case", case, "--k", "4..6"], tmp_path, "seq"
+            ) == 0
+            assert run_cli(
+                ["convergence-table", "--case", case, "--k", "4..6", "--jobs", "2"],
+                tmp_path,
+                "par",
+            ) == 0
+            seq = (tmp_path / "seq_table.csv").read_bytes()
+            par = (tmp_path / "par_table.csv").read_bytes()
+            assert seq == par
 
     @pytest.mark.parametrize("command", ["wave1d-convergence", "convergence-table"])
     def test_cmp_sweep_marches_each_level_once(self, command, tmp_path, monkeypatch):
@@ -445,6 +446,42 @@ class TestConvergenceCommands:
         assert marched == [33, 17, 65]
         _, rows = read_csv(tmp_path / "once_table.csv")
         assert [r[0] for r in rows] == ["5", "4", "6"]
+        # a material level is compared with the next finer one, which is marched once too
+        marched.clear()
+        assert run_cli([command, "--case", "bump-p2-q2", "--k", "5,4,6"], tmp_path,
+                       "once") == 0
+        assert marched == [33, 17, 65, 129]
+        _, rows = read_csv(tmp_path / "once_table.csv")
+        assert [r[0] for r in rows] == ["5", "4", "6"]
+
+    @pytest.mark.parametrize("command, case, ks", [
+        ("convergence-table", "bump-p2-q2", "4,6"),
+        ("wave1d-convergence", "rho-jump-up", "6,4"),
+    ])
+    def test_material_levels_need_not_be_consecutive(self, command, case, ks, tmp_path):
+        assert run_cli([command, "--case", case, "--k", ks], tmp_path, "gap") == 0
+        assert run_cli([command, "--case", case, "--k", "4..6"], tmp_path, "all") == 0
+        _, gap = read_csv(tmp_path / "gap_table.csv")
+        _, every = read_csv(tmp_path / "all_table.csv")
+        by_k = {r[0]: r[:4] for r in every}  # k, Nx, dx, Er; p pairs other levels
+        assert [r[:4] for r in gap] == [by_k[k] for k in ks.split(",")]
+
+    def test_material_refused_on_a_finer_level_before_any_march(self, tmp_path, monkeypatch,
+                                                                capsys):
+        # tau = 1 - 1.01 x samples positive on the dual points of k = 4 and 5, not of k = 6
+        monkeypatch.setattr(core, "run_system", lambda *args, **kwargs: pytest.fail("marched"))
+        args = ["convergence-table", "--case", "linear tau -1.01", "--k", "4..6"]
+        assert run_cli(args, tmp_path, "late") == 2
+        assert "--case" in capsys.readouterr().err
+
+    def test_material_sweep_starts_from_the_given_mode(self, tmp_path):
+        args = ["wave1d-convergence", "--case", "bump-p2-q2", "--k", "4..6"]
+        assert run_cli(args, tmp_path, "m1") == 0
+        assert run_cli(args + ["--mode-m", "3"], tmp_path, "m3") == 0
+        m1, m3 = read_report(tmp_path, "m1"), read_report(tmp_path, "m3")
+        assert m3["settings"]["mode_m"] == 3
+        # the third mode is resolved by fewer points per wavelength: larger errors
+        assert all(e3 > e1 for e1, e3 in zip(m1["summary"]["errors"], m3["summary"]["errors"]))
 
 
 # ---------------------------------------------------------------------------

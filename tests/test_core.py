@@ -24,7 +24,6 @@ def matrix_pair(A, wx=None, wy=None):
             apply_A=lambda f: A @ f,
             apply_Astar=lambda g: Astar @ g,
             norm_bound_A=float(np.linalg.norm(A, 2)),
-            norm_bound_Astar=float(np.linalg.norm(A, 2)),
         )
     wx = np.asarray(wx, dtype=float)
     wy = np.asarray(wy, dtype=float)
@@ -33,7 +32,6 @@ def matrix_pair(A, wx=None, wy=None):
         apply_A=lambda f: A @ f,
         apply_Astar=lambda g: Astar @ g,
         norm_bound_A=float(np.linalg.norm(A, 2)) * np.sqrt(wy.max() / wx.min()),
-        norm_bound_Astar=float(np.linalg.norm(A, 2)) * np.sqrt(wy.max() / wx.min()),
     )
 
 
@@ -109,23 +107,15 @@ class TestInitGHalf:
         out = init_g_half(f0, g0, ops, dt=0.3)
         assert np.allclose(out, g0)
 
-    def test_variants_differ_by_documented_coefficient(self):
-        # oscillator-taylor uses 1/2*(dt/2)^2 = dt^2/8; system-taylor dt^2/2.
-        # Scalar case A = A* = w: difference = (dt^2/2 - dt^2/8) * w^2 * g0.
+    def test_matches_the_oscillator_start(self):
+        # the curvature term carries the Taylor coefficient 1/2*(dt/2)^2 = dt^2/8,
+        # and the oscillator System starts from the same half step
         w, dt, g0 = 2.0, 0.1, 1.5
         ops = OperatorPair(apply_A=lambda f: w * f, apply_Astar=lambda g: w * g)
-        a = init_g_half(0.0, g0, ops, dt, variant="oscillator-taylor")
-        b = init_g_half(0.0, g0, ops, dt, variant="system-taylor")
-        assert a - b == pytest.approx((0.5 - 0.125) * dt**2 * w**2 * g0)
-        # oscillator-taylor coincides with the oscillator module's initializer
+        a = init_g_half(0.0, g0, ops, dt)
+        assert a == pytest.approx(g0 - 0.125 * dt**2 * w**2 * g0)
         p = osc.OscParams(omega=w, dt=dt)
-        assert a == pytest.approx(init_g_half(0.0, g0, osc.oscillator_system(p).ops, p.dt),
-                                  abs=1e-16)
-
-    def test_unknown_variant(self):
-        ops = matrix_pair(np.eye(2))
-        with pytest.raises(ValueError):
-            init_g_half(np.zeros(2), np.zeros(2), ops, 0.1, variant="bogus")
+        assert a == pytest.approx(osc.oscillator_system(p, 0.0, g0).start(p.dt)[1], abs=1e-16)
 
 
 class TestConservedQuantities:

@@ -4,13 +4,14 @@ Reference values marked "oracle" are frozen from
 tests/oracles/wave1d_oracle.py (standalone reimplementation).
 """
 
+import csv
 from dataclasses import replace
 from operator import attrgetter
 
 import numpy as np
 import pytest
 
-from stagwave import core
+from stagwave import cli, core
 from stagwave import wave1d as w1
 
 # a System's (pair, inner_X, inner_Y), in the order the engine takes them
@@ -39,6 +40,15 @@ def mode_errors(ks, t_final, *, f=None, init="exact"):
         state, _ = system.march(g.dt, g.nt, record_every=0)
         rows.append((g.dx, system.error(state.f, t_final)))
     return rows
+
+
+def sweep_rows(preset, ks, tmp_path):
+    """(dx, max|Er|) per level of the CLI's refine-compare sweep of a material
+    preset to t = 2: `convergence-table --case PRESET --k KS --final 2`."""
+    assert cli.main(["convergence-table", "--case", preset, "--k", ks, "--final", "2",
+                     "--outdir", str(tmp_path), "--prefix", "sweep"]) == 0
+    with open(tmp_path / "sweep_table.csv", newline="") as fh:
+        return [(float(r[2]), float(r[3])) for r in list(csv.reader(fh))[1:]]
 
 
 def unit_materials(nx):
@@ -478,29 +488,25 @@ class TestRefineCompare:
         assert 0.5 <= estimate / true <= 1.0  # within a factor of two
 
     @pytest.mark.parametrize("preset", sorted(PRESET_ERRORS))
-    def test_material_suite_converges(self, preset):
-        rho_fn, tau_fn = w1.MATERIAL_PRESETS[preset]
-        rows, _ = w1.vmp_refine_errors(range(4, 7), 2.0, rho_fn, tau_fn)
+    def test_material_suite_converges(self, preset, tmp_path):
+        rows = sweep_rows(preset, "4..6", tmp_path)
         ers = [er for _, er in rows]
         assert ers == pytest.approx(PRESET_ERRORS[preset], rel=1e-5)
         (d1, e1), (d2, e2) = rows[0], rows[-1]
         fit = (np.log(e1) - np.log(e2)) / (np.log(d1) - np.log(d2))
         assert fit >= 1.0  # every material case is at least first order
 
-    def test_constant_and_smooth_bump_are_second_order(self):
+    def test_constant_and_smooth_bump_are_second_order(self, tmp_path):
         for preset in ("constant", "bump-p2-q2"):
-            rho_fn, tau_fn = w1.MATERIAL_PRESETS[preset]
-            rows, _ = w1.vmp_refine_errors(range(4, 7), 2.0, rho_fn, tau_fn)
+            rows = sweep_rows(preset, "4..6", tmp_path)
             (d1, e1), (d2, e2) = rows[0], rows[-1]
             fit = (np.log(e1) - np.log(e2)) / (np.log(d1) - np.log(d2))
             assert fit >= 1.9
 
-    def test_scaled_error_profiles_overlap(self):
+    def test_scaled_error_profiles_overlap(self, tmp_path):
         # oracle: max|Er|/dx^2 = 0.528161, 0.476302, 0.471764, 0.468987
         # for bump p = q = 2, successive ratios 0.9018, 0.9905, 0.9941
-        rho_fn, tau_fn = w1.MATERIAL_PRESETS["bump-p2-q2"]
-        _, profiles = w1.vmp_refine_errors(range(4, 8), 2.0, rho_fn, tau_fn)
-        ms = [np.max(np.abs(profiles[k])) for k in range(4, 8)]
+        ms = [er / dx**2 for dx, er in sweep_rows("bump-p2-q2", "4..7", tmp_path)]
         assert ms == pytest.approx([0.528161, 0.476302, 0.471764, 0.468987], rel=1e-5)
         for a, b in zip(ms, ms[1:]):
             assert 0.85 <= b / a <= 1.15

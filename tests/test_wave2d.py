@@ -32,9 +32,9 @@ DIAG = (1.5, 2.5)
 _engine = attrgetter("ops", "inner_X", "inner_Y")
 
 
-def v_half(u0, v0, star, grid, dt, **variant):
+def v_half(u0, v0, star, grid, dt):
     """The Taylor half step for v from (u0, v0), on the pair of `star`."""
-    return init_g_half(u0, VectorField2(*v0), wave2d_system(star, grid).ops, dt, **variant)
+    return init_g_half(u0, VectorField2(*v0), wave2d_system(star, grid).ops, dt)
 
 
 def march(star, grid, u0, v_start, dt, n_steps, **kwargs):
@@ -390,16 +390,6 @@ class TestInit:
         agx, agy = star2(grad2p(u0, grid), star.diag, "tangent-to-dual-normal")
         np.testing.assert_allclose(vx, (0.5 * dt) * agx, atol=0.0)
         np.testing.assert_allclose(vy, (0.5 * dt) * agy, atol=0.0)
-
-    def test_variants_differ_and_bad_name_rejected(self):
-        grid = Grid2(6, 6)
-        rng = np.random.default_rng(12)
-        u0, v0 = pinned_u(grid, rng), random_v(grid, rng)
-        a = v_half(u0, v0, Star2(), grid, 0.05, variant="oscillator-taylor")
-        b = v_half(u0, v0, Star2(), grid, 0.05, variant="system-taylor")
-        assert not np.array_equal(a[0], b[0])
-        with pytest.raises(ValueError, match="variant"):
-            v_half(u0, v0, Star2(), grid, 0.05, variant="midpoint")
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ alters behaviour on purpose.
 The list covers the README examples (``convergence-table`` with ``--jobs 1``
 and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
 every convergence case including unordered ``--k`` levels and 1D sweeps over
-rough materials (a density jump, a piecewise stiffness), power-of-two grids
+rough materials (a density jump, a piecewise stiffness) or over non-consecutive
+levels, in parallel, or from a higher mode, power-of-two grids
 whose update hooks fold the spacing into non-unit 2D weights or, with a
 non-unit 3D star, keep dividing by it, the benchmark's
 invocations with fixed draws, and the inputs that must end in a report with
@@ -87,6 +88,8 @@ MORE_RUNS = [
     ["maxwell", "--grid", "8", "--t-final", "0.1"],
     ["system", "--preset", "cmp", "--dt", "0.001", "--nx", "33", "--steps", "50"],
     ["wave1d-convergence", "--case", "cmp", "--k", "4..6", "--f", "2"],
+    ["convergence-table", "--case", "bump-p2-q2", "--k", "4,6", "--jobs", "2"],
+    ["wave1d-convergence", "--case", "bump-p2-q2", "--k", "4..6", "--mode-m", "3"],
 ]
 
 # the benchmark's invocations, with its random draws fixed
