@@ -46,14 +46,15 @@ Usage errors
 ------------
 Exit 2 covers unknown flags or keys, values of the wrong type or outside an
 option's choices, grid sizes below what the grid constructors accept (the
-``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive,
-non-positive or unparseable ``--final`` times, a ``--safety`` (or a
-``wave2d`` star, or a 1D material) whose CFL time step is not a positive
-finite number, CFL step counts that are not finite, a sweep whose coarsest
-level would take no CFL step, a sweep level whose error is exactly zero (no
-order to measure), an ``oscillator`` whose omega * dt / 2 is past the float
-range, and contradictory flags such as ``--dt`` with ``--t-final`` for
-``wave3d``/``maxwell``.
+``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive
+or hold a number that does not parse, a radial ``transport`` profile that
+holds no mass, non-positive or unparseable ``--final`` times, a ``--safety``
+(or a ``wave2d`` star, or a 1D material) whose CFL time step is not a
+positive finite number, CFL step counts that are not finite, a sweep whose
+coarsest level would take no CFL step, a sweep level whose error is exactly
+zero (no order to measure), an ``oscillator`` whose omega * dt / 2 is past
+the float range, and contradictory flags such as ``--dt`` with ``--t-final``
+for ``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -205,6 +206,15 @@ class RunReport:
 _TARGETS = ("rho", "tau")
 
 
+def _spec_number(parse, token: str, spec: str):
+    """`parse(token)` (int or float), with a token it cannot parse turned
+    into a usage error that names the token."""
+    try:
+        return parse(token)
+    except ValueError:
+        raise ConfigError(f"bad number {token!r} in material spec {spec!r}") from None
+
+
 def parse_material_1d(spec: str) -> dict:
     """Parse a 1D material spec into profile functions (or a cmp speed).
 
@@ -232,7 +242,7 @@ def parse_material_1d(spec: str) -> dict:
             m = re.fullmatch(r"c=([-+0-9.eE]+)", tok)
             if not m:
                 raise ConfigError(f"bad cmp material token {tok!r} (use 'cmp c=2.0')")
-            c = float(m.group(1))
+            c = _spec_number(float, m.group(1), spec)
         if not c > 0:
             raise ConfigError(f"cmp speed must be positive, got {c}")
         return {"kind": "cmp", "c": c}
@@ -254,13 +264,13 @@ def parse_material_1d(spec: str) -> dict:
 
     if head == "linear":
         target, nums = target_of(rest)
-        slope = float(nums[0]) if nums else 0.5
+        slope = _spec_number(float, nums[0], spec) if nums else 0.5
         return one_sided(f"linear-{target}", target, wave1d.linear_profile(slope))
 
     if head == "bump":
         if len(rest) != 2:
             raise ConfigError(f"bump needs two powers, got {spec!r}")
-        p, q = int(rest[0]), int(rest[1])
+        p, q = (_spec_number(int, v, spec) for v in rest)
         if p < 1 or q < 1:
             raise ConfigError("bump powers must be >= 1")
         return vmp(f"bump-p{p}-q{q}", wave1d.bump_profile(p), wave1d.bump_profile(q))
@@ -269,7 +279,7 @@ def parse_material_1d(spec: str) -> dict:
         target, nums = target_of(rest)
         if len(nums) != 4:
             raise ConfigError(f"piecewise-linear needs a b c d, got {spec!r}")
-        a, b, c, d = (float(v) for v in nums)
+        a, b, c, d = (_spec_number(float, v, spec) for v in nums)
         fn = wave1d.piecewise_linear_profile(a, b, c, d)
         return one_sided(f"piecewise-{target}", target, fn)
 
@@ -721,7 +731,7 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
     if case == "vmp":
         for k, (grid, u) in errors.items():
             fine, u_fine = levels[k + 1]
-            errors[k] = grid, wave1d.refine_compare(u, u_fine, grid, fine)[0]
+            errors[k] = grid, wave1d.refine_compare(u, u_fine, grid, fine)
     rows = [(grid.dx, _max_abs(er)) for grid, er in errors.values()]
     for k, (_, er) in zip(ks, rows):
         if er == 0.0:
@@ -847,6 +857,9 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
         sign = -1.0 if kind == "collapse" else +1.0
         v = sign * x_face
         rho0 = np.where(np.abs(x_cell) < 0.5, 1.0, 0.0)
+        if not rho0.any():
+            raise ConfigError(f"--n {n}: no cell centre lies inside the radial profile's "
+                              "plateau |x| < 1/2, so it holds no mass")
 
     # worst per-cell outflow coefficient sets the stable dt (a cell can
     # drain through both faces at once)

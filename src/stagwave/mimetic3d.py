@@ -34,10 +34,10 @@ machinery in the time steppers relies on; ``check_discrete_adjoints`` and
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
 index ranges of a closed box, ``n + 1`` entries along a node-aligned axis.
-The operators see the policy only through the per-axis differences and the
-rim rule: on pinned grids both end planes of every node-aligned axis of a
-dual output are zero, which is exactly the set of entries a Dirichlet-pinned
-time stepper never updates.
+The operators see the policy only through ``_STENCILS``, one index table of
+every per-axis difference built at import, and the rim rule: on pinned grids
+both end planes of every node-aligned axis of a dual output are zero, which
+is exactly the set of entries a Dirichlet-pinned time stepper never updates.
 """
 
 from __future__ import annotations
@@ -68,6 +68,7 @@ _PATTERNS = {
 SCALAR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 1)
 VECTOR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 3)
 ALL_KINDS = SCALAR_KINDS + VECTOR_KINDS
+_ALL_PATTERNS = sorted({p for patterns in _PATTERNS.values() for p in patterns})
 
 STAR_MODES = ("scalar", "diagonal", "full")
 
@@ -115,6 +116,9 @@ class Grid3:
                 raise ValueError("need at least 2 cells per axis")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary policy {self.boundary!r}")
+        # the operators' per-call shapes, worked out once; not a field, so eq/hash/repr ignore it
+        object.__setattr__(self, "_shapes_of", {patterns: tuple(map(self._pattern_shape, patterns))
+                                                for patterns in _PATTERNS.values()})
 
     @classmethod
     def cube(cls, n: int, length: float = 1.0, boundary: str = "periodic") -> "Grid3":
@@ -163,7 +167,7 @@ class Grid3:
                      for n, tag in zip(self.counts, pattern))
 
     def _shapes(self, kind: str, kinds: tuple = ALL_KINDS) -> tuple:
-        return tuple(self._pattern_shape(p) for p in _patterns(kind, kinds))
+        return self._shapes_of[_patterns(kind, kinds)]
 
     def scalar_shape(self, kind: str) -> tuple:
         return self._shapes(kind, SCALAR_KINDS)[0]
@@ -308,9 +312,10 @@ def _components(field, grid: Grid3, kind: str, who: str) -> tuple:
         comps = field.components
     else:
         raise ValueError(f"{who}: expected a VectorField3 of kind {kind!r}")
-    got = tuple(c.shape for c in comps)
-    if got != shapes:
-        raise ValueError(f"{who}: expected {kind} component shapes {shapes}, got {got}")
+    for comp, shape in zip(comps, shapes):
+        if comp.shape != shape:
+            got = tuple(c.shape for c in comps)
+            raise ValueError(f"{who}: expected {kind} component shapes {shapes}, got {got}")
     return comps
 
 
@@ -325,17 +330,10 @@ _CURL_TERMS = (((2, 1), (1, 2)), ((0, 2), (2, 0)), ((1, 0), (0, 1)))
 _DIV_TERMS = (((0, 0), (1, 1), (2, 2)),)
 
 
-def _interior(pattern: str) -> tuple:
-    """Index of the rim interior: both end planes of each node-aligned axis cut off."""
-    return tuple(slice(1, -1) if tag == "n" else slice(None) for tag in pattern)
-
-
 def _zero_rim(arr: np.ndarray, pattern: str) -> np.ndarray:
     """The rim rule, in place: zero both end planes of every node-aligned axis."""
-    for axis, tag in enumerate(pattern):
-        if tag == "n":
-            arr[_along(axis, 0)] = 0.0
-            arr[_along(axis, -1)] = 0.0
+    for plane in _RIM_PLANES[pattern]:
+        arr[plane] = 0.0
     return arr
 
 
@@ -346,43 +344,46 @@ def _rim_zeroed(field, kind: str):
                       for pattern, comp in zip(_PATTERNS[kind], comps)])
 
 
-def _along(axis: int, index) -> tuple:
-    """An index that applies `index` along one axis and keeps the other two whole."""
-    return tuple(index if ax == axis else slice(None) for ax in range(3))
+def _along(axis: int, index, base=(slice(None),) * 3) -> tuple:
+    """An index that applies `index` along one axis and keeps `base` on the other two."""
+    return tuple(index if ax == axis else b for ax, b in enumerate(base))
 
 
 _HI, _LO = slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
-
-def _fwd(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
-    """out <- forward difference along one axis (node-aligned to half-shifted),
-    divided by the spacing when `scaled`.  On periodic grids the last plane
-    wraps round to the first."""
-    periodic = grid.boundary == "periodic"
-    np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)],
-                out=out[_along(axis, _LO)] if periodic else out)
-    if periodic:
-        np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
-                    out=out[_along(axis, _LAST)])
-    if scaled:
-        divide_in_place(out, grid.spacings[axis])
+# the rim interior of each pattern (both end planes of each node-aligned axis
+# cut off) and the rim planes that the rim rule zeroes
+_RIM_INTERIOR = {p: tuple(slice(1, -1) if tag == "n" else slice(None) for tag in p)
+                 for p in _ALL_PATTERNS}
+_RIM_PLANES = {p: [_along(axis, end) for axis, tag in enumerate(p) if tag == "n"
+                   for end in (0, -1)] for p in _ALL_PATTERNS}
 
 
-def _bwd(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
-    """out <- backward difference along one axis onto the points of `pattern`,
-    divided by the spacing when `scaled`; on pinned grids onto its rim
-    interior, cutting the input to that first.  On periodic grids the first
-    plane wraps round to the last."""
-    if grid.boundary == "periodic":
-        np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out[_along(axis, _HI)])
-        np.subtract(arr[_along(axis, _FIRST)], arr[_along(axis, _LAST)],
-                    out=out[_along(axis, _FIRST)])
-    else:
-        cut = list(_interior(pattern))
-        cut[axis] = slice(None)
-        arr = arr[tuple(cut)]
-        np.subtract(arr[_along(axis, _HI)], arr[_along(axis, _LO)], out=out)
+def _stencil(boundary: str, pattern: str, axis: int) -> tuple:
+    """The (out, hi, lo) index triples of one difference along `axis` onto
+    the points of `pattern`, out[out] <- arr[hi] - arr[lo] for each: forward
+    onto a half-shifted axis, backward onto a node-aligned one.  A periodic
+    stencil wraps the end plane round; a pinned backward one fills only the
+    rim interior (its `out`), cutting the input to that first."""
+    forward = pattern[axis] == "h"
+    if boundary == "periodic":
+        out, wrap = (_LO, _LAST) if forward else (_HI, _FIRST)
+        return ((_along(axis, out), _along(axis, _HI), _along(axis, _LO)),
+                (_along(axis, wrap), _along(axis, _FIRST), _along(axis, _LAST)))
+    cut = (slice(None),) * 3 if forward else _RIM_INTERIOR[pattern]
+    return ((..., _along(axis, _HI, cut), _along(axis, _LO, cut)),)
+
+
+_STENCILS = {(boundary, p, axis): _stencil(boundary, p, axis)
+             for boundary in BOUNDARIES for p in _ALL_PATTERNS for axis in range(3)}
+
+
+def _diff(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
+    """out <- the difference of arr along one axis onto the points of
+    `pattern` (see `_stencil`), divided by the spacing when `scaled`."""
+    for o, hi, lo in _STENCILS[grid.boundary, pattern, axis]:
+        np.subtract(arr[hi], arr[lo], out=out[o])
     if scaled:
         divide_in_place(out, grid.spacings[axis])
 
@@ -400,8 +401,7 @@ def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.ad
     undivided by its spacing.
     """
     comps = _components(field, grid, in_kind, who)
-    dual = out_kind.startswith("dual-")
-    rim = dual and grid.boundary == "pinned"
+    rim = out_kind.startswith("dual-") and grid.boundary == "pinned"
     if out is None:
         outs = [np.zeros(s) if rim else np.empty(s) for s in grid._shapes(out_kind)]
     else:
@@ -410,20 +410,19 @@ def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.ad
     slots = rim + (len(terms[0]) > 1)  # the first term of a rimmed output, later terms
     if work is None and slots:
         work = np.empty(slots * _lines(max(o.size for o in outs)))
-    step = _bwd if dual else _fwd
     for pattern, component_terms, acc in zip(_PATTERNS[out_kind], terms, outs):
         if rim:
-            acc = acc[_interior(pattern)]
+            acc = acc[_RIM_INTERIOR[pattern]]
         (c, axis), *rest = component_terms
         # a rimmed output's interior is strided, and arithmetic in place on it
         # runs at half speed, so its terms are formed in contiguous work
         first = _slot(work, 0, acc) if rim else acc
-        step(comps[c], axis, grid, first, pattern, scaled)
+        _diff(comps[c], axis, grid, first, pattern, scaled)
         if rim and not rest:
             acc[...] = first
         for c, axis in rest:
             term = _slot(work, rim, acc)
-            step(comps[c], axis, grid, term, pattern, scaled)
+            _diff(comps[c], axis, grid, term, pattern, scaled)
             combine(first, term, out=acc)
             first = acc
     return _as_field(outs)

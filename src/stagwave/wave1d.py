@@ -341,15 +341,10 @@ def estimate_order(errors) -> list:
 
 
 def refine_compare(u_coarse, u_fine, coarse: Grid1D, fine: Grid1D):
-    """Error estimate on the coarse points from a once-halved companion run.
-
-    Returns (er, er / dx^2); the scaled field is what overlaps across
-    refinement levels when the order is two.
-    """
+    """Error estimate er on the coarse points from a once-halved companion run."""
     if fine.nx != 2 * (coarse.nx - 1) + 1 or fine.nt != 2 * coarse.nt:
         raise ValueError("fine grid must halve the coarse spacing in x and t")
-    er = np.asarray(u_coarse) - np.asarray(u_fine)[::2]
-    return er, er / coarse.dx**2
+    return np.asarray(u_coarse) - np.asarray(u_fine)[::2]
 
 
 # ---------------------------------------------------------------------------

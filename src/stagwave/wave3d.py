@@ -86,16 +86,16 @@ def _scaled_into(x, term, dt: float, out, combine):
 _KEEP = SpacingFold(None, None, True)
 
 
-class _Scratch:
-    """The buffer a pair's `update` hook owns, made on first use.  It holds
-    one operator output, of whichever kind the hook forms (one at a time),
-    and the operators' two-component work array; the hook never returns it.
-    Node arrays are the largest components on either boundary policy."""
+class _Scratch(dict):
+    """The buffer a pair's `update` hook owns and its views, ``scratch[kind]``,
+    made on first use: out= for one operator output, of whichever kind the
+    hook forms (one at a time), and work= for the two-component work array;
+    the hook never returns them.  Node arrays are the largest on either policy."""
 
     def __init__(self, grid: Grid3):
         self.grid, self.flat = grid, None
 
-    def __call__(self, kind: str) -> dict:
+    def __missing__(self, kind: str) -> dict:
         """out= and work= for an operator onto `kind`."""
         # every part starts on a 64-byte cache line: unaligned parts made the
         # 64^3 Maxwell step about 7% slower
@@ -105,7 +105,8 @@ class _Scratch:
         start = (-self.flat.ctypes.data // 8) % 8
         out = [self.flat[start + i * node:start + i * node + math.prod(shape)].reshape(shape)
                for i, shape in enumerate(self.grid._shapes(kind))]
-        return {"out": _as_field(out), "work": self.flat[start + 3 * node:start + 5 * node]}
+        self[kind] = {"out": _as_field(out), "work": self.flat[start + 3 * node:start + 5 * node]}
+        return self[kind]
 
 
 def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
@@ -136,11 +137,11 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     def update(x, y, dt, out, adjoint):
         scale, scaled = folds[adjoint].scale(dt)
         if adjoint:
-            term = div3_star(y, grid, scaled=scaled, **scratch("dual-cell"))
+            term = div3_star(y, grid, scaled=scaled, **scratch["dual-cell"])
             if not unit_a:
                 star_scalar_inverse(term, star, "node-to-dual-cell", out=term)
         else:
-            term = grad3(y, grid, scaled=scaled, **scratch("edge"))
+            term = grad3(y, grid, scaled=scaled, **scratch["edge"])
             if not unit_rows:
                 star_matrix(term, star, "a", out=term)
         return _scaled_into(x, term, scale, out, np.add)
@@ -180,11 +181,11 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     def update(x, y, dt, out, adjoint):
         scale, scaled = folds[adjoint].scale(dt)
         if adjoint:
-            term = curl3_star(y, grid, scaled=scaled, **scratch("dual-face"))
+            term = curl3_star(y, grid, scaled=scaled, **scratch["dual-face"])
             if not unit_eps:
                 star_matrix(term, eps_star, "a", inverse=True, out=term)
             return _scaled_into(x, term, scale, out, np.add)
-        term = curl3(y, grid, scaled=scaled, **scratch("face"))
+        term = curl3(y, grid, scaled=scaled, **scratch["face"])
         if not unit_mu:
             star_matrix(term, mu_star, "b", inverse=True, out=term)
         return _scaled_into(x, term, scale, out, np.subtract)

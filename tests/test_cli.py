@@ -318,6 +318,14 @@ class TestExperimentCommands:
              "--final"),
             # an oscillator step omega * dt / 2 past the float range
             (["oscillator", "--omega", "1e308", "--dt", "10", "--steps", "3"], "--omega"),
+            # a 1D material spec with a token that is not a number
+            (["wave1d", "--case", "vmp", "--material", "bump x 1"], "'x'"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho abc"], "'abc'"),
+            (["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"], "'a'"),
+            (["convergence-table", "--case", "linear tau x"], "'x'"),
+            (["wave1d", "--material", "cmp c=1.2.3"], "'1.2.3'"),
+            # a radial transport profile with no cell centre on its plateau
+            (["transport", "--velocity", "expand", "--n", "2"], "--n"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):

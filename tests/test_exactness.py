@@ -87,9 +87,11 @@ def _box(boundary):
     return Grid3(0.7, 1.3, 2.9, 3, 4, 5, boundary=boundary)
 
 
-@pytest.mark.parametrize("boundary", ["periodic", "pinned"])
+@pytest.mark.parametrize("boundary, scaled", [
+    ("periodic", True), ("pinned", True), ("periodic", False), ("pinned", False),
+], ids=["periodic", "pinned", "periodic-unscaled", "pinned-unscaled"])
 @pytest.mark.parametrize("name", list(OPERATORS))
-def test_operator_into_stale_buffers_equals_a_fresh_result(name, boundary):
+def test_operator_into_stale_buffers_equals_a_fresh_result(name, boundary, scaled):
     op, in_kind, out_kind = OPERATORS[name]
     grid = _box(boundary)
     rng = np.random.default_rng(21)
@@ -98,8 +100,8 @@ def test_operator_into_stale_buffers_equals_a_fresh_result(name, boundary):
     out = random_field(grid, out_kind, rng)
     # two of the largest components, each rounded up to whole 8-entry cache lines
     work = rng.standard_normal(2 * 8 * -(-np.prod(grid.scalar_shape("node")) // 8))
-    got = op(field, grid, out=out, work=work)
-    want = op(field, grid)
+    got = op(field, grid, out=out, work=work, scaled=scaled)
+    want = op(field, grid, scaled=scaled)
     for g, o, w in zip(_parts(got), _parts(out), _parts(want)):
         assert g is o
         assert np.array_equal(g, w)

@@ -142,6 +142,11 @@ EDGES = [
     ["convergence-table", "--case", "wave2d-mode", "--k", "2..3", "--final", "1e-12"],
     ["convergence-table", "--case", "bump-p2-q2", "--k", "1..2", "--final", "1e-300"],
     ["wave1d-convergence", "--case", "cmp", "--k", "2..3", "--final", "1e-300"],
+    ["wave1d", "--case", "vmp", "--material", "bump x 1"],
+    ["wave1d", "--case", "vmp", "--material", "linear rho abc"],
+    ["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"],
+    ["convergence-table", "--case", "linear tau x"],
+    ["transport", "--velocity", "expand", "--n", "2"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
