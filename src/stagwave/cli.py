@@ -78,7 +78,6 @@ import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -264,7 +263,11 @@ def parse_material_1d(spec: str) -> dict:
 
     if head == "linear":
         target, nums = target_of(rest)
+        if len(nums) > 1:
+            raise ConfigError(f"linear takes at most one slope, got {spec!r}")
         slope = _spec_number(float, nums[0], spec) if nums else 0.5
+        if not math.isfinite(slope):
+            raise ConfigError(f"linear needs a finite slope, got {spec!r}")
         return one_sided(f"linear-{target}", target, wave1d.linear_profile(slope))
 
     if head == "bump":
@@ -762,6 +765,8 @@ def _pool_sweep(point, args, jobs: int) -> list:
     """`point(a)` for each a in sweep order, over `jobs` processes if more than one."""
     if jobs == 1:
         return [point(a) for a in args]
+    from concurrent.futures import ProcessPoolExecutor  # a slow import, for pooled runs only
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(point, args))
 

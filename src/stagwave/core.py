@@ -24,15 +24,17 @@ products, its CFL step, its start data and, where known, its exact solution.
 
 Buffers: a pair may supply an `update` hook that writes a whole update into
 a given buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's
-scalar pair and recorded steps allocate.  `run_system` takes each unrecorded
-step in place: from the third step on it writes f_{n+1} and g_{n+3/2} into
-the storage of the retired f_{n-1} and g_{n-1/2}, which earlier steps of the
-same run made.  It never writes into the caller's f0 or g_half0.  An `audit`
+scalar pair and recorded steps allocate.  `run_system` then owns one working
+pair, which each unrecorded step overwrites in place, f first and then g, as
+the Yee scheme overwrites E and then H.  Three kinds of step write fresh
+fields instead, keeping their predecessor as history: the first, because the
+caller's f0 and g_half0 are never written; a recorded step; and the last,
+because the returned state carries one step of history.  An `audit`
 callback must not keep references to the state's fields across steps: the
-next step but one overwrites them.  A hook whose differences share one
-power-of-two spacing h <= 1 folds the exact factor 1/h into the
-multiplication after them (`fold_spacing`); other hooks divide by their
-spacings through `divide_in_place`.
+next unrecorded step overwrites the fields in place.  A hook whose
+differences share one power-of-two spacing h <= 1 folds the exact factor 1/h
+into the multiplication after them (`fold_spacing`); other hooks divide by
+their spacings through `divide_in_place`.
 """
 
 from __future__ import annotations
@@ -143,11 +145,13 @@ class OperatorPair:
     two leapfrog updates: it returns x - dt * A*(y) when `adjoint` is true and
     x + dt * A(y) otherwise, with the bits of those expressions built from
     `apply_Astar`/`apply_A`, written into `out` (a fresh field when out is
-    None).  `out` is never x or y, and the result holds no other storage of
-    the pair.  One exception to the bits: a hook that folds a power-of-two
-    spacing h into the factor after its differences (`fold_spacing`) never
-    forms a difference times 1/h, so where that product overflows to inf
-    in the expression, the hook's update may stay finite.
+    None).  `out` may be x, never y: every hook ends in one elementwise
+    combine of x with its scaled term into `out`, so writing over x gives
+    the same bits.  The result holds no other storage of the pair.  One
+    exception to the bits: a hook that folds a power-of-two spacing h into
+    the factor after its differences (`fold_spacing`) never forms a
+    difference times 1/h, so where that product overflows to inf in the
+    expression, the hook's update may stay finite.
     """
 
     apply_A: Callable[[Any], Any]
@@ -207,9 +211,13 @@ class System:
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
               audit: Callable | None = None):
         """`run_system` for n_steps of dt from `start(dt)`."""
-        f0, g_half0 = self.start(dt)
-        return run_system(f0, None, self.ops, dt, n_steps, self.inner_X, self.inner_Y,
-                          g_half0=g_half0, record_every=record_every, audit=audit)
+        # popped into the call, not bound here: the engine alone holds the
+        # start pair, and lets it go once step 1 has used it (from CPython
+        # 3.11, whose calls hand their arguments over to the callee)
+        start = list(self.start(dt))
+        return run_system(start.pop(0), None, self.ops, dt, n_steps, self.inner_X,
+                          self.inner_Y, g_half0=start.pop(), record_every=record_every,
+                          audit=audit)
 
     def error(self, f, t: float) -> float:
         """max |f - exact(t)| over every component of f."""
@@ -406,11 +414,14 @@ def run_system(
     (step, C_full, C_half) per `record_every`-th step (none for
     record_every=0).  An `audit(state, pieces)` callback, given the state and
     the `energy_pieces` of C_full, appends the entries it returns; it must
-    not keep the state's fields (see the buffer contract above).
+    not keep the state's fields: the next unrecorded step overwrites the
+    fields in place.
 
-    With a pair that has an `update` hook, an unrecorded step writes into the
-    retired history once this run made it (from the third step on), and into
-    fresh fields before that.  Recorded steps keep their fresh operator terms.
+    With a pair that has an `update` hook, the run owns one working pair:
+    an unrecorded step overwrites f and then g in place, except the first,
+    which never writes the caller's start pair, and the last, whose state
+    keeps one step of history; those two write fresh fields, as recorded
+    steps do.  The run lets go of the start pair once step 1 has used it.
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
@@ -422,17 +433,26 @@ def run_system(
     if g_half0 is None:
         g_half0 = init_g_half(f0, g0, ops, dt)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
+    del f0, g0, g_half0  # the state alone holds the start data
     in_place = ops.update is not None
     record = []
-    for _ in range(n_steps):
-        recorded = bool(record_every) and (state.step + 1) % record_every == 0
+    for n in range(1, n_steps + 1):
+        recorded = bool(record_every) and n % record_every == 0
         if recorded or not in_place:
             state = system_step(state, ops, keep_terms=recorded)
         else:
-            # after two steps the history is this run's own; before, it is f0/g_half0
-            own = state.step >= 2
-            state = system_step(state, ops, out=(state.f_prev, state.g_prev_half) if own
-                                else (None, None))
+            # the step reads only f_n and g_{n+1/2}: the history behind them goes
+            # first.  Not so before a recorded step: freeing it there made a 40^3
+            # march that records every step ~20% slower on a 2-vCPU host, with
+            # five times the page faults, as the allocator returned the pages
+            # and the step's fresh fields faulted them back in.
+            state.f_prev = state.g_prev_half = None
+            if n == 1 or n == n_steps:
+                state = system_step(state, ops, out=(None, None))
+            else:
+                state.f = ops.update(state.f, state.g_half, dt, state.f, True)
+                state.g_half = ops.update(state.g_half, state.f, dt, state.g_half, False)
+                state.step = n
         if recorded:
             pieces = energy_pieces(state, ops, inner_X, inner_Y)
             row = (

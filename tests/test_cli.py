@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -323,6 +324,8 @@ class TestExperimentCommands:
             (["wave1d", "--case", "vmp", "--material", "linear rho abc"], "'abc'"),
             (["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"], "'a'"),
             (["convergence-table", "--case", "linear tau x"], "'x'"),
+            # a linear spec with more numbers than its one slope
+            (["wave1d", "--case", "vmp", "--material", "linear rho 1 2"], "'linear rho 1 2'"),
             (["wave1d", "--material", "cmp c=1.2.3"], "'1.2.3'"),
             # a radial transport profile with no cell centre on its plateau
             (["transport", "--velocity", "expand", "--n", "2"], "--n"),
@@ -332,6 +335,18 @@ class TestExperimentCommands:
         assert run_cli(args, tmp_path, "bad") == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "bad_report.json").exists()
+
+    @pytest.mark.parametrize("slope", ["inf", "-inf", "nan"])
+    def test_non_finite_linear_slope_is_refused_before_any_arithmetic(self, slope, tmp_path,
+                                                                      capsys):
+        spec = f"linear rho {slope}"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert run_cli(["wave1d", "--case", "vmp", "--material", spec], tmp_path,
+                           "bad") == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        err = capsys.readouterr().err
+        assert repr(spec) in err and "RuntimeWarning" not in err
 
     def test_transport_unit_courant_is_bit_exact(self, tmp_path):
         code = run_cli(["transport", "--steps", "10"], tmp_path, "tr")

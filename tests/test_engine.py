@@ -491,60 +491,105 @@ def _inplace_case(system, boundary, stars, rng):
             sys3.cfl_dt(0.8), (eps, mu))
 
 
-@pytest.mark.parametrize("record_every", [0, 1, 3])
+# Runs of the in-place tests: 13 steps, so that with every 3rd or 5th step
+# recorded the run ends on unrecorded steps after a recorded one (with every
+# 5th, two in place and the fresh last step after step 10's record).
+IN_PLACE_STEPS = 13
+RECORD_EVERY = [0, 1, 3, 5]
+
+
+@pytest.mark.parametrize("record_every", RECORD_EVERY)
 @pytest.mark.parametrize("system, boundary, stars", INPLACE_CASES)
 def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case(system, boundary, stars,
                                                             np.random.default_rng(31))
     assert ops.update is not None
+    n = IN_PLACE_STEPS
     kept = [c.copy() for c in _parts(f0) + _parts(g0)]
-    state, records = run_system(f0, None, ops, dt, 12, inner_X, inner_Y, g_half0=g0,
+    state, records = run_system(f0, None, ops, dt, n, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
     # the caller's start data is never written
     assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
-    # a loop of allocating steps (no hook) gives the same bits
+    # a loop of allocating steps (no hook) gives the same bits, history included
     ref = SystemState(f=f0, g_half=g0, dt=dt)
-    for _ in range(12):
+    for _ in range(n):
         ref = system_step(ref, ops)
     for got, want in ((state.f, ref.f), (state.g_half, ref.g_half),
                       (state.f_prev, ref.f_prev), (state.g_prev_half, ref.g_prev_half)):
         assert _same(got, want)
     # and so does the engine on the pair without its hook, records included
-    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, 12, inner_X,
+    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, n, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
     assert _same(state.f, bare.f) and _same(state.g_half, bare.g_half)
     assert records == bare_records
-    assert len(records) == (12 // record_every if record_every else 0)
+    assert len(records) == (n // record_every if record_every else 0)
 
 
-def test_in_place_run_reuses_the_retired_history():
+@pytest.mark.parametrize("record_every", [0, 3])
+def test_in_place_run_overwrites_its_own_pair(record_every):
     (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case("maxwell", "pinned", "unit",
                                                             np.random.default_rng(32))
-    seen = []
+    calls = []  # (x, out) of every hook call: f then g, one step after another
 
     def watch(x, y, dt, out, adjoint):
-        seen.append(out)
+        calls.append((x, out))
         return ops.update(x, y, dt, out, adjoint)
 
-    state, _ = run_system(f0, None, replace(ops, update=watch), dt, 6, inner_X, inner_Y,
-                          g_half0=g0, record_every=0)
-    # steps 1 and 2 make fresh fields; from step 3 each writes into the
-    # buffers of the step before last, so only four fields ever exist
-    assert seen[:4] == [None] * 4
-    made = {id(c) for out in seen[4:] for c in _parts(out)}
-    assert made == {id(c) for c in _parts(state.f) + _parts(state.g_half)
-                    + _parts(state.f_prev) + _parts(state.g_prev_half)}
+    state, _ = run_system(f0, None, replace(ops, update=watch), dt, 8, inner_X, inner_Y,
+                          g_half0=g0, record_every=record_every)
+    # a recorded step (3 and 6) takes the allocating path, without the hook
+    unrecorded = 8 - (8 // record_every if record_every else 0)
+    assert len(calls) == 2 * unrecorded
+    # the first and the last step make fresh fields: the start pair is the
+    # caller's, and the returned state keeps its history
+    assert all(out is None for _, out in calls[:2] + calls[-2:])
+    # every unrecorded step between them overwrites its own f and g
+    between = calls[2:-2]
+    assert between and all(out is x for x, out in between)
+    if not record_every:
+        # one working pair for the whole run, the last step's history
+        assert {id(c) for x, _ in between for c in _parts(x)} == {
+            id(c) for c in _parts(state.f_prev) + _parts(state.g_prev_half)}
 
 
-def _peak_bytes(ops, f0, g0, dt, n_steps):
+def _peak_bytes(run):
+    """tracemalloc's peak over run(), counting what it allocates."""
     import tracemalloc
 
     tracemalloc.start()
     try:
-        run_system(f0, None, ops, dt, n_steps, g_half0=g0, record_every=0)
+        run()
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _steady_peak(ops, f0, g0, dt, n_steps):
+    """How far memory rises, over what is live as they begin, during the
+    in-place steps of a record_every=0 run: steps 2 to n_steps - 1, whose
+    hook calls write over x."""
+    import tracemalloc
+
+    marks = []
+
+    def watch(x, y, dt, out, adjoint):
+        if out is x and not marks:
+            tracemalloc.reset_peak()
+            marks.append(tracemalloc.get_traced_memory()[0])
+        result = ops.update(x, y, dt, out, adjoint)
+        if out is x:
+            marks.append(tracemalloc.get_traced_memory()[1])
+        return result
+
+    _peak_bytes(lambda: run_system(f0, None, replace(ops, update=watch), dt, n_steps,
+                                   g_half0=g0, record_every=0))
+    return marks[-1] - marks[0]
+
+
+def _fresh(ops):
+    """The pair with a hook that ignores `out` and makes fresh fields."""
+    return replace(ops, update=lambda x, y, dt, out, adjoint: ops.update(x, y, dt, None,
+                                                                         adjoint))
 
 
 def test_steady_unrecorded_maxwell_steps_allocate_no_field():
@@ -556,13 +601,31 @@ def test_steady_unrecorded_maxwell_steps_allocate_no_field():
     f0, g0 = system.start(dt)  # the TE mode, with the Taylor half step for H
     component = f0.x.nbytes
     run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch
-    # the first two steps make the run's own history; 20 more may add only
-    # numpy's fixed-size iteration buffers for strided operands, not a field
-    grown = _peak_bytes(ops, f0, g0, dt, 22) - _peak_bytes(ops, f0, g0, dt, 2)
-    assert grown < component
-    # the measure sees the allocating step: one more live field from step 3
-    bare = replace(ops, update=None)
-    assert _peak_bytes(bare, f0, g0, dt, 22) - _peak_bytes(bare, f0, g0, dt, 2) > component
+    # 20 in-place steps may add only numpy's fixed-size iteration buffers for
+    # strided operands, not a field
+    assert _steady_peak(ops, f0, g0, dt, 22) < component
+    # the measure sees a step that makes a field
+    assert _steady_peak(_fresh(ops), f0, g0, dt, 22) > component
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="CPython 3.10 keeps a call's arguments alive until it returns, "
+                           "so `System.march` holds the start pair for the whole run")
+def test_unrecorded_march_holds_at_most_two_pairs():
+    grid = Grid3.cube(32, 1.0, boundary="pinned")
+    star = Star3.trivial(grid)
+    system = wave3d.maxwell_system(star, star, grid)
+    dt = system.cfl_dt(0.9)
+    f0, g_half0 = system.start(dt)
+    pair = sum(c.nbytes for c in _parts(f0) + _parts(g_half0))
+    component = f0.x.nbytes
+    del f0, g_half0
+    scratch = 5 * np.empty(grid.scalar_shape("node")).nbytes  # the update hook's own
+    # the march lets the start pair go after step 1, overwrites one working
+    # pair in place, and makes a second only for the last step's history: so
+    # the start data, the steps and the scratch never hold a third pair
+    peak = _peak_bytes(lambda: system.march(dt, 10, record_every=0))
+    assert peak < 2 * pair + scratch + component
 
 
 @pytest.mark.parametrize(
@@ -625,22 +688,23 @@ def _lowdim_case(name, n, rng):
     return _engine(system), f0, rng.standard_normal(n - 1), 0.8 * 2.0 / system.ops.norm_bound_A
 
 
-@pytest.mark.parametrize("record_every", [0, 1, 3])
+@pytest.mark.parametrize("record_every", RECORD_EVERY)
 @pytest.mark.parametrize("n", [8, 17])
 @pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
 def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(41))
     assert ops.update is not None
+    n_steps = IN_PLACE_STEPS
     kept = [c.copy() for c in _parts(f0) + _parts(g0)]
-    state, records = run_system(f0, None, ops, dt, 12, inner_X, inner_Y, g_half0=g0,
+    state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
     # the caller's start data is never written, its -0.0 included
     assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
     assert np.signbit(f0.flat[0])
     ref = SystemState(f=f0, g_half=g0, dt=dt)
-    for _ in range(12):
+    for _ in range(n_steps):
         ref = system_step(ref, ops)
-    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, 12, inner_X,
+    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, n_steps, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
     for want in (ref, bare):
         for got, exp in ((state.f, want.f), (state.g_half, want.g_half),
@@ -649,7 +713,7 @@ def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
         # the pinned rim has the allocating path's signed zeros
         assert np.array_equal(np.signbit(state.f), np.signbit(want.f))
     assert records == bare_records
-    assert len(records) == (12 // record_every if record_every else 0)
+    assert len(records) == (n_steps // record_every if record_every else 0)
 
 
 @pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
@@ -670,12 +734,10 @@ def test_steady_unrecorded_low_dim_steps_allocate_no_field(name, n):
     (ops, _, _), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(43))
     field = f0.nbytes
     run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its work arrays
-    # the first two steps make the run's own history; 20 more add no field
-    grown = _peak_bytes(ops, f0, g0, dt, 22) - _peak_bytes(ops, f0, g0, dt, 2)
-    assert grown < field
-    # the measure sees the allocating step: one more live field from step 3
-    bare = replace(ops, update=None)
-    assert _peak_bytes(bare, f0, g0, dt, 22) - _peak_bytes(bare, f0, g0, dt, 2) > field
+    # 20 in-place steps add no field
+    assert _steady_peak(ops, f0, g0, dt, 22) < field
+    # the measure sees a step that makes a field
+    assert _steady_peak(_fresh(ops), f0, g0, dt, 22) > field
 
 
 class _ScalarOperands:

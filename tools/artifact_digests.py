@@ -146,6 +146,8 @@ EDGES = [
     ["wave1d", "--case", "vmp", "--material", "linear rho abc"],
     ["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"],
     ["convergence-table", "--case", "linear tau x"],
+    ["wave1d", "--case", "vmp", "--material", "linear rho 1 2"],
+    ["wave1d", "--case", "vmp", "--material", "linear rho inf"],
     ["transport", "--velocity", "expand", "--n", "2"],
 ]
 
