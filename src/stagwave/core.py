@@ -10,8 +10,23 @@ The scheme keeps f on integer time levels and g on half levels:
     f_{n+1} = f_n - dt * A* g_{n+1/2}          (first)
     g_{n+3/2} = g_{n+1/2} + dt * A f_{n+1}     (second, uses the new f)
 
-Two quadratic forms are then exact invariants of the map, and both are
-positive — hence the scheme stable — whenever dt * ||A|| < 2.
+Two quadratic forms are then exact invariants of the map:
+
+    C_n       = ||f_n||_X^2 + <g_{n+1/2}, g_{n-1/2}>_Y
+    C_{n-1/2} = <f_n, f_{n-1}>_X + ||g_{n-1/2}||_Y^2
+
+four inner products of fields the march holds anyway.  The march gives
+dt A f_n = g_{n+1/2} - g_{n-1/2} and dt A* g_{n-1/2} = f_{n-1} - f_n, so the
+polarisation identity ||(a+b)/2||^2 - ||(a-b)/2||^2 = <a, b> turns them into
+the three-term forms that show the CFL edge:
+
+    C_n       = ||f_n||^2 + ||g_bar||^2 - (dt/2)^2 ||A f_n||^2
+    C_{n-1/2} = ||f_bar||^2 + ||g_{n-1/2}||^2 - (dt/2)^2 ||A* g_{n-1/2}||^2
+
+with g_bar = (g_{n+1/2} + g_{n-1/2})/2 and f_bar = (f_n + f_{n-1})/2.  The
+subtracted term is at most (dt ||A|| / 2)^2 times ||f_n||^2 (in C_n) or
+||g_{n-1/2}||^2 (in C_{n-1/2}), so both invariants are positive — hence the
+scheme stable — whenever dt * ||A|| < 2.
 
 Fields are never interpreted here: elements of X and Y can be floats, numpy
 arrays, or anything supporting +, -, and scalar multiplication.  Inner
@@ -24,17 +39,20 @@ products, its CFL step, its start data and, where known, its exact solution.
 
 Buffers: a pair may supply an `update` hook that writes a whole update into
 a given buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's
-scalar pair and recorded steps allocate.  `run_system` then owns one working
-pair, which each unrecorded step overwrites in place, f first and then g, as
-the Yee scheme overwrites E and then H.  Three kinds of step write fresh
-fields instead, keeping their predecessor as history: the first, because the
-caller's f0 and g_half0 are never written; a recorded step; and the last,
-because the returned state carries one step of history.  An `audit`
-callback must not keep references to the state's fields across steps: the
-next unrecorded step overwrites the fields in place.  A hook whose
-differences share one power-of-two spacing h <= 1 folds the exact factor 1/h
-into the multiplication after them (`fold_spacing`); other hooks divide by
-their spacings through `divide_in_place`.
+scalar pair allocates.  `run_system` then owns one working pair, which each
+unrecorded step overwrites in place, f first and then g, as the Yee scheme
+overwrites E and then H.  Three kinds of step keep their predecessor as
+history instead, and write into a spare pair: the first, because the
+caller's f0 and g_half0 are never written; a recorded step, whose
+invariants read the history; and the last, because the returned state
+carries one step of history.  The spare is a retired history pair that the
+engine made itself, or a fresh pair until there is one, so a march holds at
+most two pairs of its own and allocates none per step.  An `audit` callback
+must not keep references to the state's fields across steps: later steps
+overwrite them.  A hook whose differences share one power-of-two spacing
+h <= 1 folds the exact factor 1/h into the multiplication after them
+(`fold_spacing`); other hooks divide by their spacings through
+`divide_in_place`.
 """
 
 from __future__ import annotations
@@ -162,11 +180,8 @@ class OperatorPair:
 
 @dataclass
 class SystemState:
-    """f at t_n and g at t_{n+1/2}, with one step of history for the invariants.
-
-    A step taken with keep_terms=True also keeps the two operator results it
-    computed, A f_n and A* g_{n-1/2}; the invariants then reuse them.
-    """
+    """f at t_n and g at t_{n+1/2}, with one step of history, f_{n-1} and
+    g_{n-1/2}, for the invariants."""
 
     f: Any
     g_half: Any
@@ -174,8 +189,6 @@ class SystemState:
     step: int = 0
     f_prev: Any = None
     g_prev_half: Any = None
-    a_f: Any = None
-    astar_g_prev: Any = None
 
 
 @dataclass(frozen=True)
@@ -255,76 +268,62 @@ def _parts(field) -> tuple:
     return getattr(field, "components", (field,))
 
 
-def system_step(
-    state: SystemState, ops: OperatorPair, *, keep_terms: bool = False, out=None
-) -> SystemState:
+def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemState:
     """One leapfrog step.  f is updated first; g uses the freshly updated f.
+    The new state keeps the old f and g_half as its history.
 
-    keep_terms=True keeps A* g_{n+1/2} and A f_{n+1} on the new state, so
-    that its invariants cost inner products only.  Without it the operator
-    results are dropped as soon as they are used.
-
-    out=(f_buf, g_buf), for a pair with an `update` hook and without
-    keep_terms, has the hook write f_{n+1} into f_buf and g_{n+3/2} into
-    g_buf (None for a fresh field); the bits are the same either way.
+    out=(f_buf, g_buf), for a pair with an `update` hook, has the hook write
+    f_{n+1} into f_buf and g_{n+3/2} into g_buf (None for a fresh field);
+    neither may be the state's f or g_half, which become the history.  The
+    bits are the same either way.
     """
-    if not keep_terms:
-        if out is None:
-            f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
-            g_new = state.g_half + state.dt * ops.apply_A(f_new)
-        else:
-            f_new = ops.update(state.f, state.g_half, state.dt, out[0], True)
-            g_new = ops.update(state.g_half, f_new, state.dt, out[1], False)
-        return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
-    astar_g = ops.apply_Astar(state.g_half)
-    f_new = state.f - state.dt * astar_g
-    a_f = ops.apply_A(f_new)
-    g_new = state.g_half + state.dt * a_f
-    return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half,
-                       a_f, astar_g)
+    if out is None:
+        f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
+        g_new = state.g_half + state.dt * ops.apply_A(f_new)
+    else:
+        f_new = ops.update(state.f, state.g_half, state.dt, out[0], True)
+        g_new = ops.update(state.g_half, f_new, state.dt, out[1], False)
+    return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
 
 
 def init_g_half(f0, g0, ops: OperatorPair, dt: float):
     """Second-order accurate g at t = dt/2 from (f0, g0): the Taylor step, with
     the curvature term (g'' = -A A* g) at its true coefficient 1/2*(dt/2)^2."""
     coeff = 0.5 * _square(0.5 * dt)
-    return g0 + (0.5 * dt) * ops.apply_A(f0) - coeff * ops.apply_A(ops.apply_Astar(g0))
+    first_order = g0 + (0.5 * dt) * ops.apply_A(f0)
+    # once (dt/2)**2 passes the float range the coefficient is inf, and inf
+    # times a zero of the curvature is a NaN that the march carries into its
+    # report; formed here, it raises no numpy warning
+    with np.errstate(invalid="ignore"):
+        curvature = coeff * ops.apply_A(ops.apply_Astar(g0))
+    return first_order - curvature
 
 
 def energy_pieces(
     state: SystemState,
-    ops: OperatorPair,
     inner_X: Callable = euclidean_inner,
     inner_Y: Callable = euclidean_inner,
 ) -> tuple:
-    """The three terms (||f_n||_X^2, ||g_bar||_Y^2, ||A f_n||_Y^2) of the
-    whole-step invariant, with g_bar = (g_{n+1/2} + g_{n-1/2})/2.  A kept
-    A f_n (`state.a_f`) is used as is; otherwise A is applied."""
+    """The two terms (||f_n||_X^2, <g_{n+1/2}, g_{n-1/2}>_Y) of the
+    whole-step invariant, which is their sum."""
     if state.g_prev_half is None:
         raise ValueError("the whole-step invariant needs one step of history")
-    g_bar = 0.5 * (state.g_half + state.g_prev_half)
-    af = state.a_f
-    if af is None:
-        af = ops.apply_A(state.f)
-    return inner_X(state.f, state.f), inner_Y(g_bar, g_bar), inner_Y(af, af)
+    return inner_X(state.f, state.f), inner_Y(state.g_half, state.g_prev_half)
 
 
 def conserved_full(
     state: SystemState,
-    ops: OperatorPair,
     inner_X: Callable = euclidean_inner,
     inner_Y: Callable = euclidean_inner,
 ) -> float:
     """Invariant at the state's integer time level n:
 
-    ||f_n||_X^2 + ||(g_{n+1/2} + g_{n-1/2})/2||_Y^2 - (dt/2)^2 ||A f_n||_Y^2
+    ||f_n||_X^2 + <g_{n+1/2}, g_{n-1/2}>_Y
+
+    (the module docstring derives its three-term form).
     """
-    return _whole_step(energy_pieces(state, ops, inner_X, inner_Y), state.dt)
-
-
-def _whole_step(pieces, dt: float) -> float:
-    c1, c2, c3 = pieces
-    return c1 + c2 - _square(0.5 * dt) * c3
+    sq_f, g_cross = energy_pieces(state, inner_X, inner_Y)
+    return sq_f + g_cross
 
 
 def _square(x: float) -> float:
@@ -339,28 +338,18 @@ def _square(x: float) -> float:
 
 def conserved_half_step(
     state: SystemState,
-    ops: OperatorPair,
     inner_X: Callable = euclidean_inner,
     inner_Y: Callable = euclidean_inner,
 ) -> float:
     """Invariant at the half level n-1/2 trailing the state:
 
-    ||(f_n + f_{n-1})/2||_X^2 + ||g_{n-1/2}||_Y^2 - (dt/2)^2 ||A* g_{n-1/2}||_X^2
+    <f_n, f_{n-1}>_X + ||g_{n-1/2}||_Y^2
 
-    A kept A* g_{n-1/2} (`state.astar_g_prev`) is used as is; otherwise A* is
-    applied.
+    (the module docstring derives its three-term form).
     """
     if state.f_prev is None or state.g_prev_half is None:
         raise ValueError("the half-step invariant needs one step of history")
-    f_bar = 0.5 * (state.f + state.f_prev)
-    ag = state.astar_g_prev
-    if ag is None:
-        ag = ops.apply_Astar(state.g_prev_half)
-    return (
-        inner_X(f_bar, f_bar)
-        + inner_Y(state.g_prev_half, state.g_prev_half)
-        - _square(0.5 * state.dt) * inner_X(ag, ag)
-    )
+    return inner_X(state.f, state.f_prev) + inner_Y(state.g_prev_half, state.g_prev_half)
 
 
 def check_adjointness(
@@ -414,14 +403,15 @@ def run_system(
     (step, C_full, C_half) per `record_every`-th step (none for
     record_every=0).  An `audit(state, pieces)` callback, given the state and
     the `energy_pieces` of C_full, appends the entries it returns; it must
-    not keep the state's fields: the next unrecorded step overwrites the
-    fields in place.
+    not keep the state's fields: later steps overwrite them.
 
     With a pair that has an `update` hook, the run owns one working pair:
-    an unrecorded step overwrites f and then g in place, except the first,
-    which never writes the caller's start pair, and the last, whose state
-    keeps one step of history; those two write fresh fields, as recorded
-    steps do.  The run lets go of the start pair once step 1 has used it.
+    an unrecorded step overwrites f and then g in place.  The first step,
+    which never writes the caller's start pair, a recorded step and the
+    last, whose states keep one step of history, write into a spare pair
+    instead: the history pair a step retires, once that is the run's own,
+    or a fresh pair before then.  The run lets go of the start pair once
+    step 1 has used it.
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
@@ -435,32 +425,27 @@ def run_system(
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     del f0, g0, g_half0  # the state alone holds the start data
     in_place = ops.update is not None
+    spare = (None, None)
     record = []
     for n in range(1, n_steps + 1):
         recorded = bool(record_every) and n % record_every == 0
-        if recorded or not in_place:
-            state = system_step(state, ops, keep_terms=recorded)
+        if not in_place:
+            state = system_step(state, ops)
         else:
-            # the step reads only f_n and g_{n+1/2}: the history behind them goes
-            # first.  Not so before a recorded step: freeing it there made a 40^3
-            # march that records every step ~20% slower on a 2-vCPU host, with
-            # five times the page faults, as the allocator returned the pages
-            # and the step's fresh fields faulted them back in.
+            # the step reads only f_n and g_{n+1/2}: the history behind them
+            # retires, and from step 3 on, when it is no longer the caller's
+            # start pair, becomes the spare
+            if n > 2 and state.f_prev is not None:
+                spare = (state.f_prev, state.g_prev_half)
             state.f_prev = state.g_prev_half = None
-            if n == 1 or n == n_steps:
-                state = system_step(state, ops, out=(None, None))
+            if recorded or n == 1 or n == n_steps:
+                state = system_step(state, ops, out=spare)
             else:
                 state.f = ops.update(state.f, state.g_half, dt, state.f, True)
                 state.g_half = ops.update(state.g_half, state.f, dt, state.g_half, False)
                 state.step = n
         if recorded:
-            pieces = energy_pieces(state, ops, inner_X, inner_Y)
-            row = (
-                state.step,
-                _whole_step(pieces, dt),
-                conserved_half_step(state, ops, inner_X, inner_Y),
-            )
-            # the kept terms have served; free them before the audit and the next step
-            state.a_f = state.astar_g_prev = None
+            pieces = energy_pieces(state, inner_X, inner_Y)
+            row = (state.step, pieces[0] + pieces[1], conserved_half_step(state, inner_X, inner_Y))
             record.append(row if audit is None else (*row, *audit(state, pieces)))
     return state, record

@@ -41,6 +41,13 @@ def run_cli(args, tmp_path, prefix):
     return cli.main(args + ["--outdir", str(tmp_path), "--prefix", prefix])
 
 
+def only_the_cfl_warning(caught) -> bool:
+    """Whether the one RuntimeWarning among `caught` is the engine's CFL
+    warning ("the march is unstable")."""
+    messages = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return len(messages) == 1 and "unstable" in messages[0]
+
+
 # ---------------------------------------------------------------------------
 # experiment subcommands
 # ---------------------------------------------------------------------------
@@ -89,10 +96,13 @@ class TestExperimentCommands:
 
     @pytest.mark.parametrize("command", [["oscillator"], ["system", "--preset", "oscillator"]])
     def test_time_step_past_the_float_range_writes_report_and_fails(self, command, tmp_path):
-        # (dt/2)**2 overflows a Python float: the Taylor start and both
-        # invariants take it as inf, so the run still ends in a report
-        with pytest.warns(RuntimeWarning, match="unstable"):
+        # (dt/2)**2 overflows a Python float: the Taylor start takes it as
+        # inf, so the march runs into inf and NaN, and the run still ends in a
+        # report, with the CFL warning as its only RuntimeWarning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli([*command, "--dt", "1e308", "--steps", "3"], tmp_path, "huge")
+        assert only_the_cfl_warning(caught)
         assert code == 1
         drift = {c["name"]: c["passed"] for c in read_report(tmp_path, "huge")["checks"]}
         assert drift == {"C_n-drift": False, "C_half-drift": False}
@@ -102,9 +112,11 @@ class TestExperimentCommands:
     def test_final_time_past_the_float_range_writes_report_and_fails(self, tmp_path):
         # a fixed --nt makes dt = 2e307: the march overflows and the mode's
         # phase at t_final is past the float range, so its error norm is NaN
-        with pytest.warns(RuntimeWarning, match="unstable"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             code = run_cli(["wave2d", "--nx", "8", "--nt", "5", "--t-final", "1e308"],
                            tmp_path, "huge2d")
+        assert only_the_cfl_warning(caught)
         assert code == 1
         report = read_report(tmp_path, "huge2d")
         assert report["passed"] is False
@@ -188,7 +200,7 @@ class TestExperimentCommands:
         )
         assert code == 0
         header, rows = read_csv(tmp_path / "w3_series.csv")
-        assert header == ["step", "t", "C_n", "C_half", "sq_f", "sq_gbar", "sq_AGf"]
+        assert header == ["step", "t", "C_n", "C_half", "sq_f", "g_cross"]
         assert len(rows) == 60
         assert read_report(tmp_path, "w3")["passed"] is True
 

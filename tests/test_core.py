@@ -120,7 +120,6 @@ class TestInitGHalf:
 
 class TestConservedQuantities:
     def test_zero_state(self):
-        ops = matrix_pair(np.eye(3))
         s = SystemState(
             f=np.zeros(3),
             g_half=np.zeros(3),
@@ -128,16 +127,15 @@ class TestConservedQuantities:
             f_prev=np.zeros(3),
             g_prev_half=np.zeros(3),
         )
-        assert conserved_full(s, ops) == 0.0
-        assert conserved_half_step(s, ops) == 0.0
+        assert conserved_full(s) == 0.0
+        assert conserved_half_step(s) == 0.0
 
     def test_dt_zero_reduces_to_norms(self):
-        ops = matrix_pair(np.eye(2))
         f = np.array([3.0, 4.0])
         g = np.array([1.0, 1.0])
         s = SystemState(f=f, g_half=g, dt=0.0, f_prev=f, g_prev_half=g)
-        assert conserved_full(s, ops) == pytest.approx(25.0 + 2.0)
-        assert conserved_half_step(s, ops) == pytest.approx(25.0 + 2.0)
+        assert conserved_full(s) == pytest.approx(25.0 + 2.0)
+        assert conserved_half_step(s) == pytest.approx(25.0 + 2.0)
 
     def test_random_matrix_drift(self):
         # 3x2 random system, dt ||A|| = 0.5, 1e3 steps: relative drift <= 1e-12
@@ -197,7 +195,7 @@ class TestConservedQuantities:
         )
         for _ in range(100):
             state = system_step(state, ops)
-            c = conserved_full(state, ops)
+            c = conserved_full(state)
             g_bar = 0.5 * (state.g_half + state.g_prev_half)
             lower = (1 - (0.5 * dt * ops.norm_bound_A) ** 2) * euclidean_inner(
                 state.f, state.f
@@ -205,12 +203,11 @@ class TestConservedQuantities:
             assert c >= lower - 1e-12 * abs(c)
 
     def test_history_required(self):
-        ops = matrix_pair(np.eye(2))
         s = SystemState(f=np.ones(2), g_half=np.ones(2), dt=0.1)
         with pytest.raises(ValueError):
-            conserved_full(s, ops)
+            conserved_full(s)
         with pytest.raises(ValueError):
-            conserved_half_step(s, ops)
+            conserved_half_step(s)
 
 
 class TestCheckAdjointness:

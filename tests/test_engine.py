@@ -1,7 +1,7 @@
 """Every kept step and every module's `System` march is the core engine on
 that module's operator pair and inner products, bit for bit; every `System`
-keeps one contract; a recorded step reuses its own operator terms for the
-invariants."""
+keeps one contract; a record is the three-term invariants, formed from inner
+products alone."""
 
 import sys
 import warnings
@@ -17,9 +17,6 @@ from stagwave.core import (
     SpacingFold,
     SystemState,
     check_adjointness,
-    conserved_full,
-    conserved_half_step,
-    energy_pieces,
     fold_spacing,
     run_system,
     system_step,
@@ -355,7 +352,8 @@ def test_system_oscillator_preset_is_its_own_pair():
 
 
 def _counted(ops, counts):
-    """The pair with every application of A and A* counted."""
+    """The pair with every application of A and A* counted, those inside its
+    update hook included."""
 
     def count(name, fn):
         def apply(x):
@@ -364,50 +362,44 @@ def _counted(ops, counts):
 
         return apply
 
-    return replace(
-        ops, apply_A=count("A", ops.apply_A), apply_Astar=count("Astar", ops.apply_Astar)
-    )
+    def update(x, y, dt, out, adjoint):
+        counts["Astar" if adjoint else "A"] += 1
+        return ops.update(x, y, dt, out, adjoint)
+
+    return replace(ops, apply_A=count("A", ops.apply_A),
+                   apply_Astar=count("Astar", ops.apply_Astar),
+                   update=None if ops.update is None else update)
 
 
+def _three_term(state, ops, inner_X, inner_Y):
+    """(C_n, C_half) of a state in the three-term forms, A and A* applied:
+    ||f_n||^2 + ||g_bar||^2 - (dt/2)^2 ||A f_n||^2 and
+    ||f_bar||^2 + ||g_{n-1/2}||^2 - (dt/2)^2 ||A* g_{n-1/2}||^2."""
+    h2 = (0.5 * state.dt) ** 2
+    g_bar = 0.5 * (state.g_half + state.g_prev_half)
+    f_bar = 0.5 * (state.f + state.f_prev)
+    af, ag = ops.apply_A(state.f), ops.apply_Astar(state.g_prev_half)
+    return (inner_X(state.f, state.f) + inner_Y(g_bar, g_bar) - h2 * inner_Y(af, af),
+            inner_X(f_bar, f_bar) + inner_Y(state.g_prev_half, state.g_prev_half)
+            - h2 * inner_X(ag, ag))
+
+
+@pytest.mark.parametrize("record_every", [1, 3])
 @pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_recorded_steps_reuse_their_operator_terms(name):
+def test_records_are_the_three_term_invariants(name, record_every):
     case = SYSTEMS[name](np.random.default_rng(7))
     ops, inner_X, inner_Y = _engine(case["system"])
     f, g = case["state"].f, case["state"].g_half
-
-    def reference(state, pieces):
-        bare = SystemState(state.f, state.g_half, state.dt, state.step,
-                           state.f_prev, state.g_prev_half)
-        return (pieces, energy_pieces(bare, ops, inner_X, inner_Y),
-                conserved_full(bare, ops, inner_X, inner_Y),
-                conserved_half_step(bare, ops, inner_X, inner_Y))
-
     counts = Counter()
-    _, records = run_system(f, None, _counted(ops, counts), case["dt"], 4, inner_X, inner_Y,
-                            g_half0=g, audit=reference)
-    # one A and one A* per step: recording applied neither operator again
-    assert counts == {"A": 4, "Astar": 4}
-    assert [r[0] for r in records] == [1, 2, 3, 4]
-    for _, c_n, c_half, pieces, ref_pieces, ref_n, ref_half in records:
-        assert pieces == ref_pieces and c_n == ref_n and c_half == ref_half
-
-
-@pytest.mark.parametrize("name", sorted(SYSTEMS))
-def test_only_recorded_steps_keep_operator_terms(name):
-    case = SYSTEMS[name](np.random.default_rng(9))
-    ops, inner_X, inner_Y = _engine(case["system"])
-    f, g = case["state"].f, case["state"].g_half
-    start = SystemState(f=f, g_half=g, dt=case["dt"])
-    bare = system_step(start, ops)
-    assert bare.a_f is None and bare.astar_g_prev is None
-    kept = system_step(start, ops, keep_terms=True)
-    assert _same(kept.f, bare.f) and _same(kept.g_half, bare.g_half)
-    assert _same(kept.a_f, ops.apply_A(kept.f))
-    assert _same(kept.astar_g_prev, ops.apply_Astar(start.g_half))
-    state, records = run_system(f, None, ops, case["dt"], 5, inner_X, inner_Y,
-                                g_half0=g, record_every=2)
-    assert [r[0] for r in records] == [2, 4]
-    assert state.step == 5 and state.a_f is None and state.astar_g_prev is None
+    _, records = run_system(f, None, _counted(ops, counts), case["dt"], 7, inner_X, inner_Y,
+                            g_half0=g, record_every=record_every,
+                            audit=lambda state, _: _three_term(state, ops, inner_X, inner_Y))
+    # one A and one A* per step: recording applied neither operator
+    assert counts == {"A": 7, "Astar": 7}
+    assert [r[0] for r in records] == list(range(record_every, 8, record_every))
+    for _, c_n, c_half, ref_n, ref_half in records:
+        assert abs(c_n - ref_n) <= 1e-15 * abs(ref_n)
+        assert abs(c_half - ref_half) <= 1e-15 * abs(ref_half)
 
 
 def _count_3d_calls(monkeypatch, counts):
@@ -428,11 +420,11 @@ def _count_3d_calls(monkeypatch, counts):
 
 
 @pytest.mark.parametrize(
-    "record_every, ops_per_step, inner3_per_step", [(1, 8, 6), (0, 4, 0)]
+    "record_every, ops_per_step, inner3_per_step", [(1, 8, 4), (0, 4, 0)]
 )
 def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, inner3_per_step):
     # a recorded step: the step's 4 applications plus the divergence audit's
-    # 2 stars and 2 divergences; the invariants add only inner products
+    # 2 stars and 2 divergences; the invariants add four inner products
     grid = _grid3d()
     eps, mu = _maxwell_stars(grid)
     case = _maxwell(np.random.default_rng(3))
@@ -505,11 +497,11 @@ def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_ev
                                                             np.random.default_rng(31))
     assert ops.update is not None
     n = IN_PLACE_STEPS
-    kept = [c.copy() for c in _parts(f0) + _parts(g0)]
+    kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
-    # the caller's start data is never written
-    assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
+    # the caller's start data is never written, nor taken for a spare pair
+    assert all(np.array_equal(a, b) for a, b in zip(kept, _bits(f0) + _bits(g0)))
     # a loop of allocating steps (no hook) gives the same bits, history included
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n):
@@ -525,30 +517,35 @@ def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_ev
     assert len(records) == (n // record_every if record_every else 0)
 
 
-@pytest.mark.parametrize("record_every", [0, 3])
+@pytest.mark.parametrize("record_every", [0, 1, 3])
 def test_in_place_run_overwrites_its_own_pair(record_every):
     (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case("maxwell", "pinned", "unit",
                                                             np.random.default_rng(32))
-    calls = []  # (x, out) of every hook call: f then g, one step after another
+    calls = []  # (x, out, result) of every hook call: f then g, one step after another
 
     def watch(x, y, dt, out, adjoint):
-        calls.append((x, out))
-        return ops.update(x, y, dt, out, adjoint)
+        result = ops.update(x, y, dt, out, adjoint)
+        calls.append((x, out, result))
+        return result
 
     state, _ = run_system(f0, None, replace(ops, update=watch), dt, 8, inner_X, inner_Y,
                           g_half0=g0, record_every=record_every)
-    # a recorded step (3 and 6) takes the allocating path, without the hook
-    unrecorded = 8 - (8 // record_every if record_every else 0)
-    assert len(calls) == 2 * unrecorded
-    # the first and the last step make fresh fields: the start pair is the
-    # caller's, and the returned state keeps its history
-    assert all(out is None for _, out in calls[:2] + calls[-2:])
-    # every unrecorded step between them overwrites its own f and g
-    between = calls[2:-2]
-    assert between and all(out is x for x, out in between)
+    assert len(calls) == 2 * 8
+    for n in range(1, 9):
+        step = calls[2 * n - 2:2 * n]
+        if n in (1, 8) or (record_every and n % record_every == 0):
+            # the first step (the start pair is the caller's), a recorded step
+            # and the last keep their history, so they write into a spare
+            assert all(out is not x for x, out, _ in step)
+        else:
+            # every other step overwrites its own f and g
+            assert all(out is x for x, out, _ in step)
+    # the first step makes fresh fields, and the whole run makes two pairs
+    assert all(out is None for _, out, _ in calls[:2])
+    assert len({id(c) for _, _, result in calls for c in _parts(result)}) == 2 * 6
     if not record_every:
         # one working pair for the whole run, the last step's history
-        assert {id(c) for x, _ in between for c in _parts(x)} == {
+        assert {id(c) for x, _, _ in calls[2:-2] for c in _parts(x)} == {
             id(c) for c in _parts(state.f_prev) + _parts(state.g_prev_half)}
 
 
@@ -564,48 +561,72 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-def _steady_peak(ops, f0, g0, dt, n_steps):
-    """How far memory rises, over what is live as they begin, during the
-    in-place steps of a record_every=0 run: steps 2 to n_steps - 1, whose
-    hook calls write over x."""
+def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0):
+    """The most that memory rises, over what is live as the step begins,
+    during one of steps 3 to n_steps - 1 of a run of `engine` (a pair and its
+    products) recorded every `record_every` steps: the steps after the two
+    that may make the run's pairs, and before the last.  A step runs from its
+    A* update to its A update, through the hook or the pair's operators; a
+    record's inner products fall between steps."""
     import tracemalloc
 
-    marks = []
+    ops, inner_X, inner_Y = engine
+    starts, rises = [], []
 
-    def watch(x, y, dt, out, adjoint):
-        if out is x and not marks:
-            tracemalloc.reset_peak()
-            marks.append(tracemalloc.get_traced_memory()[0])
+    def begin():
+        tracemalloc.reset_peak()
+        starts.append(tracemalloc.get_traced_memory()[0])
+
+    def end():
+        rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
+
+    def update(x, y, dt, out, adjoint):
+        if adjoint:
+            begin()
         result = ops.update(x, y, dt, out, adjoint)
-        if out is x:
-            marks.append(tracemalloc.get_traced_memory()[1])
+        if not adjoint:
+            end()
         return result
 
-    _peak_bytes(lambda: run_system(f0, None, replace(ops, update=watch), dt, n_steps,
-                                   g_half0=g0, record_every=0))
-    return marks[-1] - marks[0]
+    def apply_Astar(g):
+        begin()
+        return ops.apply_Astar(g)
+
+    def apply_A(f):
+        result = ops.apply_A(f)
+        end()
+        return result
+
+    watched = replace(ops, update=update, apply_A=apply_A, apply_Astar=apply_Astar)
+    _peak_bytes(lambda: run_system(f0, None, watched, dt, n_steps, inner_X, inner_Y,
+                                   g_half0=g0, record_every=record_every))
+    assert len(rises) == n_steps
+    return max(rises[2:-1])
 
 
-def _fresh(ops):
-    """The pair with a hook that ignores `out` and makes fresh fields."""
-    return replace(ops, update=lambda x, y, dt, out, adjoint: ops.update(x, y, dt, None,
-                                                                         adjoint))
+def _fresh(engine):
+    """The engine with a hook that ignores `out` and makes fresh fields."""
+    ops = engine[0]
+    return (replace(ops, update=lambda x, y, dt, out, adjoint: ops.update(x, y, dt, None,
+                                                                          adjoint)),
+            *engine[1:])
 
 
-def test_steady_unrecorded_maxwell_steps_allocate_no_field():
+@pytest.mark.parametrize("record_every", [0, 1])
+def test_steady_maxwell_steps_allocate_no_field(record_every):
     grid = Grid3.cube(64, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
     system = wave3d.maxwell_system(star, star, grid)
-    ops = system.ops
+    engine = _engine(system)
     dt = system.cfl_dt(0.9)
     f0, g0 = system.start(dt)  # the TE mode, with the Taylor half step for H
     component = f0.x.nbytes
-    run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch
-    # 20 in-place steps may add only numpy's fixed-size iteration buffers for
-    # strided operands, not a field
-    assert _steady_peak(ops, f0, g0, dt, 22) < component
+    run_system(f0, None, system.ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its scratch
+    # 20 steps, recorded or not, may add only numpy's fixed-size iteration
+    # buffers for strided operands, not a field
+    assert _steady_peak(engine, f0, g0, dt, 22, record_every) < component
     # the measure sees a step that makes a field
-    assert _steady_peak(_fresh(ops), f0, g0, dt, 22) > component
+    assert _steady_peak(_fresh(engine), f0, g0, dt, 22, record_every) > component
 
 
 @pytest.mark.skipif(sys.version_info < (3, 11),
@@ -695,11 +716,12 @@ def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(41))
     assert ops.update is not None
     n_steps = IN_PLACE_STEPS
-    kept = [c.copy() for c in _parts(f0) + _parts(g0)]
+    kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
-    # the caller's start data is never written, its -0.0 included
-    assert all(np.array_equal(a, b) for a, b in zip(kept, _parts(f0) + _parts(g0)))
+    # the caller's start data is never written, nor taken for a spare pair,
+    # its -0.0 included
+    assert all(np.array_equal(a, b) for a, b in zip(kept, _bits(f0) + _bits(g0)))
     assert np.signbit(f0.flat[0])
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n_steps):
@@ -730,14 +752,16 @@ def test_in_place_low_dim_run_backward_in_time_keeps_the_rim_bits(name):
 
 
 @pytest.mark.parametrize("name, n", [("cmp", 2049), ("vmp-rough", 2049), ("wave2d", 256)])
-def test_steady_unrecorded_low_dim_steps_allocate_no_field(name, n):
-    (ops, _, _), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(43))
+@pytest.mark.parametrize("record_every", [0, 1])
+def test_steady_low_dim_steps_allocate_no_field(record_every, name, n):
+    engine, f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(43))
     field = f0.nbytes
-    run_system(f0, None, ops, dt, 1, g_half0=g0, record_every=0)  # the pair makes its work arrays
-    # 20 in-place steps add no field
-    assert _steady_peak(ops, f0, g0, dt, 22) < field
+    # the pair makes its work arrays
+    run_system(f0, None, engine[0], dt, 1, g_half0=g0, record_every=0)
+    # 20 steps, recorded or not, add no field
+    assert _steady_peak(engine, f0, g0, dt, 22, record_every) < field
     # the measure sees a step that makes a field
-    assert _steady_peak(_fresh(ops), f0, g0, dt, 22) > field
+    assert _steady_peak(_fresh(engine), f0, g0, dt, 22, record_every) > field
 
 
 class _ScalarOperands:

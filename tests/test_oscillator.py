@@ -14,8 +14,8 @@ from stagwave.oscillator import (
     stability_probe,
 )
 
-# a System's (pair, inner_X, inner_Y), in the order the engine takes them
-_engine = attrgetter("ops", "inner_X", "inner_Y")
+# a System's (inner_X, inner_Y), in the order the invariants take them
+_products = attrgetter("inner_X", "inner_Y")
 
 
 def test_params_validation():
@@ -101,25 +101,28 @@ class TestConservedQuantities:
     def test_trivial_values(self):
         p = OscParams(omega=1.0, dt=0.0)  # alpha = 0
         s = SystemState(f=1.0, g_half=0.0, dt=p.dt, f_prev=0.0, g_prev_half=0.0)
-        assert conserved_full(s, *_engine(oscillator_system(p))) == pytest.approx(0.5)
+        assert conserved_full(s, *_products(oscillator_system(p))) == pytest.approx(0.5)
         s2 = SystemState(f=0.0, g_half=1.0, dt=p.dt, f_prev=0.0, g_prev_half=1.0)
-        assert conserved_half_step(s2, *_engine(oscillator_system(p))) == pytest.approx(0.5)
+        assert conserved_half_step(s2, *_products(oscillator_system(p))) == pytest.approx(0.5)
 
     def test_alpha_one_kills_u_term(self):
-        # omega*dt = 2 -> alpha = 1: the u^2 coefficient vanishes
+        # omega*dt = 2 -> alpha = 1: the u^2 coefficient vanishes.  The states
+        # are leapfrog states, as the invariants assume: v_{n+1/2} - v_{n-1/2}
+        # = dt omega u_n (8 + 6 = 2 * 7) and u_{n-1} - u_n = dt omega v_{n-1/2}
+        # (10 + 8 = 2 * 9), with v_bar = 1 and u_bar = 1
         p = OscParams(omega=2.0, dt=1.0)
-        s = SystemState(f=7.0, g_half=1.0, dt=p.dt, f_prev=0.0, g_prev_half=1.0)
-        assert conserved_full(s, *_engine(oscillator_system(p))) == pytest.approx(0.5)
-        s2 = SystemState(f=2.0, g_half=123.0, dt=p.dt, f_prev=0.0, g_prev_half=9.0)
-        assert conserved_half_step(s2, *_engine(oscillator_system(p))) == pytest.approx(0.5)
+        s = SystemState(f=7.0, g_half=8.0, dt=p.dt, f_prev=0.0, g_prev_half=-6.0)
+        assert conserved_full(s, *_products(oscillator_system(p))) == pytest.approx(0.5)
+        s2 = SystemState(f=-8.0, g_half=123.0, dt=p.dt, f_prev=10.0, g_prev_half=9.0)
+        assert conserved_half_step(s2, *_products(oscillator_system(p))) == pytest.approx(0.5)
 
     def test_history_required(self):
         p = OscParams(omega=1.0, dt=0.1)
         fresh = SystemState(f=1.0, g_half=0.0, dt=p.dt)
         with pytest.raises(ValueError):
-            conserved_full(fresh, *_engine(oscillator_system(p)))
+            conserved_full(fresh, *_products(oscillator_system(p)))
         with pytest.raises(ValueError):
-            conserved_half_step(fresh, *_engine(oscillator_system(p)))
+            conserved_half_step(fresh, *_products(oscillator_system(p)))
 
     def test_long_run_drift(self):
         # omega=1, dt=0.01, 1e4 steps: both invariants constant to ~eps

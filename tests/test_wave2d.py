@@ -28,8 +28,8 @@ from stagwave.wave2d import (
 
 DIAG = (1.5, 2.5)
 
-# a System's (pair, inner_X, inner_Y), in the order the engine takes them
-_engine = attrgetter("ops", "inner_X", "inner_Y")
+# a System's (inner_X, inner_Y), in the order the invariants take them
+_products = attrgetter("inner_X", "inner_Y")
 
 
 def v_half(u0, v0, star, grid, dt):
@@ -407,9 +407,9 @@ class TestConserved:
         grid = Grid2(5, 5)
         state = random_state(grid, np.random.default_rng(0), 0.01)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(state, *_engine(wave2d_system(Star2(), grid)))
+            conserved_full(state, *_products(wave2d_system(Star2(), grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(state, *_engine(wave2d_system(Star2(), grid)))
+            conserved_half_step(state, *_products(wave2d_system(Star2(), grid)))
 
     @pytest.mark.parametrize("name", sorted(STARS))
     def test_drift_over_thousand_steps(self, name):
@@ -434,8 +434,8 @@ class TestConserved:
         rng = np.random.default_rng(33)
         for _ in range(100):
             state = wave2d_step(random_state(grid, rng, dt), star, grid)
-            assert conserved_full(state, *_engine(wave2d_system(star, grid))) > 0.0
-            assert conserved_half_step(state, *_engine(wave2d_system(star, grid))) > 0.0
+            assert conserved_full(state, *_products(wave2d_system(star, grid))) > 0.0
+            assert conserved_half_step(state, *_products(wave2d_system(star, grid))) > 0.0
 
     def test_records_match_direct_evaluation(self):
         grid = Grid2(8, 8)
@@ -448,8 +448,8 @@ class TestConserved:
         assert [r[0] for r in records] == [3, 6, 9]
         state2, records2 = march(star, grid, u0, v_start, dt, 10)
         assert len(records2) == 10
-        assert records2[-1][1] == conserved_full(state2, *_engine(wave2d_system(star, grid)))
-        assert records2[-1][2] == conserved_half_step(state2, *_engine(wave2d_system(star, grid)))
+        assert records2[-1][1] == conserved_full(state2, *_products(wave2d_system(star, grid)))
+        assert records2[-1][2] == conserved_half_step(state2, *_products(wave2d_system(star, grid)))
 
 
 # ---------------------------------------------------------------------------

@@ -66,8 +66,8 @@ def random_maxwell_state(grid, rng, dt):
     return SystemState(f=e, g_half=random_vector(grid, "dual-edge", rng), dt=dt)
 
 
-# a System's (pair, inner_X, inner_Y), in the order the engine takes them
-_engine = attrgetter("ops", "inner_X", "inner_Y")
+# a System's (inner_X, inner_Y), in the order the invariants take them
+_products = attrgetter("inner_X", "inner_Y")
 
 
 def march_from(system, f0, g_half0, dt, n_steps, **kwargs):
@@ -77,7 +77,7 @@ def march_from(system, f0, g_half0, dt, n_steps, **kwargs):
 
 def maxwell_march(grid, eps, mu, e0, h_half, dt, n_steps, **kwargs):
     """The Maxwell march from (E0, H_half); each record is (step, C_n, C_half,
-    c1, c2, c3, div_e, div_h), the invariant pieces and the divergence audit."""
+    sq_f, g_cross, div_e, div_h), the invariant pieces and the divergence audit."""
 
     def audit(state, pieces):
         return (*pieces, *divergence_audit(state.f, state.g_half, eps, mu, grid))
@@ -176,13 +176,13 @@ class TestStates:
         fresh_s = random_scalar_state(grid, rng, dt=0.05)
         fresh_m = random_maxwell_state(grid, rng, dt=0.05)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_s, *_engine(scalar_wave_system(star, grid)))
+            conserved_full(fresh_s, *_products(scalar_wave_system(star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(fresh_s, *_engine(scalar_wave_system(star, grid)))
+            conserved_half_step(fresh_s, *_products(scalar_wave_system(star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_m, *_engine(maxwell_system(star, star, grid)))
+            conserved_full(fresh_m, *_products(maxwell_system(star, star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_half_step(fresh_m, *_engine(maxwell_system(star, star, grid)))
+            conserved_half_step(fresh_m, *_products(maxwell_system(star, star, grid)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,11 +211,10 @@ class TestScalarWave:
 
         c_core = conserved_full(
             core,
-            ops,
             inner_X=lambda a, b: inner3("node", a, b, star, grid),
             inner_Y=lambda a, b: inner3("dual-face", a, b, star, grid),
         )
-        assert c_core == conserved_full(state, *_engine(scalar_wave_system(star, grid)))
+        assert c_core == conserved_full(state, *_products(scalar_wave_system(star, grid)))
 
     def test_second_difference_identity(self):
         # two half-step updates compose to the centered second difference
@@ -311,8 +310,8 @@ class TestScalarWave:
         rng = np.random.default_rng(13)
         for _ in range(100):
             state = scalar_wave_step(random_scalar_state(grid, rng, dt), star, grid)
-            assert conserved_half_step(state, *_engine(scalar_wave_system(star, grid))) >= 0.0
-            assert conserved_full(state, *_engine(scalar_wave_system(star, grid))) >= 0.0
+            assert conserved_half_step(state, *_products(scalar_wave_system(star, grid))) >= 0.0
+            assert conserved_full(state, *_products(scalar_wave_system(star, grid))) >= 0.0
 
     def test_whole_step_invariant_below_its_positive_pieces(self):
         grid = pinned_cube(4)
@@ -321,10 +320,13 @@ class TestScalarWave:
         state = scalar_wave_step(
             random_scalar_state(grid, rng, dt=0.05), star, grid
         )
-        cn = conserved_full(state, *_engine(scalar_wave_system(star, grid)))
-        c1, c2, c3 = energy_pieces(state, *_engine(scalar_wave_system(star, grid)))
-        assert c3 > 0.0
-        assert cn < c1 + c2
+        inner_X, inner_Y = _products(scalar_wave_system(star, grid))
+        cn = conserved_full(state, inner_X, inner_Y)
+        sq_f, g_cross = energy_pieces(state, inner_X, inner_Y)
+        assert cn == sq_f + g_cross
+        # <g+, g-> = ||g_bar||^2 - ||(g+ - g-)/2||^2, and g+ - g- = dt A f != 0
+        g_bar = 0.5 * (state.g_half + state.g_prev_half)
+        assert cn < sq_f + inner_Y(g_bar, g_bar)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +366,7 @@ class TestMaxwell:
             + sum(float(np.sum(c**2)) for c in h_bar.components) * dv
             - (0.5 * dt) ** 2 * sum(float(np.sum(c**2)) for c in ce.components) * dv
         )
-        got = conserved_full(state, *_engine(maxwell_system(star, star, grid)))
+        got = conserved_full(state, *_products(maxwell_system(star, star, grid)))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_te_mode_zero_components_stay_exactly_zero(self):
@@ -461,8 +463,8 @@ class TestDivergenceAudit:
         h_half = init_g_half(e0, zeros_field(grid, "dual-edge"),
                              maxwell_operators(star, star, grid), dt)
         _, records = maxwell_march(grid, star, star, e0, h_half, dt, 50)
+        assert max(r[5] for r in records) <= 1e-12
         assert max(r[6] for r in records) <= 1e-12
-        assert max(r[7] for r in records) <= 1e-12
 
     @pytest.mark.parametrize("name", ["trivial", "const-diag"])
     def test_random_data_audit_is_constant_not_zero(self, name):
@@ -472,8 +474,8 @@ class TestDivergenceAudit:
         dt = maxwell_system(eps, mu, grid).cfl_dt(0.9)
         state = random_maxwell_state(grid, rng, dt)
         _, records = maxwell_march(grid, eps, mu, state.f, state.g_half, dt, 100)
-        div_e = [r[6] for r in records]
-        div_h = [r[7] for r in records]
+        div_e = [r[5] for r in records]
+        div_h = [r[6] for r in records]
         assert div_e[0] > 0.1 and div_h[0] > 0.1
         assert rel_drift(div_e) <= 1e-12
         assert rel_drift(div_h) <= 1e-12
@@ -557,11 +559,11 @@ class TestRunHelpers:
         state, records = march_from(scalar_wave_system(star, grid), state0.f, state0.g_half, dt,
                                     10, record_every=2, audit=lambda _, pieces: pieces)
         assert [r[0] for r in records] == [2, 4, 6, 8, 10]
-        step, c_n, c_half, c1, c2, c3 = records[-1]
+        step, c_n, c_half, sq_f, g_cross = records[-1]
         assert step == state.step
-        assert c_n == c1 + c2 - (0.5 * dt) ** 2 * c3
-        assert c_n == conserved_full(state, *_engine(scalar_wave_system(star, grid)))
-        assert c_half == conserved_half_step(state, *_engine(scalar_wave_system(star, grid)))
+        assert c_n == sq_f + g_cross
+        assert c_n == conserved_full(state, *_products(scalar_wave_system(star, grid)))
+        assert c_half == conserved_half_step(state, *_products(scalar_wave_system(star, grid)))
 
     def test_maxwell_records(self):
         grid = pinned_cube(4)
@@ -571,8 +573,8 @@ class TestRunHelpers:
         state0 = random_maxwell_state(grid, rng, dt)
         state, records = maxwell_march(grid, star, star, state0.f, state0.g_half, dt, 4)
         assert len(records) == 4
-        assert all(len(r) == 8 for r in records)
-        assert records[-1][1] == conserved_full(state, *_engine(maxwell_system(star, star, grid)))
+        assert all(len(r) == 7 for r in records)
+        assert records[-1][1] == conserved_full(state, *_products(maxwell_system(star, star, grid)))
         assert all(np.isfinite(r).all() for r in map(np.asarray, records))
 
     def test_courant_warning_fires_above_the_bound(self):
