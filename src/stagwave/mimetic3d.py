@@ -24,12 +24,13 @@ from the same (component, axis) term tables.  Both chains are exact
 complexes (curl of gradient and divergence of curl vanish identically).
 Material properties enter through :class:`Star3`, which maps each kind to
 its collocated partner: scalar weights ``a`` (nodes) and ``b`` (cell
-centers), and matrix weights ``A`` (edges -> dual faces) and ``B`` (dual
-edges -> faces) whose off-diagonal entries act through second-order 4-point
-averages.  The eight weighted inner products make the dual operators the
-(anti-)adjoints of the primal ones, which is what the conserved-quantity
-machinery in the time steppers relies on; ``check_discrete_adjoints`` and
-``negativity_check`` verify those identities numerically.
+centers), and diagonal tensors ``A`` (edges -> dual faces) and ``B`` (dual
+edges -> faces), one positive weight per component, so every star inverts
+exactly, point by point.  The eight weighted inner products make the dual
+operators the (anti-)adjoints of the primal ones, which is what the
+conserved-quantity machinery in the time steppers relies on;
+``check_discrete_adjoints`` and ``negativity_check`` verify those identities
+numerically.
 
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
@@ -42,7 +43,6 @@ is exactly the set of entries a Dirichlet-pinned time stepper never updates.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -69,8 +69,6 @@ SCALAR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 1)
 VECTOR_KINDS = tuple(kind for kind, p in _PATTERNS.items() if len(p) == 3)
 ALL_KINDS = SCALAR_KINDS + VECTOR_KINDS
 _ALL_PATTERNS = sorted({p for patterns in _PATTERNS.values() for p in patterns})
-
-STAR_MODES = ("scalar", "diagonal", "full")
 
 
 def _patterns(kind: str, kinds: tuple = ALL_KINDS) -> tuple:
@@ -496,86 +494,44 @@ def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None,
 # ---------------------------------------------------------------------------
 
 
-_MAT_KEYS = ("xx", "yy", "zz", "xy", "xz", "yz")
-
-
-def _full_rows(grid: Grid3, patterns, mat: dict):
-    """Sample a symmetric matrix at each row's points; return rows of the
-    matrix and of its pointwise inverse."""
-    missing = [k for k in _MAT_KEYS if k not in mat]
-    if missing:
-        raise ValueError(f"full star matrix needs entries {missing}")
-    names = ("x", "y", "z")
-    rows, inv_rows = [], []
-    for r in range(3):
-        entries = np.empty((3, 3), dtype=object)
-        for i in range(3):
-            for j in range(3):
-                key = names[i] + names[j]
-                key = key if key in mat else names[j] + names[i]
-                entries[i, j] = _sample(grid, patterns[r], mat[key])
-        diag = entries[r, r]
-        if np.any(diag <= 0):
-            raise ValueError("full star matrix needs positive diagonal entries")
-        stacked = np.stack(
-            [np.stack([entries[i, j] for j in range(3)], axis=-1) for i in range(3)],
-            axis=-2,
-        )
-        inv = np.linalg.inv(stacked)
-        rows.append(tuple(entries[r, j] for j in range(3)))
-        inv_rows.append(tuple(np.ascontiguousarray(inv[..., r, j]) for j in range(3)))
-    return tuple(rows), tuple(inv_rows)
-
-
 @dataclass(frozen=True, eq=False)
 class Star3:
-    """Material maps between collocated primal/dual kinds.
+    """Material maps between collocated primal/dual kinds, every one diagonal.
 
     ``a`` (node scalars -> dual cell densities) and ``b`` (dual node
-    scalars -> cell densities) multiply pointwise and invert exactly.
-    ``A`` (edge -> dual face) and ``B`` (dual edge -> face) are symmetric
-    matrices; in ``"scalar"`` and ``"diagonal"`` modes they act and invert
-    componentwise, while in ``"full"`` mode the off-diagonal entries act
-    through 4-point averages and the pointwise inverse is only a
-    second-order approximation of the true inverse, so full mode cannot
-    back a conserved-quantity guarantee (see :func:`require_exact_star`).
+    scalars -> cell densities) are scalar weights; ``A`` (edge -> dual face)
+    and ``B`` (dual edge -> face) are diagonal tensors, one weight per
+    component.  Every weight is positive and acts on its collocated
+    component alone, so each map inverts exactly, point by point: the
+    conserved quantities of the time steppers rest on that.
 
-    Build instances with :meth:`trivial`, :meth:`from_scalars`,
-    :meth:`from_diagonals` or :meth:`from_matrices`.
+    Build instances with :meth:`trivial`, :meth:`from_scalars` or
+    :meth:`from_diagonals`.
     """
 
     grid: Grid3
-    mode: str
     a: np.ndarray
     b: np.ndarray
-    # rows[r][c]: entry (r,c) sampled at the points of output component r;
-    # None for off-diagonal entries in scalar/diagonal modes
-    a_rows: tuple
-    a_inv_rows: tuple
-    b_rows: tuple
-    b_inv_rows: tuple
+    # the weights of A, A^-1, B and B^-1, entry r sampled at the points of
+    # component r of the kinds the map joins
+    a_diag: tuple
+    a_inv_diag: tuple
+    b_diag: tuple
+    b_inv_diag: tuple
 
     def __post_init__(self):
-        if self.mode not in STAR_MODES:
-            raise ValueError(f"unknown star mode {self.mode!r}")
         if np.any(_distinct(self.a) <= 0) or np.any(_distinct(self.b) <= 0):
             raise ValueError("scalar star coefficients must be positive")
-
-    @property
-    def exactly_invertible(self) -> bool:
-        return self.mode != "full"
 
     def is_unit(self, weight: str) -> bool:
         """True when a weight is exactly 1.0 at every sample, so that applying
         it changes no bit (a product or quotient by 1.0 is exact).  `weight`
-        names a scalar weight ("a", "b") or a row table ("a_rows",
-        "b_inv_rows", ...); a full-mode table, with its off-diagonal
-        averages, never is."""
+        names a scalar weight ("a", "b") or a diagonal ("a_diag",
+        "b_inv_diag", ...)."""
+        weights = getattr(self, weight)
         if weight in ("a", "b"):
-            return bool(np.all(_distinct(getattr(self, weight)) == 1.0))
-        rows = getattr(self, weight)
-        return self.exactly_invertible and all(bool(np.all(_distinct(rows[r][r]) == 1.0))
-                                               for r in range(3))
+            weights = (weights,)
+        return all(bool(np.all(_distinct(w) == 1.0)) for w in weights)
 
     # -- constructors ---------------------------------------------------
 
@@ -587,55 +543,30 @@ class Star3:
     @classmethod
     def from_scalars(cls, grid: Grid3, a, b, coef_a, coef_b) -> "Star3":
         """A = coef_a * identity, B = coef_b * identity."""
-        return cls._build(grid, "scalar", a, b, (coef_a,) * 3, (coef_b,) * 3)
+        return cls.from_diagonals(grid, a, b, (coef_a,) * 3, (coef_b,) * 3)
 
     @classmethod
     def from_diagonals(cls, grid: Grid3, a, b, diag_a, diag_b) -> "Star3":
         """Diagonal A and B; ``diag_*`` are 3-tuples of constants/functions."""
-        return cls._build(grid, "diagonal", a, b, tuple(diag_a), tuple(diag_b))
+        da = tuple(_weight(grid, p, w) for p, w in zip(_PATTERNS["edge"], diag_a, strict=True))
+        db = tuple(_weight(grid, p, w) for p, w in zip(_PATTERNS["face"], diag_b, strict=True))
+        if any(np.any(_distinct(w) <= 0) for w in da + db):
+            raise ValueError("diagonal star entries must be positive")
+        return cls(grid, _weight(grid, _PATTERNS["node"][0], a),
+                   _weight(grid, _PATTERNS["cell"][0], b),
+                   da, tuple(map(_reciprocal, da)), db, tuple(map(_reciprocal, db)))
 
     @classmethod
-    def _build(cls, grid, mode, a, b, diag_a, diag_b):
-        a_s = _weight(grid, _PATTERNS["node"][0], a)
-        b_s = _weight(grid, _PATTERNS["cell"][0], b)
-        a_rows, a_inv = [], []
-        b_rows, b_inv = [], []
-        for r in range(3):
-            da = _weight(grid, _PATTERNS["edge"][r], diag_a[r])
-            db = _weight(grid, _PATTERNS["face"][r], diag_b[r])
-            if np.any(_distinct(da) <= 0) or np.any(_distinct(db) <= 0):
-                raise ValueError("diagonal star entries must be positive")
-            a_rows.append(tuple(da if c == r else None for c in range(3)))
-            a_inv.append(tuple(_reciprocal(da) if c == r else None for c in range(3)))
-            b_rows.append(tuple(db if c == r else None for c in range(3)))
-            b_inv.append(tuple(_reciprocal(db) if c == r else None for c in range(3)))
-        return cls(
-            grid, mode, a_s, b_s, tuple(a_rows), tuple(a_inv), tuple(b_rows), tuple(b_inv)
-        )
+    def from_matrices(cls, grid: Grid3, a, b, mat_a, mat_b) -> "Star3":
+        """Refuses every full tensor: use :meth:`from_diagonals`.
 
-    @classmethod
-    def from_matrices(cls, grid: Grid3, a, b, mat_a: dict, mat_b: dict) -> "Star3":
-        """Full symmetric A and B given as dicts with keys xx, yy, zz, xy,
-        xz, yz (constants or functions of x, y, z)."""
-        a_s = sample_scalar(grid, "node", a)
-        b_s = sample_scalar(grid, "cell", b)
-        a_rows, a_inv = _full_rows(grid, _PATTERNS["edge"], mat_a)
-        b_rows, b_inv = _full_rows(grid, _PATTERNS["face"], mat_b)
-        return cls(grid, "full", a_s, b_s, a_rows, a_inv, b_rows, b_inv)
-
-
-def require_exact_star(star: Star3):
-    """Reject star configurations whose inverses are not exact.
-
-    Full-matrix mode averages the off-diagonal terms, so the pointwise
-    inverse is not the exact operator inverse; runs that promise conserved
-    quantities must refuse it.
-    """
-    if not star.exactly_invertible:
-        raise ValueError(
-            "full-matrix star mode cannot guarantee conserved quantities; "
-            "use scalar or diagonal mode"
-        )
+        A full tensor inverted point by point has no exact inverse, so a
+        march over it could conserve nothing.  The name stays for perfbench's
+        layer tracer, which wraps every Star3 constructor it lists, this one
+        included, until its list drops it.
+        """
+        raise ValueError("full-matrix stars have no exact inverse and are not supported; "
+                         "use Star3.from_diagonals")
 
 
 _SCALAR_DIRECTIONS = ("node-to-dual-cell", "dual-node-to-cell")
@@ -666,81 +597,34 @@ def star_scalar_inverse(field, star: Star3, direction: str, out=None) -> np.ndar
     return _scale(field, star, direction, True, "star_scalar_inverse", out)
 
 
-def _avg_pair(v, axis):
-    lo = [slice(None)] * 3
-    hi = [slice(None)] * 3
-    lo[axis] = slice(None, -1)
-    hi[axis] = slice(1, None)
-    return 0.5 * (v[tuple(lo)] + v[tuple(hi)])
+# the kinds each matrix star maps from and to, forward
+_STAR_KINDS = {"a": ("edge", "dual-face"), "b": ("dual-edge", "face")}
 
 
-def _avg4(v, node_axis, half_axis, grid: Grid3, out_shape):
-    """4-point average moving half->node along one axis and node->half
-    along another (zero-filled at the box ends of the node axis)."""
-    if grid.boundary == "periodic":
-        w = np.roll(v, 1, node_axis)
-        return 0.25 * (
-            v + w + np.roll(v, -1, half_axis) + np.roll(w, -1, half_axis)
-        )
-    w = _avg_pair(_avg_pair(v, node_axis), half_axis)
-    out = np.zeros(out_shape)
-    sl = [slice(None)] * 3
-    sl[node_axis] = slice(1, -1)
-    out[tuple(sl)] = w
-    return out
-
-
-def _apply_rows(comps, rows, grid: Grid3, geometry: str, out_kind: str, outs=(None,) * 3):
-    """Apply a 3x3 star (rows sampled at output points) to vector components,
-    each row's diagonal product written into `outs` where given."""
-    out_shapes = grid.vector_shapes(out_kind)
-    out = []
-    for r in range(3):
-        acc = np.multiply(rows[r][r], comps[r], out=outs[r])
-        for c in range(3):
-            if c == r or rows[r][c] is None:
-                continue
-            # geometry "a": input half-offset along c; "b": along r
-            node_axis, half_axis = (c, r) if geometry == "a" else (r, c)
-            avg = _avg4(comps[c], node_axis, half_axis, grid, out_shapes[r])
-            acc = acc + rows[r][c] * avg
-        out.append(acc)
-    return VectorField3(*out)
+def _diagonal(star: Star3, which: str, inverse: bool) -> tuple:
+    """The three weights of A (``which="a"``) or B, or of its inverse."""
+    return getattr(star, f"{which}_inv_diag" if inverse else f"{which}_diag")
 
 
 def star_matrix(
     vec: VectorField3, star: Star3, which: str = "a", inverse: bool = False, out=None
 ) -> VectorField3:
-    """Apply the matrix star A (edges <-> dual faces) or B (dual edges <->
-    faces), or its pointwise inverse.
+    """Apply the diagonal star A (edges <-> dual faces) or B (dual edges <->
+    faces), or its inverse, one component at a time.
 
     ``which="a"``: forward maps edge -> dual face, inverse maps dual face ->
     edge.  ``which="b"``: forward maps dual edge -> face, inverse maps
-    face -> dual edge.  Diagonal entries multiply collocated components;
-    off-diagonal entries (full mode) multiply 4-point averages.  An `out`
-    field of the output kind, which may be `vec` itself, receives the result.
+    face -> dual edge.  Each output component is its weight times the
+    collocated input component, so an `out` field of the output kind, which
+    receives the result, may be `vec` itself.
     """
-    grid = star.grid
-    if which == "a":
-        in_kind = "dual-face" if inverse else "edge"
-        out_kind = "edge" if inverse else "dual-face"
-        rows = star.a_inv_rows if inverse else star.a_rows
-    elif which == "b":
-        in_kind = "face" if inverse else "dual-edge"
-        out_kind = "dual-edge" if inverse else "face"
-        rows = star.b_inv_rows if inverse else star.b_rows
-    else:
+    if which not in _STAR_KINDS:
         raise ValueError("which must be 'a' or 'b'")
-    comps = _components(vec, grid, in_kind, "star_matrix")
-    if out is None:
-        return _apply_rows(comps, rows, grid, which, out_kind)
-    outs = _components(out, grid, out_kind, "star_matrix")
-    if star.exactly_invertible:
-        # each output component reads only its collocated input, so out may be vec
-        return _apply_rows(comps, rows, grid, which, out_kind, outs)
-    for o, r in zip(outs, _apply_rows(comps, rows, grid, which, out_kind).components):
-        o[...] = r
-    return out
+    in_kind, out_kind = _STAR_KINDS[which][::-1] if inverse else _STAR_KINDS[which]
+    comps = _components(vec, star.grid, in_kind, "star_matrix")
+    outs = (None,) * 3 if out is None else _components(out, star.grid, out_kind, "star_matrix")
+    return VectorField3(*(np.multiply(w, c, out=o)
+                          for w, c, o in zip(_diagonal(star, which, inverse), comps, outs)))
 
 
 # ---------------------------------------------------------------------------
@@ -774,16 +658,12 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
     if kind in SCALAR_KINDS:
         w, (a1,), (a2,) = getattr(star, which), c1, c2
         return float(np.sum(a1 * a2 / w if inverse else w * a1 * a2)) * dv
-    if star.exactly_invertible:
-        # diagonal weights one component at a time: star_matrix's arithmetic,
-        # without ever holding the whole weighted field
-        rows = getattr(star, f"{which}_inv_rows" if inverse else f"{which}_rows")
-        w1 = (rows[r][r] * c1[r] for r in range(3))
-    else:
-        w1 = star_matrix(f1, star, which=which, inverse=inverse).components
+    # one component at a time: star_matrix's arithmetic, without ever
+    # holding the whole weighted field
     total = 0.0
-    for w, f in zip(w1, c2):
-        w *= f  # w is a fresh product, so the second factor can go in place
+    for w, a1, a2 in zip(_diagonal(star, which, inverse), c1, c2):
+        w = w * a1
+        w *= a2  # w is a fresh product, so the second factor can go in place
         total += float(np.sum(w))
     return total * dv
 
@@ -889,48 +769,3 @@ def negativity_check(
         if val > 1e-12 * scale:
             return False
     return True
-
-
-# ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-_SNAP_MAGIC = b"SWF3"
-_SNAP_VERSION = 1
-
-
-def dump_field_snapshot(path, field, kind: str, grid: Grid3):
-    """Write a field as little-endian float64 with a small binary header
-    (kind, per-component shapes, spacings)."""
-    comps = _components(field, grid, kind, "dump_field_snapshot")
-    kb = kind.encode()
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<4sH", _SNAP_MAGIC, _SNAP_VERSION))
-        fh.write(struct.pack("<H", len(kb)) + kb)
-        fh.write(struct.pack("<B", len(comps)))
-        fh.write(struct.pack("<3d", *grid.spacings))
-        for c in comps:
-            fh.write(struct.pack("<3I", *c.shape))
-        for c in comps:
-            fh.write(np.ascontiguousarray(c, dtype="<f8").tobytes())
-
-
-def load_field_snapshot(path):
-    """Read a snapshot; returns (field, kind, spacings)."""
-    with open(path, "rb") as fh:
-        magic, version = struct.unpack("<4sH", fh.read(6))
-        if magic != _SNAP_MAGIC:
-            raise ValueError("not a field snapshot file")
-        if version != _SNAP_VERSION:
-            raise ValueError(f"unsupported snapshot version {version}")
-        (klen,) = struct.unpack("<H", fh.read(2))
-        kind = fh.read(klen).decode()
-        (ncomp,) = struct.unpack("<B", fh.read(1))
-        spacings = struct.unpack("<3d", fh.read(24))
-        shapes = [struct.unpack("<3I", fh.read(12)) for _ in range(ncomp)]
-        comps = []
-        for s in shapes:
-            count = int(np.prod(s))
-            data = np.frombuffer(fh.read(8 * count), dtype="<f8")
-            comps.append(data.reshape(s).astype(float))
-    return _as_field(comps), kind, spacings

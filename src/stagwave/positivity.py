@@ -151,15 +151,3 @@ def diffusion_step(rho, d, dx: float, dt: float) -> np.ndarray:
     flux[1:-1] = d[1:-1] * dt / dx / dx * np.diff(rho)
     return rho + np.diff(flux)
 
-
-def lax_wendroff_step(rho, v: float, dx: float, dt: float) -> np.ndarray:
-    """Comparison stencil only: second order, but not positivity preserving.
-
-    One step on a unit spike leaves ``-(nu/2)(1 - nu)`` behind the spike
-    (``nu = v dt/dx``), e.g. exactly -0.125 at ``nu = 1/2``.
-    """
-    rho = np.asarray(rho, dtype=float)
-    nu = v * dt / dx
-    left = np.concatenate(([0.0], rho[:-1]))
-    right = np.concatenate((rho[1:], [0.0]))
-    return rho - 0.5 * nu * (right - left) + 0.5 * nu * nu * (right - 2.0 * rho + left)

@@ -47,7 +47,6 @@ from .mimetic3d import (
     div3_star,
     grad3,
     inner3,
-    require_exact_star,
     star_matrix,
     star_scalar_inverse,
     zeros_field,
@@ -129,9 +128,9 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     def apply_astar(v):
         return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
 
-    unit_a, unit_rows = star.is_unit("a"), star.is_unit("a_rows")
+    unit_a, unit_diag = star.is_unit("a"), star.is_unit("a_diag")
     cube = fold_spacing(grid.spacings)
-    folds = (cube if unit_rows else _KEEP, cube if unit_a else _KEEP)  # v, s update
+    folds = (cube if unit_diag else _KEEP, cube if unit_a else _KEEP)  # v, s update
     scratch = _Scratch(grid)
 
     def update(x, y, dt, out, adjoint):
@@ -142,12 +141,12 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
                 star_scalar_inverse(term, star, "node-to-dual-cell", out=term)
         else:
             term = grad3(y, grid, scaled=scaled, **scratch["edge"])
-            if not unit_rows:
+            if not unit_diag:
                 star_matrix(term, star, "a", out=term)
         return _scaled_into(x, term, scale, out, np.add)
 
-    # wave speed sqrt(max A / min a), tensor extremes over Gershgorin intervals
-    s_max = math.sqrt(_gershgorin(star.a_rows)[1] / float(np.min(_distinct(star.a))))
+    # wave speed sqrt(max A / min a), over every sample of the diagonal
+    s_max = math.sqrt(_extremes(star.a_diag)[1] / float(np.min(_distinct(star.a))))
     bound = _stencil_bound(s_max, grid)
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
 
@@ -173,7 +172,7 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     def apply_astar(h):
         return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
 
-    unit_eps, unit_mu = eps_star.is_unit("a_inv_rows"), mu_star.is_unit("b_inv_rows")
+    unit_eps, unit_mu = eps_star.is_unit("a_inv_diag"), mu_star.is_unit("b_inv_diag")
     cube = fold_spacing(grid.spacings)
     folds = (cube if unit_mu else _KEEP, cube if unit_eps else _KEEP)  # H, E update
     scratch = _Scratch(grid)
@@ -190,13 +189,9 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
             star_matrix(term, mu_star, "b", inverse=True, out=term)
         return _scaled_into(x, term, scale, out, np.subtract)
 
-    # wave speed 1/sqrt(min eps * min mu), extremes over Gershgorin intervals
-    low = _gershgorin(eps_star.a_rows)[0] * _gershgorin(mu_star.b_rows)[0]
-    if low <= 0:
-        raise ValueError(
-            "cannot bound the wave speed: a material tensor is not diagonally dominant"
-        )
-    bound = _stencil_bound(1.0 / math.sqrt(low), grid)
+    # wave speed 1/sqrt(min eps * min mu), over every sample of the diagonals
+    low = _extremes(eps_star.a_diag)[0] * _extremes(mu_star.b_diag)[0]
+    bound = _stencil_bound(math.inf if low == 0.0 else 1.0 / math.sqrt(low), grid)
     return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
 
 
@@ -204,16 +199,14 @@ def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
     """The scalar wave as a `core.System`: the a-weighted node product and
     the A^-1-weighted dual-face product, starting from the cavity mode
     `modes` at rest (the Taylor half step from v(0) = 0).  The mode is
-    exact for unit materials only.  A full-matrix star is rejected: its
-    inexact inverse breaks the conserved quantities."""
-    require_exact_star(star)
+    exact for unit materials only."""
     ops = scalar_wave_operators(star, grid)
 
     def start(dt):
         s0 = cavity_mode_s(grid, 0.0, modes)
         return s0, init_g_half(s0, zeros_field(grid, "dual-face"), ops, dt)
 
-    unit = star.is_unit("a") and star.is_unit("a_rows")
+    unit = star.is_unit("a") and star.is_unit("a_diag")
     return System(
         ops,
         lambda a, b: inner3("node", a, b, star, grid),
@@ -228,17 +221,14 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
     """Maxwell as a `core.System`: the eps-weighted edge product and the
     mu-weighted dual-edge product, starting from the TE(1,1,0) cavity mode
     with H at rest (the Taylor half step from H(0) = 0).  The mode is exact
-    for unit materials only.  A full-matrix star in either role is
-    rejected, as by `scalar_wave_system`."""
-    require_exact_star(eps_star)
-    require_exact_star(mu_star)
+    for unit materials only."""
     ops = maxwell_operators(eps_star, mu_star, grid)
 
     def start(dt):
         e0 = te_cavity_e(grid, 0.0)
         return e0, init_g_half(e0, zeros_field(grid, "dual-edge"), ops, dt)
 
-    unit = eps_star.is_unit("a_inv_rows") and mu_star.is_unit("b_inv_rows")
+    unit = eps_star.is_unit("a_inv_diag") and mu_star.is_unit("b_inv_diag")
     return System(
         ops,
         lambda a, b: inner3("edge", a, b, eps_star, grid),
@@ -289,23 +279,22 @@ def divergence_audit(e: VectorField3, h: VectorField3, eps_star: Star3, mu_star:
     return div_e, div_h
 
 
-def _gershgorin(rows) -> tuple:
-    """(lowest, highest) Gershgorin interval end over the rows of a star."""
-    lo, hi = math.inf, -math.inf
-    for r in range(3):
-        low = high = np.asarray(_distinct(rows[r][r]), float)
-        for c in range(3):
-            if c != r and rows[r][c] is not None:
-                low, high = low - np.abs(rows[r][c]), high + np.abs(rows[r][c])
-        lo, hi = min(lo, float(np.min(low))), max(hi, float(np.max(high)))
-    return lo, hi
+def _extremes(diag) -> tuple:
+    """(lowest, highest) entry of a diagonal star over its three weights."""
+    return (min(float(np.min(_distinct(w))) for w in diag),
+            max(float(np.max(_distinct(w))) for w in diag))
 
 
 def _stencil_bound(s_max: float, grid: Grid3) -> float:
     """The norm bound N = 2 * s_max * sqrt(1/dx^2 + 1/dy^2 + 1/dz^2) of a
     pair whose wave speed is at most s_max: the leapfrog is stable (both
-    conserved forms positive) for dt * N < 2."""
-    return s_max * (2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings)))
+    conserved forms positive) for dt * N < 2.  Every weight is positive,
+    but their ratios and products can still leave the float range, and a
+    bound of 0 or inf would make the CFL step meaningless."""
+    bound = s_max * (2.0 * math.sqrt(sum(1.0 / d**2 for d in grid.spacings)))
+    if not 0.0 < bound < math.inf:
+        raise ValueError(f"cannot bound the wave speed: the material weights put it at {s_max}")
+    return bound
 
 
 # ---------------------------------------------------------------------------

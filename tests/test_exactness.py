@@ -111,16 +111,17 @@ def _stars(grid):
     return {
         "scalar": Star3.from_scalars(grid, 1.5, 2.0, 2.5, 3.0),
         "diagonal": Star3.from_diagonals(grid, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5)),
-        "full": Star3.from_matrices(
-            grid, 1.0, 1.0,
-            {"xx": 3.0, "yy": 3.0, "zz": 3.0, "xy": 0.4, "xz": 0.2, "yz": 0.3},
-            {"xx": 2.0, "yy": 2.5, "zz": 3.0, "xy": 0.1, "xz": 0.3, "yz": 0.2},
+        # sampled weights are whole arrays, where constants are broadcast views
+        "varying": Star3.from_diagonals(
+            grid, 1.5, 2.0,
+            (lambda x, y, z: 2.0 + x, lambda x, y, z: 3.0 + y * z, lambda x, y, z: 4.0 - z),
+            (lambda x, y, z: 1.5 + y, lambda x, y, z: 2.5 - x * y, lambda x, y, z: 3.5 + z),
         ),
     }
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
-@pytest.mark.parametrize("mode", ["scalar", "diagonal", "full"])
+@pytest.mark.parametrize("mode", ["scalar", "diagonal", "varying"])
 @pytest.mark.parametrize(
     "which, inverse, in_kind",
     [("a", False, "edge"), ("a", True, "dual-face"), ("b", False, "dual-edge"),
@@ -155,20 +156,17 @@ def test_star_scalar_in_place_equals_a_fresh_result(inverse, direction, kinds):
 def test_is_unit_reads_the_sampled_weights():
     grid = _box("pinned")
     unit = Star3.trivial(grid)
-    assert all(unit.is_unit(w) for w in ("a", "b", "a_rows", "a_inv_rows", "b_rows",
-                                         "b_inv_rows"))
+    assert all(unit.is_unit(w) for w in ("a", "b", "a_diag", "a_inv_diag", "b_diag",
+                                         "b_inv_diag"))
     half = Star3.from_diagonals(grid, 1.0, 2.0, (1.0, 1.0, 1.0), (1.0, 1.0, 3.0))
     assert half.is_unit("a") and not half.is_unit("b")
-    assert half.is_unit("a_rows") and half.is_unit("a_inv_rows")
-    assert not half.is_unit("b_rows") and not half.is_unit("b_inv_rows")
+    assert half.is_unit("a_diag") and half.is_unit("a_inv_diag")
+    assert not half.is_unit("b_diag") and not half.is_unit("b_inv_diag")
     # a weight of 1 everywhere but one sample is not unit
     bump = Star3.from_diagonals(grid, 1.0, 1.0,
                                 (lambda x, y, z: np.where(x > 0.3, 1.0 + 2**-52, 1.0), 1.0, 1.0),
                                 (1.0, 1.0, 1.0))
-    assert not bump.is_unit("a_rows")
-    identity = {"xx": 1.0, "yy": 1.0, "zz": 1.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
-    full = Star3.from_matrices(grid, 1.0, 1.0, identity, identity)
-    assert not full.is_unit("a_rows")  # full mode applies its off-diagonal averages
+    assert not bump.is_unit("a_diag")
 
 
 def test_unit_star_changes_no_bit():

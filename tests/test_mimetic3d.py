@@ -18,13 +18,10 @@ from stagwave.mimetic3d import (
     curl3_star,
     div3,
     div3_star,
-    dump_field_snapshot,
     grad3,
     grad3_star,
     inner3,
-    load_field_snapshot,
     negativity_check,
-    require_exact_star,
     sample_scalar,
     sample_vector,
     star_matrix,
@@ -511,15 +508,23 @@ class TestStarScalar:
             Star3.from_scalars(g, 0.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError, match="positive"):
             Star3.from_scalars(g, 1.0, lambda x, y, z: x - 10.0, 1.0, 1.0)
+        with pytest.raises(ValueError, match="positive"):
+            Star3.from_diagonals(g, 1.0, 1.0, (1.0, 0.0, 1.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="positive"):
+            Star3.from_diagonals(g, 1.0, 1.0, (1.0,) * 3, (1.0, 1.0, lambda x, y, z: -x))
+
+    def test_diagonal_needs_three_weights(self):
+        g = Grid3.cube(4)
+        with pytest.raises(ValueError, match="shorter"):
+            Star3.from_diagonals(g, 1.0, 1.0, (1.0, 2.0), (1.0, 1.0, 1.0))
+        with pytest.raises(ValueError, match="longer"):
+            Star3.from_diagonals(g, 1.0, 1.0, (1.0,) * 3, (1.0,) * 4)
 
     def test_unknown_direction(self):
         g = Grid3.cube(4)
         st = Star3.trivial(g)
         with pytest.raises(ValueError, match="direction"):
             star_scalar(zeros_field(g, "node"), st, "sideways")
-
-
-FULL_A = {"xx": 2.0, "yy": 3.0, "zz": 4.0, "xy": 0.5, "xz": 0.25, "yz": 0.5}
 
 
 class TestStarMatrix:
@@ -551,55 +556,6 @@ class TestStarMatrix:
         rt = star_matrix(star_matrix(t, st, "a"), st, "a", inverse=True)
         for a, b in zip(rt.components, t.components):
             assert np.all(np.abs(a - b) <= np.spacing(np.abs(b)))
-
-    def test_full_mode_accuracy(self):
-        # oracle: mimetic3d_oracle.py star_full_apply
-        M = np.array([[2.0, 0.5, 0.25], [0.5, 3.0, 0.5], [0.25, 0.5, 4.0]])
-        errs = {}
-        for n in (8, 16):
-            g = Grid3.cube(n, TWO_PI)
-            st = Star3.from_matrices(g, 1.0, 1.0, FULL_A, FULL_A)
-            t = sampled_at(g, "edge", EDGE)
-            got = star_matrix(t, st, which="a")
-            want = []
-            for r in range(3):
-                x, y, z = g.vector_points("dual-face", r)
-                comps = [fn(x, y, z) for fn in EDGE]
-                want.append(sum(M[r, c] * comps[c] for c in range(3)))
-            errs[n] = vec_err(got, VectorField3(*want))
-        assert errs[8] == pytest.approx(4.972809e-02, rel=1e-5)
-        assert errs[16] == pytest.approx(1.332579e-02, rel=1e-5)
-        assert 3.5 <= errs[8] / errs[16] <= 4.5
-
-    def test_full_mode_round_trip_not_exact(self):
-        # the averaged matrix and its pointwise inverse are only approximate
-        # inverses of each other; measure the residual without asserting a
-        # tight value
-        g = Grid3.cube(8, TWO_PI)
-        st = Star3.from_matrices(g, 1.0, 1.0, FULL_A, FULL_A)
-        t = sampled_at(g, "edge", EDGE)
-        rt = star_matrix(star_matrix(t, st, "a"), st, "a", inverse=True)
-        resid = vec_err(rt, t)
-        assert np.isfinite(resid)
-        assert 1e-8 < resid < 0.5
-
-    def test_exact_star_guard(self):
-        g = Grid3.cube(4)
-        require_exact_star(Star3.trivial(g))
-        require_exact_star(
-            Star3.from_diagonals(g, 1.0, 1.0, (1.0, 2.0, 3.0), (1.0, 1.0, 1.0))
-        )
-        with pytest.raises(ValueError, match="full-matrix"):
-            require_exact_star(Star3.from_matrices(g, 1.0, 1.0, FULL_A, FULL_A))
-
-    def test_full_mode_validation(self):
-        g = Grid3.cube(4)
-        with pytest.raises(ValueError, match="entries"):
-            Star3.from_matrices(g, 1.0, 1.0, {"xx": 1.0}, FULL_A)
-        bad = dict(FULL_A)
-        bad["yy"] = -1.0
-        with pytest.raises(ValueError, match="positive"):
-            Star3.from_matrices(g, 1.0, 1.0, bad, FULL_A)
 
     def test_invalid_which(self):
         g = Grid3.cube(4)
@@ -649,18 +605,6 @@ class TestInner3:
             gf = inner3(kind, h, f, st, g)
             scale = np.sqrt(inner3(kind, f, f, st, g) * inner3(kind, h, h, st, g))
             assert abs(fg - gf) <= 1e-15 * scale
-
-    def test_symmetry_full_constant(self):
-        g = Grid3.cube(6)
-        st = Star3.from_matrices(g, 1.0, 1.0, FULL_A, FULL_A)
-        rng = np.random.default_rng(5)
-        for kind in VECTOR_KINDS:
-            f = random_vector(g, kind, rng)
-            h = random_vector(g, kind, rng)
-            fg = inner3(kind, f, h, st, g)
-            gf = inner3(kind, h, f, st, g)
-            scale = np.sqrt(inner3(kind, f, f, st, g) * inner3(kind, h, h, st, g))
-            assert abs(fg - gf) <= 1e-14 * scale
 
     def test_positive_definite(self):
         g = Grid3.cube(5)
@@ -813,45 +757,6 @@ class TestNegativity:
 
 
 # ---------------------------------------------------------------------------
-# snapshots
-# ---------------------------------------------------------------------------
-
-
-class TestSnapshots:
-    def test_scalar_round_trip(self, tmp_path):
-        g = Grid3.cube(4, boundary="pinned")
-        rng = np.random.default_rng(8)
-        s = rng.standard_normal(g.scalar_shape("node"))
-        path = tmp_path / "node.swf3"
-        dump_field_snapshot(path, s, "node", g)
-        loaded, kind, spacings = load_field_snapshot(path)
-        assert kind == "node"
-        assert spacings == pytest.approx(g.spacings)
-        assert np.array_equal(loaded, s)
-
-    def test_vector_round_trip(self, tmp_path):
-        g = Grid3.cube(3, boundary="pinned")
-        rng = np.random.default_rng(9)
-        t = random_vector(g, "edge", rng)
-        path = tmp_path / "edge.swf3"
-        dump_field_snapshot(path, t, "edge", g)
-        loaded, kind, _ = load_field_snapshot(path)
-        assert kind == "edge"
-        assert vec_err(loaded, t) == 0.0
-
-    def test_rejects_other_files(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(ValueError, match="snapshot"):
-            load_field_snapshot(path)
-
-    def test_dump_validates_kind(self, tmp_path):
-        g = Grid3.cube(3)
-        with pytest.raises(ValueError, match="kind"):
-            dump_field_snapshot(tmp_path / "x", np.zeros((3, 3, 3)), "corner", g)
-
-
-# ---------------------------------------------------------------------------
 # constant star weights
 # ---------------------------------------------------------------------------
 
@@ -879,10 +784,9 @@ class TestConstantStar:
         st = Star3.from_diagonals(g, *CONSTANT_STARS[name])
         ref = Star3.from_diagonals(g, *_as_functions(*CONSTANT_STARS[name]))
         def arrays(star, w):
-            return [getattr(star, w)] if w in ("a", "b") else [getattr(star, w)[r][r]
-                                                               for r in range(3)]
+            return [getattr(star, w)] if w in ("a", "b") else list(getattr(star, w))
 
-        for w in ["a", "b", "a_rows", "a_inv_rows", "b_rows", "b_inv_rows"]:
+        for w in ["a", "b", "a_diag", "a_inv_diag", "b_diag", "b_inv_diag"]:
             for arr, want in zip(arrays(st, w), arrays(ref, w)):
                 # one read-only value, not a copy per sample point
                 assert not any(arr.strides) and not arr.flags.writeable

@@ -283,14 +283,12 @@ class TestScalarWave:
         assert all(np.array_equal(a, b) for a, b in zip(vh.components, want.components))
 
     def test_full_star_rejected(self):
+        # a full tensor has no exact pointwise inverse, so neither system can
+        # be given one: its constructor keeps its name and only raises
         grid = pinned_cube(4)
-        star = Star3.from_matrices(grid, 1.0, 1.0, FULL_STAR_MAT, FULL_STAR_MAT)
-        rng = np.random.default_rng(8)
-        state = random_scalar_state(grid, rng, dt=0.01)
-        with pytest.raises(ValueError, match="full-matrix"):
-            scalar_wave_step(state, star, grid)
-        with pytest.raises(ValueError, match="full-matrix"):
-            scalar_wave_system(star, grid)
+        assert isinstance(Star3.__dict__["from_matrices"], classmethod)
+        with pytest.raises(ValueError, match="full-matrix.*from_diagonals"):
+            Star3.from_matrices(grid, 1.0, 1.0, FULL_STAR_MAT, FULL_STAR_MAT)
 
     @pytest.mark.parametrize("name", sorted(SCALAR_STARS))
     def test_conserved_drift(self, name):
@@ -414,21 +412,6 @@ class TestMaxwell:
             np.allclose(a, b, rtol=0.0, atol=0.0) for a, b in zip(hh.components, want.components)
         )
 
-    def test_full_star_rejected(self):
-        grid = pinned_cube(4)
-        full = Star3.from_matrices(grid, 1.0, 1.0, FULL_STAR_MAT, FULL_STAR_MAT)
-        plain = Star3.trivial(grid)
-        rng = np.random.default_rng(21)
-        state = random_maxwell_state(grid, rng, dt=0.01)
-        with pytest.raises(ValueError, match="full-matrix"):
-            maxwell_step(state, full, plain, grid)
-        with pytest.raises(ValueError, match="full-matrix"):
-            maxwell_step(state, plain, full, grid)
-        with pytest.raises(ValueError, match="full-matrix"):
-            maxwell_system(full, plain, grid)
-        with pytest.raises(ValueError, match="full-matrix"):
-            maxwell_system(plain, full, grid)
-
     @pytest.mark.parametrize("name", sorted(MAXWELL_STARS))
     def test_conserved_drift(self, name):
         grid = pinned_cube(6)
@@ -510,14 +493,44 @@ class TestCflDt:
         got = maxwell_system(eps, mu, grid).cfl_dt(1.0)
         assert got == pytest.approx(2.0 * base, rel=1e-12)
 
-    def test_full_mode_bound_is_more_conservative(self):
+    @pytest.mark.parametrize("role", ["scalar-A", "maxwell-eps", "maxwell-mu"])
+    @pytest.mark.parametrize("comp", [0, 1, 2])
+    def test_wave_speed_reads_every_diagonal_weight(self, role, comp):
+        # the extreme weight sits in one component alone: max A sets the
+        # scalar wave's speed, min eps and min mu set Maxwell's
+        grid = pinned_cube(6)
+        unit = Star3.trivial(grid)
+        base = grid.dx / math.sqrt(3.0)
+        diag = [1.0] * 3
+        if role == "scalar-A":
+            diag[comp] = 4.0
+            sys3 = scalar_wave_system(Star3.from_diagonals(grid, 1.0, 1.0, diag, (1.0,) * 3), grid)
+        elif role == "maxwell-eps":
+            diag[comp] = 0.25
+            eps = Star3.from_diagonals(grid, 1.0, 1.0, diag, (1.0,) * 3)
+            sys3 = maxwell_system(eps, unit, grid)
+        else:
+            diag[comp] = 0.25
+            mu = Star3.from_diagonals(grid, 1.0, 1.0, (1.0,) * 3, diag)
+            sys3 = maxwell_system(unit, mu, grid)
+        assert sys3.cfl_dt(1.0) == pytest.approx(0.5 * base, rel=1e-12)
+
+    @pytest.mark.parametrize("system, x, y", [
+        ("scalar-wave", 1e200, 1e-200),  # max A / min a underflows to 0
+        ("scalar-wave", 1e-200, 1e200),  # max A / min a overflows to inf
+        ("maxwell", 1e-200, 1e-200),  # min eps * min mu underflows to 0
+        ("maxwell", 1e200, 1e200),  # min eps * min mu overflows to inf
+    ])
+    def test_wave_speed_out_of_float_range_is_rejected(self, system, x, y):
+        # every weight is positive and finite, but a bound of 0 or inf would
+        # make cfl_dt divide by zero or return 0
         grid = pinned_cube(4)
-        diag = Star3.from_diagonals(grid, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0))
-        full = Star3.from_matrices(
-            grid, 1.0, 1.0, FULL_STAR_MAT, {"xx": 1.0, "yy": 1.0, "zz": 1.0, "xy": 0.0, "xz": 0.0, "yz": 0.0}
-        )
-        bound = scalar_wave_operators(full, grid).norm_bound_A
-        assert scalar_wave_operators(diag, grid).norm_bound_A < bound < math.inf
+        with pytest.raises(ValueError, match="wave speed"):
+            if system == "scalar-wave":  # x = a, y = A
+                scalar_wave_system(Star3.from_scalars(grid, x, 1.0, y, 1.0), grid)
+            else:  # x = eps, y = mu
+                maxwell_system(Star3.from_scalars(grid, 1.0, 1.0, x, 1.0),
+                               Star3.from_scalars(grid, 1.0, 1.0, 1.0, y), grid)
 
     def test_rejects_bad_arguments(self):
         grid = pinned_cube(4)
