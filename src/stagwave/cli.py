@@ -635,8 +635,10 @@ def _maxwell_march(cfg) -> March:
 
     columns = (*_PIECES, "div_e", "div_h")
 
+    divergences = wave3d.divergence_auditor(eps, mu, grid)
+
     def audit(state, pieces):
-        return (*pieces, *wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid))
+        return (*pieces, *divergences(state.f, state.g_half))
 
     def finish(body, state, rows, art):
         for label in ("div_e", "div_h"):

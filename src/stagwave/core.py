@@ -47,12 +47,14 @@ caller's f0 and g_half0 are never written; a recorded step, whose
 invariants read the history; and the last, because the returned state
 carries one step of history.  The spare is a retired history pair that the
 engine made itself, or a fresh pair until there is one, so a march holds at
-most two pairs of its own and allocates none per step.  An `audit` callback
-must not keep references to the state's fields across steps: later steps
-overwrite them.  A hook whose differences share one power-of-two spacing
-h <= 1 folds the exact factor 1/h into the multiplication after them
-(`fold_spacing`); other hooks divide by their spacings through
-`divide_in_place`.
+most two pairs of its own and allocates none per step.  The start
+allocates only the field it returns: `init_g_half` forms its first-order
+term through the hook, and skips the curvature term of a start from rest.
+An `audit` callback must not keep references to the state's fields across
+steps: later steps overwrite them.  A hook whose differences share one
+power-of-two spacing h <= 1 folds the exact factor 1/h into the
+multiplication after them (`fold_spacing`); other hooks divide by their
+spacings through `divide_in_place`.
 """
 
 from __future__ import annotations
@@ -287,16 +289,39 @@ def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemSta
 
 
 def init_g_half(f0, g0, ops: OperatorPair, dt: float):
-    """Second-order accurate g at t = dt/2 from (f0, g0): the Taylor step, with
-    the curvature term (g'' = -A A* g) at its true coefficient 1/2*(dt/2)^2."""
-    coeff = 0.5 * _square(0.5 * dt)
-    first_order = g0 + (0.5 * dt) * ops.apply_A(f0)
+    """Second-order accurate g at t = dt/2 from (f0, g0): the Taylor step
+
+        g0 + (dt/2) A f0 - 1/2 (dt/2)^2 A A* g0
+
+    with the curvature term (g'' = -A A* g) at its true coefficient.
+
+    A pair's `update` hook forms the first-order term, which by its contract
+    has the bits of g0 + (dt/2) A f0.  A start from rest, every entry of g0
+    +0.0, skips the curvature term while its coefficient is finite: A A* g0
+    is then a signed zero, and a first-order term +0.0 + y is never -0.0, so
+    subtracting a zero changes no bit.  Such a start applies A once and
+    allocates only the field it returns.
+    """
+    half = 0.5 * dt
+    coeff = 0.5 * _square(half)
+    if ops.update is not None:
+        first_order = ops.update(g0, f0, half, None, False)
+    else:
+        first_order = g0 + half * ops.apply_A(f0)
+    if math.isfinite(coeff) and _positive_zero(g0):
+        return first_order
     # once (dt/2)**2 passes the float range the coefficient is inf, and inf
     # times a zero of the curvature is a NaN that the march carries into its
     # report; formed here, it raises no numpy warning
     with np.errstate(invalid="ignore"):
         curvature = coeff * ops.apply_A(ops.apply_Astar(g0))
     return first_order - curvature
+
+
+def _positive_zero(field) -> bool:
+    """True when every entry of every component of a field is +0.0, the one
+    float whose bits are all clear: one pass over each, and no temporary."""
+    return not any(np.any(np.asarray(c, dtype=np.float64).view(np.int64)) for c in _parts(field))
 
 
 def energy_pieces(

@@ -173,12 +173,13 @@ class Grid3:
     def vector_shapes(self, kind: str) -> tuple:
         return self._shapes(kind, VECTOR_KINDS)
 
+    def _pattern_axes(self, pattern: str) -> list:
+        """The coordinates along each axis of the sample points of one pattern."""
+        return [self.axis_nodes(ax) if tag == "n" else self.axis_centers(ax)
+                for ax, tag in enumerate(pattern)]
+
     def _pattern_points(self, pattern: str) -> tuple:
-        axes = [
-            self.axis_nodes(ax) if tag == "n" else self.axis_centers(ax)
-            for ax, tag in enumerate(pattern)
-        ]
-        return np.meshgrid(*axes, indexing="ij")
+        return np.meshgrid(*self._pattern_axes(pattern), indexing="ij")
 
     def scalar_points(self, kind: str):
         """Meshgrid (X, Y, Z) of the sample points of a scalar kind."""
@@ -386,31 +387,48 @@ def _diff(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
         divide_in_place(out, grid.spacings[axis])
 
 
-def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.add,
-                out=None, work=None, scaled=True):
-    """A difference operator from its term table, one output component at a
-    time.  Onto a dual kind it differences backward and obeys the rim rule,
-    writing straight into the interior of a zero-rimmed output.
+# each operator's input kind, output kind, term table and how its terms combine
+_OPERATORS = {
+    "grad3": ("node", "edge", _GRAD_TERMS, np.add),
+    "curl3": ("edge", "face", _CURL_TERMS, np.subtract),
+    "div3": ("face", "cell", _DIV_TERMS, np.add),
+    "grad3_star": ("dual-node", "dual-edge", _GRAD_TERMS, np.add),
+    "curl3_star": ("dual-edge", "dual-face", _CURL_TERMS, np.subtract),
+    "div3_star": ("dual-face", "dual-cell", _DIV_TERMS, np.add),
+}
 
-    `out`, a field of `out_kind`, receives the result in place of a fresh
-    one.  `work`, a flat float array at least two output components long,
-    each rounded up to a whole number of 8-entry cache lines, holds the terms
-    in place of temporaries.  `scaled=False` leaves every difference
-    undivided by its spacing.
+
+def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True):
+    """The difference operator `op` from its term table, yielding each output
+    component as it is formed; the six operators and the update hooks of
+    `wave3d` all run this one loop.  Onto a dual kind it differences
+    backward and obeys the rim rule, writing straight into the interior of a
+    zero-rimmed output.
+
+    `out`, a field of the output kind, receives the result in place of a
+    fresh one.  Its components may share one buffer: each is rimmed and
+    formed only once the one before it has been yielded and used.  `work`, a
+    flat float array at least two output components long, each rounded up
+    to a whole number of 8-entry cache lines, holds the terms in place of
+    temporaries.  `scaled=False` leaves every difference undivided by its
+    spacing.
     """
-    comps = _components(field, grid, in_kind, who)
+    in_kind, out_kind, terms, combine = _OPERATORS[op]
+    comps = _components(field, grid, in_kind, op)
     rim = out_kind.startswith("dual-") and grid.boundary == "pinned"
     if out is None:
         outs = [np.zeros(s) if rim else np.empty(s) for s in grid._shapes(out_kind)]
     else:
-        outs = [_zero_rim(o, p) if rim else o
-                for o, p in zip(_components(out, grid, out_kind, who), _PATTERNS[out_kind])]
+        outs = _components(out, grid, out_kind, op)
     slots = rim + (len(terms[0]) > 1)  # the first term of a rimmed output, later terms
     if work is None and slots:
         work = np.empty(slots * _lines(max(o.size for o in outs)))
-    for pattern, component_terms, acc in zip(_PATTERNS[out_kind], terms, outs):
+    for pattern, component_terms, result in zip(_PATTERNS[out_kind], terms, outs):
+        acc = result
         if rim:
-            acc = acc[_RIM_INTERIOR[pattern]]
+            if out is not None:
+                _zero_rim(result, pattern)
+            acc = result[_RIM_INTERIOR[pattern]]
         (c, axis), *rest = component_terms
         # a rimmed output's interior is strided, and arithmetic in place on it
         # runs at half speed, so its terms are formed in contiguous work
@@ -423,7 +441,12 @@ def _difference(field, grid: Grid3, in_kind, out_kind, terms, who, combine=np.ad
             _diff(comps[c], axis, grid, term, pattern, scaled)
             combine(first, term, out=acc)
             first = acc
-    return _as_field(outs)
+        yield result
+
+
+def _apply(op: str, field, grid: Grid3, out, work, scaled):
+    """The whole output field of the difference operator `op`."""
+    return _as_field([*_difference(op, field, grid, out, work, scaled)])
 
 
 def _slot(work, k: int, like):
@@ -449,20 +472,17 @@ def grad3(s, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     update hook on a cube with a power-of-two spacing h moves the exact 1/h
     into its dt instead.
     """
-    return _difference(s, grid, "node", "edge", _GRAD_TERMS, "grad3", out=out, work=work,
-                       scaled=scaled)
+    return _apply("grad3", s, grid, out, work, scaled)
 
 
 def curl3(t: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     """Edge vector -> face vector."""
-    return _difference(t, grid, "edge", "face", _CURL_TERMS, "curl3", np.subtract, out, work,
-                       scaled)
+    return _apply("curl3", t, grid, out, work, scaled)
 
 
 def div3(n: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> np.ndarray:
     """Face vector -> cell scalar."""
-    return _difference(n, grid, "face", "cell", _DIV_TERMS, "div3", out=out, work=work,
-                       scaled=scaled)
+    return _apply("div3", n, grid, out, work, scaled)
 
 
 def grad3_star(s_star, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
@@ -471,22 +491,19 @@ def grad3_star(s_star, grid: Grid3, out=None, work=None, scaled=True) -> VectorF
     On pinned grids the entries whose backward stencil would leave the box
     are zero-filled.
     """
-    return _difference(s_star, grid, "dual-node", "dual-edge", _GRAD_TERMS, "grad3_star",
-                       out=out, work=work, scaled=scaled)
+    return _apply("grad3_star", s_star, grid, out, work, scaled)
 
 
 def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None,
                scaled=True) -> VectorField3:
     """Dual edge vector (face points) -> dual face vector (edge points)."""
-    return _difference(t_star, grid, "dual-edge", "dual-face", _CURL_TERMS, "curl3_star",
-                       np.subtract, out, work, scaled)
+    return _apply("curl3_star", t_star, grid, out, work, scaled)
 
 
 def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None,
               scaled=True) -> np.ndarray:
     """Dual face vector (edge points) -> dual cell scalar (nodes)."""
-    return _difference(n_star, grid, "dual-face", "dual-cell", _DIV_TERMS, "div3_star",
-                       out=out, work=work, scaled=scaled)
+    return _apply("div3_star", n_star, grid, out, work, scaled)
 
 
 # ---------------------------------------------------------------------------

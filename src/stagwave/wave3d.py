@@ -24,6 +24,7 @@ grid is purely spatial): f is s or E, g_half is v or H.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -50,7 +51,10 @@ from .mimetic3d import (
     star_matrix,
     star_scalar_inverse,
     zeros_field,
+    _OPERATORS,
+    _PATTERNS,
     _as_field,
+    _difference,
     _distinct,
     _lines,
     _rim_zeroed,
@@ -69,43 +73,83 @@ def _negated(field):
     return field
 
 
-def _scaled_into(x, term, dt: float, out, combine):
-    """combine(x, dt * term), componentwise, into `out` (fresh arrays when out
-    is None).  The scratch `term` is scaled in place: term *= dt has the bits
-    of dt * term."""
-    outs = _parts(out) if out is not None else (None,) * len(_parts(x))
-    new = []
-    for xr, tr, o in zip(_parts(x), _parts(term), outs):
-        np.multiply(tr, dt, out=tr)
-        new.append(combine(xr, tr, out=o))
-    return out if out is not None else _as_field(new)
-
-
 # the fold of a side whose star is not unit: its operator divides by the spacings
 _KEEP = SpacingFold(None, None, True)
 
 
 class _Scratch(dict):
-    """The buffer a pair's `update` hook owns and its views, ``scratch[kind]``,
-    made on first use: out= for one operator output, of whichever kind the
-    hook forms (one at a time), and work= for the two-component work array;
-    the hook never returns them.  Node arrays are the largest on either policy."""
+    """`count` node-sized float buffers that one update hook or one audit
+    owns, made on first use, and views of them, made once each and never
+    returned.  ``scratch[kind, first, step]`` is a field of `kind` whose
+    component r starts buffer first + r * step (a step of 0 puts every
+    component on buffer `first`); ``scratch[first]`` is buffers first,
+    first + 1, ... as one flat array, an operator's work=.  Node arrays are
+    the largest on either policy."""
 
-    def __init__(self, grid: Grid3):
-        self.grid, self.flat = grid, None
+    def __init__(self, grid: Grid3, count: int):
+        self.grid, self.count, self.flat = grid, count, None
+        self.node = _lines(math.prod(grid.scalar_shape("node")))
 
-    def __missing__(self, kind: str) -> dict:
-        """out= and work= for an operator onto `kind`."""
-        # every part starts on a 64-byte cache line: unaligned parts made the
-        # 64^3 Maxwell step about 7% slower
-        node = _lines(math.prod(self.grid.scalar_shape("node")))
+    def __missing__(self, key):
         if self.flat is None:
-            self.flat = np.empty(5 * node + 8)
-        start = (-self.flat.ctypes.data // 8) % 8
-        out = [self.flat[start + i * node:start + i * node + math.prod(shape)].reshape(shape)
-               for i, shape in enumerate(self.grid._shapes(kind))]
-        self[kind] = {"out": _as_field(out), "work": self.flat[start + 3 * node:start + 5 * node]}
-        return self[kind]
+            # every buffer starts on a 64-byte cache line: unaligned parts made
+            # the 64^3 Maxwell step about 7% slower
+            flat = np.empty(self.count * self.node + 7)
+            start = (-flat.ctypes.data // 8) % 8
+            self.flat = flat[start:start + self.count * self.node]
+        if isinstance(key, int):
+            self[key] = self.flat[key * self.node:]
+        else:
+            kind, first, step = key
+            self[key] = _as_field([
+                self.flat[(first + r * step) * self.node:][:math.prod(shape)].reshape(shape)
+                for r, shape in enumerate(self.grid._shapes(kind))])
+        return self[key]
+
+
+def _times(term, weight):
+    """term <- weight * term, in place, as `star_matrix` multiplies."""
+    np.multiply(weight, term, out=term)
+
+
+def _over(term, weight):
+    """term <- term / weight, in place, as `star_scalar_inverse` divides."""
+    np.true_divide(term, weight, out=term)
+
+
+def _update_hook(grid: Grid3, sides: tuple):
+    """The `update` of a 3D pair, one output component at a time.
+
+    ``sides[adjoint]`` is (op, weights, weigh, combine): the update is
+    combine(x, dt * W op(y)), with W applied by weigh(term, weights[r]) to
+    component r, or skipped where `weights` is None (exactly 1).  Each
+    component of op(y) is formed by `mimetic3d._difference` into one scratch
+    buffer, weighted and scaled there in place, and combined into `out`
+    before the next is formed, so the hook owns three node-sized buffers: the
+    component and the operator's two work terms.  On a cube with a
+    power-of-two spacing h, a side whose weight is skipped asks for
+    undivided differences and scales by dt * (1/h) instead (`fold_spacing`).
+    """
+    cube = fold_spacing(grid.spacings)
+    folds = [cube if weights is None else _KEEP for _, weights, _, _ in sides]
+    scratch = _Scratch(grid, 3)
+
+    def update(x, y, dt, out, adjoint):
+        op, weights, weigh, combine = sides[adjoint]
+        scale, scaled = folds[adjoint].scale(dt)
+        terms = _difference(op, y, grid, scratch[_OPERATORS[op][1], 0, 0], scratch[1], scaled)
+        xs = _parts(x)
+        outs = _parts(out) if out is not None else (None,) * len(xs)
+        new = []
+        for r, (term, xr, o) in enumerate(zip(terms, xs, outs)):
+            if weights is not None:
+                weigh(term, weights[r])
+            # term *= dt has the bits of dt * term
+            np.multiply(term, scale, out=term)
+            new.append(combine(xr, term, out=o))
+        return out if out is not None else _as_field(new)
+
+    return update
 
 
 def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
@@ -114,12 +158,10 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     In the core's sign convention (df/dt = -A* g, dg/dt = A f) that makes
     A = (A G .) on node scalars and A* = -(a^-1 D* .) on dual-face fields.
 
-    Its `update` hook forms D* v and G s in scratch it owns, skips a weight
-    that is exactly 1 and applies any other in place, and folds the sign of
-    A* into the update: s - dt * (-(a^-1 D* v)) is s + dt * a^-1 D* v, bit
-    for bit.  On a cube with a power-of-two spacing h, a side whose weight
-    is skipped asks its operator for undivided differences and scales by
-    dt * (1/h) instead (`fold_spacing`).
+    Its `update` hook (`_update_hook`) forms D* v and G s one component at
+    a time in scratch it owns, skips a weight that is exactly 1 and applies
+    any other in place, and folds the sign of A* into the update:
+    s - dt * (-(a^-1 D* v)) is s + dt * a^-1 D* v, bit for bit.
     """
 
     def apply_a(s):
@@ -128,23 +170,10 @@ def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     def apply_astar(v):
         return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
 
-    unit_a, unit_diag = star.is_unit("a"), star.is_unit("a_diag")
-    cube = fold_spacing(grid.spacings)
-    folds = (cube if unit_diag else _KEEP, cube if unit_a else _KEEP)  # v, s update
-    scratch = _Scratch(grid)
-
-    def update(x, y, dt, out, adjoint):
-        scale, scaled = folds[adjoint].scale(dt)
-        if adjoint:
-            term = div3_star(y, grid, scaled=scaled, **scratch["dual-cell"])
-            if not unit_a:
-                star_scalar_inverse(term, star, "node-to-dual-cell", out=term)
-        else:
-            term = grad3(y, grid, scaled=scaled, **scratch["edge"])
-            if not unit_diag:
-                star_matrix(term, star, "a", out=term)
-        return _scaled_into(x, term, scale, out, np.add)
-
+    v_weights = None if star.is_unit("a_diag") else star.a_diag
+    s_weights = None if star.is_unit("a") else (star.a,)
+    update = _update_hook(grid, (("grad3", v_weights, _times, np.add),  # v
+                                 ("div3_star", s_weights, _over, np.add)))  # s
     # wave speed sqrt(max A / min a), over every sample of the diagonal
     s_max = math.sqrt(_extremes(star.a_diag)[1] / float(np.min(_distinct(star.a))))
     bound = _stencil_bound(s_max, grid)
@@ -157,13 +186,11 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     eps acts in the A role of its star (edge -> dual face) and mu in the B
     role (dual edge -> face); only those halves of the two stars are used.
 
-    Its `update` hook forms R* H and R E in scratch it owns, skips a star
-    that is exactly 1 and applies any other in place, and folds the signs
-    into the update: E - dt * (-(eps^-1 R* H)) is E + dt * eps^-1 R* H, and
-    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.  On a cube
-    with a power-of-two spacing h, a side whose star is skipped asks its
-    curl for undivided differences and scales by dt * (1/h) instead
-    (`fold_spacing`).
+    Its `update` hook (`_update_hook`) forms R* H and R E one component at a
+    time in scratch it owns, skips a star that is exactly 1 and applies any
+    other in place, and folds the signs into the update:
+    E - dt * (-(eps^-1 R* H)) is E + dt * eps^-1 R* H, and
+    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.
     """
 
     def apply_a(e):
@@ -172,23 +199,10 @@ def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorP
     def apply_astar(h):
         return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
 
-    unit_eps, unit_mu = eps_star.is_unit("a_inv_diag"), mu_star.is_unit("b_inv_diag")
-    cube = fold_spacing(grid.spacings)
-    folds = (cube if unit_mu else _KEEP, cube if unit_eps else _KEEP)  # H, E update
-    scratch = _Scratch(grid)
-
-    def update(x, y, dt, out, adjoint):
-        scale, scaled = folds[adjoint].scale(dt)
-        if adjoint:
-            term = curl3_star(y, grid, scaled=scaled, **scratch["dual-face"])
-            if not unit_eps:
-                star_matrix(term, eps_star, "a", inverse=True, out=term)
-            return _scaled_into(x, term, scale, out, np.add)
-        term = curl3(y, grid, scaled=scaled, **scratch["face"])
-        if not unit_mu:
-            star_matrix(term, mu_star, "b", inverse=True, out=term)
-        return _scaled_into(x, term, scale, out, np.subtract)
-
+    h_weights = None if mu_star.is_unit("b_inv_diag") else mu_star.b_inv_diag
+    e_weights = None if eps_star.is_unit("a_inv_diag") else eps_star.a_inv_diag
+    update = _update_hook(grid, (("curl3", h_weights, _times, np.subtract),  # H
+                                 ("curl3_star", e_weights, _times, np.add)))  # E
     # wave speed 1/sqrt(min eps * min mu), over every sample of the diagonals
     low = _extremes(eps_star.a_diag)[0] * _extremes(mu_star.b_diag)[0]
     bound = _stencil_bound(math.inf if low == 0.0 else 1.0 / math.sqrt(low), grid)
@@ -262,6 +276,27 @@ def maxwell_step(state: SystemState, eps_star: Star3, mu_star: Star3, grid: Grid
 # ---------------------------------------------------------------------------
 
 
+def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable:
+    """`divergence_audit` for one march: audit(e, h) returns the same two
+    norms, computing the fluxes eps E and mu H, their divergences and the
+    squares in six node-sized buffers it makes once, so that auditing every
+    record allocates no field."""
+    scratch = _Scratch(grid, 6)
+    dv = grid.cell_volume
+
+    def norm(div) -> float:
+        np.square(div, out=div)  # the bits of div ** 2
+        return math.sqrt(float(np.sum(div)) * dv)
+
+    def audit(e: VectorField3, h: VectorField3) -> tuple:
+        flux_e = star_matrix(e, eps_star, "a", out=scratch["dual-face", 0, 1])
+        div_e = norm(div3_star(flux_e, grid, scratch["dual-cell", 3, 0], scratch[4]))
+        flux_h = star_matrix(h, mu_star, "b", out=scratch["face", 0, 1])
+        return div_e, norm(div3(flux_h, grid, scratch["cell", 3, 0], scratch[4]))
+
+    return audit
+
+
 def divergence_audit(e: VectorField3, h: VectorField3, eps_star: Star3, mu_star: Star3,
                      grid: Grid3) -> tuple:
     """Unweighted L2 norms of div*(eps E) on dual cells and div(mu H) on cells.
@@ -269,14 +304,10 @@ def divergence_audit(e: VectorField3, h: VectorField3, eps_star: Star3, mu_star:
     Both are exact invariants of the march for any admissible materials —
     the update adds dt * D* R* H to the first and -dt * D R E to the second,
     and both composites vanish identically — so the norms stay constant (not
-    necessarily zero) to rounding.
+    necessarily zero) to rounding.  A march that audits its records makes
+    one `divergence_auditor` instead, whose scratch serves every record.
     """
-    flux_e = star_matrix(e, eps_star, "a")
-    flux_h = star_matrix(h, mu_star, "b")
-    dv = grid.cell_volume
-    div_e = math.sqrt(float(np.sum(div3_star(flux_e, grid) ** 2)) * dv)
-    div_h = math.sqrt(float(np.sum(div3(flux_h, grid) ** 2)) * dv)
-    return div_e, div_h
+    return divergence_auditor(eps_star, mu_star, grid)(e, h)
 
 
 def _extremes(diag) -> tuple:
@@ -326,18 +357,26 @@ def pin_tangential_boundary(v: VectorField3) -> VectorField3:
 # ---------------------------------------------------------------------------
 
 
+def _on_axes(grid: Grid3, kind: str, comp: int, fn) -> np.ndarray:
+    """fn(x, y, z) at the sample points of component `comp` of `kind`, with
+    x, y and z its three 1D axes shaped to broadcast (a sparse meshgrid),
+    broadcast to the component's shape.  A product of one factor per axis
+    takes the same operands in the same order at every point as on whole
+    meshgrids, so it has the same bits, from a fraction of the work."""
+    pattern = _PATTERNS[kind][comp]
+    values = fn(*np.meshgrid(*grid._pattern_axes(pattern), indexing="ij", sparse=True))
+    shape = grid._shapes(kind)[comp]
+    return values if values.shape == shape else np.broadcast_to(values, shape).copy()
+
+
 def cavity_mode_s(grid: Grid3, t: float, modes=(1, 1, 1)) -> np.ndarray:
     """Standing mode cos(w t) sin(m pi x) sin(n pi y) sin(p pi z) on nodes,
     with w = pi sqrt(m^2 + n^2 + p^2)."""
     m, n, p = modes
     w = np.pi * math.sqrt(m * m + n * n + p * p)
-    x, y, z = grid.scalar_points("node")
-    return (
-        math.cos(w * t)
-        * np.sin(m * np.pi * x)
-        * np.sin(n * np.pi * y)
-        * np.sin(p * np.pi * z)
-    )
+    cos_t = math.cos(w * t)
+    return _on_axes(grid, "node", 0, lambda x, y, z: (
+        cos_t * np.sin(m * np.pi * x) * np.sin(n * np.pi * y) * np.sin(p * np.pi * z)))
 
 
 def cavity_mode_v(grid: Grid3, t: float, modes=(1, 1, 1)) -> VectorField3:
@@ -345,13 +384,14 @@ def cavity_mode_v(grid: Grid3, t: float, modes=(1, 1, 1)) -> VectorField3:
     m, n, p = modes
     w = np.pi * math.sqrt(m * m + n * n + p * p)
     amp = math.sin(w * t) * np.pi / w
-    x, y, z = grid.vector_points("dual-face", 0)
-    vx = amp * m * np.cos(m * np.pi * x) * np.sin(n * np.pi * y) * np.sin(p * np.pi * z)
-    x, y, z = grid.vector_points("dual-face", 1)
-    vy = amp * n * np.sin(m * np.pi * x) * np.cos(n * np.pi * y) * np.sin(p * np.pi * z)
-    x, y, z = grid.vector_points("dual-face", 2)
-    vz = amp * p * np.sin(m * np.pi * x) * np.sin(n * np.pi * y) * np.cos(p * np.pi * z)
-    return VectorField3(vx, vy, vz)
+    return VectorField3(
+        _on_axes(grid, "dual-face", 0, lambda x, y, z: (
+            amp * m * np.cos(m * np.pi * x) * np.sin(n * np.pi * y) * np.sin(p * np.pi * z))),
+        _on_axes(grid, "dual-face", 1, lambda x, y, z: (
+            amp * n * np.sin(m * np.pi * x) * np.cos(n * np.pi * y) * np.sin(p * np.pi * z))),
+        _on_axes(grid, "dual-face", 2, lambda x, y, z: (
+            amp * p * np.sin(m * np.pi * x) * np.sin(n * np.pi * y) * np.cos(p * np.pi * z))),
+    )
 
 
 def te_cavity_e(grid: Grid3, t: float) -> VectorField3:
@@ -359,8 +399,8 @@ def te_cavity_e(grid: Grid3, t: float) -> VectorField3:
     with w = pi sqrt(2); the tangential components vanish on all walls."""
     w = np.pi * math.sqrt(2.0)
     shapes = grid.vector_shapes("edge")
-    x, y, _ = grid.vector_points("edge", 2)
-    ez = np.sin(np.pi * x) * np.sin(np.pi * y) * math.cos(w * t)
+    ez = _on_axes(grid, "edge", 2,
+                  lambda x, y, _: np.sin(np.pi * x) * np.sin(np.pi * y) * math.cos(w * t))
     return VectorField3(np.zeros(shapes[0]), np.zeros(shapes[1]), ez)
 
 
@@ -368,9 +408,9 @@ def te_cavity_h(grid: Grid3, t: float) -> VectorField3:
     """The dual-edge field paired with `te_cavity_e` (zero at t = 0)."""
     w = np.pi * math.sqrt(2.0)
     amp = math.sin(w * t) * np.pi / w
-    x, y, _ = grid.vector_points("dual-edge", 0)
-    hx = -amp * np.sin(np.pi * x) * np.cos(np.pi * y)
-    x, y, _ = grid.vector_points("dual-edge", 1)
-    hy = amp * np.cos(np.pi * x) * np.sin(np.pi * y)
+    hx = _on_axes(grid, "dual-edge", 0,
+                  lambda x, y, _: -amp * np.sin(np.pi * x) * np.cos(np.pi * y))
+    hy = _on_axes(grid, "dual-edge", 1,
+                  lambda x, y, _: amp * np.cos(np.pi * x) * np.sin(np.pi * y))
     hz = np.zeros(grid.vector_shapes("dual-edge")[2])
     return VectorField3(hx, hy, hz)

@@ -18,6 +18,7 @@ from stagwave.core import (
     SystemState,
     check_adjointness,
     fold_spacing,
+    init_g_half,
     run_system,
     system_step,
 )
@@ -172,10 +173,12 @@ def _maxwell_stars(grid):
 
 
 def _maxwell_audit(eps, mu, grid):
-    """The invariant pieces and the divergence audit of each record."""
+    """The invariant pieces and the divergence audit of each record, with
+    one auditor for the march, as the `maxwell` command makes it."""
+    divergences = wave3d.divergence_auditor(eps, mu, grid)
 
     def audit(state, pieces):
-        return (*pieces, *wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid))
+        return (*pieces, *divergences(state.f, state.g_half))
 
     return audit
 
@@ -403,10 +406,12 @@ def test_records_are_the_three_term_invariants(name, record_every):
 
 
 def _count_3d_calls(monkeypatch, counts):
-    """Count every mimetic3d operator, star and inner3 call, rebinding each
-    in every stagwave module that holds a reference to it."""
+    """Count every mimetic3d operator, star and inner3 call, and every pass
+    of `_difference`, the one loop of the six operators and the 3D update
+    hooks, rebinding each in every stagwave module that holds a reference
+    to it."""
     modules = [m for n, m in sys.modules.items() if n.startswith("stagwave.")]
-    for name in OPS_3D + ("inner3",):
+    for name in OPS_3D + ("inner3", "_difference"):
         original = getattr(mimetic3d, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -420,11 +425,15 @@ def _count_3d_calls(monkeypatch, counts):
 
 
 @pytest.mark.parametrize(
-    "record_every, ops_per_step, inner3_per_step", [(1, 8, 4), (0, 4, 0)]
+    "record_every, passes_per_step, ops_per_step, inner3_per_step",
+    [(1, 4, 4, 4), (0, 2, 0, 0)],
 )
-def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, inner3_per_step):
-    # a recorded step: the step's 4 applications plus the divergence audit's
-    # 2 stars and 2 divergences; the invariants add four inner products
+def test_maxwell_step_operator_count(monkeypatch, record_every, passes_per_step, ops_per_step,
+                                     inner3_per_step):
+    # a step is two difference passes, R* H and R E, made by the update hook,
+    # which weights their components itself; a recorded step adds the
+    # divergence audit's 2 stars and 2 divergences (one pass each), and the
+    # invariants four inner products
     grid = _grid3d()
     eps, mu = _maxwell_stars(grid)
     case = _maxwell(np.random.default_rng(3))
@@ -433,6 +442,7 @@ def test_maxwell_step_operator_count(monkeypatch, record_every, ops_per_step, in
     _march_from(wave3d.maxwell_system(eps, mu, grid), state.f, state.g_half, case["dt"], 5,
                 record_every=record_every, audit=_maxwell_audit(eps, mu, grid))
     inner = counts.pop("inner3", 0)
+    assert counts.pop("_difference") == 5 * passes_per_step
     assert sum(counts.values()) == 5 * ops_per_step
     assert inner == 5 * inner3_per_step
 
@@ -561,13 +571,14 @@ def _peak_bytes(run):
         tracemalloc.stop()
 
 
-def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0):
+def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
     """The most that memory rises, over what is live as the step begins,
     during one of steps 3 to n_steps - 1 of a run of `engine` (a pair and its
     products) recorded every `record_every` steps: the steps after the two
     that may make the run's pairs, and before the last.  A step runs from its
     A* update to its A update, through the hook or the pair's operators; a
-    record's inner products fall between steps."""
+    record's inner products fall between steps.  With an `audit`, every
+    record runs it, and its calls on those steps are measured as well."""
     import tracemalloc
 
     ops, inner_X, inner_Y = engine
@@ -597,11 +608,19 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0):
         end()
         return result
 
+    def watched_audit(state, pieces):
+        begin()
+        result = audit(state, pieces)
+        end()
+        return result
+
     watched = replace(ops, update=update, apply_A=apply_A, apply_Astar=apply_Astar)
     _peak_bytes(lambda: run_system(f0, None, watched, dt, n_steps, inner_X, inner_Y,
-                                   g_half0=g0, record_every=record_every))
-    assert len(rises) == n_steps
-    return max(rises[2:-1])
+                                   g_half0=g0, record_every=record_every,
+                                   audit=None if audit is None else watched_audit))
+    per_step = 1 if audit is None else 2  # a step, and its audit
+    assert len(rises) == per_step * n_steps
+    return max(rises[2 * per_step:-per_step])
 
 
 def _fresh(engine):
@@ -629,6 +648,26 @@ def test_steady_maxwell_steps_allocate_no_field(record_every):
     assert _steady_peak(_fresh(engine), f0, g0, dt, 22, record_every) > component
 
 
+def test_steady_audited_maxwell_march_allocates_no_field():
+    # the `maxwell` command's march: diagonal stars, every step recorded and
+    # audited by one divergence auditor
+    grid = Grid3.cube(40, 1.0, boundary="pinned")
+    eps, mu = cli.parse_material_3d("diag3d", "maxwell")(grid)
+    system = wave3d.maxwell_system(eps, mu, grid)
+    dt = system.cfl_dt(0.9)
+    f0, g0 = system.start(dt)
+    component = f0.x.nbytes
+    divergences = wave3d.divergence_auditor(eps, mu, grid)
+    assert _steady_peak(_engine(system), f0, g0, dt, 22, 1,
+                        lambda state, _: divergences(state.f, state.g_half)) < component
+
+    # the measure sees an audit that makes its fields, one scratch a call
+    def fresh(state, _):
+        return wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid)
+
+    assert _steady_peak(_engine(system), f0, g0, dt, 22, 1, fresh) > component
+
+
 @pytest.mark.skipif(sys.version_info < (3, 11),
                     reason="CPython 3.10 keeps a call's arguments alive until it returns, "
                            "so `System.march` holds the start pair for the whole run")
@@ -641,7 +680,7 @@ def test_unrecorded_march_holds_at_most_two_pairs():
     pair = sum(c.nbytes for c in _parts(f0) + _parts(g_half0))
     component = f0.x.nbytes
     del f0, g_half0
-    scratch = 5 * np.empty(grid.scalar_shape("node")).nbytes  # the update hook's own
+    scratch = 3 * np.empty(grid.scalar_shape("node")).nbytes  # the update hook's own
     # the march lets the start pair go after step 1, overwrites one working
     # pair in place, and makes a second only for the last step's history: so
     # the start data, the steps and the scratch never hold a third pair
@@ -649,20 +688,37 @@ def test_unrecorded_march_holds_at_most_two_pairs():
     assert peak < 2 * pair + scratch + component
 
 
+class _WeightOperands:
+    """numpy as `wave3d` sees it, with every multiply whose first operand is
+    one of `weights` counted as a "weight"."""
+
+    def __init__(self, counts, weights):
+        self.counts, self.weights = counts, {id(w) for w in weights}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def multiply(self, *args, **kwargs):
+        if id(args[0]) in self.weights:
+            self.counts["weight"] += 1
+        return np.multiply(*args, **kwargs)
+
+
 @pytest.mark.parametrize(
-    "stars, ops_per_step, stars_per_step",
-    [("unit", 2, 0), ("unit-eps", 3, 1), ("unit-mu", 3, 1), ("diagonal", 4, 2)],
+    "stars, stars_per_step",
+    [("unit", 0), ("unit-eps", 1), ("unit-mu", 1), ("diagonal", 2)],
 )
-def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, ops_per_step,
-                                                  stars_per_step):
+def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, stars_per_step):
     _, f0, g0, dt, (eps, mu) = _inplace_case("maxwell", "pinned", stars,
                                              np.random.default_rng(3))
     counts = Counter()
     _count_3d_calls(monkeypatch, counts)
+    monkeypatch.setattr(wave3d, "np", _WeightOperands(counts, eps.a_inv_diag + mu.b_inv_diag))
     _march_from(wave3d.maxwell_system(eps, mu, eps.grid), f0, g0, dt, 5, record_every=0)
     counts.pop("inner3", 0)
-    assert sum(counts.values()) == 5 * ops_per_step
-    assert counts["star_matrix"] == 5 * stars_per_step
+    # two difference passes a step and no star call: the hook weights each of
+    # a pass's three components itself, once per star that is not unit
+    assert counts == Counter({"_difference": 5 * 2, "weight": 5 * 3 * stars_per_step})
 
 
 # ---------------------------------------------------------------------------
@@ -1023,3 +1079,67 @@ def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n, f
     else:
         # 1D: one difference per update; 2D: two in the u update, one per v component
         assert divides == 5 * (2 if module is wave1d else 4)
+
+
+# ---------------------------------------------------------------------------
+# the half-step start from rest
+# ---------------------------------------------------------------------------
+
+def _taylor(f0, g0, ops, dt):
+    """The whole Taylor half step, curvature term included, through the
+    pair's allocating operators."""
+    return (g0 + (0.5 * dt) * ops.apply_A(f0)
+            - (0.5 * (0.5 * dt) ** 2) * ops.apply_A(ops.apply_Astar(g0)))
+
+
+@pytest.mark.parametrize("dt_fraction", [0.6, -0.6])
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("name", FOLD_NAMES)
+def test_half_step_from_rest_has_the_bits_of_the_whole_taylor_step(name, n, dt_fraction):
+    # the start skips the curvature term of g0 = 0 and forms the first-order
+    # term through the hook; n = 8 makes every spacing a power of two, which
+    # the hook folds into its scale
+    ops, xs, ys, module = _fold_case(name, n)
+    assert ops.update is not None
+    rng = np.random.default_rng(n)
+    f0 = _field([rng.standard_normal(shape) for shape in xs], module)
+    g0 = _field([np.zeros(shape) for shape in ys], module)
+    dt = dt_fraction * 2.0 / ops.norm_bound_A
+    counts = Counter()
+    got = init_g_half(f0, g0, _counted(ops, counts), dt)
+    want = _taylor(f0, g0, ops, dt)
+    assert all(np.array_equal(p, q) for p, q in zip(_bits(got), _bits(want)))
+    assert counts == {"A": 1}  # through the hook, which allocates only the result
+    # the start pair is never written
+    assert not any(np.any(p) for p in _parts(g0))
+
+
+@pytest.mark.parametrize("name", FOLD_NAMES)
+def test_half_step_from_rest_past_the_float_range_is_nan(name):
+    # (dt/2)^2 overflows: the curvature coefficient is inf, and inf times the
+    # zero curvature a NaN, as the whole Taylor step makes it, with no numpy
+    # warning
+    ops, xs, ys, module = _fold_case(name, 6)
+    rng = np.random.default_rng(2)
+    f0 = _field([1e-300 * rng.standard_normal(shape) for shape in xs], module)
+    g0 = _field([np.zeros(shape) for shape in ys], module)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = init_g_half(f0, g0, ops, 1e300)
+    assert all(np.all(np.isnan(p)) for p in _parts(got))
+
+
+@pytest.mark.parametrize("name", ["cmp", "wave2d-full", "maxwell:pinned:diagonal"])
+def test_half_step_from_signed_zeros_keeps_the_curvature_term(name):
+    # a -0.0 in g0 is not rest: the curvature term is formed, and the -0.0
+    # comes out as the whole Taylor step makes it
+    ops, xs, ys, module = _fold_case(name, 6)
+    rng = np.random.default_rng(4)
+    f0 = _field([rng.standard_normal(shape) for shape in xs], module)
+    g0 = _field([np.zeros(shape) for shape in ys], module)
+    _parts(g0)[0].flat[0] = -0.0
+    counts = Counter()
+    got = init_g_half(f0, g0, _counted(ops, counts), 0.3 / ops.norm_bound_A)
+    want = _taylor(f0, g0, ops, 0.3 / ops.norm_bound_A)
+    assert all(np.array_equal(p, q) for p, q in zip(_bits(got), _bits(want)))
+    assert counts == {"A": 2, "Astar": 1}

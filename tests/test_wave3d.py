@@ -638,6 +638,46 @@ class TestModesAndPinning:
         )
         assert all(np.all(c == 0.0) for c in h0.components)
 
+    @pytest.mark.parametrize("n", range(4, 17))
+    def test_modes_have_the_bits_of_their_meshgrid_form(self, n):
+        # the samplers multiply per-axis factors broadcast to shape; the same
+        # factors in the same order on whole meshgrids give the same bits
+        grid = pinned_cube(n)
+        pi = np.pi
+
+        def bits(field):
+            return [c.view(np.int64) for c in getattr(field, "components", (field,))]
+
+        for t in (0.0, 0.13, 0.7):
+            w = pi * math.sqrt(2.0)
+            amp = math.sin(w * t) * pi / w
+            x, y, _ = grid.vector_points("edge", 2)
+            ez = np.sin(pi * x) * np.sin(pi * y) * math.cos(w * t)
+            assert np.array_equal(bits(te_cavity_e(grid, t))[2], ez.view(np.int64))
+            x, y, _ = grid.vector_points("dual-edge", 0)
+            hx = -amp * np.sin(pi * x) * np.cos(pi * y)
+            x, y, _ = grid.vector_points("dual-edge", 1)
+            hy = amp * np.cos(pi * x) * np.sin(pi * y)
+            got = bits(te_cavity_h(grid, t))
+            assert np.array_equal(got[0], hx.view(np.int64))
+            assert np.array_equal(got[1], hy.view(np.int64))
+            for m, k, p in ((1, 1, 1), (2, 1, 3)):
+                w = pi * math.sqrt(m * m + k * k + p * p)
+                amp = math.sin(w * t) * pi / w
+                x, y, z = grid.scalar_points("node")
+                s = math.cos(w * t) * np.sin(m * pi * x) * np.sin(k * pi * y) * np.sin(p * pi * z)
+                assert np.array_equal(bits(cavity_mode_s(grid, t, (m, k, p)))[0],
+                                      s.view(np.int64))
+                want = []
+                for r, (fx, fy, fz) in enumerate(((np.cos, np.sin, np.sin),
+                                                  (np.sin, np.cos, np.sin),
+                                                  (np.sin, np.sin, np.cos))):
+                    x, y, z = grid.vector_points("dual-face", r)
+                    want.append(amp * (m, k, p)[r] * fx(m * pi * x) * fy(k * pi * y)
+                                * fz(p * pi * z))
+                got = bits(cavity_mode_v(grid, t, (m, k, p)))
+                assert all(np.array_equal(g, v.view(np.int64)) for g, v in zip(got, want))
+
     def test_yee_component_layout(self):
         # E_x sits at (i+1/2, j, k); H_x at (i, j+1/2, k+1/2)
         grid = pinned_cube(4)

@@ -18,7 +18,8 @@ every convergence case including unordered ``--k`` levels and 1D sweeps over
 rough materials (a density jump, a piecewise stiffness) or over non-consecutive
 levels, in parallel, or from a higher mode, power-of-two grids
 whose update hooks fold the spacing into non-unit 2D weights or, with a
-non-unit 3D star, keep dividing by it, the benchmark's
+non-unit 3D star, keep dividing by it, unit-star 3D runs on a power-of-two
+grid whose steps run in place between records, the benchmark's
 invocations with fixed draws, and the inputs that must end in a report with
 failed checks (exit 1) or a usage error (exit 2).
 """
@@ -90,6 +91,8 @@ MORE_RUNS = [
     ["wave1d-convergence", "--case", "cmp", "--k", "4..6", "--f", "2"],
     ["convergence-table", "--case", "bump-p2-q2", "--k", "4,6", "--jobs", "2"],
     ["wave1d-convergence", "--case", "bump-p2-q2", "--k", "4..6", "--mode-m", "3"],
+    ["maxwell", "--grid", "16", "--materials", "trivial3d", "--steps", "60", "--record-every", "7"],
+    ["wave3d", "--grid", "16", "--t-final", "0.3", "--record-every", "5"],
 ]
 
 # the benchmark's invocations, with its random draws fixed
