@@ -39,16 +39,18 @@ products, its CFL step, its start data and, where known, its exact solution.
 
 Buffers: a pair may supply an `update` hook that writes a whole update into
 a given buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's
-scalar pair allocates.  `run_system` then owns one working pair, which each
+scalar pair allocates.  A run then works on one pair, which each
 unrecorded step overwrites in place, f first and then g, as the Yee scheme
-overwrites E and then H.  Three kinds of step keep their predecessor as
-history instead, and write into a spare pair: the first, because the
-caller's f0 and g_half0 are never written; a recorded step, whose
-invariants read the history; and the last, because the returned state
-carries one step of history.  The spare is a retired history pair that the
-engine made itself, or a fresh pair until there is one, so a march holds at
-most two pairs of its own and allocates none per step.  The start
-allocates only the field it returns: `init_g_half` forms its first-order
+overwrites E and then H.  `System.march` owns the pair its `start` makes,
+so a march that records no step holds that one pair from start to end: its
+first step overwrites it through `system_step`, and its last runs in place
+and returns no history.  A recorded step keeps its predecessor as history,
+which its invariants read, and writes into a spare pair instead: a retired
+history pair the run owns, or a fresh pair until there is one, so a march
+holds at most two pairs and allocates none per step.  `run_system` called
+directly never writes the caller's start pair, so its first and last steps
+write into the spare too, and its final state keeps one step of history.
+`init_g_half` allocates only the field it returns: it forms its first-order
 term through the hook, and skips the curvature term of a start from rest.
 An `audit` callback must not keep references to the state's fields across
 steps: later steps overwrite them.  A hook whose differences share one
@@ -201,8 +203,10 @@ class System:
     its invariants.  `cfl_dt(safety)` is `safety` times the largest stable
     step, 2 / ops.norm_bound_A, in the module's own arithmetic; it is the
     only CFL step, and a `safety` <= 0 raises ValueError.  `start(dt)`
-    returns (f0, g_half0): f at t = 0 and g at t = dt/2.  `exact(t)`, where
-    the module knows it, is the continuum f at time t of that start.
+    returns (f0, g_half0): f at t = 0 and g at t = dt/2, as fresh writable
+    fields that no other call shares, since `march` overwrites them.
+    `exact(t)`, where the module knows it, is the continuum f at time t of
+    that start.
     """
 
     ops: OperatorPair
@@ -225,18 +229,21 @@ class System:
 
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
               audit: Callable | None = None):
-        """`run_system` for n_steps of dt from `start(dt)`."""
-        # popped into the call, not bound here: the engine alone holds the
-        # start pair, and lets it go once step 1 has used it (from CPython
-        # 3.11, whose calls hand their arguments over to the callee)
-        start = list(self.start(dt))
-        return run_system(start.pop(0), None, self.ops, dt, n_steps, self.inner_X,
-                          self.inner_Y, g_half0=start.pop(), record_every=record_every,
-                          audit=audit)
+        """`run_system` for n_steps of dt from `start(dt)`, which the march
+        owns: with an `update` hook, its unrecorded steps overwrite the start
+        pair itself, so a march that records no step holds that one pair
+        from start to end.  The final state keeps its step of history only
+        when the last step is recorded; otherwise its f_prev and g_prev_half
+        are None."""
+        f0, g_half0 = self.start(dt)
+        return run_system(f0, None, self.ops, dt, n_steps, self.inner_X, self.inner_Y,
+                          g_half0=g_half0, record_every=record_every, audit=audit,
+                          _owned=True)
 
     def error(self, f, t: float) -> float:
-        """max |f - exact(t)| over every component of f."""
-        return float(np.max([np.max(np.abs(a - b))
+        """max |f - exact(t)| over every component of f, with one temporary
+        at a time: a component's difference, made absolute in place."""
+        return float(np.max([_largest_magnitude(np.subtract(a, b))
                              for a, b in zip(_parts(f), _parts(self.exact(t)))]))
 
     def measured_norm(self, f, iterations: int = 60) -> float:
@@ -262,6 +269,13 @@ class System:
         return math.sqrt(max(lam, 0.0))
 
 
+def _largest_magnitude(d):
+    """max |d| of a fresh difference d, made absolute in place: the bits of
+    np.max(np.abs(d))."""
+    d = np.asarray(d)
+    return np.max(np.abs(d, out=d))
+
+
 def _parts(field) -> tuple:
     """The components of a field: a tuple's entries, a 3D field's
     components, or the field itself."""
@@ -272,19 +286,24 @@ def _parts(field) -> tuple:
 
 def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemState:
     """One leapfrog step.  f is updated first; g uses the freshly updated f.
-    The new state keeps the old f and g_half as its history.
+    The new state keeps the old f and g_half as its history, unless the
+    step overwrote them (below).
 
     out=(f_buf, g_buf), for a pair with an `update` hook, has the hook write
-    f_{n+1} into f_buf and g_{n+3/2} into g_buf (None for a fresh field);
-    neither may be the state's f or g_half, which become the history.  The
-    bits are the same either way.
+    f_{n+1} into f_buf and g_{n+3/2} into g_buf (None for a fresh field).
+    Buffers other than the state's own keep its f and g_half as the history.
+    out=(state.f, state.g_half) overwrites the state's pair in place, and the
+    new state then keeps no history.  The bits are the same either way.
     """
     if out is None:
         f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
         g_new = state.g_half + state.dt * ops.apply_A(f_new)
     else:
+        in_place = out[0] is state.f
         f_new = ops.update(state.f, state.g_half, state.dt, out[0], True)
         g_new = ops.update(state.g_half, f_new, state.dt, out[1], False)
+        if in_place:
+            return SystemState(f_new, g_new, state.dt, state.step + 1)
     return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
 
 
@@ -417,6 +436,7 @@ def run_system(
     *,
     record_every: int = 1,
     audit: Callable | None = None,
+    _owned: bool = False,
 ):
     """Integrate n_steps from (f0, g0) and record both invariants.
 
@@ -437,6 +457,13 @@ def run_system(
     instead: the history pair a step retires, once that is the run's own,
     or a fresh pair before then.  The run lets go of the start pair once
     step 1 has used it.
+
+    `System.march` alone passes `_owned=True`: the start pair is then the
+    run's own, and only recorded steps write into a spare.  An unrecorded
+    first step overwrites the start pair through `system_step`, so that the
+    first step of every march is a call of it (perfbench's set-up probe
+    stops there), and an unrecorded last step runs in place and returns no
+    history.
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
@@ -458,13 +485,15 @@ def run_system(
             state = system_step(state, ops)
         else:
             # the step reads only f_n and g_{n+1/2}: the history behind them
-            # retires, and from step 3 on, when it is no longer the caller's
-            # start pair, becomes the spare
-            if n > 2 and state.f_prev is not None:
+            # retires, and becomes the spare once it is not the caller's
+            # start pair (from step 3 on, or from step 2 when the run owns it)
+            if (n > 2 or _owned) and state.f_prev is not None:
                 spare = (state.f_prev, state.g_prev_half)
             state.f_prev = state.g_prev_half = None
-            if recorded or n == 1 or n == n_steps:
+            if recorded or (not _owned and n in (1, n_steps)):
                 state = system_step(state, ops, out=spare)
+            elif n == 1:
+                state = system_step(state, ops, out=(state.f, state.g_half))
             else:
                 state.f = ops.update(state.f, state.g_half, dt, state.f, True)
                 state.g_half = ops.update(state.g_half, state.f, dt, state.g_half, False)

@@ -657,7 +657,7 @@ _WEIGHTS = {
 }
 
 
-def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
+def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
     """One of the eight weighted inner products.
 
     Scalar kinds sum ``w * f1 * f2 * dV`` with weight ``a`` (node), ``1/b``
@@ -665,6 +665,10 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
     weighted componentwise product with weight ``A`` (edge), ``B^-1``
     (face), ``B`` (dual-edge) or ``A^-1`` (dual-face).  Components are
     reduced in fixed x, y, z order so results are bit-reproducible.
+
+    `work`, a flat float array at least one component long, holds each
+    product in place of a fresh one: the same operations into a
+    C-contiguous array of the component's shape, so the same bits.
     """
     if star.grid != grid:
         raise ValueError("star was built for a different grid")
@@ -674,14 +678,21 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
     which, inverse = _WEIGHTS[kind]
     if kind in SCALAR_KINDS:
         w, (a1,), (a2,) = getattr(star, which), c1, c2
-        return float(np.sum(a1 * a2 / w if inverse else w * a1 * a2)) * dv
+        product = None if work is None else _slot(work, 0, a1)
+        if inverse:  # a1 * a2 / w
+            product = np.multiply(a1, a2, out=product)
+            product /= w
+        else:  # w * a1 * a2
+            product = np.multiply(w, a1, out=product)
+            product *= a2
+        return float(np.sum(product)) * dv
     # one component at a time: star_matrix's arithmetic, without ever
     # holding the whole weighted field
     total = 0.0
     for w, a1, a2 in zip(_diagonal(star, which, inverse), c1, c2):
-        w = w * a1
-        w *= a2  # w is a fresh product, so the second factor can go in place
-        total += float(np.sum(w))
+        product = np.multiply(w, a1, out=None if work is None else _slot(work, 0, a1))
+        product *= a2  # the product is the function's own, so the second factor goes in place
+        total += float(np.sum(product))
     return total * dv
 
 

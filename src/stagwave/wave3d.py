@@ -221,10 +221,11 @@ def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
         return s0, init_g_half(s0, zeros_field(grid, "dual-face"), ops, dt)
 
     unit = star.is_unit("a") and star.is_unit("a_diag")
+    scratch = _Scratch(grid, 1)  # both products form theirs in one node-sized buffer
     return System(
         ops,
-        lambda a, b: inner3("node", a, b, star, grid),
-        lambda a, b: inner3("dual-face", a, b, star, grid),
+        lambda a, b: inner3("node", a, b, star, grid, scratch[0]),
+        lambda a, b: inner3("dual-face", a, b, star, grid, scratch[0]),
         cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
         start=start,
         exact=(lambda t: cavity_mode_s(grid, t, modes)) if unit else None,
@@ -243,10 +244,11 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
         return e0, init_g_half(e0, zeros_field(grid, "dual-edge"), ops, dt)
 
     unit = eps_star.is_unit("a_inv_diag") and mu_star.is_unit("b_inv_diag")
+    scratch = _Scratch(grid, 1)  # both products form theirs in one node-sized buffer
     return System(
         ops,
-        lambda a, b: inner3("edge", a, b, eps_star, grid),
-        lambda a, b: inner3("dual-edge", a, b, mu_star, grid),
+        lambda a, b: inner3("edge", a, b, eps_star, grid, scratch[0]),
+        lambda a, b: inner3("dual-edge", a, b, mu_star, grid, scratch[0]),
         cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
         start=start,
         exact=(lambda t: te_cavity_e(grid, t)) if unit else None,

@@ -12,7 +12,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from stagwave import cli, mimetic3d, oscillator, wave1d, wave2d, wave3d
+from stagwave import cli, core, mimetic3d, oscillator, wave1d, wave2d, wave3d
 from stagwave.core import (
     SpacingFold,
     SystemState,
@@ -45,9 +45,18 @@ def _same(a, b):
     return len(pa) == len(pb) and all(np.array_equal(p, q) for p, q in zip(pa, pb))
 
 
+def _copy(field):
+    """A fresh copy of an array or of a field of arrays."""
+    if isinstance(field, np.ndarray):
+        return field.copy()
+    return type(field)(*(p.copy() for p in _parts(field)))
+
+
 def _march_from(system, f0, g_half0, dt, n_steps, **kwargs):
-    """`system` marched from (f0, g_half0) in place of its own start."""
-    return replace(system, start=lambda _: (f0, g_half0)).march(dt, n_steps, **kwargs)
+    """`system` marched from copies of (f0, g_half0) in place of its own
+    start: a march overwrites the pair its start returns."""
+    return replace(system, start=lambda _: (_copy(f0), _copy(g_half0))).march(dt, n_steps,
+                                                                               **kwargs)
 
 
 def _oscillator(rng):
@@ -332,6 +341,30 @@ def test_every_system_keeps_the_contract(name):
         assert np.max(np.abs(series - series[0])) <= 1e-12 * abs(series[0])
 
 
+ERROR_SYSTEMS = {
+    "wave1d-cmp": lambda: wave1d.cmp_system(1.0, wave1d.Grid1D(a=0.0, b=1.0, nx=4097,
+                                                                t_final=1.0, nt=1)),
+    "wave2d": lambda: wave2d.wave2d_system(wave2d.Star2(), wave2d.Grid2(64, 64)),
+    "wave3d-scalar": lambda: wave3d.scalar_wave_system(Star3.trivial(_cube(16)), _cube(16)),
+    "maxwell": lambda: wave3d.maxwell_system(Star3.trivial(_cube(16)), Star3.trivial(_cube(16)),
+                                             _cube(16)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_SYSTEMS))
+def test_error_makes_one_temporary_per_component(name):
+    system = ERROR_SYSTEMS[name]()
+    dt = system.cfl_dt(0.8)
+    f = system.march(dt, 7, record_every=0)[0].f
+    exact = system.exact(7 * dt)
+    fixed = replace(system, exact=lambda _: exact)
+    want = float(np.max([np.max(np.abs(a - b)) for a, b in zip(_parts(f), _parts(exact))]))
+    assert want > 0.0 and fixed.error(f, 7 * dt) == want
+    # one difference at a time, made absolute in place
+    component = max(c.nbytes for c in _parts(exact))
+    assert _peak_bytes(lambda: fixed.error(f, 7 * dt)) < 1.5 * component
+
+
 def test_systems_know_the_exact_mode_of_unit_materials_only():
     assert wave2d.wave2d_system(wave2d.Star2(a=2.0), wave2d.Grid2(4, 4)).exact is None
     assert wave3d.scalar_wave_system(Star3.from_scalars(_cube(4), 2.0, 1.5, 3.0, 2.5),
@@ -577,8 +610,9 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
     products) recorded every `record_every` steps: the steps after the two
     that may make the run's pairs, and before the last.  A step runs from its
     A* update to its A update, through the hook or the pair's operators; a
-    record's inner products fall between steps.  With an `audit`, every
-    record runs it, and its calls on those steps are measured as well."""
+    record's inner products fall between steps.  With an `audit`, every step
+    must be recorded, and each record is measured as well: from the end of
+    its step, through its four inner products, to the end of its audit."""
     import tracemalloc
 
     ops, inner_X, inner_Y = engine
@@ -591,12 +625,17 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
     def end():
         rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
 
+    def step_end():
+        end()
+        if audit is not None:
+            begin()  # the record, then its audit
+
     def update(x, y, dt, out, adjoint):
         if adjoint:
             begin()
         result = ops.update(x, y, dt, out, adjoint)
         if not adjoint:
-            end()
+            step_end()
         return result
 
     def apply_Astar(g):
@@ -605,20 +644,21 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
 
     def apply_A(f):
         result = ops.apply_A(f)
-        end()
+        step_end()
         return result
 
     def watched_audit(state, pieces):
-        begin()
         result = audit(state, pieces)
         end()
         return result
+
+    assert audit is None or record_every == 1
 
     watched = replace(ops, update=update, apply_A=apply_A, apply_Astar=apply_Astar)
     _peak_bytes(lambda: run_system(f0, None, watched, dt, n_steps, inner_X, inner_Y,
                                    g_half0=g0, record_every=record_every,
                                    audit=None if audit is None else watched_audit))
-    per_step = 1 if audit is None else 2  # a step, and its audit
+    per_step = 1 if audit is None else 2  # a step, and its record with its audit
     assert len(rises) == per_step * n_steps
     return max(rises[2 * per_step:-per_step])
 
@@ -650,7 +690,8 @@ def test_steady_maxwell_steps_allocate_no_field(record_every):
 
 def test_steady_audited_maxwell_march_allocates_no_field():
     # the `maxwell` command's march: diagonal stars, every step recorded and
-    # audited by one divergence auditor
+    # audited by one divergence auditor; a record's four inner products form
+    # their products in the System's own buffer
     grid = Grid3.cube(40, 1.0, boundary="pinned")
     eps, mu = cli.parse_material_3d("diag3d", "maxwell")(grid)
     system = wave3d.maxwell_system(eps, mu, grid)
@@ -668,24 +709,112 @@ def test_steady_audited_maxwell_march_allocates_no_field():
     assert _steady_peak(_engine(system), f0, g0, dt, 22, 1, fresh) > component
 
 
-@pytest.mark.skipif(sys.version_info < (3, 11),
-                    reason="CPython 3.10 keeps a call's arguments alive until it returns, "
-                           "so `System.march` holds the start pair for the whole run")
-def test_unrecorded_march_holds_at_most_two_pairs():
+def test_unrecorded_march_holds_one_pair():
     grid = Grid3.cube(32, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
-    system = wave3d.maxwell_system(star, star, grid)
-    dt = system.cfl_dt(0.9)
-    f0, g_half0 = system.start(dt)
-    pair = sum(c.nbytes for c in _parts(f0) + _parts(g_half0))
-    component = f0.x.nbytes
-    del f0, g_half0
-    scratch = 3 * np.empty(grid.scalar_shape("node")).nbytes  # the update hook's own
-    # the march lets the start pair go after step 1, overwrites one working
-    # pair in place, and makes a second only for the last step's history: so
-    # the start data, the steps and the scratch never hold a third pair
-    peak = _peak_bytes(lambda: system.march(dt, 10, record_every=0))
-    assert peak < 2 * pair + scratch + component
+
+    def system():  # a fresh System, whose hook has yet to make its scratch
+        return wave3d.maxwell_system(star, star, grid)
+
+    dt = system().cfl_dt(0.9)
+    # the march overwrites the pair its start made, from step 1 to the last,
+    # so it holds no more than the start did: E, H at rest and H at dt/2
+    start = _peak_bytes(lambda: system().start(dt))
+    component = np.empty(grid.vector_shapes("edge")[0]).nbytes
+    assert _peak_bytes(lambda: system().march(dt, 10, record_every=0)) < start + component
+    # and once the start is made, the steps allocate no field at all
+    made = system()
+    f0, g_half0 = made.start(dt)
+    owned = replace(made, start=lambda _: (f0, g_half0))
+    assert _peak_bytes(lambda: owned.march(dt, 10, record_every=0)) < component
+
+
+# every System with an `update` hook: all but the oscillators
+HOOKED = sorted(name for name in CONTRACT_SYSTEMS if "oscillator" not in name)
+
+
+def _watched(system, calls, starts):
+    """`system` with the (x, out, result) of every hook call of its march in
+    `calls`, and every pair its start returns in `starts`."""
+    ops = system.ops
+
+    def update(x, y, dt, out, adjoint):
+        calls.append((x, out, ops.update(x, y, dt, out, adjoint)))
+        return calls[-1][2]
+
+    def start(dt):
+        starts.append(system.start(dt))
+        return starts[-1]
+
+    return replace(system, ops=replace(ops, update=update), start=start)
+
+
+def _ids(*fields):
+    return [id(c) for field in fields for c in _parts(field)]
+
+
+@pytest.mark.parametrize("name", HOOKED)
+def test_unrecorded_march_overwrites_its_start_pair(monkeypatch, name):
+    system = CONTRACT_SYSTEMS[name]()
+    assert system.ops.update is not None
+    dt = system.cfl_dt(0.8)
+    f0, g0 = system.start(dt)
+    # run_system never writes the caller's pair, and returns its history
+    want, _ = run_system(f0, None, system.ops, dt, 8, g_half0=g0, record_every=0)
+    assert want.f_prev is not None
+    steps = []
+
+    def step(state, ops, *, out=None):
+        steps.append(state.step)
+        return system_step(state, ops, out=out)
+
+    monkeypatch.setattr(core, "system_step", step)
+    calls, starts = [], []
+    state, records = _watched(system, calls, starts).march(dt, 8, record_every=0)
+    # every step overwrites the start pair in place, so the march makes no
+    # field; the first goes through `system_step`, the others inline
+    assert len(calls) == 2 * 8 and all(out is x for x, out, _ in calls)
+    assert _ids(state.f, state.g_half) == _ids(*starts[0])
+    assert steps == [0]
+    assert records == [] and state.step == 8
+    assert state.f_prev is None and state.g_prev_half is None
+    assert _same(state.f, want.f) and _same(state.g_half, want.g_half)
+
+
+@pytest.mark.parametrize("record_every", [1, 3, 4])
+@pytest.mark.parametrize("name", HOOKED)
+def test_recorded_march_writes_into_one_spare_pair(name, record_every):
+    system = CONTRACT_SYSTEMS[name]()
+    dt = system.cfl_dt(0.8)
+    f0, g0 = system.start(dt)
+    want, want_records = run_system(f0, None, system.ops, dt, 8, system.inner_X,
+                                    system.inner_Y, g_half0=g0, record_every=record_every)
+    calls, starts = [], []
+    state, records = _watched(system, calls, starts).march(dt, 8, record_every=record_every)
+    assert records == want_records
+    assert _same(state.f, want.f) and _same(state.g_half, want.g_half)
+    # a recorded last step keeps its history; an unrecorded one runs in place
+    if 8 % record_every == 0:
+        assert _same(state.f_prev, want.f_prev) and _same(state.g_prev_half, want.g_prev_half)
+    else:
+        assert state.f_prev is None and state.g_prev_half is None
+    # the first recorded step makes the one spare pair; from then on the
+    # retired start pair, which the march owns, is a spare too
+    made = [i for _, out, result in calls if out is None for i in _ids(result)]
+    assert len(made) == len(_ids(*starts[0]))
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACT_SYSTEMS))
+def test_every_start_returns_fields_of_its_own(name):
+    # a march overwrites the pair its start returns, so each start makes its
+    # own writable fields, shared with no other field of that start or the next
+    system = CONTRACT_SYSTEMS[name]()
+    dt = system.cfl_dt(0.8)
+    parts = [p for _ in range(2) for field in system.start(dt) for p in _parts(field)]
+    arrays = [p for p in parts if isinstance(p, np.ndarray)]
+    assert len(arrays) == (0 if "oscillator" in name else len(parts))
+    assert all(a.flags.writeable for a in arrays)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
 
 
 class _WeightOperands:

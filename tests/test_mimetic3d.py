@@ -644,6 +644,29 @@ class TestInner3:
             ref = sum(float(np.sum(w * c)) for w, c in zip(weighted, h.components))
             assert inner3(kind, f, h, st, g) == ref * g.cell_volume
 
+    @pytest.mark.parametrize("offset", [0, 3])
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_work_buffer_keeps_the_bits_and_allocates_no_product(self, boundary, offset):
+        # every kind, its products formed in one buffer that the kind before
+        # left dirty, starting on a cache line or not
+        import tracemalloc
+
+        g = Grid3(1.0, 1.5, 0.75, 16, 17, 18, boundary=boundary)
+        st = variable_diagonal_star(g)
+        rng = np.random.default_rng(12)
+        node = np.empty(g.scalar_shape("node"))  # the largest kind on either policy
+        work = np.full(node.size + offset, np.nan)[offset:]
+        for kind in SCALAR_KINDS + VECTOR_KINDS:
+            f, h = random_input(g, kind, rng), random_input(g, kind, rng)
+            tracemalloc.start()
+            try:
+                got = inner3(kind, f, h, st, g, work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got == inner3(kind, f, h, st, g)
+            assert peak < min(c.nbytes for c in comps(f))
+
     def test_kind_mismatch_raises(self):
         g = Grid3.cube(4, boundary="pinned")
         st = Star3.trivial(g)

@@ -38,8 +38,10 @@ def v_half(u0, v0, star, grid, dt):
 
 
 def march(star, grid, u0, v_start, dt, n_steps, **kwargs):
-    """The march of `star` from (u0, v_start) in place of the System's start."""
-    system = replace(wave2d_system(star, grid), start=lambda _: (u0, VectorField2(*v_start)))
+    """The march of `star` from copies of (u0, v_start) in place of the
+    System's start: a march overwrites the pair its start returns."""
+    system = replace(wave2d_system(star, grid),
+                     start=lambda _: (u0.copy(), VectorField2(*(v.copy() for v in v_start))))
     return system.march(dt, n_steps, **kwargs)
 
 

@@ -71,8 +71,10 @@ _products = attrgetter("inner_X", "inner_Y")
 
 
 def march_from(system, f0, g_half0, dt, n_steps, **kwargs):
-    """`system` marched from (f0, g_half0) in place of its own start."""
-    return replace(system, start=lambda _: (f0, g_half0)).march(dt, n_steps, **kwargs)
+    """`system` marched from copies of (f0, g_half0) in place of its own
+    start: a march overwrites the pair its start returns."""
+    return replace(system, start=lambda _: (f0.copy(), g_half0.copy())).march(dt, n_steps,
+                                                                               **kwargs)
 
 
 def maxwell_march(grid, eps, mu, e0, h_half, dt, n_steps, **kwargs):
