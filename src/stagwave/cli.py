@@ -49,12 +49,13 @@ option's choices, grid sizes below what the grid constructors accept (the
 ``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive
 or hold a number that does not parse, a radial ``transport`` profile that
 holds no mass, non-positive or unparseable ``--final`` times, a ``--safety``
-(or a ``wave2d`` star, or a 1D material) whose CFL time step is not a
-positive finite number, CFL step counts that are not finite, a sweep whose
-coarsest level would take no CFL step, a sweep level whose error is exactly
-zero (no order to measure), an ``oscillator`` whose omega * dt / 2 is past
-the float range, and contradictory flags such as ``--dt`` with ``--t-final``
-for ``wave3d``/``maxwell``.
+(or a ``wave2d`` star, a 1D material, or the ``--speed``, ``--diffusivity``
+or ``--courant`` of ``transport`` and ``diffusion``) whose CFL time step is
+not a positive finite number, CFL step counts that are not finite, a sweep
+whose coarsest level would take no CFL step, a sweep level whose error is
+exactly zero (no order to measure), an ``oscillator`` whose omega * dt / 2
+is past the float range, and contradictory flags such as ``--dt`` with
+``--t-final`` for ``wave3d``/``maxwell``.
 
 Determinism
 -----------
@@ -468,16 +469,21 @@ class March(NamedTuple):
     finish: Callable | None = None  # finish(body, state, rows, art): own checks, norms
 
 
+def _checked_dt(dt: float, flags: str) -> float:
+    """dt, checked before any march: a usage error naming `flags` unless it
+    is a positive finite time step."""
+    if not 0.0 < dt < math.inf:
+        raise ConfigError(f"{flags}: the CFL time step {dt!r} is not a positive finite number")
+    return dt
+
+
 def _cfl_dt(system: System, safety: float, flags: str) -> float:
-    """`system.cfl_dt(safety)`, checked before any march: a usage error
-    naming `flags` unless it is a positive finite time step."""
+    """`system.cfl_dt(safety)`, checked by `_checked_dt`."""
     try:
         dt = system.cfl_dt(safety)
     except ZeroDivisionError:  # the norm bound is zero: no bound at all
         dt = math.inf
-    if not 0.0 < dt < math.inf:
-        raise ConfigError(f"{flags}: the CFL time step {dt!r} is not a positive finite number")
-    return dt
+    return _checked_dt(dt, flags)
 
 
 def _run_march(build, cfg, art: ArtifactWriter) -> dict:
@@ -521,8 +527,7 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
 
 
 def _oscillator_march(cfg) -> March:
-    params = _grid("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt,
-                   n_steps=cfg.steps)
+    params = _grid("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt)
     history = [cfg.u0]
 
     def finish(body, state, rows, art):
@@ -878,12 +883,12 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
             raise ConfigError(f"--n {n}: no cell centre lies inside the radial profile's "
                               "plateau |x| < 1/2, so it holds no mass")
 
-    # worst per-cell outflow coefficient sets the stable dt (a cell can
-    # drain through both faces at once)
-    coeff = float(np.max(np.maximum(v[1:], 0.0) - np.minimum(v[:-1], 0.0)))
+    # the worst per-cell outflow coefficient sets the stable dt
+    coeff = positivity.max_outflow(v)
     if coeff <= 0:
         raise ConfigError("velocity field never leaves any cell; nothing to march")
-    dt = courant * dx / coeff
+    dt = _checked_dt(courant * dx / coeff,
+                     "--courant/--speed" if kind == "constant" else "--courant")
 
     state = positivity.TransportState(rho=rho0, v=v, dx=dx, dt=dt)
     mass0 = state.mass
@@ -938,7 +943,7 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
     steps, every = cfg.steps, cfg.record_every
     dx = 1.0 / n
     d = np.full(n + 1, cfg.diffusivity)
-    dt = cfg.courant * dx * dx / float(np.max(d))
+    dt = _checked_dt(cfg.courant * dx * dx / float(np.max(d)), "--courant/--diffusivity")
 
     rho = np.zeros(n)
     rho[n // 2] = 1.0

@@ -260,12 +260,16 @@ def _as_fn(value) -> Callable:
 
 
 def _sample(grid: Grid3, pattern: str, fn) -> np.ndarray:
-    """A function (or constant) sampled at the points of one pattern."""
-    vals = np.asarray(_as_fn(fn)(*grid._pattern_points(pattern)), dtype=float)
+    """A function (or constant) sampled at the points of one pattern: fn
+    gets the pattern's three 1D axes shaped to broadcast (a sparse
+    meshgrid), and its result is broadcast to the pattern's shape.  A
+    pointwise fn takes the same operands in the same order at every point
+    as on whole meshgrids, so it has the same bits, from a fraction of the
+    work."""
+    axes = np.meshgrid(*grid._pattern_axes(pattern), indexing="ij", sparse=True)
+    vals = np.asarray(_as_fn(fn)(*axes), dtype=float)
     shape = grid._pattern_shape(pattern)
-    if vals.shape != shape:
-        vals = np.broadcast_to(vals, shape).copy()
-    return vals
+    return vals if vals.shape == shape else np.broadcast_to(vals, shape).copy()
 
 
 def _weight(grid: Grid3, pattern: str, value) -> np.ndarray:

@@ -28,19 +28,16 @@ __all__ = [
     "oscillator_system",
     "second_order_step",
     "leapfrog_step",
-    "simulate",
-    "stability_probe",
     "exact_solution",
 ]
 
 
 @dataclass(frozen=True)
 class OscParams:
-    """Oscillator parameters: angular frequency, time step, step count."""
+    """Oscillator parameters: angular frequency and time step."""
 
     omega: float
     dt: float
-    n_steps: int = 0
 
     def __post_init__(self):
         if not (self.omega > 0):
@@ -103,39 +100,3 @@ def exact_solution(u0: float, v0: float, omega: float, t: float) -> tuple[float,
     """Continuum solution of u' = -omega*v, v' = omega*u."""
     c, s = math.cos(omega * t), math.sin(omega * t)
     return u0 * c - v0 * s, v0 * c + u0 * s
-
-
-def simulate(
-    u0: float,
-    v0: float,
-    params: OscParams,
-    *,
-    exact_init: bool = False,
-):
-    """Run n_steps of leapfrog from (u0, v0) and record both invariants.
-
-    Returns (u_history, record) where u_history[n] = u at t_n (length
-    n_steps+1) and record is a list of (step, C_full, C_half) tuples starting
-    at step 1 (invariants need one step of history).
-
-    exact_init=True seeds v at t=dt/2 with the continuum value instead of the
-    Taylor half-step; used by convergence studies.
-    """
-    system = oscillator_system(params, u0, v0, exact_init=exact_init)
-    _, rec = system.march(params.dt, params.n_steps, audit=lambda state, _: (state.f,))
-    return [u0] + [r[3] for r in rec], [r[:3] for r in rec]
-
-
-def stability_probe(params: OscParams, *, n_steps: int = 10_000, bound: float = 10.0) -> str:
-    """Classify the step size by brute force: run from u0=1, v0=0.
-
-    Returns "stable" if max|u| stays within `bound` (far above any bounded
-    orbit for unit data), else "unstable".  Theory: stable iff omega*dt < 2.
-    """
-    system = oscillator_system(params)
-    state = SystemState(*system.start(params.dt), dt=params.dt)
-    for _ in range(n_steps):
-        state = system_step(state, system.ops)
-        if abs(state.f) > bound:
-            return "unstable"
-    return "stable"

@@ -69,26 +69,30 @@ class TransportState:
         return float(np.sum(self.rho)) * self.dx + self.escaped
 
 
+def max_outflow(v) -> float:
+    """The worst per-cell outflow coefficient ``max_i (max(v_{i+1}, 0) -
+    min(v_i, 0))`` of face velocities ``v``, or ``|v|`` for a scalar speed.
+    A cell between faces of opposite sign drains through both at once, so
+    the plain ``max|v|`` is not the bound."""
+    v = np.asarray(v, dtype=float)
+    if v.ndim == 0 or v.size < 2:
+        return float(np.max(np.abs(v)))
+    return float(np.max(np.maximum(v[1:], 0.0) - np.minimum(v[:-1], 0.0)))
+
+
 def positivity_guard(*, v=None, d=None, dt: float, dx: float) -> bool:
     """True iff the positivity conditions hold for the given scheme inputs.
 
-    Pass ``v`` (face velocities or a scalar) to check transport's per-cell
-    outflow bound ``max_i (max(v_{i+1}, 0) - min(v_i, 0)) dt/dx <= 1``
-    (just ``|v| dt/dx <= 1`` for a constant speed: a cell between faces of
-    opposite sign drains through both, so the plain ``max|v|`` form is not
-    sufficient), ``d`` (face diffusivities) to check diffusion's
-    ``max_i (D_i + D_{i+1}) dt/dx^2 <= 1``, or both to check both.
+    Pass ``v`` (face velocities or a scalar) to check transport's
+    ``max_outflow(v) dt/dx <= 1``, ``d`` (face diffusivities) to check
+    diffusion's ``max_i (D_i + D_{i+1}) dt/dx^2 <= 1``, or both to check
+    both.
     """
     if v is None and d is None:
         raise ValueError("pass v (transport), d (diffusion), or both")
     ok = True
     if v is not None:
-        v = np.asarray(v, dtype=float)
-        if v.ndim == 0 or v.size < 2:
-            worst = float(np.max(np.abs(v)))
-        else:
-            worst = float(np.max(np.maximum(v[1:], 0.0) - np.minimum(v[:-1], 0.0)))
-        ok = ok and worst * dt / dx <= 1.0
+        ok = ok and max_outflow(v) * dt / dx <= 1.0
     if d is not None:
         d = np.asarray(d, dtype=float)
         pair = d[1:] + d[:-1] if d.size > 1 else d

@@ -306,14 +306,6 @@ def refinement_exponent(speed: float, length: float, t_final: float,
     return f
 
 
-def v_at_final_time(v_half_last, v_half_prev) -> np.ndarray:
-    """v at the final whole step: mean of the two bracketing half steps,
-    a final state's g_half and g_prev_half.  `System.march` keeps that
-    history only when its last step is recorded (`record_every` dividing
-    the step count)."""
-    return 0.5 * (np.asarray(v_half_last) + np.asarray(v_half_prev))
-
-
 # ---------------------------------------------------------------------------
 # standing-mode solution for constant materials (pinned ends on [0, 1])
 # ---------------------------------------------------------------------------

@@ -48,6 +48,8 @@ from .mimetic3d import (
     div3_star,
     grad3,
     inner3,
+    sample_scalar,
+    sample_vector,
     star_matrix,
     star_scalar_inverse,
     zeros_field,
@@ -58,6 +60,7 @@ from .mimetic3d import (
     _distinct,
     _lines,
     _rim_zeroed,
+    _sample,
 )
 
 
@@ -279,10 +282,15 @@ def maxwell_step(state: SystemState, eps_star: Star3, mu_star: Star3, grid: Grid
 
 
 def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable:
-    """`divergence_audit` for one march: audit(e, h) returns the same two
-    norms, computing the fluxes eps E and mu H, their divergences and the
-    squares in six node-sized buffers it makes once, so that auditing every
-    record allocates no field."""
+    """The divergence audit of one march: audit(e, h) returns the unweighted
+    L2 norms of div*(eps E) on dual cells and div(mu H) on cells.
+
+    Both are exact invariants of the march for any admissible materials —
+    the update adds dt * D* R* H to the first and -dt * D R E to the second,
+    and both composites vanish identically — so the norms stay constant (not
+    necessarily zero) to rounding.  The fluxes, their divergences and the
+    squares are computed in six node-sized buffers made here, once, so that
+    auditing every record allocates no field."""
     scratch = _Scratch(grid, 6)
     dv = grid.cell_volume
 
@@ -297,19 +305,6 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
         return div_e, norm(div3(flux_h, grid, scratch["cell", 3, 0], scratch[4]))
 
     return audit
-
-
-def divergence_audit(e: VectorField3, h: VectorField3, eps_star: Star3, mu_star: Star3,
-                     grid: Grid3) -> tuple:
-    """Unweighted L2 norms of div*(eps E) on dual cells and div(mu H) on cells.
-
-    Both are exact invariants of the march for any admissible materials —
-    the update adds dt * D* R* H to the first and -dt * D R E to the second,
-    and both composites vanish identically — so the norms stay constant (not
-    necessarily zero) to rounding.  A march that audits its records makes
-    one `divergence_auditor` instead, whose scratch serves every record.
-    """
-    return divergence_auditor(eps_star, mu_star, grid)(e, h)
 
 
 def _extremes(diag) -> tuple:
@@ -359,25 +354,13 @@ def pin_tangential_boundary(v: VectorField3) -> VectorField3:
 # ---------------------------------------------------------------------------
 
 
-def _on_axes(grid: Grid3, kind: str, comp: int, fn) -> np.ndarray:
-    """fn(x, y, z) at the sample points of component `comp` of `kind`, with
-    x, y and z its three 1D axes shaped to broadcast (a sparse meshgrid),
-    broadcast to the component's shape.  A product of one factor per axis
-    takes the same operands in the same order at every point as on whole
-    meshgrids, so it has the same bits, from a fraction of the work."""
-    pattern = _PATTERNS[kind][comp]
-    values = fn(*np.meshgrid(*grid._pattern_axes(pattern), indexing="ij", sparse=True))
-    shape = grid._shapes(kind)[comp]
-    return values if values.shape == shape else np.broadcast_to(values, shape).copy()
-
-
 def cavity_mode_s(grid: Grid3, t: float, modes=(1, 1, 1)) -> np.ndarray:
     """Standing mode cos(w t) sin(m pi x) sin(n pi y) sin(p pi z) on nodes,
     with w = pi sqrt(m^2 + n^2 + p^2)."""
     m, n, p = modes
     w = np.pi * math.sqrt(m * m + n * n + p * p)
     cos_t = math.cos(w * t)
-    return _on_axes(grid, "node", 0, lambda x, y, z: (
+    return sample_scalar(grid, "node", lambda x, y, z: (
         cos_t * np.sin(m * np.pi * x) * np.sin(n * np.pi * y) * np.sin(p * np.pi * z)))
 
 
@@ -386,23 +369,23 @@ def cavity_mode_v(grid: Grid3, t: float, modes=(1, 1, 1)) -> VectorField3:
     m, n, p = modes
     w = np.pi * math.sqrt(m * m + n * n + p * p)
     amp = math.sin(w * t) * np.pi / w
-    return VectorField3(
-        _on_axes(grid, "dual-face", 0, lambda x, y, z: (
-            amp * m * np.cos(m * np.pi * x) * np.sin(n * np.pi * y) * np.sin(p * np.pi * z))),
-        _on_axes(grid, "dual-face", 1, lambda x, y, z: (
-            amp * n * np.sin(m * np.pi * x) * np.cos(n * np.pi * y) * np.sin(p * np.pi * z))),
-        _on_axes(grid, "dual-face", 2, lambda x, y, z: (
-            amp * p * np.sin(m * np.pi * x) * np.sin(n * np.pi * y) * np.cos(p * np.pi * z))),
-    )
+    return sample_vector(grid, "dual-face", (
+        lambda x, y, z: (amp * m * np.cos(m * np.pi * x) * np.sin(n * np.pi * y)
+                         * np.sin(p * np.pi * z)),
+        lambda x, y, z: (amp * n * np.sin(m * np.pi * x) * np.cos(n * np.pi * y)
+                         * np.sin(p * np.pi * z)),
+        lambda x, y, z: (amp * p * np.sin(m * np.pi * x) * np.sin(n * np.pi * y)
+                         * np.cos(p * np.pi * z)),
+    ))
 
 
 def te_cavity_e(grid: Grid3, t: float) -> VectorField3:
     """TE(1,1,0) conductor-box mode: E = (0, 0, sin(pi x) sin(pi y) cos(w t))
     with w = pi sqrt(2); the tangential components vanish on all walls."""
     w = np.pi * math.sqrt(2.0)
+    ez = _sample(grid, _PATTERNS["edge"][2],
+                 lambda x, y, _: np.sin(np.pi * x) * np.sin(np.pi * y) * math.cos(w * t))
     shapes = grid.vector_shapes("edge")
-    ez = _on_axes(grid, "edge", 2,
-                  lambda x, y, _: np.sin(np.pi * x) * np.sin(np.pi * y) * math.cos(w * t))
     return VectorField3(np.zeros(shapes[0]), np.zeros(shapes[1]), ez)
 
 
@@ -410,9 +393,9 @@ def te_cavity_h(grid: Grid3, t: float) -> VectorField3:
     """The dual-edge field paired with `te_cavity_e` (zero at t = 0)."""
     w = np.pi * math.sqrt(2.0)
     amp = math.sin(w * t) * np.pi / w
-    hx = _on_axes(grid, "dual-edge", 0,
-                  lambda x, y, _: -amp * np.sin(np.pi * x) * np.cos(np.pi * y))
-    hy = _on_axes(grid, "dual-edge", 1,
-                  lambda x, y, _: amp * np.cos(np.pi * x) * np.sin(np.pi * y))
+    hx = _sample(grid, _PATTERNS["dual-edge"][0],
+                 lambda x, y, _: -amp * np.sin(np.pi * x) * np.cos(np.pi * y))
+    hy = _sample(grid, _PATTERNS["dual-edge"][1],
+                 lambda x, y, _: amp * np.cos(np.pi * x) * np.sin(np.pi * y))
     hz = np.zeros(grid.vector_shapes("dual-edge")[2])
     return VectorField3(hx, hy, hz)

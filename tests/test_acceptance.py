@@ -52,7 +52,8 @@ def endpoint_fit(rows):
 
 def test_criterion_01_oscillator_conservation(capsys):
     t0 = time.perf_counter()
-    _, rec = oscillator.simulate(1.0, 0.0, OscParams(omega=1.0, dt=0.01, n_steps=10_000))
+    system = oscillator.oscillator_system(OscParams(omega=1.0, dt=0.01), 1.0, 0.0)
+    _, rec = system.march(0.01, 10_000, audit=lambda s, _: (s.f,))
     dn, dh = drifts(rec, 1, 2)
     elapsed = time.perf_counter() - t0
     ok = dn <= 1e-12 and dh <= 1e-12 and elapsed < 0.1
@@ -63,9 +64,17 @@ def test_criterion_01_oscillator_conservation(capsys):
 
 
 def test_criterion_02_oscillator_stability_edge(capsys):
+    def final_u(dt):  # u0 = 1: a stable orbit stays at or below 1, NaN and inf fail
+        state, _ = oscillator.oscillator_system(OscParams(omega=1.0, dt=dt)).march(
+            dt, 10_000, record_every=0)
+        return "stable" if abs(state.f) <= 10 else "unstable"
+
     t0 = time.perf_counter()
-    at_199 = oscillator.stability_probe(OscParams(omega=1.0, dt=1.99), n_steps=10_000)
-    at_230 = oscillator.stability_probe(OscParams(omega=1.0, dt=2.30), n_steps=10_000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no CFL warning below the edge
+        at_199 = final_u(1.99)
+    with pytest.warns(RuntimeWarning, match="exceeds the stability bound"):
+        at_230 = final_u(2.30)
     elapsed = time.perf_counter() - t0
     ok = at_199 == "stable" and at_230 == "unstable" and elapsed < 0.1
     report(capsys, 2, "oscillator stability edge", ok,
@@ -360,11 +369,11 @@ def test_criterion_11_maxwell(capsys):
     star = Star3.trivial(grid)
     system = wave3d.maxwell_system(star, star, grid)
 
-    def audit(state, _):
-        return wave3d.divergence_audit(state.f, state.g_half, star, star, grid)
+    divergences = wave3d.divergence_auditor(star, star, grid)
 
     # the TE mode at rest, with the Taylor half step for H
-    _, rec = system.march(system.cfl_dt(0.9), 500, audit=audit)
+    _, rec = system.march(system.cfl_dt(0.9), 500,
+                          audit=lambda state, _: divergences(state.f, state.g_half))
     dn, dh = drifts(rec, 1, 2)
     audit_e = max(abs(r[3] - rec[0][3]) for r in rec)
     audit_h = max(abs(r[4] - rec[0][4]) for r in rec)

@@ -341,6 +341,13 @@ class TestExperimentCommands:
             (["wave1d", "--material", "cmp c=1.2.3"], "'1.2.3'"),
             # a radial transport profile with no cell centre on its plateau
             (["transport", "--velocity", "expand", "--n", "2"], "--n"),
+            # a transport or diffusion time step that is zero or infinite
+            (["transport", "--speed", "inf"], "--courant/--speed"),
+            (["transport", "--courant", "inf"], "--courant/--speed"),
+            (["transport", "--speed", "1e-320"], "--courant/--speed"),
+            (["diffusion", "--courant", "inf"], "--courant/--diffusivity"),
+            (["diffusion", "--diffusivity", "1e-320"], "--courant/--diffusivity"),
+            (["diffusion", "--diffusivity", "inf"], "--courant/--diffusivity"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):

@@ -60,18 +60,15 @@ def _march_from(system, f0, g_half0, dt, n_steps, **kwargs):
 
 
 def _oscillator(rng):
-    p = oscillator.OscParams(omega=1.3, dt=0.07, n_steps=5)
+    p, n_steps = oscillator.OscParams(omega=1.3, dt=0.07), 5
     system = oscillator.oscillator_system(p)
     ops, inner = system.ops, system.inner_X
 
-    def run(f, g):
-        # simulate starts from whole-step data (u0, v0) and keeps no final v
-        u_hist, records = oscillator.simulate(f, g, p)
-        return u_hist[-1], None, records
+    def run(f, g):  # the System's march starts from whole-step data (u0, v0)
+        return _final(oscillator.oscillator_system(p, f, g).march(p.dt, n_steps))
 
     def core(f, g):
-        state, records = run_system(f, g, ops, p.dt, p.n_steps, inner, inner)
-        return state.f, None, records
+        return _final(run_system(f, g, ops, p.dt, n_steps, inner, inner))
 
     return dict(
         state=SystemState(f=0.6, g_half=-0.4, dt=p.dt),
@@ -373,6 +370,51 @@ def test_systems_know_the_exact_mode_of_unit_materials_only():
     assert CONTRACT_SYSTEMS["wave1d-vmp"]().exact is None
     with pytest.raises(ValueError, match="init"):
         wave1d.cmp_system(1.0, _grid1d(), init="midpoint")
+
+
+# unit-material Systems that start at rest on a grid eigenmode of A*A: the
+# System, the mode numbers and the spacings of the 8-cell pinned grid
+MODE_SYSTEMS = {
+    "wave1d-cmp": lambda: (
+        wave1d.cmp_system(1.0, wave1d.Grid1D(a=0.0, b=1.0, nx=9, t_final=1.0, nt=1),
+                          init="taylor"),
+        (1,), (1 / 8,)),
+    "wave2d": lambda: (wave2d.wave2d_system(wave2d.Star2(), wave2d.Grid2(8, 8)),
+                       (1, 1), (1 / 8, 1 / 8)),
+    "wave3d": lambda: (wave3d.scalar_wave_system(Star3.trivial(_cube(8)), _cube(8),
+                                                 modes=(1, 2, 1)),
+                       (1, 2, 1), _cube(8).spacings),
+    "maxwell-te110": lambda: (wave3d.maxwell_system(Star3.trivial(_cube(8)),
+                                                    Star3.trivial(_cube(8)), _cube(8)),
+                              (1, 1, 0), _cube(8).spacings),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODE_SYSTEMS))
+def test_eigenmode_march_is_the_scalar_leapfrog(name):
+    """A march from rest on a grid mode stays on it, and its amplitude a_n is
+    the oscillator's leapfrog with omega = sigma, the mode's singular value of
+    A: sigma^2 = sum_i (2 sin(m_i pi h_i / 2) / h_i)^2.  At every record,
+    ||f_n - a_n f_0|| <= 2 n eps ||f_0|| in the max norm."""
+    system, modes, spacings = MODE_SYSTEMS[name]()
+    sigma = np.sqrt(sum((2 * np.sin(m * np.pi * h / 2) / h) ** 2
+                        for m, h in zip(modes, spacings)))
+    dt, steps = system.cfl_dt(0.9), 400
+    a, b = [1.0], dt / 2 * sigma  # b_{1/2}: the Taylor half step from rest
+    for _ in range(steps):
+        a.append(a[-1] - dt * sigma * b)
+        b += dt * sigma * a[-1]
+    f0 = _parts(system.start(dt)[0])
+    norm0 = max(float(np.max(np.abs(p))) for p in f0)
+
+    def deviation(state, _):  # measured at each record: the march's fields are not kept
+        return (max(float(np.max(np.abs(p - a[state.step] * q)))
+                    for p, q in zip(_parts(state.f), f0)),)
+
+    _, records = system.march(dt, steps, audit=deviation)
+    assert len(records) == steps
+    eps = np.finfo(float).eps
+    assert all(r[3] <= 2 * r[0] * eps * norm0 for r in records)
 
 
 def test_system_oscillator_preset_is_its_own_pair():
@@ -704,7 +746,7 @@ def test_steady_audited_maxwell_march_allocates_no_field():
 
     # the measure sees an audit that makes its fields, one scratch a call
     def fresh(state, _):
-        return wave3d.divergence_audit(state.f, state.g_half, eps, mu, grid)
+        return wave3d.divergence_auditor(eps, mu, grid)(state.f, state.g_half)
 
     assert _steady_peak(_engine(system), f0, g0, dt, 22, 1, fresh) > component
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 from operator import attrgetter
 
 import pytest
@@ -10,12 +11,27 @@ from stagwave.oscillator import (
     leapfrog_step,
     oscillator_system,
     second_order_step,
-    simulate,
-    stability_probe,
 )
 
 # a System's (inner_X, inner_Y), in the order the invariants take them
 _products = attrgetter("inner_X", "inner_Y")
+
+
+def u_history(p, u0, v0, n_steps, *, exact_init=False):
+    """u at steps 0..n_steps of the oscillator System's march from (u0, v0),
+    and its (step, C_n, C_half) records."""
+    _, rec = oscillator_system(p, u0, v0, exact_init=exact_init).march(
+        p.dt, n_steps, audit=lambda s, _: (s.f,))
+    return [u0] + [r[3] for r in rec], [r[:3] for r in rec]
+
+
+def final_u(dt):
+    """u after an unrecorded march of 10,000 steps from u0 = 1, v0 = 0 with
+    omega = 1.  The map is linear: a stable orbit stays at or below 1, a
+    growing one ends far past 10 or at inf or NaN, where abs(u) <= 10 is
+    false."""
+    state, _ = oscillator_system(OscParams(omega=1.0, dt=dt)).march(dt, 10_000, record_every=0)
+    return state.f
 
 
 def test_params_validation():
@@ -67,8 +83,8 @@ class TestLeapfrogStep:
         # period 1.987227e-3 at dt=0.1 and 4.990180e-4 at dt=0.05 (ratio 3.98).
         errs = {}
         for dt in (0.1, 0.05):
-            p = OscParams(omega=1.0, dt=dt, n_steps=round(2 * math.pi / dt))
-            u_hist, _ = simulate(1.0, 0.0, p, exact_init=True)
+            p = OscParams(omega=1.0, dt=dt)
+            u_hist, _ = u_history(p, 1.0, 0.0, round(2 * math.pi / dt), exact_init=True)
             errs[dt] = max(
                 abs(u - math.cos(k * dt)) for k, u in enumerate(u_hist)
             )
@@ -126,8 +142,7 @@ class TestConservedQuantities:
 
     def test_long_run_drift(self):
         # omega=1, dt=0.01, 1e4 steps: both invariants constant to ~eps
-        p = OscParams(omega=1.0, dt=0.01, n_steps=10_000)
-        _, rec = simulate(1.0, 0.3, p)
+        _, rec = u_history(OscParams(omega=1.0, dt=0.01), 1.0, 0.3, 10_000)
         c_full = [r[1] for r in rec]
         c_half = [r[2] for r in rec]
         for series in (c_full, c_half):
@@ -141,8 +156,7 @@ class TestConservedQuantities:
         # 5.013e-3, 1.251e-3 for dt = 0.4, 0.2, 0.1 — strictly decreasing.
         errs = []
         for dt in (0.4, 0.2, 0.1):
-            p = OscParams(omega=1.0, dt=dt, n_steps=100)
-            _, rec = simulate(1.0, 0.0, p)
+            _, rec = u_history(OscParams(omega=1.0, dt=dt), 1.0, 0.0, 100)
             errs.append(max(abs(math.sqrt(2 * r[1]) - 1.0) for r in rec))
         assert errs[0] > errs[1] > errs[2]
         assert errs[2] == pytest.approx(1.250782e-3, rel=1e-5)
@@ -152,24 +166,26 @@ class TestEquivalenceAndStability:
     def test_leapfrog_matches_second_order_recurrence(self):
         # The u-sequences of the two formulations are algebraically identical;
         # floating point lets them differ only at rounding level.
-        p = OscParams(omega=1.3, dt=0.05, n_steps=2_000)
-        u_hist, _ = simulate(0.8, -0.2, p)
+        p = OscParams(omega=1.3, dt=0.05)
+        u_hist, _ = u_history(p, 0.8, -0.2, 2_000)
         u_prev, u = u_hist[0], u_hist[1]
         for n in range(2, len(u_hist)):
             u_prev, u = u, second_order_step(u, u_prev, p)
             assert u == pytest.approx(u_hist[n], rel=1e-10, abs=1e-12)
 
     def test_stability_edge(self):
-        assert stability_probe(OscParams(omega=1.0, dt=1.99)) == "stable"
-        assert stability_probe(OscParams(omega=1.0, dt=2.30)) == "unstable"
-        assert stability_probe(OscParams(omega=1.0, dt=0.1)) == "stable"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no CFL warning below the edge
+            assert abs(final_u(1.99)) <= 10
+            assert abs(final_u(0.1)) <= 10
+        with pytest.warns(RuntimeWarning, match="exceeds the stability bound"):
+            assert not abs(final_u(2.30)) <= 10
 
     def test_trajectory_error_halves_quadratically(self):
         # max error against the analytic solution drops ~4x per dt halving
         errs = []
         for dt in (0.1, 0.05):
-            p = OscParams(omega=1.0, dt=dt, n_steps=round(5.0 / dt))
-            u_hist, _ = simulate(1.0, 0.0, p)
+            u_hist, _ = u_history(OscParams(omega=1.0, dt=dt), 1.0, 0.0, round(5.0 / dt))
             errs.append(
                 max(abs(u - math.cos(k * dt)) for k, u in enumerate(u_hist))
             )

@@ -11,6 +11,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
+from stagwave import cli
 from stagwave.core import (
     SystemState,
     conserved_full,
@@ -29,12 +30,15 @@ from stagwave.mimetic3d import (
     star_matrix,
     star_scalar_inverse,
     zeros_field,
+    _ALL_PATTERNS,
+    _as_fn,
+    _sample,
 )
 from stagwave.wave1d import estimate_order
 from stagwave.wave3d import (
     cavity_mode_s,
     cavity_mode_v,
-    divergence_audit,
+    divergence_auditor,
     maxwell_operators,
     maxwell_step,
     maxwell_system,
@@ -81,8 +85,10 @@ def maxwell_march(grid, eps, mu, e0, h_half, dt, n_steps, **kwargs):
     """The Maxwell march from (E0, H_half); each record is (step, C_n, C_half,
     sq_f, g_cross, div_e, div_h), the invariant pieces and the divergence audit."""
 
+    divergences = divergence_auditor(eps, mu, grid)
+
     def audit(state, pieces):
-        return (*pieces, *divergence_audit(state.f, state.g_half, eps, mu, grid))
+        return (*pieces, *divergences(state.f, state.g_half))
 
     return march_from(maxwell_system(eps, mu, grid), e0, h_half, dt, n_steps, audit=audit,
                       **kwargs)
@@ -438,7 +444,7 @@ class TestDivergenceAudit:
         state = SystemState(
             f=zeros_field(grid, "edge"), g_half=zeros_field(grid, "dual-edge"), dt=0.1
         )
-        assert divergence_audit(state.f, state.g_half, star, star, grid) == (0.0, 0.0)
+        assert divergence_auditor(star, star, grid)(state.f, state.g_half) == (0.0, 0.0)
 
     def test_te_mode_stays_divergence_free(self):
         grid = pinned_cube(8)
@@ -640,7 +646,7 @@ class TestModesAndPinning:
         )
         assert all(np.all(c == 0.0) for c in h0.components)
 
-    @pytest.mark.parametrize("n", range(4, 17))
+    @pytest.mark.parametrize("n", [2, *range(4, 18), 32])
     def test_modes_have_the_bits_of_their_meshgrid_form(self, n):
         # the samplers multiply per-axis factors broadcast to shape; the same
         # factors in the same order on whole meshgrids give the same bits
@@ -679,6 +685,27 @@ class TestModesAndPinning:
                                 * fz(p * pi * z))
                 got = bits(cavity_mode_v(grid, t, (m, k, p)))
                 assert all(np.array_equal(g, v.view(np.int64)) for g, v in zip(got, want))
+
+        # so does the one sampler on every pattern of both policies, with the
+        # `verify` suites' trig functions, `verify adjoint`'s smooth weights
+        # and a constant
+        def smooth(lo, amp):
+            return lambda x, y, z: lo + amp * (
+                1 + np.sin(2 * pi * x) * np.cos(2 * pi * y) * np.cos(2 * pi * z)) / 2
+
+        fns = dict.fromkeys(fn for case in cli._ORDER_CASES.values() for part in case[2::2]
+                            for fn in (part if isinstance(part, tuple) else (part,)))
+        fns = [*fns, *(smooth(lo, amp) for lo, amp in (
+            (1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.5, 0.5), (1.0, 0.5), (3.0, 0.5),
+            (1.0, 0.25), (2.5, 1.0), (0.5, 0.25))), 2.5]
+        for boundary in ("periodic", "pinned"):
+            grid = Grid3.cube(n, 1.0, boundary=boundary)
+            for pattern in _ALL_PATTERNS:
+                points = grid._pattern_points(pattern)
+                for fn in fns:
+                    want = np.broadcast_to(_as_fn(fn)(*points), grid._pattern_shape(pattern))
+                    assert np.array_equal(bits(_sample(grid, pattern, fn))[0],
+                                          want.view(np.int64))
 
     def test_yee_component_layout(self):
         # E_x sits at (i+1/2, j, k); H_x at (i, j+1/2, k+1/2)

@@ -152,6 +152,12 @@ EDGES = [
     ["wave1d", "--case", "vmp", "--material", "linear rho 1 2"],
     ["wave1d", "--case", "vmp", "--material", "linear rho inf"],
     ["transport", "--velocity", "expand", "--n", "2"],
+    ["transport", "--speed", "inf"],
+    ["transport", "--courant", "inf"],
+    ["transport", "--speed", "1e-320"],
+    ["diffusion", "--courant", "inf"],
+    ["diffusion", "--diffusivity", "1e-320"],
+    ["diffusion", "--diffusivity", "inf"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
