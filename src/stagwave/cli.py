@@ -53,8 +53,10 @@ holds no mass, non-positive or unparseable ``--final`` times, a ``--safety``
 or ``--courant`` of ``transport`` and ``diffusion``) whose CFL time step is
 not a positive finite number, CFL step counts that are not finite, a sweep
 whose coarsest level would take no CFL step, a sweep level whose error is
-exactly zero (no order to measure), an ``oscillator`` whose omega * dt / 2
-is past the float range, and contradictory flags such as ``--dt`` with
+exactly zero (no order to measure), an ``oscillator`` (or ``system
+--preset oscillator``) whose omega * dt / 2 is past the float range, a
+``--record-every`` longer than the run (every march, ``transport`` and
+``diffusion``), and contradictory flags such as ``--dt`` with
 ``--t-final`` for ``wave3d``/``maxwell``.
 
 Determinism
@@ -486,6 +488,16 @@ def _cfl_dt(system: System, safety: float, flags: str) -> float:
     return _checked_dt(dt, flags)
 
 
+def _check_recorded(every: int, steps: int, source: str):
+    """A usage error unless a run of `steps` steps (counted from `source`)
+    records at least one step every `every`."""
+    if every > steps:
+        raise ConfigError(
+            f"--record-every {every} is larger than the number of steps ({steps}, "
+            f"from {source}); no step would be recorded"
+        )
+
+
 def _run_march(build, cfg, art: ArtifactWriter) -> dict:
     """The runner of every march command: `build(cfg)`, form the step and the
     step count, march, write the series of every --record-every-th step, and
@@ -498,11 +510,7 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
         if steps is None:
             steps = max(1, _cfl_steps(f"--t-final/{m.cfl_flags}", math.ceil, m.t_final / dt))
         dt = m.t_final / steps
-    if m.every > steps:
-        raise ConfigError(
-            f"--record-every {m.every} is larger than the number of steps ({steps}, "
-            "from --steps or --t-final); no step would be recorded"
-        )
+    _check_recorded(m.every, steps, "--steps or --t-final")
     state, records = m.system.march(dt, steps, record_every=m.every, audit=m.audit)
     rows = [(r[0], r[0] * dt, *r[1:]) for r in records]
     every = cfg.record_every
@@ -555,13 +563,15 @@ def _system_march(cfg) -> March:
         # v' = -omega u: not oscillator_system (A = +omega, products 1/2 x y),
         # whose invariants are half of these
         w, u0, v0 = cfg.omega, cfg.u0, cfg.v0
+        dt = cfg.dt if cfg.dt is not None else 0.01
+        # the `oscillator` command's check: a step omega * dt / 2 past the float range
+        _grid("--omega/--dt", oscillator.OscParams, omega=w, dt=dt)
         ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g, norm_bound_A=w)
         system = System(ops, euclidean_inner, euclidean_inner,
                         cfl_dt=lambda safety: safety * 2.0 / w,
                         start=lambda dt: (u0, init_g_half(u0, v0, ops, dt)),
                         exact=lambda t: u0 * math.cos(w * t) + v0 * math.sin(w * t))
-        return March(system, {"preset": cfg.preset, "omega": w},
-                     dt=cfg.dt if cfg.dt is not None else 0.01, steps=cfg.steps)
+        return March(system, {"preset": cfg.preset, "omega": w}, dt=dt, steps=cfg.steps)
     grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=1.0, nt=1)
     return March(wave1d.cmp_system(cfg.c, grid, m=cfg.mode_m, init="taylor"),
                  {"preset": cfg.preset, "nx": cfg.nx, "c": cfg.c}, dt=cfg.dt, steps=cfg.steps)
@@ -890,6 +900,8 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
     dt = _checked_dt(courant * dx / coeff,
                      "--courant/--speed" if kind == "constant" else "--courant")
 
+    _check_recorded(cfg.record_every, steps, "--steps")
+
     state = positivity.TransportState(rho=rho0, v=v, dx=dx, dt=dt)
     mass0 = state.mass
     state, rec = positivity.run_transport(state, steps, record_every=1)
@@ -944,6 +956,7 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
     dx = 1.0 / n
     d = np.full(n + 1, cfg.diffusivity)
     dt = _checked_dt(cfg.courant * dx * dx / float(np.max(d)), "--courant/--diffusivity")
+    _check_recorded(every, steps, "--steps")
 
     rho = np.zeros(n)
     rho[n // 2] = 1.0

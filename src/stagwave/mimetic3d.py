@@ -402,20 +402,27 @@ _OPERATORS = {
 }
 
 
-def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True):
+def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *,
+                weights=None, flux=None):
     """The difference operator `op` from its term table, yielding each output
-    component as it is formed; the six operators and the update hooks of
-    `wave3d` all run this one loop.  Onto a dual kind it differences
-    backward and obeys the rim rule, writing straight into the interior of a
-    zero-rimmed output.
+    component as it is formed; the six operators, the update hooks and the
+    divergence audit of `wave3d` all run this one loop.  Onto a dual kind it
+    differences backward and obeys the rim rule, writing straight into the
+    interior of a zero-rimmed output.
 
     `out`, a field of the output kind, receives the result in place of a
     fresh one.  Its components may share one buffer: each is rimmed and
-    formed only once the one before it has been yielded and used.  `work`, a
-    flat float array at least two output components long, each rounded up
-    to a whole number of 8-entry cache lines, holds the terms in place of
-    temporaries.  `scaled=False` leaves every difference undivided by its
-    spacing.
+    written only once its last term is formed and the component before it
+    has been yielded and used.  `work`, a flat float array at least two
+    output components long, each rounded up to a whole number of 8-entry
+    cache lines, holds the terms in place of temporaries.  `scaled=False`
+    leaves every difference undivided by its spacing.
+
+    `weights`, for internal callers, differences weights[c] * comps[c] in
+    place of input component c, with `star_matrix`'s arithmetic: each
+    weighted component is formed just before its difference, in `flux`
+    (required with `weights`), a flat float array at least one input
+    component long, which `out` may share.
     """
     in_kind, out_kind, terms, combine = _OPERATORS[op]
     comps = _components(field, grid, in_kind, op)
@@ -424,27 +431,29 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True):
         outs = [np.zeros(s) if rim else np.empty(s) for s in grid._shapes(out_kind)]
     else:
         outs = _components(out, grid, out_kind, op)
-    slots = rim + (len(terms[0]) > 1)  # the first term of a rimmed output, later terms
+    # a rimmed output's interior is strided, and arithmetic in place on it
+    # runs at half speed, and a weighted output may share the flux, so their
+    # terms are formed and summed in contiguous work
+    staged = rim or weights is not None
+    slots = staged + (len(terms[0]) > 1)  # the first term and partial sums, later terms
     if work is None and slots:
         work = np.empty(slots * _lines(max(o.size for o in outs)))
     for pattern, component_terms, result in zip(_PATTERNS[out_kind], terms, outs):
-        acc = result
-        if rim:
-            if out is not None:
+        acc = result[_RIM_INTERIOR[pattern]] if rim else result
+        first = _slot(work, 0, acc) if staged else acc
+        for k, (c, axis) in enumerate(component_terms):
+            source = comps[c]
+            if weights is not None:
+                source = np.multiply(weights[c], source, out=_slot(flux, 0, source))
+            term = _slot(work, staged, acc) if k else first
+            _diff(source, axis, grid, term, pattern, scaled)
+            last = k == len(component_terms) - 1
+            if last and rim and out is not None:
                 _zero_rim(result, pattern)
-            acc = result[_RIM_INTERIOR[pattern]]
-        (c, axis), *rest = component_terms
-        # a rimmed output's interior is strided, and arithmetic in place on it
-        # runs at half speed, so its terms are formed in contiguous work
-        first = _slot(work, 0, acc) if rim else acc
-        _diff(comps[c], axis, grid, first, pattern, scaled)
-        if rim and not rest:
-            acc[...] = first
-        for c, axis in rest:
-            term = _slot(work, rim, acc)
-            _diff(comps[c], axis, grid, term, pattern, scaled)
-            combine(first, term, out=acc)
-            first = acc
+            if k:
+                combine(first, term, out=acc if last else first)
+            elif last and staged:
+                acc[...] = first
         yield result
 
 

@@ -116,13 +116,17 @@ class Grid2:
             raise ValueError(f"unknown field kind {kind!r}") from None
         return (self.nx + _TAG_EXTRA[tx], self.ny + _TAG_EXTRA[ty])
 
-    def points(self, kind: str) -> tuple:
-        """Meshgrid (X, Y) of a kind's sample locations, 'ij' indexed."""
+    def _axes(self, kind: str) -> tuple:
+        """The x and y sample coordinates of a kind."""
         try:
             tx, ty = _AXIS_TAGS[kind]
         except KeyError:
             raise ValueError(f"unknown field kind {kind!r}") from None
-        return np.meshgrid(self._axis(0, tx), self._axis(1, ty), indexing="ij")
+        return self._axis(0, tx), self._axis(1, ty)
+
+    def points(self, kind: str) -> tuple:
+        """Meshgrid (X, Y) of a kind's sample locations, 'ij' indexed."""
+        return np.meshgrid(*self._axes(kind), indexing="ij")
 
 
 @dataclass(frozen=True)
@@ -312,19 +316,22 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
         update=_update_hook(star, grid),
     )
 
-    def mode(kind, t):
-        return exact_solution_2d(m, n, 1.0, *grid.points(kind), t)
+    def mode(part, kind, t):
+        # one part of the mode, on the kind's sparse axes: the factors of
+        # the whole meshgrids in the same order, so the same bits
+        axes = np.meshgrid(*grid._axes(kind), indexing="ij", sparse=True)
+        return _standing_mode(m, n, 1.0, t)[part](*axes)
 
     def start(dt):
-        u0 = mode("fp", 0.0)[0]
+        u0 = mode(0, "fp", 0.0)
         if init == "exact":
-            return u0, VectorField2(mode("nxd", dt / 2)[1], mode("nyd", dt / 2)[2])
+            return u0, VectorField2(mode(1, "nxd", dt / 2), mode(2, "nyd", dt / 2))
         zero_v = VectorField2(np.zeros(grid.shape("nxd")), np.zeros(grid.shape("nyd")))
         return u0, init_g_half(u0, zero_v, ops, dt)
 
     return System(ops, inner_u, inner_v,
                   cfl_dt=lambda safety: safety * 2.0 / bound, start=start,
-                  exact=(lambda t: mode("fp", t)[0]) if star == Star2() else None)
+                  exact=(lambda t: mode(0, "fp", t)) if star == Star2() else None)
 
 
 def _update_hook(star: Star2, grid: Grid2):
@@ -415,16 +422,25 @@ def exact_solution_2d(m: int, n: int, c: float, x, y, t: float) -> tuple:
     v  = (1/s) sin(c s pi t) (m cos(m pi x) sin(n pi y),
                               n sin(m pi x) cos(n pi y))
     """
-    if m < 1 or n < 1:
-        raise ValueError("mode numbers must be at least 1")
+    parts = _standing_mode(m, n, c, t)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    return tuple(part(x, y) for part in parts)
+
+
+def _standing_mode(m: int, n: int, c: float, t: float) -> tuple:
+    """The (u, vx, vy) of `exact_solution_2d` at time t, as three functions
+    of the sample coordinates (x, y), so a caller evaluates only the parts
+    it needs."""
+    if m < 1 or n < 1:
+        raise ValueError("mode numbers must be at least 1")
     s = math.sqrt(m * m + n * n)
     phase = c * s * math.pi * t
     # a phase past the float range has no cosine: the mode is NaN there, not an error
     cos_t, sin_t = (math.cos(phase), math.sin(phase)) if math.isfinite(phase) else (math.nan,) * 2
-    u = cos_t * np.sin(m * math.pi * x) * np.sin(n * math.pi * y)
     amp = sin_t / s
-    vx = amp * m * np.cos(m * math.pi * x) * np.sin(n * math.pi * y)
-    vy = amp * n * np.sin(m * math.pi * x) * np.cos(n * math.pi * y)
-    return u, vx, vy
+    return (
+        lambda x, y: cos_t * np.sin(m * math.pi * x) * np.sin(n * math.pi * y),
+        lambda x, y: amp * m * np.cos(m * math.pi * x) * np.sin(n * math.pi * y),
+        lambda x, y: amp * n * np.sin(m * math.pi * x) * np.cos(n * math.pi * y),
+    )

@@ -24,6 +24,7 @@ grid is purely spatial): f is s or E, g_half is v or H.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import Callable
 
 import numpy as np
@@ -44,7 +45,6 @@ from .mimetic3d import (
     VectorField3,
     curl3,
     curl3_star,
-    div3,
     div3_star,
     grad3,
     inner3,
@@ -81,25 +81,30 @@ _KEEP = SpacingFold(None, None, True)
 
 
 class _Scratch(dict):
-    """`count` node-sized float buffers that one update hook or one audit
-    owns, made on first use, and views of them, made once each and never
-    returned.  ``scratch[kind, first, step]`` is a field of `kind` whose
-    component r starts buffer first + r * step (a step of 0 puts every
-    component on buffer `first`); ``scratch[first]`` is buffers first,
-    first + 1, ... as one flat array, an operator's work=.  Node arrays are
-    the largest on either policy."""
+    """Three node-sized float buffers, made on first use, and views of
+    them, made once each and never returned.  ``scratch[kind, first, step]``
+    is a field of `kind` whose component r starts buffer first + r * step (a
+    step of 0 puts every component on buffer `first`); ``scratch[first]`` is
+    buffers first, first + 1, ... as one flat array, an operator's work=.
+    Node arrays are the largest on either policy.
 
-    def __init__(self, grid: Grid3, count: int):
-        self.grid, self.count, self.flat = grid, count, None
+    One scratch of three buffers (`_scratch`) serves every 3D user on a
+    grid: the update hooks of its pairs, the inner products of its Systems
+    and its divergence auditors, on that grid and on every equal one.  Each
+    user finishes with the buffers before it returns, so users that take
+    turns, as a march's steps, records and audits do, may share them."""
+
+    def __init__(self, grid: Grid3):
+        self.grid, self.flat = grid, None
         self.node = _lines(math.prod(grid.scalar_shape("node")))
 
     def __missing__(self, key):
         if self.flat is None:
             # every buffer starts on a 64-byte cache line: unaligned parts made
             # the 64^3 Maxwell step about 7% slower
-            flat = np.empty(self.count * self.node + 7)
+            flat = np.empty(3 * self.node + 7)
             start = (-flat.ctypes.data // 8) % 8
-            self.flat = flat[start:start + self.count * self.node]
+            self.flat = flat[start:start + 3 * self.node]
         if isinstance(key, int):
             self[key] = self.flat[key * self.node:]
         else:
@@ -108,6 +113,19 @@ class _Scratch(dict):
                 self.flat[(first + r * step) * self.node:][:math.prod(shape)].reshape(shape)
                 for r, shape in enumerate(self.grid._shapes(kind))])
         return self[key]
+
+
+# the scratch of each grid, held only as long as a hook, System or auditor
+# holds it: a sweep keeps its grids after their marches, not their scratch
+_SCRATCHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _scratch(grid: Grid3) -> _Scratch:
+    """The three-buffer scratch that every 3D user on `grid` shares."""
+    scratch = _SCRATCHES.get(grid)
+    if scratch is None:
+        scratch = _SCRATCHES[grid] = _Scratch(grid)
+    return scratch
 
 
 def _times(term, weight):
@@ -128,14 +146,15 @@ def _update_hook(grid: Grid3, sides: tuple):
     component r, or skipped where `weights` is None (exactly 1).  Each
     component of op(y) is formed by `mimetic3d._difference` into one scratch
     buffer, weighted and scaled there in place, and combined into `out`
-    before the next is formed, so the hook owns three node-sized buffers: the
-    component and the operator's two work terms.  On a cube with a
-    power-of-two spacing h, a side whose weight is skipped asks for
-    undivided differences and scales by dt * (1/h) instead (`fold_spacing`).
+    before the next is formed, in the three node-sized buffers of the grid's
+    shared `_scratch`: the component and the operator's two work terms.  On
+    a cube with a power-of-two spacing h, a side whose weight is skipped
+    asks for undivided differences and scales by dt * (1/h) instead
+    (`fold_spacing`).
     """
     cube = fold_spacing(grid.spacings)
     folds = [cube if weights is None else _KEEP for _, weights, _, _ in sides]
-    scratch = _Scratch(grid, 3)
+    scratch = _scratch(grid)
 
     def update(x, y, dt, out, adjoint):
         op, weights, weigh, combine = sides[adjoint]
@@ -224,7 +243,7 @@ def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
         return s0, init_g_half(s0, zeros_field(grid, "dual-face"), ops, dt)
 
     unit = star.is_unit("a") and star.is_unit("a_diag")
-    scratch = _Scratch(grid, 1)  # both products form theirs in one node-sized buffer
+    scratch = _scratch(grid)  # both products form theirs in its first buffer
     return System(
         ops,
         lambda a, b: inner3("node", a, b, star, grid, scratch[0]),
@@ -247,7 +266,7 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
         return e0, init_g_half(e0, zeros_field(grid, "dual-edge"), ops, dt)
 
     unit = eps_star.is_unit("a_inv_diag") and mu_star.is_unit("b_inv_diag")
-    scratch = _Scratch(grid, 1)  # both products form theirs in one node-sized buffer
+    scratch = _scratch(grid)  # both products form theirs in its first buffer
     return System(
         ops,
         lambda a, b: inner3("edge", a, b, eps_star, grid, scratch[0]),
@@ -288,21 +307,26 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
     Both are exact invariants of the march for any admissible materials —
     the update adds dt * D* R* H to the first and -dt * D R E to the second,
     and both composites vanish identically — so the norms stay constant (not
-    necessarily zero) to rounding.  The fluxes, their divergences and the
-    squares are computed in six node-sized buffers made here, once, so that
-    auditing every record allocates no field."""
-    scratch = _Scratch(grid, 6)
+    necessarily zero) to rounding.  Each divergence is one weighted pass of
+    `mimetic3d._difference` in the grid's shared `_scratch`: one flux
+    component at a time is formed in buffer 0 and differenced into buffer 1
+    or 2, the terms are summed there, and the sum lands in buffer 0 once the
+    last flux is spent, where it is squared and summed.  Those are the
+    operations, on arrays of the same shape and order, of the norm of
+    div3_star(star_matrix(e, eps_star, "a")) and of
+    div3(star_matrix(h, mu_star, "b")), so the same bits, and auditing every
+    record allocates no field."""
+    scratch = _scratch(grid)
     dv = grid.cell_volume
 
-    def norm(div) -> float:
+    def norm(op: str, field, weights) -> float:
+        (div,) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0], scratch[1],
+                             weights=weights, flux=scratch[0])
         np.square(div, out=div)  # the bits of div ** 2
         return math.sqrt(float(np.sum(div)) * dv)
 
     def audit(e: VectorField3, h: VectorField3) -> tuple:
-        flux_e = star_matrix(e, eps_star, "a", out=scratch["dual-face", 0, 1])
-        div_e = norm(div3_star(flux_e, grid, scratch["dual-cell", 3, 0], scratch[4]))
-        flux_h = star_matrix(h, mu_star, "b", out=scratch["face", 0, 1])
-        return div_e, norm(div3(flux_h, grid, scratch["cell", 3, 0], scratch[4]))
+        return norm("div3_star", e, eps_star.a_diag), norm("div3", h, mu_star.b_diag)
 
     return audit
 

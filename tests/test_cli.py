@@ -228,6 +228,17 @@ class TestExperimentCommands:
         assert "--record-every" in err and "--steps" in err
         assert not (tmp_path / "long_report.json").exists()
 
+    @pytest.mark.parametrize("command", ["transport", "diffusion"])
+    def test_transport_record_interval_longer_than_the_run_is_a_usage_error(
+        self, command, tmp_path, capsys
+    ):
+        code = run_cli([command, "--steps", "1", "--record-every", "5"], tmp_path, "long")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--record-every" in err and "--steps" in err
+        assert not (tmp_path / "long_report.json").exists()
+        assert not (tmp_path / "long_series.csv").exists()
+
     @pytest.mark.parametrize("command", ["wave3d", "maxwell"])
     def test_dt_with_t_final_is_a_usage_error(self, command, tmp_path, capsys):
         code = run_cli(
@@ -331,6 +342,9 @@ class TestExperimentCommands:
              "--final"),
             # an oscillator step omega * dt / 2 past the float range
             (["oscillator", "--omega", "1e308", "--dt", "10", "--steps", "3"], "--omega"),
+            (["system", "--preset", "oscillator", "--omega", "inf"], "--omega/--dt"),
+            (["system", "--preset", "oscillator", "--omega", "1e308", "--dt", "10"],
+             "--omega/--dt"),
             # a 1D material spec with a token that is not a number
             (["wave1d", "--case", "vmp", "--material", "bump x 1"], "'x'"),
             (["wave1d", "--case", "vmp", "--material", "linear rho abc"], "'abc'"),

@@ -523,6 +523,30 @@ class TestMode:
         u, _, _ = exact_solution_2d(m, n, c, x, y, t_env)
         assert np.max(np.abs(u)) <= 1e-15
 
+    @pytest.mark.parametrize("nx, ny", [(2, 2), (5, 7), (16, 16), (33, 20)])
+    def test_system_modes_have_the_bits_of_their_meshgrid_form(self, nx, ny):
+        # the System samples only the parts it needs, on sparse axes; the
+        # same factors in the same order on whole meshgrids give the same bits
+        grid = Grid2(nx, ny)
+
+        def bits(arr):
+            return arr.view(np.int64)
+
+        for m, n in ((1, 1), (2, 3)):
+            system = wave2d_system(Star2(), grid, m=m, n=n, init="exact")
+            for t in (0.0, 0.13, 0.7, 1e300):
+                want = exact_solution_2d(m, n, 1.0, *grid.points("fp"), t)[0]
+                assert np.array_equal(bits(system.exact(t)), bits(want))
+            dt = system.cfl_dt(0.9)
+            u0, v = system.start(dt)
+            assert np.array_equal(bits(u0), bits(exact_solution_2d(m, n, 1.0,
+                                                                   *grid.points("fp"), 0.0)[0]))
+            assert np.array_equal(bits(v[0]), bits(exact_solution_2d(
+                m, n, 1.0, *grid.points("nxd"), dt / 2)[1]))
+            assert np.array_equal(bits(v[1]), bits(exact_solution_2d(
+                m, n, 1.0, *grid.points("nyd"), dt / 2)[2]))
+            assert all(c.flags.c_contiguous and c.flags.writeable for c in (u0, *v))
+
     def test_mode_satisfies_the_continuum_system(self):
         # substitution check: 4th-order finite differences in t, x and y
         m, n, c, t, h = 1, 2, 0.7, 0.3, 5e-4

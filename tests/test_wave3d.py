@@ -3,9 +3,12 @@
 Reference values marked "oracle" are frozen from tests/oracles/wave3d_oracle.py.
 """
 
+import gc
 import math
 import warnings
+import weakref
 from dataclasses import replace
+from itertools import zip_longest
 from operator import attrgetter
 
 import numpy as np
@@ -24,6 +27,7 @@ from stagwave.mimetic3d import (
     Grid3,
     Star3,
     VectorField3,
+    div3,
     div3_star,
     grad3,
     random_field,
@@ -49,6 +53,7 @@ from stagwave.wave3d import (
     scalar_wave_system,
     te_cavity_e,
     te_cavity_h,
+    _scratch,
 )
 
 
@@ -130,6 +135,24 @@ MAXWELL_STARS = {
     "const-diag": lambda g: (
         Star3.from_diagonals(g, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)),
         Star3.from_diagonals(g, 1.0, 1.0, (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)),
+    ),
+}
+
+
+def _smooth(lo, amp):
+    return lambda x, y, z: lo + amp * (
+        1 + np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * np.cos(2 * np.pi * z)) / 2
+
+
+# diagonal stars for the divergence audit: constant weights, and weights that
+# vary at every sample
+AUDIT_STARS = {
+    "const-diag": MAXWELL_STARS["const-diag"],
+    "smooth-diag": lambda g: (
+        Star3.from_diagonals(g, 1.0, 1.0, (_smooth(1.0, 1.0), _smooth(2.0, 0.5),
+                                           _smooth(1.5, 1.0)), (1.0, 1.0, 1.0)),
+        Star3.from_diagonals(g, 1.0, 1.0, (1.0, 1.0, 1.0),
+                             (_smooth(0.5, 1.0), _smooth(3.0, 0.5), _smooth(1.0, 0.25))),
     ),
 }
 
@@ -470,6 +493,88 @@ class TestDivergenceAudit:
         assert div_e[0] > 0.1 and div_h[0] > 0.1
         assert rel_drift(div_e) <= 1e-12
         assert rel_drift(div_h) <= 1e-12
+
+    @pytest.mark.parametrize("n", [5, 8, 16])
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    @pytest.mark.parametrize("stars", ["const-diag", "smooth-diag"])
+    def test_audit_has_the_bits_of_the_allocating_norms(self, stars, boundary, n):
+        # the auditor's weighted passes in three shared buffers against the
+        # expression that makes every flux and divergence as a fresh field
+        grid = Grid3.cube(n, 1.0, boundary=boundary)
+        eps, mu = AUDIT_STARS[stars](grid)
+        audit = divergence_auditor(eps, mu, grid)
+        rng = np.random.default_rng(n)
+
+        def norm(div):
+            return math.sqrt(float(np.sum(div ** 2)) * grid.cell_volume)
+
+        for _ in range(3):
+            e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
+            want = (norm(div3_star(star_matrix(e, eps, "a"), grid)),
+                    norm(div3(star_matrix(h, mu, "b"), grid)))
+            assert audit(e, h) == want
+
+    def test_marches_on_equal_grids_stepped_alternately_keep_their_bits(self):
+        # two marches on equal grids share one scratch; stepped in turn,
+        # phase by phase, each gives the bits it gives alone
+        grids = pinned_cube(8), pinned_cube(8)
+        assert grids[0] is not grids[1] and _scratch(grids[0]) is _scratch(grids[1])
+        stars = MAXWELL_STARS["const-diag"](grids[0]), AUDIT_STARS["smooth-diag"](grids[1])
+        systems = [maxwell_system(*s, g) for s, g in zip(stars, grids)]
+        dt = 0.9 * min(system.cfl_dt(1.0) for system in systems)
+        rng = np.random.default_rng(31)
+        starts = [random_maxwell_state(g, rng, dt) for g in grids]
+
+        def march(k, out):
+            """March k by hand as the engine steps in place, appending each
+            record (both invariants' pieces and the audit) to `out` and
+            pausing after every phase."""
+            system, grid = systems[k], grids[k]
+            update, audit = system.ops.update, divergence_auditor(*stars[k], grid)
+            e, h = starts[k].f.copy(), starts[k].g_half.copy()
+            for _ in range(12):
+                e_prev, h_prev = e.copy(), h.copy()
+                e = update(e, h, dt, e, True)
+                yield
+                h = update(h, e, dt, h, False)
+                yield
+                out.append((system.inner_X(e, e), system.inner_Y(h, h_prev),
+                            system.inner_X(e, e_prev), system.inner_Y(h_prev, h_prev)))
+                yield
+                out[-1] += audit(e, h)
+                yield
+            out.append((e, h))
+
+        alone = [[], []]
+        for k in (0, 1):
+            for _ in march(k, alone[k]):
+                pass
+        together = [[], []]
+        for _ in zip_longest(march(0, together[0]), march(1, together[1])):
+            pass
+        for k in (0, 1):
+            assert together[k][:-1] == alone[k][:-1]
+            for got, want in zip(together[k][-1], alone[k][-1]):
+                assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                           for a, b in zip(got.components, want.components))
+
+    def test_scratch_lives_as_long_as_its_users(self):
+        # a box no other test uses, so no other user can hold its scratch
+        def box():
+            return Grid3(1.0, 1.1, 0.9, 5, 6, 7, boundary="pinned")
+
+        grid = box()
+        star = Star3.trivial(grid)
+        users = [maxwell_system(star, star, grid), divergence_auditor(star, star, grid),
+                 scalar_wave_system(star, grid)]
+        held = weakref.ref(_scratch(grid))
+        assert _scratch(box()) is held()
+        users.pop(0)
+        users.pop(0)
+        assert held() is not None
+        users.clear()
+        gc.collect()
+        assert held() is None
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,9 @@ EDGES = [
     ["diffusion", "--courant", "inf"],
     ["diffusion", "--diffusivity", "1e-320"],
     ["diffusion", "--diffusivity", "inf"],
+    ["system", "--preset", "oscillator", "--omega", "inf"],
+    ["transport", "--steps", "1", "--record-every", "5"],
+    ["diffusion", "--steps", "1", "--record-every", "5"],
 ]
 
 INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
