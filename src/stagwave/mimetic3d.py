@@ -676,37 +676,34 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
     Scalar kinds sum ``w * f1 * f2 * dV`` with weight ``a`` (node), ``1/b``
     (cell), ``b`` (dual-node) or ``1/a`` (dual-cell).  Vector kinds sum the
     weighted componentwise product with weight ``A`` (edge), ``B^-1``
-    (face), ``B`` (dual-edge) or ``A^-1`` (dual-face).  Components are
-    reduced in fixed x, y, z order so results are bit-reproducible.
+    (face), ``B`` (dual-edge) or ``A^-1`` (dual-face).
+
+    Each component's weighted factor, ``w * f1`` or ``f1 / w`` (inverse
+    scalar kinds) as `star_matrix` and `star_scalar_inverse` form it, is
+    reduced against f2 in one fused product-sum, ``np.einsum("ijk,ijk->")``,
+    and the components are added in fixed x, y, z order.  einsum runs on
+    the calling thread and its sum depends on neither the alignment of its
+    inputs nor the call, so results are bit-reproducible; a BLAS dot would
+    spin up threads for every product.
 
     `work`, a flat float array at least one component long, holds each
-    product in place of a fresh one: the same operations into a
+    weighted factor in place of a fresh one: the same operations into a
     C-contiguous array of the component's shape, so the same bits.
     """
     if star.grid != grid:
         raise ValueError("star was built for a different grid")
-    dv = grid.cell_volume
     c1 = _components(f1, grid, kind, "inner3")
     c2 = _components(f2, grid, kind, "inner3")
     which, inverse = _WEIGHTS[kind]
-    if kind in SCALAR_KINDS:
-        w, (a1,), (a2,) = getattr(star, which), c1, c2
-        product = None if work is None else _slot(work, 0, a1)
-        if inverse:  # a1 * a2 / w
-            product = np.multiply(a1, a2, out=product)
-            product /= w
-        else:  # w * a1 * a2
-            product = np.multiply(w, a1, out=product)
-            product *= a2
-        return float(np.sum(product)) * dv
-    # one component at a time: star_matrix's arithmetic, without ever
-    # holding the whole weighted field
+    scalar = kind in SCALAR_KINDS
+    weights = (getattr(star, which),) if scalar else _diagonal(star, which, inverse)
+    divide = scalar and inverse  # a scalar star stores w alone, a diagonal one its inverse too
     total = 0.0
-    for w, a1, a2 in zip(_diagonal(star, which, inverse), c1, c2):
-        product = np.multiply(w, a1, out=None if work is None else _slot(work, 0, a1))
-        product *= a2  # the product is the function's own, so the second factor goes in place
-        total += float(np.sum(product))
-    return total * dv
+    for w, a1, a2 in zip(weights, c1, c2):
+        out = None if work is None else _slot(work, 0, a1)
+        weighted = np.true_divide(a1, w, out=out) if divide else np.multiply(w, a1, out=out)
+        total += float(np.einsum("ijk,ijk->", weighted, a2))
+    return total * grid.cell_volume
 
 
 # ---------------------------------------------------------------------------

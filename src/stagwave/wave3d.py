@@ -311,19 +311,23 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
     `mimetic3d._difference` in the grid's shared `_scratch`: one flux
     component at a time is formed in buffer 0 and differenced into buffer 1
     or 2, the terms are summed there, and the sum lands in buffer 0 once the
-    last flux is spent, where it is squared and summed.  Those are the
-    operations, on arrays of the same shape and order, of the norm of
-    div3_star(star_matrix(e, eps_star, "a")) and of
-    div3(star_matrix(h, mu_star, "b")), so the same bits, and auditing every
-    record allocates no field."""
+    last flux is spent, where one fused product-sum, ``np.einsum``, reduces
+    its square.  On a grid with one spacing h, as every cube is, the
+    differences are left undivided and 1/h^2 joins the final scale, dV/h^2.
+    Those are the operations, on arrays of the same shape and order, of
+    div3_star(star_matrix(e, eps_star, "a"), grid, scaled=False) and of
+    div3(star_matrix(h, mu_star, "b"), grid, scaled=False) (scaled on other
+    grids) reduced the same way, so the same bits, and auditing every record
+    allocates no field."""
     scratch = _scratch(grid)
-    dv = grid.cell_volume
+    spacing = grid.spacings[0]
+    scaled = grid.spacings != (spacing,) * 3
+    scale = grid.cell_volume if scaled else grid.cell_volume / spacing ** 2
 
     def norm(op: str, field, weights) -> float:
         (div,) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0], scratch[1],
-                             weights=weights, flux=scratch[0])
-        np.square(div, out=div)  # the bits of div ** 2
-        return math.sqrt(float(np.sum(div)) * dv)
+                             scaled, weights=weights, flux=scratch[0])
+        return math.sqrt(float(np.einsum("ijk,ijk->", div, div)) * scale)
 
     def audit(e: VectorField3, h: VectorField3) -> tuple:
         return norm("div3_star", e, eps_star.a_diag), norm("div3", h, mu_star.b_diag)

@@ -4,6 +4,8 @@ Reference values marked "oracle" are frozen from
 tests/oracles/mimetic3d_oracle.py.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -400,6 +402,18 @@ def rim_mask(shape, axes):
     return mask
 
 
+def at_offset(field, k):
+    """A copy of field (an array or a 3D field) whose every component starts
+    k * 8 bytes past a 64-byte cache line."""
+    if isinstance(field, VectorField3):
+        return VectorField3(*(at_offset(c, k) for c in field.components))
+    buf = np.empty(field.size + 16)
+    start = (-buf.ctypes.data // 8) % 8 + k
+    out = buf[start:start + field.size].reshape(field.shape)
+    out[...] = field
+    return out
+
+
 def random_input(g, kind, rng):
     if kind in SCALAR_KINDS:
         return rng.standard_normal(g.scalar_shape(kind))
@@ -569,6 +583,13 @@ class TestStarMatrix:
 # ---------------------------------------------------------------------------
 
 
+# (star letter, inverse) of each kind's inner-product weight, as inner3
+# documents it: a scalar weight or the star_matrix arguments
+WEIGHT_OF = {"node": ("a", False), "cell": ("b", True), "dual-node": ("b", False),
+             "dual-cell": ("a", True), "edge": ("a", False), "face": ("b", True),
+             "dual-edge": ("b", False), "dual-face": ("a", True)}
+
+
 class TestInner3:
     def test_unit_box_node_count_periodic(self):
         g = Grid3.cube(4)
@@ -629,19 +650,17 @@ class TestInner3:
     @pytest.mark.parametrize("mode", ["scalar", "diagonal"])
     def test_exact_star_vector_kinds_equal_star_matrix_product(self, mode, boundary):
         # the componentwise weights must reproduce star_matrix followed by
-        # the product bit for bit
+        # einsum's fused product-sum bit for bit
         g = Grid3(1.0, 1.5, 0.75, 4, 5, 6, boundary=boundary)
         if mode == "scalar":
             st = Star3.from_scalars(g, 1.0, 1.0, 1.7, 0.6)
         else:
             st = variable_diagonal_star(g)
         rng = np.random.default_rng(11)
-        which = {"edge": ("a", False), "face": ("b", True),
-                 "dual-edge": ("b", False), "dual-face": ("a", True)}
         for kind in VECTOR_KINDS:
             f, h = random_vector(g, kind, rng), random_vector(g, kind, rng)
-            weighted = star_matrix(f, st, *which[kind]).components
-            ref = sum(float(np.sum(w * c)) for w, c in zip(weighted, h.components))
+            weighted = star_matrix(f, st, *WEIGHT_OF[kind]).components
+            ref = sum(float(np.einsum("ijk,ijk->", w, c)) for w, c in zip(weighted, h.components))
             assert inner3(kind, f, h, st, g) == ref * g.cell_volume
 
     @pytest.mark.parametrize("offset", [0, 3])
@@ -666,6 +685,50 @@ class TestInner3:
                 tracemalloc.stop()
             assert got == inner3(kind, f, h, st, g)
             assert peak < min(c.nbytes for c in comps(f))
+
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_bits_depend_on_neither_alignment_nor_repetition(self, boundary):
+        # every kind, f1, f2 and the work buffer each copied to every 8-byte
+        # offset of a 64-byte cache line, and one call repeated 10 times
+        g = Grid3(1.0, 1.5, 0.75, 11, 12, 13, boundary=boundary)
+        st = variable_diagonal_star(g)
+        rng = np.random.default_rng(26)
+        node_size = int(np.prod(g.scalar_shape("node")))
+        for kind in SCALAR_KINDS + VECTOR_KINDS:
+            f, h = random_input(g, kind, rng), random_input(g, kind, rng)
+            want = inner3(kind, f, h, st, g)
+            assert [inner3(kind, f, h, st, g) for _ in range(10)] == [want] * 10
+            for k1 in range(8):
+                for k2 in range(8):
+                    work = at_offset(np.empty(node_size), (k1 + k2) % 8)
+                    got = inner3(kind, at_offset(f, k1), at_offset(h, k2), st, g, work)
+                    assert got == want, (kind, k1, k2)
+
+    @pytest.mark.parametrize("n", [16, 40])
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_fused_sum_is_as_accurate_as_the_pairwise_sum(self, boundary, n):
+        # against the pairwise np.sum of the whole product, in units of
+        # ||f1|| ||f2||; a sum of like-signed terms, ||f||^2, is held at
+        # sqrt(N) u of itself, the typical error of a running sum of N terms
+        g = Grid3(1.0, 1.5, 0.75, n, n + 1, n + 2, boundary=boundary)
+        st = variable_diagonal_star(g)
+        rng = np.random.default_rng(n)
+
+        def pairwise(kind, f1, f2):
+            letter, inverse = WEIGHT_OF[kind]
+            if kind in SCALAR_KINDS:
+                w = getattr(st, letter)
+                product = f1 * f2 / w if inverse else w * f1 * f2
+                return float(np.sum(product)) * g.cell_volume
+            weighted = star_matrix(f1, st, letter, inverse).components
+            return sum(float(np.sum(w * c)) for w, c in zip(weighted, f2.components)) * g.cell_volume
+
+        for kind in SCALAR_KINDS + VECTOR_KINDS:
+            f, h = random_input(g, kind, rng), random_input(g, kind, rng)
+            ff, hh = inner3(kind, f, f, st, g), inner3(kind, h, h, st, g)
+            assert abs(inner3(kind, f, h, st, g) - pairwise(kind, f, h)) <= 1e-15 * math.sqrt(ff * hh)
+            entries = sum(c.size for c in comps(f))
+            assert abs(ff - pairwise(kind, f, f)) <= math.sqrt(entries) * 2.0 ** -53 * ff
 
     def test_kind_mismatch_raises(self):
         g = Grid3.cube(4, boundary="pinned")

@@ -65,6 +65,18 @@ def random_vector(grid, kind, rng):
     return VectorField3(*[rng.standard_normal(sh) for sh in grid.vector_shapes(kind)])
 
 
+def at_offset(field, k):
+    """A copy of a 3D field whose every component starts k * 8 bytes past a
+    64-byte cache line."""
+    comps = []
+    for c in field.components:
+        buf = np.empty(c.size + 16)
+        start = (-buf.ctypes.data // 8) % 8 + k
+        comps.append(buf[start:start + c.size].reshape(c.shape))
+        comps[-1][...] = c
+    return VectorField3(*comps)
+
+
 def random_scalar_state(grid, rng, dt):
     s = pin_scalar_boundary(rng.standard_normal(grid.scalar_shape("node")))
     return SystemState(f=s, g_half=random_vector(grid, "dual-face", rng), dt=dt)
@@ -499,20 +511,91 @@ class TestDivergenceAudit:
     @pytest.mark.parametrize("stars", ["const-diag", "smooth-diag"])
     def test_audit_has_the_bits_of_the_allocating_norms(self, stars, boundary, n):
         # the auditor's weighted passes in three shared buffers against the
-        # expression that makes every flux and divergence as a fresh field
+        # expression that makes every flux and divergence as a fresh field:
+        # on a cube, undivided differences with 1/h^2 in the final scale
         grid = Grid3.cube(n, 1.0, boundary=boundary)
         eps, mu = AUDIT_STARS[stars](grid)
         audit = divergence_auditor(eps, mu, grid)
         rng = np.random.default_rng(n)
 
         def norm(div):
-            return math.sqrt(float(np.sum(div ** 2)) * grid.cell_volume)
+            return math.sqrt(float(np.einsum("ijk,ijk->", div, div))
+                             * (grid.cell_volume / grid.dx ** 2))
 
         for _ in range(3):
             e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
-            want = (norm(div3_star(star_matrix(e, eps, "a"), grid)),
-                    norm(div3(star_matrix(h, mu, "b"), grid)))
+            want = (norm(div3_star(star_matrix(e, eps, "a"), grid, scaled=False)),
+                    norm(div3(star_matrix(h, mu, "b"), grid, scaled=False)))
             assert audit(e, h) == want
+
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_audit_of_a_box_with_unequal_spacings_divides_its_differences(self, boundary):
+        # no one spacing to fold into the scale: the divided differences,
+        # reduced with the cell volume alone
+        grid = Grid3(1.0, 1.1, 0.9, 6, 7, 8, boundary=boundary)
+        eps, mu = AUDIT_STARS["smooth-diag"](grid)
+        rng = np.random.default_rng(7)
+        e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
+
+        def norm(div):
+            return math.sqrt(float(np.einsum("ijk,ijk->", div, div)) * grid.cell_volume)
+
+        assert divergence_auditor(eps, mu, grid)(e, h) == (
+            norm(div3_star(star_matrix(e, eps, "a"), grid)),
+            norm(div3(star_matrix(h, mu, "b"), grid)))
+
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_audit_bits_depend_on_neither_alignment_nor_repetition(self, boundary):
+        # E and H copied to every pair of 8-byte offsets of a 64-byte cache
+        # line, and one audit repeated 10 times
+        grid = Grid3.cube(12, 1.0, boundary=boundary)
+        eps, mu = AUDIT_STARS["smooth-diag"](grid)
+        audit = divergence_auditor(eps, mu, grid)
+        rng = np.random.default_rng(26)
+        e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
+        want = audit(e, h)
+        assert [audit(e, h) for _ in range(10)] == [want] * 10
+        for k1 in range(8):
+            for k2 in range(8):
+                assert audit(at_offset(e, k1), at_offset(h, k2)) == want, (k1, k2)
+
+    @pytest.mark.parametrize("n", [8, 16, 32])
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    @pytest.mark.parametrize("stars", ["const-diag", "smooth-diag"])
+    def test_audit_is_as_accurate_as_the_divided_pairwise_norms(self, stars, boundary, n):
+        # undivided differences, 1/h^2 in the scale and a fused sum against
+        # divided differences squared and summed pairwise
+        grid = Grid3.cube(n, 1.0, boundary=boundary)
+        eps, mu = AUDIT_STARS[stars](grid)
+        rng = np.random.default_rng(n)
+        e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
+
+        def norm(div):
+            return math.sqrt(float(np.sum(div ** 2)) * grid.cell_volume)
+
+        want = (norm(div3_star(star_matrix(e, eps, "a"), grid)),
+                norm(div3(star_matrix(h, mu, "b"), grid)))
+        for got, ref in zip(divergence_auditor(eps, mu, grid)(e, h), want):
+            assert abs(got - ref) <= 1e-15 * ref
+
+    def test_audited_marches_call_no_blas_reduction(self, monkeypatch):
+        # a BLAS dot runs on every core the library may take; the 3D records
+        # and audits reduce on the calling thread alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("a BLAS reduction was called")
+
+        for name in ("dot", "vdot", "inner", "matmul", "tensordot"):
+            monkeypatch.setattr(np, name, refuse)
+        grid = pinned_cube(8)
+        eps, mu = AUDIT_STARS["smooth-diag"](grid)
+        system = maxwell_system(eps, mu, grid)
+        divergences = divergence_auditor(eps, mu, grid)
+        _, records = system.march(system.cfl_dt(0.9), 5, audit=lambda state, pieces: (
+            *pieces, *divergences(state.f, state.g_half)))
+        assert len(records) == 5 and all(map(math.isfinite, records[-1]))
+        system = scalar_wave_system(MAXWELL_STARS["const-diag"](grid)[0], grid)
+        _, records = system.march(system.cfl_dt(0.9), 5)
+        assert len(records) == 5 and all(map(math.isfinite, records[-1]))
 
     def test_marches_on_equal_grids_stepped_alternately_keep_their_bits(self):
         # two marches on equal grids share one scratch; stepped in turn,
