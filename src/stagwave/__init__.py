@@ -16,11 +16,12 @@ Modules
 -------
 core       : the leapfrog engine over an adjoint operator pair
 oscillator : harmonic oscillator, the scalar calibration case
-wave1d     : 1D wave equation (constant and variable materials) on a pinned interval
+wave1d     : 1D wave equation on a pinned interval, its materials and their specs
 mimetic3d  : 3D staggered grids, mimetic difference operators, inner products
-wave3d     : 3D scalar wave and Maxwell (Yee) pairs, audits and cavity modes
+wave3d     : 3D scalar wave and Maxwell (Yee) pairs, material presets, audits, modes
 wave2d     : 2D staggered grids, operators, and the 2D scalar-wave pair
-positivity : mass-conserving, positivity-preserving transport and diffusion
+positivity : mass-conserving, positivity-preserving transport and diffusion marches
+verify     : the exactness, adjointness and order suites of the verify command
 cli        : experiment runner exposing everything as subcommands
 """
 

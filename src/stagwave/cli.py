@@ -15,7 +15,10 @@ The six march commands (``oscillator``, ``system``, ``wave1d``, ``wave2d``,
 ``wave3d``, ``maxwell``) share one runner, ``_run_march``: each builds a
 ``March`` from its options, the module's ``core.System`` plus its own
 extras, and the runner forms the time step, marches and checks.  The two
-sweep commands share one pipeline, ``_sweep``, for every case.
+sweep commands share one pipeline, ``_sweep``, for every case.  The material
+specs live in ``wave1d``/``wave3d``, the transport and diffusion marches in
+``positivity`` and the suites in ``verify``, which only the commands that use
+them import; this module keeps their options, checks and reports.
 
 Artifacts
 ---------
@@ -44,20 +47,12 @@ machine-readable version with ``--schema``.
 
 Usage errors
 ------------
-Exit 2 covers unknown flags or keys, values of the wrong type or outside an
-option's choices, grid sizes below what the grid constructors accept (the
-``verify`` suites' ``--sizes`` too), 1D materials that sample non-positive
-or hold a number that does not parse, a radial ``transport`` profile that
-holds no mass, non-positive or unparseable ``--final`` times, a ``--safety``
-(or a ``wave2d`` star, a 1D material, or the ``--speed``, ``--diffusivity``
-or ``--courant`` of ``transport`` and ``diffusion``) whose CFL time step is
-not a positive finite number, CFL step counts that are not finite, a sweep
-whose coarsest level would take no CFL step, a sweep level whose error is
-exactly zero (no order to measure), an ``oscillator`` (or ``system
---preset oscillator``) whose omega * dt / 2 is past the float range, a
-``--record-every`` longer than the run (every march, ``transport`` and
-``diffusion``), and contradictory flags such as ``--dt`` with
-``--t-final`` for ``wave3d``/``maxwell``.
+Exit 2 covers every input that cannot describe a run, never a traceback:
+unknown flags or keys, values of the wrong type or outside an option's
+choices, contradictory flags, time steps and step counts out of range, and
+the ValueError of a grid or material constructor, spec parser, transport
+profile or verify suite, whose text (naming the flag where one is at fault)
+is the message.  The README lists them all.
 
 Determinism
 -----------
@@ -87,18 +82,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import mimetic3d, oscillator, positivity, wave1d, wave2d, wave3d
-from .core import OperatorPair, System, check_adjointness, euclidean_inner, init_g_half
-from .mimetic3d import Grid3, Star3, sample_scalar, sample_vector
+from . import mimetic3d, oscillator, wave1d, wave2d, wave3d
+from .core import System, _check
 
 __all__ = [
     "COMMANDS",
     "ConfigError",
     "RunReport",
-    "parse_material_1d",
-    "parse_material_3d",
     "run",
-    "verify",
     "build_parser",
     "main",
 ]
@@ -123,17 +114,6 @@ def endpoint_order(rows) -> float:
     """Log-log slope between the first and last (dx, error) entries."""
     (dx0, e0), (dx1, e1) = rows[0], rows[-1]
     return float(math.log(e0 / e1) / math.log(dx0 / dx1))
-
-
-def _max_abs(field) -> float:
-    """max |x| over every component of a field (a number is its own field)."""
-    return max(float(np.max(np.abs(c))) for c in getattr(field, "components", (field,)))
-
-
-def _check(name: str, measured, bound: str, passed: bool) -> dict:
-    if isinstance(measured, (int, float, np.integer, np.floating)):
-        measured = float(measured)
-    return {"name": name, "measured": measured, "bound": bound, "passed": bool(passed)}
 
 
 # ---------------------------------------------------------------------------
@@ -202,144 +182,12 @@ class RunReport:
 
 
 # ---------------------------------------------------------------------------
-# material spec parsing
-# ---------------------------------------------------------------------------
-
-_TARGETS = ("rho", "tau")
-
-
-def _spec_number(parse, token: str, spec: str):
-    """`parse(token)` (int or float), with a token it cannot parse turned
-    into a usage error that names the token."""
-    try:
-        return parse(token)
-    except ValueError:
-        raise ConfigError(f"bad number {token!r} in material spec {spec!r}") from None
-
-
-def parse_material_1d(spec: str) -> dict:
-    """Parse a 1D material spec into profile functions (or a cmp speed).
-
-    Accepted forms (tokens separated by spaces):
-
-    * ``cmp`` or ``cmp c=2.0``               — constant-material, speed c;
-    * any preset name from ``wave1d.MATERIAL_PRESETS`` (e.g. ``bump-p2-q2``);
-    * ``linear rho|tau [slope]``             — one linear coefficient;
-    * ``bump P Q``                           — rho bump power P, tau power Q;
-    * ``piecewise-linear A B C D [rho|tau]`` — ramp between plateaus;
-    * ``jump up|down [rho|tau]``             — a +-1/2 step at x = 1/2.
-
-    Returns {"kind": "cmp", "c": float} or
-    {"kind": "vmp", "name": str, "rho": fn, "tau": fn}.
-    """
-    tokens = str(spec).strip().split()
-    if not tokens:
-        raise ConfigError("empty material spec")
-    head, rest = tokens[0], tokens[1:]
-    one = wave1d.constant_profile(1.0)
-
-    if head == "cmp":
-        c = 1.0
-        for tok in rest:
-            m = re.fullmatch(r"c=([-+0-9.eE]+)", tok)
-            if not m:
-                raise ConfigError(f"bad cmp material token {tok!r} (use 'cmp c=2.0')")
-            c = _spec_number(float, m.group(1), spec)
-        if not c > 0:
-            raise ConfigError(f"cmp speed must be positive, got {c}")
-        return {"kind": "cmp", "c": c}
-
-    def vmp(name, rho_fn, tau_fn):
-        return {"kind": "vmp", "name": name, "rho": rho_fn, "tau": tau_fn}
-
-    def one_sided(name, target, fn):
-        return vmp(name, fn, one) if target == "rho" else vmp(name, one, fn)
-
-    if head in wave1d.MATERIAL_PRESETS and not rest:
-        return vmp(head, *wave1d.MATERIAL_PRESETS[head])
-
-    def target_of(tok_list, default="rho"):
-        names = [t for t in tok_list if t in _TARGETS]
-        if len(names) > 1:
-            raise ConfigError(f"material spec names both targets: {spec!r}")
-        return names[0] if names else default, [t for t in tok_list if t not in _TARGETS]
-
-    if head == "linear":
-        target, nums = target_of(rest)
-        if len(nums) > 1:
-            raise ConfigError(f"linear takes at most one slope, got {spec!r}")
-        slope = _spec_number(float, nums[0], spec) if nums else 0.5
-        if not math.isfinite(slope):
-            raise ConfigError(f"linear needs a finite slope, got {spec!r}")
-        return one_sided(f"linear-{target}", target, wave1d.linear_profile(slope))
-
-    if head == "bump":
-        if len(rest) != 2:
-            raise ConfigError(f"bump needs two powers, got {spec!r}")
-        p, q = (_spec_number(int, v, spec) for v in rest)
-        if p < 1 or q < 1:
-            raise ConfigError("bump powers must be >= 1")
-        return vmp(f"bump-p{p}-q{q}", wave1d.bump_profile(p), wave1d.bump_profile(q))
-
-    if head == "piecewise-linear":
-        target, nums = target_of(rest)
-        if len(nums) != 4:
-            raise ConfigError(f"piecewise-linear needs a b c d, got {spec!r}")
-        a, b, c, d = (_spec_number(float, v, spec) for v in nums)
-        fn = wave1d.piecewise_linear_profile(a, b, c, d)
-        return one_sided(f"piecewise-{target}", target, fn)
-
-    if head == "jump":
-        target, nums = target_of(rest)
-        if len(nums) != 1 or nums[0] not in ("up", "down"):
-            raise ConfigError(f"jump needs 'up' or 'down', got {spec!r}")
-        fn = wave1d.jump_profile(+0.5 if nums[0] == "up" else -0.5)
-        return one_sided(f"{target}-jump-{nums[0]}", target, fn)
-
-    raise ConfigError(
-        f"unknown 1D material {spec!r}; use 'cmp c=...', a preset name, or one "
-        f"of linear/bump/piecewise-linear/jump"
-    )
-
-
-def parse_material_3d(name: str, system: str):
-    """Return star factories for a named 3D material preset.
-
-    ``trivial3d`` is unit material; ``scalar3d`` and ``diag3d`` are constant
-    non-unit scalar / diagonal tensors.  For ``system="scalar"`` the factory
-    maps a grid to one star; for ``"maxwell"`` to an (eps, mu) pair.
-    """
-    scalar = {
-        "trivial3d": lambda g: Star3.trivial(g),
-        "scalar3d": lambda g: Star3.from_scalars(g, 2.0, 1.5, 3.0, 2.5),
-        "diag3d": lambda g: Star3.from_diagonals(
-            g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5)
-        ),
-    }
-    pair = {
-        "trivial3d": lambda g: (Star3.trivial(g), Star3.trivial(g)),
-        "scalar3d": lambda g: (
-            Star3.from_scalars(g, 1.0, 1.0, 2.0, 1.0),
-            Star3.from_scalars(g, 1.0, 1.0, 1.0, 3.0),
-        ),
-        "diag3d": lambda g: (
-            Star3.from_diagonals(g, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)),
-            Star3.from_diagonals(g, 1.0, 1.0, (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)),
-        ),
-    }
-    table = scalar if system == "scalar" else pair
-    try:
-        return table[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown 3D material {name!r}; use one of {sorted(table)}"
-        ) from None
-
-
-# ---------------------------------------------------------------------------
 # artifact writing
 # ---------------------------------------------------------------------------
 
+
+# the files a run may write, in report and printing order
+_ARTIFACTS = ("series_csv", "errors_csv", "table_csv", "report_json")
 
 # cell types csv.writer formats as _cell does (repr for a float, str for an int)
 _PLAIN_CELLS = frozenset({float, int, str})
@@ -362,12 +210,7 @@ class ArtifactWriter:
         self.outdir = Path(outdir)
         self.outdir.mkdir(parents=True, exist_ok=True)
         self.prefix = prefix
-        self.paths: dict[str, str | None] = {
-            "series_csv": None,
-            "errors_csv": None,
-            "table_csv": None,
-            "report_json": None,
-        }
+        self.paths: dict[str, str | None] = dict.fromkeys(_ARTIFACTS)
 
     def _write_csv(self, stem: str, key: str, header, rows) -> str:
         path = self.outdir / f"{self.prefix}_{stem}.csv"
@@ -407,14 +250,14 @@ def resolve_outdir(explicit) -> Path:
     return Path(".")
 
 
-def _grid(flag: str, make, *args, **kwargs):
-    """`make(*args, **kwargs)`, with the ValueError of a grid or material
-    constructor (a size or time below its minimum, a material sampled
-    non-positive) turned into a usage error naming `flag`."""
+def _usage(flag: str | None, make, *args, **kwargs):
+    """`make(*args, **kwargs)`, with the ValueError of a constructor, parser
+    or suite (a size below its minimum, a material sampled non-positive, an
+    unknown spec) turned into a usage error of its text, naming any `flag`."""
     try:
         return make(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(f"{flag}: {exc}") from None
+        raise ConfigError(f"{flag}: {exc}" if flag else str(exc)) from None
 
 
 def _finite_steps(flag: str, march, *args, **kwargs):
@@ -535,7 +378,7 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
 
 
 def _oscillator_march(cfg) -> March:
-    params = _grid("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt)
+    params = _usage("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt)
     history = [cfg.u0]
 
     def finish(body, state, rows, art):
@@ -559,20 +402,12 @@ def _oscillator_march(cfg) -> March:
 
 def _system_march(cfg) -> March:
     if cfg.preset == "oscillator":
-        # A = A* = -omega with Euclidean inner products, so u' = omega v and
-        # v' = -omega u: not oscillator_system (A = +omega, products 1/2 x y),
-        # whose invariants are half of these
-        w, u0, v0 = cfg.omega, cfg.u0, cfg.v0
         dt = cfg.dt if cfg.dt is not None else 0.01
         # the `oscillator` command's check: a step omega * dt / 2 past the float range
-        _grid("--omega/--dt", oscillator.OscParams, omega=w, dt=dt)
-        ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g, norm_bound_A=w)
-        system = System(ops, euclidean_inner, euclidean_inner,
-                        cfl_dt=lambda safety: safety * 2.0 / w,
-                        start=lambda dt: (u0, init_g_half(u0, v0, ops, dt)),
-                        exact=lambda t: u0 * math.cos(w * t) + v0 * math.sin(w * t))
-        return March(system, {"preset": cfg.preset, "omega": w}, dt=dt, steps=cfg.steps)
-    grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=1.0, nt=1)
+        params = _usage("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=dt)
+        return March(oscillator.euclidean_system(params, cfg.u0, cfg.v0),
+                     {"preset": cfg.preset, "omega": cfg.omega}, dt=dt, steps=cfg.steps)
+    grid = _usage("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=1.0, nt=1)
     return March(wave1d.cmp_system(cfg.c, grid, m=cfg.mode_m, init="taylor"),
                  {"preset": cfg.preset, "nx": cfg.nx, "c": cfg.c}, dt=cfg.dt, steps=cfg.steps)
 
@@ -581,16 +416,16 @@ def _wave1d_march(cfg) -> March:
     case, spec = cfg.case, cfg.material
     if spec is None:
         spec = "cmp c=1.0" if case == "cmp" else "constant"
-    mat = parse_material_1d(spec)
+    mat = _usage(None, wave1d.parse_material_1d, spec)
     if (mat["kind"] == "cmp") != (case == "cmp"):
         raise ConfigError(f"--case {case} does not match material {spec!r}")
-    grid = _grid("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=cfg.t_final, nt=1)
+    grid = _usage("--nx", wave1d.Grid1D, a=0.0, b=1.0, nx=cfg.nx, t_final=cfg.t_final, nt=1)
     if case == "cmp":
         # an unset --init has always started cmp runs from the Taylor half step
         system = wave1d.cmp_system(mat["c"], grid, m=cfg.mode_m, init=cfg.init or "taylor")
         named = {"c": mat["c"]}
     else:
-        mats = _grid("--material", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+        mats = _usage("--material", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
         system = wave1d.vmp_system(mats, grid, m=cfg.mode_m)
         named = {"material": mat["name"]}
 
@@ -609,7 +444,7 @@ def _wave1d_march(cfg) -> March:
 def _wave2d_march(cfg) -> March:
     nx = cfg.nx
     ny = cfg.ny if cfg.ny is not None else nx
-    grid = _grid("--nx/--ny", wave2d.Grid2, nx, ny)
+    grid = _usage("--nx/--ny", wave2d.Grid2, nx, ny)
     star = wave2d.Star2(cfg.a, cfg.a11, cfg.a22)
     system = wave2d.wave2d_system(star, grid, m=cfg.mode_m, n=cfg.mode_n, init=cfg.init)
     # the star alone must allow a step, whatever --nt says
@@ -636,8 +471,8 @@ def _cube_march(cfg, system: System, settings: dict, **extras) -> March:
 
 
 def _wave3d_march(cfg) -> March:
-    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
-    star = parse_material_3d(cfg.materials, "scalar")(grid)
+    grid = _usage("--grid", mimetic3d.Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    star = _usage(None, wave3d.parse_material_3d, cfg.materials, "scalar")(grid)
     system = wave3d.scalar_wave_system(star, grid, modes=tuple(cfg.modes))
     return _cube_march(cfg, system, {"modes": list(cfg.modes)}, columns=_PIECES,
                        audit=lambda _, pieces: pieces,
@@ -645,8 +480,8 @@ def _wave3d_march(cfg) -> March:
 
 
 def _maxwell_march(cfg) -> March:
-    grid = _grid("--grid", Grid3.cube, cfg.grid, 1.0, boundary="pinned")
-    eps, mu = parse_material_3d(cfg.materials, "maxwell")(grid)
+    grid = _usage("--grid", mimetic3d.Grid3.cube, cfg.grid, 1.0, boundary="pinned")
+    eps, mu = _usage(None, wave3d.parse_material_3d, cfg.materials, "maxwell")(grid)
 
     columns = (*_PIECES, "div_e", "div_h")
 
@@ -721,7 +556,7 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
             dt = _cfl_dt(_sweep_system(case, 2**k, t_final, None)[1], cfg.safety, "--safety")
             return math.ceil(t_final / dt)
     else:
-        mat = parse_material_1d(case)
+        mat = _usage(None, wave1d.parse_material_1d, case)
         m, f_over, flags = cfg.mode_m, cfg.f, "--final/--f"
         if mat["kind"] == "cmp":
             c = mat["c"]
@@ -739,7 +574,7 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
             t_final = _final_time(cfg.final, 2.0, case, {})
             # the time refinement follows the first listed level's wave speed
             first = wave1d.Grid1D(a=0.0, b=1.0, nx=2 ** ks[0] + 1, t_final=1.0, nt=1)
-            speed = wave1d.cfl_speed(_grid("--case", wave1d.Materials1D.from_profiles, first,
+            speed = wave1d.cfl_speed(_usage("--case", wave1d.Materials1D.from_profiles, first,
                                            mat["rho"], mat["tau"]))
             sweep = {"name": mat["name"]}
             case, params = "vmp", (m, case)
@@ -762,7 +597,7 @@ def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
         for k, (grid, u) in errors.items():
             fine, u_fine = levels[k + 1]
             errors[k] = grid, wave1d.refine_compare(u, u_fine, grid, fine)
-    rows = [(grid.dx, _max_abs(er)) for grid, er in errors.values()]
+    rows = [(grid.dx, float(np.max(np.abs(er)))) for grid, er in errors.values()]
     for k, (_, er) in zip(ks, rows):
         if er == 0.0:
             raise ConfigError(f"--final {t_final!r}: the error at k={k} is exactly zero, "
@@ -809,14 +644,14 @@ def _sweep_system(case: str, n: int, t_final: float, nt, *params) -> tuple:
             m, c, init = params
             return grid, wave1d.cmp_system(c, grid, m=m, init=init)
         m, spec = params
-        mat = parse_material_1d(spec)
-        mats = _grid("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
+        mat = wave1d.parse_material_1d(spec)  # checked by `_sweep`
+        mats = _usage("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
         return grid, wave1d.vmp_system(mats, grid, m=m)
     if case == "wave2d-mode":
         grid = wave2d.Grid2(n, n)
         return grid, wave2d.wave2d_system(wave2d.Star2(), grid)
-    grid = Grid3.cube(n, 1.0, boundary="pinned")
-    star = Star3.trivial(grid)
+    grid = mimetic3d.Grid3.cube(n, 1.0, boundary="pinned")
+    star = mimetic3d.Star3.trivial(grid)
     if case == "wave3d-cavity":
         return grid, wave3d.scalar_wave_system(star, grid)
     return grid, wave3d.maxwell_system(star, star, grid)
@@ -869,29 +704,12 @@ def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
 
 
 def _run_transport(cfg, art: ArtifactWriter) -> dict:
+    from . import positivity  # compiled only for the commands that march it
     kind, steps, courant = cfg.velocity, cfg.steps, cfg.courant
     if courant is None:
         courant = 1.0 if kind == "constant" else 0.9
-
-    if kind == "constant":
-        n = cfg.n if cfg.n is not None else 64
-        if n < 20:
-            raise ConfigError("the square-wave profile needs at least 20 cells")
-        dx = 1.0 / n
-        v = np.full(n + 1, cfg.speed)
-        rho0 = np.zeros(n)
-        rho0[10:20] = 1.0
-    else:
-        n = cfg.n if cfg.n is not None else 100
-        dx = 2.0 / n
-        x_face = -1.0 + dx * np.arange(n + 1)
-        x_cell = -1.0 + dx * (np.arange(n) + 0.5)
-        sign = -1.0 if kind == "collapse" else +1.0
-        v = sign * x_face
-        rho0 = np.where(np.abs(x_cell) < 0.5, 1.0, 0.0)
-        if not rho0.any():
-            raise ConfigError(f"--n {n}: no cell centre lies inside the radial profile's "
-                              "plateau |x| < 1/2, so it holds no mass")
+    n = cfg.n if cfg.n is not None else (64 if kind == "constant" else 100)
+    rho0, v, dx = _usage(f"--n {n}", positivity.transport_profile, kind, n, cfg.speed)
 
     # the worst per-cell outflow coefficient sets the stable dt
     coeff = positivity.max_outflow(v)
@@ -923,10 +741,7 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
         _check("guard-held", float(state.guaranteed), "guard holds all steps", state.guaranteed),
     ]
     if kind == "constant" and courant == 1.0:
-        shift = steps if cfg.speed > 0 else -steps
-        want = np.zeros(n)
-        lo, hi = max(10 + shift, 0), max(min(20 + shift, n), 0)
-        want[lo:hi] = 1.0
+        want = positivity.square_wave(n, steps if cfg.speed > 0 else -steps)
         exact = bool(np.array_equal(state.rho, want))
         dev = float(np.max(np.abs(state.rho - want)))
         checks.append(_check("unit-courant-bit-exact", dev, "bitwise index shift", exact))
@@ -951,6 +766,7 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
 
 
 def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
+    from . import positivity  # compiled only for the commands that march it
     n = cfg.n if cfg.n is not None else 101
     steps, every = cfg.steps, cfg.record_every
     dx = 1.0 / n
@@ -963,17 +779,11 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
     mass0 = float(np.sum(rho) * dx)
     guard_ok = positivity.positivity_guard(d=d, dt=dt, dx=dx)
 
-    rows = []
-    worst_drift, worst_min = 0.0, 0.0
-    for step in range(1, steps + 1):
-        rho = positivity.diffusion_step(rho, d, dx, dt)
-        mass = float(np.sum(rho) * dx)
-        mn = float(np.min(rho))
-        worst_drift = max(worst_drift, abs(mass - mass0) / mass0)
-        worst_min = min(worst_min, mn)
-        if every and step % every == 0:
-            rows.append((step, step * dt, mass, mn))
-    art.series(["step", "t", "mass", "min_rho"], rows)
+    _, rec = positivity.run_diffusion(rho, d, dx, dt, steps)
+    art.series(["step", "t", "mass", "min_rho"],
+               [(s, s * dt, mass, mn) for s, mass, mn in rec if every and s % every == 0])
+    worst_drift = max(0.0, *(abs(mass - mass0) / mass0 for _, mass, _ in rec))
+    worst_min = min(0.0, *(mn for _, _, mn in rec))
 
     checks = [
         _check("mass-conserved", worst_drift, "<= 1e-13 relative", worst_drift <= 1e-13),
@@ -988,7 +798,7 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
             "diffusivity": cfg.diffusivity,
             "steps": steps,
         },
-        "summary": {"mass_initial": mass0, "mass_final": float(np.sum(rho) * dx)},
+        "summary": {"mass_initial": mass0, "mass_final": rec[-1][1]},
         "checks": checks,
     }
 
@@ -1018,251 +828,6 @@ def run(cfg) -> RunReport:
 
 
 # ---------------------------------------------------------------------------
-# verify suites
-# ---------------------------------------------------------------------------
-
-
-# (check name, input kind, first operator, second operator): chains that vanish
-_EXACT_CHAINS = (
-    ("curl-grad", "node", "grad3", "curl3"),
-    ("div-curl", "edge", "curl3", "div3"),
-    ("star-curl-grad", "dual-node", "grad3_star", "curl3_star"),
-    ("star-div-curl", "dual-edge", "curl3_star", "div3_star"),
-)
-
-
-def _exactness_checks(n: int, seed: int) -> list:
-    """Both double-application chains vanish to roundoff on random fields."""
-    checks = []
-    rng = np.random.default_rng(seed)
-    for boundary in ("periodic", "pinned"):
-        g = _grid("--sizes", Grid3.cube, n, 1.0, boundary=boundary)
-        for name, kind, first, second in _EXACT_CHAINS:
-            x = mimetic3d.random_field(g, kind, rng)
-            bound = 1e-13 * _max_abs(x) / g.dx
-            res = _max_abs(getattr(mimetic3d, second)(getattr(mimetic3d, first)(x, g), g))
-            checks.append(
-                _check(f"{name}-zero-{boundary}-{n}", res, f"<= {bound:.3e}", res <= bound)
-            )
-    return checks
-
-
-def _round_trip_checks(n: int, seed: int) -> list:
-    """Scalar and diagonal star maps invert to a few ulps."""
-    checks = []
-    rng = np.random.default_rng(seed)
-    g = _grid("--sizes", Grid3.cube, n, 1.0, boundary="pinned")
-    star = Star3.from_scalars(g, 2.0, 1.5, 3.0, 2.5)
-    f = rng.standard_normal(g.scalar_shape("node"))
-    back = mimetic3d.star_scalar_inverse(
-        mimetic3d.star_scalar(f, star, "node-to-dual-cell"), star, "node-to-dual-cell"
-    )
-    res = float(np.max(np.abs(back - f))) / float(np.max(np.abs(f)))
-    checks.append(_check(f"round-trip-scalar-{n}", res, "<= 1e-15 relative", res <= 1e-15))
-
-    star_d = Star3.from_diagonals(g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5))
-    t = mimetic3d.random_field(g, "edge", rng)
-    fwd = mimetic3d.star_matrix(t, star_d, which="a")
-    back_v = mimetic3d.star_matrix(fwd, star_d, which="a", inverse=True)
-    res = max(
-        float(np.max(np.abs(b - a)))
-        for a, b in zip(t.components, back_v.components)
-    ) / _max_abs(t)
-    checks.append(_check(f"round-trip-diagonal-{n}", res, "<= 1e-15 relative", res <= 1e-15))
-    return checks
-
-
-_TRIG_S = lambda x, y, z: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * np.sin(2 * np.pi * z)
-_TRIG_GRAD = (
-    lambda x, y, z: 2 * np.pi * np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y) * np.sin(2 * np.pi * z),
-    lambda x, y, z: 2 * np.pi * np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y) * np.sin(2 * np.pi * z),
-    lambda x, y, z: 2 * np.pi * np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y) * np.cos(2 * np.pi * z),
-)
-_TRIG_T = (
-    lambda x, y, z: np.sin(2 * np.pi * y) * np.sin(2 * np.pi * z),
-    lambda x, y, z: np.sin(2 * np.pi * z) * np.sin(2 * np.pi * x),
-    lambda x, y, z: np.sin(2 * np.pi * x) * np.sin(2 * np.pi * y),
-)
-_TRIG_CURL = (
-    lambda x, y, z: 2 * np.pi * np.sin(2 * np.pi * x) * (np.cos(2 * np.pi * y) - np.cos(2 * np.pi * z)),
-    lambda x, y, z: 2 * np.pi * np.sin(2 * np.pi * y) * (np.cos(2 * np.pi * z) - np.cos(2 * np.pi * x)),
-    lambda x, y, z: 2 * np.pi * np.sin(2 * np.pi * z) * (np.cos(2 * np.pi * x) - np.cos(2 * np.pi * y)),
-)
-_TRIG_N = (
-    lambda x, y, z: np.sin(2 * np.pi * x) * np.cos(2 * np.pi * y),
-    lambda x, y, z: np.sin(2 * np.pi * y) * np.cos(2 * np.pi * z),
-    lambda x, y, z: np.sin(2 * np.pi * z) * np.cos(2 * np.pi * x),
-)
-_TRIG_DIV = lambda x, y, z: 2 * np.pi * (
-    np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-    + np.cos(2 * np.pi * y) * np.cos(2 * np.pi * z)
-    + np.cos(2 * np.pi * z) * np.cos(2 * np.pi * x)
-)
-
-_ORDER_CASES = {
-    "grad3": (mimetic3d.grad3, "node", _TRIG_S, "edge", _TRIG_GRAD),
-    "curl3": (mimetic3d.curl3, "edge", _TRIG_T, "face", _TRIG_CURL),
-    "div3": (mimetic3d.div3, "face", _TRIG_N, "cell", _TRIG_DIV),
-    "grad3_star": (mimetic3d.grad3_star, "dual-node", _TRIG_S, "dual-edge", _TRIG_GRAD),
-    "curl3_star": (mimetic3d.curl3_star, "dual-edge", _TRIG_T, "dual-face", _TRIG_CURL),
-    "div3_star": (mimetic3d.div3_star, "dual-face", _TRIG_N, "dual-cell", _TRIG_DIV),
-}
-
-
-def _op_error(op, in_kind, in_fns, out_kind, out_fns, n: int) -> float:
-    g = _grid("--sizes", Grid3.cube, n, 1.0, boundary="periodic")
-    if isinstance(in_fns, tuple):
-        arg = sample_vector(g, in_kind, in_fns)
-    else:
-        arg = sample_scalar(g, in_kind, in_fns)
-    got = op(arg, g)
-    if isinstance(out_fns, tuple):
-        want = sample_vector(g, out_kind, out_fns)
-        return max(
-            float(np.max(np.abs(a - b)))
-            for a, b in zip(got.components, want.components)
-        )
-    return float(np.max(np.abs(got - sample_scalar(g, out_kind, out_fns))))
-
-
-def _order_checks(sizes) -> list:
-    checks = []
-    lo, hi = min(sizes), 2 * min(sizes)
-    for name, case in _ORDER_CASES.items():
-        e_lo = _op_error(*case, lo)
-        e_hi = _op_error(*case, hi)
-        ratio = e_lo / e_hi
-        checks.append(
-            _check(f"order-{name}", ratio, "in [3.5, 4.5] per halving", 3.5 <= ratio <= 4.5)
-        )
-    return checks
-
-
-def _verify_mimetic3d(sizes, trials, seed, broken_sign) -> list:
-    checks = []
-    for n in sizes:
-        checks.extend(_exactness_checks(int(n), seed))
-        checks.extend(_round_trip_checks(int(n), seed))
-    checks.extend(_order_checks([int(n) for n in sizes]))
-    return checks
-
-
-def _verify_adjoint(sizes, trials, seed, broken_sign) -> list:
-    """Adjointness residuals for trivial and variable materials."""
-    two_pi = 2 * np.pi
-
-    def smooth(lo, amp, freq=1):
-        return lambda x, y, z: lo + amp * (
-            1 + np.sin(freq * two_pi * x) * np.cos(freq * two_pi * y) * np.cos(freq * two_pi * z)
-        ) / 2
-
-    stars = {
-        "trivial": lambda g: Star3.trivial(g),
-        "variable-scalar": lambda g: Star3.from_scalars(
-            g, smooth(1.0, 1.0), smooth(0.5, 1.0), smooth(2.0, 1.0), smooth(1.5, 0.5)
-        ),
-        "variable-diagonal": lambda g: Star3.from_diagonals(
-            g,
-            smooth(1.0, 0.5),
-            smooth(1.0, 1.0),
-            (smooth(2.0, 1.0), smooth(3.0, 0.5), smooth(1.0, 0.25)),
-            (smooth(1.5, 0.5), smooth(2.5, 1.0), smooth(0.5, 0.25)),
-        ),
-    }
-    if broken_sign:
-        stars = {"trivial-broken-sign": stars["trivial"]}
-
-    checks = []
-    for n in sizes:
-        g = _grid("--sizes", Grid3.cube, int(n), 1.0, boundary="pinned")
-        for name, make in stars.items():
-            res = mimetic3d.check_discrete_adjoints(
-                make(g), g, trials=trials, seed=seed, broken_sign=broken_sign
-            )
-            checks.append(
-                _check(f"adjoint-{name}-{n}", res["max"], "<= 1e-12", res["max"] <= 1e-12)
-            )
-    return checks
-
-
-def _verify_wave1d_sbp(sizes, trials, seed, broken_sign) -> list:
-    """1D summation-by-parts adjointness on random grids and materials;
-    ``broken_sign`` flips the sign of the A* side, so the residual is O(1)."""
-    rng = np.random.default_rng(seed)
-    sign = -1.0 if broken_sign else 1.0
-    worst = 0.0
-    for _ in range(trials):
-        nx = int(rng.integers(5, 40))
-        dx = float(rng.uniform(0.01, 1.0))
-        g = wave1d.Grid1D(a=0.0, b=dx * (nx - 1), nx=nx, t_final=1.0, nt=1)
-        mats = wave1d.Materials1D(
-            rho=rng.uniform(0.5, 2.0, nx), tau=rng.uniform(0.5, 2.0, nx - 1)
-        )
-        u = rng.standard_normal(nx)
-        u[0] = u[-1] = 0.0
-        v = rng.standard_normal(nx - 1)
-        system = wave1d.vmp_system(mats, g)
-        lhs = system.inner_Y(system.ops.apply_A(u), v)
-        rhs = sign * system.inner_X(u, system.ops.apply_Astar(v))
-        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0))
-    checks = [_check("sbp-random-trials", worst, "<= 1e-13 relative", worst <= 1e-13)]
-
-    g = wave1d.Grid1D(a=0.0, b=1.0, nx=33, t_final=1.0, nt=1)
-    mats = wave1d.Materials1D.from_profiles(
-        g, wave1d.bump_profile(2), wave1d.piecewise_linear_profile()
-    )
-    system = wave1d.vmp_system(mats, g)
-
-    def sample_u(r):
-        u = r.standard_normal(g.nx)
-        u[0] = u[-1] = 0.0
-        return u
-
-    res = check_adjointness(
-        system.ops,
-        system.inner_X,
-        system.inner_Y,
-        trials=max(trials // 5, 1),
-        sample_X=sample_u,
-        sample_Y=lambda r: r.standard_normal(g.nx - 1),
-        seed=seed,
-    )
-    checks.append(_check("sbp-generic-checker", res, "<= 1e-13", res <= 1e-13))
-    return checks
-
-
-_SUITES = {
-    "mimetic3d": _verify_mimetic3d,
-    "adjoint": _verify_adjoint,
-    "wave1d-sbp": _verify_wave1d_sbp,
-}
-
-
-def verify(suite: str, *, sizes=(8, 16), trials: int = 100, seed: int = 0,
-           broken_sign: bool = False) -> dict:
-    """Run a named verification suite; returns a machine-readable summary."""
-    if suite == "all":
-        names = list(_SUITES)
-    elif suite in _SUITES:
-        names = [suite]
-    else:
-        raise ConfigError(
-            f"unknown verify suite {suite!r}; use one of {sorted(_SUITES) + ['all']}"
-        )
-    checks = []
-    for name in names:
-        checks.extend(_SUITES[name](sizes, trials, seed, broken_sign))
-    return {
-        "suite": suite,
-        "sizes": [int(s) for s in sizes],
-        "trials": trials,
-        "seed": seed,
-        "checks": checks,
-        "passed": all(c["passed"] for c in checks),
-    }
-
-
-# ---------------------------------------------------------------------------
 # the command table, and the parser, schema and config files built from it
 # ---------------------------------------------------------------------------
 
@@ -1273,7 +838,7 @@ def _print_report(report: RunReport):
         measured = check["measured"]
         shown = f"{measured:.6e}" if isinstance(measured, float) else str(measured)
         print(f"[{verdict}] {check['name']}: measured {shown} (bound {check['bound']})")
-    for key in ("series_csv", "errors_csv", "table_csv", "report_json"):
+    for key in _ARTIFACTS:
         if report.artifacts.get(key):
             print(f"{key.rsplit('_', 1)[0]}: {report.artifacts[key]}")
 
@@ -1285,11 +850,11 @@ def _run_and_print(cfg) -> int:
 
 
 def _verify_and_print(cfg) -> int:
+    from . import verify  # compiled only for this command
     if cfg.suite is None:
         raise ConfigError("verify needs a suite name (or a config file giving one)")
-    summary = verify(
-        cfg.suite, sizes=cfg.sizes, trials=cfg.trials, seed=cfg.seed, broken_sign=cfg.broken_sign
-    )
+    summary = _usage(None, verify.verify, cfg.suite, sizes=cfg.sizes, trials=cfg.trials,
+                     seed=cfg.seed, broken_sign=cfg.broken_sign)
     outdir = cfg.outdir or os.environ.get("STAGWAVE_OUTDIR")
     if outdir:
         path = Path(outdir)
@@ -1298,11 +863,6 @@ def _verify_and_print(cfg) -> int:
         (path / name).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(json.dumps(summary, indent=2, sort_keys=True))
     return 0 if cfg.no_checks or summary["passed"] else 1
-
-
-def _marching(build: Callable) -> Callable:
-    """The runner of a march command whose `March` comes from `build(cfg)`."""
-    return functools.partial(_run_march, build)
 
 
 class Command(NamedTuple):
@@ -1346,7 +906,7 @@ _CUBE = (
 
 COMMANDS = {
     "oscillator": Command("Leapfrog harmonic oscillator with both invariants audited.",
-                          _marching(_oscillator_march), (
+                          functools.partial(_run_march, _oscillator_march), (
         ("--omega", dict(type=positive_float, default=1.0, help="angular frequency")),
         ("--dt", dict(type=positive_float, default=0.01, help="time step")),
         ("--steps", dict(type=positive_int, default=10_000, help="number of steps")),
@@ -1359,7 +919,7 @@ COMMANDS = {
     "system": Command("Generic adjoint-pair leapfrog on a named operator preset: 'oscillator' "
                       "is u' = omega v, v' = -omega u (A = A* = -omega, Euclidean products, "
                       "not the oscillator command's pair); 'cmp' the 1D standing mode.",
-                      _marching(_system_march), (
+                      functools.partial(_run_march, _system_march), (
         ("--preset", dict(choices=("oscillator", "cmp"), default="oscillator",
                           help="operator pair to integrate")),
         ("--omega", dict(type=positive_float, default=1.0, help="oscillator frequency")),
@@ -1375,7 +935,7 @@ COMMANDS = {
         _RECORD_EVERY,
     )),
     "wave1d": Command("1D staggered wave march with conserved-quantity audits.",
-                      _marching(_wave1d_march), (
+                      functools.partial(_run_march, _wave1d_march), (
         ("--case", dict(choices=("cmp", "vmp"), default="cmp",
                         help="constant or variable materials")),
         ("--material", dict(help="material spec ('cmp c=1.0', a preset name, 'bump 2 2', "
@@ -1401,7 +961,7 @@ COMMANDS = {
         _CMP_INIT,
     )),
     "wave2d": Command("2D staggered wave march with conserved-quantity audits.",
-                      _marching(_wave2d_march), (
+                      functools.partial(_run_march, _wave2d_march), (
         ("--nx", dict(type=positive_int, default=32, help="cells along x")),
         ("--ny", dict(type=positive_int, default=None, help="cells along y (default nx)")),
         ("--a", dict(type=positive_float, default=1.0, help="scalar material weight")),
@@ -1417,7 +977,7 @@ COMMANDS = {
         _RECORD_EVERY,
     )),
     "wave3d": Command("3D scalar cavity march with conserved-quantity audits.",
-                      _marching(_wave3d_march), (
+                      functools.partial(_run_march, _wave3d_march), (
         *_CUBE,
         ("--t-final", dict(type=positive_float, default=None, help="march to this time "
                            "instead of --steps (also enables the mode error norm)")),
@@ -1426,7 +986,7 @@ COMMANDS = {
         _RECORD_EVERY,
     )),
     "maxwell": Command("TE cavity march with invariants and divergence audits.",
-                      _marching(_maxwell_march), (
+                      functools.partial(_run_march, _maxwell_march), (
         *_CUBE,
         ("--t-final", dict(type=positive_float, default=None,
                            help="march to this time instead of --steps")),

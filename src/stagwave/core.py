@@ -269,6 +269,13 @@ class System:
         return math.sqrt(max(lam, 0.0))
 
 
+def _check(name: str, measured, bound: str, passed: bool) -> dict:
+    """One named check of a run's report or a verify suite's summary."""
+    if isinstance(measured, (int, float, np.integer, np.floating)):
+        measured = float(measured)
+    return {"name": name, "measured": measured, "bound": bound, "passed": bool(passed)}
+
+
 def _largest_magnitude(d):
     """max |d| of a fresh difference d, made absolute in place: the bits of
     np.max(np.abs(d))."""
@@ -467,7 +474,7 @@ def run_system(
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
-            f"dt = {dt:.4g} exceeds the stability bound {2.0 / ops.norm_bound_A:.4g}; "
+            f"dt = {float(dt):.4g} exceeds the stability bound {2.0 / ops.norm_bound_A:.4g}; "
             "the march is unstable",
             RuntimeWarning,
             stacklevel=2,

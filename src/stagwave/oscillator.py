@@ -9,11 +9,11 @@ is advanced by updating u first and then v using the *new* u; that ordering is
 what makes the two quadratic forms of `oscillator_system` exact invariants of
 the discrete map.
 
-Everything here is scalar: the module supplies only a `core.System` — the
-pair A = A* = omega, its norm bound omega, the inner product 0.5*x*y, the
-start data and the exact solution; the step, the invariants and the run loop
-are those of `core`, which the PDE modules share with difference operators
-in place of omega.
+Everything here is scalar: the module supplies only `core.System`s — the
+pair A = A* = omega (or -omega, `euclidean_system`), its norm bound omega,
+the inner product, the start data and the exact solution; the step, the
+invariants and the run loop are those of `core`, which the PDE modules share
+with difference operators in place of omega.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import OperatorPair, System, SystemState, init_g_half, system_step
+from .core import OperatorPair, System, SystemState, euclidean_inner, init_g_half, system_step
 
 __all__ = [
     "OscParams",
     "oscillator_system",
+    "euclidean_system",
     "second_order_step",
     "leapfrog_step",
     "exact_solution",
@@ -88,6 +89,18 @@ def oscillator_system(params: OscParams, u0: float = 1.0, v0: float = 0.0, *,
 
     return System(ops, _half_product, _half_product, cfl_dt=lambda safety: safety * 2.0 / w,
                   start=start, exact=lambda t: exact_solution(u0, v0, w, t)[0])
+
+
+def euclidean_system(params: OscParams, u0: float = 1.0, v0: float = 0.0) -> System:
+    """u' = omega v, v' = -omega u as a `core.System`: A = A* = -omega, Euclidean
+    products and the Taylor half step from (u0, v0).  `oscillator_system`
+    (A = +omega, products 0.5*x*y) has invariants half of these."""
+    w = params.omega
+    ops = OperatorPair(apply_A=lambda f: -w * f, apply_Astar=lambda g: -w * g, norm_bound_A=w)
+    return System(ops, euclidean_inner, euclidean_inner,
+                  cfl_dt=lambda safety: safety * 2.0 / w,
+                  start=lambda dt: (u0, init_g_half(u0, v0, ops, dt)),
+                  exact=lambda t: u0 * math.cos(w * t) + v0 * math.sin(w * t))
 
 
 # kept by name for perfbench's setup probe, until that probe times the engine itself

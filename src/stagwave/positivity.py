@@ -21,7 +21,9 @@ leaving through the last face is dropped from the grid but added to an
 update with face diffusivities and zero-flux ends; it keeps densities
 nonnegative while ``max_i (D_i + D_{i+1}) dt/dx^2 <= 1``.  Schemes with
 higher formal order do not share the guarantee: one Lax-Wendroff step on a
-unit spike leaves ``-(nu/2)(1 - nu)`` in the cell behind it.
+unit spike leaves ``-(nu/2)(1 - nu)`` in the cell behind it.  ``run_transport``
+and ``run_diffusion`` march them, recording mass and least density, from
+starts such as ``transport_profile``'s.
 """
 
 from __future__ import annotations
@@ -137,6 +139,32 @@ def run_transport(state: TransportState, n_steps: int, *, record_every: int = 1)
     return state, records
 
 
+def square_wave(n: int, shift: int = 0) -> np.ndarray:
+    """Unit density on cells 10 to 19 of n, moved `shift` cells and cut to the grid."""
+    rho = np.zeros(n)
+    rho[max(10 + shift, 0):max(min(20 + shift, n), 0)] = 1.0
+    return rho
+
+
+def transport_profile(kind: str, n: int, speed: float):
+    """(rho, v, dx) of a transport start on n cells: ``"constant"`` is the
+    square wave on [0, 1] at face velocity `speed`, ``"collapse"``/``"expand"``
+    unit density on |x| < 1/2 of [-1, 1] under v = -x / +x.  A profile that
+    does not fit on n cells is a ValueError."""
+    if kind == "constant":
+        if n < 20:
+            raise ValueError("the square-wave profile needs at least 20 cells")
+        return square_wave(n), np.full(n + 1, speed), 1.0 / n
+    dx = 2.0 / n
+    x_face = -1.0 + dx * np.arange(n + 1)
+    x_cell = -1.0 + dx * (np.arange(n) + 0.5)
+    rho = np.where(np.abs(x_cell) < 0.5, 1.0, 0.0)
+    if not rho.any():
+        raise ValueError("no cell centre lies inside the radial profile's "
+                         "plateau |x| < 1/2, so it holds no mass")
+    return rho, (-1.0 if kind == "collapse" else +1.0) * x_face, dx
+
+
 def diffusion_step(rho, d, dx: float, dt: float) -> np.ndarray:
     """One forward-time centered-space step with face diffusivities.
 
@@ -155,3 +183,11 @@ def diffusion_step(rho, d, dx: float, dt: float) -> np.ndarray:
     flux[1:-1] = d[1:-1] * dt / dx / dx * np.diff(rho)
     return rho + np.diff(flux)
 
+
+def run_diffusion(rho, d, dx: float, dt: float, n_steps: int):
+    """`run_transport`'s twin: (final rho, [(step, mass, min rho) per step])."""
+    records = []
+    for step in range(1, n_steps + 1):
+        rho = diffusion_step(rho, d, dx, dt)
+        records.append((step, float(np.sum(rho) * dx), float(np.min(rho))))
+    return rho, records

@@ -18,6 +18,7 @@ conserved quadratic quantities that the tests track to rounding.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -398,3 +399,96 @@ MATERIAL_PRESETS = {
     "tau-jump-up": (ONE, jump_profile(+0.5)),
     "tau-jump-down": (ONE, jump_profile(-0.5)),
 }
+
+
+_TARGETS = ("rho", "tau")
+
+
+def parse_material_1d(spec: str) -> dict:
+    """Parse a 1D material spec into profile functions (or a cmp speed).
+
+    Accepted forms (tokens separated by spaces):
+
+    * ``cmp`` or ``cmp c=2.0``               — constant-material, speed c;
+    * any preset name from ``MATERIAL_PRESETS`` (e.g. ``bump-p2-q2``);
+    * ``linear rho|tau [slope]``             — one linear coefficient;
+    * ``bump P Q``                           — rho bump power P, tau power Q;
+    * ``piecewise-linear A B C D [rho|tau]`` — ramp between plateaus;
+    * ``jump up|down [rho|tau]``             — a +-1/2 step at x = 1/2.
+
+    Returns {"kind": "cmp", "c": float} or {"kind": "vmp", "name": str,
+    "rho": fn, "tau": fn}; any other spec is a ValueError.
+    """
+    tokens = str(spec).strip().split()
+    if not tokens:
+        raise ValueError("empty material spec")
+    head, rest = tokens[0], tokens[1:]
+
+    def number(parse, token):  # int or float, naming a token it cannot parse
+        try:
+            return parse(token)
+        except ValueError:
+            raise ValueError(f"bad number {token!r} in material spec {spec!r}") from None
+
+    if head == "cmp":
+        c = 1.0
+        for tok in rest:
+            m = re.fullmatch(r"c=([-+0-9.eE]+)", tok)
+            if not m:
+                raise ValueError(f"bad cmp material token {tok!r} (use 'cmp c=2.0')")
+            c = number(float, m.group(1))
+        if not c > 0:
+            raise ValueError(f"cmp speed must be positive, got {c}")
+        return {"kind": "cmp", "c": c}
+
+    def vmp(name, rho_fn, tau_fn):
+        return {"kind": "vmp", "name": name, "rho": rho_fn, "tau": tau_fn}
+
+    def one_sided(name, target, fn):
+        return vmp(name, fn, ONE) if target == "rho" else vmp(name, ONE, fn)
+
+    if head in MATERIAL_PRESETS and not rest:
+        return vmp(head, *MATERIAL_PRESETS[head])
+
+    def target_of(tok_list, default="rho"):
+        names = [t for t in tok_list if t in _TARGETS]
+        if len(names) > 1:
+            raise ValueError(f"material spec names both targets: {spec!r}")
+        return names[0] if names else default, [t for t in tok_list if t not in _TARGETS]
+
+    if head == "linear":
+        target, nums = target_of(rest)
+        if len(nums) > 1:
+            raise ValueError(f"linear takes at most one slope, got {spec!r}")
+        slope = number(float, nums[0]) if nums else 0.5
+        if not math.isfinite(slope):
+            raise ValueError(f"linear needs a finite slope, got {spec!r}")
+        return one_sided(f"linear-{target}", target, linear_profile(slope))
+
+    if head == "bump":
+        if len(rest) != 2:
+            raise ValueError(f"bump needs two powers, got {spec!r}")
+        p, q = (number(int, v) for v in rest)
+        if p < 1 or q < 1:
+            raise ValueError("bump powers must be >= 1")
+        return vmp(f"bump-p{p}-q{q}", bump_profile(p), bump_profile(q))
+
+    if head == "piecewise-linear":
+        target, nums = target_of(rest)
+        if len(nums) != 4:
+            raise ValueError(f"piecewise-linear needs a b c d, got {spec!r}")
+        a, b, c, d = (number(float, v) for v in nums)
+        fn = piecewise_linear_profile(a, b, c, d)
+        return one_sided(f"piecewise-{target}", target, fn)
+
+    if head == "jump":
+        target, nums = target_of(rest)
+        if len(nums) != 1 or nums[0] not in ("up", "down"):
+            raise ValueError(f"jump needs 'up' or 'down', got {spec!r}")
+        fn = jump_profile(+0.5 if nums[0] == "up" else -0.5)
+        return one_sided(f"{target}-jump-{nums[0]}", target, fn)
+
+    raise ValueError(
+        f"unknown 1D material {spec!r}; use 'cmp c=...', a preset name, or one "
+        f"of linear/bump/piecewise-linear/jump"
+    )

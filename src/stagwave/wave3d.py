@@ -277,6 +277,39 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
     )
 
 
+def parse_material_3d(name: str, system: str):
+    """Return star factories for a named 3D material preset.
+
+    ``trivial3d`` is unit material; ``scalar3d`` and ``diag3d`` are constant
+    non-unit scalar / diagonal tensors.  For ``system="scalar"`` the factory
+    maps a grid to one star; for ``"maxwell"`` to an (eps, mu) pair, of
+    which `maxwell_operators` reads only eps's A and mu's B, so every other
+    weight of the pair is 1.  An unknown name is a ValueError.
+    """
+    scalar = {
+        "trivial3d": lambda g: Star3.trivial(g),
+        "scalar3d": lambda g: Star3.from_scalars(g, 2.0, 1.5, 3.0, 2.5),
+        "diag3d": lambda g: Star3.from_diagonals(
+            g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5)
+        ),
+    }
+    pair = {
+        "trivial3d": lambda g: (Star3.trivial(g), Star3.trivial(g)),
+        "scalar3d": lambda g: (
+            Star3.from_scalars(g, 1.0, 1.0, 2.0, 1.0),
+            Star3.from_scalars(g, 1.0, 1.0, 1.0, 3.0),
+        ),
+        "diag3d": lambda g: (
+            Star3.from_diagonals(g, 1.0, 1.0, (2.0, 3.0, 4.0), (1.0, 1.0, 1.0)),
+            Star3.from_diagonals(g, 1.0, 1.0, (1.0, 1.0, 1.0), (1.5, 2.5, 3.5)),
+        ),
+    }
+    table = scalar if system == "scalar" else pair
+    if name not in table:
+        raise ValueError(f"unknown 3D material {name!r}; use one of {sorted(table)}")
+    return table[name]
+
+
 # ---------------------------------------------------------------------------
 # time steps
 # ---------------------------------------------------------------------------

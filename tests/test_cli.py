@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -369,6 +373,48 @@ class TestExperimentCommands:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "bad_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "args, text",
+        [
+            (["wave1d", "--case", "vmp", "--material", "bump x 1"],
+             "bad number 'x' in material spec 'bump x 1'"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho abc"],
+             "bad number 'abc' in material spec 'linear rho abc'"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho 1 2"],
+             "linear takes at most one slope, got 'linear rho 1 2'"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho inf"],
+             "linear needs a finite slope, got 'linear rho inf'"),
+            (["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"],
+             "bad number 'a' in material spec 'piecewise-linear a .75 1 2'"),
+            (["convergence-table", "--case", "linear tau x"],
+             "bad number 'x' in material spec 'linear tau x'"),
+            (["wave1d", "--case", "vmp", "--material", "linear rho -2"],
+             "--material: material properties must be positive everywhere"),
+            (["wave1d-convergence", "--case", "linear rho -2"],
+             "--case: material properties must be positive everywhere"),
+            (["wave3d", "--materials", "bogus"],
+             "unknown 3D material 'bogus'; use one of ['diag3d', 'scalar3d', 'trivial3d']"),
+            (["maxwell", "--materials", "bogus"],
+             "unknown 3D material 'bogus'; use one of ['diag3d', 'scalar3d', 'trivial3d']"),
+            (["transport", "--n", "10"],
+             "--n 10: the square-wave profile needs at least 20 cells"),
+            (["transport", "--velocity", "expand", "--n", "2"],
+             "--n 2: no cell centre lies inside the radial profile's plateau |x| < 1/2, "
+             "so it holds no mass"),
+            (["verify", "nonsense"],
+             "unknown verify suite 'nonsense'; use one of "
+             "['adjoint', 'mimetic3d', 'wave1d-sbp', 'all']"),
+            (["verify", "adjoint", "--sizes", "8", "1"],
+             "--sizes: need at least 2 cells per axis"),
+        ],
+    )
+    def test_usage_error_of_a_module_parser_is_its_whole_text(self, args, text, tmp_path,
+                                                               capsys):
+        # wave1d, wave3d, positivity and verify raise ValueError; the command
+        # prints that text, with the flag it names, as its one stderr line
+        assert run_cli(args, tmp_path, "bad") == 2
+        assert capsys.readouterr().err == f"error: {text}\n"
+
     @pytest.mark.parametrize("slope", ["inf", "-inf", "nan"])
     def test_non_finite_linear_slope_is_refused_before_any_arithmetic(self, slope, tmp_path,
                                                                       capsys):
@@ -543,6 +589,28 @@ class TestConvergenceCommands:
 # ---------------------------------------------------------------------------
 # verify suites
 # ---------------------------------------------------------------------------
+
+
+def test_cli_imports_verify_and_positivity_only_for_the_commands_that_use_them(tmp_path):
+    # a fresh interpreter, so that no other test's imports count
+    script = (
+        "import sys\n"
+        "import stagwave.cli as cli\n"
+        "lazy = ('stagwave.verify', 'stagwave.positivity')\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+        f"out = ['--outdir', {str(tmp_path)!r}]\n"
+        "print([cli.main([*argv, *out]) for argv in (['verify', 'all'], ['transport'], "
+        "['diffusion'])])\n"
+        "print([m for m in lazy if m in sys.modules])\n"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "[]"
+    assert lines[-2:] == ["[0, 0, 0]", "['stagwave.verify', 'stagwave.positivity']"]
 
 
 class TestVerifyCommand:

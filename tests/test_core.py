@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,20 @@ class TestConservedQuantities:
             series = [r[idx] for r in rec]
             drift = max(abs(c - series[0]) for c in series) / abs(series[0])
             assert drift <= 1e-12
+
+    def test_rational_march_past_the_cfl_edge_warns_and_conserves_exactly(self):
+        # dt * ||A|| = 17/8 in exact rationals: the warning formats dt as a
+        # float (a Fraction has no 'g' format), and the march runs on with
+        # both forms exactly constant
+        w, dt = Fraction(2), Fraction(17, 16)
+        ops = OperatorPair(apply_A=lambda f: w * f, apply_Astar=lambda g: w * g, norm_bound_A=w)
+        product = lambda a, b: a * b
+        with pytest.warns(RuntimeWarning, match=r"^dt = 1\.062 exceeds the stability bound 1;"):
+            _, rec = run_system(Fraction(1), None, ops, dt, 40, product, product,
+                                g_half0=Fraction(0))
+        assert [r[0] for r in rec] == list(range(1, 41))
+        assert all(isinstance(c, Fraction) for r in rec for c in r[1:])
+        assert len({r[1] for r in rec}) == len({r[2] for r in rec}) == 1
 
     def test_weighted_inner_product_drift(self):
         # adjoint under diagonal weights: conservation must hold in those products

@@ -735,7 +735,7 @@ def test_steady_audited_maxwell_march_allocates_no_field():
     # audited by one divergence auditor; the hook, a record's four inner
     # products and the audit all work in the grid's one shared scratch
     grid = Grid3.cube(40, 1.0, boundary="pinned")
-    eps, mu = cli.parse_material_3d("diag3d", "maxwell")(grid)
+    eps, mu = wave3d.parse_material_3d("diag3d", "maxwell")(grid)
     system = wave3d.maxwell_system(eps, mu, grid)
     dt = system.cfl_dt(0.9)
     f0, g0 = system.start(dt)

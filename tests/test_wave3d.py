@@ -14,7 +14,7 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from stagwave import cli
+from stagwave import verify
 from stagwave.core import (
     SystemState,
     conserved_full,
@@ -881,7 +881,7 @@ class TestModesAndPinning:
             return lambda x, y, z: lo + amp * (
                 1 + np.sin(2 * pi * x) * np.cos(2 * pi * y) * np.cos(2 * pi * z)) / 2
 
-        fns = dict.fromkeys(fn for case in cli._ORDER_CASES.values() for part in case[2::2]
+        fns = dict.fromkeys(fn for case in verify._ORDER_CASES.values() for part in case[2::2]
                             for fn in (part if isinstance(part, tuple) else (part,)))
         fns = [*fns, *(smooth(lo, amp) for lo, amp in (
             (1.0, 1.0), (0.5, 1.0), (2.0, 1.0), (1.5, 0.5), (1.0, 0.5), (3.0, 0.5),

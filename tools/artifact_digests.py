@@ -20,8 +20,9 @@ levels, in parallel, or from a higher mode, power-of-two grids
 whose update hooks fold the spacing into non-unit 2D weights or, with a
 non-unit 3D star, keep dividing by it, unit-star 3D runs on a power-of-two
 grid whose steps run in place between records, the benchmark's
-invocations with fixed draws, and the inputs that must end in a report with
-failed checks (exit 1) or a usage error (exit 2).
+invocations with fixed draws, the inputs that must end in a report with
+failed checks (exit 1) or a usage error (exit 2), and every command's
+``--schema``.
 """
 
 from __future__ import annotations
@@ -163,7 +164,13 @@ EDGES = [
     ["diffusion", "--steps", "1", "--record-every", "5"],
 ]
 
-INVOCATIONS = README + MORE_RUNS + BENCH + EDGES
+# every command's option schema: the parser, --help and config keys come
+# from the same table, so these must match byte for byte too
+SCHEMAS = [[command, "--schema"] for command in (
+    "oscillator", "system", "wave1d", "wave1d-convergence", "wave2d", "wave3d", "maxwell",
+    "transport", "diffusion", "verify", "convergence-table")]
+
+INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + SCHEMAS
 
 _VOLATILE = ("wall_time_s", "artifacts")
 
