@@ -1,8 +1,8 @@
 """The ``verify`` command's suites: exactness, adjointness, round trips and order.
 
 Each suite maps (sizes, trials, seed, broken_sign) to checks, and `verify` runs
-one or all into a summary.  A size the grid constructors refuse, or an unknown
-suite, is a ValueError whose text the command prints as its usage error.
+one or all into a summary.  A size below 2, for every suite, or an unknown
+suite is a ValueError whose text the command prints as its usage error.
 """
 
 import numpy as np
@@ -12,14 +12,6 @@ from .core import _check, check_adjointness
 from .mimetic3d import Grid3, Star3, sample_scalar, sample_vector
 
 __all__ = ["verify"]
-
-
-def _cube(n: int, boundary: str) -> Grid3:
-    """The unit cube of n cells a side; a size it refuses is blamed on --sizes."""
-    try:
-        return Grid3.cube(n, 1.0, boundary=boundary)
-    except ValueError as exc:
-        raise ValueError(f"--sizes: {exc}") from None
 
 
 def _max_abs(field) -> float:
@@ -41,7 +33,7 @@ def _exactness_checks(n: int, seed: int) -> list:
     checks = []
     rng = np.random.default_rng(seed)
     for boundary in ("periodic", "pinned"):
-        g = _cube(n, boundary)
+        g = Grid3.cube(n, boundary=boundary)
         for name, kind, first, second in _EXACT_CHAINS:
             x = mimetic3d.random_field(g, kind, rng)
             bound = 1e-13 * _max_abs(x) / g.dx
@@ -56,7 +48,7 @@ def _round_trip_checks(n: int, seed: int) -> list:
     """Scalar and diagonal star maps invert to a few ulps."""
     checks = []
     rng = np.random.default_rng(seed)
-    g = _cube(n, "pinned")
+    g = Grid3.cube(n, boundary="pinned")
     star = Star3.from_scalars(g, 2.0, 1.5, 3.0, 2.5)
     f = rng.standard_normal(g.scalar_shape("node"))
     back = mimetic3d.star_scalar_inverse(
@@ -112,7 +104,7 @@ _ORDER_CASES = {
 
 
 def _op_error(op, in_kind, in_fns, out_kind, out_fns, n: int) -> float:
-    g = _cube(n, "periodic")
+    g = Grid3.cube(n, boundary="periodic")
     arg, want = ((sample_vector if isinstance(fns, tuple) else sample_scalar)(g, kind, fns)
                  for kind, fns in ((in_kind, in_fns), (out_kind, out_fns)))
     return _max_abs(op(arg, g) - want)
@@ -167,7 +159,7 @@ def _verify_adjoint(sizes, trials, seed, broken_sign) -> list:
 
     checks = []
     for n in sizes:
-        g = _cube(int(n), "pinned")
+        g = Grid3.cube(int(n), boundary="pinned")
         for name, make in stars.items():
             res = mimetic3d.check_discrete_adjoints(
                 make(g), g, trials=trials, seed=seed, broken_sign=broken_sign
@@ -241,6 +233,8 @@ def verify(suite: str, *, sizes, trials: int, seed: int, broken_sign: bool) -> d
         raise ValueError(
             f"unknown verify suite {suite!r}; use one of {sorted(_SUITES) + ['all']}"
         )
+    if min(sizes) < 2:
+        raise ValueError("--sizes: need at least 2 cells per axis")
     checks = []
     for name in names:
         checks.extend(_SUITES[name](sizes, trials, seed, broken_sign))

@@ -4,12 +4,14 @@ The scalar wave keeps the potential s on nodes at whole steps and its flux v
 on dual faces at half steps; Maxwell keeps E on edges at whole steps and H on
 dual edges at half steps — the classic staggered layout in which the x
 component of E lives at (i+1/2, j, k) and the x component of H at
-(i, j+1/2, k+1/2).  Both marches run through the leapfrog engine of `core`:
-this module supplies one `core.System` each: the operator pair built from the
-mimetic operators and material stars of `mimetic3d`, with the analytic norm
-bound behind its dt limit, the material-weighted inner products and the
-cavity-mode start, so each march carries a pair of exactly conserved
-quadratic forms.
+(i, j+1/2, k+1/2).  Both marches run through the leapfrog engine of `core`.
+Each is one rung of the complex: a side table of two `mimetic3d`
+difference operators, each with the star weights it applies, and the
+analytic norm bound behind the dt limit (`_scalar_sides`, `_maxwell_sides`).
+That one table yields both the in-place update hook and the allocating pair
+(`_pair`), and one builder (`_system`) adds the products of the kinds the
+operators take, weighted by the rung's stars, and the cavity-mode start, so
+each march carries a pair of exactly conserved quadratic forms.
 
 On pinned grids the zero boundary rows of the dual operators double as the
 physical boundary conditions: s is held at zero on the box walls and the
@@ -29,51 +31,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (
-    OperatorPair,
-    SpacingFold,
-    System,
-    SystemState,
-    _parts,
-    fold_spacing,
-    init_g_half,
-    system_step,
-)
-from .mimetic3d import (
-    Grid3,
-    Star3,
-    VectorField3,
-    curl3,
-    curl3_star,
-    div3_star,
-    grad3,
-    inner3,
-    sample_scalar,
-    sample_vector,
-    star_matrix,
-    star_scalar_inverse,
-    zeros_field,
-    _OPERATORS,
-    _PATTERNS,
-    _as_field,
-    _difference,
-    _distinct,
-    _lines,
-    _rim_zeroed,
-    _sample,
-)
+from .core import (OperatorPair, SpacingFold, System, SystemState, _parts, fold_spacing,
+                   init_g_half, system_step)
+from .mimetic3d import (Grid3, Star3, VectorField3, inner3, sample_scalar, sample_vector,
+                        zeros_field, _OPERATORS, _PATTERNS, _as_field, _difference, _distinct,
+                        _lines, _rim_zeroed, _sample)
 
 
 # ---------------------------------------------------------------------------
 # operator pairs
 # ---------------------------------------------------------------------------
-
-
-def _negated(field):
-    """-field, negated in place: callers pass a freshly computed result."""
-    for comp in _parts(field):
-        np.negative(comp, out=comp)
-    return field
 
 
 # the fold of a side whose star is not unit: its operator divides by the spacings
@@ -174,107 +141,121 @@ def _update_hook(grid: Grid3, sides: tuple):
     return update
 
 
-def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
-    """The pair behind ds/dt = a^-1 D* v, dv/dt = A G s.
+def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
+    """The pair of a rung: its `update` hook and, from the same sides, the
+    allocating A and A*, with `bound` the norm bound of A.
 
-    In the core's sign convention (df/dt = -A* g, dg/dt = A f) that makes
-    A = (A G .) on node scalars and A* = -(a^-1 D* .) on dual-face fields.
-
-    Its `update` hook (`_update_hook`) forms D* v and G s one component at
-    a time in scratch it owns, skips a weight that is exactly 1 and applies
-    any other in place, and folds the sign of A* into the update:
-    s - dt * (-(a^-1 D* v)) is s + dt * a^-1 D* v, bit for bit.
+    ``sides`` is the side of A (g from f), then that of A* (f from g), as
+    `_update_hook` takes them.  In the core's convention (df/dt = -A* g,
+    dg/dt = A f) a side that adds its term is +W op in A and -W op in A*, so
+    A is negated where its side subtracts and A* where its side adds.  Each
+    component is the operator's fresh output, weighted and negated in place:
+    the bits of the star applied after the operator, signed zeros included.
     """
 
-    def apply_a(s):
-        return star_matrix(grad3(s, grid), star, "a")
+    def allocating(adjoint: bool):
+        op, weights, weigh, combine = sides[adjoint]
+        negate = (combine is np.subtract) != adjoint
 
-    def apply_astar(v):
-        return _negated(star_scalar_inverse(div3_star(v, grid), star, "node-to-dual-cell"))
+        def apply(y):
+            terms = [*_difference(op, y, grid)]
+            for r, term in enumerate(terms):
+                if weights is not None:
+                    weigh(term, weights[r])
+                if negate:
+                    np.negative(term, out=term)
+            return _as_field(terms)
 
-    v_weights = None if star.is_unit("a_diag") else star.a_diag
-    s_weights = None if star.is_unit("a") else (star.a,)
-    update = _update_hook(grid, (("grad3", v_weights, _times, np.add),  # v
-                                 ("div3_star", s_weights, _over, np.add)))  # s
+        return apply
+
+    return OperatorPair(apply_A=allocating(False), apply_Astar=allocating(True),
+                        norm_bound_A=bound, update=_update_hook(grid, sides))
+
+
+def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callable) -> System:
+    """A rung as a `core.System`: `_pair`'s pair, the products of the kinds
+    its sides' operators take, weighted by `stars` (f's, then g's), and the
+    start from mode(0) with g at rest (the Taylor half step from g(0) = 0).
+    The mode is exact when neither side applies a weight."""
+    ops = _pair(grid, sides, bound)
+    f_kind, g_kind = (_OPERATORS[op][0] for op, _, _, _ in sides)
+
+    def start(dt):
+        f0 = mode(0.0)
+        return f0, init_g_half(f0, zeros_field(grid, g_kind), ops, dt)
+
+    scratch = _scratch(grid)  # both products form theirs in its first buffer
+    return System(
+        ops,
+        lambda a, b: inner3(f_kind, a, b, stars[0], grid, scratch[0]),
+        lambda a, b: inner3(g_kind, a, b, stars[1], grid, scratch[0]),
+        cfl_dt=lambda safety: safety * (2.0 / bound),
+        start=start,
+        exact=mode if all(weights is None for _, weights, _, _ in sides) else None,
+    )
+
+
+def _scalar_sides(star: Star3, grid: Grid3) -> tuple:
+    """The sides and bound of ds/dt = a^-1 D* v, dv/dt = A G s:
+    A = (A G .) on node scalars and A* = -(a^-1 D* .) on dual-face fields."""
+    sides = (("grad3", None if star.is_unit("a_diag") else star.a_diag, _times, np.add),  # v
+             ("div3_star", None if star.is_unit("a") else (star.a,), _over, np.add))  # s
     # wave speed sqrt(max A / min a), over every sample of the diagonal
     s_max = math.sqrt(_extremes(star.a_diag)[1] / float(np.min(_distinct(star.a))))
-    bound = _stencil_bound(s_max, grid)
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
+    return sides, _stencil_bound(s_max, grid)
+
+
+def _maxwell_sides(eps_star: Star3, mu_star: Star3, grid: Grid3) -> tuple:
+    """The sides and bound of dE/dt = eps^-1 R* H, dH/dt = -mu^-1 R E:
+    A = -(mu^-1 R .) on edges and A* = -(eps^-1 R* .) on dual edges.  eps
+    acts in the A role of its star (edge -> dual face) and mu in the B role
+    (dual edge -> face); only those halves of the two stars are used."""
+    h_weights = None if mu_star.is_unit("b_inv_diag") else mu_star.b_inv_diag
+    e_weights = None if eps_star.is_unit("a_inv_diag") else eps_star.a_inv_diag
+    sides = (("curl3", h_weights, _times, np.subtract),  # H
+             ("curl3_star", e_weights, _times, np.add))  # E
+    # wave speed 1/sqrt(min eps * min mu), over every sample of the diagonals
+    low = _extremes(eps_star.a_diag)[0] * _extremes(mu_star.b_diag)[0]
+    return sides, _stencil_bound(math.inf if low == 0.0 else 1.0 / math.sqrt(low), grid)
+
+
+def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
+    """The pair behind ds/dt = a^-1 D* v, dv/dt = A G s (`_scalar_sides`)."""
+    return _pair(grid, *_scalar_sides(star, grid))
 
 
 def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorPair:
-    """The pair behind dE/dt = eps^-1 R* H, dH/dt = -mu^-1 R E.
-
-    eps acts in the A role of its star (edge -> dual face) and mu in the B
-    role (dual edge -> face); only those halves of the two stars are used.
-
-    Its `update` hook (`_update_hook`) forms R* H and R E one component at a
-    time in scratch it owns, skips a star that is exactly 1 and applies any
-    other in place, and folds the signs into the update:
-    E - dt * (-(eps^-1 R* H)) is E + dt * eps^-1 R* H, and
-    H + dt * (-(mu^-1 R E)) is H - dt * mu^-1 R E, bit for bit.
-    """
-
-    def apply_a(e):
-        return _negated(star_matrix(curl3(e, grid), mu_star, "b", inverse=True))
-
-    def apply_astar(h):
-        return _negated(star_matrix(curl3_star(h, grid), eps_star, "a", inverse=True))
-
-    h_weights = None if mu_star.is_unit("b_inv_diag") else mu_star.b_inv_diag
-    e_weights = None if eps_star.is_unit("a_inv_diag") else eps_star.a_inv_diag
-    update = _update_hook(grid, (("curl3", h_weights, _times, np.subtract),  # H
-                                 ("curl3_star", e_weights, _times, np.add)))  # E
-    # wave speed 1/sqrt(min eps * min mu), over every sample of the diagonals
-    low = _extremes(eps_star.a_diag)[0] * _extremes(mu_star.b_diag)[0]
-    bound = _stencil_bound(math.inf if low == 0.0 else 1.0 / math.sqrt(low), grid)
-    return OperatorPair(apply_A=apply_a, apply_Astar=apply_astar, norm_bound_A=bound, update=update)
+    """The pair behind dE/dt = eps^-1 R* H, dH/dt = -mu^-1 R E (`_maxwell_sides`)."""
+    return _pair(grid, *_maxwell_sides(eps_star, mu_star, grid))
 
 
 def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:
     """The scalar wave as a `core.System`: the a-weighted node product and
     the A^-1-weighted dual-face product, starting from the cavity mode
-    `modes` at rest (the Taylor half step from v(0) = 0).  The mode is
-    exact for unit materials only."""
-    ops = scalar_wave_operators(star, grid)
-
-    def start(dt):
-        s0 = cavity_mode_s(grid, 0.0, modes)
-        return s0, init_g_half(s0, zeros_field(grid, "dual-face"), ops, dt)
-
-    unit = star.is_unit("a") and star.is_unit("a_diag")
-    scratch = _scratch(grid)  # both products form theirs in its first buffer
-    return System(
-        ops,
-        lambda a, b: inner3("node", a, b, star, grid, scratch[0]),
-        lambda a, b: inner3("dual-face", a, b, star, grid, scratch[0]),
-        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
-        start=start,
-        exact=(lambda t: cavity_mode_s(grid, t, modes)) if unit else None,
-    )
+    `modes` at rest.  The mode is exact for unit materials only."""
+    return _system(grid, *_scalar_sides(star, grid), (star, star),
+                   lambda t: cavity_mode_s(grid, t, modes))
 
 
 def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
     """Maxwell as a `core.System`: the eps-weighted edge product and the
     mu-weighted dual-edge product, starting from the TE(1,1,0) cavity mode
-    with H at rest (the Taylor half step from H(0) = 0).  The mode is exact
-    for unit materials only."""
-    ops = maxwell_operators(eps_star, mu_star, grid)
+    with H at rest.  The mode is exact for unit materials only."""
+    return _system(grid, *_maxwell_sides(eps_star, mu_star, grid), (eps_star, mu_star),
+                   lambda t: te_cavity_e(grid, t))
 
-    def start(dt):
-        e0 = te_cavity_e(grid, 0.0)
-        return e0, init_g_half(e0, zeros_field(grid, "dual-edge"), ops, dt)
 
-    unit = eps_star.is_unit("a_inv_diag") and mu_star.is_unit("b_inv_diag")
-    scratch = _scratch(grid)  # both products form theirs in its first buffer
-    return System(
-        ops,
-        lambda a, b: inner3("edge", a, b, eps_star, grid, scratch[0]),
-        lambda a, b: inner3("dual-edge", a, b, mu_star, grid, scratch[0]),
-        cfl_dt=lambda safety: safety * (2.0 / ops.norm_bound_A),
-        start=start,
-        exact=(lambda t: te_cavity_e(grid, t)) if unit else None,
-    )
+# both steps are kept by name for perfbench's setup probe, until it times the engine itself
+def scalar_wave_step(state: SystemState, star: Star3, grid: Grid3) -> SystemState:
+    """One leapfrog step of `scalar_wave_operators`; s is updated first, v
+    uses the fresh s."""
+    return system_step(state, scalar_wave_operators(star, grid))
+
+
+def maxwell_step(state: SystemState, eps_star: Star3, mu_star: Star3, grid: Grid3) -> SystemState:
+    """One leapfrog step of `maxwell_operators`; E is updated first, H uses
+    the fresh E."""
+    return system_step(state, maxwell_operators(eps_star, mu_star, grid))
 
 
 def parse_material_3d(name: str, system: str):
@@ -308,24 +289,6 @@ def parse_material_3d(name: str, system: str):
     if name not in table:
         raise ValueError(f"unknown 3D material {name!r}; use one of {sorted(table)}")
     return table[name]
-
-
-# ---------------------------------------------------------------------------
-# time steps
-# ---------------------------------------------------------------------------
-
-
-# both steps are kept by name for perfbench's setup probe, until it times the engine itself
-def scalar_wave_step(state: SystemState, star: Star3, grid: Grid3) -> SystemState:
-    """One leapfrog step of `scalar_wave_system`; s is updated first, v uses
-    the fresh s."""
-    return system_step(state, scalar_wave_system(star, grid).ops)
-
-
-def maxwell_step(state: SystemState, eps_star: Star3, mu_star: Star3, grid: Grid3) -> SystemState:
-    """One leapfrog step of `maxwell_system`; E is updated first, H uses the
-    fresh E."""
-    return system_step(state, maxwell_system(eps_star, mu_star, grid).ops)
 
 
 # ---------------------------------------------------------------------------

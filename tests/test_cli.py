@@ -366,6 +366,8 @@ class TestExperimentCommands:
             (["diffusion", "--courant", "inf"], "--courant/--diffusivity"),
             (["diffusion", "--diffusivity", "1e-320"], "--courant/--diffusivity"),
             (["diffusion", "--diffusivity", "inf"], "--courant/--diffusivity"),
+            # a size no grid accepts, for a suite that builds no 3D grid
+            (["verify", "wave1d-sbp", "--sizes", "1", "--trials", "5"], "--sizes"),
         ],
     )
     def test_out_of_range_input_is_a_usage_error(self, args, flag, tmp_path, capsys):
@@ -405,6 +407,8 @@ class TestExperimentCommands:
              "unknown verify suite 'nonsense'; use one of "
              "['adjoint', 'mimetic3d', 'wave1d-sbp', 'all']"),
             (["verify", "adjoint", "--sizes", "8", "1"],
+             "--sizes: need at least 2 cells per axis"),
+            (["verify", "wave1d-sbp", "--sizes", "1"],
              "--sizes: need at least 2 cells per axis"),
         ],
     )

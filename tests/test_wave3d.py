@@ -27,6 +27,8 @@ from stagwave.mimetic3d import (
     Grid3,
     Star3,
     VectorField3,
+    curl3,
+    curl3_star,
     div3,
     div3_star,
     grad3,
@@ -226,6 +228,68 @@ class TestStates:
             conserved_full(fresh_m, *_products(maxwell_system(star, star, grid)))
         with pytest.raises(ValueError, match="history"):
             conserved_half_step(fresh_m, *_products(maxwell_system(star, star, grid)))
+
+
+# ---------------------------------------------------------------------------
+# the allocating pairs against the operator and star expressions
+# ---------------------------------------------------------------------------
+
+# unit stars, constant diagonals and weights sampled at every point, every
+# weight of the pair non-unit but for the unit case
+PAIR_STARS = {
+    "unit": lambda g: (Star3.trivial(g), Star3.trivial(g)),
+    "const-diag": lambda g: (
+        Star3.from_diagonals(g, 1.5, 2.0, (2.0, 3.0, 4.0), (1.5, 2.5, 3.5)),
+        Star3.from_diagonals(g, 2.5, 0.5, (0.75, 1.25, 3.0), (3.0, 0.25, 1.5)),
+    ),
+    "sampled": lambda g: (
+        Star3.from_diagonals(g, _smooth(1.0, 0.5), _smooth(0.5, 1.0),
+                             (_smooth(1.0, 1.0), _smooth(2.0, 0.5), _smooth(1.5, 1.0)),
+                             (_smooth(0.5, 1.0), _smooth(3.0, 0.5), _smooth(1.0, 0.25))),
+        Star3.from_diagonals(g, _smooth(2.0, 1.0), _smooth(1.0, 0.5),
+                             (_smooth(0.5, 0.5), _smooth(1.0, 2.0), _smooth(2.5, 1.0)),
+                             (_smooth(1.5, 0.5), _smooth(0.75, 1.0), _smooth(2.0, 0.5))),
+    ),
+}
+
+
+def signed_zero_field(grid, kind, rng):
+    """A random field whose every other x-plane holds zeros of random sign,
+    so that its differences hold zeros of both signs."""
+    field = random_field(grid, kind, rng)
+    for c in getattr(field, "components", (field,)):
+        c[::2] = np.where(rng.random(c[::2].shape) < 0.5, -0.0, 0.0)
+    return field
+
+
+def same_bits(a, b):
+    """Equal bit for bit, component by component, signed zeros included."""
+    pa, pb = (getattr(f, "components", (f,)) for f in (a, b))
+    return len(pa) == len(pb) and all(
+        p.shape == q.shape and np.array_equal(p.view(np.int64), q.view(np.int64))
+        for p, q in zip(pa, pb))
+
+
+class TestAllocatingPairs:
+    @pytest.mark.parametrize("stars", sorted(PAIR_STARS))
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_pairs_have_the_bits_of_operator_and_star(self, boundary, stars):
+        grid = Grid3(1.0, 1.2, 0.8, 5, 6, 4, boundary=boundary)
+        eps, mu = PAIR_STARS[stars](grid)
+        rng = np.random.default_rng(53)
+        s, v = (signed_zero_field(grid, kind, rng) for kind in ("node", "dual-face"))
+        e, h = (signed_zero_field(grid, kind, rng) for kind in ("edge", "dual-edge"))
+        kept = [f.copy() for f in (s, v, e, h)]
+        scalar = scalar_wave_operators(eps, grid)
+        assert same_bits(scalar.apply_A(s), star_matrix(grad3(s, grid), eps, "a"))
+        assert same_bits(scalar.apply_Astar(v),
+                         -star_scalar_inverse(div3_star(v, grid), eps, "node-to-dual-cell"))
+        maxwell = maxwell_operators(eps, mu, grid)
+        assert same_bits(maxwell.apply_A(e), -star_matrix(curl3(e, grid), mu, "b", inverse=True))
+        assert same_bits(maxwell.apply_Astar(h),
+                         -star_matrix(curl3_star(h, grid), eps, "a", inverse=True))
+        # the inputs are left as they were
+        assert all(same_bits(f, k) for f, k in zip((s, v, e, h), kept))
 
 
 # ---------------------------------------------------------------------------
