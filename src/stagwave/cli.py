@@ -189,8 +189,11 @@ class RunReport:
 # the files a run may write, in report and printing order
 _ARTIFACTS = ("series_csv", "errors_csv", "table_csv", "report_json")
 
-# cell types csv.writer formats as _cell does (repr for a float, str for an int)
-_PLAIN_CELLS = frozenset({float, int, str})
+# the text _cell gives each cell type of a row written without csv.writer:
+# numbers, which csv.writer never quotes
+_NUMBER_TEXT = {int: int.__repr__, float: float.__repr__, np.float64: float.__repr__}
+# rows of numbers joined into one write
+_CHUNK_ROWS = 256
 
 
 def _cell(value) -> str:
@@ -217,10 +220,19 @@ class ArtifactWriter:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
+            lines = []  # rows of numbers not yet written, each joined by hand
             for row in rows:
-                if not _PLAIN_CELLS.issuperset(map(type, row)):
-                    row = [_cell(v) for v in row]
-                writer.writerow(row)
+                try:
+                    lines.append(",".join([_NUMBER_TEXT[type(v)](v) for v in row]) + "\n")
+                except KeyError:  # a cell that is not a number: csv.writer's row
+                    fh.write("".join(lines))
+                    lines.clear()
+                    writer.writerow([_cell(v) for v in row])
+                else:
+                    if len(lines) == _CHUNK_ROWS:
+                        fh.write("".join(lines))
+                        lines.clear()
+            fh.write("".join(lines))
         self.paths[key] = str(path)
         return str(path)
 
@@ -311,7 +323,7 @@ class March(NamedTuple):
     audit: Callable | None = None
     error: tuple | None = None  # (error_norms key, time) against system.exact
     cfl_flags: str = "--safety"  # what a CFL step out of range is blamed on
-    finish: Callable | None = None  # finish(body, state, rows, art): own checks, norms
+    finish: Callable | None = None  # finish(body, state, records, art): own checks, norms
 
 
 def _checked_dt(dt: float, flags: str) -> float:
@@ -344,7 +356,9 @@ def _check_recorded(every: int, steps: int, source: str):
 def _run_march(build, cfg, art: ArtifactWriter) -> dict:
     """The runner of every march command: `build(cfg)`, form the step and the
     step count, march, write the series of every --record-every-th step, and
-    check both invariants' drift over all recorded steps."""
+    check both invariants' drift over all recorded steps.  The engine's
+    records, (step, C_n, C_half, *audit), are the only list of them: the
+    series streams its rows from them, and `finish` reads them."""
     m = build(cfg)
     dt, steps = m.dt, m.steps
     if dt is None and (m.t_final is None or steps is None):
@@ -355,11 +369,10 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
         dt = m.t_final / steps
     _check_recorded(m.every, steps, "--steps or --t-final")
     state, records = m.system.march(dt, steps, record_every=m.every, audit=m.audit)
-    rows = [(r[0], r[0] * dt, *r[1:]) for r in records]
     every = cfg.record_every
     art.series([*_SERIES, *m.columns],
-               [r for r in rows if every and r[0] % every == 0])
-    drift_n, drift_half = rel_drift([r[2] for r in rows]), rel_drift([r[3] for r in rows])
+               ((r[0], r[0] * dt, *r[1:]) for r in records if every and r[0] % every == 0))
+    drift_n, drift_half = rel_drift([r[1] for r in records]), rel_drift([r[2] for r in records])
     body = {
         "settings": {**m.settings, "dt": dt, m.steps_key: steps},
         "summary": {"C_n_drift": drift_n, "C_half_drift": drift_half},
@@ -373,7 +386,7 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
         key, t = m.error
         body["error_norms"][key] = m.system.error(state.f, t)
     if m.finish is not None:
-        m.finish(body, state, rows, art)
+        m.finish(body, state, records, art)
     return body
 
 
@@ -381,7 +394,7 @@ def _oscillator_march(cfg) -> March:
     params = _usage("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt)
     history = [cfg.u0]
 
-    def finish(body, state, rows, art):
+    def finish(body, state, records, art):
         # continuum solution of u' = -omega v, v' = omega u; where the step
         # times pass the float range it is NaN, and so is the deviation the
         # report shows, without numpy's warnings
@@ -429,10 +442,10 @@ def _wave1d_march(cfg) -> March:
         system = wave1d.vmp_system(mats, grid, m=cfg.mode_m)
         named = {"material": mat["name"]}
 
-    def finish(body, state, rows, art):
+    def finish(body, state, records, art):
         if system.exact is not None:
             art.errors(_profile(grid, state.f - system.exact(cfg.t_final)))
-        min_c = min(min(r[2] for r in rows), min(r[3] for r in rows))
+        min_c = min(min(r[1] for r in records), min(r[2] for r in records))
         body["checks"].append(_check("invariants-positive", min_c, "> 0", min_c > 0))
 
     return March(system, {"case": case, **named, "nx": grid.nx, "t_final": cfg.t_final},
@@ -490,10 +503,10 @@ def _maxwell_march(cfg) -> March:
     def audit(state, pieces):
         return (*pieces, *divergences(state.f, state.g_half))
 
-    def finish(body, state, rows, art):
+    def finish(body, state, records, art):
         for label in ("div_e", "div_h"):
-            idx = (*_SERIES, *columns).index(label)
-            series = [r[idx] for r in rows]
+            idx = (*_SERIES, *columns).index(label) - 1  # records have no t column
+            series = [r[idx] for r in records]
             dev = float(np.max(np.abs(np.asarray(series) - series[0])))
             dev /= max(abs(series[0]), 1.0)
             body["checks"].append(

@@ -37,25 +37,28 @@ in the package (oscillator, 1D, 2D, 3D scalar wave, Maxwell) marches through
 `OperatorPair` (with the norm bound behind its dt limit), its two inner
 products, its CFL step, its start data and, where known, its exact solution.
 
-Buffers: a pair may supply an `update` hook that writes a whole update into
-a given buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's
-scalar pair allocates.  A run then works on one pair, which each
-unrecorded step overwrites in place, f first and then g, as the Yee scheme
-overwrites E and then H.  `System.march` owns the pair its `start` makes,
-so a march that records no step holds that one pair from start to end: its
-first step overwrites it through `system_step`, and its last runs in place
-and returns no history.  A recorded step keeps its predecessor as history,
-which its invariants read, and writes into a spare pair instead: a retired
-history pair the run owns, or a fresh pair until there is one, so a march
-holds at most two pairs and allocates none per step.  `run_system` called
-directly never writes the caller's start pair, so its first and last steps
-write into the spare too, and its final state keeps one step of history.
-`init_g_half` allocates only the field it returns: it forms its first-order
-term through the hook, and skips the curvature term of a start from rest.
+Buffers: a pair may supply a `plan`, which binds one in-place update to its
+buffers and returns it as a call that writes a whole update into a given
+buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's scalar pair
+allocates.  A run then works on one pair, which each unrecorded step
+overwrites in place, f first and then g, as the Yee scheme overwrites E and
+then H.  Every maximal stretch of such steps plans its two updates once and
+runs them as often as the stretch is long.  `System.march` owns the pair its
+`start` makes, so a march that records no step holds that one pair from
+start to end: its first step overwrites it through `system_step`, and its
+last runs in place and returns no history.  A recorded step keeps its
+predecessor as history, which its invariants read, and writes into a spare
+pair instead: a retired history pair the run owns, or a fresh pair until
+there is one, so a march holds at most two pairs and allocates none per
+step.  `run_system` called directly never writes the caller's start pair,
+so its first and last steps write into the spare too, and its final state
+keeps one step of history.  `init_g_half` allocates only the field it
+returns: it forms its first-order term through the plan, and skips the
+curvature term of a start from rest.
 An `audit` callback must not keep references to the state's fields across
-steps: later steps overwrite them.  A hook whose differences share one
+steps: later steps overwrite them.  A plan whose differences share one
 power-of-two spacing h <= 1 folds the exact factor 1/h into the
-multiplication after them (`fold_spacing`); other hooks divide by their
+multiplication after them (`fold_spacing`); other plans divide by their
 spacings through `divide_in_place`.
 """
 
@@ -99,7 +102,7 @@ def divide_in_place(out, delta: float):
 
 
 class SpacingFold(NamedTuple):
-    """How an update hook applies the spacing h of its differences; see
+    """How a plan applies the spacing h of its differences; see
     `fold_spacing`.  `weight` is the weight to apply after the differences
     (None: exactly 1, skipped), `dt_factor` the 1/h that a unit weight moves
     into dt, and `divide` whether the differences are divided by h first."""
@@ -123,7 +126,7 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def fold_spacing(spacings, weight=None, *, divides: bool = False) -> SpacingFold:
-    """Whether an update hook can move 1/h from its differences into the
+    """Whether a plan can move 1/h from its differences into the
     multiplication that follows them, and the weight it then applies.
 
     The spacings fold when they are one and the same power of two h <= 1.
@@ -131,9 +134,9 @@ def fold_spacing(spacings, weight=None, *, divides: bool = False) -> SpacingFold
     by 2^k commutes with rounding, so the factor may move past the next
     rounding without changing a bit wherever the scaled difference stays
     finite.  A unit `weight` (None) then moves 1/h into dt; any other is
-    scaled once, to weight/h, or to weight*h when the hook divides by it
+    scaled once, to weight/h, or to weight*h when the plan divides by it
     (`divides`).  With other spacings, or a scaled weight that would
-    overflow or go subnormal (inexact), the hook keeps the differences
+    overflow or go subnormal (inexact), the plan keeps the differences
     divided by h and the weight as given.
     """
     h = spacings[0]
@@ -163,23 +166,29 @@ class OperatorPair:
     (`System.measured_norm` only checks how sharp a bound is).
     Adjointness is a promise checked by `check_adjointness`, not enforced.
 
-    `update(x, y, dt, out, adjoint)`, if given, is the in-place form of the
-    two leapfrog updates: it returns x - dt * A*(y) when `adjoint` is true and
-    x + dt * A(y) otherwise, with the bits of those expressions built from
-    `apply_Astar`/`apply_A`, written into `out` (a fresh field when out is
-    None).  `out` may be x, never y: every hook ends in one elementwise
-    combine of x with its scaled term into `out`, so writing over x gives
-    the same bits.  The result holds no other storage of the pair.  One
-    exception to the bits: a hook that folds a power-of-two spacing h into
-    the factor after its differences (`fold_spacing`) never forms a
-    difference times 1/h, so where that product overflows to inf in the
-    expression, the hook's update may stay finite.
+    `plan(x, y, dt, out, adjoint)`, if given, is the in-place form of the
+    two leapfrog updates: it returns a call of no arguments that, each time
+    it is made, returns x - dt * A*(y) when `adjoint` is true and
+    x + dt * A(y) otherwise, from the values x and y hold at that moment,
+    with the bits of those expressions built from `apply_Astar`/`apply_A`,
+    written into `out` (a fresh field per call when out is None).  A plan
+    binds its buffers, views of y and the factor that takes dt's place once,
+    so it runs as long as x, y and out are the same fields.  `out` may be x,
+    never y: every update ends in one elementwise combine of x with its
+    scaled term into `out`, so writing over x gives the same bits.  The
+    result holds no other storage of the pair, and a plan's work arrays are
+    the pair's own, so two plans of one pair take turns: each call finishes
+    with them before it returns.  One exception to the bits: a plan that
+    folds a power-of-two spacing h into the factor after its differences
+    (`fold_spacing`) never forms a difference times 1/h, so where that
+    product overflows to inf in the expression, the plan's update may stay
+    finite.
     """
 
     apply_A: Callable[[Any], Any]
     apply_Astar: Callable[[Any], Any]
     norm_bound_A: float = float("inf")
-    update: Callable | None = None
+    plan: Callable | None = None
 
 
 @dataclass
@@ -230,7 +239,7 @@ class System:
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
               audit: Callable | None = None):
         """`run_system` for n_steps of dt from `start(dt)`, which the march
-        owns: with an `update` hook, its unrecorded steps overwrite the start
+        owns: with a `plan`, its unrecorded steps overwrite the start
         pair itself, so a march that records no step holds that one pair
         from start to end.  The final state keeps its step of history only
         when the last step is recorded; otherwise its f_prev and g_prev_half
@@ -296,8 +305,9 @@ def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemSta
     The new state keeps the old f and g_half as its history, unless the
     step overwrote them (below).
 
-    out=(f_buf, g_buf), for a pair with an `update` hook, has the hook write
-    f_{n+1} into f_buf and g_{n+3/2} into g_buf (None for a fresh field).
+    out=(f_buf, g_buf), for a pair with a `plan`, has one plan of each
+    update write f_{n+1} into f_buf and g_{n+3/2} into g_buf (None for a
+    fresh field).
     Buffers other than the state's own keep its f and g_half as the history.
     out=(state.f, state.g_half) overwrites the state's pair in place, and the
     new state then keeps no history.  The bits are the same either way.
@@ -307,8 +317,8 @@ def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemSta
         g_new = state.g_half + state.dt * ops.apply_A(f_new)
     else:
         in_place = out[0] is state.f
-        f_new = ops.update(state.f, state.g_half, state.dt, out[0], True)
-        g_new = ops.update(state.g_half, f_new, state.dt, out[1], False)
+        f_new = ops.plan(state.f, state.g_half, state.dt, out[0], True)()
+        g_new = ops.plan(state.g_half, f_new, state.dt, out[1], False)()
         if in_place:
             return SystemState(f_new, g_new, state.dt, state.step + 1)
     return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
@@ -321,7 +331,7 @@ def init_g_half(f0, g0, ops: OperatorPair, dt: float):
 
     with the curvature term (g'' = -A A* g) at its true coefficient.
 
-    A pair's `update` hook forms the first-order term, which by its contract
+    A pair's `plan` forms the first-order term, which by its contract
     has the bits of g0 + (dt/2) A f0.  A start from rest, every entry of g0
     +0.0, skips the curvature term while its coefficient is finite: A A* g0
     is then a signed zero, and a first-order term +0.0 + y is never -0.0, so
@@ -330,8 +340,8 @@ def init_g_half(f0, g0, ops: OperatorPair, dt: float):
     """
     half = 0.5 * dt
     coeff = 0.5 * _square(half)
-    if ops.update is not None:
-        first_order = ops.update(g0, f0, half, None, False)
+    if ops.plan is not None:
+        first_order = ops.plan(g0, f0, half, None, False)()
     else:
         first_order = g0 + half * ops.apply_A(f0)
     if math.isfinite(coeff) and _positive_zero(g0):
@@ -457,13 +467,14 @@ def run_system(
     the `energy_pieces` of C_full, appends the entries it returns; it must
     not keep the state's fields: later steps overwrite them.
 
-    With a pair that has an `update` hook, the run owns one working pair:
-    an unrecorded step overwrites f and then g in place.  The first step,
-    which never writes the caller's start pair, a recorded step and the
-    last, whose states keep one step of history, write into a spare pair
-    instead: the history pair a step retires, once that is the run's own,
-    or a fresh pair before then.  The run lets go of the start pair once
-    step 1 has used it.
+    With a pair that has a `plan`, the run owns one working pair: an
+    unrecorded step overwrites f and then g in place.  Each maximal stretch
+    of such steps makes one plan of each update and runs the two in turn,
+    once per step.  The first step, which never writes the caller's start
+    pair, a recorded step and the last, whose states keep one step of
+    history, write into a spare pair instead: the history pair a step
+    retires, once that is the run's own, or a fresh pair before then.  The
+    run lets go of the start pair once step 1 has used it.
 
     `System.march` alone passes `_owned=True`: the start pair is then the
     run's own, and only recorded steps write into a spare.  An unrecorded
@@ -483,10 +494,15 @@ def run_system(
         g_half0 = init_g_half(f0, g0, ops, dt)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     del f0, g0, g_half0  # the state alone holds the start data
-    in_place = ops.update is not None
+    in_place = ops.plan is not None
+    # the last step a stretch of in-place steps may reach: an unowned run's
+    # last step writes into the spare
+    last_in_place = n_steps if _owned else n_steps - 1
     spare = (None, None)
     record = []
-    for n in range(1, n_steps + 1):
+    n = 0
+    while n < n_steps:
+        n += 1
         recorded = bool(record_every) and n % record_every == 0
         if not in_place:
             state = system_step(state, ops)
@@ -502,9 +518,16 @@ def run_system(
             elif n == 1:
                 state = system_step(state, ops, out=(state.f, state.g_half))
             else:
-                state.f = ops.update(state.f, state.g_half, dt, state.f, True)
-                state.g_half = ops.update(state.g_half, state.f, dt, state.g_half, False)
-                state.step = n
+                # steps n to last, up to the next recorded step, in place
+                last = last_in_place
+                if record_every:
+                    last = min(last, n - n % record_every + record_every - 1)
+                run_f = ops.plan(state.f, state.g_half, dt, state.f, True)
+                run_g = ops.plan(state.g_half, state.f, dt, state.g_half, False)
+                for _ in range(last - n + 1):
+                    run_f()
+                    run_g()
+                state.step = n = last
         if recorded:
             pieces = energy_pieces(state, inner_X, inner_Y)
             row = (state.step, pieces[0] + pieces[1], conserved_half_step(state, inner_X, inner_Y))

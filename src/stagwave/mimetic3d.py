@@ -405,7 +405,7 @@ _OPERATORS = {
 def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *,
                 weights=None, flux=None):
     """The difference operator `op` from its term table, yielding each output
-    component as it is formed; the six operators, the update hooks and the
+    component as it is formed; the six operators, the update plans and the
     divergence audit of `wave3d` all run this one loop.  Onto a dual kind it
     differences backward and obeys the rim rule, writing straight into the
     interior of a zero-rimmed output.
@@ -482,7 +482,7 @@ def grad3(s, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
     float array for the terms, at least two output components long with
     each rounded up to a whole number of 8-entry cache lines.  With
     `scaled=False` the differences are left undivided by their spacings: an
-    update hook on a cube with a power-of-two spacing h moves the exact 1/h
+    update plan on a cube with a power-of-two spacing h moves the exact 1/h
     into its dt instead.
     """
     return _apply("grad3", s, grid, out, work, scaled)

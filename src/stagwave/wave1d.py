@@ -138,23 +138,27 @@ def div1(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _update_hook(dx: float, u_weight, v_weight, *, u_divides: bool = False):
-    """The in-place `update` of a pair with A = v_weight grad1 and A* =
-    -div1 weighted by u_weight, which multiplies (cmp's c) or, with
-    `u_divides`, divides (vmp's rho); None marks a weight of exactly 1,
-    which changes no bit and is skipped.
+def _planner(dx: float, u_weight, v_weight, *, u_divides: bool = False):
+    """The `plan` of a pair with A = v_weight grad1 and A* = -div1 weighted
+    by u_weight, which multiplies (cmp's c) or, with `u_divides`, divides
+    (vmp's rho); None marks a weight of exactly 1, which changes no bit and
+    is skipped.
 
-    The difference is formed in a work array the hook owns, weighted and
+    The difference is formed in a work array the pair owns, weighted and
     scaled in place, and added into `out`: the sign of A* is folded into the
     add, since x - dt * (-t) is x + dt * t bit for bit.  The two pinned ends
     of a u update get a zero difference, weighted and scaled like the
-    interior, as div1's zero rim is.  On a power-of-two dx the hook never
+    interior, as div1's zero rim is.  On a power-of-two dx the plan never
     divides the difference: 1/dx rides on the weight, or on dt when the
-    weight is 1 (`fold_spacing`).
+    weight is 1 (`fold_spacing`).  A plan binds y's two shifted views, its
+    work array, weight, ufuncs and factor once, so a call is its three to
+    five ufunc calls (one more where it divides by dx) and little else: the
+    refinement sweeps make tens of thousands of them on arrays of 17 to 2049
+    entries.
     """
     sides = []  # v and u update: work array, its difference part, weighting ufunc, fold
 
-    def update(x, y, dt, out, adjoint):
+    def plan(x, y, dt, out, adjoint):
         if not sides:
             n = x.shape[0] if adjoint else y.shape[0]  # primal points
             w_v, w_u = np.empty(n - 1), np.empty(n)
@@ -163,23 +167,30 @@ def _update_hook(dx: float, u_weight, v_weight, *, u_divides: bool = False):
                           fold_spacing((dx,), u_weight, divides=u_divides)))
         w, diff, weigh, fold = sides[adjoint]
         scale, divide = fold.scale(dt)
-        np.subtract(y[1:], y[:-1], diff)
-        if divide:
-            divide_in_place(diff, dx)
-        if adjoint:
-            w[0] = w[-1] = 0.0
-        if fold.weight is not None:
-            weigh(w, fold.weight, w)
-        np.multiply(w, scale, w)
-        return np.add(x, w, out)
+        weight = fold.weight
+        hi, lo = y[1:], y[:-1]
+        subtract, multiply, add = np.subtract, np.multiply, np.add
 
-    return update
+        def run():
+            subtract(hi, lo, diff)
+            if divide:
+                divide_in_place(diff, dx)
+            if adjoint:
+                w[0] = w[-1] = 0.0
+            if weight is not None:
+                weigh(w, weight, w)
+            multiply(w, scale, w)
+            return add(x, w, out)
+
+        return run
+
+    return plan
 
 
 def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
     """Constant-material operators: A = c*grad1, A* = -c*div1.
 
-    Its `update` hook multiplies by c (by c/dx, scaled once, on a
+    Its `plan` multiplies by c (by c/dx, scaled once, on a
     power-of-two dx), and skips a c of exactly 1.0: -c * d is -(c * d) bit
     for bit, so the sign folds into the add.
     """
@@ -189,7 +200,7 @@ def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
         apply_A=lambda u: c * grad1(u, dx),
         apply_Astar=lambda v: -c * div1(v, dx),
         norm_bound_A=2.0 * abs(c) / dx,
-        update=_update_hook(dx, weight, weight),
+        plan=_planner(dx, weight, weight),
     )
 
 
@@ -197,7 +208,7 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
     """Variable-material operators: A = tau*grad1, A* = -div1/rho.
 
     Adjoint with respect to the rho/tau weighted inner products below;
-    the norm bound uses the maximum wave speed estimate.  Its `update` hook
+    the norm bound uses the maximum wave speed estimate.  Its `plan`
     divides by rho and multiplies by tau in place (by rho*dx and tau/dx on a
     power-of-two dx), each skipped where it is exactly 1.0 everywhere.
     """
@@ -208,8 +219,8 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
         apply_A=lambda u: tau * grad1(u, dx),
         apply_Astar=lambda v: -div1(v, dx) / rho,
         norm_bound_A=bound,
-        update=_update_hook(dx, None if np.all(rho == 1.0) else rho,
-                            None if np.all(tau == 1.0) else tau, u_divides=True),
+        plan=_planner(dx, None if np.all(rho == 1.0) else rho,
+                      None if np.all(tau == 1.0) else tau, u_divides=True),
     )
 
 

@@ -313,7 +313,7 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
             *star2(grad2p(u, grid), star.diag, "tangent-to-dual-normal")),
         apply_Astar=lambda v: -star2(div2d(v, grid), star.a, "dual-cell-to-node"),
         norm_bound_A=bound,
-        update=_update_hook(star, grid),
+        plan=_planner(star, grid),
     )
 
     def mode(part, kind, t):
@@ -334,68 +334,84 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
                   exact=(lambda t: mode(0, "fp", t)) if star == Star2() else None)
 
 
-def _update_hook(star: Star2, grid: Grid2):
-    """The in-place `update` of the 2D pair.
+def _planner(star: Star2, grid: Grid2):
+    """The `plan` of the 2D pair.
 
-    A u update forms D* v in a node array the hook owns: the x difference
-    in its interior, the y difference in a second work array, their sum
-    divided by a unless a is exactly 1.0.  Its rim is zeroed on every call,
-    as star2's "dual-cell-to-node" fill makes it, and scaled with the
+    A u update forms D* v in two contiguous work arrays the pair owns: the
+    x difference in one, the y difference in the other, their sum in the
+    first, divided by a unless a is exactly 1.0, and copies that sum into
+    the interior of a node array, once.  The node's rim is zeroed on every
+    call, as star2's "dual-cell-to-node" fill makes it, and scaled with the
     interior, so the pinned ring gets the allocating expression's
     arithmetic, signed zeros included.  The sign of A* folds into the add:
     u - dt * (-t) is u + dt * t, bit for bit.
     A v update differences only the rows and columns that star2's
-    "tangent-to-dual-normal" keeps, and multiplies by a11/a22 unless it is
-    exactly 1.0.
+    "tangent-to-dual-normal" keeps, into a view of the node array's
+    storage, one component after the other, and multiplies by a11/a22
+    unless it is exactly 1.0.
     Where the spacings of a difference are one power of two h (dx == dy for
-    the u update), the hook never divides it: 1/h rides on the weight (a*h,
+    the u update), the plan never divides it: 1/h rides on the weight (a*h,
     a11/h, a22/h) or, for a weight of exactly 1.0, on dt (`fold_spacing`).
+    A plan binds the views of y, the work arrays, weights and factors once.
     """
     dx, dy = grid.dx, grid.dy
     parts = []  # work arrays and folds, made on first use
 
-    def update(x, y, dt, out, adjoint):
+    def plan(x, y, dt, out, adjoint):
         if not parts:
-            node, wx, wy = (np.empty(grid.shape(kind)) for kind in ("fp", "nxd", "nyd"))
+            node = np.empty(grid.shape("fp"))
+            flat = node.reshape(-1)
             parts.extend([
-                node, node[1:-1, 1:-1], np.empty(grid.shape("gd")),
+                node, node[1:-1, 1:-1], np.empty(grid.shape("gd")), np.empty(grid.shape("gd")),
                 fold_spacing((dx, dy), None if star.a == 1.0 else star.a, divides=True),
-                (wx, dx, fold_spacing((dx,), None if star.a11 == 1.0 else star.a11)),
-                (wy, dy, fold_spacing((dy,), None if star.a22 == 1.0 else star.a22)),
+                [(flat[:math.prod(grid.shape(kind))].reshape(grid.shape(kind)), h,
+                  fold_spacing((h,), None if weight == 1.0 else weight))
+                 for kind, h, weight in (("nxd", dx, star.a11), ("nyd", dy, star.a22))],
             ])
-        node, inner, gd, u_fold, x_side, y_side = parts
+        node, inner, gx, gy, u_fold, v_sides = parts
         if adjoint:
             vx, vy = y
+            x_hi, x_lo, y_hi, y_lo = vx[1:], vx[:-1], vy[:, 1:], vy[:, :-1]
             scale, divide = u_fold.scale(dt)
-            np.subtract(vx[1:], vx[:-1], inner)
-            np.subtract(vy[:, 1:], vy[:, :-1], gd)
-            if divide:
-                divide_in_place(inner, dx)
-                divide_in_place(gd, dy)
-            np.add(inner, gd, inner)
-            if u_fold.weight is not None:
-                np.true_divide(inner, u_fold.weight, inner)
-            node[0] = node[-1] = 0.0
-            node[:, 0] = node[:, -1] = 0.0
-            np.multiply(node, scale, node)
-            return np.add(x, node, out)
-        outs = (None, None) if out is None else out
-        new = []
-        for (w, h, fold), hi, lo, xr, o in (
-            (x_side, y[1:, 1:-1], y[:-1, 1:-1], x[0], outs[0]),
-            (y_side, y[1:-1, 1:], y[1:-1, :-1], x[1], outs[1]),
-        ):
-            scale, divide = fold.scale(dt)
-            np.subtract(hi, lo, w)
-            if divide:
-                divide_in_place(w, h)
-            if fold.weight is not None:
-                np.multiply(fold.weight, w, w)
-            np.multiply(w, scale, w)
-            new.append(np.add(xr, w, o))
-        return out if out is not None else VectorField2(*new)
 
-    return update
+            def run_u():
+                np.subtract(x_hi, x_lo, gx)
+                np.subtract(y_hi, y_lo, gy)
+                if divide:
+                    divide_in_place(gx, dx)
+                    divide_in_place(gy, dy)
+                np.add(gx, gy, gx)
+                if u_fold.weight is not None:
+                    np.true_divide(gx, u_fold.weight, gx)
+                inner[...] = gx
+                node[0] = node[-1] = 0.0
+                node[:, 0] = node[:, -1] = 0.0
+                np.multiply(node, scale, node)
+                return np.add(x, node, out)
+
+            return run_u
+        # per component: its work view, spacing and fold, the fold's factor
+        # and divide, the two slices of y it differences, its x and its out
+        sides = [(w, h, fold, *fold.scale(dt), hi, lo, xr, o)
+                 for (w, h, fold), hi, lo, xr, o in zip(
+                     v_sides, (y[1:, 1:-1], y[1:-1, 1:]), (y[:-1, 1:-1], y[1:-1, :-1]), x,
+                     (None, None) if out is None else out)]
+
+        def run_v():
+            new = []
+            for w, h, fold, scale, divide, hi, lo, xr, o in sides:
+                np.subtract(hi, lo, w)
+                if divide:
+                    divide_in_place(w, h)
+                if fold.weight is not None:
+                    np.multiply(fold.weight, w, w)
+                np.multiply(w, scale, w)
+                new.append(np.add(xr, w, o))
+            return out if out is not None else VectorField2(*new)
+
+        return run_v
+
+    return plan
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ component of E lives at (i+1/2, j, k) and the x component of H at
 Each is one rung of the complex: a side table of two `mimetic3d`
 difference operators, each with the star weights it applies, and the
 analytic norm bound behind the dt limit (`_scalar_sides`, `_maxwell_sides`).
-That one table yields both the in-place update hook and the allocating pair
+That one table yields both the in-place update plan and the allocating pair
 (`_pair`), and one builder (`_system`) adds the products of the kinds the
 operators take, weighted by the rung's stars, and the cavity-mode start, so
 each march carries a pair of exactly conserved quadratic forms.
@@ -56,7 +56,7 @@ class _Scratch(dict):
     Node arrays are the largest on either policy.
 
     One scratch of three buffers (`_scratch`) serves every 3D user on a
-    grid: the update hooks of its pairs, the inner products of its Systems
+    grid: the update plans of its pairs, the inner products of its Systems
     and its divergence auditors, on that grid and on every equal one.  Each
     user finishes with the buffers before it returns, so users that take
     turns, as a march's steps, records and audits do, may share them."""
@@ -82,7 +82,7 @@ class _Scratch(dict):
         return self[key]
 
 
-# the scratch of each grid, held only as long as a hook, System or auditor
+# the scratch of each grid, held only as long as a plan, System or auditor
 # holds it: a sweep keeps its grids after their marches, not their scratch
 _SCRATCHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
@@ -105,8 +105,8 @@ def _over(term, weight):
     np.true_divide(term, weight, out=term)
 
 
-def _update_hook(grid: Grid3, sides: tuple):
-    """The `update` of a 3D pair, one output component at a time.
+def _planner(grid: Grid3, sides: tuple):
+    """The `plan` of a 3D pair, one output component at a time.
 
     ``sides[adjoint]`` is (op, weights, weigh, combine): the update is
     combine(x, dt * W op(y)), with W applied by weigh(term, weights[r]) to
@@ -117,36 +117,42 @@ def _update_hook(grid: Grid3, sides: tuple):
     shared `_scratch`: the component and the operator's two work terms.  On
     a cube with a power-of-two spacing h, a side whose weight is skipped
     asks for undivided differences and scales by dt * (1/h) instead
-    (`fold_spacing`).
+    (`fold_spacing`).  A plan binds its side, buffers, the components of x
+    and out, and that factor once.
     """
     cube = fold_spacing(grid.spacings)
     folds = [cube if weights is None else _KEEP for _, weights, _, _ in sides]
     scratch = _scratch(grid)
 
-    def update(x, y, dt, out, adjoint):
+    def plan(x, y, dt, out, adjoint):
         op, weights, weigh, combine = sides[adjoint]
         scale, scaled = folds[adjoint].scale(dt)
-        terms = _difference(op, y, grid, scratch[_OPERATORS[op][1], 0, 0], scratch[1], scaled)
+        buffers = scratch[_OPERATORS[op][1], 0, 0], scratch[1]
         xs = _parts(x)
         outs = _parts(out) if out is not None else (None,) * len(xs)
-        new = []
-        for r, (term, xr, o) in enumerate(zip(terms, xs, outs)):
-            if weights is not None:
-                weigh(term, weights[r])
-            # term *= dt has the bits of dt * term
-            np.multiply(term, scale, out=term)
-            new.append(combine(xr, term, out=o))
-        return out if out is not None else _as_field(new)
 
-    return update
+        def run():
+            terms = _difference(op, y, grid, *buffers, scaled)
+            new = []
+            for r, (term, xr, o) in enumerate(zip(terms, xs, outs)):
+                if weights is not None:
+                    weigh(term, weights[r])
+                # term *= dt has the bits of dt * term
+                np.multiply(term, scale, out=term)
+                new.append(combine(xr, term, out=o))
+            return out if out is not None else _as_field(new)
+
+        return run
+
+    return plan
 
 
 def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
-    """The pair of a rung: its `update` hook and, from the same sides, the
+    """The pair of a rung: its `plan` and, from the same sides, the
     allocating A and A*, with `bound` the norm bound of A.
 
     ``sides`` is the side of A (g from f), then that of A* (f from g), as
-    `_update_hook` takes them.  In the core's convention (df/dt = -A* g,
+    `_planner` takes them.  In the core's convention (df/dt = -A* g,
     dg/dt = A f) a side that adds its term is +W op in A and -W op in A*, so
     A is negated where its side subtracts and A* where its side adds.  Each
     component is the operator's fresh output, weighted and negated in place:
@@ -169,7 +175,7 @@ def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
         return apply
 
     return OperatorPair(apply_A=allocating(False), apply_Astar=allocating(True),
-                        norm_bound_A=bound, update=_update_hook(grid, sides))
+                        norm_bound_A=bound, plan=_planner(grid, sides))
 
 
 def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callable) -> System:

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -588,6 +591,39 @@ class TestConvergenceCommands:
         assert m3["settings"]["mode_m"] == 3
         # the third mode is resolved by fewer points per wavelength: larger errors
         assert all(e3 > e1 for e1, e3 in zip(m1["summary"]["errors"], m3["summary"]["errors"]))
+
+
+# ---------------------------------------------------------------------------
+# artifact writing
+# ---------------------------------------------------------------------------
+
+
+def test_csv_rows_have_the_bytes_csv_writer_gives_their_cells(tmp_path):
+    # rows of int, float and np.float64 cells are joined by hand and written
+    # in chunks; any other row goes through csv.writer.  Either way the file
+    # has csv.writer's bytes for each row's cells as _cell formats them
+    numbers = [0, -7, 10**20, 0.1, -0.0, math.inf, -math.inf, math.nan, 1e-300, 1e16,
+               np.float64(2.5), np.float64(-0.0), np.float64(-math.inf), np.float64(1e-300),
+               np.float64(1e16)]
+    others = [True, np.bool_(False), "", "a,b", 'say "x"', "text", np.int64(3), np.float32(0.5)]
+    rng = random.Random(30)
+    rows = [[rng.choice(numbers) for _ in range(rng.randint(0, 5))] for _ in range(600)]
+    for _ in range(400):  # a cell that is not a number now and then, between runs of numbers
+        cells = numbers + others if rng.random() < 0.1 else numbers
+        rows.append([rng.choice(cells) for _ in range(rng.randint(1, 5))])
+    rows += [[np.float64(k) * 0.1, k] for k in range(300)]
+    path = cli.ArtifactWriter(tmp_path, "rows").series(["a", "b"], iter(rows))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow(["a", "b"])
+    writer.writerows([cli._cell(v) for v in row] for row in rows)
+    assert Path(path).read_bytes() == want.getvalue().encode()
+    # the same csv.writer gives rows of Python numbers, as it gets them, the same bytes
+    plain = [row for row in rows if all(type(v) in (int, float) for v in row)]
+    direct, celled = io.StringIO(), io.StringIO()
+    csv.writer(direct, lineterminator="\n").writerows(plain)
+    csv.writer(celled, lineterminator="\n").writerows([cli._cell(v) for v in r] for r in plain)
+    assert len(plain) > 100 and direct.getvalue() == celled.getvalue()
 
 
 # ---------------------------------------------------------------------------

@@ -430,8 +430,8 @@ def test_system_oscillator_preset_is_its_own_pair():
 
 
 def _counted(ops, counts):
-    """The pair with every application of A and A* counted, those inside its
-    update hook included."""
+    """The pair with every application of A and A* counted, those of its
+    plans included (one per run of a plan)."""
 
     def count(name, fn):
         def apply(x):
@@ -440,13 +440,18 @@ def _counted(ops, counts):
 
         return apply
 
-    def update(x, y, dt, out, adjoint):
-        counts["Astar" if adjoint else "A"] += 1
-        return ops.update(x, y, dt, out, adjoint)
+    def plan(x, y, dt, out, adjoint):
+        run = ops.plan(x, y, dt, out, adjoint)
+
+        def counted():
+            counts["Astar" if adjoint else "A"] += 1
+            return run()
+
+        return counted
 
     return replace(ops, apply_A=count("A", ops.apply_A),
                    apply_Astar=count("Astar", ops.apply_Astar),
-                   update=None if ops.update is None else update)
+                   plan=None if ops.plan is None else plan)
 
 
 def _three_term(state, ops, inner_X, inner_Y):
@@ -483,7 +488,7 @@ def test_records_are_the_three_term_invariants(name, record_every):
 def _count_3d_calls(monkeypatch, counts):
     """Count every mimetic3d operator, star and inner3 call, and every pass
     of `_difference`, the one loop of the six operators and the 3D update
-    hooks, rebinding each in every stagwave module that holds a reference
+    plans, rebinding each in every stagwave module that holds a reference
     to it."""
     modules = [m for n, m in sys.modules.items() if n.startswith("stagwave.")]
     for name in OPS_3D + ("inner3", "_difference"):
@@ -505,7 +510,7 @@ def _count_3d_calls(monkeypatch, counts):
 )
 def test_maxwell_step_operator_count(monkeypatch, record_every, passes_per_step, ops_per_step,
                                      inner3_per_step):
-    # a step is two difference passes, R* H and R E, made by the update hook,
+    # a step is two difference passes, R* H and R E, made by the update plans,
     # which weights their components itself; a recorded step adds the
     # divergence audit's two weighted passes, D*(eps E) and D(mu H), which
     # call no operator or star, and the invariants four inner products
@@ -580,22 +585,22 @@ RECORD_EVERY = [0, 1, 3, 5]
 def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case(system, boundary, stars,
                                                             np.random.default_rng(31))
-    assert ops.update is not None
+    assert ops.plan is not None
     n = IN_PLACE_STEPS
     kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
     # the caller's start data is never written, nor taken for a spare pair
     assert all(np.array_equal(a, b) for a, b in zip(kept, _bits(f0) + _bits(g0)))
-    # a loop of allocating steps (no hook) gives the same bits, history included
+    # a loop of allocating steps (no plan) gives the same bits, history included
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n):
         ref = system_step(ref, ops)
     for got, want in ((state.f, ref.f), (state.g_half, ref.g_half),
                       (state.f_prev, ref.f_prev), (state.g_prev_half, ref.g_prev_half)):
         assert _same(got, want)
-    # and so does the engine on the pair without its hook, records included
-    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, n, inner_X,
+    # and so does the engine on the pair without its plan, records included
+    bare, bare_records = run_system(f0, None, replace(ops, plan=None), dt, n, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
     assert _same(state.f, bare.f) and _same(state.g_half, bare.g_half)
     assert records == bare_records
@@ -606,14 +611,18 @@ def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_ev
 def test_in_place_run_overwrites_its_own_pair(record_every):
     (ops, inner_X, inner_Y), f0, g0, dt, _ = _inplace_case("maxwell", "pinned", "unit",
                                                             np.random.default_rng(32))
-    calls = []  # (x, out, result) of every hook call: f then g, one step after another
+    calls = []  # (x, out, result) of every planned update: f then g, one step after another
 
     def watch(x, y, dt, out, adjoint):
-        result = ops.update(x, y, dt, out, adjoint)
-        calls.append((x, out, result))
-        return result
+        run = ops.plan(x, y, dt, out, adjoint)
 
-    state, _ = run_system(f0, None, replace(ops, update=watch), dt, 8, inner_X, inner_Y,
+        def watched():
+            calls.append((x, out, run()))
+            return calls[-1][2]
+
+        return watched
+
+    state, _ = run_system(f0, None, replace(ops, plan=watch), dt, 8, inner_X, inner_Y,
                           g_half0=g0, record_every=record_every)
     assert len(calls) == 2 * 8
     for n in range(1, 9):
@@ -651,7 +660,7 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
     during one of steps 3 to n_steps - 1 of a run of `engine` (a pair and its
     products) recorded every `record_every` steps: the steps after the two
     that may make the run's pairs, and before the last.  A step runs from its
-    A* update to its A update, through the hook or the pair's operators; a
+    A* update to its A update, through the plans or the pair's operators; a
     record's inner products fall between steps.  With an `audit`, every step
     must be recorded, and each record is measured as well: from the end of
     its step, through its four inner products, to the end of its audit."""
@@ -672,13 +681,18 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
         if audit is not None:
             begin()  # the record, then its audit
 
-    def update(x, y, dt, out, adjoint):
-        if adjoint:
-            begin()
-        result = ops.update(x, y, dt, out, adjoint)
-        if not adjoint:
-            step_end()
-        return result
+    def plan(x, y, dt, out, adjoint):
+        run = ops.plan(x, y, dt, out, adjoint)
+
+        def watched():
+            if adjoint:
+                begin()
+            result = run()
+            if not adjoint:
+                step_end()
+            return result
+
+        return watched
 
     def apply_Astar(g):
         begin()
@@ -696,7 +710,7 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
 
     assert audit is None or record_every == 1
 
-    watched = replace(ops, update=update, apply_A=apply_A, apply_Astar=apply_Astar)
+    watched = replace(ops, plan=plan, apply_A=apply_A, apply_Astar=apply_Astar)
     _peak_bytes(lambda: run_system(f0, None, watched, dt, n_steps, inner_X, inner_Y,
                                    g_half0=g0, record_every=record_every,
                                    audit=None if audit is None else watched_audit))
@@ -706,10 +720,9 @@ def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
 
 
 def _fresh(engine):
-    """The engine with a hook that ignores `out` and makes fresh fields."""
+    """The engine with plans that ignore `out` and make fresh fields."""
     ops = engine[0]
-    return (replace(ops, update=lambda x, y, dt, out, adjoint: ops.update(x, y, dt, None,
-                                                                          adjoint)),
+    return (replace(ops, plan=lambda x, y, dt, out, adjoint: ops.plan(x, y, dt, None, adjoint)),
             *engine[1:])
 
 
@@ -732,7 +745,7 @@ def test_steady_maxwell_steps_allocate_no_field(record_every):
 
 def test_steady_audited_maxwell_march_allocates_no_field():
     # the `maxwell` command's march: diagonal stars, every step recorded and
-    # audited by one divergence auditor; the hook, a record's four inner
+    # audited by one divergence auditor; the plans, a record's four inner
     # products and the audit all work in the grid's one shared scratch
     grid = Grid3.cube(40, 1.0, boundary="pinned")
     eps, mu = wave3d.parse_material_3d("diag3d", "maxwell")(grid)
@@ -757,7 +770,7 @@ def test_unrecorded_march_holds_one_pair():
     grid = Grid3.cube(32, 1.0, boundary="pinned")
     star = Star3.trivial(grid)
 
-    def system():  # a fresh System, whose hook has yet to make its scratch
+    def system():  # a fresh System, whose plan has yet to make its scratch
         return wave3d.maxwell_system(star, star, grid)
 
     dt = system().cfl_dt(0.9)
@@ -773,24 +786,29 @@ def test_unrecorded_march_holds_one_pair():
     assert _peak_bytes(lambda: owned.march(dt, 10, record_every=0)) < component
 
 
-# every System with an `update` hook: all but the oscillators
+# every System with a `plan`: all but the oscillators
 HOOKED = sorted(name for name in CONTRACT_SYSTEMS if "oscillator" not in name)
 
 
 def _watched(system, calls, starts):
-    """`system` with the (x, out, result) of every hook call of its march in
-    `calls`, and every pair its start returns in `starts`."""
+    """`system` with the (x, out, result) of every planned update of its
+    march in `calls`, and every pair its start returns in `starts`."""
     ops = system.ops
 
-    def update(x, y, dt, out, adjoint):
-        calls.append((x, out, ops.update(x, y, dt, out, adjoint)))
-        return calls[-1][2]
+    def plan(x, y, dt, out, adjoint):
+        run = ops.plan(x, y, dt, out, adjoint)
+
+        def watched():
+            calls.append((x, out, run()))
+            return calls[-1][2]
+
+        return watched
 
     def start(dt):
         starts.append(system.start(dt))
         return starts[-1]
 
-    return replace(system, ops=replace(ops, update=update), start=start)
+    return replace(system, ops=replace(ops, plan=plan), start=start)
 
 
 def _ids(*fields):
@@ -800,7 +818,7 @@ def _ids(*fields):
 @pytest.mark.parametrize("name", HOOKED)
 def test_unrecorded_march_overwrites_its_start_pair(monkeypatch, name):
     system = CONTRACT_SYSTEMS[name]()
-    assert system.ops.update is not None
+    assert system.ops.plan is not None
     dt = system.cfl_dt(0.8)
     f0, g0 = system.start(dt)
     # run_system never writes the caller's pair, and returns its history
@@ -889,7 +907,7 @@ def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, stars_per_
     monkeypatch.setattr(wave3d, "np", _WeightOperands(counts, eps.a_inv_diag + mu.b_inv_diag))
     _march_from(wave3d.maxwell_system(eps, mu, eps.grid), f0, g0, dt, 5, record_every=0)
     counts.pop("inner3", 0)
-    # two difference passes a step and no star call: the hook weights each of
+    # two difference passes a step and no star call: the plan weights each of
     # a pass's three components itself, once per star that is not unit
     assert counts == Counter({"_difference": 5 * 2, "weight": 5 * 3 * stars_per_step})
 
@@ -943,7 +961,7 @@ def _lowdim_case(name, n, rng):
 @pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
 def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(41))
-    assert ops.update is not None
+    assert ops.plan is not None
     n_steps = IN_PLACE_STEPS
     kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y, g_half0=g0,
@@ -955,7 +973,7 @@ def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n_steps):
         ref = system_step(ref, ops)
-    bare, bare_records = run_system(f0, None, replace(ops, update=None), dt, n_steps, inner_X,
+    bare, bare_records = run_system(f0, None, replace(ops, plan=None), dt, n_steps, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
     for want in (ref, bare):
         for got, exp in ((state.f, want.f), (state.g_half, want.g_half),
@@ -973,7 +991,7 @@ def test_in_place_low_dim_run_backward_in_time_keeps_the_rim_bits(name):
     # step before, rather than zeroed again, would flip the sign of a -0.0 end
     (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, 8, np.random.default_rng(47))
     state, _ = run_system(f0, None, ops, -dt, 6, inner_X, inner_Y, g_half0=g0, record_every=0)
-    bare, _ = run_system(f0, None, replace(ops, update=None), -dt, 6, inner_X, inner_Y,
+    bare, _ = run_system(f0, None, replace(ops, plan=None), -dt, 6, inner_X, inner_Y,
                          g_half0=g0, record_every=0)
     for got, want in zip(_parts(state.f) + _parts(state.g_half),
                          _parts(bare.f) + _parts(bare.g_half)):
@@ -1033,7 +1051,7 @@ def test_unrecorded_wave2d_step_skips_unit_stars(monkeypatch, name, star_operand
 # ---------------------------------------------------------------------------
 
 def _never_fold(spacings, weight=None, *, divides=False):
-    """`fold_spacing` refusing every fold: the hook divides its differences."""
+    """`fold_spacing` refusing every fold: the plan divides its differences."""
     return SpacingFold(weight, None, True)
 
 
@@ -1097,12 +1115,12 @@ def _bits(field):
 
 
 def _updates(ops, xs, ys, dt, rng, module):
-    """The hook's u and v updates of one random draw, and the allocating
+    """The planned u and v updates of one random draw, and the allocating
     expressions x - dt * A*(y) and x + dt * A(y)."""
     f, f_y = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
     g, g_x = _field(_wild(ys, rng), module), _field(_wild(xs, rng), module)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        return ([ops.update(f, f_y, dt, None, True), ops.update(g, g_x, dt, None, False)],
+        return ([ops.plan(f, f_y, dt, None, True)(), ops.plan(g, g_x, dt, None, False)()],
                 [f - dt * ops.apply_Astar(f_y), g + dt * ops.apply_A(g_x)])
 
 
@@ -1182,7 +1200,7 @@ def test_1d_pair_keeps_the_divide_where_the_spacing_cannot_fold(monkeypatch, nam
     with np.errstate(over="ignore", invalid="ignore"):
         for adjoint, x, y, want in ((True, u, v, u - dt * ops.apply_Astar(v)),
                                     (False, v, u, v + dt * ops.apply_A(u))):
-            got = ops.update(x, y, dt, None, adjoint)
+            got = ops.plan(x, y, dt, None, adjoint)()
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert counts == {("divide_in_place", grid.dx): 2}
 
@@ -1197,7 +1215,7 @@ def test_2d_pair_keeps_the_divide_on_a_20_by_28_grid(monkeypatch):
     v = wave2d.VectorField2(*_wild([grid.shape("nxd"), grid.shape("nyd")], rng))
     dt = 0.01
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        got = [ops.update(u, v, dt, None, True), ops.update(v, u, dt, None, False)]
+        got = [ops.plan(u, v, dt, None, True)(), ops.plan(v, u, dt, None, False)()]
         want = [u - dt * ops.apply_Astar(v), v + dt * ops.apply_A(u)]
     for g, w in zip(got, want):
         assert all(np.array_equal(p, q) for p, q in zip(_bits(g), _bits(w)))
@@ -1209,7 +1227,7 @@ def test_2d_pair_keeps_the_divide_on_a_20_by_28_grid(monkeypatch):
 def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
     # the one documented exception to the bits: at dx = 1/16 a difference of
     # 1.5e307 times 16 overflows, so the allocating expression is inf there,
-    # while the folded hook multiplies the raw difference by c/dx (or by
+    # while the folded plan multiplies the raw difference by c/dx (or by
     # dt/dx for c = 1) and stays finite
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=17, t_final=1.0, nt=1)
     ops = wave1d.cmp_operator_pair(c, grid)
@@ -1219,7 +1237,7 @@ def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
     dt = 1e-3
     with np.errstate(over="ignore"):
         want = v + dt * ops.apply_A(u)
-    got = ops.update(v, u, dt, None, False)
+    got = ops.plan(v, u, dt, None, False)()
     jump = np.diff(u)
     fold = jump * (dt * 16.0) if c == 1.0 else (c * 16.0) * jump * dt
     assert np.all(np.isinf(want[4:6])) and np.all(np.isfinite(got))
@@ -1270,10 +1288,10 @@ def _taylor(f0, g0, ops, dt):
 @pytest.mark.parametrize("name", FOLD_NAMES)
 def test_half_step_from_rest_has_the_bits_of_the_whole_taylor_step(name, n, dt_fraction):
     # the start skips the curvature term of g0 = 0 and forms the first-order
-    # term through the hook; n = 8 makes every spacing a power of two, which
-    # the hook folds into its scale
+    # term through the plan; n = 8 makes every spacing a power of two, which
+    # the plan folds into its scale
     ops, xs, ys, module = _fold_case(name, n)
-    assert ops.update is not None
+    assert ops.plan is not None
     rng = np.random.default_rng(n)
     f0 = _field([rng.standard_normal(shape) for shape in xs], module)
     g0 = _field([np.zeros(shape) for shape in ys], module)
@@ -1282,7 +1300,7 @@ def test_half_step_from_rest_has_the_bits_of_the_whole_taylor_step(name, n, dt_f
     got = init_g_half(f0, g0, _counted(ops, counts), dt)
     want = _taylor(f0, g0, ops, dt)
     assert all(np.array_equal(p, q) for p, q in zip(_bits(got), _bits(want)))
-    assert counts == {"A": 1}  # through the hook, which allocates only the result
+    assert counts == {"A": 1}  # through the plan, which allocates only the result
     # the start pair is never written
     assert not any(np.any(p) for p in _parts(g0))
 
@@ -1316,3 +1334,142 @@ def test_half_step_from_signed_zeros_keeps_the_curvature_term(name):
     want = _taylor(f0, g0, ops, 0.3 / ops.norm_bound_A)
     assert all(np.array_equal(p, q) for p, q in zip(_bits(got), _bits(want)))
     assert counts == {"A": 2, "Astar": 1}
+
+
+# ---------------------------------------------------------------------------
+# planned stretches: each run of unrecorded in-place steps plans its two
+# updates once
+# ---------------------------------------------------------------------------
+
+# every hooked kind: 1D cmp and vmp, 2D, and both 3D rungs on both policies,
+# with unit stars (a power-of-two cube folds 1/h into dt) and diagonal ones
+STRETCH_CASES = ["wave1d-cmp", "wave1d-vmp", "wave2d", "wave2d-star", *(
+    f"{kind}:{boundary}:{stars}" for kind in ("wave3d-scalar", "maxwell")
+    for boundary in ("pinned", "periodic") for stars in ("unit", "diagonal"))]
+STRETCH_STEPS = 11
+STRETCH_RECORDS = [0, 1, 2, 3, STRETCH_STEPS]
+
+
+def _stretch_case(name):
+    """(System, f0, g_half0, dt): a hooked System of CONTRACT_SYSTEMS from
+    its own start, or a 3D rung on a pinned or periodic 4-cube from random
+    start data (pinned to the walls on a pinned grid)."""
+    if ":" not in name:
+        system = CONTRACT_SYSTEMS[name]()
+        dt = system.cfl_dt(0.8)
+        return (system, *system.start(dt), dt)
+    kind, boundary, stars = name.split(":")
+    grid = Grid3.cube(4, 1.0, boundary=boundary)
+    eps, mu = INPLACE_STARS[stars](grid)
+    rng = np.random.default_rng(73)
+    if kind == "maxwell":
+        system, kinds, pin = (wave3d.maxwell_system(eps, mu, grid), ("edge", "dual-edge"),
+                              wave3d.pin_tangential_boundary)
+    else:
+        system, kinds, pin = (wave3d.scalar_wave_system(eps, grid), ("node", "dual-face"),
+                              wave3d.pin_scalar_boundary)
+    f0, g0 = (mimetic3d.random_field(grid, kind, rng) for kind in kinds)
+    return system, pin(f0) if boundary == "pinned" else f0, g0, system.cfl_dt(0.8)
+
+
+def _one_plan_per_update(system):
+    """`system` with a pair that plans afresh at every run of a plan: one
+    plan per update, as a march made before stretches were planned."""
+    ops = system.ops
+    return replace(system, ops=replace(ops, plan=lambda *args: lambda: ops.plan(*args)()))
+
+
+def _marches(f0, g0, dt, record_every):
+    """The two ways to march a System from (f0, g_half0): `System.march`,
+    which owns (copies of) the start pair, and `run_system` directly."""
+    return (
+        lambda system: _march_from(system, f0, g0, dt, STRETCH_STEPS, record_every=record_every),
+        lambda system: run_system(f0, None, system.ops, dt, STRETCH_STEPS, system.inner_X,
+                                  system.inner_Y, g_half0=g0, record_every=record_every),
+    )
+
+
+@pytest.mark.parametrize("record_every", STRETCH_RECORDS)
+@pytest.mark.parametrize("name", STRETCH_CASES)
+def test_planned_stretches_have_the_bits_of_one_plan_per_update(name, record_every):
+    system, f0, g0, dt = _stretch_case(name)
+    for march in _marches(f0, g0, dt, record_every):
+        (state, records), (want, want_records) = march(system), march(_one_plan_per_update(system))
+        assert records == want_records and state.step == want.step == STRETCH_STEPS
+        for got, exp in ((state.f, want.f), (state.g_half, want.g_half),
+                         (state.f_prev, want.f_prev), (state.g_prev_half, want.g_prev_half)):
+            assert (got is None) == (exp is None)
+            if got is not None:
+                assert all(np.array_equal(p, q) for p, q in zip(_bits(got), _bits(exp)))
+
+
+@pytest.mark.parametrize("name", STRETCH_CASES)
+def test_a_plan_run_m_times_has_the_bits_of_m_one_shot_plans(name):
+    system, f0, g0, dt = _stretch_case(name)
+    ops = system.ops
+
+    def same(a, b):
+        return all(np.array_equal(p, q) for p, q in zip(_bits(a), _bits(b)))
+
+    # one update in place, x reading the y it was planned with
+    for adjoint, x, y in ((True, f0, g0), (False, g0, f0)):
+        planned, once = _copy(x), _copy(x)
+        run = ops.plan(planned, y, dt, planned, adjoint)
+        for _ in range(5):
+            assert run() is planned
+            ops.plan(once, y, dt, once, adjoint)()
+            assert same(planned, once)
+        # out=None: a fresh field per run, each with the one-shot bits
+        fresh = ops.plan(x, y, dt, None, adjoint)
+        first, second = fresh(), fresh()
+        assert _ids(first) != _ids(second)
+        assert same(first, second) and same(first, ops.plan(x, y, dt, None, adjoint)())
+    # the two updates of a stretch in turn, each reading the other's output
+    f, g, f1, g1 = _copy(f0), _copy(g0), _copy(f0), _copy(g0)
+    run_f, run_g = ops.plan(f, g, dt, f, True), ops.plan(g, f, dt, g, False)
+    for _ in range(5):
+        run_f()
+        run_g()
+        ops.plan(f1, g1, dt, f1, True)()
+        ops.plan(g1, f1, dt, g1, False)()
+        assert same(f, f1) and same(g, g1)
+
+
+@pytest.mark.parametrize("record_every", STRETCH_RECORDS)
+@pytest.mark.parametrize("name", STRETCH_CASES)
+def test_step_one_of_every_march_is_a_system_step(monkeypatch, name, record_every):
+    system, f0, g0, dt = _stretch_case(name)
+    events = []
+
+    def step(state, ops, *, out=None):
+        events.append(("system_step", state.step))
+        return system_step(state, ops, out=out)
+
+    def plan(*args):
+        events.append(("plan",))
+        return system.ops.plan(*args)
+
+    def logged(inner):
+        def product(a, b):
+            events.append(("inner",))
+            return inner(a, b)
+
+        return product
+
+    monkeypatch.setattr(core, "system_step", step)
+    watched = replace(system, ops=replace(system.ops, plan=plan),
+                      inner_X=logged(system.inner_X), inner_Y=logged(system.inner_Y))
+    n = STRETCH_STEPS
+    recorded = {k for k in range(1, n + 1) if record_every and k % record_every == 0}
+    for march, owned in zip(_marches(f0, g0, dt, record_every), (True, False)):
+        events.clear()
+        march(watched)
+        # no plan, buffer or product before step 1, which is a system_step
+        assert events[0] == ("system_step", 0)
+        # step 1, recorded steps and, unowned, the last go through system_step;
+        # each stretch of the others plans its two updates once
+        stepped = {1} | recorded | (set() if owned else {n})
+        stretches = sum(1 for k in range(2, n + 1) if k not in stepped and k - 1 in stepped)
+        assert [e[1] for e in events if e[0] == "system_step"] == sorted(k - 1 for k in stepped)
+        assert events.count(("plan",)) == 2 * (len(stepped) + stretches)
+        assert events.count(("inner",)) == 4 * len(recorded)

@@ -595,7 +595,7 @@ def test_in_place_vmp_drift_grows_like_sqrt_of_steps():
     bound = w1.vmp_operator_pair(mats, probe).norm_bound_A
     grid = w1.Grid1D(a=0.0, b=1.0, nx=nx, t_final=n_steps / bound, nt=n_steps)
     ops, inner_X, inner_Y = _engine(w1.vmp_system(mats, grid))
-    assert ops.update is not None  # unrecorded steps run in place
+    assert ops.plan is not None  # unrecorded steps run in place
     rng = np.random.default_rng(61)
     u0 = np.sin(np.pi * grid.primal_points()) + 0.1 * rng.standard_normal(nx)
     u0[0] = u0[-1] = 0.0

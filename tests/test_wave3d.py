@@ -677,13 +677,13 @@ class TestDivergenceAudit:
             record (both invariants' pieces and the audit) to `out` and
             pausing after every phase."""
             system, grid = systems[k], grids[k]
-            update, audit = system.ops.update, divergence_auditor(*stars[k], grid)
+            plan, audit = system.ops.plan, divergence_auditor(*stars[k], grid)
             e, h = starts[k].f.copy(), starts[k].g_half.copy()
             for _ in range(12):
                 e_prev, h_prev = e.copy(), h.copy()
-                e = update(e, h, dt, e, True)
+                e = plan(e, h, dt, e, True)()
                 yield
-                h = update(h, e, dt, h, False)
+                h = plan(h, e, dt, h, False)()
                 yield
                 out.append((system.inner_X(e, e), system.inner_Y(h, h_prev),
                             system.inner_X(e, e_prev), system.inner_Y(h_prev, h_prev)))

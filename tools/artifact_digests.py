@@ -17,7 +17,7 @@ and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
 every convergence case including unordered ``--k`` levels and 1D sweeps over
 rough materials (a density jump, a piecewise stiffness) or over non-consecutive
 levels, in parallel, or from a higher mode, power-of-two grids
-whose update hooks fold the spacing into non-unit 2D weights or, with a
+whose update plans fold the spacing into non-unit 2D weights or, with a
 non-unit 3D star, keep dividing by it, unit-star 3D runs on a power-of-two
 grid whose steps run in place between records, the benchmark's
 invocations with fixed draws, the inputs that must end in a report with
