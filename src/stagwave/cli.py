@@ -15,10 +15,13 @@ The six march commands (``oscillator``, ``system``, ``wave1d``, ``wave2d``,
 ``wave3d``, ``maxwell``) share one runner, ``_run_march``: each builds a
 ``March`` from its options, the module's ``core.System`` plus its own
 extras, and the runner forms the time step, marches and checks.  The two
-sweep commands share one pipeline, ``_sweep``, for every case.  The material
-specs live in ``wave1d``/``wave3d``, the transport and diffusion marches in
-``positivity`` and the suites in ``verify``, which only the commands that use
-them import; this module keeps their options, checks and reports.
+sweep commands share one pipeline, ``_sweep``, which walks one ``core.Sweep``
+row: ``wave1d.sweep_row`` of a 1D material spec, or a row of ``wave2d.SWEEPS``
+(``wave2d-mode``) or ``wave3d.SWEEPS`` (``wave3d-cavity``, ``maxwell-cavity``).
+The material specs live in ``wave1d``/``wave3d``, the transport and diffusion
+marches in ``positivity`` and the suites in ``verify``, which only the
+commands that use them import; this module keeps their options, checks and
+reports.
 
 Artifacts
 ---------
@@ -254,12 +257,8 @@ class ArtifactWriter:
 
 
 def resolve_outdir(explicit) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get("STAGWAVE_OUTDIR")
-    if env:
-        return Path(env)
-    return Path(".")
+    """`explicit`, else $STAGWAVE_OUTDIR, else the working directory."""
+    return Path(explicit or os.environ.get("STAGWAVE_OUTDIR") or ".")
 
 
 def _usage(flag: str | None, make, *args, **kwargs):
@@ -395,14 +394,8 @@ def _oscillator_march(cfg) -> March:
     history = [cfg.u0]
 
     def finish(body, state, records, art):
-        # continuum solution of u' = -omega v, v' = omega u; where the step
-        # times pass the float range it is NaN, and so is the deviation the
-        # report shows, without numpy's warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            t = cfg.dt * np.arange(len(history))
-            exact = cfg.u0 * np.cos(cfg.omega * t) - cfg.v0 * np.sin(cfg.omega * t)
-        max_dev = float(np.max(np.abs(np.asarray(history) - exact)))
-        body["error_norms"]["max_dev_from_exact"] = max_dev
+        body["error_norms"]["max_dev_from_exact"] = oscillator.continuum_deviation(
+            history, cfg.u0, cfg.v0, cfg.omega, cfg.dt)
 
     def keep_u(state, _):  # u at every step, for the deviation; no series column
         history.append(state.f)
@@ -528,9 +521,8 @@ def _levels(ks) -> list:
     if len(set(ks)) < max(len(ks), 2):
         raise ConfigError(f"a convergence sweep needs at least two distinct --k levels, got {ks}")
     if min(ks) < 1:
-        raise ConfigError(
-            f"--k levels must be at least 1 (a grid needs 2 cells per axis), got {min(ks)}"
-        )
+        raise ConfigError("--k levels must be at least 1 (a grid needs 2 cells per axis), "
+                          f"got {min(ks)}")
     return ks
 
 
@@ -548,138 +540,75 @@ def _final_time(final, default: float, case: str, named: dict) -> float:
     return t
 
 
-# the sweeps whose levels take the CFL step at --safety
-_MODE_SWEEPS = ("wave2d-mode", "wave3d-cavity", "maxwell-cavity")
+# the sweeps that convergence-table names, beside a 1D material spec's
+_NAMED_SWEEPS = {row.name: row for row in (*wave2d.SWEEPS, *wave3d.SWEEPS)}
 
 
-def _sweep(cfg, case: str, jobs: int, modes=_MODE_SWEEPS) -> dict:
-    """The convergence sweep of `case`, one of `modes` or a 1D material spec,
-    over the --k levels: its name, final time, levels, (dx, max error) rows,
-    (k, Nx, dx, Er, p) table and orders, and for 1D the (x, Er, Er/dx^2)
-    profile of the finest level and whether the final time is a multiple of
-    a cmp mode's half period.  Each level is marched once; its error is
-    measured against its System's exact solution or, for variable materials,
-    which have none, against level k+1, marched too."""
+def _sweep_row(cfg, named: dict):
+    """The `core.Sweep` of --case: a row of `named`, or a 1D material spec's."""
+    case = cfg.case or "cmp"
+    if case in named:
+        return named[case]
+    return _usage("--case", wave1d.sweep_row, case, cfg.mode_m, cfg.init, cfg.f, also=named)
+
+
+def _sweep(cfg, art: ArtifactWriter, jobs: int, named: dict, settings: dict) -> tuple:
+    """The sweep of `_sweep_row` over the --k levels, each marched once over
+    `jobs` processes: it writes the (k, Nx = grid.nx, dx, Er, p) table and
+    returns the row, each level's (grid, error) and a report body."""
     ks = _levels(cfg.k)
-    if case in modes:
-        t_final = _final_time(cfg.final, 0.35, case, {})
-        sweep, params, flags = {"name": case, "nodes": 0}, (), "--final/--safety"
+    row = _sweep_row(cfg, named)
+    t_final = _final_time(cfg.final, row.t_final, cfg.case or "cmp", row.named)
+    f = None
+    if row.exponent is not None:
+        f = _finite_steps("--final", _usage, "--case", row.exponent, t_final, 2 ** ks[0])
 
-        def steps(k):  # the CFL step count at --safety
-            dt = _cfl_dt(_sweep_system(case, 2**k, t_final, None)[1], cfg.safety, "--safety")
-            return math.ceil(t_final / dt)
-    else:
-        mat = _usage(None, wave1d.parse_material_1d, case)
-        m, f_over, flags = cfg.mode_m, cfg.f, "--final/--f"
-        if mat["kind"] == "cmp":
-            c = mat["c"]
-            # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it,
-            # a generic time where the scheme's phase lag dominates and the order
-            # is 2; "half-period" is half of it, where the phase-lag term cancels
-            # and the measured order jumps to ~4.
-            named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
-            t_final = _final_time(cfg.final, named["full-period"], case, named)
-            ratio = t_final * m * c
-            sweep = {"name": f"cmp c={c:g}",
-                     "half_period": abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1}
-            case, params, speed = "cmp", (m, c, cfg.init), c
-        else:
-            t_final = _final_time(cfg.final, 2.0, case, {})
-            # the time refinement follows the first listed level's wave speed
-            first = wave1d.Grid1D(a=0.0, b=1.0, nx=2 ** ks[0] + 1, t_final=1.0, nt=1)
-            speed = wave1d.cfl_speed(_usage("--case", wave1d.Materials1D.from_profiles, first,
-                                           mat["rho"], mat["tau"]))
-            sweep = {"name": mat["name"]}
-            case, params = "vmp", (m, case)
-        if f_over is None:
-            f_over = _finite_steps("--final", wave1d.refinement_exponent, speed, 1.0, t_final)
-        sweep.update(kind=mat["kind"], m=m, nodes=1)
+    def steps(k):  # 2**(k+f) or the CFL step's count, once the level samples its materials
+        nt = None if f is None else 2 ** (k + f)
+        system = _usage("--case", row.level, 2**k, t_final, nt)[1]
+        return nt or math.ceil(t_final / _cfl_dt(system, cfg.safety, "--safety"))
 
-        def steps(k):  # building the level samples its materials before any march
-            nt = 2 ** (k + f_over)
-            _sweep_system(case, 2**k, t_final, nt, *params)
-            return nt
-    marched = list(dict.fromkeys([*ks, *(k + 1 for k in ks if case == "vmp")]))
-    counts = [_cfl_steps(flags, steps, k) for k in marched]
+    marched = list(dict.fromkeys([*ks, *(k + 1 for k in ks if row.refine)]))
+    counts = [_cfl_steps("--final/--safety" if f is None else "--final/--f", steps, k)
+              for k in marched]
     if min(counts) == 0:
         raise ConfigError("--final/--safety: the coarsest level's CFL step count rounds to 0")
-    points = [(case, 2**k, t_final, nt, params) for k, nt in zip(marched, counts)]
-    levels = dict(zip(marched, _pool_sweep(_sweep_level, points, jobs)))
+    points = [(row.level, 2**k, t_final, nt, row.error) for k, nt in zip(marched, counts)]
+    if jobs == 1:
+        levels = dict(zip(marched, map(_sweep_level, points)))
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # a slow import, for pooled runs only
+
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            levels = dict(zip(marched, pool.map(_sweep_level, points)))
     errors = {k: levels[k] for k in ks}
-    if case == "vmp":
-        for k, (grid, u) in errors.items():
-            fine, u_fine = levels[k + 1]
-            errors[k] = grid, wave1d.refine_compare(u, u_fine, grid, fine)
+    if row.refine:
+        errors = {k: (grid, row.refine(u, levels[k + 1][1], grid, levels[k + 1][0]))
+                  for k, (grid, u) in errors.items()}
     rows = [(grid.dx, float(np.max(np.abs(er)))) for grid, er in errors.values()]
     for k, (_, er) in zip(ks, rows):
         if er == 0.0:
             raise ConfigError(f"--final {t_final!r}: the error at k={k} is exactly zero, "
                               "so no order can be measured")
-    if sweep["nodes"]:
-        sweep["profile"] = _profile(*errors[max(ks)])
     pair_orders = wave1d.estimate_order(rows)
-    table = [(k, 2**k + sweep["nodes"], dx, er, pair_orders[i - 1] if i else "")
-             for i, (k, (dx, er)) in enumerate(zip(ks, rows))]
-    return {**sweep, "t_final": t_final, "ks": ks, "rows": rows, "table": table,
-            "orders": {"pairwise": pair_orders, "endpoint": endpoint_order(rows)}}
-
-
-def _sweep_body(sweep: dict, settings: dict, checks: list) -> dict:
-    """The report body of a sweep."""
-    return {
-        "settings": {"case": sweep["name"], "t_final": sweep["t_final"], **settings,
-                     "k": sweep["ks"]},
-        "summary": {"errors": [er for _, er in sweep["rows"]]},
-        "error_norms": {"finest_max_abs": sweep["rows"][-1][1]},
-        "orders": sweep["orders"],
-        "checks": checks,
+    art.table([(k, errors[k][0].nx, dx, er, pair_orders[i - 1] if i else "")
+               for i, (k, (dx, er)) in enumerate(zip(ks, rows))])
+    return row, errors, {
+        "settings": {"case": row.name, "t_final": t_final, **settings, "k": ks},
+        "summary": {"errors": [er for _, er in rows]},
+        "error_norms": {"finest_max_abs": rows[-1][1]},
+        "orders": {"pairwise": pair_orders, "endpoint": endpoint_order(rows)},
+        "checks": [],
     }
 
 
-def _pool_sweep(point, args, jobs: int) -> list:
-    """`point(a)` for each a in sweep order, over `jobs` processes if more than one."""
-    if jobs == 1:
-        return [point(a) for a in args]
-    from concurrent.futures import ProcessPoolExecutor  # a slow import, for pooled runs only
-
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(point, args))
-
-
-def _sweep_system(case: str, n: int, t_final: float, nt, *params) -> tuple:
-    """(grid, System) of one level of a sweep, on n cells per axis of the
-    unit interval, square or cube; a 1D grid carries the level's t_final and
-    nt steps.  `params` are cmp's (m, c, init) and variable materials'
-    (m, material spec)."""
-    if case in ("cmp", "vmp"):
-        grid = wave1d.Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=t_final, nt=nt)
-        if case == "cmp":
-            m, c, init = params
-            return grid, wave1d.cmp_system(c, grid, m=m, init=init)
-        m, spec = params
-        mat = wave1d.parse_material_1d(spec)  # checked by `_sweep`
-        mats = _usage("--case", wave1d.Materials1D.from_profiles, grid, mat["rho"], mat["tau"])
-        return grid, wave1d.vmp_system(mats, grid, m=m)
-    if case == "wave2d-mode":
-        grid = wave2d.Grid2(n, n)
-        return grid, wave2d.wave2d_system(wave2d.Star2(), grid)
-    grid = mimetic3d.Grid3.cube(n, 1.0, boundary="pinned")
-    star = mimetic3d.Star3.trivial(grid)
-    if case == "wave3d-cavity":
-        return grid, wave3d.scalar_wave_system(star, grid)
-    return grid, wave3d.maxwell_system(star, star, grid)
-
-
-def _sweep_level(args):
-    """One level of a sweep, marched once from its System's start to t_final
-    in nt steps: its grid and its error against the exact solution (a mode
-    case's max error, the 1D error field), or with none its final f."""
-    case, n, t_final, nt, params = args
-    grid, system = _sweep_system(case, n, t_final, nt, *params)
+def _sweep_level(point):
+    """One level of a sweep, its row's `level(n, t_final, nt)` marched once:
+    its grid and `error(system, f, t_final)`, or with no error its final f."""
+    level, n, t_final, nt, error = point
+    grid, system = level(n, t_final, nt)
     f = system.march(t_final / nt, nt, record_every=0)[0].f  # the rest of the state goes
-    if system.exact is None:
-        return grid, f
-    return grid, system.error(f, t_final) if case in _MODE_SWEEPS else f - system.exact(t_final)
+    return grid, f if error is None else error(system, f, t_final)
 
 
 def _profile(grid, er) -> list:
@@ -687,30 +616,25 @@ def _profile(grid, er) -> list:
     return list(zip(grid.primal_points(), er, er / grid.dx**2))
 
 
-_SMOOTH_1D = {"constant", "bump-p2-q2"}
-
-
 def _run_wave1d_convergence(cfg, art: ArtifactWriter) -> dict:
-    sweep = _sweep(cfg, cfg.case or "cmp", 1, modes=())
-    art.table(sweep["table"])
-    art.errors(sweep["profile"])
-    p = sweep["orders"]["endpoint"]
-    if sweep["kind"] == "vmp":
-        checks = [_check("order-floor", p, ">= 1.0", p >= 1.0)]
-        if sweep["name"] in _SMOOTH_1D:
-            checks.append(_check("order-second", p, ">= 1.9 (smooth material)", p >= 1.9))
-    elif sweep["half_period"]:
-        checks = [_check("order-superconvergent", p, ">= 3.5 (half-period multiple)", p >= 3.5)]
+    row, errors, body = _sweep(cfg, art, 1, {}, {"mode_m": cfg.mode_m})
+    art.errors(_profile(*errors[max(errors)]))
+    p = body["orders"]["endpoint"]
+    if row.refine:
+        body["checks"] = [_check("order-floor", p, ">= 1.0", p >= 1.0)]
+        if row.smooth:
+            body["checks"].append(_check("order-second", p, ">= 1.9 (smooth material)", p >= 1.9))
+    elif row.half_period(body["settings"]["t_final"]):
+        body["checks"] = [_check("order-superconvergent", p, ">= 3.5 (half-period multiple)",
+                                 p >= 3.5)]
     else:
-        checks = [_check("order-second", p, "in [1.9, 2.1] (generic final time)",
-                         1.9 <= p <= 2.1)]
-    return _sweep_body(sweep, {"mode_m": sweep["m"]}, checks)
+        body["checks"] = [_check("order-second", p, "in [1.9, 2.1] (generic final time)",
+                                 1.9 <= p <= 2.1)]
+    return body
 
 
 def _run_convergence_table(cfg, art: ArtifactWriter) -> dict:
-    sweep = _sweep(cfg, cfg.case or "cmp", cfg.jobs)
-    art.table(sweep["table"])
-    return _sweep_body(sweep, {"jobs": cfg.jobs}, [])
+    return _sweep(cfg, art, cfg.jobs, _NAMED_SWEEPS, {"jobs": cfg.jobs})[2]
 
 
 # -- transport and diffusion --------------------------------------------------
@@ -745,12 +669,8 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
     worst_min = min(mn for _, _, mn in rec)
     checks = [
         _check("mass-audit", drift, "<= 1e-13 relative", drift <= 1e-13),
-        _check(
-            "min-density",
-            worst_min,
-            ">= -1e-16 of peak",
-            worst_min >= -1e-16 * float(np.max(rho0)),
-        ),
+        _check("min-density", worst_min, ">= -1e-16 of peak",
+               worst_min >= -1e-16 * float(np.max(rho0))),
         _check("guard-held", float(state.guaranteed), "guard holds all steps", state.guaranteed),
     ]
     if kind == "constant" and courant == 1.0:
@@ -760,20 +680,10 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
         checks.append(_check("unit-courant-bit-exact", dev, "bitwise index shift", exact))
 
     return {
-        "settings": {
-            "velocity": kind,
-            "n": n,
-            "dx": dx,
-            "dt": dt,
-            "courant": courant,
-            "steps": steps,
-        },
-        "summary": {
-            "mass_initial": float(mass0),
-            "mass_final": float(state.mass),
-            "escaped": float(state.escaped),
-            "guaranteed": bool(state.guaranteed),
-        },
+        "settings": {"velocity": kind, "n": n, "dx": dx, "dt": dt, "courant": courant,
+                     "steps": steps},
+        "summary": {"mass_initial": float(mass0), "mass_final": float(state.mass),
+                    "escaped": float(state.escaped), "guaranteed": bool(state.guaranteed)},
         "checks": checks,
     }
 
@@ -804,13 +714,7 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
         _check("guard-satisfied", float(guard_ok), "flux-pair condition", guard_ok),
     ]
     return {
-        "settings": {
-            "n": n,
-            "dx": dx,
-            "dt": dt,
-            "diffusivity": cfg.diffusivity,
-            "steps": steps,
-        },
+        "settings": {"n": n, "dx": dx, "dt": dt, "diffusivity": cfg.diffusivity, "steps": steps},
         "summary": {"mass_initial": mass0, "mass_final": rec[-1][1]},
         "checks": checks,
     }
@@ -824,18 +728,10 @@ def run(cfg) -> RunReport:
     art = ArtifactWriter(resolve_outdir(cfg.outdir), cfg.prefix or cfg.command.replace("-", "_"))
     body = COMMANDS[cfg.command].runner(cfg, art)
     passed = True if cfg.no_checks else all(c["passed"] for c in body["checks"])
-    report = RunReport(
-        command=cfg.command,
-        settings=body["settings"],
-        seed=cfg.seed,
-        artifacts={},
-        summary=body["summary"],
-        error_norms=body.get("error_norms", {}),
-        orders=body.get("orders", {}),
-        checks=body["checks"],
-        passed=passed,
-        wall_time_s=time.perf_counter() - t0,
-    )
+    # a body's settings, summary and checks, and its error norms and orders if any
+    report = RunReport(command=cfg.command, seed=cfg.seed, artifacts={}, passed=passed,
+                       **{"error_norms": {}, "orders": {}, **body},
+                       wall_time_s=time.perf_counter() - t0)
     art.report(report)
     return report
 

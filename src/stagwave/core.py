@@ -74,11 +74,11 @@ import numpy as np
 __all__ = [
     "OperatorPair",
     "System",
+    "Sweep",
     "SystemState",
     "system_step",
     "init_g_half",
     "energy_pieces",
-    "conserved_full",
     "conserved_half_step",
     "check_adjointness",
     "euclidean_inner",
@@ -278,6 +278,30 @@ class System:
         return math.sqrt(max(lam, 0.0))
 
 
+class Sweep(NamedTuple):
+    """One convergence-sweep case, as the module whose System it marches
+    gives it.  `level(n, t_final, nt)` is the (grid, System) of n cells per
+    axis, marched to t_final in nt steps: a module-level function or a
+    `functools.partial` of one, which `--jobs` workers unpickle.  `t_final`
+    and `named` are the default and named final times.  Level k takes
+    2**(k+f) steps, f = `exponent(t_final, n0)` (n0 the first level's
+    cells), or with no exponent the CFL step at the sweep's safety.  Its
+    worker returns `error(system, f, t_final)`, or its final f for
+    `refine(f, f_fine, grid, fine)` against level k+1.  `smooth` and
+    `half_period(t_final)` say which order a 1D sweep must reach.
+    """
+
+    name: str
+    level: Callable
+    t_final: float
+    named: dict = {}
+    exponent: Callable | None = None
+    error: Callable | None = System.error
+    refine: Callable | None = None
+    smooth: bool = False
+    half_period: Callable | None = None
+
+
 def _check(name: str, measured, bound: str, passed: bool) -> dict:
     """One named check of a run's report or a verify suite's summary."""
     if isinstance(measured, (int, float, np.integer, np.floating)):
@@ -370,21 +394,6 @@ def energy_pieces(
     if state.g_prev_half is None:
         raise ValueError("the whole-step invariant needs one step of history")
     return inner_X(state.f, state.f), inner_Y(state.g_half, state.g_prev_half)
-
-
-def conserved_full(
-    state: SystemState,
-    inner_X: Callable = euclidean_inner,
-    inner_Y: Callable = euclidean_inner,
-) -> float:
-    """Invariant at the state's integer time level n:
-
-    ||f_n||_X^2 + <g_{n+1/2}, g_{n-1/2}>_Y
-
-    (the module docstring derives its three-term form).
-    """
-    sq_f, g_cross = energy_pieces(state, inner_X, inner_Y)
-    return sq_f + g_cross
 
 
 def _square(x: float) -> float:

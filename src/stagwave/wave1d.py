@@ -17,6 +17,7 @@ conserved quadratic quantities that the tests track to rounding.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -26,6 +27,7 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    Sweep,
     System,
     SystemState,
     divide_in_place,
@@ -415,7 +417,7 @@ MATERIAL_PRESETS = {
 _TARGETS = ("rho", "tau")
 
 
-def parse_material_1d(spec: str) -> dict:
+def parse_material_1d(spec: str, also=()) -> dict:
     """Parse a 1D material spec into profile functions (or a cmp speed).
 
     Accepted forms (tokens separated by spaces):
@@ -428,7 +430,8 @@ def parse_material_1d(spec: str) -> dict:
     * ``jump up|down [rho|tau]``             — a +-1/2 step at x = 1/2.
 
     Returns {"kind": "cmp", "c": float} or {"kind": "vmp", "name": str,
-    "rho": fn, "tau": fn}; any other spec is a ValueError.
+    "rho": fn, "tau": fn}; any other spec is a ValueError, whose text for an
+    unknown name lists the caller's other names, `also`.
     """
     tokens = str(spec).strip().split()
     if not tokens:
@@ -499,7 +502,62 @@ def parse_material_1d(spec: str) -> dict:
         fn = jump_profile(+0.5 if nums[0] == "up" else -0.5)
         return one_sided(f"{target}-jump-{nums[0]}", target, fn)
 
+    others = f"; or one of {list(also)}" if also else ""
     raise ValueError(
         f"unknown 1D material {spec!r}; use 'cmp c=...', a preset name, or one "
-        f"of linear/bump/piecewise-linear/jump"
+        f"of linear/bump/piecewise-linear/jump{others}"
     )
+
+
+# -- convergence-sweep rows: a level builder of each kind, and the row of a spec
+
+
+def _cmp_level(m: int, c: float, init: str, n: int, t_final: float, nt: int) -> tuple:
+    grid = Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=t_final, nt=nt)
+    return grid, cmp_system(c, grid, m=m, init=init)
+
+
+def _vmp_level(m: int, spec: str, n: int, t_final: float, nt: int) -> tuple:
+    grid = Grid1D(a=0.0, b=1.0, nx=n + 1, t_final=t_final, nt=nt)
+    mat = parse_material_1d(spec)
+    return grid, vmp_system(Materials1D.from_profiles(grid, mat["rho"], mat["tau"]), grid, m=m)
+
+
+def _error_field(system: System, u, t: float):
+    return u - system.exact(t)
+
+
+def sweep_row(spec: str, m: int = 1, init: str = "exact", f: int | None = None, *,
+              also=()) -> Sweep:
+    """The sweep of a 1D material spec (`parse_material_1d`, which is told
+    `also`) from mode m, each level of 2**k cells marched in 2**(k+f) steps;
+    an unset f is the fewest that keep the coarsest level's Courant number
+    at most 0.9.  cmp starts from `init` and is measured against its
+    standing mode; a variable material, which has no exact solution, is
+    compared with level k+1."""
+    mat = parse_material_1d(spec, also)
+    if mat["kind"] == "cmp":
+        c = mat["c"]
+        # The standing mode's period is 2/(m c).  "full-period" is 7/8 of it,
+        # a generic time where the scheme's phase lag dominates and the order
+        # is 2; "half-period" is half of it, where the phase-lag term cancels
+        # and the measured order jumps to ~4.
+        named = {"full-period": 1.75 / (m * c), "half-period": 1.0 / (m * c)}
+
+        def half_period(t):  # t a whole multiple of the half period
+            ratio = t * m * c
+            return abs(ratio - round(ratio)) < 1e-9 and round(ratio) >= 1
+
+        return Sweep(f"cmp c={c:g}", functools.partial(_cmp_level, m, c, init),
+                     named["full-period"], named,
+                     lambda t, n0: refinement_exponent(c, 1.0, t) if f is None else f,
+                     _error_field, half_period=half_period)
+
+    def exponent(t, n0):  # from the wave speed of the first level, of n0 cells
+        grid = Grid1D(a=0.0, b=1.0, nx=n0 + 1, t_final=1.0, nt=1)
+        speed = cfl_speed(Materials1D.from_profiles(grid, mat["rho"], mat["tau"]))
+        return refinement_exponent(speed, 1.0, t) if f is None else f
+
+    return Sweep(mat["name"], functools.partial(_vmp_level, m, spec), 2.0, exponent=exponent,
+                 error=None, refine=refine_compare,
+                 smooth=mat["name"] in ("constant", "bump-p2-q2"))  # must reach second order

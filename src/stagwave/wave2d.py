@@ -48,6 +48,7 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    Sweep,
     System,
     SystemState,
     divide_in_place,
@@ -417,6 +418,15 @@ def _planner(star: Star2, grid: Grid2):
 # ---------------------------------------------------------------------------
 # leapfrog step
 # ---------------------------------------------------------------------------
+
+
+def _mode_level(n: int, t_final: float, nt) -> tuple:
+    grid = Grid2(n, n)
+    return grid, wave2d_system(Star2(), grid)
+
+
+# the convergence sweep of the unit star's (1, 1) mode, each level at the CFL step
+SWEEPS = (Sweep("wave2d-mode", _mode_level, 0.35),)
 
 
 # kept by name for perfbench's setup probe, until that probe times the engine itself

@@ -25,14 +25,15 @@ grid is purely spatial): f is s or E, g_half is v or H.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from typing import Callable
 
 import numpy as np
 
-from .core import (OperatorPair, SpacingFold, System, SystemState, _parts, fold_spacing,
-                   init_g_half, system_step)
+from .core import (OperatorPair, SpacingFold, Sweep, System, SystemState, _parts,
+                   fold_spacing, init_g_half, system_step)
 from .mimetic3d import (Grid3, Star3, VectorField3, inner3, sample_scalar, sample_vector,
                         zeros_field, _OPERATORS, _PATTERNS, _as_field, _difference, _distinct,
                         _lines, _rim_zeroed, _sample)
@@ -249,6 +250,17 @@ def maxwell_system(eps_star: Star3, mu_star: Star3, grid: Grid3) -> System:
     with H at rest.  The mode is exact for unit materials only."""
     return _system(grid, *_maxwell_sides(eps_star, mu_star, grid), (eps_star, mu_star),
                    lambda t: te_cavity_e(grid, t))
+
+
+def _cavity_level(system: Callable, stars: int, n: int, t_final: float, nt) -> tuple:
+    grid = Grid3.cube(n, 1.0, boundary="pinned")
+    return grid, system(*[Star3.trivial(grid)] * stars, grid)
+
+
+# the convergence sweeps of each rung's unit-material cavity mode on a pinned
+# cube, each level at the CFL step
+SWEEPS = (Sweep("wave3d-cavity", functools.partial(_cavity_level, scalar_wave_system, 1), 0.35),
+          Sweep("maxwell-cavity", functools.partial(_cavity_level, maxwell_system, 2), 0.35))
 
 
 # both steps are kept by name for perfbench's setup probe, until it times the engine itself

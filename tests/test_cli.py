@@ -357,6 +357,9 @@ class TestExperimentCommands:
             (["wave1d", "--case", "vmp", "--material", "linear rho abc"], "'abc'"),
             (["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"], "'a'"),
             (["convergence-table", "--case", "linear tau x"], "'x'"),
+            # a --case that names no sweep
+            (["convergence-table", "--case", "bogus"], "--case"),
+            (["wave1d-convergence", "--case", "wave2d-mode"], "--case"),
             # a linear spec with more numbers than its one slope
             (["wave1d", "--case", "vmp", "--material", "linear rho 1 2"], "'linear rho 1 2'"),
             (["wave1d", "--material", "cmp c=1.2.3"], "'1.2.3'"),
@@ -390,9 +393,9 @@ class TestExperimentCommands:
             (["wave1d", "--case", "vmp", "--material", "linear rho inf"],
              "linear needs a finite slope, got 'linear rho inf'"),
             (["wave1d-convergence", "--case", "piecewise-linear a .75 1 2"],
-             "bad number 'a' in material spec 'piecewise-linear a .75 1 2'"),
+             "--case: bad number 'a' in material spec 'piecewise-linear a .75 1 2'"),
             (["convergence-table", "--case", "linear tau x"],
-             "bad number 'x' in material spec 'linear tau x'"),
+             "--case: bad number 'x' in material spec 'linear tau x'"),
             (["wave1d", "--case", "vmp", "--material", "linear rho -2"],
              "--material: material properties must be positive everywhere"),
             (["wave1d-convergence", "--case", "linear rho -2"],
@@ -528,15 +531,14 @@ class TestConvergenceCommands:
         assert read_report(tmp_path, "t2")["checks"] == []  # tables never gate
 
     def test_parallel_jobs_give_identical_tables(self, tmp_path):
-        for case in ("cmp", "bump-p2-q2"):
-            assert run_cli(
-                ["convergence-table", "--case", case, "--k", "4..6"], tmp_path, "seq"
-            ) == 0
-            assert run_cli(
-                ["convergence-table", "--case", case, "--k", "4..6", "--jobs", "2"],
-                tmp_path,
-                "par",
-            ) == 0
+        # a row of every kind: its level builder and error rule cross the pickle
+        for args in (["cmp", "--k", "4..6"], ["bump-p2-q2", "--k", "4..6"],
+                     ["wave2d-mode", "--k", "3..5"], ["wave3d-cavity", "--k", "2..4"],
+                     ["maxwell-cavity", "--k", "2..4"],
+                     ["cmp c=1.5", "--k", "4..6", "--final", "half-period"]):
+            args = ["convergence-table", "--case", *args]
+            assert run_cli(args, tmp_path, "seq") == 0
+            assert run_cli(args + ["--jobs", "2"], tmp_path, "par") == 0
             seq = (tmp_path / "seq_table.csv").read_bytes()
             par = (tmp_path / "par_table.csv").read_bytes()
             assert seq == par

@@ -1,6 +1,7 @@
 import importlib
 import pkgutil
 from fractions import Fraction
+from operator import add
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from stagwave.core import (
     OperatorPair,
     SystemState,
     check_adjointness,
-    conserved_full,
     conserved_half_step,
+    energy_pieces,
     euclidean_inner,
     init_g_half,
     run_system,
@@ -132,14 +133,14 @@ class TestConservedQuantities:
             f_prev=np.zeros(3),
             g_prev_half=np.zeros(3),
         )
-        assert conserved_full(s) == 0.0
+        assert add(*energy_pieces(s)) == 0.0
         assert conserved_half_step(s) == 0.0
 
     def test_dt_zero_reduces_to_norms(self):
         f = np.array([3.0, 4.0])
         g = np.array([1.0, 1.0])
         s = SystemState(f=f, g_half=g, dt=0.0, f_prev=f, g_prev_half=g)
-        assert conserved_full(s) == pytest.approx(25.0 + 2.0)
+        assert add(*energy_pieces(s)) == pytest.approx(25.0 + 2.0)
         assert conserved_half_step(s) == pytest.approx(25.0 + 2.0)
 
     def test_random_matrix_drift(self):
@@ -214,7 +215,7 @@ class TestConservedQuantities:
         )
         for _ in range(100):
             state = system_step(state, ops)
-            c = conserved_full(state)
+            c = add(*energy_pieces(state))
             g_bar = 0.5 * (state.g_half + state.g_prev_half)
             lower = (1 - (0.5 * dt * ops.norm_bound_A) ** 2) * euclidean_inner(
                 state.f, state.f
@@ -224,7 +225,7 @@ class TestConservedQuantities:
     def test_history_required(self):
         s = SystemState(f=np.ones(2), g_half=np.ones(2), dt=0.1)
         with pytest.raises(ValueError):
-            conserved_full(s)
+            add(*energy_pieces(s))
         with pytest.raises(ValueError):
             conserved_half_step(s)
 

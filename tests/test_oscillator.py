@@ -1,12 +1,14 @@
 import math
 import warnings
-from operator import attrgetter
+from operator import add, attrgetter
 
+import numpy as np
 import pytest
 
-from stagwave.core import SystemState, conserved_full, conserved_half_step, init_g_half
+from stagwave.core import SystemState, conserved_half_step, energy_pieces, init_g_half
 from stagwave.oscillator import (
     OscParams,
+    continuum_deviation,
     exact_solution,
     leapfrog_step,
     oscillator_system,
@@ -117,7 +119,7 @@ class TestConservedQuantities:
     def test_trivial_values(self):
         p = OscParams(omega=1.0, dt=0.0)  # alpha = 0
         s = SystemState(f=1.0, g_half=0.0, dt=p.dt, f_prev=0.0, g_prev_half=0.0)
-        assert conserved_full(s, *_products(oscillator_system(p))) == pytest.approx(0.5)
+        assert add(*energy_pieces(s, *_products(oscillator_system(p)))) == pytest.approx(0.5)
         s2 = SystemState(f=0.0, g_half=1.0, dt=p.dt, f_prev=0.0, g_prev_half=1.0)
         assert conserved_half_step(s2, *_products(oscillator_system(p))) == pytest.approx(0.5)
 
@@ -128,7 +130,7 @@ class TestConservedQuantities:
         # (10 + 8 = 2 * 9), with v_bar = 1 and u_bar = 1
         p = OscParams(omega=2.0, dt=1.0)
         s = SystemState(f=7.0, g_half=8.0, dt=p.dt, f_prev=0.0, g_prev_half=-6.0)
-        assert conserved_full(s, *_products(oscillator_system(p))) == pytest.approx(0.5)
+        assert add(*energy_pieces(s, *_products(oscillator_system(p)))) == pytest.approx(0.5)
         s2 = SystemState(f=-8.0, g_half=123.0, dt=p.dt, f_prev=10.0, g_prev_half=9.0)
         assert conserved_half_step(s2, *_products(oscillator_system(p))) == pytest.approx(0.5)
 
@@ -136,7 +138,7 @@ class TestConservedQuantities:
         p = OscParams(omega=1.0, dt=0.1)
         fresh = SystemState(f=1.0, g_half=0.0, dt=p.dt)
         with pytest.raises(ValueError):
-            conserved_full(fresh, *_products(oscillator_system(p)))
+            add(*energy_pieces(fresh, *_products(oscillator_system(p))))
         with pytest.raises(ValueError):
             conserved_half_step(fresh, *_products(oscillator_system(p)))
 
@@ -190,3 +192,25 @@ class TestEquivalenceAndStability:
                 max(abs(u - math.cos(k * dt)) for k, u in enumerate(u_hist))
             )
         assert 3.6 < errs[0] / errs[1] < 4.4
+
+
+@pytest.mark.parametrize("u0, v0, omega, dt, steps", [
+    (1.0, 0.0, 1.0, 0.01, 10_000),
+    (1.2, -0.3, 0.9, 0.01, 10_000),
+    (0.8, 0.2, 1.1, 2.5, 300),  # past the CFL edge: the march grows
+    (1.0, 0.0, 1.0, 1e308, 3),  # step times past the float range
+])
+def test_continuum_deviation_has_the_bits_of_the_whole_array_form(u0, v0, omega, dt, steps):
+    params = OscParams(omega=omega, dt=dt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the CFL warning of a march past the edge
+        history, _ = u_history(params, u0, v0, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = dt * np.arange(len(history))
+        exact = u0 * np.cos(omega * t) - v0 * np.sin(omega * t)
+    want = float(np.max(np.abs(np.asarray(history) - exact)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # NaN, where it is NaN, comes without a warning
+        got = continuum_deviation(history, u0, v0, omega, dt)
+    assert math.isnan(got) == (dt == 1e308)
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()

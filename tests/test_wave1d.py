@@ -6,7 +6,7 @@ tests/oracles/wave1d_oracle.py (standalone reimplementation).
 
 import csv
 from dataclasses import replace
-from operator import attrgetter
+from operator import add, attrgetter
 
 import numpy as np
 import pytest
@@ -277,15 +277,16 @@ class TestConserved:
         g = mode_grid(4, 1.0, 1)
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
-        assert core.conserved_full(s, *_products(w1.cmp_system(1.0, g))) == 0.0
+        assert add(*core.energy_pieces(s, *_products(w1.cmp_system(1.0, g)))) == 0.0
         assert core.conserved_half_step(s, *_products(w1.cmp_system(1.0, g))) == 0.0
-        assert core.conserved_full(s, *_products(w1.vmp_system(unit_materials(g.nx), g))) == 0.0
+        unit = w1.vmp_system(unit_materials(g.nx), g)
+        assert add(*core.energy_pieces(s, *_products(unit))) == 0.0
 
     def test_history_required(self):
         g = mode_grid(4, 1.0, 1)
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         with pytest.raises(ValueError):
-            core.conserved_full(s, *_products(w1.cmp_system(1.0, g)))
+            add(*core.energy_pieces(s, *_products(w1.cmp_system(1.0, g))))
         with pytest.raises(ValueError):
             core.conserved_half_step(s, *_products(w1.cmp_system(1.0, g)))
 
@@ -294,7 +295,7 @@ class TestConserved:
         s = core.SystemState(f=np.zeros(g.nx), g_half=np.zeros(g.nx - 1), dt=g.dt)
         s = w1.cmp_step(s, 1.0, g)
         with pytest.raises(ValueError):
-            core.conserved_full(s, *_products(w1.vmp_system(unit_materials(g.nx + 2), g)))
+            add(*core.energy_pieces(s, *_products(w1.vmp_system(unit_materials(g.nx + 2), g))))
         with pytest.raises(ValueError):
             core.conserved_half_step(s, *_products(w1.vmp_system(unit_materials(g.nx + 2), g)))
 

@@ -6,12 +6,12 @@ Reference values marked "oracle" are frozen from tests/oracles/wave2d_oracle.py.
 import math
 import warnings
 from dataclasses import replace
-from operator import attrgetter
+from operator import add, attrgetter
 
 import numpy as np
 import pytest
 
-from stagwave.core import SystemState, conserved_full, conserved_half_step, init_g_half
+from stagwave.core import SystemState, conserved_half_step, energy_pieces, init_g_half
 from stagwave.wave2d import (
     Grid2,
     Star2,
@@ -409,7 +409,7 @@ class TestConserved:
         grid = Grid2(5, 5)
         state = random_state(grid, np.random.default_rng(0), 0.01)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(state, *_products(wave2d_system(Star2(), grid)))
+            add(*energy_pieces(state, *_products(wave2d_system(Star2(), grid))))
         with pytest.raises(ValueError, match="history"):
             conserved_half_step(state, *_products(wave2d_system(Star2(), grid)))
 
@@ -436,7 +436,7 @@ class TestConserved:
         rng = np.random.default_rng(33)
         for _ in range(100):
             state = wave2d_step(random_state(grid, rng, dt), star, grid)
-            assert conserved_full(state, *_products(wave2d_system(star, grid))) > 0.0
+            assert add(*energy_pieces(state, *_products(wave2d_system(star, grid)))) > 0.0
             assert conserved_half_step(state, *_products(wave2d_system(star, grid))) > 0.0
 
     def test_records_match_direct_evaluation(self):
@@ -450,7 +450,7 @@ class TestConserved:
         assert [r[0] for r in records] == [3, 6, 9]
         state2, records2 = march(star, grid, u0, v_start, dt, 10)
         assert len(records2) == 10
-        assert records2[-1][1] == conserved_full(state2, *_products(wave2d_system(star, grid)))
+        assert records2[-1][1] == add(*energy_pieces(state2, *_products(wave2d_system(star, grid))))
         assert records2[-1][2] == conserved_half_step(state2, *_products(wave2d_system(star, grid)))
 
 

@@ -9,7 +9,7 @@ import warnings
 import weakref
 from dataclasses import replace
 from itertools import zip_longest
-from operator import attrgetter
+from operator import add, attrgetter
 
 import numpy as np
 import pytest
@@ -17,7 +17,6 @@ import pytest
 from stagwave import verify
 from stagwave.core import (
     SystemState,
-    conserved_full,
     conserved_half_step,
     energy_pieces,
     init_g_half,
@@ -221,11 +220,11 @@ class TestStates:
         fresh_s = random_scalar_state(grid, rng, dt=0.05)
         fresh_m = random_maxwell_state(grid, rng, dt=0.05)
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_s, *_products(scalar_wave_system(star, grid)))
+            add(*energy_pieces(fresh_s, *_products(scalar_wave_system(star, grid))))
         with pytest.raises(ValueError, match="history"):
             conserved_half_step(fresh_s, *_products(scalar_wave_system(star, grid)))
         with pytest.raises(ValueError, match="history"):
-            conserved_full(fresh_m, *_products(maxwell_system(star, star, grid)))
+            add(*energy_pieces(fresh_m, *_products(maxwell_system(star, star, grid))))
         with pytest.raises(ValueError, match="history"):
             conserved_half_step(fresh_m, *_products(maxwell_system(star, star, grid)))
 
@@ -316,12 +315,12 @@ class TestScalarWave:
         # conserved form agrees with the generic one as well
         from stagwave.mimetic3d import inner3
 
-        c_core = conserved_full(
+        c_core = add(*energy_pieces(
             core,
             inner_X=lambda a, b: inner3("node", a, b, star, grid),
             inner_Y=lambda a, b: inner3("dual-face", a, b, star, grid),
-        )
-        assert c_core == conserved_full(state, *_products(scalar_wave_system(star, grid)))
+        ))
+        assert c_core == add(*energy_pieces(state, *_products(scalar_wave_system(star, grid))))
 
     def test_second_difference_identity(self):
         # two half-step updates compose to the centered second difference
@@ -416,7 +415,7 @@ class TestScalarWave:
         for _ in range(100):
             state = scalar_wave_step(random_scalar_state(grid, rng, dt), star, grid)
             assert conserved_half_step(state, *_products(scalar_wave_system(star, grid))) >= 0.0
-            assert conserved_full(state, *_products(scalar_wave_system(star, grid))) >= 0.0
+            assert add(*energy_pieces(state, *_products(scalar_wave_system(star, grid)))) >= 0.0
 
     def test_whole_step_invariant_below_its_positive_pieces(self):
         grid = pinned_cube(4)
@@ -426,7 +425,7 @@ class TestScalarWave:
             random_scalar_state(grid, rng, dt=0.05), star, grid
         )
         inner_X, inner_Y = _products(scalar_wave_system(star, grid))
-        cn = conserved_full(state, inner_X, inner_Y)
+        cn = add(*energy_pieces(state, inner_X, inner_Y))
         sq_f, g_cross = energy_pieces(state, inner_X, inner_Y)
         assert cn == sq_f + g_cross
         # <g+, g-> = ||g_bar||^2 - ||(g+ - g-)/2||^2, and g+ - g- = dt A f != 0
@@ -471,7 +470,7 @@ class TestMaxwell:
             + sum(float(np.sum(c**2)) for c in h_bar.components) * dv
             - (0.5 * dt) ** 2 * sum(float(np.sum(c**2)) for c in ce.components) * dv
         )
-        got = conserved_full(state, *_products(maxwell_system(star, star, grid)))
+        got = add(*energy_pieces(state, *_products(maxwell_system(star, star, grid))))
         assert got == pytest.approx(want, rel=1e-13)
 
     def test_te_mode_zero_components_stay_exactly_zero(self):
@@ -835,7 +834,7 @@ class TestRunHelpers:
         step, c_n, c_half, sq_f, g_cross = records[-1]
         assert step == state.step
         assert c_n == sq_f + g_cross
-        assert c_n == conserved_full(state, *_products(scalar_wave_system(star, grid)))
+        assert c_n == add(*energy_pieces(state, *_products(scalar_wave_system(star, grid))))
         assert c_half == conserved_half_step(state, *_products(scalar_wave_system(star, grid)))
 
     def test_maxwell_records(self):
@@ -847,7 +846,8 @@ class TestRunHelpers:
         state, records = maxwell_march(grid, star, star, state0.f, state0.g_half, dt, 4)
         assert len(records) == 4
         assert all(len(r) == 7 for r in records)
-        assert records[-1][1] == conserved_full(state, *_products(maxwell_system(star, star, grid)))
+        products = _products(maxwell_system(star, star, grid))
+        assert records[-1][1] == add(*energy_pieces(state, *products))
         assert all(np.isfinite(r).all() for r in map(np.asarray, records))
 
     def test_courant_warning_fires_above_the_bound(self):

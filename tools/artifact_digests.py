@@ -16,13 +16,13 @@ The list covers the README examples (``convergence-table`` with ``--jobs 1``
 and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
 every convergence case including unordered ``--k`` levels and 1D sweeps over
 rough materials (a density jump, a piecewise stiffness) or over non-consecutive
-levels, in parallel, or from a higher mode, power-of-two grids
-whose update plans fold the spacing into non-unit 2D weights or, with a
-non-unit 3D star, keep dividing by it, unit-star 3D runs on a power-of-two
-grid whose steps run in place between records, the benchmark's
-invocations with fixed draws, the inputs that must end in a report with
-failed checks (exit 1) or a usage error (exit 2), and every command's
-``--schema``.
+levels, in parallel (at a named final time too), or from a higher mode,
+power-of-two grids whose update plans fold the spacing into non-unit 2D
+weights or, with a non-unit 3D star, keep dividing by it, unit-star 3D runs
+on a power-of-two grid whose steps run in place between records, the
+benchmark's invocations with fixed draws, the inputs that must end in a
+report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
+that names no sweep among them), and every command's ``--schema``.
 """
 
 from __future__ import annotations
@@ -94,6 +94,8 @@ MORE_RUNS = [
     ["wave1d-convergence", "--case", "bump-p2-q2", "--k", "4..6", "--mode-m", "3"],
     ["maxwell", "--grid", "16", "--materials", "trivial3d", "--steps", "60", "--record-every", "7"],
     ["wave3d", "--grid", "16", "--t-final", "0.3", "--record-every", "5"],
+    ["convergence-table", "--case", "cmp c=1.5", "--k", "4..6", "--final", "half-period",
+     "--jobs", "2"],
 ]
 
 # the benchmark's invocations, with its random draws fixed
@@ -162,6 +164,8 @@ EDGES = [
     ["system", "--preset", "oscillator", "--omega", "inf"],
     ["transport", "--steps", "1", "--record-every", "5"],
     ["diffusion", "--steps", "1", "--record-every", "5"],
+    ["convergence-table", "--case", "bogus"],
+    ["wave1d-convergence", "--case", "wave2d-mode"],
 ]
 
 # every command's option schema: the parser, --help and config keys come
