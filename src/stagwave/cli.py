@@ -29,7 +29,10 @@ Each run writes, where applicable, into the output directory:
 
 * ``<prefix>_series.csv``  — per-step time series: step, t, both conserved
   quantities, plus the invariant pieces and divergence audits for the 3D
-  runs and mass/min-density for transport and diffusion;
+  runs and mass/min-density for transport and diffusion.  Every runner hands
+  its records to one ``_Series`` as it marches, which writes them a chunk at
+  a time and keeps each column's first, last, highest and lowest value for
+  the checks, so a run holds one chunk of records however long it marches;
 * ``<prefix>_errors.csv``  — final-time error profile ``x, Er, Er/dx^2``
   for the 1D runs that know an exact or refined solution;
 * ``<prefix>_table.csv``   — convergence table ``k, Nx, dx, Er, p``;
@@ -105,12 +108,6 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # small numeric helpers shared by the runners
 # ---------------------------------------------------------------------------
-
-
-def rel_drift(series) -> float:
-    """max_n |x_n - x_0| / |x_0| of a conserved-quantity series."""
-    arr = np.asarray(series, dtype=float)
-    return float(np.max(np.abs(arr - arr[0])) / max(abs(arr[0]), 1e-300))
 
 
 def endpoint_order(rows) -> float:
@@ -195,7 +192,7 @@ _ARTIFACTS = ("series_csv", "errors_csv", "table_csv", "report_json")
 # the text _cell gives each cell type of a row written without csv.writer:
 # numbers, which csv.writer never quotes
 _NUMBER_TEXT = {int: int.__repr__, float: float.__repr__, np.float64: float.__repr__}
-# rows of numbers joined into one write
+# the records a series holds, and writes in one call, before it folds them
 _CHUNK_ROWS = 256
 
 
@@ -210,7 +207,8 @@ def _cell(value) -> str:
 
 
 class ArtifactWriter:
-    """Writes a run's CSV/JSON files under one directory and prefix."""
+    """Writes a run's CSV/JSON files under one directory and prefix; a CSV's
+    first call writes its header and rows, and later calls append rows."""
 
     def __init__(self, outdir: Path, prefix: str):
         self.outdir = Path(outdir)
@@ -220,9 +218,10 @@ class ArtifactWriter:
 
     def _write_csv(self, stem: str, key: str, header, rows) -> str:
         path = self.outdir / f"{self.prefix}_{stem}.csv"
-        with open(path, "w", newline="") as fh:
+        with open(path, "w" if self.paths[key] is None else "a", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(header)
+            if self.paths[key] is None:
+                writer.writerow(header)
             lines = []  # rows of numbers not yet written, each joined by hand
             for row in rows:
                 try:
@@ -231,10 +230,6 @@ class ArtifactWriter:
                     fh.write("".join(lines))
                     lines.clear()
                     writer.writerow([_cell(v) for v in row])
-                else:
-                    if len(lines) == _CHUNK_ROWS:
-                        fh.write("".join(lines))
-                        lines.clear()
             fh.write("".join(lines))
         self.paths[key] = str(path)
         return str(path)
@@ -299,6 +294,48 @@ def _cfl_steps(flag: str, count, *args) -> int:
     return steps
 
 
+class _Series:
+    """The `records=` sink of every runner, fed one record (step, *values)
+    at a time.  Each chunk of _CHUNK_ROWS records writes the rows of its
+    `every`-th steps, (step, step * dt, *values) cut to the header's width,
+    to the series CSV, and folds each column into its first, last, highest
+    and lowest value and any `fold(chunk)` into its largest, keeping a NaN.
+    A runner calls `flush()` after its march, for the last chunk."""
+
+    def __init__(self, art: ArtifactWriter, header, every: int, dt: float, fold=None):
+        self.art, self.header, self.every, self.dt, self.fold = art, header, every, dt, fold
+        self.chunk, self.first, self.last = [], None, None
+        self.high, self.low, self.folded = -math.inf, math.inf, -math.inf
+
+    def append(self, record):
+        self.chunk.append(record)
+        if len(self.chunk) == _CHUNK_ROWS:
+            self.flush()
+
+    def flush(self):
+        rows, width, every, dt = self.chunk, len(self.header) - 1, self.every, self.dt
+        self.art.series(self.header, [(r[0], r[0] * dt, *r[1:width])
+                                      for r in rows if r[0] % every == 0])
+        if not rows:
+            return
+        chunk = np.array(rows, dtype=float)
+        rows.clear()
+        self.first = chunk[0] if self.first is None else self.first
+        self.high = np.maximum(self.high, chunk.max(axis=0))
+        self.low = np.minimum(self.low, chunk.min(axis=0))
+        self.last = chunk[-1]
+        if self.fold is not None:
+            self.folded = np.maximum(self.folded, self.fold(chunk))
+
+    def drift(self, col: int, floor: float, origin=None) -> float:
+        """max |x - x0| / max(|x0|, floor) over column `col`, x0 the `origin`
+        or its first value; NaN if any x is.  Rounding is monotone, so the
+        max is the larger of high - x0 and x0 - low, bit for bit."""
+        x0 = self.first[col] if origin is None else origin
+        spread = np.abs(np.maximum(self.high[col] - x0, x0 - self.low[col]))
+        return float(spread / np.maximum(abs(x0), floor))
+
+
 # ---------------------------------------------------------------------------
 # march commands: one runner over the `March` each command builds from cfg
 # ---------------------------------------------------------------------------
@@ -322,7 +359,8 @@ class March(NamedTuple):
     audit: Callable | None = None
     error: tuple | None = None  # (error_norms key, time) against system.exact
     cfl_flags: str = "--safety"  # what a CFL step out of range is blamed on
-    finish: Callable | None = None  # finish(body, state, records, art): own checks, norms
+    fold: Callable | None = None  # the series' `fold` of each chunk of records
+    finish: Callable | None = None  # finish(body, state, series, art): own checks, norms
 
 
 def _checked_dt(dt: float, flags: str) -> float:
@@ -354,10 +392,9 @@ def _check_recorded(every: int, steps: int, source: str):
 
 def _run_march(build, cfg, art: ArtifactWriter) -> dict:
     """The runner of every march command: `build(cfg)`, form the step and the
-    step count, march, write the series of every --record-every-th step, and
-    check both invariants' drift over all recorded steps.  The engine's
-    records, (step, C_n, C_half, *audit), are the only list of them: the
-    series streams its rows from them, and `finish` reads them."""
+    step count, march, and hand each record, (step, C_n, C_half, *audit), to
+    one `_Series`, which writes every --record-every-th step and keeps the
+    extremes that both invariants' drift checks and `finish` read."""
     m = build(cfg)
     dt, steps = m.dt, m.steps
     if dt is None and (m.t_final is None or steps is None):
@@ -367,11 +404,10 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
             steps = max(1, _cfl_steps(f"--t-final/{m.cfl_flags}", math.ceil, m.t_final / dt))
         dt = m.t_final / steps
     _check_recorded(m.every, steps, "--steps or --t-final")
-    state, records = m.system.march(dt, steps, record_every=m.every, audit=m.audit)
-    every = cfg.record_every
-    art.series([*_SERIES, *m.columns],
-               ((r[0], r[0] * dt, *r[1:]) for r in records if every and r[0] % every == 0))
-    drift_n, drift_half = rel_drift([r[1] for r in records]), rel_drift([r[2] for r in records])
+    series = _Series(art, [*_SERIES, *m.columns], cfg.record_every, dt, m.fold)
+    state = m.system.march(dt, steps, record_every=m.every, audit=m.audit, records=series)[0]
+    series.flush()
+    drift_n, drift_half = series.drift(1, 1e-300), series.drift(2, 1e-300)
     body = {
         "settings": {**m.settings, "dt": dt, m.steps_key: steps},
         "summary": {"C_n_drift": drift_n, "C_half_drift": drift_half},
@@ -385,25 +421,23 @@ def _run_march(build, cfg, art: ArtifactWriter) -> dict:
         key, t = m.error
         body["error_norms"][key] = m.system.error(state.f, t)
     if m.finish is not None:
-        m.finish(body, state, records, art)
+        m.finish(body, state, series, art)
     return body
 
 
 def _oscillator_march(cfg) -> March:
     params = _usage("--omega/--dt", oscillator.OscParams, omega=cfg.omega, dt=cfg.dt)
-    history = [cfg.u0]
+    deviation = functools.partial(oscillator.continuum_deviation, u0=cfg.u0, v0=cfg.v0,
+                                  omega=cfg.omega, dt=cfg.dt)
 
-    def finish(body, state, records, art):
-        body["error_norms"]["max_dev_from_exact"] = oscillator.continuum_deviation(
-            history, cfg.u0, cfg.v0, cfg.omega, cfg.dt)
-
-    def keep_u(state, _):  # u at every step, for the deviation; no series column
-        history.append(state.f)
-        return ()
+    def finish(body, state, series, art):  # step 0, then each chunk's u (past its columns)
+        body["error_norms"]["max_dev_from_exact"] = float(np.maximum(deviation([cfg.u0]),
+                                                                     series.folded))
 
     return March(oscillator.oscillator_system(params, cfg.u0, cfg.v0, exact_init=cfg.exact_init),
                  {"omega": cfg.omega, "alpha": params.alpha}, dt=cfg.dt, steps=cfg.steps,
-                 audit=keep_u, finish=finish)
+                 audit=lambda state, _: (state.f,), finish=finish,
+                 fold=lambda chunk: deviation(chunk[:, 3], first=int(chunk[0, 0])))
 
 
 def _system_march(cfg) -> March:
@@ -435,10 +469,10 @@ def _wave1d_march(cfg) -> March:
         system = wave1d.vmp_system(mats, grid, m=cfg.mode_m)
         named = {"material": mat["name"]}
 
-    def finish(body, state, records, art):
+    def finish(body, state, series, art):
         if system.exact is not None:
             art.errors(_profile(grid, state.f - system.exact(cfg.t_final)))
-        min_c = min(min(r[1] for r in records), min(r[2] for r in records))
+        min_c = float(np.minimum(series.low[1], series.low[2]))
         body["checks"].append(_check("invariants-positive", min_c, "> 0", min_c > 0))
 
     return March(system, {"case": case, **named, "nx": grid.nx, "t_final": cfg.t_final},
@@ -496,16 +530,14 @@ def _maxwell_march(cfg) -> March:
     def audit(state, pieces):
         return (*pieces, *divergences(state.f, state.g_half))
 
-    def finish(body, state, records, art):
+    def finish(body, state, series, art):
         for label in ("div_e", "div_h"):
             idx = (*_SERIES, *columns).index(label) - 1  # records have no t column
-            series = [r[idx] for r in records]
-            dev = float(np.max(np.abs(np.asarray(series) - series[0])))
-            dev /= max(abs(series[0]), 1.0)
+            dev = series.drift(idx, 1.0)
             body["checks"].append(
                 _check(f"{label}-audit-constant", dev, "<= 1e-12 deviation", dev <= 1e-12)
             )
-            body["summary"][f"{label}_initial"] = float(series[0])
+            body["summary"][f"{label}_initial"] = float(series.first[idx])
 
     return _cube_march(cfg, wave3d.maxwell_system(eps, mu, grid), {},
                        columns=columns, audit=audit, finish=finish)
@@ -659,14 +691,10 @@ def _run_transport(cfg, art: ArtifactWriter) -> dict:
 
     state = positivity.TransportState(rho=rho0, v=v, dx=dx, dt=dt)
     mass0 = state.mass
-    state, rec = positivity.run_transport(state, steps, record_every=1)
-
-    every = cfg.record_every
-    rows = [(s, s * dt, mass, mn) for s, mass, mn in rec if every and s % every == 0]
-    art.series(["step", "t", "mass", "min_rho"], rows)
-
-    drift = max(abs(mass - mass0) for _, mass, _ in rec) / mass0
-    worst_min = min(mn for _, _, mn in rec)
+    series = _Series(art, ("step", "t", "mass", "min_rho"), cfg.record_every, dt)
+    state = positivity.run_transport(state, steps, records=series)[0]
+    series.flush()
+    drift, worst_min = series.drift(1, 0.0, mass0), float(series.low[2])
     checks = [
         _check("mass-audit", drift, "<= 1e-13 relative", drift <= 1e-13),
         _check("min-density", worst_min, ">= -1e-16 of peak",
@@ -702,11 +730,10 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
     mass0 = float(np.sum(rho) * dx)
     guard_ok = positivity.positivity_guard(d=d, dt=dt, dx=dx)
 
-    _, rec = positivity.run_diffusion(rho, d, dx, dt, steps)
-    art.series(["step", "t", "mass", "min_rho"],
-               [(s, s * dt, mass, mn) for s, mass, mn in rec if every and s % every == 0])
-    worst_drift = max(0.0, *(abs(mass - mass0) / mass0 for _, mass, _ in rec))
-    worst_min = min(0.0, *(mn for _, _, mn in rec))
+    series = _Series(art, ("step", "t", "mass", "min_rho"), every, dt)
+    positivity.run_diffusion(rho, d, dx, dt, steps, records=series)
+    series.flush()
+    worst_drift, worst_min = series.drift(1, 0.0, mass0), float(np.minimum(series.low[2], 0.0))
 
     checks = [
         _check("mass-conserved", worst_drift, "<= 1e-13 relative", worst_drift <= 1e-13),
@@ -715,7 +742,7 @@ def _run_diffusion(cfg, art: ArtifactWriter) -> dict:
     ]
     return {
         "settings": {"n": n, "dx": dx, "dt": dt, "diffusivity": cfg.diffusivity, "steps": steps},
-        "summary": {"mass_initial": mass0, "mass_final": rec[-1][1]},
+        "summary": {"mass_initial": mass0, "mass_final": float(series.last[1])},
         "checks": checks,
     }
 

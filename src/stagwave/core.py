@@ -50,7 +50,9 @@ last runs in place and returns no history.  A recorded step keeps its
 predecessor as history, which its invariants read, and writes into a spare
 pair instead: a retired history pair the run owns, or a fresh pair until
 there is one, so a march holds at most two pairs and allocates none per
-step.  `run_system` called directly never writes the caller's start pair,
+step.  Each record goes to a `records` sink as it is taken, so a sink that
+reduces records keeps a march of any length in constant memory.
+`run_system` called directly never writes the caller's start pair,
 so its first and last steps write into the spare too, and its final state
 keeps one step of history.  `init_g_half` allocates only the field it
 returns: it forms its first-order term through the plan, and skips the
@@ -237,7 +239,7 @@ class System:
         object.__setattr__(self, "cfl_dt", cfl_dt)
 
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
-              audit: Callable | None = None):
+              audit: Callable | None = None, records=None):
         """`run_system` for n_steps of dt from `start(dt)`, which the march
         owns: with a `plan`, its unrecorded steps overwrite the start
         pair itself, so a march that records no step holds that one pair
@@ -247,7 +249,7 @@ class System:
         f0, g_half0 = self.start(dt)
         return run_system(f0, None, self.ops, dt, n_steps, self.inner_X, self.inner_Y,
                           g_half0=g_half0, record_every=record_every, audit=audit,
-                          _owned=True)
+                          records=records, _owned=True)
 
     def error(self, f, t: float) -> float:
         """max |f - exact(t)| over every component of f, with one temporary
@@ -462,6 +464,7 @@ def run_system(
     *,
     record_every: int = 1,
     audit: Callable | None = None,
+    records=None,
     _owned: bool = False,
 ):
     """Integrate n_steps from (f0, g0) and record both invariants.
@@ -470,11 +473,12 @@ def run_system(
     continuum solution pass the exact half-step value here).  A RuntimeWarning
     flags dt * norm_bound_A > 2, past which the march is unstable.
 
-    Returns the final state and a record list with one entry
-    (step, C_full, C_half) per `record_every`-th step (none for
-    record_every=0).  An `audit(state, pieces)` callback, given the state and
-    the `energy_pieces` of C_full, appends the entries it returns; it must
-    not keep the state's fields: later steps overwrite them.
+    Returns the final state and `records` (any sink with an `append`, a
+    fresh list by default), which gets one entry (step, C_full, C_half) per
+    `record_every`-th step as it is taken (none for record_every=0).  An
+    `audit(state, pieces)` callback, given the state and the `energy_pieces`
+    of C_full, appends the entries it returns; it must not keep the state's
+    fields: later steps overwrite them.
 
     With a pair that has a `plan`, the run owns one working pair: an
     unrecorded step overwrites f and then g in place.  Each maximal stretch
@@ -508,7 +512,7 @@ def run_system(
     # last step writes into the spare
     last_in_place = n_steps if _owned else n_steps - 1
     spare = (None, None)
-    record = []
+    records = [] if records is None else records
     n = 0
     while n < n_steps:
         n += 1
@@ -540,5 +544,5 @@ def run_system(
         if recorded:
             pieces = energy_pieces(state, inner_X, inner_Y)
             row = (state.step, pieces[0] + pieces[1], conserved_half_step(state, inner_X, inner_Y))
-            record.append(row if audit is None else (*row, *audit(state, pieces)))
-    return state, record
+            records.append(row if audit is None else (*row, *audit(state, pieces)))
+    return state, records

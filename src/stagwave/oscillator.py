@@ -119,11 +119,12 @@ def exact_solution(u0: float, v0: float, omega: float, t: float) -> tuple[float,
     return u0 * c - v0 * s, v0 * c + u0 * s
 
 
-def continuum_deviation(history, u0: float, v0: float, omega: float, dt: float) -> float:
-    """max_n |u_n - u(n dt)| of a march's u at steps 0, 1, ..., against the
-    continuum solution; NaN where the step times pass the float range, and
-    then without numpy's warnings."""
+def continuum_deviation(history, u0: float, v0: float, omega: float, dt: float, *,
+                        first: int = 0) -> float:
+    """max_n |u_n - u(n dt)| of a march's u at steps first, first + 1, ...
+    against the continuum solution, each step's term its own; NaN where the
+    step times pass the float range, and then without numpy's warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
-        t = dt * np.arange(len(history))
+        t = dt * np.arange(first, first + len(history))
         exact = u0 * np.cos(omega * t) - v0 * np.sin(omega * t)
     return float(np.max(np.abs(np.asarray(history) - exact)))

@@ -22,8 +22,8 @@ update with face diffusivities and zero-flux ends; it keeps densities
 nonnegative while ``max_i (D_i + D_{i+1}) dt/dx^2 <= 1``.  Schemes with
 higher formal order do not share the guarantee: one Lax-Wendroff step on a
 unit spike leaves ``-(nu/2)(1 - nu)`` in the cell behind it.  ``run_transport``
-and ``run_diffusion`` march them, recording mass and least density, from
-starts such as ``transport_profile``'s.
+and ``run_diffusion`` march them from starts such as ``transport_profile``'s,
+handing each recorded (step, mass, least density) to a ``records`` sink.
 """
 
 from __future__ import annotations
@@ -129,9 +129,10 @@ def transport_step(state: TransportState) -> TransportState:
                           escaped=escaped, guaranteed=ok, step=state.step + 1)
 
 
-def run_transport(state: TransportState, n_steps: int, *, record_every: int = 1):
-    """March n_steps; returns (final state, [(step, mass, min rho), ...])."""
-    records = []
+def run_transport(state: TransportState, n_steps: int, *, record_every: int = 1, records=None):
+    """March n_steps, appending (step, mass, min rho) of every `record_every`-th
+    step to `records` (a fresh list by default); returns (final state, records)."""
+    records = [] if records is None else records
     for _ in range(n_steps):
         state = transport_step(state)
         if record_every and state.step % record_every == 0:
@@ -184,9 +185,9 @@ def diffusion_step(rho, d, dx: float, dt: float) -> np.ndarray:
     return rho + np.diff(flux)
 
 
-def run_diffusion(rho, d, dx: float, dt: float, n_steps: int):
-    """`run_transport`'s twin: (final rho, [(step, mass, min rho) per step])."""
-    records = []
+def run_diffusion(rho, d, dx: float, dt: float, n_steps: int, *, records=None):
+    """`run_transport`'s twin, recording every step: (final rho, records)."""
+    records = [] if records is None else records
     for step in range(1, n_steps + 1):
         rho = diffusion_step(rho, d, dx, dt)
         records.append((step, float(np.sum(rho) * dx), float(np.min(rho))))

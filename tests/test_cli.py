@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import json
@@ -10,13 +11,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from stagwave import cli, core
+from stagwave import cli, core, oscillator
 
 ALL_COMMANDS = [
     "oscillator",
@@ -471,6 +473,24 @@ class TestExperimentCommands:
             report["summary"]["mass_initial"], rel=1e-13
         )
 
+    @pytest.mark.parametrize("args, check", [
+        (["diffusion", "--courant", "0.6", "--steps", "3000"], "mass-conserved"),
+        (["transport", "--courant", "3", "--steps", "3000"], "mass-audit"),
+    ])
+    def test_nan_in_a_positivity_series_shows_in_its_mass_check(self, args, check, tmp_path,
+                                                                capsys):
+        # past the guard the march overflows into NaN; a NaN mass in the
+        # middle of the series must not be dropped by the worst drift
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's overflow in the march itself
+            code = run_cli(args, tmp_path, "nan")
+        assert code == 1
+        report = read_report(tmp_path, "nan")
+        assert math.isnan(report["summary"]["mass_final"])
+        measured = {c["name"]: c for c in report["checks"]}[check]
+        assert math.isnan(measured["measured"]) and measured["passed"] is False
+        assert f"[FAIL] {check}: measured nan" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # convergence commands
@@ -627,6 +647,148 @@ def test_csv_rows_have_the_bytes_csv_writer_gives_their_cells(tmp_path):
     csv.writer(celled, lineterminator="\n").writerows([cli._cell(v) for v in r] for r in plain)
     assert len(plain) > 100 and direct.getvalue() == celled.getvalue()
 
+
+def _same(got, want, either_zero=False) -> bool:
+    """Both NaN, or the same bits (either zero, with `either_zero`, where the
+    want is a zero)."""
+    got, want = np.float64(got), np.float64(want)
+    if np.isnan(want) or np.isnan(got):
+        return bool(np.isnan(want) and np.isnan(got))
+    if either_zero and want == 0.0:
+        return bool(got == 0.0)
+    return got.tobytes() == want.tobytes()
+
+
+_SPECIAL = [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-310, -1.5, 1.0, 3e300]
+
+
+def _columns(kind: str, n: int, rng) -> list:
+    """Three value columns of n records: near a conserved value, drawn from
+    signed zeros, infinities, subnormals and normal numbers, or near a
+    conserved value with a NaN first, in the middle or last."""
+    cols = [list(1.0 + 1e-13 * rng.standard_normal(n)) for _ in range(3)]
+    if kind == "special":
+        cols = [[float(v) for v in rng.choice(_SPECIAL, n)] for _ in range(3)]
+    elif kind == "zeros":
+        cols = [[float(v) for v in rng.choice([0.0, -0.0], n)] for _ in range(3)]
+    elif kind.startswith("nan"):
+        at = {"nan-first": 0, "nan-middle": n // 2, "nan-last": n - 1}[kind]
+        cols[1][at] = math.nan
+    return cols
+
+
+@pytest.mark.parametrize("n", [255, 256, 257, 769])
+@pytest.mark.parametrize("kind", ["plain", "special", "zeros", "nan-first", "nan-middle",
+                                  "nan-last"])
+def test_series_folds_have_the_bits_of_the_whole_series_forms(n, kind, tmp_path):
+    # each runner's check over a whole series, as it read when the runners
+    # kept a list, against the streamed series fed one record at a time: the
+    # CSV of every every-th row, and each drift and least value
+    rng = np.random.default_rng(n)
+    a, b, c = _columns(kind, n, rng)
+    u = [float(v) for v in 0.9 + 0.1 * rng.standard_normal(n)]
+    if kind.startswith("nan"):
+        u[n // 2] = math.nan
+    records = [(s, np.float64(x), y, z, w) for s, x, y, z, w in zip(range(1, n + 1), a, b, c, u)]
+    header, dt, origin, u0, v0, omega = ["step", "t", "a", "b", "c"], 0.01, 0.75, 1.2, -0.3, 0.9
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for every in (1, 7, 13, 999):
+            want_csv = cli.ArtifactWriter(tmp_path / "list", f"e{every}").series(
+                header, [(r[0], r[0] * dt, *r[1:4]) for r in records if r[0] % every == 0])
+            series = cli._Series(cli.ArtifactWriter(tmp_path / "fed", f"e{every}"), header,
+                                 every, dt, lambda chunk: oscillator.continuum_deviation(
+                                     chunk[:, 4], u0, v0, omega, dt, first=int(chunk[0, 0])))
+            for record in records:
+                series.append(record)
+            series.flush()
+            got_csv = tmp_path / "fed" / f"e{every}_series.csv"
+            assert got_csv.read_bytes() == Path(want_csv).read_bytes()
+
+        for col, values in enumerate((a, b, c), start=1):
+            arr = np.asarray(values, dtype=float)
+            nan = bool(np.isnan(arr).any())
+            # the marches' rel_drift, and maxwell's audit deviation
+            rel = float(np.max(np.abs(arr - arr[0])) / max(abs(arr[0]), 1e-300))
+            audit = float(np.max(np.abs(arr - arr[0]))) / max(abs(arr[0]), 1.0)
+            assert _same(series.drift(col, 1e-300), rel)
+            assert _same(series.drift(col, 1.0), audit)
+            # transport's drift from the step-0 mass, and diffusion's clamped
+            # forms, whose drift clamp never binds (Python's max and min drop a
+            # NaN that comes after a number)
+            transport = math.nan if nan else max(abs(m - origin) for m in values) / origin
+            drift = math.nan if nan else max(0.0, *(abs(m - origin) / origin for m in values))
+            least = math.nan if nan else min(0.0, *values)
+            assert _same(series.drift(col, 0.0, origin), transport)
+            assert _same(series.drift(col, 0.0, origin), drift)
+            assert _same(np.minimum(series.low[col], 0.0), least)
+            # transport's least density: Python's min keeps the first of two
+            # equal zeros, numpy's reduction either
+            assert _same(series.low[col], math.nan if nan else min(values), either_zero=True)
+            assert _same(series.first[col], arr[0]) and _same(series.last[col], arr[-1])
+        # wave1d's least of both invariants
+        both = math.nan if np.isnan([*a, *b]).any() else min(min(a), min(b))
+        assert _same(np.minimum(series.low[1], series.low[2]), both, either_zero=True)
+        # the oscillator's deviation over steps 0 to n, as one array
+        t = dt * np.arange(n + 1)
+        exact = u0 * np.cos(omega * t) - v0 * np.sin(omega * t)
+        whole = float(np.max(np.abs(np.asarray([u0, *u]) - exact)))
+        step0 = oscillator.continuum_deviation([u0], u0, v0, omega, dt)
+        assert _same(np.maximum(step0, series.folded), whole)
+
+
+@pytest.mark.parametrize("args", [
+    ["--steps", "255"], ["--steps", "257", "--record-every", "7"],
+    ["--steps", "769", "--record-every", "13"], ["--steps", "1000", "--record-every", "999"],
+    ["--omega", "1", "--dt", "2.5", "--steps", "600"], ["--steps", "300", "--v0", "inf"],
+])
+def test_oscillator_deviation_has_the_bits_of_the_whole_march(args, tmp_path):
+    # the command's chunked deviation against the whole-array form over the u
+    # of every step of the same march, kept in a list
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")  # the CFL warning and overflow of a march past the edge
+        assert run_cli(["oscillator", *args], tmp_path, "dev") in (0, 1)
+        cfg = cli.build_parser().parse_args(["oscillator", *args])
+        system = oscillator.oscillator_system(oscillator.OscParams(cfg.omega, cfg.dt),
+                                              cfg.u0, cfg.v0)
+        _, records = system.march(cfg.dt, cfg.steps, audit=lambda s, _: (s.f,))
+        t = cfg.dt * np.arange(cfg.steps + 1)
+        exact = cfg.u0 * np.cos(cfg.omega * t) - cfg.v0 * np.sin(cfg.omega * t)
+        u = np.asarray([cfg.u0, *(r[3] for r in records)])
+        want = float(np.max(np.abs(u - exact)))
+    got = read_report(tmp_path, "dev")["error_norms"]["max_dev_from_exact"]
+    assert _same(got, want)
+
+
+@pytest.mark.parametrize("args", [
+    ["oscillator", "--steps", "N", "--record-every", "60"],
+    ["system", "--steps", "N", "--record-every", "60"],
+    ["wave1d", "--nt", "N", "--record-every", "60"],
+    ["transport", "--steps", "N", "--record-every", "60"],
+    ["diffusion", "--steps", "N", "--record-every", "60"],
+    ["maxwell", "--grid", "4", "--steps", "N", "--record-every", "1"],
+])
+def test_peak_memory_does_not_grow_with_the_step_count(args, tmp_path, monkeypatch):
+    # a run holds one chunk of records however long it marches: its traced
+    # peak at 4N steps is within 10% of its peak at N, four chunks.  Chunks
+    # of 32 records keep the traced maxwell marches under a second; a list of
+    # every record would add 20-50% to the peak between N and 4N
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 32)
+
+    def peak(steps: int) -> int:
+        tracemalloc.start()
+        try:
+            argv = [a.replace("N", str(steps)) for a in args]
+            assert cli.main([*argv, "--outdir", str(tmp_path / str(steps))]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    n = 4 * cli._CHUNK_ROWS
+    with contextlib.redirect_stdout(io.StringIO()):
+        peak(n)  # the first run builds what every later run shares
+        small, large = peak(n), peak(4 * n)
+    assert large <= 1.1 * small, (small, large)
 
 # ---------------------------------------------------------------------------
 # verify suites

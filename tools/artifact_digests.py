@@ -22,7 +22,8 @@ weights or, with a non-unit 3D star, keep dividing by it, unit-star 3D runs
 on a power-of-two grid whose steps run in place between records, the
 benchmark's invocations with fixed draws, the inputs that must end in a
 report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
-that names no sweep among them), and every command's ``--schema``.
+that names no sweep among them), runs whose records span several chunks of
+the CLI's streamed series, and every command's ``--schema``.
 """
 
 from __future__ import annotations
@@ -168,13 +169,30 @@ EDGES = [
     ["wave1d-convergence", "--case", "wave2d-mode"],
 ]
 
+# runs whose records span several of the CLI series' chunks, or end part way
+# into one, at record intervals that do not divide a chunk
+CHUNKED = [
+    ["oscillator", "--steps", "20000", "--record-every", "7"],
+    ["oscillator", "--omega", "1", "--dt", "2.5", "--steps", "3000"],
+    ["oscillator", "--steps", "1000", "--v0", "inf"],
+    ["system", "--preset", "cmp", "--steps", "3000", "--record-every", "256"],
+    ["transport", "--velocity", "collapse", "--steps", "3000", "--record-every", "11"],
+    ["transport", "--velocity", "expand", "--steps", "700"],
+    ["diffusion", "--steps", "3000", "--record-every", "999"],
+    ["diffusion", "--n", "3", "--courant", "0.25", "--steps", "5"],
+    ["wave1d", "--case", "vmp", "--nt", "3000", "--record-every", "13"],
+    ["wave2d", "--nx", "8", "--nt", "600", "--record-every", "5"],
+    ["maxwell", "--grid", "4", "--steps", "3000", "--materials", "diag3d"],
+    ["wave3d", "--grid", "4", "--steps", "1000", "--record-every", "3"],
+]
+
 # every command's option schema: the parser, --help and config keys come
 # from the same table, so these must match byte for byte too
 SCHEMAS = [[command, "--schema"] for command in (
     "oscillator", "system", "wave1d", "wave1d-convergence", "wave2d", "wave3d", "maxwell",
     "transport", "diffusion", "verify", "convergence-table")]
 
-INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + SCHEMAS
+INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + CHUNKED + SCHEMAS
 
 _VOLATILE = ("wall_time_s", "artifacts")
 
