@@ -804,12 +804,29 @@ def _verify_and_print(cfg) -> int:
 class Command(NamedTuple):
     """One subcommand.  `options` are ``(flag, argparse kwargs)`` pairs;
     `runner(cfg, art)` returns an experiment's report body, and `main(cfg)`
-    turns the parsed options into the exit code."""
+    turns the parsed options into the exit code.  `size` names the options
+    that size its arrays: arrays too large for memory are a usage error
+    naming them (see `_sized`)."""
 
     help: str
     runner: Callable | None
     options: tuple
     main: Callable = _run_and_print
+    size: str | None = None
+
+
+def _sized(command: Command, cfg) -> int:
+    """`command.main(cfg)`, with a MemoryError turned into a usage error
+    naming the command's size options: an array the system refuses, or one
+    with more bytes than an array can address (`core.addressable`).  A
+    command whose options size no array lets it through."""
+    try:
+        return command.main(cfg)
+    except MemoryError as exc:
+        if command.size is None:
+            raise
+        raise ConfigError(f"{command.size}: the arrays of this size do not fit in memory "
+                          f"({exc})") from None
 
 
 # options every command takes, and options several commands share exactly
@@ -869,7 +886,7 @@ COMMANDS = {
                           help="fraction of the cmp CFL bound")),
         _STEPS,
         _RECORD_EVERY,
-    )),
+    ), size="--nx"),
     "wave1d": Command("1D staggered wave march with conserved-quantity audits.",
                       functools.partial(_run_march, _wave1d_march), (
         ("--case", dict(choices=("cmp", "vmp"), default="cmp",
@@ -884,7 +901,7 @@ COMMANDS = {
         ("--init", dict(choices=("exact", "taylor"), default=None, help="cmp half-step start "
                         "for v (default: taylor; vmp always starts from taylor)")),
         _RECORD_EVERY,
-    )),
+    ), size="--nx"),
     "wave1d-convergence": Command("Grid-halving order study for the 1D march, with order "
                                   "checks.", _run_wave1d_convergence, (
         ("--case", dict(default="cmp", help="'cmp [c=...]' for the mode study or a material "
@@ -895,7 +912,7 @@ COMMANDS = {
         ("--mode-m", dict(type=positive_int, default=1, help="starting mode number")),
         _F,
         _CMP_INIT,
-    )),
+    ), size="--k"),
     "wave2d": Command("2D staggered wave march with conserved-quantity audits.",
                       functools.partial(_run_march, _wave2d_march), (
         ("--nx", dict(type=positive_int, default=32, help="cells along x")),
@@ -911,7 +928,7 @@ COMMANDS = {
         ("--init", dict(choices=("exact", "taylor"), default="taylor",
                         help="half-step start for v")),
         _RECORD_EVERY,
-    )),
+    ), size="--nx/--ny"),
     "wave3d": Command("3D scalar cavity march with conserved-quantity audits.",
                       functools.partial(_run_march, _wave3d_march), (
         *_CUBE,
@@ -920,14 +937,14 @@ COMMANDS = {
         ("--modes", dict(type=positive_int, nargs=3, default=[1, 1, 1],
                          metavar=("MX", "MY", "MZ"), help="cavity mode numbers")),
         _RECORD_EVERY,
-    )),
+    ), size="--grid"),
     "maxwell": Command("TE cavity march with invariants and divergence audits.",
                       functools.partial(_run_march, _maxwell_march), (
         *_CUBE,
         ("--t-final", dict(type=positive_float, default=None,
                            help="march to this time instead of --steps")),
         _RECORD_EVERY,
-    )),
+    ), size="--grid"),
     "transport": Command("Upwind advection with the mass audit and positivity guard.",
                          _run_transport, (
         ("--velocity", dict(choices=("constant", "collapse", "expand"), default="constant",
@@ -939,7 +956,7 @@ COMMANDS = {
         ("--courant", dict(type=positive_float, default=None, help="fraction of the per-cell "
                            "outflow bound (default 1.0 constant / 0.9 radial)")),
         _RECORD_EVERY,
-    )),
+    ), size="--n"),
     "diffusion": Command("Explicit diffusion of a spike under the flux-pair guard.",
                          _run_diffusion, (
         ("--n", dict(type=positive_int, default=None, help="cells (default 101)")),
@@ -949,7 +966,7 @@ COMMANDS = {
         ("--courant", dict(type=positive_float, default=0.5,
                            help="dt as a multiple of dx^2/max(d); 0.5 is the guard edge")),
         _RECORD_EVERY,
-    )),
+    ), size="--n"),
     "verify": Command("Exactness / adjointness / round-trip / order suites.", None, (
         ("suite", dict(nargs="?", default=None,
                        help="one of mimetic3d, adjoint, wave1d-sbp, all")),
@@ -958,7 +975,7 @@ COMMANDS = {
         ("--trials", dict(type=positive_int, default=100, help="random trials")),
         ("--broken-sign", dict(action="store_true", help="flip a sign in the adjoint "
                                "identity; the suite must then fail")),
-    ), main=_verify_and_print),
+    ), main=_verify_and_print, size="--sizes"),
     "convergence-table": Command("Convergence-table CSV (k, Nx, dx, Er, p) for a named case.",
                                  _run_convergence_table, (
         ("--case", dict(default="cmp", help="'cmp [c=...]', a 1D material spec, wave2d-mode, "
@@ -972,7 +989,7 @@ COMMANDS = {
         _CMP_INIT,
         ("--safety", dict(type=positive_float, default=0.9, help="CFL fraction (2D/3D cases)")),
         ("--jobs", dict(type=positive_int, default=1, help="parallel sweep processes")),
-    )),
+    ), size="--k"),
 }
 
 _CONFIG_EPILOG = (
@@ -1097,7 +1114,7 @@ def main(argv=None) -> int:
         if cfg.schema:
             print(json.dumps(_schema(cfg.command), indent=2, default=str))
             return 0
-        return COMMANDS[cfg.command].main(cfg)
+        return _sized(COMMANDS[cfg.command], cfg)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -67,6 +67,7 @@ spacings through `divide_in_place`.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple
@@ -86,9 +87,22 @@ __all__ = [
     "euclidean_inner",
     "run_system",
     "divide_in_place",
+    "addressable",
     "SpacingFold",
     "fold_spacing",
 ]
+
+
+def addressable(shape: tuple) -> tuple:
+    """`shape`, or a MemoryError when a float64 array of it has more bytes
+    than an array can address (a signed machine word).  Numpy refuses such
+    an array with a ValueError of its own; a grid checks its largest array
+    when it is built, so that any size too large for memory reads as a
+    MemoryError."""
+    if math.prod(shape) * 8 > sys.maxsize:
+        raise MemoryError(f"a float64 array of shape {shape} has more bytes than an array "
+                          "can address")
+    return shape
 
 
 def divide_in_place(out, delta: float):

@@ -35,20 +35,22 @@ numerically.
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
 index ranges of a closed box, ``n + 1`` entries along a node-aligned axis.
-The operators see the policy only through ``_STENCILS``, one index table of
-every per-axis difference built at import, and the rim rule: on pinned grids
-both end planes of every node-aligned axis of a dual output are zero, which
-is exactly the set of entries a Dirichlet-pinned time stepper never updates.
+The operators see the policy only through ``_stencil``, one index table of
+every per-axis difference, made once per slab of axis-0 planes, and the rim
+rule: on pinned grids both end planes of every node-aligned axis of a dual
+output are zero, which is exactly the set of entries a Dirichlet-pinned time
+stepper never updates.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import divide_in_place
+from .core import addressable, divide_in_place
 
 BOUNDARIES = ("periodic", "pinned")
 
@@ -114,6 +116,7 @@ class Grid3:
                 raise ValueError("need at least 2 cells per axis")
         if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary policy {self.boundary!r}")
+        addressable(self._pattern_shape("nnn"))  # the nodes, its largest array
         # the operators' per-call shapes, worked out once; not a field, so eq/hash/repr ignore it
         object.__setattr__(self, "_shapes_of", {patterns: tuple(map(self._pattern_shape, patterns))
                                                 for patterns in _PATTERNS.values()})
@@ -305,10 +308,10 @@ def sample_vector(grid: Grid3, kind: str, fns) -> VectorField3:
     return VectorField3(*(_sample(grid, p, fn) for p, fn in zip(patterns, fns)))
 
 
-def _components(field, grid: Grid3, kind: str, who: str) -> tuple:
+def _components(field, grid: Grid3, kind: str, who: str, shapes=None) -> tuple:
     """The component arrays of a field of `kind` (one for a scalar kind),
-    checked against the kind's shapes on `grid`."""
-    shapes = grid._shapes(kind)
+    checked against `shapes`, by default the kind's shapes on `grid`."""
+    shapes = grid._shapes(kind) if shapes is None else shapes
     if len(shapes) == 1:
         comps = (np.asarray(field),)
     elif isinstance(field, VectorField3):
@@ -335,7 +338,7 @@ _DIV_TERMS = (((0, 0), (1, 1), (2, 2)),)
 
 def _zero_rim(arr: np.ndarray, pattern: str) -> np.ndarray:
     """The rim rule, in place: zero both end planes of every node-aligned axis."""
-    for plane in _RIM_PLANES[pattern]:
+    for plane in _rim(pattern, 0, len(arr), len(arr))[1]:
         arr[plane] = 0.0
     return arr
 
@@ -355,40 +358,65 @@ def _along(axis: int, index, base=(slice(None),) * 3) -> tuple:
 _HI, _LO = slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
-# the rim interior of each pattern (both end planes of each node-aligned axis
-# cut off) and the rim planes that the rim rule zeroes
+# the rim interior of each pattern: both end planes of each node-aligned axis cut off
 _RIM_INTERIOR = {p: tuple(slice(1, -1) if tag == "n" else slice(None) for tag in p)
                  for p in _ALL_PATTERNS}
-_RIM_PLANES = {p: [_along(axis, end) for axis, tag in enumerate(p) if tag == "n"
-                   for end in (0, -1)] for p in _ALL_PATTERNS}
 
 
-def _stencil(boundary: str, pattern: str, axis: int) -> tuple:
+def _span(pattern: str, a: int, b: int, n: int) -> slice:
+    """The planes of the rim interior among planes a..b of the n along axis 0."""
+    return slice(max(a, 1), min(b, n - 1)) if pattern[0] == "n" else slice(a, b)
+
+
+@functools.cache
+def _rim(pattern: str, a: int, b: int, n: int) -> tuple:
+    """(inside, planes) of the slab of planes a..b, of the n along axis 0,
+    of a rimmed output of `pattern`: the index of its rim interior within
+    the slab, and the rim planes of the slab that the rim rule zeroes (an
+    end plane of axis 0 only in the slab that holds it)."""
+    span = _span(pattern, a, b, n)
+    inside = (slice(span.start - a, span.stop - a), *_RIM_INTERIOR[pattern][1:])
+    ends = {0: a == 0, -1: b == n}
+    planes = tuple(_along(axis, end) for axis, tag in enumerate(pattern) if tag == "n"
+                   for end in (0, -1) if axis or ends[end])
+    return inside, planes
+
+
+@functools.cache
+def _stencil(boundary: str, pattern: str, axis: int, a: int, b: int, n: int) -> tuple:
     """The (out, hi, lo) index triples of one difference along `axis` onto
-    the points of `pattern`, out[out] <- arr[hi] - arr[lo] for each: forward
-    onto a half-shifted axis, backward onto a node-aligned one.  A periodic
-    stencil wraps the end plane round; a pinned backward one fills only the
-    rim interior (its `out`), cutting the input to that first."""
+    planes a..b, of the n along axis 0, of the points of `pattern`:
+    term[out] <- arr[hi] - arr[lo] for each, where the term holds those
+    planes and arr is the whole input.  Forward onto a half-shifted axis,
+    backward onto a node-aligned one, so along axis 0 a forward difference
+    reads input planes a..b + 1 and a backward one a - 1..b.  A periodic
+    stencil wraps the end plane round, in the slab that holds it; a pinned
+    backward one fills only the rim interior, which is then the term's
+    whole extent, cutting the input to that first."""
     forward = pattern[axis] == "h"
-    if boundary == "periodic":
+    whole = slice(None)
+    if boundary == "periodic" and axis:
         out, wrap = (_LO, _LAST) if forward else (_HI, _FIRST)
-        return ((_along(axis, out), _along(axis, _HI), _along(axis, _LO)),
-                (_along(axis, wrap), _along(axis, _FIRST), _along(axis, _LAST)))
-    cut = (slice(None),) * 3 if forward else _RIM_INTERIOR[pattern]
-    return ((..., _along(axis, _HI, cut), _along(axis, _LO, cut)),)
-
-
-_STENCILS = {(boundary, p, axis): _stencil(boundary, p, axis)
-             for boundary in BOUNDARIES for p in _ALL_PATTERNS for axis in range(3)}
-
-
-def _diff(arr, axis: int, grid: Grid3, out, pattern: str, scaled: bool):
-    """out <- the difference of arr along one axis onto the points of
-    `pattern` (see `_stencil`), divided by the spacing when `scaled`."""
-    for o, hi, lo in _STENCILS[grid.boundary, pattern, axis]:
-        np.subtract(arr[hi], arr[lo], out=out[o])
-    if scaled:
-        divide_in_place(out, grid.spacings[axis])
+        base = (slice(a, b), whole, whole)
+        return ((_along(axis, out), _along(axis, _HI, base), _along(axis, _LO, base)),
+                (_along(axis, wrap), _along(axis, _FIRST, base), _along(axis, _LAST, base)))
+    if boundary == "periodic" and forward:  # the last plane differences onto the first
+        end = min(b, n - 1)
+        return ((slice(0, end - a), slice(a + 1, end + 1), slice(a, end)),
+                *[(slice(n - 1 - a, n - a), _FIRST, _LAST)] * (b == n))
+    if boundary == "periodic":  # the first plane differences onto the last
+        start = max(a, 1)
+        return ((slice(start - a, b - a), slice(start, b), slice(start - 1, b - 1)),
+                *[(_FIRST, _FIRST, _LAST)] * (a == 0))
+    if forward:
+        cut = (slice(a, b), whole, whole)
+    else:
+        cut = (_span(pattern, a, b, n), *_RIM_INTERIOR[pattern][1:])
+    if axis:
+        return ((..., _along(axis, _HI, cut), _along(axis, _LO, cut)),)
+    step = 1 if forward else -1
+    shifted = (slice(cut[0].start + step, cut[0].stop + step), *cut[1:])
+    return ((..., shifted, cut) if forward else (..., cut, shifted),)
 
 
 # each operator's input kind, output kind, term table and how its terms combine
@@ -403,34 +431,47 @@ _OPERATORS = {
 
 
 def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *,
-                weights=None, flux=None):
-    """The difference operator `op` from its term table, yielding each output
-    component as it is formed; the six operators, the update plans and the
-    divergence audit of `wave3d` all run this one loop.  Onto a dual kind it
-    differences backward and obeys the rim rule, writing straight into the
-    interior of a zero-rimmed output.
+                weights=None, flux=None, rows=None):
+    """The difference operator `op` from its term table, as calls: it yields
+    (result, calls) for each output component, where running `calls` in
+    order (`_run`) forms that component in `result`.  The six operators,
+    the update plans and the divergence audit of `wave3d` all build their
+    differences with this one loop.  Onto a dual kind it differences
+    backward and obeys the rim rule, writing straight into the interior of a
+    zero-rimmed output.  The calls hold views of their operands, bound once,
+    so a caller may run them as often as its fields hold new values.
 
-    `out`, a field of the output kind, receives the result in place of a
-    fresh one.  Its components may share one buffer: each is rimmed and
-    written only once its last term is formed and the component before it
-    has been yielded and used.  `work`, a flat float array at least two
-    output components long, each rounded up to a whole number of 8-entry
-    cache lines, holds the terms in place of temporaries.  `scaled=False`
-    leaves every difference undivided by its spacing.
+    `rows`, one (a, b) per output component, forms only planes a..b of each
+    along axis 0, a slab, which `result` then holds (None: every plane).  A
+    forward difference along axis 0 reads input planes a..b + 1, a backward
+    one a - 1..b; a periodic slab at either end takes the wrapped plane, and
+    a pinned one zeroes the rim planes it holds.  Each entry is formed with
+    the operations of the whole component, so slabs have its bits.
+
+    `out`, a field of the output kind, or of the slabs' shapes with `rows`,
+    receives the result in place of a fresh one.  Its components may share
+    one buffer: each is rimmed and written only by its own calls, which
+    must run once the component before it is used.  `work`, a flat float
+    array at least two output components long, each rounded up to a whole
+    number of 8-entry cache lines, holds the terms in place of temporaries.
+    `scaled=False` leaves every difference undivided by its spacing.
 
     `weights`, for internal callers, differences weights[c] * comps[c] in
     place of input component c, with `star_matrix`'s arithmetic: each
-    weighted component is formed just before its difference, in `flux`
+    weighted component is formed whole just before its difference, in `flux`
     (required with `weights`), a flat float array at least one input
     component long, which `out` may share.
     """
     in_kind, out_kind, terms, combine = _OPERATORS[op]
     comps = _components(field, grid, in_kind, op)
+    wholes = grid._shapes(out_kind)
+    rows = rows or [(0, whole[0]) for whole in wholes]
+    shapes = tuple((b - a, *whole[1:]) for (a, b), whole in zip(rows, wholes))
     rim = out_kind.startswith("dual-") and grid.boundary == "pinned"
     if out is None:
-        outs = [np.zeros(s) if rim else np.empty(s) for s in grid._shapes(out_kind)]
+        outs = [np.zeros(s) if rim else np.empty(s) for s in shapes]
     else:
-        outs = _components(out, grid, out_kind, op)
+        outs = _components(out, grid, out_kind, op, shapes)
     # a rimmed output's interior is strided, and arithmetic in place on it
     # runs at half speed, and a weighted output may share the flux, so their
     # terms are formed and summed in contiguous work
@@ -438,28 +479,47 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
     slots = staged + (len(terms[0]) > 1)  # the first term and partial sums, later terms
     if work is None and slots:
         work = np.empty(slots * _lines(max(o.size for o in outs)))
-    for pattern, component_terms, result in zip(_PATTERNS[out_kind], terms, outs):
-        acc = result[_RIM_INTERIOR[pattern]] if rim else result
+    spacings = grid.spacings
+    for pattern, component_terms, result, (a, b), (n, _, _) in zip(
+            _PATTERNS[out_kind], terms, outs, rows, wholes):
+        inside, planes = _rim(pattern, a, b, n) if rim else (None, ())
+        acc = result[inside] if rim else result
         first = _slot(work, 0, acc) if staged else acc
+        calls = []
         for k, (c, axis) in enumerate(component_terms):
             source = comps[c]
             if weights is not None:
-                source = np.multiply(weights[c], source, out=_slot(flux, 0, source))
+                weighted = _slot(flux, 0, source)
+                calls.append((np.multiply, (weights[c], source, weighted)))
+                source = weighted
             term = _slot(work, staged, acc) if k else first
-            _diff(source, axis, grid, term, pattern, scaled)
+            calls += [(np.subtract, (source[hi], source[lo], term[o]))
+                      for o, hi, lo in _stencil(grid.boundary, pattern, axis, a, b, n)]
+            if scaled:
+                calls.append((divide_in_place, (term, spacings[axis])))
             last = k == len(component_terms) - 1
-            if last and rim and out is not None:
-                _zero_rim(result, pattern)
+            if last and out is not None:
+                calls += [(np.copyto, (result[plane], 0.0)) for plane in planes]
             if k:
-                combine(first, term, out=acc if last else first)
+                calls.append((combine, (first, term, acc if last else first)))
             elif last and staged:
-                acc[...] = first
-        yield result
+                calls.append((np.copyto, (acc, first)))
+        yield result, calls
+
+
+def _run(calls):
+    """Run bound calls, (function, arguments) pairs, in order."""
+    for function, args in calls:
+        function(*args)
 
 
 def _apply(op: str, field, grid: Grid3, out, work, scaled):
     """The whole output field of the difference operator `op`."""
-    return _as_field([*_difference(op, field, grid, out, work, scaled)])
+    results = []
+    for result, calls in _difference(op, field, grid, out, work, scaled):
+        _run(calls)
+        results.append(result)
+    return _as_field(results)
 
 
 def _slot(work, k: int, like):

@@ -30,6 +30,7 @@ from .core import (
     Sweep,
     System,
     SystemState,
+    addressable,
     divide_in_place,
     fold_spacing,
     init_g_half,
@@ -69,6 +70,7 @@ class Grid1D:
             raise ValueError("interval ends must satisfy a < b")
         if self.nx < 3:
             raise ValueError("need at least 3 primal points")
+        addressable((self.nx,))
         if self.nt < 1:
             raise ValueError("need at least one time step")
         if self.t_final <= 0:

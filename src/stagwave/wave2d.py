@@ -51,6 +51,7 @@ from .core import (
     Sweep,
     System,
     SystemState,
+    addressable,
     divide_in_place,
     fold_spacing,
     init_g_half,
@@ -91,6 +92,7 @@ class Grid2:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("need at least 2 cells per axis")
+        addressable((self.nx + 1, self.ny + 1))  # the primal nodes, its largest array
 
     @property
     def dx(self) -> float:

@@ -384,6 +384,47 @@ class TestExperimentCommands:
         assert not (tmp_path / "bad_report.json").exists()
 
     @pytest.mark.parametrize(
+        "args, flag",
+        [
+            # a grid whose largest array has more bytes than an array can
+            # address, refused when the grid is built, before any allocation
+            (["maxwell", "--grid", "10000000"], "--grid"),
+            (["wave3d", "--grid", "10000000"], "--grid"),
+            (["wave2d", "--nx", "100000000000000000", "--nt", "2"], "--nx/--ny"),
+            (["convergence-table", "--case", "maxwell-cavity", "--k", "20..21"], "--k"),
+            (["convergence-table", "--case", "wave3d-cavity", "--k", "20..21"], "--k"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "57..58"], "--k"),
+            (["wave1d-convergence", "--case", "cmp", "--k", "60..61"], "--k"),
+            (["verify", "mimetic3d", "--sizes", "10000000"], "--sizes"),
+            # an addressable size whose first array, of 10^17 entries (over
+            # 700 PiB), is past any address space: the system refuses it at once
+            (["wave2d", "--nx", "2", "--ny", "100000000000000000", "--nt", "2"], "--nx/--ny"),
+            (["wave1d", "--nx", "100000000000000000", "--nt", "2"], "--nx"),
+            (["system", "--preset", "cmp", "--nx", "100000000000000000", "--dt", "1e-20",
+              "--steps", "1"], "--nx"),
+            (["transport", "--n", "100000000000000000"], "--n"),
+            (["diffusion", "--n", "100000000000000000", "--steps", "1"], "--n"),
+        ],
+    )
+    def test_arrays_too_large_for_memory_are_a_usage_error(self, args, flag, tmp_path, capsys):
+        assert run_cli(args, tmp_path, "big") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: the arrays of this size do not fit in memory (")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not (tmp_path / "big_report.json").exists()
+
+    def test_a_memory_error_of_a_command_with_no_size_option_is_not_a_usage_error(
+            self, monkeypatch, tmp_path):
+        # the oscillator's state is two floats: nothing it is given sizes an array
+        def refused(*args, **kwargs):
+            raise MemoryError("refused")
+
+        monkeypatch.setitem(cli.COMMANDS, "oscillator",
+                            cli.COMMANDS["oscillator"]._replace(runner=refused))
+        with pytest.raises(MemoryError):
+            run_cli(["oscillator", "--steps", "3"], tmp_path, "osc")
+
+    @pytest.mark.parametrize(
         "args, text",
         [
             (["wave1d", "--case", "vmp", "--material", "bump x 1"],

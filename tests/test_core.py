@@ -280,3 +280,27 @@ def test_every_exported_name_resolves(name):
     # a retired name must leave its module's __all__ too
     module = importlib.import_module(f"stagwave.{name}")
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
+
+
+def test_grids_refuse_arrays_past_what_an_array_can_address():
+    # an array of 2^60 float64 entries has 2^63 bytes, one more than a signed
+    # machine word holds; each grid checks its largest array, allocating none
+    from stagwave.core import addressable
+    from stagwave.mimetic3d import Grid3
+    from stagwave.wave1d import Grid1D
+    from stagwave.wave2d import Grid2
+
+    assert addressable((2**30, 2**30 - 1)) == (2**30, 2**30 - 1)
+    for shape in [(2**30, 2**30), (2**60,), (2**20, 2**20, 2**20)]:
+        with pytest.raises(MemoryError, match="more bytes than an array can address"):
+            addressable(shape)
+    # the largest arrays: pinned nodes (n + 1)^3, periodic n^3, 2D nodes
+    # (nx + 1)(ny + 1), 1D primal points nx
+    kept = [lambda d: Grid3.cube(2**20 - 1 - d, 1.0, boundary="pinned"),
+            lambda d: Grid3.cube(2**20 - d, 1.0),
+            lambda d: Grid2(2**30 - 1, 2**30 - 1 - d),
+            lambda d: Grid1D(0.0, 1.0, 2**60 - d, 1.0, 1)]
+    for grid in kept:
+        grid(1)
+        with pytest.raises(MemoryError):
+            grid(0)

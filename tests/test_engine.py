@@ -486,12 +486,13 @@ def test_records_are_the_three_term_invariants(name, record_every):
 
 
 def _count_3d_calls(monkeypatch, counts):
-    """Count every mimetic3d operator, star and inner3 call, and every pass
-    of `_difference`, the one loop of the six operators and the 3D update
-    plans, rebinding each in every stagwave module that holds a reference
-    to it."""
+    """Count every mimetic3d operator, star and inner3 call, and every
+    difference pass: a `_run` of the calls that `_difference`, the one loop
+    of the six operators and the 3D update plans, binds, one per update
+    run or audit.  Each is rebound in every stagwave module that holds a
+    reference to it."""
     modules = [m for n, m in sys.modules.items() if n.startswith("stagwave.")]
-    for name in OPS_3D + ("inner3", "_difference"):
+    for name in OPS_3D + ("inner3", "_run"):
         original = getattr(mimetic3d, name)
 
         def counted(*args, _name=name, _fn=original, **kwargs):
@@ -522,7 +523,7 @@ def test_maxwell_step_operator_count(monkeypatch, record_every, passes_per_step,
     _march_from(wave3d.maxwell_system(eps, mu, grid), state.f, state.g_half, case["dt"], 5,
                 record_every=record_every, audit=_maxwell_audit(eps, mu, grid))
     inner = counts.pop("inner3", 0)
-    assert counts.pop("_difference") == 5 * passes_per_step
+    assert counts.pop("_run") == 5 * passes_per_step
     assert sum(counts.values()) == 5 * ops_per_step
     assert inner == 5 * inner3_per_step
 
@@ -909,7 +910,7 @@ def test_unrecorded_maxwell_step_skips_unit_stars(monkeypatch, stars, stars_per_
     counts.pop("inner3", 0)
     # two difference passes a step and no star call: the plan weights each of
     # a pass's three components itself, once per star that is not unit
-    assert counts == Counter({"_difference": 5 * 2, "weight": 5 * 3 * stars_per_step})
+    assert counts == Counter({"_run": 5 * 2, "weight": 5 * 3 * stars_per_step})
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from operator import add, attrgetter
 import numpy as np
 import pytest
 
-from stagwave import verify
+from stagwave import verify, wave3d
 from stagwave.core import (
     SystemState,
     conserved_half_step,
@@ -289,6 +289,178 @@ class TestAllocatingPairs:
                          -star_matrix(curl3_star(h, grid), eps, "a", inverse=True))
         # the inputs are left as they were
         assert all(same_bits(f, k) for f, k in zip((s, v, e, h), kept))
+
+
+# ---------------------------------------------------------------------------
+# slab-blocked update plans
+# ---------------------------------------------------------------------------
+
+# grids of 4^3 to 7^3 cells: a power-of-two spacing (folded into dt by unit
+# sides), other spacings, and a box whose spacings all differ
+SLAB_GRIDS = {
+    "cube4": lambda boundary: Grid3.cube(4, 1.0, boundary),
+    "cube5": lambda boundary: Grid3.cube(5, 1.0, boundary),
+    "cube7": lambda boundary: Grid3.cube(7, 2.0, boundary),
+    "box5x7x6": lambda boundary: Grid3(1.0, 1.2, 0.8, 5, 7, 6, boundary),
+}
+
+# slab budgets below every component of a 4^3 grid: one plane per slab
+# (every plane holds more), and one to three planes per slab, split evenly
+# or not as the planes fall
+SLAB_BUDGETS = (1, 40, 60)
+
+# each rung's System, the kinds of its f and g, and its output kinds: the
+# scalar wave's sides are grad3 (one term per component) and div3_star (three
+# terms), Maxwell's curl3 and curl3_star (two terms each)
+SLAB_RUNGS = {
+    "scalar": (lambda stars, grid: wave3d.scalar_wave_system(stars, grid),
+               "scalar", ("node", "dual-face"), ("edge", "dual-cell")),
+    "maxwell": (lambda stars, grid: wave3d.maxwell_system(*stars, grid),
+                "maxwell", ("edge", "dual-edge"), ("face", "dual-face")),
+}
+
+
+def _slab_case(monkeypatch, rung, boundary, material, grid_name, budget, rng):
+    """The System of `rung` on the grid, built with the slab budget set to
+    `budget`, the grid, and signed-zero random f and g; each side must split
+    into several slabs."""
+    make, system_kind, (f_kind, g_kind), out_kinds = SLAB_RUNGS[rung]
+    grid = SLAB_GRIDS[grid_name](boundary)
+    monkeypatch.setattr(wave3d, "_SLAB_ENTRIES", budget)
+    if material == "sampled":  # weights that differ from plane to plane
+        stars = PAIR_STARS["sampled"](grid)
+        system = make(stars[0] if system_kind == "scalar" else stars, grid)
+    else:
+        system = make(wave3d.parse_material_3d(material, system_kind)(grid), grid)
+    for kind in out_kinds:
+        assert len(wave3d._slabs(grid._shapes(kind))) > 1
+    f, g = (signed_zero_field(grid, kind, rng) for kind in (f_kind, g_kind))
+    return system, grid, f, g
+
+
+@pytest.mark.parametrize("grid_name", sorted(SLAB_GRIDS))
+@pytest.mark.parametrize("material", ["trivial3d", "scalar3d", "diag3d", "sampled"])
+@pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+@pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
+def test_slab_plans_have_the_bits_of_the_allocating_pair(monkeypatch, rung, boundary, material,
+                                                         grid_name):
+    # every update, in slabs of one plane up to a few, writing over x, into
+    # a fresh field, into another field (a recorded step's plan, which the
+    # pair keeps) and run twice, against x - dt A*(y) and x + dt A(y) from
+    # the allocating operators, signed zeros included; the periodic wrap
+    # lands in the first or last slab and a pinned rim at the slab ends
+    for budget in SLAB_BUDGETS:
+        rng = np.random.default_rng(budget)
+        system, _, f, g = _slab_case(monkeypatch, rung, boundary, material, grid_name, budget,
+                                     rng)
+        ops = system.ops
+        dt = system.cfl_dt(0.7)
+        for adjoint, x, y in ((True, f, g), (False, g, f)):
+            step = ((lambda x: x - dt * ops.apply_Astar(y)) if adjoint
+                    else (lambda x: x + dt * ops.apply_A(y)))
+            want = step(x)
+            kept_x, kept_y = x.copy(), y.copy()
+            fresh = ops.plan(x, y, dt, None, adjoint)
+            assert same_bits(fresh(), want) and same_bits(fresh(), want)
+            assert same_bits(x, kept_x) and same_bits(y, kept_y)
+            spare = x.copy()
+            kept = ops.plan(x, y, dt, spare, adjoint)
+            assert kept() is spare and same_bits(spare, want) and same_bits(x, kept_x)
+            assert ops.plan(x, y, dt, spare, adjoint) is kept
+            into = x.copy()
+            run = ops.plan(into, y, dt, into, adjoint)
+            assert run() is into and same_bits(into, want)
+            run()  # the bound views read what x and y hold at the call
+            assert same_bits(into, step(want)) and same_bits(y, kept_y)
+
+
+@pytest.mark.parametrize("grid_name", sorted(SLAB_GRIDS))
+@pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+@pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
+def test_slab_half_step_start_has_the_bits_of_the_allocating_start(monkeypatch, rung,
+                                                                   boundary, grid_name):
+    # `init_g_half` through a slab plan, from rest and from a moving g0,
+    # against the same start on the pair without its plan
+    g_kind = SLAB_RUNGS[rung][2][1]
+    for budget in SLAB_BUDGETS:
+        rng = np.random.default_rng(budget)
+        system, grid, f0, g0 = _slab_case(monkeypatch, rung, boundary, "sampled", grid_name,
+                                          budget, rng)
+        dt = system.cfl_dt(0.7)
+        bare = replace(system.ops, plan=None)
+        for start in (zeros_field(grid, g_kind), g0):
+            assert same_bits(init_g_half(f0, start, system.ops, dt),
+                             init_g_half(f0, start, bare, dt))
+
+
+@pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
+def test_a_pair_hands_back_a_kept_plan_only_for_the_same_fields_and_step(monkeypatch, rung):
+    # a plan into another field than x, a recorded step's, is kept: asked
+    # again for the same x, y, out, dt and update, the pair returns it; any
+    # other y, out or dt gets a plan of its own, and fields made as others
+    # are dropped, which may take their ids, never get a stale one
+    system, _, f, g = _slab_case(monkeypatch, rung, "pinned", "diag3d", "cube5", 40,
+                                 np.random.default_rng(7))
+    ops, dt = system.ops, system.cfl_dt(0.7)
+
+    def want(x, y, dt, adjoint):
+        return x - dt * ops.apply_Astar(y) if adjoint else x + dt * ops.apply_A(y)
+
+    for adjoint, x, y in ((True, f, g), (False, g, f)):
+        outs = [x.copy(), x.copy()]
+        runs = [ops.plan(x, y, dt, out, adjoint) for out in outs]
+        assert runs[0] is not runs[1] and ops.plan(x, y, dt, outs[0], adjoint) is runs[0]
+        assert ops.plan(x, y * 2.0, dt, outs[0], adjoint) is not runs[0]
+        assert ops.plan(x, y, 2.0 * dt, outs[0], adjoint) is not runs[0]
+        for run, out in zip(runs, outs):
+            assert run() is out and same_bits(out, want(x, y, dt, adjoint))
+        for k in range(20):  # a new x each time, into the same out
+            x_k = x * (1.0 + k)
+            assert ops.plan(x_k, y, dt, outs[0], adjoint)() is outs[0]
+            assert same_bits(outs[0], want(x_k, y, dt, adjoint))
+
+
+@pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+def test_components_up_to_32_cubed_are_one_slab(monkeypatch, boundary):
+    # at the real budget every update plan on a 32^3 grid forms each output
+    # component whole, in one pass of `_difference`, and on a 40^3 grid in two
+    made = []
+    original = wave3d._difference
+
+    def counted(*args, rows, **kwargs):
+        made.append(rows)
+        return original(*args, rows=rows, **kwargs)
+
+    monkeypatch.setattr(wave3d, "_difference", counted)
+    for n in (32, 40):
+        grid = Grid3.cube(n, 1.0, boundary)
+        for make, kind, (f_kind, g_kind), (g_out, f_out) in SLAB_RUNGS.values():
+            system = make(wave3d.parse_material_3d("diag3d", kind)(grid), grid)
+            f, g = zeros_field(grid, f_kind), zeros_field(grid, g_kind)
+            for adjoint, x, y, out_kind in ((True, f, g, f_out), (False, g, f, g_out)):
+                made.clear()
+                system.ops.plan(x, y, 0.01, x, adjoint)
+                if n == 32:
+                    assert made == [[(0, shape[0]) for shape in grid._shapes(out_kind)]]
+                else:
+                    assert len(made) == 2
+
+
+@pytest.mark.parametrize("n0, plane", [(5, 25), (9, 30), (65, 4225), (3, 10 ** 6), (49, 2401)])
+@pytest.mark.parametrize("budget", [1, 40, 100, 36 * 1024])
+def test_slabs_cover_each_component_in_nearly_equal_slabs(monkeypatch, n0, plane, budget):
+    monkeypatch.setattr(wave3d, "_SLAB_ENTRIES", budget)
+    shapes = [(n0, plane, 1), (n0 - 1, plane, 1)]
+    slabs = wave3d._slabs(shapes)
+    for r, (rows, _, _) in enumerate(shapes):
+        parts = [slab[r] for slab in slabs]
+        assert parts[0][0] == 0 and parts[-1][1] == rows
+        assert all(b == a for (_, b), (a, _) in zip(parts, parts[1:]))
+        lengths = [b - a for a, b in parts]
+        assert max(lengths) - min(lengths) <= 1
+        assert all(length * plane <= budget for length in lengths) or max(lengths) == 1
+    # the fewest slabs the budget allows
+    assert len(slabs) == max(-(-rows // max(1, budget // plane)) for rows, _, _ in shapes)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,9 @@ on a power-of-two grid whose steps run in place between records, the
 benchmark's invocations with fixed draws, the inputs that must end in a
 report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
 that names no sweep among them), runs whose records span several chunks of
-the CLI's streamed series, and every command's ``--schema``.
+the CLI's streamed series, 3D runs whose updates form each component in
+several slabs, sizes too large for memory (exit 2), and every command's
+``--schema``.
 """
 
 from __future__ import annotations
@@ -186,13 +188,36 @@ CHUNKED = [
     ["wave3d", "--grid", "4", "--steps", "1000", "--record-every", "3"],
 ]
 
+# runs whose 3D update plans form each component in several slabs: the scalar
+# rung's 64^3 cavity level, and both rungs with diagonal stars on 48^3 grids,
+# whose spacing is not a power of two
+SLABBED = [
+    ["convergence-table", "--case", "wave3d-cavity", "--k", "5..6", "--jobs", "1"],
+    ["wave3d", "--materials", "diag3d", "--grid", "48", "--steps", "6", "--record-every", "2"],
+    ["maxwell", "--materials", "diag3d", "--grid", "48", "--steps", "6", "--record-every", "4"],
+]
+
+# sizes whose arrays do not fit in memory, each a usage error naming its size
+# options: past what an array can address, or with a first array of over
+# 700 PiB, which no system grants (on a tree without the size check too)
+TOO_LARGE = [
+    ["maxwell", "--grid", "10000000"],
+    ["wave3d", "--grid", "10000000"],
+    ["wave2d", "--nx", "100000000000000000", "--nt", "2"],
+    ["wave2d", "--nx", "2", "--ny", "100000000000000000", "--nt", "2"],
+    ["convergence-table", "--case", "maxwell-cavity", "--k", "20..21"],
+    ["convergence-table", "--case", "wave2d-mode", "--k", "57..58"],
+    ["wave1d", "--nx", "100000000000000000", "--nt", "2"],
+    ["transport", "--n", "100000000000000000"],
+]
+
 # every command's option schema: the parser, --help and config keys come
 # from the same table, so these must match byte for byte too
 SCHEMAS = [[command, "--schema"] for command in (
     "oscillator", "system", "wave1d", "wave1d-convergence", "wave2d", "wave3d", "maxwell",
     "transport", "diffusion", "verify", "convergence-table")]
 
-INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + CHUNKED + SCHEMAS
+INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + CHUNKED + SLABBED + TOO_LARGE + SCHEMAS
 
 _VOLATILE = ("wall_time_s", "artifacts")
 
