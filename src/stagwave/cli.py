@@ -818,7 +818,8 @@ class Command(NamedTuple):
 def _sized(command: Command, cfg) -> int:
     """`command.main(cfg)`, with a MemoryError turned into a usage error
     naming the command's size options: an array the system refuses, or one
-    with more bytes than an array can address (`core.addressable`).  A
+    with more bytes than an array can address or than the host's memory
+    (`core.addressable`).  A
     command whose options size no array lets it through."""
     try:
         return command.main(cfg)

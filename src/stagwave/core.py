@@ -40,25 +40,25 @@ products, its CFL step, its start data and, where known, its exact solution.
 Buffers: a pair may supply a `plan`, which binds one in-place update to its
 buffers and returns it as a call that writes a whole update into a given
 buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's scalar pair
-allocates.  A run then works on one pair, which each unrecorded step
-overwrites in place, f first and then g, as the Yee scheme overwrites E and
-then H.  Every maximal stretch of such steps plans its two updates once and
-runs them as often as the stretch is long.  `System.march` owns the pair its
-`start` makes, so a march that records no step holds that one pair from
-start to end: its first step overwrites it through `system_step`, and its
-last runs in place and returns no history.  A recorded step keeps its
-predecessor as history, which its invariants read, and writes into a spare
-pair instead: a retired history pair the run owns, or a fresh pair until
-there is one, so a march holds at most two pairs and allocates none per
-step.  Each record goes to a `records` sink as it is taken, so a sink that
-reduces records keeps a march of any length in constant memory.
-`run_system` called directly never writes the caller's start pair,
-so its first and last steps write into the spare too, and its final state
-keeps one step of history.  `init_g_half` allocates only the field it
-returns: it forms its first-order term through the plan, and skips the
-curvature term of a start from rest.
-An `audit` callback must not keep references to the state's fields across
-steps: later steps overwrite them.  A plan whose differences share one
+allocates.  A planned run works on one pair from its first step to its last,
+overwriting f and then g in place at every step, as the Yee scheme
+overwrites E and then H, on one plan of each update.  A recorded step needs
+the old f only for <f_{n+1}, f_n>_X, and the old g only for
+<g_{n+3/2}, g_{n+1/2}>_Y, so it copies each into one field of history just
+before its update overwrites it, and takes that product just after
+(`_Recorder`).  That field is as large as the larger of f and g, made at the
+first recorded step, so a recorded march holds one pair and one field.
+`System.march` owns the pair its `start` makes: its first step overwrites
+it through `system_step`.  `run_system` called directly never writes the
+caller's start pair: its first step writes into a fresh pair, which the run
+then owns.  The final state of a planned run carries no history.  Each
+record goes to a `records` sink as it is taken, so a sink that reduces
+records keeps a march of any length in constant memory.
+`init_g_half` allocates only the field it returns: it forms its
+first-order term through the plan, and skips the curvature term of a start
+from rest.
+An `audit` callback reads the state's fields before it returns: later steps
+overwrite them in place.  A plan whose differences share one
 power-of-two spacing h <= 1 folds the exact factor 1/h into the
 multiplication after them (`fold_spacing`); other plans divide by their
 spacings through `divide_in_place`.
@@ -67,6 +67,7 @@ spacings through `divide_in_place`.
 from __future__ import annotations
 
 import math
+import os
 import sys
 import warnings
 from dataclasses import dataclass
@@ -95,14 +96,31 @@ __all__ = [
 
 def addressable(shape: tuple) -> tuple:
     """`shape`, or a MemoryError when a float64 array of it has more bytes
-    than an array can address (a signed machine word).  Numpy refuses such
-    an array with a ValueError of its own; a grid checks its largest array
-    when it is built, so that any size too large for memory reads as a
-    MemoryError."""
-    if math.prod(shape) * 8 > sys.maxsize:
+    than an array can address (a signed machine word), or than the host's
+    physical memory, where `os.sysconf` reports it.  Numpy refuses the first
+    with a ValueError of its own, and a host that overcommits memory may
+    grant the second and kill the run that fills it; a grid checks its
+    largest array when it is built, before it makes any, so that any size
+    too large for memory reads as a MemoryError."""
+    size = math.prod(shape) * 8
+    if size > sys.maxsize:
         raise MemoryError(f"a float64 array of shape {shape} has more bytes than an array "
                           "can address")
+    memory = _physical_memory()
+    if memory is not None and size > memory:
+        raise MemoryError(f"a float64 array of shape {shape} has more bytes ({size}) than "
+                          f"this host's memory ({memory})")
     return shape
+
+
+def _physical_memory() -> int | None:
+    """The host's physical memory in bytes, or None where `os.sysconf`
+    does not report it."""
+    try:
+        pages, page = os.sysconf("SC_PHYS_PAGES"), os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return pages * page if pages > 0 and page > 0 else None
 
 
 def divide_in_place(out, delta: float):
@@ -255,11 +273,10 @@ class System:
     def march(self, dt: float, n_steps: int, *, record_every: int = 1,
               audit: Callable | None = None, records=None):
         """`run_system` for n_steps of dt from `start(dt)`, which the march
-        owns: with a `plan`, its unrecorded steps overwrite the start
-        pair itself, so a march that records no step holds that one pair
-        from start to end.  The final state keeps its step of history only
-        when the last step is recorded; otherwise its f_prev and g_prev_half
-        are None."""
+        owns: with a `plan`, every step overwrites the start pair itself, so
+        a march holds that one pair from start to end, and one field of
+        history once it records a step.  The final state then carries no
+        history: its f_prev and g_prev_half are None."""
         f0, g_half0 = self.start(dt)
         return run_system(f0, None, self.ops, dt, n_steps, self.inner_X, self.inner_Y,
                           g_half0=g_half0, record_every=record_every, audit=audit,
@@ -340,7 +357,8 @@ def _parts(field) -> tuple:
     return getattr(field, "components", (field,))
 
 
-def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemState:
+def system_step(state: SystemState, ops: OperatorPair, *, out=None,
+                recorder=None) -> SystemState:
     """One leapfrog step.  f is updated first; g uses the freshly updated f.
     The new state keeps the old f and g_half as its history, unless the
     step overwrote them (below).
@@ -350,18 +368,92 @@ def system_step(state: SystemState, ops: OperatorPair, *, out=None) -> SystemSta
     fresh field).
     Buffers other than the state's own keep its f and g_half as the history.
     out=(state.f, state.g_half) overwrites the state's pair in place, and the
-    new state then keeps no history.  The bits are the same either way.
+    new state then keeps no history; given a run's `recorder`, the step
+    also takes its record there, from the one field of history the
+    recorder keeps.  The bits are the same either way.
     """
     if out is None:
         f_new = state.f - state.dt * ops.apply_Astar(state.g_half)
         g_new = state.g_half + state.dt * ops.apply_A(f_new)
-    else:
-        in_place = out[0] is state.f
+    elif out[0] is not state.f:
         f_new = ops.plan(state.f, state.g_half, state.dt, out[0], True)()
         g_new = ops.plan(state.g_half, f_new, state.dt, out[1], False)()
-        if in_place:
-            return SystemState(f_new, g_new, state.dt, state.step + 1)
+    else:
+        new = SystemState(state.f, state.g_half, state.dt, state.step + 1)
+        run_f = ops.plan(new.f, new.g_half, new.dt, new.f, True)
+        run_g = ops.plan(new.g_half, new.f, new.dt, new.g_half, False)
+        if recorder is None:
+            run_f()
+            run_g()
+        else:
+            recorder.step(new, run_f, run_g)
+        return new
     return SystemState(f_new, g_new, state.dt, state.step + 1, state.f, state.g_half)
+
+
+class _Recorder:
+    """The records of one run, handed to its `records` sink as they are
+    taken: (step, C_full, C_half), then what `audit(state, pieces)` returns
+    given the `energy_pieces` of C_full.
+
+    `take` records a state that keeps its step of history.  `step` runs
+    and records one step in place, with one field of history, made at its
+    first call as long as the larger of f and g, in place of the old pair:
+
+    1. copy f_n into the history, and run f's update;
+    2. take ||f_{n+1}||_X^2 and <f_{n+1}, f_n>_X;
+    3. take ||g_{n+1/2}||_Y^2, copy g_{n+1/2} into the history, and run
+       g's update;
+    4. take <g_{n+3/2}, g_{n+1/2}>_Y.
+
+    These are the products of `energy_pieces` and `conserved_half_step`,
+    on the same operands and summed in the same order, so the records have
+    the bits of a step that keeps its history."""
+
+    def __init__(self, inner_X: Callable, inner_Y: Callable, audit, sink):
+        self.inner_X, self.inner_Y, self.audit, self.sink = inner_X, inner_Y, audit, sink
+        self.old = None  # (f_old, g_old): two views of the one field of history
+
+    def take(self, state: SystemState, pieces=None, c_half=None):
+        if pieces is None:
+            pieces = energy_pieces(state, self.inner_X, self.inner_Y)
+            c_half = conserved_half_step(state, self.inner_X, self.inner_Y)
+        row = (state.step, pieces[0] + pieces[1], c_half)
+        self.sink.append(row if self.audit is None else (*row, *self.audit(state, pieces)))
+
+    def step(self, state: SystemState, run_f: Callable, run_g: Callable):
+        f, g = state.f, state.g_half
+        if self.old is None:
+            self.old = _history(f, g)
+        f_old, g_old = self.old
+        _copy(f, f_old)
+        run_f()
+        sq_f, f_cross = self.inner_X(f, f), self.inner_X(f, f_old)
+        sq_g = self.inner_Y(g, g)
+        _copy(g, g_old)
+        run_g()
+        self.take(state, (sq_f, self.inner_Y(g, g_old)), f_cross + sq_g)
+
+
+def _history(f, g) -> tuple:
+    """Two fields of f's and g's type and shapes on one flat buffer, as long
+    as the larger of the two."""
+    flat = np.empty(max(sum(p.size for p in _parts(x)) for x in (f, g)),
+                    dtype=np.result_type(*_parts(f), *_parts(g)))
+    fields = []
+    for field in (f, g):
+        views, at = [], 0
+        for part in _parts(field):
+            views.append(flat[at:at + part.size].reshape(part.shape))
+            at += part.size
+        fields.append(views[0] if isinstance(field, np.ndarray) else type(field)(*views))
+    return tuple(fields)
+
+
+def _copy(source, target):
+    """Copy every component of a field into the same component of another."""
+    for s, t in zip(_parts(source), _parts(target)):
+        np.copyto(t, s)
 
 
 def init_g_half(f0, g0, ops: OperatorPair, dt: float):
@@ -491,24 +583,20 @@ def run_system(
     fresh list by default), which gets one entry (step, C_full, C_half) per
     `record_every`-th step as it is taken (none for record_every=0).  An
     `audit(state, pieces)` callback, given the state and the `energy_pieces`
-    of C_full, appends the entries it returns; it must not keep the state's
-    fields: later steps overwrite them.
+    of C_full, appends the entries it returns; it reads the state's fields
+    before it returns: later steps overwrite them.
 
-    With a pair that has a `plan`, the run owns one working pair: an
-    unrecorded step overwrites f and then g in place.  Each maximal stretch
-    of such steps makes one plan of each update and runs the two in turn,
-    once per step.  The first step, which never writes the caller's start
-    pair, a recorded step and the last, whose states keep one step of
-    history, write into a spare pair instead: the history pair a step
-    retires, once that is the run's own, or a fresh pair before then.  The
-    run lets go of the start pair once step 1 has used it.
+    With a pair that has a `plan`, the run works on one pair: step 1 is a
+    `system_step`, and every later step runs one plan of each update, bound
+    once for the run, in place; a recorded step copies f and g into one
+    field of history just before each is overwritten (`_Recorder`).  Step 1
+    never writes the caller's start pair: it writes into a fresh pair, and
+    the run lets go of the start pair.  The final state carries no history.
 
     `System.march` alone passes `_owned=True`: the start pair is then the
-    run's own, and only recorded steps write into a spare.  An unrecorded
-    first step overwrites the start pair through `system_step`, so that the
-    first step of every march is a call of it (perfbench's set-up probe
-    stops there), and an unrecorded last step runs in place and returns no
-    history.
+    run's own, and step 1 overwrites it in place, recorded there when it is
+    a recorded step.  So the first step of every march is a call of
+    `system_step`, which perfbench's set-up probe stops at.
     """
     if math.isfinite(ops.norm_bound_A) and dt * ops.norm_bound_A > 2.0:
         warnings.warn(
@@ -521,42 +609,37 @@ def run_system(
         g_half0 = init_g_half(f0, g0, ops, dt)
     state = SystemState(f=f0, g_half=g_half0, dt=dt)
     del f0, g0, g_half0  # the state alone holds the start data
-    in_place = ops.plan is not None
-    # the last step a stretch of in-place steps may reach: an unowned run's
-    # last step writes into the spare
-    last_in_place = n_steps if _owned else n_steps - 1
-    spare = (None, None)
     records = [] if records is None else records
-    n = 0
-    while n < n_steps:
-        n += 1
-        recorded = bool(record_every) and n % record_every == 0
-        if not in_place:
+    recorder = _Recorder(inner_X, inner_Y, audit, records)
+    if ops.plan is None:
+        for n in range(1, n_steps + 1):
             state = system_step(state, ops)
+            if record_every and n % record_every == 0:
+                recorder.take(state)
+        return state, records
+    if n_steps < 1:
+        return state, records
+    first = recorder if record_every == 1 else None
+    if _owned:
+        state = system_step(state, ops, out=(state.f, state.g_half), recorder=first)
+    else:
+        state = system_step(state, ops, out=(None, None))
+        if first is not None:
+            recorder.take(state)
+        state.f_prev = state.g_prev_half = None
+    f, g = state.f, state.g_half
+    run_f, run_g = ops.plan(f, g, dt, f, True), ops.plan(g, f, dt, g, False)
+    n = 1
+    while n < n_steps:
+        # the unrecorded steps up to the next recorded one, then that one
+        last = n_steps if not record_every else min(n_steps, n - n % record_every + record_every)
+        for _ in range(last - n - 1):
+            run_f()
+            run_g()
+        state.step = n = last
+        if record_every and n % record_every == 0:
+            recorder.step(state, run_f, run_g)
         else:
-            # the step reads only f_n and g_{n+1/2}: the history behind them
-            # retires, and becomes the spare once it is not the caller's
-            # start pair (from step 3 on, or from step 2 when the run owns it)
-            if (n > 2 or _owned) and state.f_prev is not None:
-                spare = (state.f_prev, state.g_prev_half)
-            state.f_prev = state.g_prev_half = None
-            if recorded or (not _owned and n in (1, n_steps)):
-                state = system_step(state, ops, out=spare)
-            elif n == 1:
-                state = system_step(state, ops, out=(state.f, state.g_half))
-            else:
-                # steps n to last, up to the next recorded step, in place
-                last = last_in_place
-                if record_every:
-                    last = min(last, n - n % record_every + record_every - 1)
-                run_f = ops.plan(state.f, state.g_half, dt, state.f, True)
-                run_g = ops.plan(state.g_half, state.f, dt, state.g_half, False)
-                for _ in range(last - n + 1):
-                    run_f()
-                    run_g()
-                state.step = n = last
-        if recorded:
-            pieces = energy_pieces(state, inner_X, inner_Y)
-            row = (state.step, pieces[0] + pieces[1], conserved_half_step(state, inner_X, inner_Y))
-            records.append(row if audit is None else (*row, *audit(state, pieces)))
+            run_f()
+            run_g()
     return state, records

@@ -152,12 +152,9 @@ def _planner(grid: Grid3, sides: tuple):
     and scales by dt * (1/h) instead (`fold_spacing`).
 
     A plan binds every call once: views of x, y, out, the weights and the
-    scratch, and the factor that takes dt's place.  The engine makes an
-    in-place plan (out is x) once per stretch of unrecorded steps, and a
-    plan into another field once per recorded step; the pair keeps the last
-    four of those, with their fields, for the same x, y, out, dt and update,
-    so a march that records every step, alternating between two pairs,
-    binds four in all.  With out None, each run binds a plan into a fresh
+    scratch, and the factor that takes dt's place.  The engine makes its
+    in-place plans (out is x) once per march, and one more of each update
+    for its first step; with out None, each run binds a plan into a fresh
     field.
     """
     cube = fold_spacing(grid.spacings)
@@ -165,22 +162,11 @@ def _planner(grid: Grid3, sides: tuple):
     scratch = _scratch(grid)
     slabs = [_slabs(grid._shapes(_OPERATORS[op][1])) for op, _, _, _ in sides]
 
-    # plans into another field, by their fields' identity, each held with its
-    # fields so that no other field takes their ids
-    kept = {}
-
     def plan(x, y, dt, out, adjoint):
         if out is None:
             return lambda: bind(x, y, dt, _as_field([np.empty(c.shape) for c in _parts(x)]),
                                 adjoint)()
-        if out is x:
-            return bind(x, y, dt, out, adjoint)
-        key = (id(x), id(y), id(out), dt, adjoint)
-        if key not in kept:
-            if len(kept) == 4:
-                del kept[next(iter(kept))]
-            kept[key] = bind(x, y, dt, out, adjoint), (x, y, out)
-        return kept[key][0]
+        return bind(x, y, dt, out, adjoint)
 
     def bind(x, y, dt, out, adjoint):
         op, weights, weigh, combine = sides[adjoint]
@@ -393,20 +379,30 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
     div3_star(star_matrix(e, eps_star, "a"), grid, scaled=False) and of
     div3(star_matrix(h, mu_star, "b"), grid, scaled=False) (scaled on other
     grids) reduced the same way, so the same bits, and auditing every record
-    allocates no field."""
+    allocates no field.  The auditor keeps the two bound passes of the last
+    (E, H) it saw, held with its components, so an audited march, which
+    hands it the same pair at every record, binds them once."""
     scratch = _scratch(grid)
     spacing = grid.spacings[0]
     scaled = grid.spacings != (spacing,) * 3
     scale = grid.cell_volume if scaled else grid.cell_volume / spacing ** 2
+    kept = [(), ()]  # the components of the last (E, H), and its two passes
 
-    def norm(op: str, field, weights) -> float:
-        ((div, calls),) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0],
-                                      scratch[1], scaled, weights=weights, flux=scratch[0])
+    def bind(op: str, field, weights) -> tuple:
+        (passes,) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0],
+                                scratch[1], scaled, weights=weights, flux=scratch[0])
+        return passes  # the divergence and the calls that form it
+
+    def norm(div, calls) -> float:
         _run(calls)
         return math.sqrt(float(np.einsum("ijk,ijk->", div, div)) * scale)
 
     def audit(e: VectorField3, h: VectorField3) -> tuple:
-        return norm("div3_star", e, eps_star.a_diag), norm("div3", h, mu_star.b_diag)
+        parts = (*_parts(e), *_parts(h))
+        if len(parts) != len(kept[0]) or any(a is not b for a, b in zip(parts, kept[0])):
+            kept[:] = parts, (bind("div3_star", e, eps_star.a_diag),
+                              bind("div3", h, mu_star.b_diag))
+        return tuple(norm(*passes) for passes in kept[1])
 
     return audit
 

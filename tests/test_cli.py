@@ -413,6 +413,35 @@ class TestExperimentCommands:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not (tmp_path / "big_report.json").exists()
 
+    @pytest.mark.parametrize(
+        "args, flag",
+        [
+            (["wave2d", "--nx", "100000000", "--nt", "2"], "--nx/--ny"),
+            (["convergence-table", "--case", "wave2d-mode", "--k", "25..26"], "--k"),
+            (["maxwell", "--grid", "100000"], "--grid"),
+        ],
+    )
+    def test_sizes_past_the_hosts_memory_are_refused_before_any_allocation(
+            self, monkeypatch, args, flag, tmp_path, capsys):
+        # addressable sizes whose largest array is past the memory the host
+        # reports (here 8 GiB): refused when the grid is built, before its
+        # axes (0.8 GB for the wave2d run) or its fields are made
+        import tracemalloc
+
+        from stagwave import core
+
+        monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 2**30)
+        tracemalloc.start()
+        try:
+            assert run_cli(args, tmp_path, "big") == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}: the arrays of this size do not fit in memory (")
+        assert "than this host's memory" in err
+
     def test_a_memory_error_of_a_command_with_no_size_option_is_not_a_usage_error(
             self, monkeypatch, tmp_path):
         # the oscillator's state is two floats: nothing it is given sizes an array

@@ -1,5 +1,6 @@
 import importlib
 import pkgutil
+import sys
 from fractions import Fraction
 from operator import add
 
@@ -282,14 +283,18 @@ def test_every_exported_name_resolves(name):
     assert [n for n in module.__all__ if not hasattr(module, n)] == []
 
 
-def test_grids_refuse_arrays_past_what_an_array_can_address():
+def test_grids_refuse_arrays_past_what_an_array_can_address(monkeypatch):
     # an array of 2^60 float64 entries has 2^63 bytes, one more than a signed
-    # machine word holds; each grid checks its largest array, allocating none
+    # machine word holds; each grid checks its largest array, allocating none.
+    # The sizes just below that limit are past any host's memory, so the host
+    # here reports as much memory as an array can address
+    from stagwave import core
     from stagwave.core import addressable
     from stagwave.mimetic3d import Grid3
     from stagwave.wave1d import Grid1D
     from stagwave.wave2d import Grid2
 
+    monkeypatch.setattr(core, "_physical_memory", lambda: sys.maxsize)
     assert addressable((2**30, 2**30 - 1)) == (2**30, 2**30 - 1)
     for shape in [(2**30, 2**30), (2**60,), (2**20, 2**20, 2**20)]:
         with pytest.raises(MemoryError, match="more bytes than an array can address"):
@@ -304,3 +309,38 @@ def test_grids_refuse_arrays_past_what_an_array_can_address():
         grid(1)
         with pytest.raises(MemoryError):
             grid(0)
+
+
+def test_grids_refuse_arrays_past_the_hosts_memory(monkeypatch):
+    # an addressable array larger than the memory the host reports is
+    # refused before anything is made; where the host reports none, only
+    # the addressable limit holds
+    from stagwave import core
+    from stagwave.core import addressable
+    from stagwave.mimetic3d import Grid3
+    from stagwave.wave1d import Grid1D
+    from stagwave.wave2d import Grid2
+
+    memory = core._physical_memory()
+    assert memory is None or memory > 0
+    monkeypatch.setattr(core, "_physical_memory", lambda: 8 * 1000)
+    assert addressable((1000,)) == (1000,)
+    with pytest.raises(MemoryError, match=r"more bytes \(8008\) than this host's memory \(8000\)"):
+        addressable((1001,))
+    # the largest arrays: pinned nodes 10^3, periodic 10^3, 2D nodes 10 x 100,
+    # 1D primal points 1000
+    for grid in (lambda d: Grid3.cube(9 + d, 1.0, boundary="pinned"),
+                 lambda d: Grid3.cube(10 + d, 1.0),
+                 lambda d: Grid2(9, 99 + d),
+                 lambda d: Grid1D(0.0, 1.0, 1000 + d, 1.0, 1)):
+        grid(0)
+        with pytest.raises(MemoryError, match="this host's memory"):
+            grid(1)
+
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.undo()
+    monkeypatch.setattr(core.os, "sysconf", unreported)
+    assert core._physical_memory() is None
+    assert addressable((2**30, 2**30 - 1)) == (2**30, 2**30 - 1)

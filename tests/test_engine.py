@@ -5,7 +5,7 @@ products alone."""
 
 import sys
 import warnings
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import replace
 from operator import attrgetter
 
@@ -475,12 +475,19 @@ def test_records_are_the_three_term_invariants(name, record_every):
     f, g = case["state"].f, case["state"].g_half
     counts = Counter()
     _, records = run_system(f, None, _counted(ops, counts), case["dt"], 7, inner_X, inner_Y,
-                            g_half0=g, record_every=record_every,
-                            audit=lambda state, _: _three_term(state, ops, inner_X, inner_Y))
+                            g_half0=g, record_every=record_every)
     # one A and one A* per step: recording applied neither operator
     assert counts == {"A": 7, "Astar": 7}
     assert [r[0] for r in records] == list(range(record_every, 8, record_every))
-    for _, c_n, c_half, ref_n, ref_half in records:
+    # the three-term forms of the same steps, taken one allocating step at a
+    # time, each state with its step of history
+    state, forms = SystemState(f=f, g_half=g, dt=case["dt"]), []
+    for n in range(1, 8):
+        state = system_step(state, ops)
+        if n % record_every == 0:
+            forms.append(_three_term(state, ops, inner_X, inner_Y))
+    assert len(forms) == len(records)
+    for (_, c_n, c_half), (ref_n, ref_half) in zip(records, forms):
         assert abs(c_n - ref_n) <= 1e-15 * abs(ref_n)
         assert abs(c_half - ref_half) <= 1e-15 * abs(ref_half)
 
@@ -591,15 +598,15 @@ def test_in_place_run_equals_allocating_steps(system, boundary, stars, record_ev
     kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
-    # the caller's start data is never written, nor taken for a spare pair
+    # the caller's start data is never written
     assert all(np.array_equal(a, b) for a, b in zip(kept, _bits(f0) + _bits(g0)))
-    # a loop of allocating steps (no plan) gives the same bits, history included
+    # a loop of allocating steps (no plan) gives the same bits; the run,
+    # which works in place, keeps no history
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n):
         ref = system_step(ref, ops)
-    for got, want in ((state.f, ref.f), (state.g_half, ref.g_half),
-                      (state.f_prev, ref.f_prev), (state.g_prev_half, ref.g_prev_half)):
-        assert _same(got, want)
+    assert _same(state.f, ref.f) and _same(state.g_half, ref.g_half)
+    assert state.f_prev is None and state.g_prev_half is None
     # and so does the engine on the pair without its plan, records included
     bare, bare_records = run_system(f0, None, replace(ops, plan=None), dt, n, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
@@ -626,22 +633,14 @@ def test_in_place_run_overwrites_its_own_pair(record_every):
     state, _ = run_system(f0, None, replace(ops, plan=watch), dt, 8, inner_X, inner_Y,
                           g_half0=g0, record_every=record_every)
     assert len(calls) == 2 * 8
-    for n in range(1, 9):
-        step = calls[2 * n - 2:2 * n]
-        if n in (1, 8) or (record_every and n % record_every == 0):
-            # the first step (the start pair is the caller's), a recorded step
-            # and the last keep their history, so they write into a spare
-            assert all(out is not x for x, out, _ in step)
-        else:
-            # every other step overwrites its own f and g
-            assert all(out is x for x, out, _ in step)
-    # the first step makes fresh fields, and the whole run makes two pairs
+    # the first step writes into fresh fields (the start pair is the
+    # caller's); every other step, recorded or not, overwrites that pair
     assert all(out is None for _, out, _ in calls[:2])
-    assert len({id(c) for _, _, result in calls for c in _parts(result)}) == 2 * 6
-    if not record_every:
-        # one working pair for the whole run, the last step's history
-        assert {id(c) for x, _, _ in calls[2:-2] for c in _parts(x)} == {
-            id(c) for c in _parts(state.f_prev) + _parts(state.g_prev_half)}
+    assert all(out is x for x, out, _ in calls[2:])
+    # so the whole run makes one pair, and ends on it with no history
+    assert len({id(c) for _, _, result in calls for c in _parts(result)}) == 6
+    assert _ids(state.f, state.g_half) == _ids(calls[0][2], calls[1][2])
+    assert state.f_prev is None and state.g_prev_half is None
 
 
 def _peak_bytes(run):
@@ -657,67 +656,43 @@ def _peak_bytes(run):
 
 
 def _steady_peak(engine, f0, g0, dt, n_steps, record_every=0, audit=None):
-    """The most that memory rises, over what is live as the step begins,
-    during one of steps 3 to n_steps - 1 of a run of `engine` (a pair and its
-    products) recorded every `record_every` steps: the steps after the two
-    that may make the run's pairs, and before the last.  A step runs from its
-    A* update to its A update, through the plans or the pair's operators; a
-    record's inner products fall between steps.  With an `audit`, every step
-    must be recorded, and each record is measured as well: from the end of
-    its step, through its four inner products, to the end of its audit."""
+    """The most that memory rises during steps 3 to n_steps - 1 of a run of
+    `engine` (a pair and its products) recorded every `record_every` steps:
+    the steps after the first two, and before the last.  Each update (a run
+    of a plan, or an application of the pair's operators) is measured over
+    what is live as it begins, and so is the growth of what is live from
+    the first of those updates to the last.  With an `audit`, every step
+    must be recorded, and each of a record's four inner products and its
+    audit is measured as well."""
     import tracemalloc
 
     ops, inner_X, inner_Y = engine
     starts, rises = [], []
 
-    def begin():
-        tracemalloc.reset_peak()
-        starts.append(tracemalloc.get_traced_memory()[0])
-
-    def end():
-        rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
-
-    def step_end():
-        end()
-        if audit is not None:
-            begin()  # the record, then its audit
-
-    def plan(x, y, dt, out, adjoint):
-        run = ops.plan(x, y, dt, out, adjoint)
-
-        def watched():
-            if adjoint:
-                begin()
-            result = run()
-            if not adjoint:
-                step_end()
+    def measured(fn):
+        def run(*args):
+            tracemalloc.reset_peak()
+            starts.append(tracemalloc.get_traced_memory()[0])
+            result = fn(*args)
+            rises.append(tracemalloc.get_traced_memory()[1] - starts[-1])
             return result
 
-        return watched
+        return run
 
-    def apply_Astar(g):
-        begin()
-        return ops.apply_Astar(g)
-
-    def apply_A(f):
-        result = ops.apply_A(f)
-        step_end()
-        return result
-
-    def watched_audit(state, pieces):
-        result = audit(state, pieces)
-        end()
-        return result
+    def plan(x, y, dt, out, adjoint):
+        return measured(ops.plan(x, y, dt, out, adjoint))
 
     assert audit is None or record_every == 1
-
-    watched = replace(ops, plan=plan, apply_A=apply_A, apply_Astar=apply_Astar)
+    if audit is not None:
+        inner_X, inner_Y, audit = measured(inner_X), measured(inner_Y), measured(audit)
+    watched = replace(ops, plan=plan, apply_A=measured(ops.apply_A),
+                      apply_Astar=measured(ops.apply_Astar))
     _peak_bytes(lambda: run_system(f0, None, watched, dt, n_steps, inner_X, inner_Y,
-                                   g_half0=g0, record_every=record_every,
-                                   audit=None if audit is None else watched_audit))
-    per_step = 1 if audit is None else 2  # a step, and its record with its audit
+                                   g_half0=g0, record_every=record_every, audit=audit))
+    per_step = 2 if audit is None else 2 + 4 + 1  # two updates, four products, the audit
     assert len(rises) == per_step * n_steps
-    return max(rises[2 * per_step:-per_step])
+    steady = slice(2 * per_step, -per_step)
+    return max(max(rises[steady]), max(starts[steady]) - starts[steady][0])
 
 
 def _fresh(engine):
@@ -822,14 +797,13 @@ def test_unrecorded_march_overwrites_its_start_pair(monkeypatch, name):
     assert system.ops.plan is not None
     dt = system.cfl_dt(0.8)
     f0, g0 = system.start(dt)
-    # run_system never writes the caller's pair, and returns its history
+    # run_system never writes the caller's pair
     want, _ = run_system(f0, None, system.ops, dt, 8, g_half0=g0, record_every=0)
-    assert want.f_prev is not None
     steps = []
 
-    def step(state, ops, *, out=None):
+    def step(state, ops, **kwargs):
         steps.append(state.step)
-        return system_step(state, ops, out=out)
+        return system_step(state, ops, **kwargs)
 
     monkeypatch.setattr(core, "system_step", step)
     calls, starts = [], []
@@ -846,25 +820,54 @@ def test_unrecorded_march_overwrites_its_start_pair(monkeypatch, name):
 
 @pytest.mark.parametrize("record_every", [1, 3, 4])
 @pytest.mark.parametrize("name", HOOKED)
-def test_recorded_march_writes_into_one_spare_pair(name, record_every):
+def test_recorded_march_overwrites_its_start_pair(name, record_every):
     system = CONTRACT_SYSTEMS[name]()
     dt = system.cfl_dt(0.8)
     f0, g0 = system.start(dt)
-    want, want_records = run_system(f0, None, system.ops, dt, 8, system.inner_X,
-                                    system.inner_Y, g_half0=g0, record_every=record_every)
+    # the allocating reference: the pair without its plan, whose every state
+    # keeps its step of history for the records
+    want, want_records = run_system(f0, None, replace(system.ops, plan=None), dt, 8,
+                                    system.inner_X, system.inner_Y, g_half0=g0,
+                                    record_every=record_every)
     calls, starts = [], []
     state, records = _watched(system, calls, starts).march(dt, 8, record_every=record_every)
-    assert records == want_records
+    assert records == want_records and len(records) == 8 // record_every
     assert _same(state.f, want.f) and _same(state.g_half, want.g_half)
-    # a recorded last step keeps its history; an unrecorded one runs in place
-    if 8 % record_every == 0:
-        assert _same(state.f_prev, want.f_prev) and _same(state.g_prev_half, want.g_prev_half)
+    assert state.f_prev is None and state.g_prev_half is None
+    # every step, recorded or not, overwrites the start pair in place, so no
+    # field is made after step 1
+    assert len(calls) == 2 * 8 and all(out is x for x, out, _ in calls)
+    assert _ids(state.f, state.g_half) == _ids(*starts[0])
+
+
+@pytest.mark.parametrize("stars", ["trivial3d", "diag3d"])
+@pytest.mark.parametrize("rung", ["maxwell", "scalar"])
+def test_recorded_march_holds_one_field_more_than_an_unrecorded_one(rung, stars):
+    # a recorded step needs the old f and the old g one at a time, so a
+    # march that records every step holds one field of history, as large
+    # as the larger of f and g, beyond what a march that records none
+    # holds (a spare pair would be two fields).  Each march runs from a
+    # start made beforehand, and hands its records to a sink that keeps
+    # none.  On a 16^3 grid the history's views, about 1.2 KB of objects,
+    # are 1% of a field; on an 8^3 grid they would be 8%
+    grid = Grid3.cube(16, 1.0, boundary="pinned")
+    made = wave3d.parse_material_3d(stars, rung)(grid)
+    if rung == "maxwell":
+        system = wave3d.maxwell_system(*made, grid)
     else:
-        assert state.f_prev is None and state.g_prev_half is None
-    # the first recorded step makes the one spare pair; from then on the
-    # retired start pair, which the march owns, is a spare too
-    made = [i for _, out, result in calls if out is None for i in _ids(result)]
-    assert len(made) == len(_ids(*starts[0]))
+        system = wave3d.scalar_wave_system(made, grid)
+    dt = system.cfl_dt(0.9)
+    f0, g0 = system.start(dt)  # the plans make the grid's scratch
+    field = max(sum(p.nbytes for p in _parts(x)) for x in (f0, g0))
+
+    def peak(record_every):
+        pair = _copy(f0), _copy(g0)
+        owned = replace(system, start=lambda _: pair)
+        return _peak_bytes(lambda: owned.march(dt, 8, record_every=record_every,
+                                               records=deque(maxlen=0)))
+
+    peak(1)  # the first recorded march fills the tables every later one shares
+    assert peak(1) - peak(0) <= 1.05 * field
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT_SYSTEMS))
@@ -967,19 +970,17 @@ def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     kept = [b.copy() for b in _bits(f0) + _bits(g0)]
     state, records = run_system(f0, None, ops, dt, n_steps, inner_X, inner_Y, g_half0=g0,
                                 record_every=record_every)
-    # the caller's start data is never written, nor taken for a spare pair,
-    # its -0.0 included
+    # the caller's start data is never written, its -0.0 included
     assert all(np.array_equal(a, b) for a, b in zip(kept, _bits(f0) + _bits(g0)))
     assert np.signbit(f0.flat[0])
+    assert state.f_prev is None and state.g_prev_half is None
     ref = SystemState(f=f0, g_half=g0, dt=dt)
     for _ in range(n_steps):
         ref = system_step(ref, ops)
     bare, bare_records = run_system(f0, None, replace(ops, plan=None), dt, n_steps, inner_X,
                                     inner_Y, g_half0=g0, record_every=record_every)
     for want in (ref, bare):
-        for got, exp in ((state.f, want.f), (state.g_half, want.g_half),
-                         (state.f_prev, want.f_prev), (state.g_prev_half, want.g_prev_half)):
-            assert _same(got, exp)
+        assert _same(state.f, want.f) and _same(state.g_half, want.g_half)
         # the pinned rim has the allocating path's signed zeros
         assert np.array_equal(np.signbit(state.f), np.signbit(want.f))
     assert records == bare_records
@@ -1442,9 +1443,9 @@ def test_step_one_of_every_march_is_a_system_step(monkeypatch, name, record_ever
     system, f0, g0, dt = _stretch_case(name)
     events = []
 
-    def step(state, ops, *, out=None):
+    def step(state, ops, **kwargs):
         events.append(("system_step", state.step))
-        return system_step(state, ops, out=out)
+        return system_step(state, ops, **kwargs)
 
     def plan(*args):
         events.append(("plan",))
@@ -1462,15 +1463,13 @@ def test_step_one_of_every_march_is_a_system_step(monkeypatch, name, record_ever
                       inner_X=logged(system.inner_X), inner_Y=logged(system.inner_Y))
     n = STRETCH_STEPS
     recorded = {k for k in range(1, n + 1) if record_every and k % record_every == 0}
-    for march, owned in zip(_marches(f0, g0, dt, record_every), (True, False)):
+    for march in _marches(f0, g0, dt, record_every):
         events.clear()
         march(watched)
         # no plan, buffer or product before step 1, which is a system_step
         assert events[0] == ("system_step", 0)
-        # step 1, recorded steps and, unowned, the last go through system_step;
-        # each stretch of the others plans its two updates once
-        stepped = {1} | recorded | (set() if owned else {n})
-        stretches = sum(1 for k in range(2, n + 1) if k not in stepped and k - 1 in stepped)
-        assert [e[1] for e in events if e[0] == "system_step"] == sorted(k - 1 for k in stepped)
-        assert events.count(("plan",)) == 2 * (len(stepped) + stretches)
+        # step 1 alone goes through system_step, which plans its two
+        # updates; every later step runs one plan of each, made once
+        assert [e for e in events if e[0] == "system_step"] == [("system_step", 0)]
+        assert events.count(("plan",)) == 2 * 2
         assert events.count(("inner",)) == 4 * len(recorded)

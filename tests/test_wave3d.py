@@ -21,6 +21,7 @@ from stagwave.core import (
     energy_pieces,
     init_g_half,
     system_step,
+    _parts,
 )
 from stagwave.mimetic3d import (
     Grid3,
@@ -110,6 +111,18 @@ def maxwell_march(grid, eps, mu, e0, h_half, dt, n_steps, **kwargs):
 
     return march_from(maxwell_system(eps, mu, grid), e0, h_half, dt, n_steps, audit=audit,
                       **kwargs)
+
+
+def _last_step(system, state0, dt, n_steps):
+    """Step n_steps of `system`'s march from state0 as one allocating
+    `system_step` after n_steps - 1 unrecorded steps: the state with its
+    step of history, which a march does not keep."""
+    state, _ = march_from(system, state0.f, state0.g_half, dt, n_steps - 1, record_every=0)
+    return system_step(SystemState(state.f, state.g_half, dt, n_steps - 1), system.ops)
+
+
+def _same_fields(a, b):
+    return all(np.array_equal(p, q) for p, q in zip(_parts(a), _parts(b)))
 
 
 def cavity_errors(make, sizes=(8, 16, 32), t_final=0.35, safety=0.9):
@@ -345,8 +358,8 @@ def _slab_case(monkeypatch, rung, boundary, material, grid_name, budget, rng):
 def test_slab_plans_have_the_bits_of_the_allocating_pair(monkeypatch, rung, boundary, material,
                                                          grid_name):
     # every update, in slabs of one plane up to a few, writing over x, into
-    # a fresh field, into another field (a recorded step's plan, which the
-    # pair keeps) and run twice, against x - dt A*(y) and x + dt A(y) from
+    # a fresh field, into another field and run twice, against
+    # x - dt A*(y) and x + dt A(y) from
     # the allocating operators, signed zeros included; the periodic wrap
     # lands in the first or last slab and a pinned rim at the slab ends
     for budget in SLAB_BUDGETS:
@@ -364,9 +377,8 @@ def test_slab_plans_have_the_bits_of_the_allocating_pair(monkeypatch, rung, boun
             assert same_bits(fresh(), want) and same_bits(fresh(), want)
             assert same_bits(x, kept_x) and same_bits(y, kept_y)
             spare = x.copy()
-            kept = ops.plan(x, y, dt, spare, adjoint)
-            assert kept() is spare and same_bits(spare, want) and same_bits(x, kept_x)
-            assert ops.plan(x, y, dt, spare, adjoint) is kept
+            assert ops.plan(x, y, dt, spare, adjoint)() is spare
+            assert same_bits(spare, want) and same_bits(x, kept_x)
             into = x.copy()
             run = ops.plan(into, y, dt, into, adjoint)
             assert run() is into and same_bits(into, want)
@@ -394,11 +406,10 @@ def test_slab_half_step_start_has_the_bits_of_the_allocating_start(monkeypatch, 
 
 
 @pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
-def test_a_pair_hands_back_a_kept_plan_only_for_the_same_fields_and_step(monkeypatch, rung):
-    # a plan into another field than x, a recorded step's, is kept: asked
-    # again for the same x, y, out, dt and update, the pair returns it; any
-    # other y, out or dt gets a plan of its own, and fields made as others
-    # are dropped, which may take their ids, never get a stale one
+def test_a_plan_into_another_field_reads_the_fields_it_is_given(monkeypatch, rung):
+    # plans into another field than x, for other y, out or dt, and for new
+    # x made as others are dropped, which may take their ids: each writes
+    # its own update into its own out
     system, _, f, g = _slab_case(monkeypatch, rung, "pinned", "diag3d", "cube5", 40,
                                  np.random.default_rng(7))
     ops, dt = system.ops, system.cfl_dt(0.7)
@@ -408,12 +419,10 @@ def test_a_pair_hands_back_a_kept_plan_only_for_the_same_fields_and_step(monkeyp
 
     for adjoint, x, y in ((True, f, g), (False, g, f)):
         outs = [x.copy(), x.copy()]
-        runs = [ops.plan(x, y, dt, out, adjoint) for out in outs]
-        assert runs[0] is not runs[1] and ops.plan(x, y, dt, outs[0], adjoint) is runs[0]
-        assert ops.plan(x, y * 2.0, dt, outs[0], adjoint) is not runs[0]
-        assert ops.plan(x, y, 2.0 * dt, outs[0], adjoint) is not runs[0]
-        for run, out in zip(runs, outs):
-            assert run() is out and same_bits(out, want(x, y, dt, adjoint))
+        for out, y_k, dt_k in ((outs[0], y, dt), (outs[1], y, dt), (outs[0], y * 2.0, dt),
+                               (outs[0], y, 2.0 * dt)):
+            assert ops.plan(x, y_k, dt_k, out, adjoint)() is out
+            assert same_bits(out, want(x, y_k, dt_k, adjoint))
         for k in range(20):  # a new x each time, into the same out
             x_k = x * (1.0 + k)
             assert ops.plan(x_k, y, dt, outs[0], adjoint)() is outs[0]
@@ -794,6 +803,45 @@ class TestDivergenceAudit:
             for k2 in range(8):
                 assert audit(at_offset(e, k1), at_offset(h, k2)) == want, (k1, k2)
 
+    @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+    def test_audit_binds_its_passes_once_per_pair(self, monkeypatch, boundary):
+        # an audited march hands the auditor the same (E, H) at every record:
+        # a second audit of that pair binds nothing and has the bits of a
+        # fresh auditor, from the values the pair holds then; a new pair, or
+        # the pair with one new component, binds both passes again
+        grid = Grid3.cube(6, 1.0, boundary=boundary)
+        eps, mu = AUDIT_STARS["smooth-diag"](grid)
+        rng = np.random.default_rng(29)
+        e, h = random_vector(grid, "edge", rng), random_vector(grid, "dual-edge", rng)
+
+        def fresh(e, h):
+            return divergence_auditor(eps, mu, grid)(e, h)
+
+        audit, binds, original = divergence_auditor(eps, mu, grid), [], wave3d._difference
+
+        def counted(*args, **kwargs):
+            binds.append(args[0])
+            return original(*args, **kwargs)
+
+        want = fresh(e, h)
+        monkeypatch.setattr(wave3d, "_difference", counted)
+        assert audit(e, h) == want and binds == ["div3_star", "div3"]
+        assert audit(e, h) == want and len(binds) == 2
+        for c in (*e.components, *h.components):
+            c *= 1.5
+        monkeypatch.undo()
+        want = fresh(e, h)
+        monkeypatch.setattr(wave3d, "_difference", counted)
+        assert audit(e, h) == want and len(binds) == 2
+        e2, h2 = e * 2.0, h * 0.5
+        monkeypatch.undo()
+        want2, new_h, new_e = fresh(e2, h2), fresh(e2, h), fresh(e, h)
+        monkeypatch.setattr(wave3d, "_difference", counted)
+        assert audit(e2, h2) == want2 and binds[2:] == ["div3_star", "div3"]
+        assert audit(e2, h) == new_h and len(binds) == 6  # only H is new
+        assert audit(e2, h) == new_h and len(binds) == 6
+        assert audit(e, h) == new_e and len(binds) == 8  # only E is new
+
     @pytest.mark.parametrize("n", [8, 16, 32])
     @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
     @pytest.mark.parametrize("stars", ["const-diag", "smooth-diag"])
@@ -1006,8 +1054,10 @@ class TestRunHelpers:
         step, c_n, c_half, sq_f, g_cross = records[-1]
         assert step == state.step
         assert c_n == sq_f + g_cross
-        assert c_n == add(*energy_pieces(state, *_products(scalar_wave_system(star, grid))))
-        assert c_half == conserved_half_step(state, *_products(scalar_wave_system(star, grid)))
+        # a march keeps no history: the last step again, as one allocating step
+        last = _last_step(scalar_wave_system(star, grid), state0, dt, 10)
+        assert c_n == add(*energy_pieces(last, *_products(scalar_wave_system(star, grid))))
+        assert c_half == conserved_half_step(last, *_products(scalar_wave_system(star, grid)))
 
     def test_maxwell_records(self):
         grid = pinned_cube(4)
@@ -1019,7 +1069,10 @@ class TestRunHelpers:
         assert len(records) == 4
         assert all(len(r) == 7 for r in records)
         products = _products(maxwell_system(star, star, grid))
-        assert records[-1][1] == add(*energy_pieces(state, *products))
+        last = _last_step(maxwell_system(star, star, grid), state0, dt, 4)
+        assert _same_fields(last.f, state.f) and _same_fields(last.g_half, state.g_half)
+        assert records[-1][1] == add(*energy_pieces(last, *products))
+        assert records[-1][2] == conserved_half_step(last, *products)
         assert all(np.isfinite(r).all() for r in map(np.asarray, records))
 
     def test_courant_warning_fires_above_the_bound(self):

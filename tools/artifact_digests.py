@@ -189,12 +189,15 @@ CHUNKED = [
 ]
 
 # runs whose 3D update plans form each component in several slabs: the scalar
-# rung's 64^3 cavity level, and both rungs with diagonal stars on 48^3 grids,
-# whose spacing is not a power of two
+# rung's 64^3 cavity level, both rungs with diagonal stars on 48^3 grids,
+# whose spacing is not a power of two, and both on 40^3 grids with spaced
+# records and an unrecorded last step, the Maxwell run audited
 SLABBED = [
     ["convergence-table", "--case", "wave3d-cavity", "--k", "5..6", "--jobs", "1"],
     ["wave3d", "--materials", "diag3d", "--grid", "48", "--steps", "6", "--record-every", "2"],
     ["maxwell", "--materials", "diag3d", "--grid", "48", "--steps", "6", "--record-every", "4"],
+    ["maxwell", "--materials", "diag3d", "--grid", "40", "--steps", "10", "--record-every", "3"],
+    ["wave3d", "--materials", "diag3d", "--grid", "40", "--steps", "10", "--record-every", "4"],
 ]
 
 # sizes whose arrays do not fit in memory, each a usage error naming its size
