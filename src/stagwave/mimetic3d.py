@@ -35,11 +35,11 @@ numerically.
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
 index ranges of a closed box, ``n + 1`` entries along a node-aligned axis.
-The operators see the policy only through ``_stencil``, one index table of
-every per-axis difference, made once per slab of axis-0 planes, and the rim
-rule: on pinned grids both end planes of every node-aligned axis of a dual
-output are zero, which is exactly the set of entries a Dirichlet-pinned time
-stepper never updates.
+The operators see the policy only through two per-axis difference tables,
+made once per slab of axis-0 planes (``_stencil`` wraps a periodic one,
+``_reach`` spans a pinned one), and the rim rule: on pinned grids both end
+planes of every node-aligned axis of a dual output are zero, which is
+exactly the set of entries a Dirichlet-pinned time stepper never updates.
 """
 
 from __future__ import annotations
@@ -363,18 +363,13 @@ _RIM_INTERIOR = {p: tuple(slice(1, -1) if tag == "n" else slice(None) for tag in
                  for p in _ALL_PATTERNS}
 
 
-def _span(pattern: str, a: int, b: int, n: int) -> slice:
-    """The planes of the rim interior among planes a..b of the n along axis 0."""
-    return slice(max(a, 1), min(b, n - 1)) if pattern[0] == "n" else slice(a, b)
-
-
 @functools.cache
 def _rim(pattern: str, a: int, b: int, n: int) -> tuple:
     """(inside, planes) of the slab of planes a..b, of the n along axis 0,
     of a rimmed output of `pattern`: the index of its rim interior within
     the slab, and the rim planes of the slab that the rim rule zeroes (an
     end plane of axis 0 only in the slab that holds it)."""
-    span = _span(pattern, a, b, n)
+    span = slice(max(a, 1), min(b, n - 1)) if pattern[0] == "n" else slice(a, b)
     inside = (slice(span.start - a, span.stop - a), *_RIM_INTERIOR[pattern][1:])
     ends = {0: a == 0, -1: b == n}
     planes = tuple(_along(axis, end) for axis, tag in enumerate(pattern) if tag == "n"
@@ -383,40 +378,43 @@ def _rim(pattern: str, a: int, b: int, n: int) -> tuple:
 
 
 @functools.cache
-def _stencil(boundary: str, pattern: str, axis: int, a: int, b: int, n: int) -> tuple:
-    """The (out, hi, lo) index triples of one difference along `axis` onto
-    planes a..b, of the n along axis 0, of the points of `pattern`:
-    term[out] <- arr[hi] - arr[lo] for each, where the term holds those
-    planes and arr is the whole input.  Forward onto a half-shifted axis,
-    backward onto a node-aligned one, so along axis 0 a forward difference
-    reads input planes a..b + 1 and a backward one a - 1..b.  A periodic
-    stencil wraps the end plane round, in the slab that holds it; a pinned
-    backward one fills only the rim interior, which is then the term's
-    whole extent, cutting the input to that first."""
+def _stencil(pattern: str, axis: int, a: int, b: int, n: int) -> tuple:
+    """The (out, hi, lo) triples of one periodic difference along `axis`
+    onto planes a..b, of the n along axis 0, of `pattern`: term[out] <-
+    arr[hi] - arr[lo], arr the whole input.  Forward onto a half-shifted
+    axis, backward onto a node-aligned one, wrapping the end plane round."""
     forward = pattern[axis] == "h"
-    whole = slice(None)
-    if boundary == "periodic" and axis:
+    if axis:
         out, wrap = (_LO, _LAST) if forward else (_HI, _FIRST)
-        base = (slice(a, b), whole, whole)
+        base = (slice(a, b), slice(None), slice(None))
         return ((_along(axis, out), _along(axis, _HI, base), _along(axis, _LO, base)),
                 (_along(axis, wrap), _along(axis, _FIRST, base), _along(axis, _LAST, base)))
-    if boundary == "periodic" and forward:  # the last plane differences onto the first
+    if forward:  # the last plane differences onto the first
         end = min(b, n - 1)
         return ((slice(0, end - a), slice(a + 1, end + 1), slice(a, end)),
                 *[(slice(n - 1 - a, n - a), _FIRST, _LAST)] * (b == n))
-    if boundary == "periodic":  # the first plane differences onto the last
-        start = max(a, 1)
-        return ((slice(start - a, b - a), slice(start, b), slice(start - 1, b - 1)),
-                *[(_FIRST, _FIRST, _LAST)] * (a == 0))
-    if forward:
-        cut = (slice(a, b), whole, whole)
-    else:
-        cut = (_span(pattern, a, b, n), *_RIM_INTERIOR[pattern][1:])
-    if axis:
-        return ((..., _along(axis, _HI, cut), _along(axis, _LO, cut)),)
-    step = 1 if forward else -1
-    shifted = (slice(cut[0].start + step, cut[0].stop + step), *cut[1:])
-    return ((..., shifted, cut) if forward else (..., cut, shifted),)
+    start = max(a, 1)  # the first plane differences onto the last
+    return ((slice(start - a, b - a), slice(start, b), slice(start - 1, b - 1)),
+            *[(_FIRST, _FIRST, _LAST)] * (a == 0))
+
+
+@functools.cache
+def _reach(pattern: str, axis: int, a: int, b: int, shape: tuple) -> tuple:
+    """(hi, lo, counts, strides) of the same difference on a pinned grid, from
+    a C-contiguous input of `shape`: stretch <- flat[hi] - flat[lo] spans the
+    entries read, laid out like the input, and the term (for a backward one,
+    a rimmed output's interior) is the stretch seen with `counts` and byte
+    `strides`; its other entries pair the ends of two rows (junk)."""
+    back = pattern[axis] == "n"
+    if back and pattern[0] == "n":  # the rim interior among the planes
+        a, b = max(a, 1), min(b, shape[0] - (axis != 0))
+    lo = [a - (back and axis == 0)] + [back and pattern[ax] == "n" and ax != axis for ax in (1, 2)]
+    counts = (max(b - a, 0), *(shape[ax] - (ax == axis) - 2 * lo[ax] for ax in (1, 2)))
+    s = (shape[1] * shape[2], shape[2], 1)
+    start = int(np.dot(lo, s))
+    stop = start + int(np.dot(counts, s)) - sum(s) + 1 if min(counts) else start
+    return (slice(start + s[axis], stop + s[axis]), slice(start, stop), counts,
+            (8 * s[0], 8 * s[1], 8))
 
 
 # each operator's input kind, output kind, term table and how its terms combine
@@ -433,77 +431,82 @@ _OPERATORS = {
 def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *,
                 weights=None, flux=None, rows=None):
     """The difference operator `op` from its term table, as calls: it yields
-    (result, calls) for each output component, where running `calls` in
-    order (`_run`) forms that component in `result`.  The six operators,
-    the update plans and the divergence audit of `wave3d` all build their
-    differences with this one loop.  Onto a dual kind it differences
-    backward and obeys the rim rule, writing straight into the interior of a
-    zero-rimmed output.  The calls hold views of their operands, bound once,
-    so a caller may run them as often as its fields hold new values.
+    (result, calls) per output component, where running `calls` in order
+    (`_run`) forms that component in `result`: the one loop of the six
+    operators and of `wave3d`'s plans and audit.  Onto a dual kind it
+    differences backward and obeys the rim rule.  The calls hold views of
+    their operands (of a copy, for a pinned component not C-contiguous),
+    bound once, to run as often as the fields hold new values.  A pinned
+    difference is one subtraction over its input's span into `work`
+    (`_reach`); the later passes read its view, so no junk reaches a result
+    (into a primal output, the view of shorter rows is copied first).  Each
+    entry has the operands and operations, so the bits, of the hand formula.
 
     `rows`, one (a, b) per output component, forms only planes a..b of each
-    along axis 0, a slab, which `result` then holds (None: every plane).  A
-    forward difference along axis 0 reads input planes a..b + 1, a backward
-    one a - 1..b; a periodic slab at either end takes the wrapped plane, and
-    a pinned one zeroes the rim planes it holds.  Each entry is formed with
-    the operations of the whole component, so slabs have its bits.
-
-    `out`, a field of the output kind, or of the slabs' shapes with `rows`,
-    receives the result in place of a fresh one.  Its components may share
-    one buffer: each is rimmed and written only by its own calls, which
-    must run once the component before it is used.  `work`, a flat float
-    array at least two output components long, each rounded up to a whole
-    number of 8-entry cache lines, holds the terms in place of temporaries.
-    `scaled=False` leaves every difference undivided by its spacing.
-
-    `weights`, for internal callers, differences weights[c] * comps[c] in
-    place of input component c, with `star_matrix`'s arithmetic: each
-    weighted component is formed whole just before its difference, in `flux`
-    (required with `weights`), a flat float array at least one input
-    component long, which `out` may share.
+    along axis 0, a slab, which `result` then holds; a pinned slab zeroes
+    the rim planes it holds.  `out`, a field of the output (or slab) shapes,
+    receives the result; its components may share one buffer if each one's
+    calls run before the next is used.  `work` and `scaled` are as for
+    `grad3`.  `weights` differences weights[c] * comps[c] for input
+    component c, each formed whole just before its difference, as
+    `star_matrix` does, in `flux` (required with `weights`), a flat float
+    array one input component long, which `out` may share.
     """
     in_kind, out_kind, terms, combine = _OPERATORS[op]
     comps = _components(field, grid, in_kind, op)
     wholes = grid._shapes(out_kind)
     rows = rows or [(0, whole[0]) for whole in wholes]
     shapes = tuple((b - a, *whole[1:]) for (a, b), whole in zip(rows, wholes))
-    rim = out_kind.startswith("dual-") and grid.boundary == "pinned"
+    pinned = grid.boundary == "pinned"
+    rim = pinned and out_kind.startswith("dual-")
     if out is None:
         outs = [np.zeros(s) if rim else np.empty(s) for s in shapes]
     else:
         outs = _components(out, grid, out_kind, op, shapes)
-    # a rimmed output's interior is strided, and arithmetic in place on it
-    # runs at half speed, and a weighted output may share the flux, so their
-    # terms are formed and summed in contiguous work
-    staged = rim or weights is not None
-    slots = staged + (len(terms[0]) > 1)  # the first term and partial sums, later terms
-    if work is None and slots:
-        work = np.empty(slots * _lines(max(o.size for o in outs)))
+    need = 2 * _lines(max([c.size for c in comps]))
+    if work is None:
+        work = np.empty(need)
+    elif work.size < need or work.dtype != float or not work.flags.c_contiguous:
+        raise ValueError(f"{op}: work must be a flat C-contiguous float array of {need} entries")
     spacings = grid.spacings
     for pattern, component_terms, result, (a, b), (n, _, _) in zip(
             _PATTERNS[out_kind], terms, outs, rows, wholes):
         inside, planes = _rim(pattern, a, b, n) if rim else (None, ())
         acc = result[inside] if rim else result
-        first = _slot(work, 0, acc) if staged else acc
-        calls = []
+        calls, later = [], 0  # later: where the stretches of later terms start
         for k, (c, axis) in enumerate(component_terms):
             source = comps[c]
             if weights is not None:
-                weighted = _slot(flux, 0, source)
+                weighted = _slot(flux, source)
                 calls.append((np.multiply, (weights[c], source, weighted)))
                 source = weighted
-            term = _slot(work, staged, acc) if k else first
-            calls += [(np.subtract, (source[hi], source[lo], term[o]))
-                      for o, hi, lo in _stencil(grid.boundary, pattern, axis, a, b, n)]
+            if pinned:
+                hi, lo, counts, strides = _reach(pattern, axis, a, b, source.shape)
+                stretch = work[later:later + hi.stop - hi.start]
+                term = np.ndarray(counts, float, work, 8 * later, strides)
+                flat = source.reshape(-1)
+                calls.append((np.subtract, (flat[hi], flat[lo], stretch)))
+            else:  # a weighted output may share the flux, so its terms are formed in work
+                term = stretch = work[later:][:acc.size].reshape(acc.shape) if (
+                    k or weights is not None) else acc
+                calls += [(np.subtract, (source[hi], source[lo], term[o]))
+                          for o, hi, lo in _stencil(pattern, axis, a, b, n)]
             if scaled:
-                calls.append((divide_in_place, (term, spacings[axis])))
+                calls.append((divide_in_place, (stretch, spacings[axis])))
             last = k == len(component_terms) - 1
             if last and out is not None:
                 calls += [(np.copyto, (result[plane], 0.0)) for plane in planes]
+            if last and k and pinned and not rim:
+                # numpy copies a view of short rows faster than its arithmetic reads one
+                lead = first if first.strides[1] != 8 * first.shape[2] else term
+                calls.append((np.copyto, (acc, lead)))
+                first, term = (acc, term) if lead is first else (first, acc)
             if k:
                 calls.append((combine, (first, term, acc if last else first)))
-            elif last and staged:
-                calls.append((np.copyto, (acc, first)))
+                continue
+            first, later = term, 0 if term is acc else _lines(stretch.size)
+            if last and term is not acc:
+                calls.append((np.copyto, (acc, term)))
         yield result, calls
 
 
@@ -522,11 +525,9 @@ def _apply(op: str, field, grid: Grid3, out, work, scaled):
     return _as_field(results)
 
 
-def _slot(work, k: int, like):
-    """The k-th stretch of `work` as long as `like`, shaped like it.  The
-    stretches start on whole cache lines of `work`."""
-    start = k * _lines(like.size)
-    return work[start:start + like.size].reshape(like.shape)
+def _slot(work, like):
+    """The start of `work`, as long as `like` and shaped like it."""
+    return work[:like.size].reshape(like.shape)
 
 
 def _lines(n: int) -> int:
@@ -539,22 +540,21 @@ def grad3(s, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
 
     Each of the six operators takes the same two optional buffers: `out`, a
     field of its output kind that receives the result, and `work`, a flat
-    float array for the terms, at least two output components long with
-    each rounded up to a whole number of 8-entry cache lines.  With
-    `scaled=False` the differences are left undivided by their spacings: an
-    update plan on a cube with a power-of-two spacing h moves the exact 1/h
-    into its dt instead.
+    C-contiguous float array for the terms, two input components long, each
+    rounded up to whole 8-entry cache lines (else a ValueError names the
+    length).  With `scaled=False` the differences are left undivided: an
+    update plan on a cube with a power-of-two spacing h moves 1/h into dt.
     """
     return _apply("grad3", s, grid, out, work, scaled)
 
 
 def curl3(t: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
-    """Edge vector -> face vector."""
+    """Edge vector -> face vector; see `grad3`."""
     return _apply("curl3", t, grid, out, work, scaled)
 
 
 def div3(n: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> np.ndarray:
-    """Face vector -> cell scalar."""
+    """Face vector -> cell scalar; see `grad3`."""
     return _apply("div3", n, grid, out, work, scaled)
 
 
@@ -562,20 +562,20 @@ def grad3_star(s_star, grid: Grid3, out=None, work=None, scaled=True) -> VectorF
     """Dual node scalar (cell centers) -> dual edge vector (face points).
 
     On pinned grids the entries whose backward stencil would leave the box
-    are zero-filled.
+    are zero-filled.  Buffers as for `grad3`.
     """
     return _apply("grad3_star", s_star, grid, out, work, scaled)
 
 
 def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None,
                scaled=True) -> VectorField3:
-    """Dual edge vector (face points) -> dual face vector (edge points)."""
+    """Dual edge vector (face points) -> dual face vector (edge points); see `grad3`."""
     return _apply("curl3_star", t_star, grid, out, work, scaled)
 
 
 def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None,
               scaled=True) -> np.ndarray:
-    """Dual face vector (edge points) -> dual cell scalar (nodes)."""
+    """Dual face vector (edge points) -> dual cell scalar (nodes); see `grad3`."""
     return _apply("div3_star", n_star, grid, out, work, scaled)
 
 
@@ -760,7 +760,7 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
     divide = scalar and inverse  # a scalar star stores w alone, a diagonal one its inverse too
     total = 0.0
     for w, a1, a2 in zip(weights, c1, c2):
-        out = None if work is None else _slot(work, 0, a1)
+        out = None if work is None else _slot(work, a1)
         weighted = np.true_divide(a1, w, out=out) if divide else np.multiply(w, a1, out=out)
         total += float(np.einsum("ijk,ijk->", weighted, a2))
     return total * grid.cell_volume

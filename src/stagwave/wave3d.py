@@ -109,13 +109,13 @@ def _over(term, weight):
     return np.true_divide, (term, weight, term)
 
 
-# the most entries in a slab of one output component: the five passes over a
-# slab (its differences, their sum, the weight, dt and the combine into out)
-# then find it, and the planes of x, y and out they read, in a core's cache.
-# On a 2-core Xeon with 2 MiB of L2 per core, a whole 64^3 component (2.2 MB)
-# ran its passes at about 27 ns per cell against 21 at 32^3, and slabs of
-# 2^15 to 2^16 entries ran fastest from 40^3 to 64^3.  Just above 33^3, the
-# budget keeps every component up to 32^3 one slab.
+# the most entries in a slab of one output component: its passes (whole-span
+# differences, their sum, the weight, dt, the add into out) then run in a
+# core's cache.  On a 2-core Xeon with 2 MiB of L2 per core, budgets of 2^14
+# to 2^17 gave the fastest 64^3 and 48^3 steps at 36 Ki (64^3: 4.2 ms, 5.0 at
+# 2^16) and a 40^3 step 1-4% off its best (2^15); a whole 64^3 component
+# (2.2 MB) ran at about 27 ns per cell against 21 at 32^3.  Just above 33^3,
+# the budget keeps every component up to 32^3 one slab.
 _SLAB_ENTRIES = 36 * 1024
 
 

@@ -30,6 +30,9 @@ from stagwave.mimetic3d import (
     star_scalar,
     star_scalar_inverse,
     zeros_field,
+    _OPERATORS,
+    _difference,
+    _run,
 )
 from stagwave.wave3d import pin_scalar_boundary, pin_tangential_boundary
 
@@ -414,6 +417,43 @@ def at_offset(field, k):
     return out
 
 
+def odd_box(boundary):
+    """5 x 7 x 6 cells with three different extents: odd and even pitches."""
+    return Grid3(0.9, 1.7, 1.1, 5, 7, 6, boundary=boundary)
+
+
+def same_bits(a, b):
+    """Equal bit for bit, signed zeros included, and NaN where the other is
+    NaN (numpy's loops may give a NaN either sign)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    if a.shape != b.shape or not np.array_equal(np.isnan(a), np.isnan(b)):
+        return False
+    return np.array_equal(np.where(np.isnan(a), 0.0, a).view(np.int64),
+                          np.where(np.isnan(b), 0.0, b).view(np.int64))
+
+
+def slab_formed(name, f, g, rng, offset):
+    """{k: per output component, the ((a, b), slab) of each of its k nearly
+    equal slabs along axis 0}, for every k from one slab to one plane per
+    slab: each slab formed by `_difference` with rows=, into an out and a
+    work of stale random values, the work at a cache-line offset."""
+    in_kind, out_kind = _OPERATORS[name][:2]
+    wholes = g._shapes(out_kind)
+    need = 2 * 8 * -(-max(math.prod(s) for s in g._shapes(in_kind)) // 8)
+    formed = {}
+    for k in range(1, max(w[0] for w in wholes) + 1):
+        splits = [[(w[0] * i // k, w[0] * (i + 1) // k) for w in wholes] for i in range(k)]
+        formed[k] = [[] for _ in wholes]
+        for rows in splits:
+            out = [rng.standard_normal((b - a, *w[1:])) for (a, b), w in zip(rows, wholes)]
+            work = at_offset(rng.standard_normal(need), (offset + 3) % 8)
+            field = out[0] if len(out) == 1 else VectorField3(*out)
+            for r, (result, calls) in enumerate(_difference(name, f, g, field, work, rows=rows)):
+                _run(calls)
+                formed[k][r].append((rows[r], result))
+    return formed
+
+
 def random_input(g, kind, rng):
     if kind in SCALAR_KINDS:
         return rng.standard_normal(g.scalar_shape(kind))
@@ -466,6 +506,65 @@ class TestOperatorBits:
             rim = rim_mask(comp.shape, axes)
             assert np.all(comp[rim] == 0.0)
             assert np.all(comp[~rim] != 0.0)  # random data: nothing else vanishes
+
+    @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
+    @pytest.mark.parametrize("name", list(BIT_CASES))
+    def test_every_slab_split_equals_the_hand_indexed_formula(self, name, boundary):
+        # an odd box, every split into k nearly equal slabs from one slab to
+        # one plane per slab, and the input at each cache-line offset
+        op, ref, kind = BIT_CASES[name]
+        g = odd_box(boundary)
+        rng = np.random.default_rng(15)
+        for offset in range(8):
+            f = at_offset(random_input(g, kind, rng), offset)
+            got = slab_formed(name, f, g, rng, offset)
+            want = comps(ref(f, g))
+            for k, parts in got.items():
+                for r, (c, slabs) in enumerate(zip(want, parts)):
+                    for (a, b), slab in slabs:
+                        assert same_bits(slab, c[a:b]), (k, r, a, b)
+
+    @pytest.mark.parametrize("name", list(BIT_CASES))
+    def test_junk_reaches_no_result_or_rim(self, name):
+        # a pinned difference subtracts over whole rows: its junk entries
+        # pair the last entry of one row with the first of the next along
+        # the difference axis, and a rimmed output's rows also run over the
+        # rim interior's ends.  Plant non-finite and huge values only on the
+        # end planes of every axis, which hold every entry a junk pair
+        # reads: each result, whole or in slabs, keeps the formula's bits
+        op, ref, kind = BIT_CASES[name]
+        g = odd_box("pinned")
+        rng = np.random.default_rng(16)
+        planted = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
+        for _ in range(3):
+            f = random_input(g, kind, rng)
+            for part in comps(f):
+                for ax in range(3):
+                    for end in (0, -1):
+                        face = part.swapaxes(0, ax)[end]
+                        hit = rng.random(face.shape) < 0.5
+                        face[hit] = rng.choice(planted, size=int(hit.sum()))
+            with np.errstate(over="ignore", invalid="ignore"):
+                want = comps(ref(f, g))
+                assert all(same_bits(a, b) for a, b in zip(comps(op(f, g)), want))
+                for parts in slab_formed(name, f, g, rng, 0).values():
+                    for c, slabs in zip(want, parts):
+                        assert all(same_bits(slab, c[a:b]) for (a, b), slab in slabs)
+
+    @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
+    @pytest.mark.parametrize("name", list(BIT_CASES))
+    def test_short_or_strided_work_is_refused_with_the_length_needed(self, name, boundary):
+        op, _, kind = BIT_CASES[name]
+        g = odd_box(boundary)
+        f = random_input(g, kind, np.random.default_rng(17))
+        need = 2 * 8 * -(-max(c.size for c in comps(f)) // 8)
+        want = comps(op(f, g))
+        got = comps(op(f, g, work=np.empty(need)))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        short, strided = np.empty(need - 1), np.empty(2 * need)[::2]
+        for work in (short, strided, np.empty(need, dtype=np.float32)):
+            with pytest.raises(ValueError, match=f"{name}: work must be .* {need} entries"):
+                op(f, g, work=work)
 
     def test_pin_helpers_zero_exactly_the_rim(self):
         g = box("pinned")

@@ -24,7 +24,8 @@ benchmark's invocations with fixed draws, the inputs that must end in a
 report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
 that names no sweep among them), runs whose records span several chunks of
 the CLI's streamed series, 3D runs whose updates form each component in
-several slabs, sizes too large for memory (exit 2), and every command's
+several slabs, 3D runs on odd grid sizes, whose rows and planes have odd
+pitches, sizes too large for memory (exit 2), and every command's
 ``--schema``.
 """
 
@@ -200,6 +201,15 @@ SLABBED = [
     ["wave3d", "--materials", "diag3d", "--grid", "40", "--steps", "10", "--record-every", "4"],
 ]
 
+# 3D runs on odd grids, whose pinned differences run over rows of odd pitch:
+# a 33^3 Maxwell run whose updates form each component in two slabs, a 7^3
+# scalar run and the adjoint suite on 5^3 and 7^3 grids
+ODD_PITCHES = [
+    ["maxwell", "--grid", "33", "--materials", "diag3d", "--steps", "4"],
+    ["wave3d", "--grid", "7", "--materials", "diag3d", "--steps", "5"],
+    ["verify", "adjoint", "--sizes", "5", "7", "--trials", "3"],
+]
+
 # sizes whose arrays do not fit in memory, each a usage error naming its size
 # options: past what an array can address, or with a first array of over
 # 700 PiB, which no system grants (on a tree without the size check too)
@@ -220,7 +230,8 @@ SCHEMAS = [[command, "--schema"] for command in (
     "oscillator", "system", "wave1d", "wave1d-convergence", "wave2d", "wave3d", "maxwell",
     "transport", "diffusion", "verify", "convergence-table")]
 
-INVOCATIONS = README + MORE_RUNS + BENCH + EDGES + CHUNKED + SLABBED + TOO_LARGE + SCHEMAS
+INVOCATIONS = (README + MORE_RUNS + BENCH + EDGES + CHUNKED + SLABBED + ODD_PITCHES + TOO_LARGE
+               + SCHEMAS)
 
 _VOLATILE = ("wall_time_s", "artifacts")
 
