@@ -35,11 +35,12 @@ numerically.
 Two boundary policies are supported.  ``"periodic"`` wraps every stencil, so
 all arrays are ``(nx, ny, nz)``.  ``"pinned"`` stores the full staggered
 index ranges of a closed box, ``n + 1`` entries along a node-aligned axis.
-The operators see the policy only through two per-axis difference tables,
-made once per slab of axis-0 planes (``_stencil`` wraps a periodic one,
-``_reach`` spans a pinned one), and the rim rule: on pinned grids both end
-planes of every node-aligned axis of a dual output are zero, which is
-exactly the set of entries a Dirichlet-pinned time stepper never updates.
+The operators see the policy only through one per-axis difference table,
+made once per slab of axis-0 planes (``_reach``: the span a difference
+reads, and on a periodic grid the plane it wraps), and the rim rule: on
+pinned grids both end planes of every node-aligned axis of a dual output
+are zero, which is exactly the set of entries a Dirichlet-pinned time
+stepper never updates.
 """
 
 from __future__ import annotations
@@ -355,7 +356,6 @@ def _along(axis: int, index, base=(slice(None),) * 3) -> tuple:
     return tuple(index if ax == axis else b for ax, b in enumerate(base))
 
 
-_HI, _LO = slice(1, None), slice(None, -1)
 _FIRST, _LAST = slice(None, 1), slice(-1, None)
 
 # the rim interior of each pattern: both end planes of each node-aligned axis cut off
@@ -378,43 +378,40 @@ def _rim(pattern: str, a: int, b: int, n: int) -> tuple:
 
 
 @functools.cache
-def _stencil(pattern: str, axis: int, a: int, b: int, n: int) -> tuple:
-    """The (out, hi, lo) triples of one periodic difference along `axis`
-    onto planes a..b, of the n along axis 0, of `pattern`: term[out] <-
-    arr[hi] - arr[lo], arr the whole input.  Forward onto a half-shifted
-    axis, backward onto a node-aligned one, wrapping the end plane round."""
-    forward = pattern[axis] == "h"
-    if axis:
-        out, wrap = (_LO, _LAST) if forward else (_HI, _FIRST)
-        base = (slice(a, b), slice(None), slice(None))
-        return ((_along(axis, out), _along(axis, _HI, base), _along(axis, _LO, base)),
-                (_along(axis, wrap), _along(axis, _FIRST, base), _along(axis, _LAST, base)))
-    if forward:  # the last plane differences onto the first
-        end = min(b, n - 1)
-        return ((slice(0, end - a), slice(a + 1, end + 1), slice(a, end)),
-                *[(slice(n - 1 - a, n - a), _FIRST, _LAST)] * (b == n))
-    start = max(a, 1)  # the first plane differences onto the last
-    return ((slice(start - a, b - a), slice(start, b), slice(start - 1, b - 1)),
-            *[(_FIRST, _FIRST, _LAST)] * (a == 0))
-
-
-@functools.cache
-def _reach(pattern: str, axis: int, a: int, b: int, shape: tuple) -> tuple:
-    """(hi, lo, counts, strides) of the same difference on a pinned grid, from
-    a C-contiguous input of `shape`: stretch <- flat[hi] - flat[lo] spans the
-    entries read, laid out like the input, and the term (for a backward one,
-    a rimmed output's interior) is the stretch seen with `counts` and byte
-    `strides`; its other entries pair the ends of two rows (junk)."""
+def _reach(pattern: str, axis: int, a: int, b: int, shape: tuple, boundary: str) -> tuple:
+    """(size, out, hi, lo, counts, strides, wraps) of one difference along
+    `axis` onto planes a..b, along axis 0, of `pattern`, from a C-contiguous
+    input of `shape`: forward onto a half-shifted axis, backward onto a
+    node-aligned one.  block[out] <- flat[hi] - flat[lo] spans the entries
+    read, in a block of `size` laid out like the input, and the term (for a
+    pinned backward one, a rimmed output's interior) is the block seen with
+    `counts` and byte `strides`; its other entries pair the ends of two rows
+    (junk).  On a periodic grid the end plane of the difference axis (the
+    last forward, the first backward) is junk or out of reach, and each
+    wrap (o, hi, lo) overwrites it: term[o] <- whole[hi] - whole[lo]."""
     back = pattern[axis] == "n"
-    if back and pattern[0] == "n":  # the rim interior among the planes
-        a, b = max(a, 1), min(b, shape[0] - (axis != 0))
-    lo = [a - (back and axis == 0)] + [back and pattern[ax] == "n" and ax != axis for ax in (1, 2)]
-    counts = (max(b - a, 0), *(shape[ax] - (ax == axis) - 2 * lo[ax] for ax in (1, 2)))
     s = (shape[1] * shape[2], shape[2], 1)
-    start = int(np.dot(lo, s))
-    stop = start + int(np.dot(counts, s)) - sum(s) + 1 if min(counts) else start
-    return (slice(start + s[axis], stop + s[axis]), slice(start, stop), counts,
-            (8 * s[0], 8 * s[1], 8))
+    wraps = ()
+    if boundary == "periodic":
+        counts = (b - a, *shape[1:])
+        first = a * s[0] - back * s[axis]  # the entry the term's first one subtracts
+        if axis or (a == 0 if back else b == shape[0]):
+            base = (slice(a, b), slice(None), slice(None))
+            wraps = ((_along(axis, _FIRST if back else _LAST), _along(axis, _FIRST, base),
+                      _along(axis, _LAST, base)),)
+    else:
+        if back and pattern[0] == "n":  # the rim interior among the planes
+            a, b = max(a, 1), min(b, shape[0] - (axis != 0))
+        lo = [a - (back and axis == 0)] + [back and pattern[ax] == "n" and ax != axis
+                                           for ax in (1, 2)]
+        counts = (max(b - a, 0), *(shape[ax] - (ax == axis) - 2 * lo[ax] for ax in (1, 2)))
+        first = int(np.dot(lo, s))
+    size = int(np.dot(counts, s)) - sum(s) + 1 if min(counts) else 0
+    # the entries whose operands are both inside the input
+    e0 = max(0, -first)
+    e1 = max(e0, min(size, shape[0] * s[0] - s[axis] - first))
+    return (size, slice(e0, e1), slice(first + e0 + s[axis], first + e1 + s[axis]),
+            slice(first + e0, first + e1), counts, (8 * s[0], 8 * s[1], 8), wraps)
 
 
 # each operator's input kind, output kind, term table and how its terms combine
@@ -435,68 +432,73 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
     (`_run`) forms that component in `result`: the one loop of the six
     operators and of `wave3d`'s plans and audit.  Onto a dual kind it
     differences backward and obeys the rim rule.  The calls hold views of
-    their operands (of a copy, for a pinned component not C-contiguous),
-    bound once, to run as often as the fields hold new values.  A pinned
-    difference is one subtraction over its input's span into `work`
-    (`_reach`); the later passes read its view, so no junk reaches a result
-    (into a primal output, the view of shorter rows is copied first).  Each
-    entry has the operands and operations, so the bits, of the hand formula.
+    their operands (of a copy, for an input component not C-contiguous),
+    bound once, to run as often as the fields hold new values.  Every
+    difference is one subtraction over its input's span (`_reach`), plus a
+    wrap plane on a periodic grid; the later passes read the term's view, so
+    no junk reaches a result (into a primal output, the view of shorter rows
+    is copied first).  Each entry has the operands and operations, so the
+    bits, of the hand formula.
 
     `rows`, one (a, b) per output component, forms only planes a..b of each
     along axis 0, a slab, which `result` then holds; a pinned slab zeroes
     the rim planes it holds.  `out`, a field of the output (or slab) shapes,
     receives the result; its components may share one buffer if each one's
-    calls run before the next is used.  `work` and `scaled` are as for
-    `grad3`.  `weights` differences weights[c] * comps[c] for input
-    component c, each formed whole just before its difference, as
-    `star_matrix` does, in `flux` (required with `weights`), a flat float
-    array one input component long, which `out` may share.
+    calls run before the next is used.  `work`, made when a term first
+    needs it, holds the terms: two input components, each rounded up to
+    whole 8-entry cache lines.  When every term of an unweighted component
+    is laid out like its result, the first is formed in the result.
+    `scaled` is as for `grad3`.
+    `weights` differences weights[c] * comps[c] for input component c, each
+    formed whole just before its difference, as `star_matrix` does, in
+    `flux` (required with `weights`), a flat float array one input
+    component long, which `out` may share.
     """
     in_kind, out_kind, terms, combine = _OPERATORS[op]
-    comps = _components(field, grid, in_kind, op)
+    comps = [np.ascontiguousarray(c) for c in _components(field, grid, in_kind, op)]
     wholes = grid._shapes(out_kind)
     rows = rows or [(0, whole[0]) for whole in wholes]
     shapes = tuple((b - a, *whole[1:]) for (a, b), whole in zip(rows, wholes))
-    pinned = grid.boundary == "pinned"
-    rim = pinned and out_kind.startswith("dual-")
+    rim = grid.boundary == "pinned" and out_kind.startswith("dual-")
     if out is None:
         outs = [np.zeros(s) if rim else np.empty(s) for s in shapes]
     else:
         outs = _components(out, grid, out_kind, op, shapes)
-    need = 2 * _lines(max([c.size for c in comps]))
-    if work is None:
-        work = np.empty(need)
-    elif work.size < need or work.dtype != float or not work.flags.c_contiguous:
-        raise ValueError(f"{op}: work must be a flat C-contiguous float array of {need} entries")
     spacings = grid.spacings
     for pattern, component_terms, result, (a, b), (n, _, _) in zip(
             _PATTERNS[out_kind], terms, outs, rows, wholes):
         inside, planes = _rim(pattern, a, b, n) if rim else (None, ())
         acc = result[inside] if rim else result
+        reaches = [_reach(pattern, axis, a, b, comps[c].shape, grid.boundary)
+                   for c, axis in component_terms]
+        # the first term is formed in the result when every term is laid out
+        # like it, so that the others combine into it without strided reads
+        direct = weights is None and acc.flags.c_contiguous and all(
+            (counts, strides) == (acc.shape, acc.strides) for *_, counts, strides, _ in reaches)
         calls, later = [], 0  # later: where the stretches of later terms start
-        for k, (c, axis) in enumerate(component_terms):
+        for k, ((c, axis), (size, span, hi, lo, counts, strides, wraps)) in enumerate(
+                zip(component_terms, reaches)):
             source = comps[c]
             if weights is not None:
                 weighted = _slot(flux, source)
                 calls.append((np.multiply, (weights[c], source, weighted)))
                 source = weighted
-            if pinned:
-                hi, lo, counts, strides = _reach(pattern, axis, a, b, source.shape)
-                stretch = work[later:later + hi.stop - hi.start]
-                term = np.ndarray(counts, float, work, 8 * later, strides)
-                flat = source.reshape(-1)
-                calls.append((np.subtract, (flat[hi], flat[lo], stretch)))
-            else:  # a weighted output may share the flux, so its terms are formed in work
-                term = stretch = work[later:][:acc.size].reshape(acc.shape) if (
-                    k or weights is not None) else acc
-                calls += [(np.subtract, (source[hi], source[lo], term[o]))
-                          for o, hi, lo in _stencil(pattern, axis, a, b, n)]
+            if direct and not k:
+                term, stretch = acc, acc.reshape(-1)
+            else:
+                if work is None:
+                    work = np.empty(2 * _lines(max(comp.size for comp in comps)))
+                stretch = work[later:later + size]
+                term = np.ndarray(counts, float, stretch, 0, strides)
+            flat = source.reshape(-1)
+            calls.append((np.subtract, (flat[hi], flat[lo], stretch[span])))
+            calls += [(np.subtract, (source[h], source[l], term[o])) for o, h, l in wraps]
             if scaled:
                 calls.append((divide_in_place, (stretch, spacings[axis])))
             last = k == len(component_terms) - 1
             if last and out is not None:
                 calls += [(np.copyto, (result[plane], 0.0)) for plane in planes]
-            if last and k and pinned and not rim:
+            if last and k and not rim and first is not acc:
                 # numpy copies a view of short rows faster than its arithmetic reads one
                 lead = first if first.strides[1] != 8 * first.shape[2] else term
                 calls.append((np.copyto, (acc, lead)))
@@ -504,7 +506,7 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
             if k:
                 calls.append((combine, (first, term, acc if last else first)))
                 continue
-            first, later = term, 0 if term is acc else _lines(stretch.size)
+            first, later = term, 0 if term is acc else _lines(size)
             if last and term is not acc:
                 calls.append((np.copyto, (acc, term)))
         yield result, calls
@@ -516,10 +518,10 @@ def _run(calls):
         function(*args)
 
 
-def _apply(op: str, field, grid: Grid3, out, work, scaled):
+def _apply(op: str, field, grid: Grid3, out, scaled):
     """The whole output field of the difference operator `op`."""
     results = []
-    for result, calls in _difference(op, field, grid, out, work, scaled):
+    for result, calls in _difference(op, field, grid, out, None, scaled):
         _run(calls)
         results.append(result)
     return _as_field(results)
@@ -535,48 +537,44 @@ def _lines(n: int) -> int:
     return -(-n // 8) * 8
 
 
-def grad3(s, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
+def grad3(s, grid: Grid3, out=None, scaled=True) -> VectorField3:
     """Node scalar -> edge vector (forward differences to edge midpoints).
 
-    Each of the six operators takes the same two optional buffers: `out`, a
-    field of its output kind that receives the result, and `work`, a flat
-    C-contiguous float array for the terms, two input components long, each
-    rounded up to whole 8-entry cache lines (else a ValueError names the
-    length).  With `scaled=False` the differences are left undivided: an
-    update plan on a cube with a power-of-two spacing h moves 1/h into dt.
+    Each of the six operators takes an optional `out`, a field of its
+    output kind that receives the result.  With `scaled=False` the
+    differences are left undivided: an update plan on a cube with a
+    power-of-two spacing h moves 1/h into dt.
     """
-    return _apply("grad3", s, grid, out, work, scaled)
+    return _apply("grad3", s, grid, out, scaled)
 
 
-def curl3(t: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
+def curl3(t: VectorField3, grid: Grid3, out=None, scaled=True) -> VectorField3:
     """Edge vector -> face vector; see `grad3`."""
-    return _apply("curl3", t, grid, out, work, scaled)
+    return _apply("curl3", t, grid, out, scaled)
 
 
-def div3(n: VectorField3, grid: Grid3, out=None, work=None, scaled=True) -> np.ndarray:
+def div3(n: VectorField3, grid: Grid3, out=None, scaled=True) -> np.ndarray:
     """Face vector -> cell scalar; see `grad3`."""
-    return _apply("div3", n, grid, out, work, scaled)
+    return _apply("div3", n, grid, out, scaled)
 
 
-def grad3_star(s_star, grid: Grid3, out=None, work=None, scaled=True) -> VectorField3:
+def grad3_star(s_star, grid: Grid3, out=None, scaled=True) -> VectorField3:
     """Dual node scalar (cell centers) -> dual edge vector (face points).
 
     On pinned grids the entries whose backward stencil would leave the box
     are zero-filled.  Buffers as for `grad3`.
     """
-    return _apply("grad3_star", s_star, grid, out, work, scaled)
+    return _apply("grad3_star", s_star, grid, out, scaled)
 
 
-def curl3_star(t_star: VectorField3, grid: Grid3, out=None, work=None,
-               scaled=True) -> VectorField3:
+def curl3_star(t_star: VectorField3, grid: Grid3, out=None, scaled=True) -> VectorField3:
     """Dual edge vector (face points) -> dual face vector (edge points); see `grad3`."""
-    return _apply("curl3_star", t_star, grid, out, work, scaled)
+    return _apply("curl3_star", t_star, grid, out, scaled)
 
 
-def div3_star(n_star: VectorField3, grid: Grid3, out=None, work=None,
-              scaled=True) -> np.ndarray:
+def div3_star(n_star: VectorField3, grid: Grid3, out=None, scaled=True) -> np.ndarray:
     """Dual face vector (edge points) -> dual cell scalar (nodes); see `grad3`."""
-    return _apply("div3_star", n_star, grid, out, work, scaled)
+    return _apply("div3_star", n_star, grid, out, scaled)
 
 
 # ---------------------------------------------------------------------------

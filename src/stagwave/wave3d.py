@@ -53,7 +53,7 @@ class _Scratch(dict):
     them, made once each and never returned.  ``scratch[kind, first, step]``
     is a field of `kind` whose component r starts buffer first + r * step (a
     step of 0 puts every component on buffer `first`); ``scratch[first]`` is
-    buffers first, first + 1, ... as one flat array, an operator's work=.
+    buffers first, first + 1, ... as one flat array, `_difference`'s work.
     Node arrays are the largest on either policy.
 
     One scratch of three buffers (`_scratch`) serves every 3D user on a
@@ -211,7 +211,7 @@ def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
         negate = (combine is np.subtract) != adjoint
 
         def apply(y):
-            terms = _parts(_apply(op, y, grid, None, None, True))
+            terms = _parts(_apply(op, y, grid, None, True))
             for r, term in enumerate(terms):
                 if weights is not None:
                     function, args = weigh(term, weights[r])

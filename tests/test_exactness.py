@@ -70,7 +70,7 @@ def test_chain_vanishes_to_roundoff(chain, grid, seed):
 
 
 # ---------------------------------------------------------------------------
-# out= and work= buffers of the kernels
+# out= buffers of the kernels
 # ---------------------------------------------------------------------------
 
 OPERATORS = {
@@ -96,11 +96,9 @@ def test_operator_into_stale_buffers_equals_a_fresh_result(name, boundary, scale
     grid = _box(boundary)
     rng = np.random.default_rng(21)
     field = random_field(grid, in_kind, rng)
-    # every entry of the buffers starts nonzero, the pinned rim included
+    # every entry of the buffer starts nonzero, the pinned rim included
     out = random_field(grid, out_kind, rng)
-    # two of the largest components, each rounded up to whole 8-entry cache lines
-    work = rng.standard_normal(2 * 8 * -(-np.prod(grid.scalar_shape("node")) // 8))
-    got = op(field, grid, out=out, work=work, scaled=scaled)
+    got = op(field, grid, out=out, scaled=scaled)
     want = op(field, grid, scaled=scaled)
     for g, o, w in zip(_parts(got), _parts(out), _parts(want)):
         assert g is o

@@ -524,16 +524,19 @@ class TestOperatorBits:
                     for (a, b), slab in slabs:
                         assert same_bits(slab, c[a:b]), (k, r, a, b)
 
+    @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
     @pytest.mark.parametrize("name", list(BIT_CASES))
-    def test_junk_reaches_no_result_or_rim(self, name):
-        # a pinned difference subtracts over whole rows: its junk entries
-        # pair the last entry of one row with the first of the next along
-        # the difference axis, and a rimmed output's rows also run over the
-        # rim interior's ends.  Plant non-finite and huge values only on the
-        # end planes of every axis, which hold every entry a junk pair
-        # reads: each result, whole or in slabs, keeps the formula's bits
+    def test_junk_reaches_no_result_or_rim(self, name, boundary):
+        # a difference subtracts over whole rows: its junk entries pair the
+        # last entry of one row with the first of the next along the
+        # difference axis, and a rimmed output's rows also run over the rim
+        # interior's ends; on a periodic grid the junk lies on the end plane
+        # that the wrap overwrites, and the wrap reads both end planes.
+        # Plant non-finite and huge values only on the end planes of every
+        # axis, which hold every entry a junk pair reads: each result, whole
+        # or in slabs, keeps the formula's bits
         op, ref, kind = BIT_CASES[name]
-        g = odd_box("pinned")
+        g = odd_box(boundary)
         rng = np.random.default_rng(16)
         planted = np.array([np.inf, -np.inf, np.nan, 1e308, -1e308])
         for _ in range(3):
@@ -553,18 +556,23 @@ class TestOperatorBits:
 
     @pytest.mark.parametrize("boundary", ["periodic", "pinned"])
     @pytest.mark.parametrize("name", list(BIT_CASES))
-    def test_short_or_strided_work_is_refused_with_the_length_needed(self, name, boundary):
-        op, _, kind = BIT_CASES[name]
+    def test_out_views_of_a_larger_buffer_get_the_result_and_nothing_else(self, name, boundary):
+        # each out component is a view of its own node-shaped buffer: on a
+        # pinned grid a gradient's out then has its input's strides but
+        # shorter rows or planes, and no difference may run over the rest
+        op, ref, kind = BIT_CASES[name]
         g = odd_box(boundary)
-        f = random_input(g, kind, np.random.default_rng(17))
-        need = 2 * 8 * -(-max(c.size for c in comps(f)) // 8)
-        want = comps(op(f, g))
-        got = comps(op(f, g, work=np.empty(need)))
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
-        short, strided = np.empty(need - 1), np.empty(2 * need)[::2]
-        for work in (short, strided, np.empty(need, dtype=np.float32)):
-            with pytest.raises(ValueError, match=f"{name}: work must be .* {need} entries"):
-                op(f, g, work=work)
+        f = random_input(g, kind, np.random.default_rng(18))
+        want = comps(ref(f, g))
+        bigs = [np.full(g.scalar_shape("node"), np.nan) for _ in want]
+        inside = [tuple(slice(n) for n in w.shape) for w in want]
+        views = [big[ix] for big, ix in zip(bigs, inside)]
+        got = comps(op(f, g, out=views[0] if len(views) == 1 else VectorField3(*views)))
+        for big, ix, view, w, result in zip(bigs, inside, views, want, got):
+            assert result is view and same_bits(view, w)
+            rest = np.ones(big.shape, dtype=bool)
+            rest[ix] = False
+            assert np.all(np.isnan(big[rest]))
 
     def test_pin_helpers_zero_exactly_the_rim(self):
         g = box("pinned")
