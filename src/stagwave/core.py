@@ -58,10 +58,9 @@ records keeps a march of any length in constant memory.
 first-order term through the plan, and skips the curvature term of a start
 from rest.
 An `audit` callback reads the state's fields before it returns: later steps
-overwrite them in place.  A plan whose differences share one
-power-of-two spacing h <= 1 folds the exact factor 1/h into the
-multiplication after them (`fold_spacing`); other plans divide by their
-spacings through `divide_in_place`.
+overwrite them in place.  Where differences share one spacing h, a pair's
+plan and allocating A and A* apply one update coefficient (`fold_spacing`);
+unequal spacings, or a coefficient past the float range, divide by h.
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ def divide_in_place(out, delta: float):
 
 
 class SpacingFold(NamedTuple):
-    """How a plan applies the spacing h of its differences; see
-    `fold_spacing`.  `weight` is the weight to apply after the differences
+    """How an update applies the spacing h of its differences; see
+    `fold_spacing`.  `weight` is the coefficient after the differences
     (None: exactly 1, skipped), `dt_factor` the 1/h that a unit weight moves
     into dt, and `divide` whether the differences are divided by h first."""
 
@@ -160,30 +159,31 @@ _TINY = float(np.finfo(float).tiny)
 
 
 def fold_spacing(spacings, weight=None, *, divides: bool = False) -> SpacingFold:
-    """Whether a plan can move 1/h from its differences into the
-    multiplication that follows them, and the weight it then applies.
-
-    The spacings fold when they are one and the same power of two h <= 1.
-    Dividing a difference by such an h scales it by 2^k exactly, and scaling
-    by 2^k commutes with rounding, so the factor may move past the next
-    rounding without changing a bit wherever the scaled difference stays
-    finite.  A unit `weight` (None) then moves 1/h into dt; any other is
-    scaled once, to weight/h, or to weight*h when the plan divides by it
-    (`divides`).  With other spacings, or a scaled weight that would
-    overflow or go subnormal (inexact), the plan keeps the differences
-    divided by h and the weight as given.
+    """The update coefficient of differences that share one spacing h > 0,
+    which then stay undivided.  A unit `weight` (None) on a power-of-two
+    h <= 1 moves 1/h into dt; any other weight w becomes k = w/h, or w*h
+    where the update divides by it (`divides`), with w = 1 for a unit
+    weight.  A constant weight (a view with all strides 0) folds on its one
+    value and stays one broadcast view.  On a power-of-two h <= 1 the fold
+    scales by 2^k, which commutes with rounding, so it changes no bit where
+    the scaled differences stay finite; elsewhere k is rounded once.  With
+    spacings that differ, or a k that would overflow or go subnormal, the
+    differences stay divided by h and the weight as given.
     """
     h = spacings[0]
-    power_of_two = 0.0 < h <= 1.0 and math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h)
-    if not power_of_two or any(s != h for s in spacings):
+    if not 0.0 < h < math.inf or any(s != h for s in spacings):
         return SpacingFold(weight, None, True)
-    if weight is None:
+    if weight is None and h <= 1.0 and math.frexp(h)[0] == 0.5 and math.isfinite(1.0 / h):
         return SpacingFold(None, 1.0 / h, True)
-    scaled = weight * h if divides else weight * (1.0 / h)
-    size = np.abs(scaled)
-    if np.all(np.isfinite(size) & ((size >= _TINY) | (np.asarray(weight) == 0.0))):
-        return SpacingFold(scaled, None, False)
-    return SpacingFold(weight, None, True)
+    w = 1.0 if weight is None else weight
+    constant = isinstance(w, np.ndarray) and not any(w.strides)
+    value = w.flat[0] if constant else w
+    with np.errstate(over="ignore", under="ignore"):
+        k = value * h if divides else value / h
+    size = np.abs(k)
+    if not np.all(np.isfinite(size) & ((size >= _TINY) | (np.asarray(value) == 0.0))):
+        return SpacingFold(weight, None, True)
+    return SpacingFold(np.broadcast_to(k, w.shape) if constant else k, None, False)
 
 
 def euclidean_inner(x, y) -> float:
@@ -213,10 +213,9 @@ class OperatorPair:
     result holds no other storage of the pair, and a plan's work arrays are
     the pair's own, so two plans of one pair take turns: each call finishes
     with them before it returns.  One exception to the bits: a plan that
-    folds a power-of-two spacing h into the factor after its differences
-    (`fold_spacing`) never forms a difference times 1/h, so where that
-    product overflows to inf in the expression, the plan's update may stay
-    finite.
+    folds the 1/h of a unit weight into dt (`fold_spacing`) never forms a
+    difference times 1/h, so where that product overflows to inf in the
+    expression, the plan's update may stay finite.
     """
 
     apply_A: Callable[[Any], Any]

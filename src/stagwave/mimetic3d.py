@@ -542,8 +542,8 @@ def grad3(s, grid: Grid3, out=None, scaled=True) -> VectorField3:
 
     Each of the six operators takes an optional `out`, a field of its
     output kind that receives the result.  With `scaled=False` the
-    differences are left undivided: an update plan on a cube with a
-    power-of-two spacing h moves 1/h into dt.
+    differences are left undivided: an update plan on a cube applies 1/h
+    with its update coefficient.
     """
     return _apply("grad3", s, grid, out, scaled)
 

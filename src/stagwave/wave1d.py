@@ -142,36 +142,38 @@ def div1(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _planner(dx: float, u_weight, v_weight, *, u_divides: bool = False):
-    """The `plan` of a pair with A = v_weight grad1 and A* = -div1 weighted
-    by u_weight, which multiplies (cmp's c) or, with `u_divides`, divides
-    (vmp's rho); None marks a weight of exactly 1, which changes no bit and
-    is skipped.
-
-    The difference is formed in a work array the pair owns, weighted and
-    scaled in place, and added into `out`: the sign of A* is folded into the
-    add, since x - dt * (-t) is x + dt * t bit for bit.  The two pinned ends
-    of a u update get a zero difference, weighted and scaled like the
-    interior, as div1's zero rim is.  On a power-of-two dx the plan never
-    divides the difference: 1/dx rides on the weight, or on dt when the
-    weight is 1 (`fold_spacing`).  A plan binds y's two shifted views, its
-    work array, weight, ufuncs and factor once, so a call is its three to
-    five ufunc calls (one more where it divides by dx) and little else: the
-    refinement sweeps make tens of thousands of them on arrays of 17 to 2049
-    entries.
+def _pair(dx: float, u_weight, v_weight, bound: float, *, u_divides: bool = False):
+    """The pair A = v_weight grad1, A* = -div1 weighted by u_weight, which
+    multiplies (cmp's c) or, with `u_divides`, divides (vmp's rho); None
+    marks a weight of exactly 1.  Each side's difference takes its
+    `fold_spacing` coefficient (weight/dx, rho*dx), or dt/dx for a unit
+    weight on a power-of-two dx; an A* term's two pinned ends get a zero
+    difference, weighted like the interior, as div1's zero rim is.  A plan
+    forms the allocating term in a work array the pair owns, scales it by dt
+    and adds it into `out`, the sign of A* folded into the add.  It binds
+    y's two shifted views, its work array and factor once, so a call is three
+    to five ufunc calls: the refinement sweeps make tens of thousands of
+    them on arrays of 17 to 2049 entries.
     """
-    sides = []  # v and u update: work array, its difference part, weighting ufunc, fold
+    sides = ((fold_spacing((dx,), v_weight), np.multiply),
+             (fold_spacing((dx,), u_weight, divides=u_divides),
+              np.true_divide if u_divides else np.multiply))
+    works = []  # the v and u update's work arrays, made on first use
+
+    def allocating(y, adjoint):
+        (fold, weigh), w = sides[adjoint], np.zeros(len(y) - 1 + 2 * adjoint)
+        diff = np.subtract(y[1:], y[:-1], w[1:-1] if adjoint else w)
+        if fold.divide:
+            divide_in_place(diff, dx)
+        return w if fold.weight is None else weigh(w, fold.weight, w)
 
     def plan(x, y, dt, out, adjoint):
-        if not sides:
+        if not works:
             n = x.shape[0] if adjoint else y.shape[0]  # primal points
-            w_v, w_u = np.empty(n - 1), np.empty(n)
-            sides.append((w_v, w_v, np.multiply, fold_spacing((dx,), v_weight)))
-            sides.append((w_u, w_u[1:-1], np.true_divide if u_divides else np.multiply,
-                          fold_spacing((dx,), u_weight, divides=u_divides)))
-        w, diff, weigh, fold = sides[adjoint]
+            works.extend([np.empty(n - 1), np.empty(n)])
+        (fold, weigh), w = sides[adjoint], works[adjoint]
+        diff, weight = w[1:-1] if adjoint else w, fold.weight
         scale, divide = fold.scale(dt)
-        weight = fold.weight
         hi, lo = y[1:], y[:-1]
         subtract, multiply, add = np.subtract, np.multiply, np.add
 
@@ -188,44 +190,31 @@ def _planner(dx: float, u_weight, v_weight, *, u_divides: bool = False):
 
         return run
 
-    return plan
+    return OperatorPair(apply_A=lambda u: allocating(u, False),
+                        apply_Astar=lambda v: np.negative(allocating(v, True)),
+                        norm_bound_A=bound, plan=plan)
 
 
 def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
-    """Constant-material operators: A = c*grad1, A* = -c*div1.
-
-    Its `plan` multiplies by c (by c/dx, scaled once, on a
-    power-of-two dx), and skips a c of exactly 1.0: -c * d is -(c * d) bit
-    for bit, so the sign folds into the add.
-    """
-    dx = grid.dx
+    """Constant-material operators: A = c*grad1, A* = -c*div1, with c/dx
+    their update coefficient (`_pair`), a c of exactly 1.0 a unit weight:
+    -c * d is -(c * d) bit for bit, so the sign folds into the add."""
     weight = None if c == 1.0 else c
-    return OperatorPair(
-        apply_A=lambda u: c * grad1(u, dx),
-        apply_Astar=lambda v: -c * div1(v, dx),
-        norm_bound_A=2.0 * abs(c) / dx,
-        plan=_planner(dx, weight, weight),
-    )
+    return _pair(grid.dx, weight, weight, 2.0 * abs(c) / grid.dx)
 
 
 def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
     """Variable-material operators: A = tau*grad1, A* = -div1/rho.
 
     Adjoint with respect to the rho/tau weighted inner products below;
-    the norm bound uses the maximum wave speed estimate.  Its `plan`
-    divides by rho and multiplies by tau in place (by rho*dx and tau/dx on a
-    power-of-two dx), each skipped where it is exactly 1.0 everywhere.
+    the norm bound uses the maximum wave speed estimate.  Its coefficients
+    are tau/dx and, dividing, rho*dx (`_pair`), each a unit weight where it
+    is exactly 1.0 everywhere.
     """
-    dx = grid.dx
     rho, tau = materials.rho, materials.tau
-    bound = 2.0 * cfl_speed(materials) / dx
-    return OperatorPair(
-        apply_A=lambda u: tau * grad1(u, dx),
-        apply_Astar=lambda v: -div1(v, dx) / rho,
-        norm_bound_A=bound,
-        plan=_planner(dx, None if np.all(rho == 1.0) else rho,
-                      None if np.all(tau == 1.0) else tau, u_divides=True),
-    )
+    return _pair(grid.dx, None if np.all(rho == 1.0) else rho,
+                 None if np.all(tau == 1.0) else tau,
+                 2.0 * cfl_speed(materials) / grid.dx, u_divides=True)
 
 
 # ---------------------------------------------------------------------------

@@ -311,13 +311,7 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
         return (float(np.sum(p[0] * q[0])) / star.a11
                 + float(np.sum(p[1] * q[1])) / star.a22) * dv
 
-    ops = OperatorPair(
-        apply_A=lambda u: VectorField2(
-            *star2(grad2p(u, grid), star.diag, "tangent-to-dual-normal")),
-        apply_Astar=lambda v: -star2(div2d(v, grid), star.a, "dual-cell-to-node"),
-        norm_bound_A=bound,
-        plan=_planner(star, grid),
-    )
+    ops = _operators(star, grid, bound)
 
     def mode(part, kind, t):
         # one part of the mode, on the kind's sparse axes: the factors of
@@ -337,84 +331,98 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
                   exact=(lambda t: mode(0, "fp", t)) if star == Star2() else None)
 
 
-def _planner(star: Star2, grid: Grid2):
-    """The `plan` of the 2D pair.
-
-    A u update forms D* v in two contiguous work arrays the pair owns: the
-    x difference in one, the y difference in the other, their sum in the
-    first, divided by a unless a is exactly 1.0, and copies that sum into
-    the interior of a node array, once.  The node's rim is zeroed on every
-    call, as star2's "dual-cell-to-node" fill makes it, and scaled with the
-    interior, so the pinned ring gets the allocating expression's
-    arithmetic, signed zeros included.  The sign of A* folds into the add:
-    u - dt * (-t) is u + dt * t, bit for bit.
-    A v update differences only the rows and columns that star2's
-    "tangent-to-dual-normal" keeps, into a view of the node array's
-    storage, one component after the other, and multiplies by a11/a22
-    unless it is exactly 1.0.
-    Where the spacings of a difference are one power of two h (dx == dy for
-    the u update), the plan never divides it: 1/h rides on the weight (a*h,
-    a11/h, a22/h) or, for a weight of exactly 1.0, on dt (`fold_spacing`).
-    A plan binds the views of y, the work arrays, weights and factors once.
+def _operators(star: Star2, grid: Grid2, bound: float) -> OperatorPair:
+    """The 2D pair A = A G, A* = -a^-1 D*, and its `plan`, each update's
+    differences weighted by its `fold_spacing` coefficient: a*h (dividing),
+    a11/h, a22/h, or dt/h for a unit weight on a power-of-two h; a u update
+    on dx != dy divides its differences.  The allocating A and A* form the
+    same terms fresh.  A u update's plan sums its two differences in two
+    contiguous work arrays the pair owns, weights the sum and copies it into
+    the interior of a node array, whose rim it zeroes on every call, as A*'s
+    is, and scales with the interior, so the pinned ring gets the allocating
+    arithmetic, signed zeros included; the sign of A* folds into the add
+    (u - dt * (-t) is u + dt * t, bit for bit).  A v update differences only
+    the rows and columns that A keeps, into views of the node array's
+    storage.  A plan binds its views, work arrays and factors once.
     """
     dx, dy = grid.dx, grid.dy
-    parts = []  # work arrays and folds, made on first use
+    u_fold = fold_spacing((dx, dy), None if star.a == 1.0 else star.a, divides=True)
+    v_folds = [fold_spacing((h,), None if w == 1.0 else w)
+               for h, w in ((dx, star.a11), (dy, star.a22))]
+    parts = []  # work arrays, made on first use
+
+    def divergence(x_hi, x_lo, y_hi, y_lo, gx, gy, divide):
+        """gx <- the u update's term of the halves of v = (vx, vy), gy as work."""
+        np.subtract(x_hi, x_lo, gx)
+        np.subtract(y_hi, y_lo, gy)
+        if divide:
+            divide_in_place(gx, dx)
+            divide_in_place(gy, dy)
+        np.add(gx, gy, gx)
+        if u_fold.weight is not None:
+            np.true_divide(gx, u_fold.weight, gx)
+        return gx
+
+    def gradient(hi, lo, h, fold, w, divide):
+        """w <- a v component's term, from the two slices of u it differences."""
+        np.subtract(hi, lo, w)
+        if divide:
+            divide_in_place(w, h)
+        if fold.weight is not None:
+            np.multiply(fold.weight, w, w)
+        return w
+
+    def halves(v) -> tuple:  # the slices of v's components that the u update differences
+        return v[0][1:], v[0][:-1], v[1][:, 1:], v[1][:, :-1]
+
+    def slices(u) -> list:  # per v component: the two slices of u it differences, h, fold
+        return [(u[1:, 1:-1], u[:-1, 1:-1], dx, v_folds[0]),
+                (u[1:-1, 1:], u[1:-1, :-1], dy, v_folds[1])]
+
+    def apply_Astar(v):
+        node = np.zeros(grid.shape("fp"))
+        v = [_expect(c, kind, grid) for c, kind in zip(v, ("nxd", "nyd"))]
+        node[1:-1, 1:-1] = divergence(*halves(v), *np.empty((2, *grid.shape("gd"))), u_fold.divide)
+        return np.negative(node, out=node)
+
+    def apply_A(u):
+        return VectorField2(*(gradient(*side, np.empty(side[0].shape), side[3].divide)
+                              for side in slices(_expect(u, "fp", grid))))
 
     def plan(x, y, dt, out, adjoint):
         if not parts:
             node = np.empty(grid.shape("fp"))
             flat = node.reshape(-1)
-            parts.extend([
-                node, node[1:-1, 1:-1], np.empty(grid.shape("gd")), np.empty(grid.shape("gd")),
-                fold_spacing((dx, dy), None if star.a == 1.0 else star.a, divides=True),
-                [(flat[:math.prod(grid.shape(kind))].reshape(grid.shape(kind)), h,
-                  fold_spacing((h,), None if weight == 1.0 else weight))
-                 for kind, h, weight in (("nxd", dx, star.a11), ("nyd", dy, star.a22))],
-            ])
-        node, inner, gx, gy, u_fold, v_sides = parts
+            parts.extend([node, node[1:-1, 1:-1], *np.empty((2, *grid.shape("gd"))),
+                          [flat[:math.prod(grid.shape(kind))].reshape(grid.shape(kind))
+                           for kind in ("nxd", "nyd")]])
+        node, inner, gx, gy, v_works = parts
         if adjoint:
-            vx, vy = y
-            x_hi, x_lo, y_hi, y_lo = vx[1:], vx[:-1], vy[:, 1:], vy[:, :-1]
+            x_hi, x_lo, y_hi, y_lo = halves(y)
             scale, divide = u_fold.scale(dt)
 
             def run_u():
-                np.subtract(x_hi, x_lo, gx)
-                np.subtract(y_hi, y_lo, gy)
-                if divide:
-                    divide_in_place(gx, dx)
-                    divide_in_place(gy, dy)
-                np.add(gx, gy, gx)
-                if u_fold.weight is not None:
-                    np.true_divide(gx, u_fold.weight, gx)
-                inner[...] = gx
+                inner[...] = divergence(x_hi, x_lo, y_hi, y_lo, gx, gy, divide)
                 node[0] = node[-1] = 0.0
                 node[:, 0] = node[:, -1] = 0.0
                 np.multiply(node, scale, node)
                 return np.add(x, node, out)
 
             return run_u
-        # per component: its work view, spacing and fold, the fold's factor
-        # and divide, the two slices of y it differences, its x and its out
-        sides = [(w, h, fold, *fold.scale(dt), hi, lo, xr, o)
-                 for (w, h, fold), hi, lo, xr, o in zip(
-                     v_sides, (y[1:, 1:-1], y[1:-1, 1:]), (y[:-1, 1:-1], y[1:-1, :-1]), x,
-                     (None, None) if out is None else out)]
+        # per component: gradient's operands but the divide, the fold's scale, its x and out
+        sides = [(*side, w, *side[3].scale(dt), xr, o)
+                 for side, w, xr, o in zip(slices(y), v_works, x,
+                                           (None, None) if out is None else out)]
 
         def run_v():
-            new = []
-            for w, h, fold, scale, divide, hi, lo, xr, o in sides:
-                np.subtract(hi, lo, w)
-                if divide:
-                    divide_in_place(w, h)
-                if fold.weight is not None:
-                    np.multiply(fold.weight, w, w)
-                np.multiply(w, scale, w)
-                new.append(np.add(xr, w, o))
+            new = [np.add(xr, np.multiply(gradient(hi, lo, h, fold, w, divide), scale, w), o)
+                   for hi, lo, h, fold, w, scale, divide, xr, o in sides]
             return out if out is not None else VectorField2(*new)
 
         return run_v
 
-    return plan
+    return OperatorPair(apply_A=apply_A, apply_Astar=apply_Astar, norm_bound_A=bound,
+                        plan=plan)
 
 
 # ---------------------------------------------------------------------------

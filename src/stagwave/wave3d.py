@@ -44,10 +44,6 @@ from .mimetic3d import (Grid3, Star3, VectorField3, inner3, sample_scalar, sampl
 # ---------------------------------------------------------------------------
 
 
-# the fold of a side whose star is not unit: its operator divides by the spacings
-_KEEP = SpacingFold(None, None, True)
-
-
 class _Scratch(dict):
     """Three node-sized float buffers, made on first use, and views of
     them, made once each and never returned.  ``scratch[kind, first, step]``
@@ -132,33 +128,36 @@ def _slabs(shapes) -> list:
 
 def _planes(arr, a: int, b: int):
     """Planes a..b of an array along axis 0: the array itself when they are all of it."""
-    return arr if (a, b) == (0, len(arr)) else arr[a:b]
+    return arr if np.ndim(arr) == 0 or (a, b) == (0, len(arr)) else arr[a:b]
 
 
-def _planner(grid: Grid3, sides: tuple):
+def _fold(grid: Grid3, op: str, weights, weigh) -> SpacingFold:
+    """The `fold_spacing` of one side (op, weights, weigh), with one update
+    coefficient per component.  Where any component refuses, the whole side
+    keeps its divide and its weights, since one operator forms them all."""
+    folds = [fold_spacing(grid.spacings, w, divides=weigh is _over)
+             for w in (weights or (None,) * len(grid._shapes(_OPERATORS[op][1])))]
+    if any(fold.divide and fold.dt_factor is None for fold in folds):
+        return SpacingFold(weights, None, True)
+    return folds[0]._replace(weight=None if folds[0].dt_factor else tuple(f.weight for f in folds))
+
+
+def _planner(grid: Grid3, sides: tuple, folds: tuple):
     """The `plan` of a 3D pair, one slab of whole axis-0 planes at a time.
 
-    ``sides[adjoint]`` is (op, weights, weigh, combine): the update is
-    combine(x, dt * W op(y)), with W applied by weigh(term, weights[r]) to
-    component r, or skipped where `weights` is None (exactly 1).  The plan
+    ``sides[adjoint]`` is (op, weights, weigh, combine) and ``folds[adjoint]``
+    its `_fold`: the update is combine(x, dt * k op(y)), with k applied by
+    weigh(term, k[r]) to component r, or skipped where it is None.  The plan
     runs through the slabs of `_slabs`, each slab's components in turn:
     `mimetic3d._difference` forms a component's slab at the start of the
     first buffer of the grid's shared `_scratch`, with its terms at the
     start of the other two, and the slab is weighted and scaled there and
     combined into its planes of `out` before the next is formed.  Every
     entry is formed by the same operations on the same operands as in one
-    whole component, so slabs change no bit.  On a cube with a power-of-two
-    spacing h, a side whose weight is skipped asks for undivided differences
-    and scales by dt * (1/h) instead (`fold_spacing`).
-
-    A plan binds every call once: views of x, y, out, the weights and the
-    scratch, and the factor that takes dt's place.  The engine makes its
-    in-place plans (out is x) once per march, and one more of each update
-    for its first step; with out None, each run binds a plan into a fresh
-    field.
+    whole component, so slabs change no bit.  A plan binds every call once:
+    views of x, y, out, the coefficients and the scratch, and dt's factor;
+    with out None, each run binds a plan into a fresh field.
     """
-    cube = fold_spacing(grid.spacings)
-    folds = [cube if weights is None else _KEEP for _, weights, _, _ in sides]
     scratch = _scratch(grid)
     slabs = [_slabs(grid._shapes(_OPERATORS[op][1])) for op, _, _, _ in sides]
 
@@ -169,7 +168,8 @@ def _planner(grid: Grid3, sides: tuple):
         return bind(x, y, dt, out, adjoint)
 
     def bind(x, y, dt, out, adjoint):
-        op, weights, weigh, combine = sides[adjoint]
+        op, _, weigh, combine = sides[adjoint]
+        weights = folds[adjoint].weight
         scale, scaled = folds[adjoint].scale(dt)
         buffers = _parts(scratch[_OPERATORS[op][1], 0, 0])  # every component on buffer 0
         calls = []
@@ -195,27 +195,31 @@ def _planner(grid: Grid3, sides: tuple):
 
 
 def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
-    """The pair of a rung: its `plan` and, from the same sides, the
-    allocating A and A*, with `bound` the norm bound of A.
+    """The pair of a rung: its `plan` and, from the same sides and folds,
+    the allocating A and A*, with `bound` the norm bound of A.
 
     ``sides`` is the side of A (g from f), then that of A* (f from g), as
     `_planner` takes them.  In the core's convention (df/dt = -A* g,
-    dg/dt = A f) a side that adds its term is +W op in A and -W op in A*, so
-    A is negated where its side subtracts and A* where its side adds.  Each
-    component is the operator's fresh output, weighted and negated in place:
-    the bits of the star applied after the operator, signed zeros included.
+    dg/dt = A f) a side that adds its term is +k op in A and -k op in A*,
+    so A is negated where its side subtracts and A* where its side adds.
+    Each component is the operator's fresh output times its coefficient (or
+    the 1/h that the plan folds into dt), negated in place: the plan's term
+    before dt, signed zeros included.
     """
+    folds = tuple(_fold(grid, *side[:3]) for side in sides)
 
     def allocating(adjoint: bool):
-        op, weights, weigh, combine = sides[adjoint]
+        op, _, weigh, combine = sides[adjoint]
+        weights, dt_factor, divide = folds[adjoint]
         negate = (combine is np.subtract) != adjoint
 
         def apply(y):
-            terms = _parts(_apply(op, y, grid, None, True))
+            terms = _parts(_apply(op, y, grid, None, divide and dt_factor is None))
             for r, term in enumerate(terms):
-                if weights is not None:
-                    function, args = weigh(term, weights[r])
-                    function(*args)
+                if dt_factor is not None:
+                    np.multiply(term, dt_factor, out=term)
+                elif weights is not None:
+                    _run([weigh(term, weights[r])])
                 if negate:
                     np.negative(term, out=term)
             return _as_field(terms)
@@ -223,7 +227,7 @@ def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
         return apply
 
     return OperatorPair(apply_A=allocating(False), apply_Astar=allocating(True),
-                        norm_bound_A=bound, plan=_planner(grid, sides))
+                        norm_bound_A=bound, plan=_planner(grid, sides, folds))
 
 
 def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callable) -> System:

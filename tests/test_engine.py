@@ -1035,17 +1035,23 @@ class _ScalarOperands:
 
 
 @pytest.mark.parametrize(
-    "name, star_operands",
-    [("wave2d-unit", {}), ("wave2d-a22-only", {0.7: 1}), ("wave2d", {2.0: 1, 1.5: 1, 3.0: 1})],
+    "name, weights",
+    [("wave2d-unit", (1.0, 1.0, 1.0)), ("wave2d-a22-only", (1.0, 1.0, 0.7)),
+     ("wave2d", (2.0, 1.5, 3.0))],
 )
-def test_unrecorded_wave2d_step_skips_unit_stars(monkeypatch, name, star_operands):
+def test_unrecorded_wave2d_step_applies_one_coefficient_per_update(monkeypatch, name, weights):
     (ops, _, _), f0, g0, dt = _lowdim_case(name, 7, np.random.default_rng(3))
     counts = Counter()
     monkeypatch.setattr(wave2d, "np", _ScalarOperands(counts))
     run_system(f0, None, ops, dt, 5, g_half0=g0, record_every=0)
-    # three dt scalings a step (u, vx, vy); the rest are star weights
+    # three dt scalings a step (u, vx, vy); the rest are the update
+    # coefficients at h = 1/7: a*h, by which the u update divides, and
+    # a11/h and a22/h, a unit star's weight 1.0 among them, never 1.0 itself
     assert counts.pop(dt) == 5 * 3
-    assert counts == {w: 5 * k for w, k in star_operands.items()}
+    a, a11, a22 = weights
+    h = 1.0 / 7
+    assert counts == Counter({a * h: 5}) + Counter({a11 / h: 5}) + Counter({a22 / h: 5})
+    assert 1.0 not in counts
 
 
 # ---------------------------------------------------------------------------
@@ -1151,8 +1157,16 @@ def test_fold_spacing_folds_only_one_power_of_two_spacing_at_most_one():
     assert fold_spacing((0.25,)) == (None, 4.0, True)
     assert fold_spacing((0.25, 0.25, 0.25)) == (None, 4.0, True)
     assert fold_spacing((2.0 ** -1000,)) == (None, 2.0 ** 1000, True)
-    for spacings in [(0.3,), (1 / 49,), (2.0,), (0.25, 0.5), (1 / 20, 1 / 28), (0.0,),
-                     (-0.25,), (2.0 ** -1074,), (float("nan"),)]:
+    # one spacing h that is not a power of two at most one: the weight w
+    # becomes k = w/h (w*h where the plan divides by it), a unit weight 1/h (h)
+    for h in (0.3, 1 / 49, 2.0):
+        assert fold_spacing((h,), 1.7) == (1.7 / h, None, False)
+        assert fold_spacing((h, h, h), 1.7, divides=True) == (1.7 * h, None, False)
+        assert fold_spacing((h,)) == (1.0 / h, None, False)
+        assert fold_spacing((h,), divides=True) == (h, None, False)
+    # spacings that differ, or no positive spacing whose 1/h is finite, keep the divide
+    for spacings in [(0.25, 0.5), (1 / 20, 1 / 28), (0.0,), (-0.25,), (2.0 ** -1074,),
+                     (float("nan"),), (float("inf"),)]:
         assert fold_spacing(spacings, 1.7) == (1.7, None, True)
         assert fold_spacing(spacings) == (None, None, True)
     # a weight scales once, or keeps the divide where scaling would be inexact
@@ -1172,7 +1186,8 @@ def test_fold_spacing_folds_only_one_power_of_two_spacing_at_most_one():
     assert unit.scale(-0.37) == (-0.37 * 2048.0, False)
     assert unit.scale(5e-324) == (5e-324 * 2048.0, False)
     assert unit.scale(1e308) == (1e308, True)
-    assert fold_spacing((0.3,)).scale(0.37) == (0.37, True)
+    assert fold_spacing((0.3,)).scale(0.37) == (0.37, False)
+    assert fold_spacing((0.25, 0.5)).scale(0.37) == (0.37, True)
     assert fold_spacing((0.25,), 1.7).scale(0.37) == (0.37, False)
 
 
@@ -1186,51 +1201,66 @@ def _count_divides(monkeypatch, module, counts):
     monkeypatch.setattr(module, "divide_in_place", counted)
 
 
-@pytest.mark.parametrize(
-    "name, points, c",
-    [("nx = 50", 50, 1.7), ("c = 1e307 at dx = 2^-11", 2049, 1e307),
-     ("c = 1e308 at dx = 2^-11", 2049, 1e308)],
-)
-def test_1d_pair_keeps_the_divide_where_the_spacing_cannot_fold(monkeypatch, name, points, c):
+def _1d_updates(monkeypatch, points, c):
+    """The planned u and v updates of the cmp pair on `points` points, each
+    against the allocating expression, bit for bit, and the divides they
+    made."""
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=points, t_final=1.0, nt=1)
     ops = wave1d.cmp_operator_pair(c, grid)
-    counts = Counter()
-    _count_divides(monkeypatch, wave1d, counts)
     rng = np.random.default_rng(5)
     u, v = rng.standard_normal(points) * 1e-300, rng.standard_normal(points - 1) * 1e-300
     dt = 0.5 * grid.dx
+    counts = Counter()
     with np.errstate(over="ignore", invalid="ignore"):
-        for adjoint, x, y, want in ((True, u, v, u - dt * ops.apply_Astar(v)),
-                                    (False, v, u, v + dt * ops.apply_A(u))):
+        wants = [u - dt * ops.apply_Astar(v), v + dt * ops.apply_A(u)]
+        _count_divides(monkeypatch, wave1d, counts)  # the plans' divides alone
+        for adjoint, x, y, want in ((True, u, v, wants[0]), (False, v, u, wants[1])):
             got = ops.plan(x, y, dt, None, adjoint)()
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    return grid, counts
+
+
+@pytest.mark.parametrize(
+    "name, points, c",
+    [("c = 1e307 at dx = 2^-11", 2049, 1e307), ("c = 1e308 at dx = 2^-11", 2049, 1e308)],
+)
+def test_1d_pair_keeps_the_divide_where_the_spacing_cannot_fold(monkeypatch, name, points, c):
+    grid, counts = _1d_updates(monkeypatch, points, c)
     assert counts == {("divide_in_place", grid.dx): 2}
+
+
+def test_1d_pair_folds_a_spacing_that_is_not_a_power_of_two(monkeypatch):
+    # nx = 50, dx = 1/49: both updates multiply by k = c/dx, and the
+    # allocating pair by the same k, so neither divides
+    _, counts = _1d_updates(monkeypatch, 50, 1.7)
+    assert counts == {}
 
 
 def test_2d_pair_keeps_the_divide_on_a_20_by_28_grid(monkeypatch):
     grid = wave2d.Grid2(20, 28)
     ops = wave2d.wave2d_system(wave2d.Star2(a=2.0, a11=1.5, a22=3.0), grid).ops
     counts = Counter()
-    _count_divides(monkeypatch, wave2d, counts)
     rng = np.random.default_rng(6)
     u = _wild([grid.shape("fp")], rng)[0]
     v = wave2d.VectorField2(*_wild([grid.shape("nxd"), grid.shape("nyd")], rng))
     dt = 0.01
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        got = [ops.plan(u, v, dt, None, True)(), ops.plan(v, u, dt, None, False)()]
         want = [u - dt * ops.apply_Astar(v), v + dt * ops.apply_A(u)]
+        _count_divides(monkeypatch, wave2d, counts)  # the plans' divides alone
+        got = [ops.plan(u, v, dt, None, True)(), ops.plan(v, u, dt, None, False)()]
     for g, w in zip(got, want):
         assert all(np.array_equal(p, q) for p, q in zip(_bits(g), _bits(w)))
-    # the u update divides both differences, the v update each component's
-    assert counts == {("divide_in_place", grid.dx): 2, ("divide_in_place", grid.dy): 2}
+    # the u update divides both differences; each v component has one
+    # spacing, which it folds into its coefficient
+    assert counts == {("divide_in_place", grid.dx): 1, ("divide_in_place", grid.dy): 1}
 
 
 @pytest.mark.parametrize("c", [1.0, 0.5, -0.5])
 def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
     # the one documented exception to the bits: at dx = 1/16 a difference of
-    # 1.5e307 times 16 overflows, so the allocating expression is inf there,
-    # while the folded plan multiplies the raw difference by c/dx (or by
-    # dt/dx for c = 1) and stays finite
+    # 1.5e307 times 16 overflows, so for c = 1 the allocating expression is
+    # inf there, while the plan multiplies the raw difference by dt/dx and
+    # stays finite; for other c both multiply it by c/dx, and agree
     grid = wave1d.Grid1D(a=0.0, b=1.0, nx=17, t_final=1.0, nt=1)
     ops = wave1d.cmp_operator_pair(c, grid)
     u = np.zeros(17)
@@ -1242,7 +1272,7 @@ def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
     got = ops.plan(v, u, dt, None, False)()
     jump = np.diff(u)
     fold = jump * (dt * 16.0) if c == 1.0 else (c * 16.0) * jump * dt
-    assert np.all(np.isinf(want[4:6])) and np.all(np.isfinite(got))
+    assert np.all(np.isinf(want[4:6]) == (c == 1.0)) and np.all(np.isfinite(got))
     assert np.array_equal(got[4:6], v[4:6] + fold[4:6])
     # everywhere else the bits are those of the allocating expression
     rest = np.r_[0:4, 6:16]
@@ -1250,12 +1280,13 @@ def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
 
 
 @pytest.mark.parametrize(
-    "name, n, folds",
-    [("cmp-unit", 16, True), ("cmp", 16, True), ("vmp-rough", 16, True),
-     ("wave2d-unit", 8, True), ("wave2d-full", 8, True),
-     ("cmp", 17, False), ("wave2d-full", 7, False)],
+    "name, n",
+    [("cmp-unit", 16), ("cmp", 16), ("vmp-rough", 16), ("wave2d-unit", 8), ("wave2d-full", 8),
+     ("cmp", 17), ("wave2d-full", 7)],
 )
-def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n, folds):
+def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n):
+    # power-of-two spacings (n = 16, 8) and others (17, 7) alike: every
+    # weight is folded into one coefficient, and no update divides
     ops, xs, ys, module = _fold_case(name, n)
     rng = np.random.default_rng(9)
     f0, g0 = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
@@ -1267,11 +1298,7 @@ def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n, f
         run_system(f0, None, ops, 1e-3, 5, g_half0=g0, record_every=0)
     divides = sum(k for key, k in counts.items() if isinstance(key, tuple))
     by_spacing = sum(k for key, k in counts.items() if key in (h, 1.0 / h))
-    if folds:
-        assert divides == 0 and by_spacing == 0
-    else:
-        # 1D: one difference per update; 2D: two in the u update, one per v component
-        assert divides == 5 * (2 if module is wave1d else 4)
+    assert divides == 0 and by_spacing == 0
 
 
 # ---------------------------------------------------------------------------

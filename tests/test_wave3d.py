@@ -7,6 +7,7 @@ import gc
 import math
 import warnings
 import weakref
+from collections import Counter
 from dataclasses import replace
 from itertools import zip_longest
 from operator import add, attrgetter
@@ -14,7 +15,7 @@ from operator import add, attrgetter
 import numpy as np
 import pytest
 
-from stagwave import verify, wave3d
+from stagwave import mimetic3d, verify, wave3d
 from stagwave.core import (
     SystemState,
     conserved_half_step,
@@ -453,6 +454,151 @@ def test_components_up_to_32_cubed_are_one_slab(monkeypatch, boundary):
                     assert made == [[(0, shape[0]) for shape in grid._shapes(out_kind)]]
                 else:
                     assert len(made) == 2
+
+
+# ---------------------------------------------------------------------------
+# update coefficients: no update on a cube divides its differences
+# ---------------------------------------------------------------------------
+
+
+def _counted_divisions(monkeypatch) -> Counter:
+    """Counts of the calls of `divide_in_place`, which `mimetic3d` binds into
+    every difference it divides, and of np.true_divide, from pairs and
+    plans built after this call."""
+    counts = Counter()
+    divide, true_divide = mimetic3d.divide_in_place, np.true_divide
+
+    def counted_divide(out, delta):
+        counts["divide_in_place"] += 1
+        return divide(out, delta)
+
+    def counted_true_divide(*args, **kwargs):
+        counts["true_divide"] += 1
+        return true_divide(*args, **kwargs)
+
+    monkeypatch.setattr(mimetic3d, "divide_in_place", counted_divide)
+    monkeypatch.setattr(np, "true_divide", counted_true_divide)
+    return counts
+
+
+def _rung(rung, grid, material):
+    """The System of `rung` on `grid` with a named CLI material or the
+    sampled stars, and the kinds of its f and g."""
+    make, kind, kinds, _ = SLAB_RUNGS[rung]
+    if material == "sampled":
+        stars = PAIR_STARS["sampled"](grid)
+        stars = stars[0] if kind == "scalar" else stars
+    else:
+        stars = wave3d.parse_material_3d(material, kind)(grid)
+    return make(stars, grid), kinds
+
+
+@pytest.mark.parametrize("n", [4, 5, 7, 40])
+@pytest.mark.parametrize("material", ["trivial3d", "diag3d", "sampled"])
+@pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+@pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
+def test_no_update_on_a_cube_divides_its_differences(monkeypatch, rung, boundary, material, n):
+    # the plans, the allocating pair and the half-step start, from rest and
+    # not, multiply undivided differences by one coefficient per component
+    # (or fold 1/h into dt); a Maxwell update calls no division at all, and
+    # only the scalar wave's s side divides, by its coefficient a*h
+    counts = _counted_divisions(monkeypatch)
+    grid = Grid3.cube(n, 1.0, boundary)
+    system, (f_kind, g_kind) = _rung(rung, grid, material)
+    ops, dt = system.ops, system.cfl_dt(0.7)
+    rng = np.random.default_rng(n)
+    f, g = (random_field(grid, kind, rng) for kind in (f_kind, g_kind))
+    for adjoint, x, y in ((True, f, g), (False, g, f)):
+        counts.clear()
+        ops.plan(x, y, dt, x, adjoint)()
+        assert set(counts) <= ({"true_divide"} if rung == "scalar" and adjoint else set())
+    counts.clear()
+    ops.apply_A(f), ops.apply_Astar(g)
+    init_g_half(f, zeros_field(grid, g_kind), ops, dt)
+    init_g_half(f, g, ops, dt)
+    assert counts["divide_in_place"] == 0
+    assert rung == "scalar" or not counts
+
+
+@pytest.mark.parametrize("boundary", ["pinned", "periodic"])
+@pytest.mark.parametrize("rung", sorted(SLAB_RUNGS))
+def test_a_box_with_unequal_spacings_still_divides(monkeypatch, rung, boundary):
+    # spacings (0.2, 1.2/6, 0.2) share no one h: every term of every update
+    # is divided by its spacing, in the plan and in the allocating pair alike
+    counts = _counted_divisions(monkeypatch)
+    grid = Grid3(1.0, 1.2, 0.8, 5, 6, 4, boundary=boundary)
+    assert len(set(grid.spacings)) == 2
+    system, (f_kind, g_kind) = _rung(rung, grid, "diag3d")
+    ops, dt = system.ops, system.cfl_dt(0.7)
+    rng = np.random.default_rng(3)
+    f, g = (random_field(grid, kind, rng) for kind in (f_kind, g_kind))
+    terms = 6 if rung == "maxwell" else 3  # curl: two terms a component; grad3, div3_star: three
+    for adjoint, x, y, apply in ((True, f, g, ops.apply_Astar), (False, g, f, ops.apply_A)):
+        for update in (ops.plan(x.copy(), y, dt, None, adjoint), lambda: apply(y)):
+            counts.clear()
+            update()
+            assert counts["divide_in_place"] == terms
+
+
+@pytest.mark.parametrize("material", ["diag3d", "scalar3d", "sampled"])
+@pytest.mark.parametrize("n", [5, 40])
+def test_a_constant_weight_folds_into_one_broadcast_view(n, material):
+    # a constant star's coefficient w/h (a*h on the dividing s side) is one
+    # broadcast view of one value, no node-sized array; a sampled star's is
+    # one array of w/h per component
+    grid = Grid3.cube(n, 1.0, "pinned")
+    h = grid.spacings[0]
+    stars = (PAIR_STARS["sampled"](grid) if material == "sampled"
+             else wave3d.parse_material_3d(material, "maxwell")(grid))
+    sides = (wave3d._maxwell_sides(*stars, grid)[0] + wave3d._scalar_sides(stars[0], grid)[0])
+    for side in sides:
+        op, weights, weigh, _ = side
+        if weights is None:
+            continue
+        fold = wave3d._fold(grid, *side[:3])
+        assert fold.dt_factor is None and not fold.divide
+        for k, w in zip(fold.weight, weights, strict=True):
+            assert k.shape == w.shape
+            want = w * h if weigh is wave3d._over else w / h
+            if material == "sampled":
+                assert all(k.strides) and np.array_equal(k, want)
+            else:
+                assert not any(k.strides) and k.flat[0] == want.flat[0]
+
+
+@pytest.mark.parametrize(
+    "rung, diagonal, divided",
+    [("maxwell", (1.0, 1.0, 1e-307), True),  # eps^-1's 1e307 over h = 1/40 overflows
+     ("scalar", (1.0, 1e-310, 1.0), False)])  # A's 1e-310 over h = 1/40 is subnormal
+def test_a_coefficient_past_the_float_range_keeps_the_divide_for_its_whole_side(
+        monkeypatch, rung, diagonal, divided):
+    # one component's k = w/h is inexact: the whole side divides each of its
+    # terms by h and applies its weights as given, and the plan keeps the
+    # allocating pair's bits; the other side, unit, folds k = 1/h (h on the
+    # dividing s side)
+    counts = _counted_divisions(monkeypatch)
+    grid = Grid3.cube(40, 1.0, "pinned")
+    with np.errstate(over="ignore"):  # 1/1e-310 is inf, a weight this rung does not use
+        star = Star3.from_diagonals(grid, 1.0, 1.0, diagonal, (1.0, 1.0, 1.0))
+    make, _, (f_kind, g_kind), _ = SLAB_RUNGS[rung]
+    system = make(star if rung == "scalar" else (star, Star3.trivial(grid)), grid)
+    sides = (wave3d._maxwell_sides(star, Star3.trivial(grid), grid) if rung == "maxwell"
+             else wave3d._scalar_sides(star, grid))[0]
+    refused = sides[divided]
+    assert wave3d._fold(grid, *refused[:3]) == (refused[1], None, True)
+    ops, dt = system.ops, system.cfl_dt(0.7)
+    rng = np.random.default_rng(11)
+    f, g = (random_field(grid, kind, rng) for kind in (f_kind, g_kind))
+    terms = 6 if rung == "maxwell" else 3
+    for adjoint, x, y, apply in ((True, f, g, ops.apply_Astar), (False, g, f, ops.apply_A)):
+        counts.clear()
+        with np.errstate(over="ignore"):
+            term = apply(y)
+            assert counts["divide_in_place"] == (terms if adjoint == divided else 0)
+            counts.clear()
+            got = ops.plan(x, y, dt, None, adjoint)()  # in two slabs
+            assert counts["divide_in_place"] == (2 * terms if adjoint == divided else 0)
+            assert same_bits(got, x - dt * term if adjoint else x + dt * term)
 
 
 @pytest.mark.parametrize("n0, plane", [(5, 25), (9, 30), (65, 4225), (3, 10 ** 6), (49, 2401)])

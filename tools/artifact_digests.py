@@ -17,9 +17,10 @@ and ``--jobs 2``), 3D runs with non-unit materials and odd record intervals,
 every convergence case including unordered ``--k`` levels and 1D sweeps over
 rough materials (a density jump, a piecewise stiffness) or over non-consecutive
 levels, in parallel (at a named final time too), or from a higher mode,
-power-of-two grids whose update plans fold the spacing into non-unit 2D
-weights or, with a non-unit 3D star, keep dividing by it, unit-star 3D runs
-on a power-of-two grid whose steps run in place between records, the
+power-of-two grids whose update plans fold the spacing into non-unit 2D and
+3D weights, unit-star 3D runs on a power-of-two grid whose steps run in
+place between records, unit-star 3D runs on a grid whose spacing is not a
+power of two, which multiply by 1/h, the
 benchmark's invocations with fixed draws, the inputs that must end in a
 report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
 that names no sweep among them), runs whose records span several chunks of
@@ -210,6 +211,13 @@ ODD_PITCHES = [
     ["verify", "adjoint", "--sizes", "5", "7", "--trials", "3"],
 ]
 
+# unit-star runs on a 12^3 grid: h = 1/12 is not a power of two, so each
+# update multiplies its undivided differences by the coefficient 1/h
+UNIT_ODD_SPACING = [
+    ["maxwell", "--grid", "12", "--steps", "20", "--record-every", "3"],
+    ["wave3d", "--grid", "12", "--steps", "20"],
+]
+
 # sizes whose arrays do not fit in memory, each a usage error naming its size
 # options: past what an array can address, or with a first array of over
 # 700 PiB, which no system grants (on a tree without the size check too)
@@ -230,8 +238,8 @@ SCHEMAS = [[command, "--schema"] for command in (
     "oscillator", "system", "wave1d", "wave1d-convergence", "wave2d", "wave3d", "maxwell",
     "transport", "diffusion", "verify", "convergence-table")]
 
-INVOCATIONS = (README + MORE_RUNS + BENCH + EDGES + CHUNKED + SLABBED + ODD_PITCHES + TOO_LARGE
-               + SCHEMAS)
+INVOCATIONS = (README + MORE_RUNS + BENCH + EDGES + CHUNKED + SLABBED + ODD_PITCHES
+               + UNIT_ODD_SPACING + TOO_LARGE + SCHEMAS)
 
 _VOLATILE = ("wall_time_s", "artifacts")
 
