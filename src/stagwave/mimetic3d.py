@@ -40,12 +40,15 @@ made once per slab of axis-0 planes (``_reach``: the span a difference
 reads, and on a periodic grid the plane it wraps), and the rim rule: on
 pinned grids both end planes of every node-aligned axis of a dual output
 are zero, which is exactly the set of entries a Dirichlet-pinned time
-stepper never updates.
+stepper never updates.  Each grid's one scratch (`_scratch`) is the only
+work array of its operators, `inner3` and `wave3d`'s plans and audits.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import weakref
 from dataclasses import dataclass
 from typing import Callable
 
@@ -425,8 +428,7 @@ _OPERATORS = {
 }
 
 
-def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *,
-                weights=None, flux=None, rows=None):
+def _difference(op: str, field, grid: Grid3, out=None, scaled=True, *, weights=None, rows=None):
     """The difference operator `op` from its term table, as calls: it yields
     (result, calls) per output component, where running `calls` in order
     (`_run`) forms that component in `result`: the one loop of the six
@@ -444,15 +446,13 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
     along axis 0, a slab, which `result` then holds; a pinned slab zeroes
     the rim planes it holds.  `out`, a field of the output (or slab) shapes,
     receives the result; its components may share one buffer if each one's
-    calls run before the next is used.  `work`, made when a term first
-    needs it, holds the terms: two input components, each rounded up to
-    whole 8-entry cache lines.  When every term of an unweighted component
-    is laid out like its result, the first is formed in the result.
-    `scaled` is as for `grad3`.
-    `weights` differences weights[c] * comps[c] for input component c, each
-    formed whole just before its difference, as `star_matrix` does, in
-    `flux` (required with `weights`), a flat float array one input
-    component long, which `out` may share.
+    calls run before the next is used.  The terms are formed in buffers 1
+    and 2 of the grid's `_scratch`, which `out` must not share, from whole
+    8-entry cache lines; when every term of an unweighted component is laid
+    out like its result, the first is formed in the result.  `scaled` is as
+    for `grad3`.  `weights` differences weights[c] * comps[c] for input
+    component c, each formed whole just before its difference, as
+    `star_matrix` does, in the scratch's buffer 0, which `out` may share.
     """
     in_kind, out_kind, terms, combine = _OPERATORS[op]
     comps = [np.ascontiguousarray(c) for c in _components(field, grid, in_kind, op)]
@@ -464,7 +464,7 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
         outs = [np.zeros(s) if rim else np.empty(s) for s in shapes]
     else:
         outs = _components(out, grid, out_kind, op, shapes)
-    spacings = grid.spacings
+    spacings, scratch = grid.spacings, _scratch(grid)
     for pattern, component_terms, result, (a, b), (n, _, _) in zip(
             _PATTERNS[out_kind], terms, outs, rows, wholes):
         inside, planes = _rim(pattern, a, b, n) if rim else (None, ())
@@ -480,15 +480,13 @@ def _difference(op: str, field, grid: Grid3, out=None, work=None, scaled=True, *
                 zip(component_terms, reaches)):
             source = comps[c]
             if weights is not None:
-                weighted = _slot(flux, source)
+                weighted = _slot(scratch[0], source)
                 calls.append((np.multiply, (weights[c], source, weighted)))
                 source = weighted
             if direct and not k:
                 term, stretch = acc, acc.reshape(-1)
             else:
-                if work is None:
-                    work = np.empty(2 * _lines(max(comp.size for comp in comps)))
-                stretch = work[later:later + size]
+                stretch = scratch[1][later:later + size]
                 term = np.ndarray(counts, float, stretch, 0, strides)
             flat = source.reshape(-1)
             calls.append((np.subtract, (flat[hi], flat[lo], stretch[span])))
@@ -521,7 +519,7 @@ def _run(calls):
 def _apply(op: str, field, grid: Grid3, out, scaled):
     """The whole output field of the difference operator `op`."""
     results = []
-    for result, calls in _difference(op, field, grid, out, None, scaled):
+    for result, calls in _difference(op, field, grid, out, scaled):
         _run(calls)
         results.append(result)
     return _as_field(results)
@@ -535,6 +533,59 @@ def _slot(work, like):
 def _lines(n: int) -> int:
     """n float64 entries rounded up to whole 64-byte cache lines."""
     return -(-n // 8) * 8
+
+
+class _Scratch(dict):
+    """Three node-sized float buffers (node arrays are the largest on either
+    policy), made on first use, and views of them, made once each and never
+    returned.  ``scratch[kind, first, step]`` is a field of `kind` whose
+    component r starts buffer first + r * step (a step of 0 puts every
+    component on buffer `first`); ``scratch[first]`` is buffers first,
+    first + 1, ... as one flat array.  Buffer 0 holds an output slab, a
+    weighted flux or a product's weighted factor; 1 and 2 hold the terms.
+
+    Every 3D user on a grid or an equal one shares it: the operators,
+    `inner3`, `wave3d`'s update plans and divergence auditors.  Each
+    finishes with the buffers before it returns and keeps no data in them
+    between calls, so users that take turns may share them.  A plan past
+    `wave3d`'s slab budget uses one slab's stretch of each buffer for every
+    slab in turn: its work stays in cache."""
+
+    def __init__(self, grid: Grid3):
+        self.grid, self.flat = grid, None
+        self.node = _lines(math.prod(grid.scalar_shape("node")))
+
+    def __missing__(self, key):
+        if self.flat is None:
+            # every buffer starts on a 64-byte cache line: unaligned parts made
+            # the 64^3 Maxwell step about 7% slower
+            flat = np.empty(3 * self.node + 7)
+            start = (-flat.ctypes.data // 8) % 8
+            self.flat = flat[start:start + 3 * self.node]
+        if isinstance(key, int):
+            self[key] = self.flat[key * self.node:]
+        else:
+            kind, first, step = key
+            self[key] = _as_field([
+                self.flat[(first + r * step) * self.node:][:math.prod(shape)].reshape(shape)
+                for r, shape in enumerate(self.grid._shapes(kind))])
+        return self[key]
+
+
+# each grid's scratch, held weakly by grid, and the one made last, held until
+# another grid's is made, so that one-shot calls on a grid in turn share one
+_SCRATCHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+_NEWEST = [None]
+
+
+def _scratch(grid: Grid3) -> _Scratch:
+    """The scratch that every 3D user on `grid` shares.  A new one takes the
+    newest slot, freeing the one before if no user holds it, before it
+    allocates (on first use): at most one scratch outlives its users."""
+    scratch = _SCRATCHES.get(grid)
+    if scratch is None:
+        scratch = _SCRATCHES[grid] = _NEWEST[0] = _Scratch(grid)
+    return scratch
 
 
 def grad3(s, grid: Grid3, out=None, scaled=True) -> VectorField3:
@@ -728,7 +779,7 @@ _WEIGHTS = {
 }
 
 
-def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
+def inner3(kind: str, f1, f2, star: Star3, grid: Grid3) -> float:
     """One of the eight weighted inner products.
 
     Scalar kinds sum ``w * f1 * f2 * dV`` with weight ``a`` (node), ``1/b``
@@ -744,9 +795,9 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
     inputs nor the call, so results are bit-reproducible; a BLAS dot would
     spin up threads for every product.
 
-    `work`, a flat float array at least one component long, holds each
-    weighted factor in place of a fresh one: the same operations into a
-    C-contiguous array of the component's shape, so the same bits.
+    Each weighted factor is formed in buffer 0 of the grid's `_scratch`,
+    a C-contiguous float array of the component's shape, so a product
+    allocates no field.
     """
     if star.grid != grid:
         raise ValueError("star was built for a different grid")
@@ -756,9 +807,9 @@ def inner3(kind: str, f1, f2, star: Star3, grid: Grid3, work=None) -> float:
     scalar = kind in SCALAR_KINDS
     weights = (getattr(star, which),) if scalar else _diagonal(star, which, inverse)
     divide = scalar and inverse  # a scalar star stores w alone, a diagonal one its inverse too
-    total = 0.0
+    work, total = _scratch(grid)[0], 0.0
     for w, a1, a2 in zip(weights, c1, c2):
-        out = None if work is None else _slot(work, a1)
+        out = _slot(work, a1)
         weighted = np.true_divide(a1, w, out=out) if divide else np.multiply(w, a1, out=out)
         total += float(np.einsum("ijk,ijk->", weighted, a2))
     return total * grid.cell_volume

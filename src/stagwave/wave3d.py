@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import functools
 import math
-import weakref
 from typing import Callable
 
 import numpy as np
@@ -36,63 +35,12 @@ from .core import (OperatorPair, SpacingFold, Sweep, System, SystemState, _parts
                    fold_spacing, init_g_half, system_step)
 from .mimetic3d import (Grid3, Star3, VectorField3, inner3, sample_scalar, sample_vector,
                         zeros_field, _OPERATORS, _PATTERNS, _apply, _as_field, _difference,
-                        _distinct, _lines, _rim_zeroed, _run, _sample)
+                        _distinct, _rim_zeroed, _run, _sample, _scratch)
 
 
 # ---------------------------------------------------------------------------
 # operator pairs
 # ---------------------------------------------------------------------------
-
-
-class _Scratch(dict):
-    """Three node-sized float buffers, made on first use, and views of
-    them, made once each and never returned.  ``scratch[kind, first, step]``
-    is a field of `kind` whose component r starts buffer first + r * step (a
-    step of 0 puts every component on buffer `first`); ``scratch[first]`` is
-    buffers first, first + 1, ... as one flat array, `_difference`'s work.
-    Node arrays are the largest on either policy.
-
-    One scratch of three buffers (`_scratch`) serves every 3D user on a
-    grid: the update plans of its pairs, the inner products of its Systems
-    and its divergence auditors, on that grid and on every equal one.  Each
-    user finishes with the buffers before it returns, so users that take
-    turns, as a march's steps, records and audits do, may share them.  An
-    update plan past the slab budget (`_SLAB_ENTRIES`) uses only the first
-    stretch of each buffer, one slab long, for every slab in turn: its work
-    stays in cache, and a slab needs no memory of its own."""
-
-    def __init__(self, grid: Grid3):
-        self.grid, self.flat = grid, None
-        self.node = _lines(math.prod(grid.scalar_shape("node")))
-
-    def __missing__(self, key):
-        if self.flat is None:
-            # every buffer starts on a 64-byte cache line: unaligned parts made
-            # the 64^3 Maxwell step about 7% slower
-            flat = np.empty(3 * self.node + 7)
-            start = (-flat.ctypes.data // 8) % 8
-            self.flat = flat[start:start + 3 * self.node]
-        if isinstance(key, int):
-            self[key] = self.flat[key * self.node:]
-        else:
-            kind, first, step = key
-            self[key] = _as_field([
-                self.flat[(first + r * step) * self.node:][:math.prod(shape)].reshape(shape)
-                for r, shape in enumerate(self.grid._shapes(kind))])
-        return self[key]
-
-
-# the scratch of each grid, held only as long as a plan, System or auditor
-# holds it: a sweep keeps its grids after their marches, not their scratch
-_SCRATCHES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _scratch(grid: Grid3) -> _Scratch:
-    """The three-buffer scratch that every 3D user on `grid` shares."""
-    scratch = _SCRATCHES.get(grid)
-    if scratch is None:
-        scratch = _SCRATCHES[grid] = _Scratch(grid)
-    return scratch
 
 
 def _times(term, weight):
@@ -149,14 +97,14 @@ def _planner(grid: Grid3, sides: tuple, folds: tuple):
     its `_fold`: the update is combine(x, dt * k op(y)), with k applied by
     weigh(term, k[r]) to component r, or skipped where it is None.  The plan
     runs through the slabs of `_slabs`, each slab's components in turn:
-    `mimetic3d._difference` forms a component's slab at the start of the
-    first buffer of the grid's shared `_scratch`, with its terms at the
-    start of the other two, and the slab is weighted and scaled there and
-    combined into its planes of `out` before the next is formed.  Every
-    entry is formed by the same operations on the same operands as in one
-    whole component, so slabs change no bit.  A plan binds every call once:
-    views of x, y, out, the coefficients and the scratch, and dt's factor;
-    with out None, each run binds a plan into a fresh field.
+    `mimetic3d._difference` forms a component's slab at the start of buffer
+    0 of the grid's shared `mimetic3d._scratch` (its terms in the buffers
+    after it), and the slab is weighted and scaled there and combined into
+    its planes of `out` before the next is formed.  Every entry is formed
+    by the same operations on the same operands as in one whole component,
+    so slabs change no bit.  A plan binds every call once: views of x, y,
+    out, the coefficients and the scratch, and dt's factor; with out None,
+    each run binds a plan into a fresh field.
     """
     scratch = _scratch(grid)
     slabs = [_slabs(grid._shapes(_OPERATORS[op][1])) for op, _, _, _ in sides]
@@ -175,7 +123,7 @@ def _planner(grid: Grid3, sides: tuple, folds: tuple):
         calls = []
         for rows in slabs[adjoint]:
             held = _as_field([buffer[:b - a] for buffer, (a, b) in zip(buffers, rows)])
-            formed = _difference(op, y, grid, held, scratch[1], scaled, rows=rows)
+            formed = _difference(op, y, grid, held, scaled, rows=rows)
             for r, ((term, differences), xr, o, (a, b)) in enumerate(
                     zip(formed, _parts(x), _parts(out), rows)):
                 calls += differences
@@ -232,9 +180,10 @@ def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
 
 def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callable) -> System:
     """A rung as a `core.System`: `_pair`'s pair, the products of the kinds
-    its sides' operators take, weighted by `stars` (f's, then g's), and the
-    start from mode(0) with g at rest (the Taylor half step from g(0) = 0).
-    The mode is exact when neither side applies a weight."""
+    its sides' operators take, weighted by `stars` (f's, then g's), each
+    formed in the grid's shared scratch by `inner3`, and the start from
+    mode(0) with g at rest (the Taylor half step from g(0) = 0).  The mode
+    is exact when neither side applies a weight."""
     ops = _pair(grid, sides, bound)
     f_kind, g_kind = (_OPERATORS[op][0] for op, _, _, _ in sides)
 
@@ -242,11 +191,10 @@ def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callabl
         f0 = mode(0.0)
         return f0, init_g_half(f0, zeros_field(grid, g_kind), ops, dt)
 
-    scratch = _scratch(grid)  # both products form theirs in its first buffer
     return System(
         ops,
-        lambda a, b: inner3(f_kind, a, b, stars[0], grid, scratch[0]),
-        lambda a, b: inner3(g_kind, a, b, stars[1], grid, scratch[0]),
+        lambda a, b: inner3(f_kind, a, b, stars[0], grid),
+        lambda a, b: inner3(g_kind, a, b, stars[1], grid),
         cfl_dt=lambda safety: safety * (2.0 / bound),
         start=start,
         exact=mode if all(weights is None for _, weights, _, _ in sides) else None,
@@ -373,11 +321,11 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
     the update adds dt * D* R* H to the first and -dt * D R E to the second,
     and both composites vanish identically — so the norms stay constant (not
     necessarily zero) to rounding.  Each divergence is one weighted pass of
-    `mimetic3d._difference` in the grid's shared `_scratch`: one flux
-    component at a time is formed in buffer 0 and differenced into buffer 1
-    or 2, the terms are summed there, and the sum lands in buffer 0 once the
-    last flux is spent, where one fused product-sum, ``np.einsum``, reduces
-    its square.  On a grid with one spacing h, as every cube is, the
+    `mimetic3d._difference` in the grid's shared `mimetic3d._scratch`: one
+    flux component at a time is formed in buffer 0 and differenced into
+    buffer 1 or 2, the terms are summed there, and the sum lands in buffer 0
+    once the last flux is spent, where one fused product-sum,
+    ``np.einsum``, reduces its square.  On a grid with one spacing h, as every cube is, the
     differences are left undivided and 1/h^2 joins the final scale, dV/h^2.
     Those are the operations, on arrays of the same shape and order, of
     div3_star(star_matrix(e, eps_star, "a"), grid, scaled=False) and of
@@ -393,8 +341,8 @@ def divergence_auditor(eps_star: Star3, mu_star: Star3, grid: Grid3) -> Callable
     kept = [(), ()]  # the components of the last (E, H), and its two passes
 
     def bind(op: str, field, weights) -> tuple:
-        (passes,) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0],
-                                scratch[1], scaled, weights=weights, flux=scratch[0])
+        (passes,) = _difference(op, field, grid, scratch[_OPERATORS[op][1], 0, 0], scaled,
+                                weights=weights)
         return passes  # the divergence and the calls that form it
 
     def norm(div, calls) -> float:

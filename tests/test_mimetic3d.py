@@ -33,6 +33,7 @@ from stagwave.mimetic3d import (
     _OPERATORS,
     _difference,
     _run,
+    _scratch,
 )
 from stagwave.wave3d import pin_scalar_boundary, pin_tangential_boundary
 
@@ -432,23 +433,24 @@ def same_bits(a, b):
                           np.where(np.isnan(b), 0.0, b).view(np.int64))
 
 
-def slab_formed(name, f, g, rng, offset):
+def slab_formed(name, f, g, rng):
     """{k: per output component, the ((a, b), slab) of each of its k nearly
     equal slabs along axis 0}, for every k from one slab to one plane per
-    slab: each slab formed by `_difference` with rows=, into an out and a
-    work of stale random values, the work at a cache-line offset."""
-    in_kind, out_kind = _OPERATORS[name][:2]
+    slab: each slab formed by `_difference` with rows=, into an out of stale
+    random values, with the grid's scratch refilled with stale random
+    values before each slab."""
+    out_kind = _OPERATORS[name][1]
     wholes = g._shapes(out_kind)
-    need = 2 * 8 * -(-max(math.prod(s) for s in g._shapes(in_kind)) // 8)
+    scratch = _scratch(g)[0]
     formed = {}
     for k in range(1, max(w[0] for w in wholes) + 1):
         splits = [[(w[0] * i // k, w[0] * (i + 1) // k) for w in wholes] for i in range(k)]
         formed[k] = [[] for _ in wholes]
         for rows in splits:
             out = [rng.standard_normal((b - a, *w[1:])) for (a, b), w in zip(rows, wholes)]
-            work = at_offset(rng.standard_normal(need), (offset + 3) % 8)
+            scratch[:] = rng.standard_normal(scratch.size)
             field = out[0] if len(out) == 1 else VectorField3(*out)
-            for r, (result, calls) in enumerate(_difference(name, f, g, field, work, rows=rows)):
+            for r, (result, calls) in enumerate(_difference(name, f, g, field, rows=rows)):
                 _run(calls)
                 formed[k][r].append((rows[r], result))
     return formed
@@ -517,7 +519,7 @@ class TestOperatorBits:
         rng = np.random.default_rng(15)
         for offset in range(8):
             f = at_offset(random_input(g, kind, rng), offset)
-            got = slab_formed(name, f, g, rng, offset)
+            got = slab_formed(name, f, g, rng)
             want = comps(ref(f, g))
             for k, parts in got.items():
                 for r, (c, slabs) in enumerate(zip(want, parts)):
@@ -550,7 +552,7 @@ class TestOperatorBits:
             with np.errstate(over="ignore", invalid="ignore"):
                 want = comps(ref(f, g))
                 assert all(same_bits(a, b) for a, b in zip(comps(op(f, g)), want))
-                for parts in slab_formed(name, f, g, rng, 0).values():
+                for parts in slab_formed(name, f, g, rng).values():
                     for c, slabs in zip(want, parts):
                         assert all(same_bits(slab, c[a:b]) for (a, b), slab in slabs)
 
@@ -590,6 +592,29 @@ class TestOperatorBits:
                 assert np.all(out[rim] == 0.0)
                 assert np.array_equal(out[~rim], orig[~rim])
             assert np.all(comps(field)[0] != 0.0)  # the input is untouched
+
+
+class TestScratch:
+    @pytest.mark.parametrize("name", ["grad3", "curl3", "div3_star"])
+    def test_a_one_shot_operator_allocates_its_output_and_no_work(self, name):
+        # on a pinned box every term of these is laid out unlike its result,
+        # so each needs work: the grid's scratch, made by the first call and
+        # kept, not two input components allocated by every call.  Beside its
+        # output a call may allocate numpy's iteration buffers for strided
+        # operands, at most 8192 entries each: on 32^3, under one component
+        import tracemalloc
+
+        op, _, kind = BIT_CASES[name]
+        g = Grid3.cube(32, boundary="pinned")
+        f = random_input(g, kind, np.random.default_rng(40))
+        out = comps(op(f, g))
+        tracemalloc.start()
+        try:
+            op(f, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < sum(c.nbytes for c in out) + comps(f)[0].nbytes
 
 
 # ---------------------------------------------------------------------------
@@ -697,6 +722,18 @@ WEIGHT_OF = {"node": ("a", False), "cell": ("b", True), "dual-node": ("b", False
              "dual-edge": ("b", False), "dual-face": ("a", True)}
 
 
+def fresh_inner3(kind, f1, f2, st, g):
+    """inner3's sum, each weighted factor formed in a fresh array."""
+    letter, inverse = WEIGHT_OF[kind]
+    if kind in SCALAR_KINDS:
+        w = getattr(st, letter)
+        weighted = [f1 / w if inverse else w * f1]
+    else:
+        weighted = star_matrix(f1, st, letter, inverse).components
+    return sum(float(np.einsum("ijk,ijk->", w, c))
+               for w, c in zip(weighted, comps(f2))) * g.cell_volume
+
+
 class TestInner3:
     def test_unit_box_node_count_periodic(self):
         g = Grid3.cube(4)
@@ -770,45 +807,41 @@ class TestInner3:
             ref = sum(float(np.einsum("ijk,ijk->", w, c)) for w, c in zip(weighted, h.components))
             assert inner3(kind, f, h, st, g) == ref * g.cell_volume
 
-    @pytest.mark.parametrize("offset", [0, 3])
     @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
-    def test_work_buffer_keeps_the_bits_and_allocates_no_product(self, boundary, offset):
-        # every kind, its products formed in one buffer that the kind before
-        # left dirty, starting on a cache line or not
+    def test_work_buffer_keeps_the_bits_and_allocates_no_product(self, boundary):
+        # every kind, its products formed in the grid's scratch, filled with
+        # NaN first and then left dirty by the kind before
         import tracemalloc
 
         g = Grid3(1.0, 1.5, 0.75, 16, 17, 18, boundary=boundary)
         st = variable_diagonal_star(g)
         rng = np.random.default_rng(12)
-        node = np.empty(g.scalar_shape("node"))  # the largest kind on either policy
-        work = np.full(node.size + offset, np.nan)[offset:]
+        _scratch(g)[0][:] = np.nan
         for kind in SCALAR_KINDS + VECTOR_KINDS:
             f, h = random_input(g, kind, rng), random_input(g, kind, rng)
             tracemalloc.start()
             try:
-                got = inner3(kind, f, h, st, g, work)
+                got = inner3(kind, f, h, st, g)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert got == inner3(kind, f, h, st, g)
+            assert got == fresh_inner3(kind, f, h, st, g)
             assert peak < min(c.nbytes for c in comps(f))
 
     @pytest.mark.parametrize("boundary", ["pinned", "periodic"])
     def test_bits_depend_on_neither_alignment_nor_repetition(self, boundary):
-        # every kind, f1, f2 and the work buffer each copied to every 8-byte
-        # offset of a 64-byte cache line, and one call repeated 10 times
+        # every kind, f1 and f2 each copied to every 8-byte offset of a
+        # 64-byte cache line, and one call repeated 10 times
         g = Grid3(1.0, 1.5, 0.75, 11, 12, 13, boundary=boundary)
         st = variable_diagonal_star(g)
         rng = np.random.default_rng(26)
-        node_size = int(np.prod(g.scalar_shape("node")))
         for kind in SCALAR_KINDS + VECTOR_KINDS:
             f, h = random_input(g, kind, rng), random_input(g, kind, rng)
             want = inner3(kind, f, h, st, g)
             assert [inner3(kind, f, h, st, g) for _ in range(10)] == [want] * 10
             for k1 in range(8):
                 for k2 in range(8):
-                    work = at_offset(np.empty(node_size), (k1 + k2) % 8)
-                    got = inner3(kind, at_offset(f, k1), at_offset(h, k2), st, g, work)
+                    got = inner3(kind, at_offset(f, k1), at_offset(h, k2), st, g)
                     assert got == want, (kind, k1, k2)
 
     @pytest.mark.parametrize("n", [16, 40])

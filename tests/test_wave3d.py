@@ -33,6 +33,8 @@ from stagwave.mimetic3d import (
     div3,
     div3_star,
     grad3,
+    grad3_star,
+    inner3,
     random_field,
     star_matrix,
     star_scalar_inverse,
@@ -40,6 +42,7 @@ from stagwave.mimetic3d import (
     _ALL_PATTERNS,
     _as_fn,
     _sample,
+    _scratch,
 )
 from stagwave.wave1d import estimate_order
 from stagwave.wave3d import (
@@ -56,7 +59,6 @@ from stagwave.wave3d import (
     scalar_wave_system,
     te_cavity_e,
     te_cavity_h,
-    _scratch,
 )
 
 
@@ -1027,8 +1029,10 @@ class TestDivergenceAudit:
         assert len(records) == 5 and all(map(math.isfinite, records[-1]))
 
     def test_marches_on_equal_grids_stepped_alternately_keep_their_bits(self):
-        # two marches on equal grids share one scratch; stepped in turn,
-        # phase by phase, each gives the bits it gives alone
+        # two marches on equal grids share one scratch with the one-shot
+        # operators and products; stepped in turn, phase by phase, with a
+        # one-shot curl3, grad3_star and inner3 run at every pause, each
+        # march and each one-shot gives the bits it gives alone
         grids = pinned_cube(8), pinned_cube(8)
         assert grids[0] is not grids[1] and _scratch(grids[0]) is _scratch(grids[1])
         stars = MAXWELL_STARS["const-diag"](grids[0]), AUDIT_STARS["smooth-diag"](grids[1])
@@ -1061,9 +1065,18 @@ class TestDivergenceAudit:
         for k in (0, 1):
             for _ in march(k, alone[k]):
                 pass
+        shot_inputs = (random_field(grids[0], "edge", rng), random_field(grids[0], "dual-node", rng))
+
+        def one_shots():
+            t, s = shot_inputs
+            return (*curl3(t, grids[0]).components, *grad3_star(s, grids[0]).components,
+                    np.array(inner3("edge", t, t, stars[0][0], grids[0])))
+
+        shots = one_shots()
         together = [[], []]
         for _ in zip_longest(march(0, together[0]), march(1, together[1])):
-            pass
+            assert all(np.array_equal(a.view(np.int64), b.view(np.int64))
+                       for a, b in zip(one_shots(), shots))
         for k in (0, 1):
             assert together[k][:-1] == alone[k][:-1]
             for got, want in zip(together[k][-1], alone[k][-1]):
@@ -1086,6 +1099,8 @@ class TestDivergenceAudit:
         assert held() is not None
         users.clear()
         gc.collect()
+        assert held() is not None  # the scratch made last, held until another grid's is made
+        _scratch(Grid3(1.0, 1.1, 0.9, 6, 5, 7, boundary="pinned"))
         assert held() is None
 
 

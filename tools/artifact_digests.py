@@ -26,7 +26,7 @@ report with failed checks (exit 1) or a usage error (exit 2, a ``--case``
 that names no sweep among them), runs whose records span several chunks of
 the CLI's streamed series, 3D runs whose updates form each component in
 several slabs, 3D runs on odd grid sizes, whose rows and planes have odd
-pitches, sizes too large for memory (exit 2), and every command's
+pitches (the ``verify`` operator and adjoint suites among them), sizes too large for memory (exit 2), and every command's
 ``--schema``.
 """
 
@@ -204,10 +204,13 @@ SLABBED = [
 
 # 3D runs on odd grids, whose pinned differences run over rows of odd pitch:
 # a 33^3 Maxwell run whose updates form each component in two slabs, a 7^3
-# scalar run and the adjoint suite on 5^3 and 7^3 grids
+# scalar run, and the operator and adjoint suites on 5^3 and 7^3 grids, whose
+# one-shot operators and products, pinned and periodic, work in the grid's
+# shared scratch
 ODD_PITCHES = [
     ["maxwell", "--grid", "33", "--materials", "diag3d", "--steps", "4"],
     ["wave3d", "--grid", "7", "--materials", "diag3d", "--steps", "5"],
+    ["verify", "mimetic3d", "--sizes", "5", "7"],
     ["verify", "adjoint", "--sizes", "5", "7", "--trials", "3"],
 ]
 
