@@ -39,8 +39,10 @@ products, its CFL step, its start data and, where known, its exact solution.
 
 Buffers: a pair may supply a `plan`, which binds one in-place update to its
 buffers and returns it as a call that writes a whole update into a given
-buffer; the 1D, 2D and 3D pairs all do, so only the oscillator's scalar pair
-allocates.  A planned run works on one pair from its first step to its last,
+buffer.  One planner, `planned_pair`, makes the 1D, 2D and 3D pairs, plan
+and allocating A and A*, from each module's two `Side`s, the differences
+of its updates, so only the oscillator's scalar pair allocates every step.
+A planned run works on one pair from its first step to its last,
 overwriting f and then g in place at every step, as the Yee scheme
 overwrites E and then H, on one plan of each update.  A recorded step needs
 the old f only for <f_{n+1}, f_n>_X, and the old g only for
@@ -65,6 +67,7 @@ unequal spacings, or a coefficient past the float range, divide by h.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -76,6 +79,8 @@ import numpy as np
 
 __all__ = [
     "OperatorPair",
+    "Side",
+    "planned_pair",
     "System",
     "Sweep",
     "SystemState",
@@ -201,27 +206,123 @@ class OperatorPair:
     Adjointness is a promise checked by `check_adjointness`, not enforced.
 
     `plan(x, y, dt, out, adjoint)`, if given, is the in-place form of the
-    two leapfrog updates: it returns a call of no arguments that, each time
-    it is made, returns x - dt * A*(y) when `adjoint` is true and
-    x + dt * A(y) otherwise, from the values x and y hold at that moment,
-    with the bits of those expressions built from `apply_Astar`/`apply_A`,
-    written into `out` (a fresh field per call when out is None).  A plan
-    binds its buffers, views of y and the factor that takes dt's place once,
-    so it runs as long as x, y and out are the same fields.  `out` may be x,
-    never y: every update ends in one elementwise combine of x with its
-    scaled term into `out`, so writing over x gives the same bits.  The
-    result holds no other storage of the pair, and a plan's work arrays are
-    the pair's own, so two plans of one pair take turns: each call finishes
-    with them before it returns.  One exception to the bits: a plan that
-    folds the 1/h of a unit weight into dt (`fold_spacing`) never forms a
-    difference times 1/h, so where that product overflows to inf in the
-    expression, the plan's update may stay finite.
+    two leapfrog updates, x - dt * A*(y) when `adjoint` is true and
+    x + dt * A(y) otherwise, as `planned_pair` makes and states it.
     """
 
     apply_A: Callable[[Any], Any]
     apply_Astar: Callable[[Any], Any]
     norm_bound_A: float = float("inf")
     plan: Callable | None = None
+
+
+def _run(calls, result=None):
+    """Run bound calls, (function, arguments) pairs, in order, and return
+    `result`."""
+    for function, args in calls:
+        function(*args)
+    return result
+
+
+def _planes(arr, rows):
+    """Planes a..b, rows = (a, b), of an array along axis 0: the array
+    itself for a scalar, for rows None, or when they are all of it."""
+    if rows is None or np.ndim(arr) == 0 or rows == (0, len(arr)):
+        return arr
+    return arr[rows[0]:rows[1]]
+
+
+class Side(NamedTuple):
+    """One update of a pair, as its module states it for `planned_pair`.
+
+    `difference(y, divides, fresh)` returns the pieces of the update's
+    term, each (r, rows, term, calls): running `calls` (`_run`) forms in
+    `term` the differences of y that make output component r over its
+    planes `rows` along axis 0 (None: all of it), each divided by its
+    spacing where divides[r], with a pinned rim zeroed; in new arrays with
+    `fresh`, else in work arrays of the pair's own.  `folds` holds one
+    `SpacingFold` per output component.  `weigh` (np.multiply or
+    np.true_divide) applies a coefficient, `combine` (np.add or
+    np.subtract) joins the scaled term to x.
+    """
+
+    difference: Callable
+    folds: tuple
+    weigh: Callable
+    combine: Callable
+
+
+def planned_pair(sides: tuple, bound: float, vector: Callable = tuple) -> OperatorPair:
+    """The pair of two `Side`s, that of A (g from f) then that of A* (f from
+    g), with `bound` the norm bound of A and `vector` the type of an output
+    of more than one component.  This is the plan contract.
+
+    plan(x, y, dt, out, adjoint) returns a call of no arguments that, each
+    time it is made, returns x - dt * A*(y) when `adjoint` is true and
+    x + dt * A(y) otherwise, from the values x and y hold at that moment,
+    with the bits of those expressions built from `apply_Astar`/`apply_A`,
+    written into `out` (a fresh field per call when out is None).  It binds
+    every call once: per piece of the side's term, its differences, then
+    weigh(term, k) by the component's coefficient k (the weight first, as
+    the stars multiply; skipped where k is None), term *= the factor that
+    takes dt's place (`SpacingFold.scale`) and combine(x, term, out) over
+    the piece's planes, before the next piece is formed.  `out` may be x,
+    never y.  The pair's work arrays serve both plans, which take turns:
+    each call is done with them before it returns.  One exception to the
+    bits: a plan that folds the 1/h of a unit weight into dt never forms a
+    difference times 1/h, so where that product overflows to inf in the
+    expression, the plan's update may stay finite.
+
+    In the core's convention (df/dt = -A* g, dg/dt = A f) a side that adds
+    its term is +k op in A and -k op in A*, so the allocating A and A* form
+    the update's term for dt = 1, fresh, and negate it in place where A's
+    side subtracts or A*'s adds, signed zeros included.
+    """
+
+    def field(parts):
+        return parts[0] if len(parts) == 1 else vector(*parts)
+
+    def weighed(adjoint, y, dt, fresh) -> list:
+        # the pieces of the term, each with the calls that form, weigh and scale it
+        difference, folds, weigh, _ = sides[adjoint]
+        scales = [fold.scale(dt) for fold in folds]
+        pieces = difference(y, [divide for _, divide in scales], fresh)
+        for r, rows, term, calls in pieces:
+            if folds[r].weight is not None:
+                k = _planes(folds[r].weight, rows)
+                operands = (term, k, term) if weigh is np.true_divide else (k, term, term)
+                calls.append((weigh, operands))
+            # term *= dt has the bits of dt * term
+            calls.append((np.multiply, (term, scales[r][0], term)))
+        return pieces
+
+    def bind(x, y, dt, out, adjoint):
+        combine, xs, outs, calls = sides[adjoint].combine, _parts(x), _parts(out), []
+        for r, rows, term, formed in weighed(adjoint, y, dt, False):
+            calls += formed
+            calls.append((combine, (_planes(xs[r], rows), term, _planes(outs[r], rows))))
+        return functools.partial(_run, calls, out)
+
+    def plan(x, y, dt, out, adjoint):
+        if out is None:
+            return lambda: bind(x, y, dt, field([np.empty(p.shape) for p in _parts(x)]), adjoint)()
+        return bind(x, y, dt, out, adjoint)
+
+    def allocating(adjoint: bool):
+        negate = (sides[adjoint].combine is np.subtract) != adjoint
+
+        def apply(y):
+            pieces = weighed(adjoint, y, 1.0, True)
+            for _, _, term, calls in pieces:
+                _run(calls)
+                if negate:
+                    np.negative(term, out=term)
+            return field([term for _, _, term, _ in pieces])
+
+        return apply
+
+    return OperatorPair(apply_A=allocating(False), apply_Astar=allocating(True),
+                        norm_bound_A=bound, plan=plan)
 
 
 @dataclass

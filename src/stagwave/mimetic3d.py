@@ -54,7 +54,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import addressable, divide_in_place
+from .core import _run, addressable, divide_in_place
 
 BOUNDARIES = ("periodic", "pinned")
 
@@ -508,12 +508,6 @@ def _difference(op: str, field, grid: Grid3, out=None, scaled=True, *, weights=N
             if last and term is not acc:
                 calls.append((np.copyto, (acc, term)))
         yield result, calls
-
-
-def _run(calls):
-    """Run bound calls, (function, arguments) pairs, in order."""
-    for function, args in calls:
-        function(*args)
 
 
 def _apply(op: str, field, grid: Grid3, out, scaled):

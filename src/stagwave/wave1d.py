@@ -27,6 +27,7 @@ import numpy as np
 
 from .core import (
     OperatorPair,
+    Side,
     Sweep,
     System,
     SystemState,
@@ -34,6 +35,7 @@ from .core import (
     divide_in_place,
     fold_spacing,
     init_g_half,
+    planned_pair,
     system_step,
 )
 
@@ -142,65 +144,48 @@ def div1(v: np.ndarray, dx: float) -> np.ndarray:
     return out
 
 
-def _pair(dx: float, u_weight, v_weight, bound: float, *, u_divides: bool = False):
-    """The pair A = v_weight grad1, A* = -div1 weighted by u_weight, which
-    multiplies (cmp's c) or, with `u_divides`, divides (vmp's rho); None
-    marks a weight of exactly 1.  Each side's difference takes its
+def _difference(dx: float, work: np.ndarray, rim: bool, y, divides, fresh: bool) -> list:
+    """The term of one update as a `core.Side` forms it: y[1:] - y[:-1],
+    divided by dx where divides[0], onto the dual points or, with `rim`,
+    onto the primal points, whose two pinned ends get a zero, as div1's
+    zero rim does; in a new array, or for a plan in the pair's one work
+    array of primal-point length."""
+    n = len(y) - 1 + 2 * rim
+    w = np.empty(n) if fresh else work[:n]
+    diff = w[1:-1] if rim else w
+    calls = [(np.subtract, (y[1:], y[:-1], diff))]
+    if divides[0]:
+        calls.append((divide_in_place, (diff, dx)))
+    if rim:
+        calls.append((w[::n - 1].fill, (0.0,)))
+    return [(0, None, w, calls)]
+
+
+def _sides(grid: Grid1D, u_weight, v_weight, *, u_divides: bool = False) -> tuple:
+    """The sides of A = v_weight grad1 and A* = -div1 weighted by u_weight,
+    which multiplies (cmp's c) or, with `u_divides`, divides (vmp's rho);
+    None marks a weight of exactly 1.  Each side's difference takes its
     `fold_spacing` coefficient (weight/dx, rho*dx), or dt/dx for a unit
-    weight on a power-of-two dx; an A* term's two pinned ends get a zero
-    difference, weighted like the interior, as div1's zero rim is.  A plan
-    forms the allocating term in a work array the pair owns, scales it by dt
-    and adds it into `out`, the sign of A* folded into the add.  It binds
-    y's two shifted views, its work array and factor once, so a call is three
-    to five ufunc calls: the refinement sweeps make tens of thousands of
-    them on arrays of 17 to 2049 entries.
+    weight on a power-of-two dx, and an A* term's zero ends are weighted
+    like the interior; `core.planned_pair` folds the sign of A* into the
+    add.  A plan's call is three to five ufunc calls, and a fill of the u
+    term's two ends: the refinement sweeps make tens of thousands of them
+    on arrays of 17 to 2049 entries.
     """
-    sides = ((fold_spacing((dx,), v_weight), np.multiply),
-             (fold_spacing((dx,), u_weight, divides=u_divides),
-              np.true_divide if u_divides else np.multiply))
-    works = []  # the v and u update's work arrays, made on first use
-
-    def allocating(y, adjoint):
-        (fold, weigh), w = sides[adjoint], np.zeros(len(y) - 1 + 2 * adjoint)
-        diff = np.subtract(y[1:], y[:-1], w[1:-1] if adjoint else w)
-        if fold.divide:
-            divide_in_place(diff, dx)
-        return w if fold.weight is None else weigh(w, fold.weight, w)
-
-    def plan(x, y, dt, out, adjoint):
-        if not works:
-            n = x.shape[0] if adjoint else y.shape[0]  # primal points
-            works.extend([np.empty(n - 1), np.empty(n)])
-        (fold, weigh), w = sides[adjoint], works[adjoint]
-        diff, weight = w[1:-1] if adjoint else w, fold.weight
-        scale, divide = fold.scale(dt)
-        hi, lo = y[1:], y[:-1]
-        subtract, multiply, add = np.subtract, np.multiply, np.add
-
-        def run():
-            subtract(hi, lo, diff)
-            if divide:
-                divide_in_place(diff, dx)
-            if adjoint:
-                w[0] = w[-1] = 0.0
-            if weight is not None:
-                weigh(w, weight, w)
-            multiply(w, scale, w)
-            return add(x, w, out)
-
-        return run
-
-    return OperatorPair(apply_A=lambda u: allocating(u, False),
-                        apply_Astar=lambda v: np.negative(allocating(v, True)),
-                        norm_bound_A=bound, plan=plan)
+    dx, work = grid.dx, np.empty(grid.nx)
+    return (Side(functools.partial(_difference, dx, work, False),
+                 (fold_spacing((dx,), v_weight),), np.multiply, np.add),
+            Side(functools.partial(_difference, dx, work, True),
+                 (fold_spacing((dx,), u_weight, divides=u_divides),),
+                 np.true_divide if u_divides else np.multiply, np.add))
 
 
 def cmp_operator_pair(c: float, grid: Grid1D) -> OperatorPair:
     """Constant-material operators: A = c*grad1, A* = -c*div1, with c/dx
-    their update coefficient (`_pair`), a c of exactly 1.0 a unit weight:
+    their update coefficient (`_sides`), a c of exactly 1.0 a unit weight:
     -c * d is -(c * d) bit for bit, so the sign folds into the add."""
     weight = None if c == 1.0 else c
-    return _pair(grid.dx, weight, weight, 2.0 * abs(c) / grid.dx)
+    return planned_pair(_sides(grid, weight, weight), 2.0 * abs(c) / grid.dx)
 
 
 def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
@@ -208,13 +193,13 @@ def vmp_operator_pair(materials: Materials1D, grid: Grid1D) -> OperatorPair:
 
     Adjoint with respect to the rho/tau weighted inner products below;
     the norm bound uses the maximum wave speed estimate.  Its coefficients
-    are tau/dx and, dividing, rho*dx (`_pair`), each a unit weight where it
+    are tau/dx and, dividing, rho*dx (`_sides`), each a unit weight where it
     is exactly 1.0 everywhere.
     """
     rho, tau = materials.rho, materials.tau
-    return _pair(grid.dx, None if np.all(rho == 1.0) else rho,
-                 None if np.all(tau == 1.0) else tau,
-                 2.0 * cfl_speed(materials) / grid.dx, u_divides=True)
+    return planned_pair(_sides(grid, None if np.all(rho == 1.0) else rho,
+                               None if np.all(tau == 1.0) else tau, u_divides=True),
+                        2.0 * cfl_speed(materials) / grid.dx)
 
 
 # ---------------------------------------------------------------------------

@@ -41,13 +41,14 @@ that case out of the convergence sweeps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    OperatorPair,
+    Side,
     Sweep,
     System,
     SystemState,
@@ -55,6 +56,7 @@ from .core import (
     divide_in_place,
     fold_spacing,
     init_g_half,
+    planned_pair,
     system_step,
 )
 
@@ -311,7 +313,7 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
         return (float(np.sum(p[0] * q[0])) / star.a11
                 + float(np.sum(p[1] * q[1])) / star.a22) * dv
 
-    ops = _operators(star, grid, bound)
+    ops = planned_pair(_sides(star, grid), bound, VectorField2)
 
     def mode(part, kind, t):
         # one part of the mode, on the kind's sparse axes: the factors of
@@ -331,98 +333,61 @@ def wave2d_system(star: Star2, grid: Grid2, *, m: int = 1, n: int = 1,
                   exact=(lambda t: mode(0, "fp", t)) if star == Star2() else None)
 
 
-def _operators(star: Star2, grid: Grid2, bound: float) -> OperatorPair:
-    """The 2D pair A = A G, A* = -a^-1 D*, and its `plan`, each update's
-    differences weighted by its `fold_spacing` coefficient: a*h (dividing),
-    a11/h, a22/h, or dt/h for a unit weight on a power-of-two h; a u update
-    on dx != dy divides its differences.  The allocating A and A* form the
-    same terms fresh.  A u update's plan sums its two differences in two
-    contiguous work arrays the pair owns, weights the sum and copies it into
-    the interior of a node array, whose rim it zeroes on every call, as A*'s
-    is, and scales with the interior, so the pinned ring gets the allocating
-    arithmetic, signed zeros included; the sign of A* folds into the add
-    (u - dt * (-t) is u + dt * t, bit for bit).  A v update differences only
-    the rows and columns that A keeps, into views of the node array's
-    storage.  A plan binds its views, work arrays and factors once.
-    """
-    dx, dy = grid.dx, grid.dy
-    u_fold = fold_spacing((dx, dy), None if star.a == 1.0 else star.a, divides=True)
-    v_folds = [fold_spacing((h,), None if w == 1.0 else w)
-               for h, w in ((dx, star.a11), (dy, star.a22))]
-    parts = []  # work arrays, made on first use
+def _arrays(grid: Grid2) -> list:
+    """A node array and the u update's two difference arrays."""
+    return [np.empty(grid.shape("fp")), *np.empty((2, *grid.shape("gd")))]
 
-    def divergence(x_hi, x_lo, y_hi, y_lo, gx, gy, divide):
-        """gx <- the u update's term of the halves of v = (vx, vy), gy as work."""
-        np.subtract(x_hi, x_lo, gx)
-        np.subtract(y_hi, y_lo, gy)
-        if divide:
-            divide_in_place(gx, dx)
-            divide_in_place(gy, dy)
-        np.add(gx, gy, gx)
-        if u_fold.weight is not None:
-            np.true_divide(gx, u_fold.weight, gx)
-        return gx
 
-    def gradient(hi, lo, h, fold, w, divide):
-        """w <- a v component's term, from the two slices of u it differences."""
-        np.subtract(hi, lo, w)
-        if divide:
-            divide_in_place(w, h)
-        if fold.weight is not None:
-            np.multiply(fold.weight, w, w)
-        return w
-
-    def halves(v) -> tuple:  # the slices of v's components that the u update differences
-        return v[0][1:], v[0][:-1], v[1][:, 1:], v[1][:, :-1]
-
-    def slices(u) -> list:  # per v component: the two slices of u it differences, h, fold
-        return [(u[1:, 1:-1], u[:-1, 1:-1], dx, v_folds[0]),
-                (u[1:-1, 1:], u[1:-1, :-1], dy, v_folds[1])]
-
-    def apply_Astar(v):
-        node = np.zeros(grid.shape("fp"))
+def _divergence(grid: Grid2, work: list, v, divides, fresh: bool) -> list:
+    """The u update's term, as a `core.Side` forms it: the differences of
+    vx along x and of vy along y, each divided by its spacing where
+    divides[0], summed into the interior of a node array whose boundary
+    ring is zeroed, so that the pinned ring gets the interior's weight and
+    scale as zeros, signed zeros included."""
+    if fresh:
         v = [_expect(c, kind, grid) for c, kind in zip(v, ("nxd", "nyd"))]
-        node[1:-1, 1:-1] = divergence(*halves(v), *np.empty((2, *grid.shape("gd"))), u_fold.divide)
-        return np.negative(node, out=node)
+    node, gx, gy = _arrays(grid) if fresh else work
+    calls = [(np.subtract, (v[0][1:], v[0][:-1], gx)),
+             (np.subtract, (v[1][:, 1:], v[1][:, :-1], gy))]
+    if divides[0]:
+        calls += [(divide_in_place, (gx, grid.dx)), (divide_in_place, (gy, grid.dy))]
+    calls += [(np.add, (gx, gy, node[1:-1, 1:-1])),
+              (node[::grid.nx].fill, (0.0,)), (node[:, ::grid.ny].fill, (0.0,))]
+    return [(0, None, node, calls)]
 
-    def apply_A(u):
-        return VectorField2(*(gradient(*side, np.empty(side[0].shape), side[3].divide)
-                              for side in slices(_expect(u, "fp", grid))))
 
-    def plan(x, y, dt, out, adjoint):
-        if not parts:
-            node = np.empty(grid.shape("fp"))
-            flat = node.reshape(-1)
-            parts.extend([node, node[1:-1, 1:-1], *np.empty((2, *grid.shape("gd"))),
-                          [flat[:math.prod(grid.shape(kind))].reshape(grid.shape(kind))
-                           for kind in ("nxd", "nyd")]])
-        node, inner, gx, gy, v_works = parts
-        if adjoint:
-            x_hi, x_lo, y_hi, y_lo = halves(y)
-            scale, divide = u_fold.scale(dt)
+def _gradient(grid: Grid2, work: list, u, divides, fresh: bool) -> list:
+    """The v update's terms, one per component: the differences of u along
+    x and along y at the rows and columns that A keeps, each divided by its
+    spacing where divides[r], in new arrays or, for a plan, in the storage
+    of the pair's node array, which both components reuse in turn."""
+    if fresh:
+        u = _expect(u, "fp", grid)
+    pieces = []
+    for r, (hi, lo, h) in enumerate(((u[1:, 1:-1], u[:-1, 1:-1], grid.dx),
+                                     (u[1:-1, 1:], u[1:-1, :-1], grid.dy))):
+        w = (np.empty(hi.shape) if fresh
+             else work[0].reshape(-1)[:hi.size].reshape(hi.shape))
+        calls = [(np.subtract, (hi, lo, w))]
+        if divides[r]:
+            calls.append((divide_in_place, (w, h)))
+        pieces.append((r, None, w, calls))
+    return pieces
 
-            def run_u():
-                inner[...] = divergence(x_hi, x_lo, y_hi, y_lo, gx, gy, divide)
-                node[0] = node[-1] = 0.0
-                node[:, 0] = node[:, -1] = 0.0
-                np.multiply(node, scale, node)
-                return np.add(x, node, out)
 
-            return run_u
-        # per component: gradient's operands but the divide, the fold's scale, its x and out
-        sides = [(*side, w, *side[3].scale(dt), xr, o)
-                 for side, w, xr, o in zip(slices(y), v_works, x,
-                                           (None, None) if out is None else out)]
-
-        def run_v():
-            new = [np.add(xr, np.multiply(gradient(hi, lo, h, fold, w, divide), scale, w), o)
-                   for hi, lo, h, fold, w, scale, divide, xr, o in sides]
-            return out if out is not None else VectorField2(*new)
-
-        return run_v
-
-    return OperatorPair(apply_A=apply_A, apply_Astar=apply_Astar, norm_bound_A=bound,
-                        plan=plan)
+def _sides(star: Star2, grid: Grid2) -> tuple:
+    """The sides of A = A G and A* = -a^-1 D* for `core.planned_pair`, each
+    update's differences weighted by its `fold_spacing` coefficient: a*h,
+    by which the u update divides, and a11/dx and a22/dy, or dt/h for a
+    unit weight on a power-of-two h; a u update on dx != dy divides its
+    differences.  Each v component folds its own spacing.
+    """
+    work = _arrays(grid)  # the pair's own, which its two plans take turns with
+    v_folds = tuple(fold_spacing((h,), None if w == 1.0 else w)
+                    for h, w in ((grid.dx, star.a11), (grid.dy, star.a22)))
+    u_fold = fold_spacing((grid.dx, grid.dy), None if star.a == 1.0 else star.a, divides=True)
+    return (Side(functools.partial(_gradient, grid, work), v_folds, np.multiply, np.add),
+            Side(functools.partial(_divergence, grid, work), (u_fold,), np.true_divide, np.add))
 
 
 # ---------------------------------------------------------------------------

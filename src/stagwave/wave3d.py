@@ -8,10 +8,13 @@ component of E lives at (i+1/2, j, k) and the x component of H at
 Each is one rung of the complex: a side table of two `mimetic3d`
 difference operators, each with the star weights it applies, and the
 analytic norm bound behind the dt limit (`_scalar_sides`, `_maxwell_sides`).
-That one table yields both the in-place update plan and the allocating pair
-(`_pair`), and one builder (`_system`) adds the products of the kinds the
-operators take, weighted by the rung's stars, and the cavity-mode start, so
-each march carries a pair of exactly conserved quadratic forms.
+One builder (`_system`) hands that table to `core.planned_pair`, which
+yields both the in-place update plan and the allocating pair, and adds the
+products of the kinds the operators take, weighted by the rung's stars, and
+the cavity-mode start, so each march carries a pair of exactly conserved
+quadratic forms.  What the table's sides state is only 3D: each update's
+differences, formed slab by slab (`_slab_differences`), and its
+all-or-nothing spacing fold (`_fold`).
 
 On pinned grids the zero boundary rows of the dual operators double as the
 physical boundary conditions: s is held at zero on the box walls and the
@@ -31,26 +34,16 @@ from typing import Callable
 
 import numpy as np
 
-from .core import (OperatorPair, SpacingFold, Sweep, System, SystemState, _parts,
-                   fold_spacing, init_g_half, system_step)
+from .core import (OperatorPair, Side, SpacingFold, Sweep, System, SystemState, _parts, _run,
+                   fold_spacing, init_g_half, planned_pair, system_step)
 from .mimetic3d import (Grid3, Star3, VectorField3, inner3, sample_scalar, sample_vector,
-                        zeros_field, _OPERATORS, _PATTERNS, _apply, _as_field, _difference,
-                        _distinct, _rim_zeroed, _run, _sample, _scratch)
+                        zeros_field, _OPERATORS, _PATTERNS, _as_field, _difference, _distinct,
+                        _rim_zeroed, _sample, _scratch)
 
 
 # ---------------------------------------------------------------------------
 # operator pairs
 # ---------------------------------------------------------------------------
-
-
-def _times(term, weight):
-    """The call term <- weight * term, in place, as `star_matrix` multiplies."""
-    return np.multiply, (weight, term, term)
-
-
-def _over(term, weight):
-    """The call term <- term / weight, in place, as `star_scalar_inverse` divides."""
-    return np.true_divide, (term, weight, term)
 
 
 # the most entries in a slab of one output component: its passes (whole-span
@@ -74,117 +67,52 @@ def _slabs(shapes) -> list:
             for i in range(k)]
 
 
-def _planes(arr, a: int, b: int):
-    """Planes a..b of an array along axis 0: the array itself when they are all of it."""
-    return arr if np.ndim(arr) == 0 or (a, b) == (0, len(arr)) else arr[a:b]
-
-
-def _fold(grid: Grid3, op: str, weights, weigh) -> SpacingFold:
-    """The `fold_spacing` of one side (op, weights, weigh), with one update
-    coefficient per component.  Where any component refuses, the whole side
-    keeps its divide and its weights, since one operator forms them all."""
-    folds = [fold_spacing(grid.spacings, w, divides=weigh is _over)
-             for w in (weights or (None,) * len(grid._shapes(_OPERATORS[op][1])))]
+def _fold(grid: Grid3, op: str, weights, weigh) -> tuple:
+    """The `fold_spacing` of each component of one side (op, weights, weigh).
+    Where any component refuses, every one keeps its divide and its weight,
+    since one operator forms them all with one divide."""
+    weights = weights or (None,) * len(grid._shapes(_OPERATORS[op][1]))
+    folds = tuple(fold_spacing(grid.spacings, w, divides=weigh is np.true_divide)
+                  for w in weights)
     if any(fold.divide and fold.dt_factor is None for fold in folds):
-        return SpacingFold(weights, None, True)
-    return folds[0]._replace(weight=None if folds[0].dt_factor else tuple(f.weight for f in folds))
+        return tuple(SpacingFold(w, None, True) for w in weights)
+    return folds
 
 
-def _planner(grid: Grid3, sides: tuple, folds: tuple):
-    """The `plan` of a 3D pair, one slab of whole axis-0 planes at a time.
-
-    ``sides[adjoint]`` is (op, weights, weigh, combine) and ``folds[adjoint]``
-    its `_fold`: the update is combine(x, dt * k op(y)), with k applied by
-    weigh(term, k[r]) to component r, or skipped where it is None.  The plan
-    runs through the slabs of `_slabs`, each slab's components in turn:
-    `mimetic3d._difference` forms a component's slab at the start of buffer
-    0 of the grid's shared `mimetic3d._scratch` (its terms in the buffers
-    after it), and the slab is weighted and scaled there and combined into
-    its planes of `out` before the next is formed.  Every entry is formed
-    by the same operations on the same operands as in one whole component,
-    so slabs change no bit.  A plan binds every call once: views of x, y,
-    out, the coefficients and the scratch, and dt's factor; with out None,
-    each run binds a plan into a fresh field.
-    """
-    scratch = _scratch(grid)
-    slabs = [_slabs(grid._shapes(_OPERATORS[op][1])) for op, _, _, _ in sides]
-
-    def plan(x, y, dt, out, adjoint):
-        if out is None:
-            return lambda: bind(x, y, dt, _as_field([np.empty(c.shape) for c in _parts(x)]),
-                                adjoint)()
-        return bind(x, y, dt, out, adjoint)
-
-    def bind(x, y, dt, out, adjoint):
-        op, _, weigh, combine = sides[adjoint]
-        weights = folds[adjoint].weight
-        scale, scaled = folds[adjoint].scale(dt)
-        buffers = _parts(scratch[_OPERATORS[op][1], 0, 0])  # every component on buffer 0
-        calls = []
-        for rows in slabs[adjoint]:
-            held = _as_field([buffer[:b - a] for buffer, (a, b) in zip(buffers, rows)])
-            formed = _difference(op, y, grid, held, scaled, rows=rows)
-            for r, ((term, differences), xr, o, (a, b)) in enumerate(
-                    zip(formed, _parts(x), _parts(out), rows)):
-                calls += differences
-                if weights is not None:
-                    calls.append(weigh(term, _planes(weights[r], a, b)))
-                # term *= dt has the bits of dt * term
-                calls.append((np.multiply, (term, scale, term)))
-                calls.append((combine, (_planes(xr, a, b), term, _planes(o, a, b))))
-
-        def run():
-            _run(calls)
-            return out
-
-        return run
-
-    return plan
-
-
-def _pair(grid: Grid3, sides: tuple, bound: float) -> OperatorPair:
-    """The pair of a rung: its `plan` and, from the same sides and folds,
-    the allocating A and A*, with `bound` the norm bound of A.
-
-    ``sides`` is the side of A (g from f), then that of A* (f from g), as
-    `_planner` takes them.  In the core's convention (df/dt = -A* g,
-    dg/dt = A f) a side that adds its term is +k op in A and -k op in A*,
-    so A is negated where its side subtracts and A* where its side adds.
-    Each component is the operator's fresh output times its coefficient (or
-    the 1/h that the plan folds into dt), negated in place: the plan's term
-    before dt, signed zeros included.
-    """
-    folds = tuple(_fold(grid, *side[:3]) for side in sides)
-
-    def allocating(adjoint: bool):
-        op, _, weigh, combine = sides[adjoint]
-        weights, dt_factor, divide = folds[adjoint]
-        negate = (combine is np.subtract) != adjoint
-
-        def apply(y):
-            terms = _parts(_apply(op, y, grid, None, divide and dt_factor is None))
-            for r, term in enumerate(terms):
-                if dt_factor is not None:
-                    np.multiply(term, dt_factor, out=term)
-                elif weights is not None:
-                    _run([weigh(term, weights[r])])
-                if negate:
-                    np.negative(term, out=term)
-            return _as_field(terms)
-
-        return apply
-
-    return OperatorPair(apply_A=allocating(False), apply_Astar=allocating(True),
-                        norm_bound_A=bound, plan=_planner(grid, sides, folds))
+def _slab_differences(grid: Grid3, scratch, op: str, y, divides, fresh: bool) -> list:
+    """The term of one update as a `core.Side` forms it, from
+    `mimetic3d._difference`: every component whole and fresh, or for a plan
+    one slab of whole axis-0 planes at a time (`_slabs`), each slab's
+    components in turn at the start of buffer 0 of the grid's `scratch`,
+    which the pair holds (their terms in the buffers after it).  Every entry
+    is formed by the same operations on the same operands as in one whole
+    component, so slabs change no bit."""
+    if fresh:
+        return [(r, None, term, calls) for r, (term, calls) in
+                enumerate(_difference(op, y, grid, None, divides[0]))]
+    kind = _OPERATORS[op][1]
+    buffers = _parts(scratch[kind, 0, 0])  # every component on buffer 0
+    pieces = []
+    for rows in _slabs(grid._shapes(kind)):
+        held = _as_field([buffer[:b - a] for buffer, (a, b) in zip(buffers, rows)])
+        formed = _difference(op, y, grid, held, divides[0], rows=rows)
+        pieces += [(r, ab, term, calls) for r, ((term, calls), ab) in enumerate(zip(formed, rows))]
+    return pieces
 
 
 def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callable) -> System:
-    """A rung as a `core.System`: `_pair`'s pair, the products of the kinds
-    its sides' operators take, weighted by `stars` (f's, then g's), each
-    formed in the grid's shared scratch by `inner3`, and the start from
-    mode(0) with g at rest (the Taylor half step from g(0) = 0).  The mode
-    is exact when neither side applies a weight."""
-    ops = _pair(grid, sides, bound)
+    """A rung as a `core.System`: the `core.planned_pair` of its side table,
+    ``sides``, the side of A (g from f) then that of A* (f from g), each
+    (op, weights, weigh, combine), with `bound` the norm bound of A; the
+    products of the kinds its sides' operators take, weighted by `stars`
+    (f's, then g's), each formed in the grid's shared scratch by `inner3`;
+    and the start from mode(0) with g at rest (the Taylor half step from
+    g(0) = 0).  The mode is exact when neither side applies a weight."""
+    scratch = _scratch(grid)  # the pair keeps it as long as its plans use its buffers
+    ops = planned_pair(tuple(
+        Side(functools.partial(_slab_differences, grid, scratch, op),
+             _fold(grid, op, weights, weigh), weigh, combine)
+        for op, weights, weigh, combine in sides), bound, VectorField3)
     f_kind, g_kind = (_OPERATORS[op][0] for op, _, _, _ in sides)
 
     def start(dt):
@@ -204,8 +132,8 @@ def _system(grid: Grid3, sides: tuple, bound: float, stars: tuple, mode: Callabl
 def _scalar_sides(star: Star3, grid: Grid3) -> tuple:
     """The sides and bound of ds/dt = a^-1 D* v, dv/dt = A G s:
     A = (A G .) on node scalars and A* = -(a^-1 D* .) on dual-face fields."""
-    sides = (("grad3", None if star.is_unit("a_diag") else star.a_diag, _times, np.add),  # v
-             ("div3_star", None if star.is_unit("a") else (star.a,), _over, np.add))  # s
+    sides = (("grad3", None if star.is_unit("a_diag") else star.a_diag, np.multiply, np.add),  # v
+             ("div3_star", None if star.is_unit("a") else (star.a,), np.true_divide, np.add))  # s
     # wave speed sqrt(max A / min a), over every sample of the diagonal
     s_max = math.sqrt(_extremes(star.a_diag)[1] / float(np.min(_distinct(star.a))))
     return sides, _stencil_bound(s_max, grid)
@@ -218,8 +146,8 @@ def _maxwell_sides(eps_star: Star3, mu_star: Star3, grid: Grid3) -> tuple:
     (dual edge -> face); only those halves of the two stars are used."""
     h_weights = None if mu_star.is_unit("b_inv_diag") else mu_star.b_inv_diag
     e_weights = None if eps_star.is_unit("a_inv_diag") else eps_star.a_inv_diag
-    sides = (("curl3", h_weights, _times, np.subtract),  # H
-             ("curl3_star", e_weights, _times, np.add))  # E
+    sides = (("curl3", h_weights, np.multiply, np.subtract),  # H
+             ("curl3_star", e_weights, np.multiply, np.add))  # E
     # wave speed 1/sqrt(min eps * min mu), over every sample of the diagonals
     low = _extremes(eps_star.a_diag)[0] * _extremes(mu_star.b_diag)[0]
     return sides, _stencil_bound(math.inf if low == 0.0 else 1.0 / math.sqrt(low), grid)
@@ -227,12 +155,12 @@ def _maxwell_sides(eps_star: Star3, mu_star: Star3, grid: Grid3) -> tuple:
 
 def scalar_wave_operators(star: Star3, grid: Grid3) -> OperatorPair:
     """The pair behind ds/dt = a^-1 D* v, dv/dt = A G s (`_scalar_sides`)."""
-    return _pair(grid, *_scalar_sides(star, grid))
+    return scalar_wave_system(star, grid).ops
 
 
 def maxwell_operators(eps_star: Star3, mu_star: Star3, grid: Grid3) -> OperatorPair:
     """The pair behind dE/dt = eps^-1 R* H, dH/dt = -mu^-1 R E (`_maxwell_sides`)."""
-    return _pair(grid, *_maxwell_sides(eps_star, mu_star, grid))
+    return maxwell_system(eps_star, mu_star, grid).ops
 
 
 def scalar_wave_system(star: Star3, grid: Grid3, *, modes=(1, 1, 1)) -> System:

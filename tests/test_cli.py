@@ -900,6 +900,23 @@ class TestVerifyCommand:
         assert "round-trip-diagonal-16" in names
         assert sum(n.startswith("order-") for n in names) == 6
 
+    def test_mimetic3d_order_checks_keep_their_halving_whatever_the_sizes(self):
+        # coarse sizes set the exactness and round-trip grids only: the order
+        # checks measure 8^3 -> 16^3, the halving their [3.5, 4.5] bound was
+        # set on, where 5^3 -> 10^3 reads 3.39 for curl3_star
+        from stagwave import verify
+
+        def run(sizes):
+            return verify.verify("mimetic3d", sizes=sizes, trials=3, seed=0, broken_sign=False)
+
+        coarse, default = run([5, 7]), run([8, 16])
+        assert coarse["passed"] is True
+        names = [c["name"] for c in coarse["checks"]]
+        assert "curl-grad-zero-periodic-5" in names and "round-trip-diagonal-7" in names
+        orders = [[c for c in s["checks"] if c["name"].startswith("order-")]
+                  for s in (coarse, default)]
+        assert len(orders[0]) == 6 and orders[0] == orders[1]
+
     def test_adjoint_suite_passes(self, capsys):
         assert cli.main(["verify", "adjoint", "--sizes", "6", "--trials", "20"]) == 0
         summary = json.loads(capsys.readouterr().out)

@@ -3,8 +3,10 @@ that module's operator pair and inner products, bit for bit; every `System`
 keeps one contract; a record is the three-term invariants, formed from inner
 products alone."""
 
+import gc
 import sys
 import warnings
+import weakref
 from collections import Counter, deque
 from dataclasses import replace
 from operator import attrgetter
@@ -940,11 +942,12 @@ LOWDIM_PAIRS = {
 
 def _lowdim_case(name, n, rng):
     """(system, f0, g_half0, dt) with random start data whose first pinned
-    value is -0.0, on n points (1D) or n x n cells (2D).  The spacing is a
-    power of two, which divides by its exact reciprocal, for n = 17 in 1D
-    and n = 8 in 2D."""
+    value is -0.0, on n points (1D) or n x n cells (2D), or nx x ny cells
+    for n = (nx, ny).  The spacing is a power of two, which divides by its
+    exact reciprocal, for n = 17 in 1D and n = 8 in 2D; on 8 x 16 and
+    16 x 8 cells both spacings are, and differ."""
     if name.startswith("wave2d"):
-        grid = wave2d.Grid2(n, n)
+        grid = wave2d.Grid2(*n) if isinstance(n, tuple) else wave2d.Grid2(n, n)
         system = LOWDIM_PAIRS[name](grid)
         dt = 0.8 * 2.0 / system.ops.norm_bound_A
         f0 = np.zeros(grid.shape("fp"))
@@ -960,9 +963,16 @@ def _lowdim_case(name, n, rng):
     return _engine(system), f0, rng.standard_normal(n - 1), 0.8 * 2.0 / system.ops.norm_bound_A
 
 
+# every pair on 8 and 17 points or cells per axis, and the 2D pair with a
+# unit and a non-unit star on cells of unequal power-of-two spacings, whose v
+# update folds a different 1/h into each component
+LOWDIM_RUNS = [(name, n) for name in sorted(LOWDIM_PAIRS) for n in (8, 17)] + [
+    pytest.param(name, cells, id=f"{name}-{cells[0]}x{cells[1]}")
+    for name in ("wave2d-unit", "wave2d") for cells in ((8, 16), (16, 8))]
+
+
 @pytest.mark.parametrize("record_every", RECORD_EVERY)
-@pytest.mark.parametrize("n", [8, 17])
-@pytest.mark.parametrize("name", sorted(LOWDIM_PAIRS))
+@pytest.mark.parametrize("name, n", LOWDIM_RUNS)
 def test_in_place_low_dim_run_equals_allocating_steps(name, n, record_every):
     (ops, inner_X, inner_Y), f0, g0, dt = _lowdim_case(name, n, np.random.default_rng(41))
     assert ops.plan is not None
@@ -1013,25 +1023,17 @@ def test_steady_low_dim_steps_allocate_no_field(record_every, name, n):
     assert _steady_peak(_fresh(engine), f0, g0, dt, 22, record_every) > field
 
 
-class _ScalarOperands:
-    """numpy as `wave2d` sees it, with the Python-float operands of every
-    multiply and divide counted."""
+def _count_scalar_operands(monkeypatch, counts):
+    """Count the Python-float operands of every np.multiply and
+    np.true_divide, in numpy itself: the update plans bind those calls in
+    `core` and take their weighing ufunc from the module that builds the
+    pair, so the pair must be built after this call."""
+    for name in ("multiply", "true_divide"):
+        def counted(*args, _fn=getattr(np, name), **kwargs):
+            counts.update(a for a in args if isinstance(a, float))
+            return _fn(*args, **kwargs)
 
-    def __init__(self, counts):
-        self.counts = counts
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def _count(self, fn, args, kwargs):
-        self.counts.update(a for a in args if isinstance(a, float))
-        return fn(*args, **kwargs)
-
-    def multiply(self, *args, **kwargs):
-        return self._count(np.multiply, args, kwargs)
-
-    def true_divide(self, *args, **kwargs):
-        return self._count(np.true_divide, args, kwargs)
+        monkeypatch.setattr(np, name, counted)
 
 
 @pytest.mark.parametrize(
@@ -1040,9 +1042,9 @@ class _ScalarOperands:
      ("wave2d", (2.0, 1.5, 3.0))],
 )
 def test_unrecorded_wave2d_step_applies_one_coefficient_per_update(monkeypatch, name, weights):
-    (ops, _, _), f0, g0, dt = _lowdim_case(name, 7, np.random.default_rng(3))
     counts = Counter()
-    monkeypatch.setattr(wave2d, "np", _ScalarOperands(counts))
+    _count_scalar_operands(monkeypatch, counts)
+    (ops, _, _), f0, g0, dt = _lowdim_case(name, 7, np.random.default_rng(3))
     run_system(f0, None, ops, dt, 5, g_half0=g0, record_every=0)
     # three dt scalings a step (u, vx, vy); the rest are the update
     # coefficients at h = 1/7: a*h, by which the u update divides, and
@@ -1287,18 +1289,38 @@ def test_folded_update_stays_finite_where_the_scaled_difference_overflows(c):
 def test_folded_low_dim_hooks_never_scale_by_the_spacing(monkeypatch, name, n):
     # power-of-two spacings (n = 16, 8) and others (17, 7) alike: every
     # weight is folded into one coefficient, and no update divides
+    counts = Counter()
+    _count_scalar_operands(monkeypatch, counts)
     ops, xs, ys, module = _fold_case(name, n)
     rng = np.random.default_rng(9)
     f0, g0 = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
     h = 1.0 / n
-    counts = Counter()
-    monkeypatch.setattr(module, "np", _ScalarOperands(counts))
     _count_divides(monkeypatch, module, counts)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
         run_system(f0, None, ops, 1e-3, 5, g_half0=g0, record_every=0)
     divides = sum(k for key, k in counts.items() if isinstance(key, tuple))
     by_spacing = sum(k for key, k in counts.items() if key in (h, 1.0 / h))
     assert divides == 0 and by_spacing == 0
+
+
+@pytest.mark.parametrize("name", ["vmp-rough", "wave2d-full", "maxwell:pinned:diagonal"])
+def test_a_planned_pair_is_freed_without_the_cycle_collector(name):
+    # a pair holds its work arrays, or its grid's scratch: a reference cycle
+    # among its plans would keep every sweep level's until a collection
+    ops, xs, ys, module = _fold_case(name, 4 if ":" in name else 8)
+    rng = np.random.default_rng(2)
+    f, g = _field(_wild(xs, rng), module), _field(_wild(ys, rng), module)
+    gc.disable()
+    try:
+        with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+            ops.plan(f, g, 1e-3, f, True)()
+            ops.plan(g, f, 1e-3, None, False)()
+            ops.apply_A(f)
+        kept = weakref.ref(ops.plan)
+        del ops
+        assert kept() is None
+    finally:
+        gc.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -557,11 +557,11 @@ def test_a_constant_weight_folds_into_one_broadcast_view(n, material):
         op, weights, weigh, _ = side
         if weights is None:
             continue
-        fold = wave3d._fold(grid, *side[:3])
-        assert fold.dt_factor is None and not fold.divide
-        for k, w in zip(fold.weight, weights, strict=True):
+        for fold, w in zip(wave3d._fold(grid, *side[:3]), weights, strict=True):
+            assert fold.dt_factor is None and not fold.divide
+            k = fold.weight
             assert k.shape == w.shape
-            want = w * h if weigh is wave3d._over else w / h
+            want = w * h if weigh is np.true_divide else w / h
             if material == "sampled":
                 assert all(k.strides) and np.array_equal(k, want)
             else:
@@ -587,7 +587,7 @@ def test_a_coefficient_past_the_float_range_keeps_the_divide_for_its_whole_side(
     sides = (wave3d._maxwell_sides(star, Star3.trivial(grid), grid) if rung == "maxwell"
              else wave3d._scalar_sides(star, grid))[0]
     refused = sides[divided]
-    assert wave3d._fold(grid, *refused[:3]) == (refused[1], None, True)
+    assert wave3d._fold(grid, *refused[:3]) == tuple((w, None, True) for w in refused[1])
     ops, dt = system.ops, system.cfl_dt(0.7)
     rng = np.random.default_rng(11)
     f, g = (random_field(grid, kind, rng) for kind in (f_kind, g_kind))
@@ -1101,6 +1101,20 @@ class TestDivergenceAudit:
         gc.collect()
         assert held() is not None  # the scratch made last, held until another grid's is made
         _scratch(Grid3(1.0, 1.1, 0.9, 6, 5, 7, boundary="pinned"))
+        assert held() is None
+
+    def test_a_system_alone_keeps_its_scratch(self):
+        # its plans bind views of the scratch's buffers, so while the System
+        # lives, every other user on its grid takes that same scratch
+        grid = Grid3(1.0, 1.1, 0.9, 7, 5, 6, boundary="pinned")
+        star = Star3.trivial(grid)
+        system = maxwell_system(star, star, grid)
+        held = weakref.ref(_scratch(grid))
+        _scratch(Grid3(1.0, 1.1, 0.9, 6, 7, 5, boundary="pinned"))  # takes the newest slot
+        gc.collect()
+        assert held() is not None and _scratch(grid) is held()
+        del system
+        gc.collect()
         assert held() is None
 
 

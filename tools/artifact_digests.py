@@ -18,7 +18,8 @@ every convergence case including unordered ``--k`` levels and 1D sweeps over
 rough materials (a density jump, a piecewise stiffness) or over non-consecutive
 levels, in parallel (at a named final time too), or from a higher mode,
 power-of-two grids whose update plans fold the spacing into non-unit 2D and
-3D weights, unit-star 3D runs on a power-of-two grid whose steps run in
+3D weights, 2D grids with unequal power-of-two spacings, whose v update
+folds a different 1/h into each component, unit-star 3D runs on a power-of-two grid whose steps run in
 place between records, unit-star 3D runs on a grid whose spacing is not a
 power of two, which multiply by 1/h, the
 benchmark's invocations with fixed draws, the inputs that must end in a
@@ -66,6 +67,8 @@ MORE_RUNS = [
     ["wave2d"],
     ["wave2d", "--nx", "20", "--ny", "28", "--a", "2", "--a11", "1.5", "--a22", "3"],
     ["wave2d", "--nx", "16", "--ny", "16", "--a", "2", "--a11", "1.5", "--a22", "3"],
+    ["wave2d", "--nx", "8", "--ny", "16"],
+    ["wave2d", "--nx", "16", "--ny", "8", "--a", "2", "--a11", "1.5", "--a22", "3"],
     ["system", "--preset", "oscillator"],
     ["system", "--preset", "cmp"],
     ["oscillator"],
